@@ -48,6 +48,7 @@ from .fault import (
     BoundaryTrace,
     boundary_trace,
     classify_boundary,
+    classify_trace,
     discrepancy_growth,
     offset_statistics,
 )

@@ -310,8 +310,11 @@ class NumberField:
 
     p is a monic irreducible integer polynomial, so the quotient is a genuine
     field and exact zero testing is coefficient-wise.  The root interval only
-    ever shrinks; refinements are cached on the field object (monotone
-    memoization, observable behavior is unchanged).
+    ever shrinks; refinements are cached on the field object.  Exact results
+    (signs, comparisons, floors) do not depend on that cache, but enclosures
+    do: ``AlgebraicNumber.interval(width)`` evaluates at the current root
+    interval, so once an earlier computation has refined the field, the same
+    number and width give a tighter (different) enclosure.
     """
 
     __slots__ = ("poly", "_iv", "_sign_lo")

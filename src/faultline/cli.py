@@ -24,7 +24,13 @@ from .errors import (
     UndeterminedError,
     ValidationError,
 )
-from .fault import boundary_trace, classify_boundary, discrepancy_growth, offset_statistics
+from .fault import (
+    boundary_trace,
+    classify_trace,
+    discrepancy_growth,
+    offset_statistics,
+    sort_exact,
+)
 from .render import emit_svg, generate_patch, overlay_boundaries
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,6 +64,9 @@ def alg_json(x):
         x = Fraction(x)
         return {"coeffs": [str(x)], "poly": "x", "interval": [str(x), str(x)],
                 "decimal": _decimal12(x)}
+    # The enclosure is taken at the field's current refinement, so these
+    # strings depend on how far earlier stages refined the field (the fault
+    # scan refines it to 2^-96); changing that refinement changes reports.
     iv = x.interval(Fraction(1, 2 ** 48))
     return {
         "poly": poly_str(x.field.poly),
@@ -273,14 +282,16 @@ def cmd_fault(args):
                            max_word_len=opts["max_word_len"])
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
-    cls = classify_boundary(top, bottom, cap=rounds, modulus=modulus,
-                            max_word_len=opts["max_word_len"])
+    # classification is defined on the trace from seed letter 0
+    seed0 = trace if trace.seed == 0 else boundary_trace(
+        top, bottom, 0, rounds, modulus=modulus, max_word_len=opts["max_word_len"])
+    cls = classify_trace(seed0)
     rows = []
     prev_max = None
     for st in trace.steps:
         gap = None
         if len(st.offsets) > 1:
-            gap = min(b - a for a, b in zip(st.offsets, st.offsets[1:]))
+            gap = sort_exact([b - a for a, b in zip(st.offsets, st.offsets[1:])])[0]
         step_ratio = None
         if prev_max not in (None, 0):
             step_ratio = _decimal12(Fraction(st.max_abs_discrepancy, prev_max))

@@ -19,10 +19,8 @@ from .substitution import Substitution
 _DOC_KEYS = {"alphabets", "substitutions", "dpv", "options"}
 _SUB_KEYS = {"alphabet", "rules"}
 _DPV_KEYS = {"vertical", "horizontal", "row_sigma"}
-_OPTION_KEYS = {
-    "rounds", "max_word_len", "precision_bits", "max_tiles",
-    "modulus_letter", "conjugacy_max_len",
-}
+_INT_OPTIONS = {"rounds", "max_word_len", "precision_bits", "max_tiles", "conjugacy_max_len"}
+_OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
 
 DEFAULT_OPTIONS = {
     "rounds": 12,
@@ -85,6 +83,17 @@ def _require_keys(obj, allowed, where):
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"unknown fields in {where}: {sorted(unknown)}")
+
+
+def _check_options(opts, alphabets):
+    for key in sorted(_INT_OPTIONS & set(opts)):
+        val = opts[key]
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise ValidationError(f"options.{key} must be an integer >= 1, got {val!r}")
+    letter = opts.get("modulus_letter")
+    if letter is not None and not any(letter in letters for letters in alphabets.values()):
+        raise ValidationError(f"options.modulus_letter must be null or a letter name, "
+                              f"got {letter!r}")
 
 
 def _parse_word(raw, where):
@@ -179,6 +188,7 @@ def load_document(source):
     options = dict(DEFAULT_OPTIONS)
     if "options" in raw and raw["options"] is not None:
         _require_keys(raw["options"], _OPTION_KEYS, "options")
+        _check_options(raw["options"], alphabets)
         options.update(raw["options"])
 
     return Document(

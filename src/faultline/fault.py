@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .algebra import mod_reduce
+from .algebra import mod_reduce, peval_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
@@ -32,7 +33,8 @@ class BoundaryStep:
 
     @property
     def max_abs_discrepancy(self):
-        return max((abs(d) for d in self.prefix_discrepancies), default=0)
+        v = self.discrepancy_values
+        return max(abs(v[0]), abs(v[-1])) if v else 0
 
 
 @dataclass(frozen=True)
@@ -49,56 +51,55 @@ class BoundaryTrace:
         return tuple(s.max_abs_discrepancy for s in self.steps)
 
 
+def _exact_sign(widths, delta):
+    """Exact sign of sum(delta[i] * widths[i]) in Q(lambda)."""
+    exact = widths[0] * delta[0]
+    for i in range(1, len(widths)):
+        if delta[i]:
+            exact = exact + widths[i] * delta[i]
+    return exact.sign()
+
+
 def _prefix_discrepancies(top, bottom, widths, tracked):
     """Tracked-letter count difference at each top-tile boundary, bottom side
     cut at the same exact position (tiles whose right edge is <= the cut).
 
-    Position comparisons are decided by a certified integer filter (widths
-    scaled to integers with a known error margin); whenever the filter cannot
-    decide, the sign is recomputed exactly in Q(lambda).  Ties (exactly equal
-    positions) are therefore exact."""
+    The scan keeps the count difference delta (top minus bottom), its
+    scaled-integer image t = sum(delta[i] * scaled[i]) and the filter's error
+    margin sum(|delta[i]|), each updated in O(1) per letter.  A bottom tile is
+    taken when the cut minus its right edge, sum(delta[i] * widths[i]) after
+    the tentative step, is >= 0.  The filter decides that sign whenever t lies
+    outside the margin; an all-zero delta (margin 0) is an exact tie; only the
+    rest is recomputed exactly in Q(lambda)."""
     if top == bottom:
         return tuple([0] * len(top))
-    n_letters = len(widths)
-    # scaled-integer approximations: |widths[i] * 2^96 - scaled[i]| <= 1
+    # scaled-integer approximations: |widths[i] * 2^96 - scaled[i]| <= 1.
+    # This refinement also sets the field enclosures that reports print
+    # (cli.alg_json): another width here would change report bytes.
     scale = 1 << 96
-    scaled = []
-    for w in widths:
-        iv = w.interval(Fraction(1, scale))
-        mid = iv.midpoint() * scale
-        scaled.append(round(mid))
-
-    def delta_sign(deltas):
-        t = sum(d * s for d, s in zip(deltas, scaled))
-        margin = sum(abs(d) for d in deltas)
-        if t > margin:
-            return 1
-        if t < -margin:
-            return -1
-        if all(d == 0 for d in deltas):
-            return 0
-        exact = widths[0] * deltas[0]
-        for i in range(1, n_letters):
-            if deltas[i]:
-                exact = exact + widths[i] * deltas[i]
-        return exact.sign()
-
-    top_counts = [0] * n_letters
-    bot_counts = [0] * n_letters
+    scaled = [round(w.interval(Fraction(1, scale)).midpoint() * scale) for w in widths]
+    delta = [0] * len(widths)
+    t = margin = 0
     out = []
-    ib = 0
+    ib, nb = 0, len(bottom)
     for letter in top:
-        top_counts[letter] += 1
+        d = delta[letter]
+        delta[letter] = d + 1
+        t += scaled[letter]
+        margin += 1 if d >= 0 else -1
         # advance the bottom pointer while its next right edge stays <= cut
-        while ib < len(bottom):
-            nxt = bottom[ib]
-            bot_counts[nxt] += 1
-            if delta_sign([t - b for t, b in zip(top_counts, bot_counts)]) >= 0:
-                ib += 1
-            else:
-                bot_counts[nxt] -= 1
+        while ib < nb:
+            b = bottom[ib]
+            d = delta[b]
+            tb = t - scaled[b]
+            mb = margin + 1 if d <= 0 else margin - 1
+            delta[b] = d - 1
+            if tb < -mb or (tb <= mb and mb and _exact_sign(widths, delta) < 0):
+                delta[b] = d
                 break
-        out.append(top_counts[tracked] - bot_counts[tracked])
+            t, margin = tb, mb
+            ib += 1
+        out.append(delta[tracked])
     return tuple(out)
 
 
@@ -128,6 +129,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise ValidationError("offset modulus must be positive")
 
     unit_shift = widths[tracked_letter]
+    # the same discrepancy values recur round after round: reduce each once
+    reduced = {}
     steps = []
     wt = wb = (seed,)
     for rnd in range(1, k + 1):
@@ -137,7 +140,11 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
             raise ResourceCapError(f"boundary trace exceeded the {max_word_len}-letter word cap")
         ds = _prefix_discrepancies(wt, wb, widths, tracked_letter)
         ms = tuple(sorted(set(ds)))
-        offsets = tuple(sorted(mod_reduce(unit_shift * m, modulus) for m in ms))
+        for m in ms:
+            if m not in reduced:
+                o = mod_reduce(unit_shift * m, modulus)
+                reduced[m] = (o, _enclosure(o))
+        offsets = sort_exact([reduced[m][0] for m in ms], [reduced[m][1] for m in ms])
         steps.append(
             BoundaryStep(
                 round=rnd,
@@ -157,6 +164,46 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         modulus=modulus,
         steps=tuple(steps),
     )
+
+
+def _enclosure(x):
+    """(lo, hi) around x at its field's current refinement; never refines."""
+    if x.is_rational():
+        return (x.coeffs[0], x.coeffs[0])
+    iv = peval_interval(x.coeffs, x.field.interval)
+    return (iv.lo, iv.hi)
+
+
+def sort_exact(values, enclosures=None):
+    """Algebraic numbers sorted ascending, equal values in input order, as
+    ``sorted`` would give.
+
+    Values are ordered by certified enclosures; exact Q(lambda) comparisons
+    run only inside groups of overlapping enclosures.  ``enclosures`` may
+    supply an enclosure per value (each at any refinement)."""
+    if enclosures is None:
+        enclosures = [_enclosure(x) for x in values]
+    order = sorted(range(len(values)), key=lambda i: enclosures[i][0])
+
+    def exact(i, j):
+        return values[i].compare(values[j]) or (i > j) - (i < j)
+
+    out = []
+    group = []
+    group_hi = None
+    for i in order:
+        lo, hi = enclosures[i]
+        if group and lo > group_hi:
+            # every value in the group lies below this one
+            group.sort(key=cmp_to_key(exact))
+            out.extend(values[j] for j in group)
+            group = []
+        if not group or hi > group_hi:
+            group_hi = hi
+        group.append(i)
+    group.sort(key=cmp_to_key(exact))
+    out.extend(values[j] for j in group)
+    return tuple(out)
 
 
 def _nth_root_interval(ratio, t, width=Fraction(1, 10 ** 6)):
@@ -196,18 +243,10 @@ def offset_statistics(trace):
     gap between them; also the per-round distinct counts."""
     if not trace.steps:
         raise ValidationError("empty trace")
-    all_offsets = []
-    for s in trace.steps:
-        all_offsets.extend(s.offsets)
-    distinct = []
-    for o in sorted(all_offsets):
-        if not distinct or not (o - distinct[-1]).is_zero():
-            distinct.append(o)
-    min_gap = None
-    for a, b in zip(distinct, distinct[1:]):
-        gap = b - a
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+    # equality of algebraic numbers is exact (coefficient-wise)
+    distinct = sort_exact(list(dict.fromkeys(o for s in trace.steps for o in s.offsets)))
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+    min_gap = sort_exact(gaps)[0] if gaps else None
     per_round = tuple(len(s.offsets) for s in trace.steps)
     return OffsetStats(
         distinct_count=len(distinct),
@@ -250,12 +289,20 @@ def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
     letters the dichotomy is open)."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
-    trace = boundary_trace(top, bottom, seed=0, k=cap, modulus=modulus,
-                           max_word_len=max_word_len)
+    return classify_trace(boundary_trace(top, bottom, seed=0, k=cap, modulus=modulus,
+                                         max_word_len=max_word_len))
+
+
+def classify_trace(trace):
+    """classify_boundary on an existing trace, which must start from seed
+    letter 0; the cap is its number of rounds."""
+    if trace.seed != 0:
+        raise ValidationError("classification is defined on the trace from seed letter 0")
+    cap = len(trace.steps)
     maxes = trace.max_abs_by_round()
     growth = discrepancy_growth(trace)
     per_round = tuple(len(s.offsets) for s in trace.steps)
-    spectral = spectral_classify(top.matrix()).kind
+    spectral = spectral_classify(trace.top_sub.matrix()).kind
 
     all_offsets = set()
     for s in trace.steps:

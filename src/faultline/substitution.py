@@ -57,6 +57,7 @@ class Substitution:
             raise ValidationError("alphabet names must be nonempty and unique")
         self.letters = tuple(Letter(i, n) for i, n in enumerate(names))
         self._index = {n: i for i, n in enumerate(names)}
+        self._ids = frozenset(range(len(names)))
         imgs = []
         for name in names:
             if name not in rules:
@@ -102,7 +103,9 @@ class Substitution:
 
     def apply(self, word):
         """One substitution step: concatenation of rule images in order."""
-        word = self.word(word)
+        # an id tuple is checked in one pass; anything else goes through word()
+        if not (isinstance(word, tuple) and set(word) <= self._ids):
+            word = self.word(word)
         out = []
         for i in word:
             out.extend(self.rules[i])

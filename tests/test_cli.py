@@ -3,12 +3,16 @@
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from faultline.cli import main
+from faultline import cli
+from faultline.cli import alg_json, main
 from faultline.documents import bundled_document, bundled_names, load_document
 from faultline.errors import ValidationError
+from faultline.fault import classify_boundary
+from faultline.substitution import Substitution
 
 
 def run_cli(*argv):
@@ -170,3 +174,72 @@ def test_schema_validation_messages():
             "alphabets": {"ab": ["a", "b"]},
             "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "ab", "b": ""}}},
         })
+
+
+@pytest.mark.parametrize("seed, traces", [("a", 1), ("b", 2)])
+def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
+    argv = ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+            "--bottom", "sigma2", "--rounds", "8", "--seed", seed)
+    _, plain = run_cli(*argv)
+    calls = []
+    trace = cli.boundary_trace
+    monkeypatch.setattr(cli, "boundary_trace", lambda *a, **k: calls.append(a) or trace(*a, **k))
+    code, counted = run_cli(*argv)
+    assert code == 0
+    assert len(calls) == traces
+    assert counted == plain
+    doc = bundled_document("doubling_swap")
+    cls = classify_boundary(doc.substitution("sigma1"), doc.substitution("sigma2"), cap=8)
+    assert json.loads(counted)["classification"] == cls.kind.value
+    if seed == "a":
+        assert run_cli(*argv[:-2])[1] == plain
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("rounds", "max_word_len", "precision_bits", "max_tiles", "conjugacy_max_len")
+    for value in ("x", True, 0, -3, 2.5, None)
+] + [("modulus_letter", v) for v in ("z", 0, True, ["a"])])
+def test_option_types_rejected_at_load(tmp_path, capsys, key, value):
+    doc = {
+        "alphabets": {"ab": ["a", "b"]},
+        "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "ab", "b": "aaa"}}},
+        "options": {key: value},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["fault", "-i", str(path), "--top", "s", "--bottom", "s"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: options.") and err.count("\n") == 1
+
+
+def test_option_types_accepted():
+    doc = load_document({
+        "alphabets": {"ab": ["a", "b"]},
+        "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "ab", "b": "aaa"}}},
+        "options": {"rounds": 5, "precision_bits": 1, "modulus_letter": "b"},
+    })
+    assert doc.options["rounds"] == 5 and doc.options["modulus_letter"] == "b"
+    load_document({
+        "alphabets": {"ab": ["a", "b"]},
+        "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "ab", "b": "aaa"}}},
+        "options": {"modulus_letter": None},
+    })
+
+
+def test_alg_json_interval_depends_on_field_refinement():
+    # Reports print enclosures at the field's current refinement.  The same
+    # number prints a different interval once an earlier stage (the fault
+    # scan refines to 2^-96) has refined its field; pinned so that a change
+    # to refinement cannot alter reports unnoticed.
+    lam = Substitution(["a", "b"], {"a": "ab", "b": "aaa"}).perron().root
+    before = alg_json(lam)
+    lam.field.refined(Fraction(1, 2 ** 96))
+    after = alg_json(lam)
+    assert before["interval"] == ["648173719000479/281474976710656",
+                                  "20255428718765/8796093022208"]
+    assert after["interval"] == ["182444682460119172405552533303/79228162514264337593543950336",
+                                 "22805585307514896550694066663/9903520314283042199192993792"]
+    assert before["decimal"] == after["decimal"] == "2.302775637732"
+    assert before["coeffs"] == after["coeffs"]

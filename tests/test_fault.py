@@ -1,16 +1,24 @@
 """Boundary traces, discrepancy growth, offsets, classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from faultline.errors import HypothesisError, ResourceCapError
+from faultline import fault
+from faultline.algebra import NumberField
+from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
     BoundaryKind,
+    _enclosure,
+    _prefix_discrepancies,
     boundary_trace,
     classify_boundary,
+    classify_trace,
     discrepancy_growth,
     offset_statistics,
+    sort_exact,
 )
 from faultline.substitution import Substitution
 
@@ -44,6 +52,147 @@ def naive_discrepancies(top, bottom, widths, tracked):
                 break
         out.append(top[:j].count(tracked) - taken.count(tracked))
     return out
+
+
+def reference_prefix_discrepancies(top, bottom, widths, tracked):
+    """The scan as first written: full count vectors, and a tentative add and
+    undo per bottom letter with the filter recomputed from scratch."""
+    if top == bottom:
+        return tuple([0] * len(top))
+    n_letters = len(widths)
+    scale = 1 << 96
+    scaled = []
+    for w in widths:
+        iv = w.interval(Fraction(1, scale))
+        mid = iv.midpoint() * scale
+        scaled.append(round(mid))
+
+    def delta_sign(deltas):
+        t = sum(d * s for d, s in zip(deltas, scaled))
+        margin = sum(abs(d) for d in deltas)
+        if t > margin:
+            return 1
+        if t < -margin:
+            return -1
+        if all(d == 0 for d in deltas):
+            return 0
+        exact = widths[0] * deltas[0]
+        for i in range(1, n_letters):
+            if deltas[i]:
+                exact = exact + widths[i] * deltas[i]
+        return exact.sign()
+
+    top_counts = [0] * n_letters
+    bot_counts = [0] * n_letters
+    out = []
+    ib = 0
+    for letter in top:
+        top_counts[letter] += 1
+        while ib < len(bottom):
+            nxt = bottom[ib]
+            bot_counts[nxt] += 1
+            if delta_sign([t - b for t, b in zip(top_counts, bot_counts)]) >= 0:
+                ib += 1
+            else:
+                bot_counts[nxt] -= 1
+                break
+        out.append(top_counts[tracked] - bot_counts[tracked])
+    return tuple(out)
+
+
+def constant_length_substitution(rng, n_letters, length):
+    """Random primitive substitution whose images all have one length, so
+    the tile widths are rational and equal positions are common."""
+    names = [chr(ord("a") + i) for i in range(n_letters)]
+    while True:
+        s = Substitution(names, {
+            name: "".join(rng.choice(names) for _ in range(length)) for name in names
+        })
+        if s.is_primitive():
+            return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4),
+       constant_length=st.booleans())
+def test_scan_matches_reference_and_naive(seed, n_letters, constant_length):
+    rng = random.Random(seed)
+    if constant_length:
+        s = constant_length_substitution(rng, n_letters, rng.randint(2, 3))
+    else:
+        s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    widths = s.tile_lengths()
+    tracked = rng.randrange(n_letters)
+    start = (rng.randrange(n_letters),)
+    wt, wb = s.apply(start), t.apply(start)
+    while len(wt) <= 300:
+        fast = _prefix_discrepancies(wt, wb, widths, tracked)
+        assert fast == reference_prefix_discrepancies(wt, wb, widths, tracked)
+        if len(wt) <= 30:
+            assert list(fast) == naive_discrepancies(wt, wb, widths, tracked)
+        wt, wb = s.apply(wt), t.apply(wb)
+
+
+def test_scan_resolves_exact_ties_on_rational_widths(monkeypatch):
+    # equal positions with a nonzero count difference: the filter cannot
+    # decide them, the exact fallback finds the tie
+    s = Substitution(["a", "b"], {"a": "ab", "b": "ba"})
+    t = Substitution(["a", "b"], {"a": "ba", "b": "ab"})
+    widths = s.tile_lengths()
+    wt, wb = s.iterate("a", 3), t.iterate("a", 3)
+    signs = []
+    exact_sign = fault._exact_sign
+    monkeypatch.setattr(fault, "_exact_sign",
+                        lambda w, d: signs.append(exact_sign(w, d)) or signs[-1])
+    fast = _prefix_discrepancies(wt, wb, widths, 0)
+    assert signs and set(signs) == {0}
+    assert fast == reference_prefix_discrepancies(wt, wb, widths, 0)
+    assert list(fast) == naive_discrepancies(wt, wb, widths, 0)
+    assert set(fast) == {-1, 0, 1}
+
+
+def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):
+    for st_ in boundary_trace(sigma1, sigma2, "b", 8).steps:
+        assert st_.max_abs_discrepancy == max(abs(d) for d in st_.prefix_discrepancies)
+
+
+def coarse_field():
+    # x^2 - x - 3 on its coarse isolating interval [2, 3]
+    return NumberField((-3, -1, 1), (2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(0, 40)),
+                       max_size=12),
+       refine=st.booleans(), loose=st.lists(st.booleans(), max_size=12))
+def test_sort_exact_matches_sorted(coeffs, refine, loose):
+    # fresh field per example: enclosures of nearby values overlap on the
+    # coarse root interval, and stay apart once it is refined
+    field = coarse_field()
+    if refine:
+        field.refined(Fraction(1, 2 ** 40))
+    values = [field.element([Fraction(a) + Fraction(1, 2 ** e), b]) for a, b, e in coeffs]
+    # equal values as distinct objects, to check that equal values keep their order
+    values += [field.element(v.coeffs) for v in values[: len(values) // 3]]
+    enclosures = [_enclosure(v) for v in values]
+    for i, wide in enumerate(loose[: len(values)]):
+        if wide:
+            enclosures[i] = (enclosures[i][0] - 8, enclosures[i][1] + 8)
+    want = [id(v) for v in sorted(values)]
+    assert [id(v) for v in sort_exact(values)] == want
+    assert [id(v) for v in sort_exact(values, enclosures)] == want
+
+
+def test_sort_exact_overlapping_enclosures():
+    field = coarse_field()
+    lam = field.gen()
+    eps = Fraction(1, 2 ** 70)
+    half = Fraction(5, 2)
+    values = [lam + eps, lam, lam - eps, lam, field.from_rational(half), lam + 1]
+    lo, hi = _enclosure(lam)
+    assert lo < half < hi      # the rational 5/2 sits inside lambda's enclosure
+    assert [id(v) for v in sort_exact(values)] == [id(v) for v in sorted(values)]
 
 
 def test_trace_reproduces_displayed_pairs(sigma1, sigma2):
@@ -165,6 +314,13 @@ def test_offset_statistics(sigma1, sigma2):
 def test_classify_examples(sigma1, sigma2):
     assert classify_boundary(sigma1, sigma2).kind is BoundaryKind.REGULAR_FAULT
     assert classify_boundary(sigma1, sigma1).kind is BoundaryKind.RIGID
+
+
+def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
+    trace = boundary_trace(sigma1, sigma2, "a", 10)
+    assert classify_trace(trace) == classify_boundary(sigma1, sigma2, cap=10)
+    with pytest.raises(ValidationError):
+        classify_trace(boundary_trace(sigma1, sigma2, "b", 10))
 
 
 def test_classify_pisot_pair():

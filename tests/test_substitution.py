@@ -41,6 +41,11 @@ def test_apply_rejects_unknown_letter(sigma1):
         sigma1.apply("ax")
     with pytest.raises(ValidationError):
         sigma1.apply([5])
+    with pytest.raises(ValidationError):
+        sigma1.apply((0, 5))
+    with pytest.raises(ValidationError):
+        sigma1.apply(("a", "x"))
+    assert sigma1.apply(("b", "a")) == sigma1.apply((1, 0)) == sigma1.apply("ba")
 
 
 def test_iterate_examples(sigma1, sigma2):

@@ -5,7 +5,8 @@ operations are carried out over ``fractions.Fraction``; nothing stored here is
 ever a float.  Root isolation and factorization over Q are delegated to sympy
 (its Collins-Krandick isolation returns exact rational intervals); everything
 downstream of isolation (refinement, comparison, floor, modular reduction) is
-implemented here with exact rational intervals.
+implemented here with exact rational intervals, evaluated by one integer
+Horner routine over a common denominator (``horner_interval``).
 """
 
 from __future__ import annotations
@@ -293,11 +294,46 @@ class Interval:
         return f"Interval({self.lo}, {self.hi})"
 
 
-def peval_interval(a, iv):
-    acc = Interval(0, 0)
-    for c in reversed(a):
-        acc = acc * iv + Interval(c, c)
-    return acc
+def clear_denominators(coeffs):
+    """(nums, den): integers with coeffs[i] == nums[i] / den, den > 0 the
+    lcm of the denominators."""
+    den = 1
+    for c in coeffs:
+        d = Fraction(c).denominator
+        den = den * d // gcd(den, d)
+    return tuple(int(c * den) for c in coeffs), den
+
+
+def horner_interval(nums, lo, hi, q):
+    """Horner's rule in interval arithmetic for sum(nums[i] * x**i) over
+    x in [lo/q, hi/q], with integer nums, lo, hi and q > 0.
+
+    Returns integers (a, b, e), e > 0, for the enclosure [a/e, b/e].  As
+    rationals it is the interval that exact interval Horner evaluation
+    gives (acc := acc * [lo/q, hi/q] + c from the top coefficient down):
+    every partial sum is carried scaled by the same power of q, and positive
+    scaling does not change which endpoint products are least and greatest.
+    """
+    if not nums:
+        return 0, 0, 1
+    a = b = nums[-1]
+    e = 1
+    for c in reversed(nums[:-1]):
+        e *= q
+        t = (a * lo, a * hi, b * lo, b * hi)
+        a = min(t) + c * e
+        b = max(t) + c * e
+    return a, b, e
+
+
+def decimal_string(num, den, digits):
+    """num/den (den > 0) rounded half up to ``digits`` fractional digits,
+    as a fixed-point decimal string."""
+    unit = 10 ** digits
+    n = (2 * num * unit + den) // (2 * den)
+    sign = "-" if n < 0 else ""
+    whole, frac = divmod(abs(n), unit)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +353,7 @@ class NumberField:
     number and width give a tighter (different) enclosure.
     """
 
-    __slots__ = ("poly", "_iv", "_sign_lo")
+    __slots__ = ("poly", "_iv", "_ziv", "_sign_lo")
 
     def __init__(self, poly, interval):
         poly = ptrim(int(c) for c in poly)
@@ -334,8 +370,14 @@ class NumberField:
             if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
                 raise ValidationError("defining polynomial must change sign on the interval")
         self.poly = poly
-        self._iv = (lo, hi)
+        self._set_interval(lo, hi)
         self._sign_lo = 1 if pdeg(poly) == 1 or peval(poly, lo) > 0 else -1
+
+    def _set_interval(self, lo, hi):
+        self._iv = (lo, hi)
+        q = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        self._ziv = (lo.numerator * (q // lo.denominator),
+                     hi.numerator * (q // hi.denominator), q)
 
     @property
     def degree(self):
@@ -344,6 +386,12 @@ class NumberField:
     @property
     def interval(self):
         return Interval(*self._iv)
+
+    @property
+    def root_ints(self):
+        """The root interval as integers (lo, hi, q): the root lies in
+        [lo/q, hi/q].  A new tuple whenever the interval is refined."""
+        return self._ziv
 
     def refined(self, width):
         """Shrink the cached isolating interval to at most ``width`` wide."""
@@ -360,13 +408,32 @@ class NumberField:
                 lo = mid
             else:
                 hi = mid
-        self._iv = (lo, hi)
+        self._set_interval(lo, hi)
         return Interval(lo, hi)
 
     def _bisect_once(self):
         lo, hi = self._iv
         if self.degree > 1:
             self.refined((hi - lo) / 2)
+
+    def enclose(self, nums, den, width=None):
+        """Integer enclosure (a, b, e) of (sum(nums[i] * root**i)) / den, i.e.
+        the value lies in [a/e, b/e], by ``horner_interval`` at the current
+        root interval.
+
+        With ``width``, the root interval is bisected one step at a time
+        until the enclosure is at most ``width`` wide.  A rational value
+        (nums[1:] all zero) gives [c, c] and never touches the field."""
+        if not any(nums[1:]):
+            return nums[0], nums[0], den
+        for _ in range(_MAX_REFINE):
+            lo, hi, q = self._ziv
+            a, b, e = horner_interval(nums, lo, hi, q)
+            e *= den
+            if width is None or (b - a) * width.denominator <= width.numerator * e:
+                return a, b, e
+            self._bisect_once()
+        raise RuntimeError("interval refinement did not converge")  # pragma: no cover
 
     # -- element constructors ------------------------------------------------
 
@@ -414,7 +481,9 @@ class NumberField:
         for fac, _ in irreducible_factors(sf):
             if pdeg(fac) == 1:
                 r = -Fraction(fac[0])
-                if lo <= r <= hi:
+                # a nondegenerate isolating interval holds its root inside;
+                # a rational root at its end is a smaller root of sf
+                if lo < r < hi or lo == r == hi:
                     field = cls(fac, (r, r))
                     return field, field.gen()
             else:
@@ -552,13 +621,13 @@ class AlgebraicNumber:
         """Exact sign via interval evaluation with root-interval bisection."""
         if self.is_zero():
             return 0
-        if self.is_rational():
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
+        nums, den = clear_denominators(self.coeffs)
         for _ in range(_MAX_REFINE):
-            s = peval_interval(self.coeffs, self.field.interval).sign()
-            if s is not None:
-                return s
+            a, b, _ = self.field.enclose(nums, den)
+            if a > 0:
+                return 1
+            if b < 0:
+                return -1
             self.field._bisect_once()
         raise RuntimeError("sign refinement did not converge")  # pragma: no cover
 
@@ -582,17 +651,8 @@ class AlgebraicNumber:
 
     def interval(self, width=Fraction(1, 2 ** 40)):
         """Rational enclosure of at most ``width`` wide."""
-        if self.is_rational():
-            c = self.coeffs[0]
-            return Interval(c, c)
-        width = Fraction(width)
-        iv = peval_interval(self.coeffs, self.field.interval)
-        for _ in range(_MAX_REFINE):
-            if iv.width <= width:
-                return iv
-            self.field._bisect_once()
-            iv = peval_interval(self.coeffs, self.field.interval)
-        raise RuntimeError("interval refinement did not converge")  # pragma: no cover
+        a, b, e = self.field.enclose(*clear_denominators(self.coeffs), Fraction(width))
+        return Interval(Fraction(a, e), Fraction(b, e))
 
     def __float__(self):
         return float(self.interval(Fraction(1, 2 ** 64)).midpoint())

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import __version__
 from .abelian import poly_str, recognize
+from .algebra import decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
-from .documents import bundled_document, bundled_names, load_document
+from .documents import bundled_document, bundled_names, check_count, load_document
 from .dpv import cohomology
 from .errors import (
     FaultlineError,
@@ -50,13 +51,7 @@ _ENV_CAPS = {
 
 def _decimal12(q):
     q = Fraction(q)
-    scaled = q * 10 ** 12
-    n = scaled.numerator // scaled.denominator
-    if scaled - n >= Fraction(1, 2):
-        n += 1
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 10 ** 12)
-    return f"{sign}{whole}.{frac:012d}"
+    return decimal_string(q.numerator, q.denominator, 12)
 
 
 def alg_json(x):
@@ -185,20 +180,21 @@ def _apply_env(options):
     for var, key in _ENV_CAPS.items():
         if var in os.environ:
             try:
-                options[key] = int(os.environ[var])
+                val = int(os.environ[var])
             except ValueError:
                 raise ValidationError(f"{var} must be an integer")
+            options[key] = check_count(var, val)
     return options
 
 
-def _options(doc, args):
+def _options(doc, args, flags=("rounds", "max_word_len", "precision_bits")):
     """Effective options: document options, then environment caps, then
-    command-line flags."""
+    the command-line ``flags``."""
     opts = _apply_env(dict(doc.options))
-    for key in ("rounds", "max_word_len", "precision_bits"):
+    for key in flags:
         val = getattr(args, key, None)
         if val is not None:
-            opts[key] = val
+            opts[key] = check_count("--" + key.replace("_", "-"), val)
     return opts
 
 
@@ -364,7 +360,9 @@ def cmd_render(args):
     doc = _load(args)
     if doc.dpv is None:
         raise ValidationError("document has no dpv section")
-    opts = _options(doc, args)
+    # --rounds is the patch depth here, not the rounds option; 0 is the seed tile
+    opts = _options(doc, args, flags=("max_word_len", "precision_bits"))
+    k = 3 if args.rounds is None else check_count("--rounds", args.rounds, least=0)
     d = doc.dpv
     if args.seed:
         if "," not in args.seed:
@@ -373,17 +371,19 @@ def cmd_render(args):
         seed = (d.vertical.word([vn])[0], d.horizontal[0].word([hn])[0])
     else:
         seed = (0, 0)
-    k = args.rounds if args.rounds is not None else 3
-    patch = generate_patch(d, seed, k, max_tiles=opts["max_tiles"])
-    overlay = ()
-    if args.overlay is not None:
-        overlay = overlay_boundaries(d, seed, k, args.overlay)
     colors = {}
     if args.colors:
         for part in args.colors.split(";"):
             tile, _, color = part.partition("=")
+            if "," not in tile or not color:
+                raise ValidationError(f"--colors entries must be '<vertical>,<horizontal>="
+                                      f"<color>', got {part!r}")
             vn, hn = tile.split(",", 1)
             colors[(d.vertical.word([vn])[0], d.horizontal[0].word([hn])[0])] = color
+    patch = generate_patch(d, seed, k, max_tiles=opts["max_tiles"])
+    overlay = ()
+    if args.overlay is not None:
+        overlay = overlay_boundaries(d, seed, k, args.overlay)
     svg = emit_svg(patch, colors=colors, overlay=overlay)
     out = args.output or "-"
     if out == "-":

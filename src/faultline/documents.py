@@ -85,11 +85,17 @@ def _require_keys(obj, allowed, where):
         raise ValidationError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
+def check_count(where, val, least=1):
+    """``val`` if it is an integer (not a bool) >= ``least``; otherwise a
+    ValidationError naming ``where``."""
+    if not isinstance(val, int) or isinstance(val, bool) or val < least:
+        raise ValidationError(f"{where} must be an integer >= {least}, got {val!r}")
+    return val
+
+
 def _check_options(opts, alphabets):
     for key in sorted(_INT_OPTIONS & set(opts)):
-        val = opts[key]
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise ValidationError(f"options.{key} must be an integer >= 1, got {val!r}")
+        check_count(f"options.{key}", opts[key])
     letter = opts.get("modulus_letter")
     if letter is not None and not any(letter in letters for letters in alphabets.values()):
         raise ValidationError(f"options.modulus_letter must be null or a letter name, "

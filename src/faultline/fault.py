@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .algebra import mod_reduce, peval_interval
+from .algebra import clear_denominators, mod_reduce
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
@@ -168,10 +168,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
 
 def _enclosure(x):
     """(lo, hi) around x at its field's current refinement; never refines."""
-    if x.is_rational():
-        return (x.coeffs[0], x.coeffs[0])
-    iv = peval_interval(x.coeffs, x.field.interval)
-    return (iv.lo, iv.hi)
+    a, b, e = x.field.enclose(*clear_denominators(x.coeffs))
+    return (Fraction(a, e), Fraction(b, e))
 
 
 def sort_exact(values, enclosures=None):

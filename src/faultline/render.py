@@ -2,8 +2,10 @@
 
 A patch is the k-fold image of a seed tile, placed by recursive subdivision:
 the image array of each tile fills its parent rectangle row by row (bottom
-row first).  Horizontal coordinates are exact elements of Q(lambda); vertical
-coordinates are exact rationals.  SVG output renders coordinates at 1e-9
+row first).  Coordinates are exact integer lattice vectors: a horizontal
+position is an integer coefficient vector on the power basis of Q(lambda)
+over one denominator per patch, a vertical position an integer over another.
+Placement only adds integers.  SVG output renders coordinates at 1e-9
 precision from the exact values and is deterministic.
 """
 
@@ -11,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
+from .algebra import clear_denominators, decimal_string
 from .errors import ResourceCapError, ValidationError
 
 DEFAULT_MAX_TILES = 200_000
@@ -23,12 +28,44 @@ _PALETTE = (
 
 
 @dataclass(frozen=True)
-class PlacedTile:
+class Lattice:
+    """Coordinates shared by the tiles of one patch: x = X / den_x with X an
+    integer vector on the power basis of ``field``, y = Y / den_y."""
+    field: object
+    den_x: int
+    den_y: int
+    widths: tuple      # den_x * width of each horizontal letter, integer vectors
+    heights: tuple     # den_y * height of each vertical letter, integers
+
+    def element(self, nums):
+        return self.field.element([Fraction(c, self.den_x) for c in nums])
+
+
+class PlacedTile(NamedTuple):
     tile: tuple        # (vertical letter id, horizontal letter id)
-    x: object          # AlgebraicNumber, left edge
-    y: Fraction        # bottom edge
-    width: object      # AlgebraicNumber
-    height: Fraction
+    xn: tuple          # den_x * left edge
+    yn: int            # den_y * bottom edge
+    lattice: Lattice
+
+    @property
+    def x(self):
+        """Left edge, an AlgebraicNumber."""
+        return self.lattice.element(self.xn)
+
+    @property
+    def width(self):
+        """An AlgebraicNumber."""
+        return self.lattice.element(self.lattice.widths[self.tile[1]])
+
+    @property
+    def y(self):
+        """Bottom edge, a Fraction."""
+        return Fraction(self.yn, self.lattice.den_y)
+
+    @property
+    def height(self):
+        """A Fraction."""
+        return Fraction(self.lattice.heights[self.tile[0]], self.lattice.den_y)
 
 
 def _vertical_heights(d):
@@ -55,7 +92,8 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     lam_v = d.vertical.perron().root
     if not lam_v.is_rational():
         raise ValidationError("rendering needs a rational vertical expansion factor")
-    lam_v = lam_v.as_fraction()
+    # a rational root of a monic integer polynomial is an integer
+    lam_v = int(lam_v.as_fraction())
     lam_h = field.gen()  # widths live in the Perron field, whose root is lambda
 
     # count guard before any recursion
@@ -67,28 +105,43 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     if total > max_tiles:
         raise ResourceCapError(f"patch would contain {total} tiles (cap {max_tiles})")
 
-    lam_h_pow = [field.one()]
+    deg = field.degree
+    nums, den_x = clear_denominators([c for w in widths for c in w.coeffs])
+    width_nums = tuple(nums[i:i + deg] for i in range(0, len(nums), deg))
+    height_nums, den_y = clear_denominators(heights)
+    lattice = Lattice(field, den_x, den_y, width_nums, height_nums)
+    # step[r][h] = den_x * width_h * lambda^r: integer vectors, since lambda
+    # is an algebraic integer
+    step = []
+    lam_pow = field.one()
     for _ in range(k):
-        lam_h_pow.append(lam_h_pow[-1] * lam_h)
+        step.append(tuple(tuple(int(c * den_x) for c in (w * lam_pow).coeffs)
+                          for w in widths))
+        lam_pow = lam_pow * lam_h
+    images = {(v, h): d.image_array(v, h)
+              for v in range(d.vertical.size) for h in range(len(widths))}
 
+    origin = (0,) * deg
     out = []
 
-    def place(v, h, x, y, rounds):
-        if rounds == 0:
-            out.append(PlacedTile(tile=(v, h), x=x, y=y,
-                                  width=widths[h], height=heights[v]))
-            return
-        y_cursor = y
-        for row in d.image_array(v, h):
+    def place(tile, x, y, rounds):
+        """The rounds-fold image (rounds >= 1) of ``tile`` placed at (x, y)."""
+        row_step = step[rounds - 1]
+        lam_v_pow = lam_v ** (rounds - 1)
+        for row in images[tile]:
             x_cursor = x
-            row_height = heights[row[0][0]] * lam_v ** (rounds - 1)
-            for (v2, h2) in row:
-                place(v2, h2, x_cursor, y_cursor, rounds - 1)
-                x_cursor = x_cursor + widths[h2] * lam_h_pow[rounds - 1]
-            y_cursor = y_cursor + row_height
-        return
+            for sub in row:
+                if rounds == 1:
+                    out.append(PlacedTile(sub, x_cursor, y, lattice))
+                else:
+                    place(sub, x_cursor, y, rounds - 1)
+                x_cursor = tuple(map(add, x_cursor, row_step[sub[1]]))
+            y += height_nums[row[0][0]] * lam_v_pow
 
-    place(v0, h0, field.zero(), Fraction(0), k)
+    if k == 0:
+        out.append(PlacedTile((v0, h0), origin, 0, lattice))
+    else:
+        place((v0, h0), origin, 0, k)
     return out
 
 
@@ -120,32 +173,51 @@ def overlay_boundaries(d, seed, k, order):
     return tuple(sorted(cuts))
 
 
-def _fmt(q):
-    """Deterministic decimal with 9 fractional digits from a Fraction."""
-    q = Fraction(q)
-    scaled = q * 10 ** 9
-    n = scaled.numerator // scaled.denominator
-    if scaled - n >= Fraction(1, 2):
-        n += 1
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, 10 ** 9)
-    return f"{sign}{whole}.{frac:09d}".rstrip("0").rstrip(".") or "0"
+def _fmt(num, den):
+    """num/den (den > 0) to 9 fractional digits, trailing zeros dropped."""
+    return decimal_string(num, den, 9).rstrip("0").rstrip(".")
 
 
 def emit_svg(patch, colors=None, overlay=(), scale=24):
     """One rect per tile; y flipped so the patch displays with y increasing
-    upward; optional horizontal overlay lines.  Deterministic output."""
+    upward; optional horizontal overlay lines.  Deterministic output.  The
+    tiles must come from one ``generate_patch`` call."""
     if not patch:
         raise ValidationError("empty patch")
-    width_frac = Fraction(0)
+    lattice = patch[0].lattice
+    if any(t.lattice is not lattice for t in patch):
+        raise ValidationError("tiles from different patches")
+    field, den_x, den_y = lattice.field, lattice.den_x, lattice.den_y
+    widths, heights = lattice.widths, lattice.heights
+    fine = Fraction(1, 10 ** 12)
+    # Each enclosure is taken at the field's current root interval, which is
+    # bisected only when an enclosure is wider than 1e-12.  So the printed
+    # midpoints depend on the order of requests: every right edge first, then
+    # x and width tile by tile.  A request repeated while the root interval
+    # is unchanged gets the same answer, so answers are kept until it changes.
+    cache, root = {}, field.root_ints
+
+    def enclosure(nums):
+        """(hi numerator, denominator, scaled midpoint) of nums / den_x."""
+        nonlocal root
+        got = cache.get(nums)
+        if got is None:
+            a, b, e = field.enclose(nums, den_x, fine)
+            got = (b, e, _fmt((a + b) * scale, 2 * e))
+            if field.root_ints is not root:
+                cache.clear()
+                root = field.root_ints
+            cache[nums] = got
+        return got
+
+    right_num, right_den = 0, 1
     for t in patch:
-        right = (t.x + t.width).interval(Fraction(1, 10 ** 12)).hi
-        if right > width_frac:
-            width_frac = right
-    height_frac = max(t.y + t.height for t in patch)
-    w = _fmt(width_frac * scale)
-    h = _fmt(height_frac * scale)
+        b, e, _ = enclosure(tuple(map(add, t.xn, widths[t.tile[1]])))
+        if b * right_den > right_num * e:
+            right_num, right_den = b, e
+    top = max(t.yn + heights[t.tile[0]] for t in patch)
+    w = _fmt(right_num * scale, right_den)
+    h = _fmt(top * scale, den_y)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
@@ -155,19 +227,25 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     color_of = {}
     for i, tid in enumerate(tile_ids):
         color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
+    tile_height = tuple(_fmt(hn * scale, den_y) for hn in heights)
+    flipped = {}   # top edge numerator -> flipped y
     for t in patch:
-        x = t.x.interval(Fraction(1, 10 ** 12)).midpoint() * scale
-        y = (height_frac - t.y - t.height) * scale
-        tw = t.width.interval(Fraction(1, 10 ** 12)).midpoint() * scale
-        th = t.height * scale
+        v, hz = t.tile
+        x = enclosure(t.xn)[2]
+        tw = enclosure(widths[hz])[2]
+        edge = t.yn + heights[v]
+        y = flipped.get(edge)
+        if y is None:
+            y = flipped[edge] = _fmt((top - edge) * scale, den_y)
         lines.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(tw)}" height="{_fmt(th)}" '
+            f'<rect x="{x}" y="{y}" width="{tw}" height="{tile_height[v]}" '
             f'fill="{color_of[t.tile]}" stroke="#202020" stroke-width="0.7"/>'
         )
     for cut in overlay:
-        y = (height_frac - cut) * scale
+        q = (Fraction(top, den_y) - cut) * scale
+        y = _fmt(q.numerator, q.denominator)
         lines.append(
-            f'<line x1="0" y1="{_fmt(y)}" x2="{w}" y2="{_fmt(y)}" '
+            f'<line x1="0" y1="{y}" x2="{w}" y2="{y}" '
             f'stroke="#d02020" stroke-width="1.6" stroke-dasharray="6,3"/>'
         )
     lines.append("</svg>")

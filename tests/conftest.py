@@ -1,9 +1,11 @@
 """Shared fixtures: the worked example substitutions and random generators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from faultline.algebra import Interval
 from faultline.substitution import Substitution
 
 
@@ -63,3 +65,26 @@ def shuffled_twin(rng, s):
 
 def rng_for(name):
     return random.Random(f"faultline-{name}")
+
+
+def peval_interval(a, iv):
+    """Reference enclosure: Horner's rule in exact Fraction interval
+    arithmetic, the body ``horner_interval`` replaced."""
+    acc = Interval(0, 0)
+    for c in reversed(a):
+        acc = acc * iv + Interval(c, c)
+    return acc
+
+
+def reference_interval(x, width):
+    """Reference ``AlgebraicNumber.interval``: ``peval_interval`` at the
+    field's root interval, bisected one step at a time until the enclosure
+    is at most ``width`` wide."""
+    if x.is_rational():
+        return Interval(x.coeffs[0], x.coeffs[0])
+    width = Fraction(width)
+    iv = peval_interval(x.coeffs, x.field.interval)
+    while iv.width > width:
+        x.field._bisect_once()
+        iv = peval_interval(x.coeffs, x.field.interval)
+    return iv

@@ -1,22 +1,31 @@
 """Exact field arithmetic in Q(lambda)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultline.algebra import (
+    Interval,
     NumberField,
+    clear_denominators,
     compare,
+    decimal_string,
     field_arith,
+    horner_interval,
     irreducible_factors,
     isolate_real_roots,
     mod_reduce,
+    pmul,
     poly_str,
     squarefree_part,
 )
 from faultline.errors import ValidationError
 
-from conftest import rng_for
+from conftest import peval_interval, reference_interval, rng_for
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 
 
 @pytest.fixture
@@ -167,3 +176,100 @@ def test_poly_utilities():
 def test_mod_reduce_rational_fallback():
     assert mod_reduce(7, 3) == 1
     assert mod_reduce(Fraction(-1, 2), 3) == Fraction(5, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(fractions, max_size=5), ends=st.lists(fractions, min_size=2, max_size=2))
+def test_horner_interval_matches_fraction_horner(coeffs, ends):
+    lo, hi = sorted(ends)
+    nums, den = clear_denominators(coeffs)
+    assert den > 0 and all(Fraction(n, den) == c for n, c in zip(nums, coeffs))
+    q = lcm(lo.denominator, hi.denominator)
+    a, b, e = horner_interval(nums, int(lo * q), int(hi * q), q)
+    ref = peval_interval(coeffs, Interval(lo, hi))
+    assert (Fraction(a, e * den), Fraction(b, e * den)) == (ref.lo, ref.hi)
+
+
+def twin_fields():
+    return [NumberField.with_largest_real_root(p)[0]
+            for p in ((-3, -1, 1), (-3, -1, 1), (-1, -1, 0, 1), (-1, -1, 0, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(st.tuples(st.lists(fractions, min_size=3, max_size=3),
+                                   st.integers(0, 60), st.booleans()),
+                         min_size=1, max_size=8))
+def test_interval_and_sign_match_reference_refinement(requests):
+    # Two copies of each field see the same requests, one through the
+    # integer routine and one through the Fraction reference; enclosures,
+    # signs and the refinement they leave must agree request by request.
+    fields = twin_fields()
+    for coeffs, bits, use_sign in requests:
+        for new_f, ref_f in (fields[:2], fields[2:]):
+            c = coeffs[:new_f.degree]
+            x, y = new_f.element(c), ref_f.element(c)
+            if use_sign:
+                ref = 0
+                if not y.is_zero():
+                    while (ref := peval_interval(y.coeffs, ref_f.interval).sign()) is None:
+                        ref_f._bisect_once()
+                assert x.sign() == ref
+            else:
+                got = x.interval(Fraction(1, 2 ** bits))
+                ref = reference_interval(y, Fraction(1, 2 ** bits))
+                assert (got.lo, got.hi) == (ref.lo, ref.hi)
+            assert (new_f.interval.lo, new_f.interval.hi) == (ref_f.interval.lo, ref_f.interval.hi)
+            lo, hi, q = new_f.root_ints
+            assert (Fraction(lo, q), Fraction(hi, q)) == (new_f.interval.lo, new_f.interval.hi)
+
+
+def reference_decimal12(q):
+    """The 12-digit formatter ``decimal_string`` replaced."""
+    q = Fraction(q)
+    scaled = q * 10 ** 12
+    n = scaled.numerator // scaled.denominator
+    if scaled - n >= Fraction(1, 2):
+        n += 1
+    sign = "-" if n < 0 else ""
+    whole, frac = divmod(abs(n), 10 ** 12)
+    return f"{sign}{whole}.{frac:012d}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 15))
+def test_decimal_string_matches_reference(q):
+    assert decimal_string(q.numerator, q.denominator, 12) == reference_decimal12(q)
+
+
+def test_decimal_string_rounds_half_up():
+    assert decimal_string(1, 8, 2) == "0.13"
+    assert decimal_string(-1, 8, 2) == "-0.12"
+    assert decimal_string(-1, 1000, 2) == "0.00"
+
+
+def test_largest_real_root_skips_rational_root_at_interval_end():
+    # (x-2)(x^3-3x^2+x-2): sympy isolates the largest root 2.893... in (2, 3],
+    # whose left end is the root 2 of the other factor
+    field, root = NumberField.with_largest_real_root(pmul((-2, 1), (-2, 1, -3, 1)))
+    assert field.poly == (-2, 1, -3, 1)
+    assert root.interval(Fraction(1, 10 ** 6)).lo > Fraction(2893, 1000)
+
+
+def test_largest_real_root_matches_sympy_on_random_products():
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = rng_for("largest-real-root")
+    for _ in range(150):
+        poly = (1,)
+        for _ in range(rng.randint(1, 3)):
+            poly = pmul(poly, tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))) + (1,))
+        poly = tuple(int(c) for c in poly)
+        real = sympy.Poly(list(reversed(poly)), x).real_roots()
+        if not real:
+            continue
+        _, root = NumberField.with_largest_real_root(poly)
+        iv = root.interval(Fraction(1, 10 ** 12))
+        top = max(real)
+        assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) <= top
+        assert top <= sympy.Rational(iv.hi.numerator, iv.hi.denominator)

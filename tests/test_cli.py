@@ -243,3 +243,59 @@ def test_alg_json_interval_depends_on_field_refinement():
                                  "22805585307514896550694066663/9903520314283042199192993792"]
     assert before["decimal"] == after["decimal"] == "2.302775637732"
     assert before["coeffs"] == after["coeffs"]
+
+
+@pytest.mark.parametrize("colors", ["a", "v,a", "v", "=#112233", "v,a=#112233;", ";v,a=#112233"])
+def test_render_malformed_colors_rejected(capsys, colors):
+    capsys.readouterr()
+    code = main(["render", "-i", "bundled:doubling_swap", "--rounds", "1", "--colors", colors])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --colors entries must be") and err.count("\n") == 1
+
+
+def test_render_colors_applied(tmp_path):
+    out_path = tmp_path / "patch.svg"
+    code, _ = run_cli("render", "-i", "bundled:doubling_swap", "--rounds", "1",
+                      "--colors", "v,a=#112233;v,b=#abcdef", "-o", str(out_path))
+    assert code == 0
+    svg = out_path.read_text()
+    assert svg.count('fill="#112233"') == 2 and svg.count('fill="#abcdef"') == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-i", "bundled:doubling_swap", "--precision-bits", "-5"),
+    ("analyze", "-i", "bundled:doubling_swap", "--precision-bits", "0"),
+    ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
+     "--rounds", "0"),
+    ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
+     "--max-word-len", "-1"),
+    ("cohomology", "-i", "bundled:doubling_swap", "--rounds", "-2"),
+    ("render", "-i", "bundled:doubling_swap", "--rounds", "-1"),
+    ("render", "-i", "bundled:doubling_swap", "--rounds", "1", "--max-word-len", "0"),
+])
+def test_bad_flag_values_rejected(capsys, argv):
+    capsys.readouterr()
+    assert main(list(argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "must be an integer >=" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("var, value", [
+    ("FAULTLINE_ROUNDS", "0"), ("FAULTLINE_ROUNDS", "-5"), ("FAULTLINE_MAX_WORD_LEN", "0"),
+    ("FAULTLINE_MAX_TILES", "-1"), ("FAULTLINE_MAX_TILES", "x"),
+])
+def test_bad_env_caps_rejected(monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    capsys.readouterr()
+    assert main(["cohomology", "-i", "bundled:doubling_swap"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {var} must be an integer") and err.count("\n") == 1
+
+
+def test_render_zero_rounds_is_the_seed_tile(tmp_path):
+    out_path = tmp_path / "patch.svg"
+    code, _ = run_cli("render", "-i", "bundled:doubling_swap", "--rounds", "0", "-o", str(out_path))
+    assert code == 0
+    assert out_path.read_text().count("<rect") == 1

@@ -1,14 +1,21 @@
 """Patch generation exactness and SVG output."""
 
+import hashlib
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from faultline.abelian import matpow
-from faultline.documents import bundled_document
-from faultline.errors import ResourceCapError, ValidationError
-from faultline.render import emit_svg, generate_patch, overlay_boundaries
+from faultline.cli import main
+from faultline.documents import bundled_document, load_document
+from faultline.errors import FaultlineError, ResourceCapError, ValidationError
+from faultline.render import _PALETTE, emit_svg, generate_patch, overlay_boundaries
+from faultline.substitution import Substitution
+
+from conftest import reference_interval
 
 
 @pytest.fixture
@@ -124,3 +131,204 @@ def test_svg_custom_colors(doubling_swap):
     patch = generate_patch(doubling_swap, (0, 0), 1)
     svg = emit_svg(patch, colors={(0, 0): "#112233"})
     assert "#112233" in svg
+
+
+# ---------------------------------------------------------------------------
+# reference renderer: Fraction / AlgebraicNumber placement and Fraction
+# interval enclosures, the bodies the integer lattice replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceTile:
+    tile: tuple
+    x: object
+    y: Fraction
+    width: object
+    height: Fraction
+
+
+def reference_generate_patch(d, seed, k):
+    v0, h0 = seed
+    widths = d.horizontal[0].tile_lengths()
+    heights = tuple(h.as_fraction() for h in d.vertical.tile_lengths())
+    field = widths[0].field
+    lam_v = d.vertical.perron().root.as_fraction()
+    lam_h = field.gen()
+    lam_h_pow = [field.one()]
+    for _ in range(k):
+        lam_h_pow.append(lam_h_pow[-1] * lam_h)
+    out = []
+
+    def place(v, h, x, y, rounds):
+        if rounds == 0:
+            out.append(ReferenceTile(tile=(v, h), x=x, y=y,
+                                     width=widths[h], height=heights[v]))
+            return
+        y_cursor = y
+        for row in d.image_array(v, h):
+            x_cursor = x
+            row_height = heights[row[0][0]] * lam_v ** (rounds - 1)
+            for (v2, h2) in row:
+                place(v2, h2, x_cursor, y_cursor, rounds - 1)
+                x_cursor = x_cursor + widths[h2] * lam_h_pow[rounds - 1]
+            y_cursor = y_cursor + row_height
+
+    place(v0, h0, field.zero(), Fraction(0), k)
+    return out
+
+
+def reference_fmt(q):
+    q = Fraction(q)
+    scaled = q * 10 ** 9
+    n = scaled.numerator // scaled.denominator
+    if scaled - n >= Fraction(1, 2):
+        n += 1
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    whole, frac = divmod(n, 10 ** 9)
+    return f"{sign}{whole}.{frac:09d}".rstrip("0").rstrip(".") or "0"
+
+
+def reference_emit_svg(patch, colors=None, overlay=(), scale=24):
+    fine = Fraction(1, 10 ** 12)
+    width_frac = Fraction(0)
+    for t in patch:
+        right = reference_interval(t.x + t.width, fine).hi
+        if right > width_frac:
+            width_frac = right
+    height_frac = max(t.y + t.height for t in patch)
+    w = reference_fmt(width_frac * scale)
+    h = reference_fmt(height_frac * scale)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+        f'width="{w}" height="{h}">',
+    ]
+    tile_ids = sorted({t.tile for t in patch})
+    color_of = {}
+    for i, tid in enumerate(tile_ids):
+        color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
+    for t in patch:
+        x = reference_interval(t.x, fine).midpoint() * scale
+        y = (height_frac - t.y - t.height) * scale
+        tw = reference_interval(t.width, fine).midpoint() * scale
+        th = t.height * scale
+        lines.append(
+            f'<rect x="{reference_fmt(x)}" y="{reference_fmt(y)}" width="{reference_fmt(tw)}" '
+            f'height="{reference_fmt(th)}" '
+            f'fill="{color_of[t.tile]}" stroke="#202020" stroke-width="0.7"/>'
+        )
+    for cut in overlay:
+        y = (height_frac - cut) * scale
+        lines.append(
+            f'<line x1="0" y1="{reference_fmt(y)}" x2="{w}" y2="{reference_fmt(y)}" '
+            f'stroke="#d02020" stroke-width="1.6" stroke-dasharray="6,3"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def small_dpvs(draw):
+    """A DPV document with a primitive constant-length vertical on 1-2
+    letters and either members of the horizontal family a -> (a^p b in some
+    order), b -> a^q: Pisot (q <= p), rational (q = p+1, a degree-1 field) or
+    non-Pisot (q > p+1); or a random three-letter horizontal and its twin."""
+    n = draw(st.integers(1, 2))
+    letters = ["u", "w"][:n]
+    length = draw(st.integers(2, 3))
+    rules = {}
+    for letter in letters:
+        img = draw(st.lists(st.sampled_from(letters), min_size=length, max_size=length))
+        rules[letter] = img
+    # u -> (both letters), w -> (u, ...) makes the square of the matrix positive
+    if n == 2 and not (set(rules["u"]) == {"u", "w"} and "u" in rules["w"]):
+        rules = {"u": ["u", "w"] + ["u"] * (length - 2), "w": ["w", "u"] + ["w"] * (length - 2)}
+    subs = {"rho": {"alphabet": "v", "rules": rules}}
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 3))
+        q = draw(st.sampled_from(sorted({1, p, p + 1, p + 2, p + 3})))
+        members = draw(st.lists(st.integers(0, p), min_size=1, max_size=2))
+        horizontal = ["a", "b"]
+        for j in members:
+            subs[f"s{j}"] = {"alphabet": "h",
+                             "rules": {"a": "a" * j + "b" + "a" * (p - j), "b": "a" * q}}
+    else:
+        # a primitive substitution on three letters and a twin with every
+        # image permuted: same abelianization, widths in a field of degree
+        # up to 3 whose coordinates can have coefficients of both signs
+        horizontal = ["a", "b", "c"]
+        base = {x: draw(st.lists(st.sampled_from(horizontal), min_size=1, max_size=3))
+                for x in horizontal}
+        try:
+            Substitution(horizontal, base).tile_lengths()
+        except FaultlineError:
+            assume(False)
+        twin = {x: list(draw(st.permutations(img))) for x, img in base.items()}
+        subs["s0"] = {"alphabet": "h", "rules": base}
+        subs["s1"] = {"alphabet": "h", "rules": twin}
+    names = sorted(name for name in subs if name != "rho")
+    row_sigma = {letter: [draw(st.sampled_from(names)) for _ in range(length)]
+                 for letter in letters}
+    return {
+        "alphabets": {"v": letters, "h": horizontal},
+        "substitutions": subs,
+        "dpv": {"vertical": "rho", "horizontal": names, "row_sigma": row_sigma},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=small_dpvs(), data=st.data())
+def test_svg_matches_reference_renderer(doc, data):
+    k = data.draw(st.integers(0, 3))
+    n_vertical, n_horizontal = len(doc["alphabets"]["v"]), len(doc["alphabets"]["h"])
+    seed = (data.draw(st.integers(0, n_vertical - 1)),
+            data.draw(st.integers(0, n_horizontal - 1)))
+    order = data.draw(st.integers(0, k))
+    colors = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, n_vertical - 1), st.integers(0, n_horizontal - 1)),
+        st.sampled_from(["#112233", "#abcdef"]), max_size=2))
+    # At scale 24 a midpoint moves the 9-digit output only near a rounding
+    # boundary; at 10^7 every change in the refinement an enclosure was
+    # taken at shows.
+    scale = data.draw(st.sampled_from([24, 10 ** 7]))
+    # each side loads the document afresh, so both start from the same
+    # root interval refinement
+    d = load_document(doc).dpv
+    overlay = overlay_boundaries(d, seed, k, order) if order else ()
+    svg = emit_svg(generate_patch(d, seed, k), colors=colors, overlay=overlay, scale=scale)
+    ref_d = load_document(doc).dpv
+    assert svg == reference_emit_svg(reference_generate_patch(ref_d, seed, k),
+                                     colors=colors, overlay=overlay, scale=scale)
+
+
+@pytest.mark.parametrize("name, k", [("doubling_swap", 4), ("row_thirds", 3)])
+@pytest.mark.parametrize("scale", [24, 10 ** 7])
+def test_bundled_svg_matches_reference_renderer(name, k, scale):
+    d, ref_d = bundled_document(name).dpv, bundled_document(name).dpv
+    overlay = overlay_boundaries(d, (0, 0), k, 1)
+    assert emit_svg(generate_patch(d, (0, 0), k), overlay=overlay, scale=scale) == (
+        reference_emit_svg(reference_generate_patch(ref_d, (0, 0), k), overlay=overlay,
+                           scale=scale))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("doubling_swap",), "fd7f292b0a8e110af352ccb49e000065ffdd0cd574e72c94416122fc1b594d40"),
+    (("period_doubling",), "7595dd2054786fa558b2de2764e8e58730dc8d891db43f74dc02060c7a176250"),
+    (("row_thirds",), "0ea530a9f2dfc437bb4dc59ff0273e9172e8bb83227bd7136faae23e1526029e"),
+    (("period_doubling", "--overlay", "2"),
+     "abcd76fe96d36690433eee23244614a407e445ef6b72ede82243e05524b0914d"),
+])
+def test_bundled_svg_bytes_pinned(tmp_path, argv, digest):
+    # recorded with the Fraction renderer; the lattice renderer must not
+    # change a byte
+    out = tmp_path / "patch.svg"
+    name, *rest = argv
+    assert main(["render", "-i", f"bundled:{name}", "--rounds", "5", *rest, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_svg_rejects_tiles_of_different_patches(doubling_swap):
+    other = bundled_document("doubling_swap").dpv
+    with pytest.raises(ValidationError):
+        emit_svg(generate_patch(doubling_swap, (0, 0), 1) + generate_patch(other, (0, 0), 1))

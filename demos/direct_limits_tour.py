@@ -10,7 +10,6 @@ from faultline.abelian import (
     GroupExpr,
     direct_limit,
     direct_sum,
-    expr_combine,
     invariants,
     mat,
     recognize,
@@ -44,7 +43,7 @@ print("lim(Z^2, nilpotent):", recognize(direct_limit(mat([[0, 1], [0, 0]]))).can
 # raw limit presentations takes the Kronecker product
 print("\nZ[1/2] (x) Z[1/3] =", tensor(GroupExpr.zloc(2), GroupExpr.zloc(3)).canonical())
 mu_lim = GroupExpr.limit(mu_dl)
-t = expr_combine("tensor", mu_lim, GroupExpr.zloc(2))
+t = tensor(mu_lim, GroupExpr.zloc(2))
 print("mu (x) Z[1/2] as a presentation:", t.canonical())
 
 # recognized atoms stay symbolic, with the Kronecker presentation attached

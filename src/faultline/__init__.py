@@ -22,7 +22,7 @@ from .errors import (
     UndeterminedError,
     ValidationError,
 )
-from .algebra import AlgebraicNumber, Interval, NumberField, compare, field_arith, mod_reduce
+from .algebra import AlgebraicNumber, Interval, NumberField, compare, mod_reduce
 from .substitution import (
     Letter,
     PerronData,
@@ -36,7 +36,6 @@ from .abelian import (
     DirectLimitGroup,
     GroupExpr,
     direct_limit,
-    expr_combine,
     invariants,
     recognize,
     smith_normal_form,
@@ -61,6 +60,7 @@ from .dpv import (
     compute_mu,
     compute_nu,
     essential_vertices,
+    h1_limit,
     validate_dpv,
 )
 from .render import PlacedTile, emit_svg, generate_patch

@@ -649,14 +649,6 @@ def tensor(x, y):
     return normalize(GroupExpr(kind="tensor", children=(x, y)))
 
 
-def expr_combine(op, x, y):
-    if op == "direct_sum":
-        return direct_sum(x, y)
-    if op == "tensor":
-        return tensor(x, y)
-    raise ValidationError(f"unknown combination {op!r}")
-
-
 def invariants(expr):
     """Isomorphism-invariant summary of a normalized expression."""
     rank = expr.rank()

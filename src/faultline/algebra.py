@@ -326,6 +326,28 @@ def horner_interval(nums, lo, hi, q):
     return a, b, e
 
 
+def bisect(lo, hi, width, below):
+    """Halve [lo, hi] until it is at most ``width`` wide: each step keeps
+    [mid, hi] when ``below(mid)`` holds and [lo, mid] otherwise.  The one
+    certified bisection loop; returns (lo, hi)."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def root_interval(q, t, width):
+    """Rational interval (lo, hi) around q**(1/t), q >= 0, at most ``width``
+    wide; (0, 0) for q = 0."""
+    q = Fraction(q)
+    if q == 0:
+        return (Fraction(0), Fraction(0))
+    return bisect(Fraction(0), max(Fraction(1), q), width, lambda mid: mid ** t <= q)
+
+
 def decimal_string(num, den, digits):
     """num/den (den > 0) rounded half up to ``digits`` fractional digits,
     as a fixed-point decimal string."""
@@ -398,16 +420,15 @@ class NumberField:
         lo, hi = self._iv
         if self.degree == 1:
             return Interval(lo, hi)
-        width = Fraction(width)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            smid = peval(self.poly, mid)
+        poly, positive_below = self.poly, self._sign_lo > 0
+
+        def below(mid):
+            smid = peval(poly, mid)
             # irreducible of degree >= 2 has no rational roots
             assert smid != 0
-            if (smid > 0) == (self._sign_lo > 0):
-                lo = mid
-            else:
-                hi = mid
+            return (smid > 0) == positive_below
+
+        lo, hi = bisect(lo, hi, Fraction(width), below)
         self._set_interval(lo, hi)
         return Interval(lo, hi)
 
@@ -683,19 +704,6 @@ class AlgebraicNumber:
                 terms.append(f"{c}*x^{d}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} in Q[x]/({poly_str(self.field.poly)})>"
-
-
-def field_arith(op, a, b):
-    """Named entry point for the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValidationError(f"unknown field operation {op!r}")
 
 
 def compare(a, b):

@@ -25,8 +25,6 @@ def border_forcing(s, cap=8):
     right) resp. a last letter (forcing on the left); None if no m works.
     This is the shared-prefix sufficient condition, not full border forcing."""
     right = left = None
-    firsts = {a: (a,) for a in range(s.size)}
-    lasts = {a: (a,) for a in range(s.size)}
     imgs = {a: (a,) for a in range(s.size)}
     for m in range(1, cap + 1):
         imgs = {a: s.apply(w) for a, w in imgs.items()}

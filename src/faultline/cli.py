@@ -17,8 +17,14 @@ from . import __version__
 from .abelian import poly_str, recognize
 from .algebra import decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
-from .documents import bundled_document, bundled_names, check_count, load_document
-from .dpv import cohomology
+from .documents import (
+    bundled_document,
+    bundled_expected,
+    bundled_names,
+    check_count,
+    load_document,
+)
+from .dpv import cohomology, h1_limit
 from .errors import (
     FaultlineError,
     ResourceCapError,
@@ -26,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .fault import (
+    BoundaryKind,
     boundary_trace,
     classify_trace,
     discrepancy_growth,
@@ -250,9 +257,7 @@ def cmd_ap(args):
 def cmd_mu(args):
     doc = _load(args)
     s = doc.substitution(args.name)
-    from .dpv import _h1_limit
-
-    expr, dl, cx, data, note = _h1_limit(s)
+    expr, dl, note, data = h1_limit(collar(s)[1])
     report = {
         "command": "mu",
         "substitution": args.name,
@@ -351,7 +356,7 @@ def cmd_cohomology(args):
     opts = _options(doc, args)
     rep, body = _cohomology_report(doc, opts)
     body["command"] = "cohomology"
-    body["complex"] = complex_json(collar(doc.dpv.vertical)[1])
+    body["complex"] = complex_json(doc.dpv.vertical_complex)
     code = EXIT_OK if rep.determinate else EXIT_UNDETERMINED
     return body, code
 
@@ -361,7 +366,7 @@ def cmd_render(args):
     if doc.dpv is None:
         raise ValidationError("document has no dpv section")
     # --rounds is the patch depth here, not the rounds option; 0 is the seed tile
-    opts = _options(doc, args, flags=("max_word_len", "precision_bits"))
+    opts = _options(doc, args, flags=("max_word_len",))
     k = 3 if args.rounds is None else check_count("--rounds", args.rounds, least=0)
     d = doc.dpv
     if args.seed:
@@ -398,93 +403,42 @@ def cmd_render(args):
 # selftest: the three bundled examples against their expected reports
 # ---------------------------------------------------------------------------
 
-_MU = "Z[1/L:x^2-x-3]"
-_EXPECTED = {
-    "doubling_swap": {
-        "H0": "Z",
-        "H1": "Z[1/2]",
-        "H2": f"{_MU} (x) Z[1/2]",
-        "H2_rank": 2,
-        "H2_presentation": [[2, 2], [6, 0]],
-        "H3": f"{_MU} (x) {_MU}",
-        "H3_rank": 4,
-        "mu": _MU,
-        "mu_presentation": [[1, 1], [3, 0]],
-        "nu": "Z[1/2]",
-        "n": 1,
-        "eventual": 1,
-        "d1_recognized": "Z[1/2]",
-    },
-    "period_doubling": {
-        "H0": "Z",
-        "H1": "Z[1/2] (+) Z",
-        "H2": f"{_MU}^2 (+) ({_MU} (x) Z[1/2])",
-        "H3": f"({_MU} (x) {_MU})^2",
-        "mu": _MU,
-        "nu": "Z[1/2] (+) Z",
-        "n": 2,
-        "eventual": 2,
-        "edges": 3,
-        "vertices": 2,
-        "d1_recognized": "Z[1/2] (+) Z^2",
-    },
-    "row_thirds": {
-        "H0": "Z",
-        "H1": "Z[1/2]",
-        "H2": f"{_MU} (x) Z[1/2]",
-        "H3": f"{_MU} (x) {_MU}",
-        "mu": _MU,
-        "nu": "Z[1/2]",
-        "n": 1,
-        "eventual": 3,
-        "fault_junction_cores": ("ga", "al"),
-    },
-}
+def cohomology_summary(d, rep):
+    """The figures of the cohomology report ``rep`` of the DPV ``d`` that
+    ``data/<name>.expected.json`` pins for each bundled document, as JSON
+    values."""
+    cx = d.vertical_complex
+    summary = {
+        "H0": group_json(rep.h0),
+        "H1": group_json(rep.h1),
+        "H2": group_json(rep.h2),
+        "H3": group_json(rep.h3),
+        "mu": group_json(rep.mu),
+        "mu_presentation": [list(r) for r in rep.mu_group.a_prime],
+        "nu": group_json(rep.nu),
+        "n": essential_json(rep.essential)["n"],
+        "eventual": len(rep.essential.eventual),
+        "edges": cx.n_edges,
+        "vertices": cx.n_vertices,
+        "d1_recognized": rep.d1_recognized.canonical(),
+        "fault_junction_cores": [
+            [vb.lower_core, vb.upper_core]
+            for vb in rep.essential.vertices if vb.kind is BoundaryKind.REGULAR_FAULT
+        ],
+    }
+    return json.loads(json.dumps(summary))
 
 
 def _check_example(name, out):
     doc = bundled_document(name)
     opts = _apply_env(dict(doc.options))
     rep, _ = _cohomology_report(doc, opts)
-    exp = _EXPECTED[name]
-    failures = []
-
-    def check(label, got, want):
-        if got != want:
-            failures.append(f"{label}: got {got!r}, want {want!r}")
-
-    check("H0", rep.h0.canonical(), exp["H0"])
-    check("H1", rep.h1.canonical(), exp["H1"])
-    check("H2", rep.h2.canonical() if rep.h2 else None, exp["H2"])
-    check("H3", rep.h3.canonical() if rep.h3 else None, exp["H3"])
-    check("mu", rep.mu.canonical(), exp["mu"])
-    check("nu", rep.nu.canonical(), exp["nu"])
-    check("n", rep.essential.n, exp["n"])
-    check("eventual", len(rep.essential.eventual), exp["eventual"])
-    check("d1", rep.d1_recognized.canonical(), exp.get("d1_recognized", rep.d1_recognized.canonical()))
-    if "H2_rank" in exp:
-        check("H2 rank", rep.h2.rank(), exp["H2_rank"])
-    if "H2_presentation" in exp:
-        check("H2 presentation",
-              [list(r) for r in map(tuple, rep.h2.presentation_matrix())],
-              exp["H2_presentation"])
-    if "H3_rank" in exp:
-        check("H3 rank", rep.h3.rank(), exp["H3_rank"])
-    if "mu_presentation" in exp:
-        check("mu presentation", [list(r) for r in rep.mu_group.a_prime], exp["mu_presentation"])
-    if "edges" in exp or "vertices" in exp:
-        _, cx = collar(doc.dpv.vertical)
-        if "edges" in exp:
-            check("edges", cx.n_edges, exp["edges"])
-        if "vertices" in exp:
-            check("vertices", cx.n_vertices, exp["vertices"])
-    if "fault_junction_cores" in exp:
-        faults = [
-            (vb.lower_core, vb.upper_core)
-            for vb in rep.essential.vertices if vb.kind.value == "RegularFault"
-        ]
-        check("fault junctions", tuple(faults), (exp["fault_junction_cores"],))
-
+    got = cohomology_summary(doc.dpv, rep)
+    want = bundled_expected(name)
+    failures = [
+        f"{key}: got {got.get(key)!r}, want {want.get(key)!r}"
+        for key in sorted(set(got) | set(want)) if got.get(key) != want.get(key)
+    ]
     if failures:
         out.write(f"FAIL {name}\n")
         for f in failures:
@@ -509,27 +463,41 @@ def cmd_selftest(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors: one line on stderr, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+_FLAG_HELP = {
+    "rounds": "iteration cap override",
+    "precision_bits": "interval refinement precision override",
+    "max_word_len": "word length guard override",
+}
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="faultline",
         description="Fault lines and Cech cohomology of DPV substitution tiling spaces",
     )
     p.add_argument("--version", action="version", version=f"faultline {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
+    def common(sp, *flags, needs_input=True):
+        """Input, output and format, plus the option overrides ``flags``
+        that the command reads."""
         if needs_input:
             sp.add_argument("--input", "-i", help="input document path or bundled:<name>")
         sp.add_argument("--output", "-o", help="output path (default stdout)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--rounds", type=int, help="iteration cap override")
-        sp.add_argument("--precision-bits", type=int, dest="precision_bits",
-                        help="interval refinement precision override")
-        sp.add_argument("--max-word-len", type=int, dest="max_word_len",
-                        help="word length guard override")
+        for key in flags:
+            sp.add_argument("--" + key.replace("_", "-"), type=int, dest=key,
+                            help=_FLAG_HELP[key])
 
     sp = sub.add_parser("analyze", help="spectral report for substitutions")
-    common(sp)
+    common(sp, "precision_bits")
     sp.add_argument("--name", help="substitution to analyze (default: all)")
     sp.set_defaults(func=cmd_analyze)
 
@@ -544,18 +512,19 @@ def build_parser():
     sp.set_defaults(func=cmd_mu)
 
     sp = sub.add_parser("fault", help="boundary trace and classification for a pair")
-    common(sp)
+    common(sp, "rounds", "max_word_len")
     sp.add_argument("--top", required=True, help="substitution above the boundary")
     sp.add_argument("--bottom", required=True, help="substitution below the boundary")
     sp.add_argument("--seed", help="seed letter (default: first letter)")
     sp.set_defaults(func=cmd_fault)
 
     sp = sub.add_parser("cohomology", help="H^0..H^3 of the DPV tiling space")
-    common(sp)
+    common(sp, "rounds", "max_word_len")
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("render", help="SVG patch of the DPV tiling")
-    common(sp)
+    common(sp, "max_word_len")
+    sp.add_argument("--rounds", type=int, help="patch depth in substitution rounds (default 3)")
     sp.add_argument("--seed", help="seed tile as '<vertical>,<horizontal>'")
     sp.add_argument("--overlay", type=int, help="draw boundaries of order-j supertile rows")
     sp.add_argument("--colors", help="tile colors: 'v,h=#rrggbb;...'")
@@ -569,8 +538,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         report, code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

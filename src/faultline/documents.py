@@ -210,9 +210,18 @@ def bundled_names():
     return ("doubling_swap", "period_doubling", "row_thirds")
 
 
-def bundled_document(name):
+def _bundled_text(name, suffix):
     if name not in bundled_names():
         raise ValidationError(f"unknown bundled document {name!r}; "
                               f"available: {', '.join(bundled_names())}")
-    text = resources.files("faultline").joinpath("data", f"{name}.json").read_text("utf-8")
-    return load_document(text)
+    return resources.files("faultline").joinpath("data", name + suffix).read_text("utf-8")
+
+
+def bundled_document(name):
+    return load_document(_bundled_text(name, ".json"))
+
+
+def bundled_expected(name):
+    """Expected cohomology figures of a bundled document, as pinned in
+    ``data/<name>.expected.json`` (see ``cli.cohomology_summary``)."""
+    return json.loads(_bundled_text(name, ".expected.json"))

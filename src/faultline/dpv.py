@@ -17,6 +17,7 @@ one, both computed as direct limits over the AP complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .abelian import (
@@ -67,6 +68,13 @@ class DPVSubstitution:
             for k in ks:
                 if not 0 <= k < len(self.horizontal):
                     raise ValidationError(f"sigma index {k} out of range")
+
+    @cached_property
+    def vertical_complex(self):
+        """Anderson-Putnam complex of the vertical substitution, built once:
+        nu, the essential vertices, the cochain limits and the reports all
+        read this one."""
+        return collar(self.vertical)[1]
 
     # -- tiles ---------------------------------------------------------------
 
@@ -222,9 +230,7 @@ def _junction_cycle(cx, e, f):
 def _feasible_cap(top, cap, max_word_len):
     """Largest rounds r <= cap whose predicted word length stays under the
     cap; classification needs at least 4."""
-    lengths = {a: 1 for a in range(top.size)}
     r = 0
-    best = 0
     cur = {a: 1 for a in range(top.size)}
     while r < cap:
         nxt = {}
@@ -235,13 +241,12 @@ def _feasible_cap(top, cap, max_word_len):
             break
         cur = nxt
         r += 1
-    best = r
-    if best < 4:
+    if r < 4:
         raise ResourceCapError(
             "composite boundary substitution grows too fast for a 4-round trace "
             f"under the {max_word_len}-letter cap"
         )
-    return best
+    return r
 
 
 def _compose(family, indices):
@@ -260,7 +265,7 @@ def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
     effective top and bottom substitutions at that boundary, which are fed to
     classify_boundary."""
     rho = d.vertical
-    _, cx = collar(rho)
+    cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
     entries = []
     for v in eventual:
@@ -331,17 +336,18 @@ def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
 # cochain limits and the H^1 groups
 # ---------------------------------------------------------------------------
 
-def _h1_limit(sub):
-    """H^1 of the substitution tiling space of ``sub`` as a direct limit over
-    its AP complex, cross-checked against the direct limit of the plain
-    abelianization transpose.  When both recognize to the same group the
-    abelianization presentation is reported (it is the canonical small one);
-    otherwise the AP-complex value wins."""
-    _, cx = collar(sub)
+def h1_limit(cx):
+    """H^1 of the substitution tiling space of ``cx.base`` as a direct limit
+    over its AP complex ``cx``, cross-checked against the direct limit of the
+    plain abelianization transpose.  When both recognize to the same group
+    the abelianization presentation is reported (it is the canonical small
+    one); otherwise the AP-complex value wins.
+
+    Returns (expr, limit group, hypothesis note, graph_h1 data)."""
     data = graph_h1(cx)
     dl_ap = direct_limit(data.induced_matrix)
     expr_ap = recognize(dl_ap)
-    dl_ab = direct_limit(sub.matrix().T)
+    dl_ab = direct_limit(cx.base.matrix().T)
     expr_ab = recognize(dl_ab)
     agree = (
         expr_ap == expr_ab
@@ -353,29 +359,27 @@ def _h1_limit(sub):
         note = _log("ok", "h1-presentation",
                     "AP-complex and abelianization limits agree; reporting the "
                     "abelianization presentation")
-        return expr_ab, dl_ab, cx, data, note
+        return expr_ab, dl_ab, note, data
     note = _log("warn", "h1-presentation",
                 f"AP-complex limit {expr_ap.canonical()} differs from the plain "
                 f"abelianization limit {expr_ab.canonical()}; using the AP value")
-    return expr_ap, dl_ap, cx, data, note
+    return expr_ap, dl_ap, note, data
 
 
 def compute_mu(d):
     """mu = H^1 of the horizontal tiling space (first family member)."""
-    expr, dl, _, _, note = _h1_limit(d.horizontal[0])
-    return expr, dl, note
+    return h1_limit(collar(d.horizontal[0])[1])[:3]
 
 
 def compute_nu(d):
     """nu = H^1 of the vertical tiling space."""
-    expr, dl, _, _, note = _h1_limit(d.vertical)
-    return expr, dl, note
+    return h1_limit(d.vertical_complex)[:3]
 
 
 def cochain_limits(d):
     """Direct limits of the 1-cochains (edge-matrix transpose) and 0-cochains
     (vertex pullback) on the vertical AP complex."""
-    _, cx = collar(d.vertical)
+    cx = d.vertical_complex
     d1 = direct_limit(cx.edge_matrix.T)
     d0 = direct_limit(cx.vertex_pullback_matrix())
     return d0, d1

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .algebra import clear_denominators, mod_reduce
+from .algebra import clear_denominators, mod_reduce, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
@@ -204,21 +204,6 @@ def sort_exact(values, enclosures=None):
     return tuple(out)
 
 
-def _nth_root_interval(ratio, t, width=Fraction(1, 10 ** 6)):
-    """Rational interval around ratio**(1/t)."""
-    ratio = Fraction(ratio)
-    if ratio == 0:
-        return (Fraction(0), Fraction(0))
-    lo, hi = Fraction(0), max(Fraction(1), ratio)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid ** t <= ratio:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
-
-
 def discrepancy_growth(trace):
     """Geometric-mean growth of the max |discrepancy| over the last half of
     the rounds, as a rational interval.  All-zero discrepancies give (0, 0)."""
@@ -233,7 +218,7 @@ def discrepancy_growth(trace):
     last = maxes[k - 1]
     if base == 0 or last == 0:
         return (Fraction(0), Fraction(0))
-    return _nth_root_interval(Fraction(last, base), k - start)
+    return root_interval(Fraction(last, base), k - start, Fraction(1, 10 ** 6))
 
 
 def offset_statistics(trace):

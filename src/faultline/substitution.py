@@ -25,6 +25,7 @@ from .algebra import (
     isolate_complex_roots,
     isolate_real_roots,
     pdeg,
+    root_interval,
     squarefree_part,
 )
 from .errors import (
@@ -297,22 +298,6 @@ class _Modulus:
         return None
 
 
-def _sqrt_interval(q, prec):
-    """Rational interval around sqrt(q) of width <= 2^-prec."""
-    q = Fraction(q)
-    if q == 0:
-        return (Fraction(0), Fraction(0))
-    lo, hi = Fraction(0), max(Fraction(1), q)
-    width = Fraction(1, 2 ** prec)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid * mid <= q:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
-
-
 def _rect_modulus_sq(rect):
     (re_lo, im_lo), (re_hi, im_hi) = rect
     dx = Fraction(0) if re_lo <= 0 <= re_hi else min(abs(re_lo), abs(re_hi))
@@ -331,6 +316,7 @@ def spectral_classify(m, precision_bits=64):
     pd = perron_data(m)
     sf = squarefree_part(pd.charpoly)
     lam_iv = pd.root.interval(Fraction(1, 2 ** 24))
+    width = Fraction(1, 2 ** precision_bits)
     moduli = []      # _Modulus for every non-Perron root of the squarefree charpoly
     lam_seen = False
     for fac, _ in irreducible_factors(sf):
@@ -344,29 +330,28 @@ def spectral_classify(m, precision_bits=64):
             if lo == hi:
                 moduli.append(_Modulus(abs(lo), abs(hi), exact=abs(lo)))
             else:
-                a = NumberField(fac, (lo, hi)).gen().interval(Fraction(1, 2 ** precision_bits)).abs()
+                a = NumberField(fac, (lo, hi)).gen().interval(width).abs()
                 moduli.append(_Modulus(a.lo, a.hi))
         if deg - len(real) == 0:
             continue
         if deg == 2:
             # conjugate pair of a monic quadratic: |z|^2 is the constant term
             msq = Fraction(abs(fac[0]))
-            lo, hi = _sqrt_interval(msq, precision_bits)
+            lo, hi = root_interval(msq, 2, width)
             moduli.append(_Modulus(lo, hi, exact=Fraction(1) if msq == 1 else None))
             continue
         # general case: certified rectangles, refined while any straddles |z| = 1
         eps = Fraction(1, 2 ** 16)
-        floor_eps = Fraction(1, 2 ** precision_bits)
         while True:
             rects = [r for r in isolate_complex_roots(fac, eps=eps) if r[1][1] > 0]
             straddle = any(lo_sq <= 1 <= hi_sq for lo_sq, hi_sq in map(_rect_modulus_sq, rects))
-            if not straddle or eps <= floor_eps:
+            if not straddle or eps <= width:
                 break
-            eps = max(eps * eps, floor_eps)
+            eps = max(eps * eps, width)
         for rect in rects:
             lo_sq, hi_sq = _rect_modulus_sq(rect)
-            lo, _ = _sqrt_interval(lo_sq, precision_bits)
-            _, hi = _sqrt_interval(hi_sq, precision_bits)
+            lo, _ = root_interval(lo_sq, 2, width)
+            _, hi = root_interval(hi_sq, 2, width)
             moduli.append(_Modulus(lo, hi))
     assert lam_seen, "Perron root must appear among the isolated real roots"
 

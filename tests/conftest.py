@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from faultline.algebra import Interval
+from faultline.algebra import Interval, peval
 from faultline.substitution import Substitution
 
 
@@ -88,3 +88,56 @@ def reference_interval(x, width):
         x.field._bisect_once()
         iv = peval_interval(x.coeffs, x.field.interval)
     return iv
+
+
+# Reference bisection loops: the bodies that ``algebra.bisect`` and
+# ``algebra.root_interval`` replaced, kept as oracles.
+
+def reference_sqrt_interval(q, prec):
+    """Rational interval around sqrt(q) of width <= 2^-prec."""
+    q = Fraction(q)
+    if q == 0:
+        return (Fraction(0), Fraction(0))
+    lo, hi = Fraction(0), max(Fraction(1), q)
+    width = Fraction(1, 2 ** prec)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid * mid <= q:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def reference_nth_root_interval(ratio, t, width=Fraction(1, 10 ** 6)):
+    """Rational interval around ratio**(1/t)."""
+    ratio = Fraction(ratio)
+    if ratio == 0:
+        return (Fraction(0), Fraction(0))
+    lo, hi = Fraction(0), max(Fraction(1), ratio)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid ** t <= ratio:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def reference_refined(field, width):
+    """``NumberField.refined`` as one inline loop: shrink the field's
+    isolating interval to at most ``width`` wide."""
+    lo, hi = field._iv
+    if field.degree == 1:
+        return Interval(lo, hi)
+    width = Fraction(width)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        smid = peval(field.poly, mid)
+        assert smid != 0
+        if (smid > 0) == (field._sign_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    field._set_interval(lo, hi)
+    return Interval(lo, hi)

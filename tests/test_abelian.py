@@ -9,7 +9,6 @@ from faultline.abelian import (
     det,
     direct_limit,
     direct_sum,
-    expr_combine,
     eye,
     integer_roots,
     invariants,
@@ -180,7 +179,7 @@ def test_recognize_stable_under_conjugation():
 def test_expr_combine_tensor_limits():
     mu_lim = GroupExpr.limit(direct_limit(mat([[1, 1], [3, 0]])))
     z_half = GroupExpr.zloc(2)
-    out = expr_combine("tensor", mu_lim, z_half)
+    out = tensor(mu_lim, z_half)
     assert out.canonical() == "Lim(n=2; [[2,2],[6,0]])"
     assert out.rank() == 2
     assert invariants(out)["det"] == 12
@@ -188,8 +187,8 @@ def test_expr_combine_tensor_limits():
 
 def test_expr_combine_z_identity():
     g = GroupExpr.zloc(5)
-    assert expr_combine("tensor", GroupExpr.z(), g) == g
-    assert expr_combine("tensor", g, GroupExpr.z()) == g
+    assert tensor(GroupExpr.z(), g) == g
+    assert tensor(g, GroupExpr.z()) == g
 
 
 def test_mu_tensor_mu_rank():

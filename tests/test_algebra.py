@@ -4,26 +4,34 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from faultline.algebra import (
     Interval,
     NumberField,
+    bisect,
     clear_denominators,
     compare,
     decimal_string,
-    field_arith,
     horner_interval,
     irreducible_factors,
     isolate_real_roots,
     mod_reduce,
     pmul,
     poly_str,
+    root_interval,
     squarefree_part,
 )
 from faultline.errors import ValidationError
 
-from conftest import peval_interval, reference_interval, rng_for
+from conftest import (
+    peval_interval,
+    reference_interval,
+    reference_nth_root_interval,
+    reference_refined,
+    reference_sqrt_interval,
+    rng_for,
+)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 
@@ -50,14 +58,12 @@ def test_lambda_times_lambda_minus_one(field):
     assert lam * (lam - 1) == field.from_rational(3)
 
 
-def test_field_arith_dispatch(field):
+def test_field_operators(field):
     lam = field.gen()
-    assert field_arith("add", lam, lam) == 2 * lam
-    assert field_arith("sub", lam, lam).is_zero()
-    assert field_arith("mul", lam, lam) == lam + 3
-    assert field_arith("div", lam + 3, lam) == lam
-    with pytest.raises(ValidationError):
-        field_arith("pow", lam, lam)
+    assert lam + lam == 2 * lam
+    assert (lam - lam).is_zero()
+    assert lam * lam == lam + 3
+    assert (lam + 3) / lam == lam
 
 
 def test_division_and_inverse(field):
@@ -273,3 +279,53 @@ def test_largest_real_root_matches_sympy_on_random_products():
         top = max(real)
         assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) <= top
         assert top <= sympy.Rational(iv.hi.numerator, iv.hi.denominator)
+
+
+# ---------------------------------------------------------------------------
+# the one certified bisection routine against the loops it replaced
+# ---------------------------------------------------------------------------
+
+radicands = st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=radicands, t=st.integers(1, 6), bits=st.integers(1, 80))
+@example(q=Fraction(0), t=3, bits=40)
+def test_root_interval_matches_reference_loops(q, t, bits):
+    width = Fraction(1, 2 ** bits)
+    iv = root_interval(q, t, width)
+    assert iv == reference_nth_root_interval(q, t, width)
+    if t == 2:
+        assert iv == reference_sqrt_interval(q, bits)
+    if q == 0:
+        assert iv == (0, 0)
+    else:
+        lo, hi = iv
+        assert hi - lo <= width and lo ** t <= q <= hi ** t
+
+
+def test_root_interval_default_growth_width():
+    # discrepancy_growth asks for width 10^-6, which is not a power of two
+    width = Fraction(1, 10 ** 6)
+    for q, t in ((Fraction(7, 3), 4), (Fraction(1, 9), 2), (Fraction(10 ** 5), 6)):
+        assert root_interval(q, t, width) == reference_nth_root_interval(q, t, width)
+
+
+def test_bisect_keeps_the_half_below_accepts():
+    lo, hi = bisect(Fraction(0), Fraction(1), Fraction(1, 8), lambda mid: mid < Fraction(1, 3))
+    assert (lo, hi) == (Fraction(1, 4), Fraction(3, 8))
+    assert bisect(Fraction(0), Fraction(1), 1, lambda mid: True) == (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=st.sampled_from([(-3, -1, 1), (-2, 0, 1), (-1, -1, 0, 1), (-2, -1, -3, 1)]),
+       requests=st.lists(st.one_of(st.integers(1, 80).map(lambda b: Fraction(1, 2 ** b)),
+                                   st.fractions(min_value=Fraction(1, 10 ** 20), max_value=2)),
+                         min_size=1, max_size=6))
+def test_refined_matches_reference_loop_on_twin_fields(poly, requests):
+    field, _ = NumberField.with_largest_real_root(poly)
+    twin = NumberField(field.poly, field._iv)
+    for width in requests:
+        iv, ref = field.refined(width), reference_refined(twin, width)
+        assert (iv.lo, iv.hi) == (ref.lo, ref.hi) == twin._iv == field._iv
+        assert field.root_ints == twin.root_ints

@@ -2,14 +2,16 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from faultline import cli
+from faultline import ap_complex, cli
 from faultline.cli import alg_json, main
-from faultline.documents import bundled_document, bundled_names, load_document
+from faultline.documents import bundled_document, bundled_expected, bundled_names, load_document
+from faultline.dpv import cohomology
 from faultline.errors import ValidationError
 from faultline.fault import classify_boundary
 from faultline.substitution import Substitution
@@ -299,3 +301,79 @@ def test_render_zero_rounds_is_the_seed_tile(tmp_path):
     code, _ = run_cli("render", "-i", "bundled:doubling_swap", "--rounds", "0", "-o", str(out_path))
     assert code == 0
     assert out_path.read_text().count("<rect") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("ap", "-i", "bundled:period_doubling", "--name", "rho", "--rounds", "-3",
+     "--precision-bits", "-5"),
+    ("ap", "-i", "bundled:period_doubling"),
+    ("selftest", "--rounds", "-3"),
+    ("mu", "-i", "bundled:row_thirds", "--name", "rho", "--max-word-len", "9"),
+    ("render", "-i", "bundled:doubling_swap", "--precision-bits", "9"),
+    ("frob",),
+])
+def test_usage_errors_are_one_line_exit_1(capsys, argv):
+    capsys.readouterr()
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_flags_only_where_a_command_reads_them():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {
+        name: sorted(opt for a in sp._actions for opt in a.option_strings
+                     if opt in ("--rounds", "--precision-bits", "--max-word-len"))
+        for name, sp in commands.items()
+    }
+    assert flags == {
+        "analyze": ["--precision-bits"],
+        "ap": [], "mu": [], "selftest": [],
+        "fault": ["--max-word-len", "--rounds"],
+        "cohomology": ["--max-word-len", "--rounds"],
+        "render": ["--max-word-len", "--rounds"],
+    }
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_cohomology_matches_expected_file(name):
+    doc = bundled_document(name)
+    rep = cohomology(doc.dpv, cap=doc.options["rounds"],
+                     max_word_len=doc.options["max_word_len"])
+    assert cli.cohomology_summary(doc.dpv, rep) == bundled_expected(name)
+
+
+def _count_collars(monkeypatch):
+    """Route every faultline reference to ``collar`` through a counter."""
+    calls = []
+    original = ap_complex.collar
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("faultline"):
+            if getattr(module, "collar", None) is original:
+                monkeypatch.setattr(module, "collar", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_cohomology_collars_the_vertical_substitution_once(monkeypatch, name):
+    calls = _count_collars(monkeypatch)
+    code, _ = run_cli("cohomology", "-i", f"bundled:{name}")
+    assert code == 0
+    doc = bundled_document(name)
+    # the horizontal substitution for mu, the vertical one for everything else
+    assert [s.alphabet for s in calls] == [doc.dpv.horizontal[0].alphabet,
+                                           doc.dpv.vertical.alphabet]
+
+
+def test_selftest_collars_twice_per_document(monkeypatch):
+    calls = _count_collars(monkeypatch)
+    code, _ = run_cli("selftest")
+    assert code == 0
+    assert len(calls) == 2 * len(bundled_names())

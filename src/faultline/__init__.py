@@ -14,7 +14,6 @@ Cech cohomology of direct-product-variation (DPV) tiling spaces:
 """
 
 from .errors import (
-    DegenerateEigenspaceError,
     FaultlineError,
     HypothesisError,
     NoPerronRootError,

@@ -149,7 +149,6 @@ class SmithForm:
     d: np.ndarray
     v: np.ndarray
     u_inv: np.ndarray
-    v_inv: np.ndarray
 
     @property
     def diagonal(self):
@@ -162,12 +161,12 @@ class SmithForm:
 
 def smith_normal_form(a):
     """u @ a @ v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
-    Inverses of u and v are tracked alongside."""
+    The inverse of u is tracked alongside."""
     a = np.array([[int(x) for x in row] for row in a], dtype=object)
     m, n = a.shape
     d = a.copy()
     u, v = eye(m), eye(n)
-    ui, vi = eye(m), eye(n)
+    ui = eye(m)
 
     def row_add(i, j, q):  # row_i += q * row_j
         d[i, :] += q * d[j, :]
@@ -177,7 +176,6 @@ def smith_normal_form(a):
     def col_add(i, j, q):  # col_i += q * col_j
         d[:, i] += q * d[:, j]
         v[:, i] += q * v[:, j]
-        vi[j, :] -= q * vi[i, :]
 
     def row_swap(i, j):
         d[[i, j], :] = d[[j, i], :]
@@ -187,7 +185,6 @@ def smith_normal_form(a):
     def col_swap(i, j):
         d[:, [i, j]] = d[:, [j, i]]
         v[:, [i, j]] = v[:, [j, i]]
-        vi[[i, j], :] = vi[[j, i], :]
 
     def row_neg(i):
         d[i, :] = -d[i, :]
@@ -231,7 +228,7 @@ def smith_normal_form(a):
             row_neg(t)
 
     assert (u @ a @ v == d).all()
-    return SmithForm(u=u, d=d, v=v, u_inv=ui, v_inv=vi)
+    return SmithForm(u=u, d=d, v=v, u_inv=ui)
 
 
 def kernel_basis(a):
@@ -263,15 +260,8 @@ class DirectLimitGroup:
     section: tuple
 
     @property
-    def a_matrix(self):
-        return mat(self.a) if self.n else np.zeros((0, 0), dtype=object)
-
-    @property
     def a_prime_matrix(self):
         return mat(self.a_prime) if self.r else np.zeros((0, 0), dtype=object)
-
-    def describe(self):
-        return f"Lim(n={self.r}; {mat_str(self.a_prime)})" if self.r else "0"
 
 
 def direct_limit(a):

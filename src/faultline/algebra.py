@@ -4,7 +4,7 @@ Polynomials are tuples of coefficients in *ascending* degree order.  Ring
 operations are carried out over ``fractions.Fraction``; nothing stored here is
 ever a float.  Root isolation and factorization over Q are delegated to sympy
 (its Collins-Krandick isolation returns exact rational intervals); everything
-downstream of isolation (refinement, comparison, floor, modular reduction) is
+downstream of isolation (refinement, comparison, modular reduction) is
 implemented here with exact rational intervals, evaluated by one integer
 Horner routine over a common denominator (``horner_interval``).
 """
@@ -304,6 +304,15 @@ def clear_denominators(coeffs):
     return tuple(int(c * den) for c in coeffs), den
 
 
+def integer_vectors(values):
+    """(vectors, den): the coefficient vectors of elements of one field as
+    integer tuples over one common denominator den > 0, i.e.
+    values[i].coeffs[j] == vectors[i][j] / den."""
+    deg = values[0].field.degree
+    nums, den = clear_denominators([c for x in values for c in x.coeffs])
+    return tuple(nums[i:i + deg] for i in range(0, len(nums), deg)), den
+
+
 def horner_interval(nums, lo, hi, q):
     """Horner's rule in interval arithmetic for sum(nums[i] * x**i) over
     x in [lo/q, hi/q], with integer nums, lo, hi and q > 0.
@@ -369,10 +378,10 @@ class NumberField:
     p is a monic irreducible integer polynomial, so the quotient is a genuine
     field and exact zero testing is coefficient-wise.  The root interval only
     ever shrinks; refinements are cached on the field object.  Exact results
-    (signs, comparisons, floors) do not depend on that cache, but enclosures
-    do: ``AlgebraicNumber.interval(width)`` evaluates at the current root
-    interval, so once an earlier computation has refined the field, the same
-    number and width give a tighter (different) enclosure.
+    (signs, comparisons, modular reduction) do not depend on that cache, but
+    enclosures do: ``AlgebraicNumber.interval(width)`` evaluates at the
+    current root interval, so once an earlier computation has refined the
+    field, the same number and width give a tighter (different) enclosure.
     """
 
     __slots__ = ("poly", "_iv", "_ziv", "_sign_lo")
@@ -455,6 +464,23 @@ class NumberField:
                 return a, b, e
             self._bisect_once()
         raise RuntimeError("interval refinement did not converge")  # pragma: no cover
+
+    def sign(self, nums):
+        """Exact sign of sum(nums[i] * root**i) for integers nums: enclosures
+        at the current root interval, bisected one step at a time until one
+        excludes zero.  The one loop that bisects until a sign is decided;
+        a positive common denominator never changes a sign, so callers pass
+        numerators only."""
+        if not any(nums):
+            return 0
+        for _ in range(_MAX_REFINE):
+            a, b, _ = self.enclose(nums, 1)
+            if a > 0:
+                return 1
+            if b < 0:
+                return -1
+            self._bisect_once()
+        raise RuntimeError("sign refinement did not converge")  # pragma: no cover
 
     # -- element constructors ------------------------------------------------
 
@@ -639,18 +665,8 @@ class AlgebraicNumber:
     # -- order structure ----------------------------------------------------------
 
     def sign(self):
-        """Exact sign via interval evaluation with root-interval bisection."""
-        if self.is_zero():
-            return 0
-        nums, den = clear_denominators(self.coeffs)
-        for _ in range(_MAX_REFINE):
-            a, b, _ = self.field.enclose(nums, den)
-            if a > 0:
-                return 1
-            if b < 0:
-                return -1
-            self.field._bisect_once()
-        raise RuntimeError("sign refinement did not converge")  # pragma: no cover
+        """Exact sign: ``NumberField.sign`` of the numerators."""
+        return self.field.sign(clear_denominators(self.coeffs)[0])
 
     def compare(self, other):
         d = self - self._coerce(other)
@@ -677,19 +693,6 @@ class AlgebraicNumber:
 
     def __float__(self):
         return float(self.interval(Fraction(1, 2 ** 64)).midpoint())
-
-    def floor(self):
-        """Exact floor as an integer."""
-        if self.is_rational():
-            c = self.coeffs[0]
-            return c.numerator // c.denominator
-        iv = self.interval(Fraction(1, 4))
-        while (iv.lo.numerator // iv.lo.denominator) != (iv.hi.numerator // iv.hi.denominator):
-            iv = self.interval(iv.width / 2)
-        return iv.lo.numerator // iv.lo.denominator
-
-    def mod(self, modulus):
-        return mod_reduce(self, modulus)
 
     def __repr__(self):
         terms = []
@@ -718,7 +721,12 @@ def compare(a, b):
 
 def mod_reduce(a, modulus):
     """a - k*modulus with the integer k chosen so the result lies in
-    [0, modulus).  modulus must be positive."""
+    [0, modulus).  modulus must be positive.
+
+    Enclosures of a / modulus at the current root interval (bisected only
+    while they leave more than two candidates for k) give a first guess;
+    k is then the integer with the two exact signs a - k*modulus >= 0 and
+    a - (k+1)*modulus < 0."""
     if not isinstance(a, AlgebraicNumber) and not isinstance(modulus, AlgebraicNumber):
         a, modulus = Fraction(a), Fraction(modulus)
         if modulus <= 0:
@@ -729,8 +737,27 @@ def mod_reduce(a, modulus):
     m = a._coerce(modulus)
     if m.sign() <= 0:
         raise ValidationError("modulus must be positive")
-    k = (a / m).floor()
-    r = a - m * k
-    # floor gives 0 <= r < m by construction; assert the exact invariant
-    assert r.sign() >= 0 and (r - m).sign() < 0
-    return r
+    # m.sign() left m's root interval enclosing m above zero
+    field = m.field
+    (av, mv), _ = integer_vectors((a, m))
+    for _ in range(_MAX_REFINE):
+        a0, a1, ae = field.enclose(av, 1)
+        m0, m1, me = field.enclose(mv, 1)
+        # floors of the corners of the enclosure of a / m
+        floors = [x * me // (y * ae) for x in (a0, a1) for y in (m0, m1)]
+        k = min(floors)
+        if max(floors) - k <= 1:
+            break
+        field._bisect_once()
+    else:  # pragma: no cover
+        raise RuntimeError("interval refinement did not converge")
+
+    def rest(j):
+        """Sign of a - j*m."""
+        return field.sign([x - j * y for x, y in zip(av, mv)])
+
+    while rest(k) < 0:
+        k -= 1
+    while rest(k + 1) >= 0:
+        k += 1
+    return a - m * k

@@ -366,7 +366,7 @@ def cmd_render(args):
     if doc.dpv is None:
         raise ValidationError("document has no dpv section")
     # --rounds is the patch depth here, not the rounds option; 0 is the seed tile
-    opts = _options(doc, args, flags=("max_word_len",))
+    opts = _options(doc, args, flags=())
     k = 3 if args.rounds is None else check_count("--rounds", args.rounds, least=0)
     d = doc.dpv
     if args.seed:
@@ -485,13 +485,13 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"faultline {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *flags, needs_input=True):
-        """Input, output and format, plus the option overrides ``flags``
-        that the command reads."""
-        if needs_input:
-            sp.add_argument("--input", "-i", help="input document path or bundled:<name>")
+    def common(sp, *flags, report=True):
+        """Input and output, the report format when the command writes a
+        ``report``, plus the option overrides ``flags`` that it reads."""
+        sp.add_argument("--input", "-i", help="input document path or bundled:<name>")
         sp.add_argument("--output", "-o", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
+        if report:
+            sp.add_argument("--format", choices=("json", "text"), default="json")
         for key in flags:
             sp.add_argument("--" + key.replace("_", "-"), type=int, dest=key,
                             help=_FLAG_HELP[key])
@@ -523,7 +523,7 @@ def build_parser():
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("render", help="SVG patch of the DPV tiling")
-    common(sp, "max_word_len")
+    common(sp, report=False)
     sp.add_argument("--rounds", type=int, help="patch depth in substitution rounds (default 3)")
     sp.add_argument("--seed", help="seed tile as '<vertical>,<horizontal>'")
     sp.add_argument("--overlay", type=int, help="draw boundaries of order-j supertile rows")
@@ -531,7 +531,6 @@ def build_parser():
     sp.set_defaults(func=cmd_render)
 
     sp = sub.add_parser("selftest", help="run the bundled examples against expected reports")
-    common(sp, needs_input=False)
     sp.set_defaults(func=cmd_selftest)
     return p
 

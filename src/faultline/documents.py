@@ -19,7 +19,7 @@ from .substitution import Substitution
 _DOC_KEYS = {"alphabets", "substitutions", "dpv", "options"}
 _SUB_KEYS = {"alphabet", "rules"}
 _DPV_KEYS = {"vertical", "horizontal", "row_sigma"}
-_INT_OPTIONS = {"rounds", "max_word_len", "precision_bits", "max_tiles", "conjugacy_max_len"}
+_INT_OPTIONS = {"rounds", "max_word_len", "precision_bits", "max_tiles"}
 _OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
 
 DEFAULT_OPTIONS = {
@@ -28,7 +28,6 @@ DEFAULT_OPTIONS = {
     "precision_bits": 64,
     "max_tiles": 200_000,
     "modulus_letter": None,
-    "conjugacy_max_len": 8,
 }
 
 
@@ -37,44 +36,12 @@ class Document:
     alphabets: dict
     substitutions: dict
     dpv: Optional[DPVSubstitution]
-    dpv_names: Optional[dict]     # {"vertical": name, "horizontal": [names]}
     options: dict
 
     def substitution(self, name):
         if name not in self.substitutions:
             raise ValidationError(f"unknown substitution {name!r}")
         return self.substitutions[name]
-
-    def to_dict(self):
-        subs = {}
-        for name, s in sorted(self.substitutions.items()):
-            alpha_name = next(
-                a for a, letters in self.alphabets.items() if tuple(letters) == s.alphabet
-            )
-            subs[name] = {
-                "alphabet": alpha_name,
-                "rules": {
-                    l.name: [s.letters[i].name for i in s.rules[l.id]] for l in s.letters
-                },
-            }
-        out = {
-            "alphabets": {k: list(v) for k, v in sorted(self.alphabets.items())},
-            "substitutions": subs,
-            "options": {k: self.options[k] for k in sorted(self.options)},
-        }
-        if self.dpv is not None:
-            rho = self.dpv.vertical
-            out["dpv"] = {
-                "vertical": self.dpv_names["vertical"],
-                "horizontal": list(self.dpv_names["horizontal"]),
-                "row_sigma": {
-                    rho.letters[v].name: [
-                        self.dpv_names["horizontal"][k] for k in self.dpv.row_sigma[v]
-                    ]
-                    for v in range(rho.size)
-                },
-            }
-        return out
 
 
 def _require_keys(obj, allowed, where):
@@ -151,7 +118,6 @@ def load_document(source):
         raise ValidationError("document declares no substitutions")
 
     dpv = None
-    dpv_names = None
     if "dpv" in raw and raw["dpv"] is not None:
         spec = raw["dpv"]
         _require_keys(spec, _DPV_KEYS, "dpv")
@@ -189,7 +155,6 @@ def load_document(source):
             horizontal=tuple(substitutions[h] for h in hnames),
             row_sigma=tuple(row_sigma),
         )
-        dpv_names = {"vertical": vname, "horizontal": tuple(hnames)}
 
     options = dict(DEFAULT_OPTIONS)
     if "options" in raw and raw["options"] is not None:
@@ -201,7 +166,6 @@ def load_document(source):
         alphabets=alphabets,
         substitutions=substitutions,
         dpv=dpv,
-        dpv_names=dpv_names,
         options=options,
     )
 

@@ -85,16 +85,6 @@ class DPVSubstitution:
     def tile_index(self, v, h):
         return v * self.horizontal[0].size + h
 
-    def tile_name(self, v, h):
-        return f"{self.vertical.letters[v].name},{self.horizontal[0].letters[h].name}"
-
-    def tile_names(self):
-        return tuple(
-            self.tile_name(v, h)
-            for v in range(self.vertical.size)
-            for h in range(self.horizontal[0].size)
-        )
-
     def image_array(self, v, h):
         """Rows of the image of tile (v, h), bottom to top; each row is a
         tuple of (vertical letter, horizontal letter) pairs."""

@@ -25,6 +25,3 @@ class UndeterminedError(FaultlineError):
 class NoPerronRootError(FaultlineError):
     """The matrix has no positive real eigenvalue (zero matrix)."""
 
-
-class DegenerateEigenspaceError(FaultlineError):
-    """The Perron eigenspace is not one-dimensional."""

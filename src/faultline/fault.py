@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
-from .algebra import clear_denominators, mod_reduce, root_interval
+from .algebra import clear_denominators, integer_vectors, mod_reduce, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
 DEFAULT_ROUNDS = 12
+
+_SCALE = 1 << 96   # fixed-point scale of the prefix scan's filter
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,31 @@ class BoundaryTrace:
         return tuple(s.max_abs_discrepancy for s in self.steps)
 
 
-def _exact_sign(widths, delta):
-    """Exact sign of sum(delta[i] * widths[i]) in Q(lambda)."""
-    exact = widths[0] * delta[0]
-    for i in range(1, len(widths)):
-        if delta[i]:
-            exact = exact + widths[i] * delta[i]
-    return exact.sign()
+class _ScanWidths:
+    """Tile widths as the prefix scan reads them: integer coefficient vectors
+    over one denominator, and their image scaled by 2^96, built on first use
+    and then kept for the whole trace."""
+
+    def __init__(self, widths):
+        self.field = widths[0].field
+        self.vectors, self.den = integer_vectors(widths)
+
+    @cached_property
+    def scaled(self):
+        # |widths[i] * 2^96 - scaled[i]| <= 1.  This refinement also sets the
+        # field enclosures that reports print (cli.alg_json): another width
+        # here would change report bytes.
+        out = []
+        for v in self.vectors:
+            a, b, e = self.field.enclose(v, self.den, Fraction(1, _SCALE))
+            out.append(round(Fraction((a + b) * _SCALE, 2 * e)))
+        return out
 
 
 def _prefix_discrepancies(top, bottom, widths, tracked):
     """Tracked-letter count difference at each top-tile boundary, bottom side
     cut at the same exact position (tiles whose right edge is <= the cut).
+    ``widths`` is a ``_ScanWidths``.
 
     The scan keeps the count difference delta (top minus bottom), its
     scaled-integer image t = sum(delta[i] * scaled[i]) and the filter's error
@@ -70,15 +85,16 @@ def _prefix_discrepancies(top, bottom, widths, tracked):
     taken when the cut minus its right edge, sum(delta[i] * widths[i]) after
     the tentative step, is >= 0.  The filter decides that sign whenever t lies
     outside the margin; an all-zero delta (margin 0) is an exact tie; only the
-    rest is recomputed exactly in Q(lambda)."""
+    rest goes to the exact sign of sum(delta[i] * vectors[i])."""
     if top == bottom:
         return tuple([0] * len(top))
-    # scaled-integer approximations: |widths[i] * 2^96 - scaled[i]| <= 1.
-    # This refinement also sets the field enclosures that reports print
-    # (cli.alg_json): another width here would change report bytes.
-    scale = 1 << 96
-    scaled = [round(w.interval(Fraction(1, scale)).midpoint() * scale) for w in widths]
-    delta = [0] * len(widths)
+    field, vectors, scaled = widths.field, widths.vectors, widths.scaled
+    delta = [0] * len(vectors)
+
+    def exact_sign():
+        return field.sign([sum(d * v[j] for d, v in zip(delta, vectors))
+                           for j in range(field.degree)])
+
     t = margin = 0
     out = []
     ib, nb = 0, len(bottom)
@@ -94,7 +110,7 @@ def _prefix_discrepancies(top, bottom, widths, tracked):
             tb = t - scaled[b]
             mb = margin + 1 if d <= 0 else margin - 1
             delta[b] = d - 1
-            if tb < -mb or (tb <= mb and mb and _exact_sign(widths, delta) < 0):
+            if tb < -mb or (tb <= mb and mb and exact_sign() < 0):
                 delta[b] = d
                 break
             t, margin = tb, mb
@@ -129,6 +145,7 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise ValidationError("offset modulus must be positive")
 
     unit_shift = widths[tracked_letter]
+    scan_widths = _ScanWidths(widths)
     # the same discrepancy values recur round after round: reduce each once
     reduced = {}
     steps = []
@@ -138,7 +155,7 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         wb = bottom.apply(wb)
         if len(wt) > max_word_len:
             raise ResourceCapError(f"boundary trace exceeded the {max_word_len}-letter word cap")
-        ds = _prefix_discrepancies(wt, wb, widths, tracked_letter)
+        ds = _prefix_discrepancies(wt, wb, scan_widths, tracked_letter)
         ms = tuple(sorted(set(ds)))
         for m in ms:
             if m not in reduced:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .algebra import clear_denominators, decimal_string
+from .algebra import clear_denominators, decimal_string, integer_vectors
 from .errors import ResourceCapError, ValidationError
 
 DEFAULT_MAX_TILES = 200_000
@@ -105,9 +105,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     if total > max_tiles:
         raise ResourceCapError(f"patch would contain {total} tiles (cap {max_tiles})")
 
-    deg = field.degree
-    nums, den_x = clear_denominators([c for w in widths for c in w.coeffs])
-    width_nums = tuple(nums[i:i + deg] for i in range(0, len(nums), deg))
+    width_nums, den_x = integer_vectors(widths)
     height_nums, den_y = clear_denominators(heights)
     lattice = Lattice(field, den_x, den_y, width_nums, height_nums)
     # step[r][h] = den_x * width_h * lambda^r: integer vectors, since lambda
@@ -121,7 +119,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     images = {(v, h): d.image_array(v, h)
               for v in range(d.vertical.size) for h in range(len(widths))}
 
-    origin = (0,) * deg
+    origin = (0,) * field.degree
     out = []
 
     def place(tile, x, y, rounds):

@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .algebra import (
     squarefree_part,
 )
 from .errors import (
-    DegenerateEigenspaceError,
     HypothesisError,
     NoPerronRootError,
     ResourceCapError,
@@ -179,11 +179,12 @@ class Substitution:
         factors = set()
         for a in range(self.size):
             w = (a,)
-            while len(w) < target:
+            # after ``size`` steps through length-1 images only, every letter
+            # of w lies on a cycle of such letters: w never grows again
+            stalled = 0
+            while len(w) < target and stalled < self.size:
                 nxt = self.apply(w)
-                if len(nxt) == len(w):  # non-growing letter; fall through
-                    w = nxt
-                    break
+                stalled = stalled + 1 if len(nxt) == len(w) else 0
                 w = nxt
                 if len(w) > max_len:
                     raise ResourceCapError("legal_words expansion exceeded the word cap")
@@ -387,6 +388,12 @@ def tile_lengths(s):
     """Natural tile lengths: a left Perron eigenvector of the abelianization,
     exact in Q(lambda).
 
+    The eigenvector is q(M^T) e_0, where charpoly(x) = (x - lambda) q(x): by
+    Cayley-Hamilton every column of q(M^T) lies in the lambda-eigenspace of
+    M^T, and the first is nonzero because lambda is a simple root for
+    primitive M.  It is computed on integer coefficient vectors over the power
+    basis of Z[lambda].
+
     Rational lambda gives the primitive positive integer eigenvector; for
     irrational lambda the vector is scaled so the first entry is lambda when
     that lands in Z[lambda], else so the first entry is 1.  Either way
@@ -396,38 +403,25 @@ def tile_lengths(s):
         raise HypothesisError("tile lengths need a primitive substitution")
     field = pd.root.field
     lam = pd.root
-    n = s.size
-    mt = s.matrix().T
-    # solve (M^T - lambda I) x = 0 over the field
-    rows = [[field.from_rational(int(mt[i, j])) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        rows[i][i] = rows[i][i] - lam
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise DegenerateEigenspaceError(f"Perron eigenspace has dimension {len(free)}")
-    sol = [field.zero()] * n
-    sol[free[0]] = field.one()
-    for i, col in enumerate(pivots):
-        sol[col] = -rows[i][free[0]]
-    first = sol[0]
-    if first.is_zero():
-        raise DegenerateEigenspaceError("eigenvector has a vanishing first entry")
-    unit = [x / first for x in sol]  # first entry 1
+    n, deg, poly = s.size, field.degree, field.poly
+    mt = [[int(x) for x in row] for row in s.matrix().T]
+
+    def times_lam(c):
+        """c * lambda, reduced by the monic minimal polynomial."""
+        return tuple(x - c[-1] * f for x, f in zip((0,) + c[:-1], poly))
+
+    # Horner for q(M^T) e_0, with the coefficients of q by synthetic division:
+    # q_{n-1} = 1 and q_{i-1} = p_i + lambda * q_i
+    q = (1,) + (0,) * (deg - 1)
+    vec = [q] + [(0,) * deg] * (n - 1)
+    for i in range(n - 1, 0, -1):
+        q = times_lam(q)
+        q = (q[0] + pd.charpoly[i],) + q[1:]
+        vec = [tuple(sum(m * v[k] for m, v in zip(row, vec)) for k in range(deg))
+               for row in mt]
+        vec[0] = tuple(map(add, vec[0], q))
+    sol = [field.element(c) for c in vec]
+    unit = [x / sol[0] for x in sol]  # first entry 1
     if field.degree == 1:
         fracs = [x.as_fraction() for x in unit]
         denom = 1

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from faultline.algebra import Interval, peval
+from faultline.algebra import Interval, clear_denominators, peval
+from faultline.errors import ValidationError
 from faultline.substitution import Substitution
 
 
@@ -141,3 +143,93 @@ def reference_refined(field, width):
             hi = mid
     field._set_interval(lo, hi)
     return Interval(lo, hi)
+
+
+# Reference bodies of the field-arithmetic paths that ``NumberField.sign``,
+# the integer ``mod_reduce`` and ``q(M^T) e_0`` in ``tile_lengths`` replaced,
+# kept as oracles.
+
+def reference_sign(x):
+    """The loop ``AlgebraicNumber.sign`` ran before ``NumberField.sign``."""
+    if x.is_zero():
+        return 0
+    nums, den = clear_denominators(x.coeffs)
+    for _ in range(4096):
+        a, b, _ = x.field.enclose(nums, den)
+        if a > 0:
+            return 1
+        if b < 0:
+            return -1
+        x.field._bisect_once()
+    raise AssertionError("sign refinement did not converge")
+
+
+def reference_floor(x):
+    """The retired ``AlgebraicNumber.floor``: halve the enclosure width
+    until both ends have the same floor."""
+    if x.is_rational():
+        c = x.coeffs[0]
+        return c.numerator // c.denominator
+    iv = x.interval(Fraction(1, 4))
+    while (iv.lo.numerator // iv.lo.denominator) != (iv.hi.numerator // iv.hi.denominator):
+        iv = x.interval(iv.width / 2)
+    return iv.lo.numerator // iv.lo.denominator
+
+
+def reference_mod_reduce(a, m):
+    """``mod_reduce`` on two algebraic numbers as it was: k is the floor of
+    a / m, by a field inverse and ``reference_floor``, then checked by the
+    two exact signs."""
+    if reference_sign(m) <= 0:
+        raise ValidationError("modulus must be positive")
+    k = reference_floor(a / m)
+    r = a - m * k
+    assert reference_sign(r) >= 0 and reference_sign(r - m) < 0
+    return r
+
+
+def reference_tile_lengths(s):
+    """``tile_lengths`` by Gauss-Jordan elimination of (M^T - lambda I) over
+    Q(lambda), with the same normalisation."""
+    pd = s.perron()
+    field, lam, n = pd.root.field, pd.root, s.size
+    mt = s.matrix().T
+    rows = [[field.from_rational(int(mt[i, j])) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = rows[i][i] - lam
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1
+    sol = [field.zero()] * n
+    sol[free[0]] = field.one()
+    for i, col in enumerate(pivots):
+        sol[col] = -rows[i][free[0]]
+    unit = [x / sol[0] for x in sol]
+    if field.degree == 1:
+        fracs = [x.as_fraction() for x in unit]
+        denom = 1
+        for f in fracs:
+            denom = denom * f.denominator // gcd(denom, f.denominator)
+        ints = [int(f * denom) for f in fracs]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        return tuple(field.from_rational(Fraction(v, g)) for v in ints)
+    scaled = [x * lam for x in unit]
+    if all(c.denominator == 1 for x in scaled for c in x.coeffs):
+        return tuple(scaled)
+    return tuple(unit)

@@ -1,5 +1,6 @@
 """Exact field arithmetic in Q(lambda)."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from faultline.algebra import (
+    AlgebraicNumber,
     Interval,
     NumberField,
     bisect,
@@ -26,9 +28,12 @@ from faultline.errors import ValidationError
 
 from conftest import (
     peval_interval,
+    random_substitution,
     reference_interval,
+    reference_mod_reduce,
     reference_nth_root_interval,
     reference_refined,
+    reference_sign,
     reference_sqrt_interval,
     rng_for,
 )
@@ -138,10 +143,12 @@ def test_mod_reduce_invariants(field):
 
 
 def test_floor_and_float(field):
+    # the floor of a is a - mod_reduce(a, 1)
     lam = field.gen()
-    assert lam.floor() == 2
-    assert (-lam).floor() == -3
-    assert (lam * lam).floor() == 5
+    one = field.one()
+    assert lam - mod_reduce(lam, one) == 2
+    assert -lam - mod_reduce(-lam, one) == -3
+    assert lam * lam - mod_reduce(lam * lam, one) == 5
     assert abs(float(lam) - 2.302775637731995) < 1e-12
 
 
@@ -329,3 +336,89 @@ def test_refined_matches_reference_loop_on_twin_fields(poly, requests):
         iv, ref = field.refined(width), reference_refined(twin, width)
         assert (iv.lo, iv.hi) == (ref.lo, ref.hi) == twin._iv == field._iv
         assert field.root_ints == twin.root_ints
+
+
+# ---------------------------------------------------------------------------
+# NumberField.sign and the integer mod_reduce against the bodies they replaced
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(requests=st.lists(st.tuples(st.lists(fractions, min_size=3, max_size=3),
+                                   st.integers(0, 120), st.integers(-3, 3), st.booleans()),
+                         min_size=1, max_size=8))
+def test_field_sign_matches_reference_loop(requests):
+    # Each request is coeffs * (x - r) + e: r a rational within 2^-bits of
+    # the root (so the sign needs that much bisection), e a small offset.
+    # Twin fields see the same requests through NumberField.sign (directly
+    # or as AlgebraicNumber.sign) and through the reference loop; signs and
+    # root intervals must agree request by request.
+    fields = twin_fields()
+    probes = twin_fields()
+    for coeffs, bits, offset, direct in requests:
+        for (new_f, ref_f), probe in zip((fields[:2], fields[2:]), probes[::2]):
+            near = probe.gen().interval(Fraction(1, 2 ** bits)).lo
+            c = coeffs[:new_f.degree]
+            x = new_f.element(c) * (new_f.gen() - near) + Fraction(offset, 2 ** bits)
+            y = ref_f.element(c) * (ref_f.gen() - near) + Fraction(offset, 2 ** bits)
+            got = new_f.sign(clear_denominators(x.coeffs)[0]) if direct else x.sign()
+            assert got == reference_sign(y)
+            assert new_f.root_ints == ref_f.root_ints
+
+
+def test_field_sign_examples(field):
+    assert field.sign((0, 0)) == 0
+    assert field.sign((-2, 1)) == 1          # lambda - 2
+    assert field.sign((7, -3)) == 1          # 7 - 3 lambda = 0.09...
+    assert field.sign((-7, 3)) == -1
+    assert field.sign((5,)) == 1 and field.sign((-5, 0)) == -1
+
+
+def scan_refined_widths(s):
+    """Tile widths of s in a fresh field, refined as the prefix scan refines
+    them: each width to 2^-96."""
+    widths = s.tile_lengths()
+    for w in widths:
+        w.interval(Fraction(1, 2 ** 96))
+    return widths
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4),
+       ms=st.lists(st.integers(-300, 300), min_size=1, max_size=12))
+def test_mod_reduce_matches_reference_after_scan_refinement(seed, n_letters, ms):
+    s = random_substitution(random.Random(seed), n_letters)
+    rng = random.Random(seed + 1)
+    new, ref = scan_refined_widths(s), scan_refined_widths(s)
+    field, ref_field = new[0].field, ref[0].field
+    assert field.root_ints == ref_field.root_ints
+    for m in ms:
+        i, j = rng.randrange(n_letters), rng.randrange(n_letters)
+        got = mod_reduce(new[i] * m, new[j])
+        want = reference_mod_reduce(ref[i] * m, ref[j])
+        assert got.coeffs == want.coeffs
+        assert field.root_ints == ref_field.root_ints
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4),
+       a=st.lists(fractions, min_size=4, max_size=4), scale=st.integers(1, 10 ** 6))
+def test_mod_reduce_matches_reference_on_coarse_fields(seed, n_letters, a, scale):
+    # unrefined fields: the two may refine differently, the value is the same
+    s = random_substitution(random.Random(seed), n_letters)
+    new, ref = s.tile_lengths(), s.tile_lengths()
+    m = max(new)
+    x = new[0].field.element(a[:m.field.degree]) * scale
+    y = ref[0].field.element(a[:m.field.degree]) * scale
+    assert mod_reduce(x, m).coeffs == reference_mod_reduce(y, max(ref)).coeffs
+
+
+def test_mod_reduce_uses_no_field_inverse(monkeypatch, field):
+    def refuse(self):
+        raise AssertionError("mod_reduce inverted in Q(lambda)")
+
+    monkeypatch.setattr(AlgebraicNumber, "inverse", refuse)
+    assert not hasattr(AlgebraicNumber, "floor") and not hasattr(AlgebraicNumber, "mod")
+    lam = field.gen()
+    assert mod_reduce(7 * lam, lam * lam) == 7 * lam - (lam * lam) * 3
+    assert mod_reduce(-lam, 3) == 3 - lam
+    assert mod_reduce(field.from_rational(7), lam) == 7 - 3 * lam

@@ -3,7 +3,8 @@
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,23 @@ def test_mu_subcommand():
     assert rep["limit"]["a_prime"] == [[1, 1], [3, 0]]
 
 
+@pytest.mark.parametrize("command", ["ap", "mu"])
+def test_length_one_images_before_growth(tmp_path, command):
+    # a -> b -> c -> ab: legal_words once stopped at b, and collar built an
+    # empty complex
+    doc = {"alphabets": {"x": ["a", "b", "c"]},
+           "substitutions": {"s": {"alphabet": "x", "rules": {"a": "b", "b": "c", "c": "ab"}}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(command, "-i", str(path), "--name", "s")
+    assert code == 0
+    rep = json.loads(out)
+    if command == "ap":
+        assert rep["complex"]["edges"] and rep["h1"]["rank"] >= 1
+    else:
+        assert rep["h1_of_tiling_space"]["rank"] >= 1
+
+
 def test_render_writes_svg(tmp_path):
     out_path = tmp_path / "patch.svg"
     code, _ = run_cli("render", "-i", "bundled:doubling_swap",
@@ -104,13 +122,15 @@ def test_reports_are_deterministic():
 
 
 def test_document_roundtrip():
+    # a document loads the same from its JSON text and from the parsed dict
     for name in bundled_names():
+        text = resources.files("faultline").joinpath("data", name + ".json").read_text("utf-8")
         doc = bundled_document(name)
-        again = load_document(doc.to_dict())
+        again = load_document(json.loads(text))
+        assert again.alphabets == doc.alphabets
         assert again.substitutions == doc.substitutions
         assert again.dpv == doc.dpv
         assert again.options == doc.options
-        assert again.to_dict() == doc.to_dict()
 
 
 def test_unknown_fields_rejected(tmp_path):
@@ -125,6 +145,15 @@ def test_unknown_fields_rejected(tmp_path):
     assert code == 1
     with pytest.raises(ValidationError):
         load_document(bad)
+    # conjugacy_max_len was an option that nothing read; its old bad-type
+    # cases are in test_option_types_rejected_at_load
+    del bad["extra"]
+    bad["options"] = {"conjugacy_max_len": 8}
+    path.write_text(json.dumps(bad))
+    buf = io.StringIO()
+    with redirect_stderr(buf):
+        assert main(["analyze", "-i", str(path)]) == 1
+    assert buf.getvalue() == "error: unknown fields in options: ['conjugacy_max_len']\n"
 
 
 def test_missing_input_is_validation_error():
@@ -213,7 +242,11 @@ def test_option_types_rejected_at_load(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert main(["fault", "-i", str(path), "--top", "s", "--bottom", "s"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: options.") and err.count("\n") == 1
+    if key == "conjugacy_max_len":
+        # a removed option is an unknown field, whatever its value
+        assert err == "error: unknown fields in options: ['conjugacy_max_len']\n"
+    else:
+        assert err.startswith("error: options.") and err.count("\n") == 1
 
 
 def test_option_types_accepted():
@@ -274,7 +307,7 @@ def test_render_colors_applied(tmp_path):
      "--max-word-len", "-1"),
     ("cohomology", "-i", "bundled:doubling_swap", "--rounds", "-2"),
     ("render", "-i", "bundled:doubling_swap", "--rounds", "-1"),
-    ("render", "-i", "bundled:doubling_swap", "--rounds", "1", "--max-word-len", "0"),
+    ("cohomology", "-i", "bundled:doubling_swap", "--max-word-len", "0"),
 ])
 def test_bad_flag_values_rejected(capsys, argv):
     capsys.readouterr()
@@ -311,6 +344,10 @@ def test_render_zero_rounds_is_the_seed_tile(tmp_path):
     ("mu", "-i", "bundled:row_thirds", "--name", "rho", "--max-word-len", "9"),
     ("render", "-i", "bundled:doubling_swap", "--precision-bits", "9"),
     ("frob",),
+    ("render", "-i", "bundled:doubling_swap", "--rounds", "1", "--max-word-len", "0"),
+    ("render", "-i", "bundled:doubling_swap", "--rounds", "1", "--format", "json"),
+    ("selftest", "-o", "selftest.txt"),
+    ("selftest", "--format", "text"),
 ])
 def test_usage_errors_are_one_line_exit_1(capsys, argv):
     capsys.readouterr()
@@ -325,15 +362,18 @@ def test_flags_only_where_a_command_reads_them():
     commands = parser._subparsers._group_actions[0].choices
     flags = {
         name: sorted(opt for a in sp._actions for opt in a.option_strings
-                     if opt in ("--rounds", "--precision-bits", "--max-word-len"))
+                     if opt.startswith("--") and opt != "--help")
         for name, sp in commands.items()
     }
+    report = ["--format", "--input", "--output"]
     assert flags == {
-        "analyze": ["--precision-bits"],
-        "ap": [], "mu": [], "selftest": [],
-        "fault": ["--max-word-len", "--rounds"],
-        "cohomology": ["--max-word-len", "--rounds"],
-        "render": ["--max-word-len", "--rounds"],
+        "analyze": sorted(report + ["--name", "--precision-bits"]),
+        "ap": sorted(report + ["--name"]),
+        "mu": sorted(report + ["--name"]),
+        "selftest": [],
+        "fault": sorted(report + ["--bottom", "--max-word-len", "--rounds", "--seed", "--top"]),
+        "cohomology": sorted(report + ["--max-word-len", "--rounds"]),
+        "render": ["--colors", "--input", "--output", "--overlay", "--rounds", "--seed"],
     }
 
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultline import fault
-from faultline.algebra import NumberField
+from faultline.algebra import AlgebraicNumber, NumberField
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
     BoundaryKind,
+    _ScanWidths,
     _enclosure,
     _prefix_discrepancies,
     boundary_trace,
@@ -126,11 +126,31 @@ def test_scan_matches_reference_and_naive(seed, n_letters, constant_length):
     tracked = rng.randrange(n_letters)
     start = (rng.randrange(n_letters),)
     wt, wb = s.apply(start), t.apply(start)
+    scan = _ScanWidths(widths)
     while len(wt) <= 300:
-        fast = _prefix_discrepancies(wt, wb, widths, tracked)
+        fast = _prefix_discrepancies(wt, wb, scan, tracked)
         assert fast == reference_prefix_discrepancies(wt, wb, widths, tracked)
         if len(wt) <= 30:
             assert list(fast) == naive_discrepancies(wt, wb, widths, tracked)
+        wt, wb = s.apply(wt), t.apply(wb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4))
+def test_scan_decided_by_exact_signs_alone(seed, n_letters):
+    # A zero filter image sends every step with a nonzero delta to the exact
+    # fallback, which the true image almost never reaches except on ties.
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    widths = s.tile_lengths()
+    scan = _ScanWidths(widths)
+    scan.scaled = [0] * n_letters
+    tracked = rng.randrange(n_letters)
+    wt, wb = s.apply((0,)), t.apply((0,))
+    while len(wt) <= 120:
+        assert (_prefix_discrepancies(wt, wb, scan, tracked)
+                == reference_prefix_discrepancies(wt, wb, widths, tracked))
         wt, wb = s.apply(wt), t.apply(wb)
 
 
@@ -142,14 +162,48 @@ def test_scan_resolves_exact_ties_on_rational_widths(monkeypatch):
     widths = s.tile_lengths()
     wt, wb = s.iterate("a", 3), t.iterate("a", 3)
     signs = []
-    exact_sign = fault._exact_sign
-    monkeypatch.setattr(fault, "_exact_sign",
-                        lambda w, d: signs.append(exact_sign(w, d)) or signs[-1])
-    fast = _prefix_discrepancies(wt, wb, widths, 0)
+    sign = NumberField.sign
+    monkeypatch.setattr(NumberField, "sign",
+                        lambda field, nums: signs.append(sign(field, nums)) or signs[-1])
+    fast = _prefix_discrepancies(wt, wb, _ScanWidths(widths), 0)
     assert signs and set(signs) == {0}
     assert fast == reference_prefix_discrepancies(wt, wb, widths, 0)
     assert list(fast) == naive_discrepancies(wt, wb, widths, 0)
     assert set(fast) == {-1, 0, 1}
+
+
+def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
+    # the scan and its exact fallback work on integer vectors only
+    pairs = [(sigma1, sigma2, 8),
+             (Substitution(["a", "b"], {"a": "ab", "b": "ba"}),
+              Substitution(["a", "b"], {"a": "ba", "b": "ab"}), 4)]
+    for s, t, k in pairs:
+        widths = _ScanWidths(s.tile_lengths())
+        wt, wb = s.iterate("a", k), t.iterate("a", k)
+        built = []
+        init = AlgebraicNumber.__init__
+        monkeypatch.setattr(AlgebraicNumber, "__init__",
+                            lambda x, *a: built.append(a) or init(x, *a))
+        fast = _prefix_discrepancies(wt, wb, widths, 0)
+        monkeypatch.undo()
+        assert not built
+        assert fast == reference_prefix_discrepancies(wt, wb, s.tile_lengths(), 0)
+
+
+def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
+    # the 2^-96 filter image is built once per trace, on the first round
+    # whose rows differ, and never when they never do
+    fine = Fraction(1, 2 ** 96)
+    calls = []
+    enclose = NumberField.enclose
+    monkeypatch.setattr(NumberField, "enclose",
+                        lambda f, nums, den, width=None: calls.append(width) or
+                        enclose(f, nums, den, width))
+    boundary_trace(sigma1, sigma2, "a", 8)
+    assert calls.count(fine) == 2
+    calls.clear()
+    boundary_trace(sigma1, sigma1, "a", 8)
+    assert calls.count(fine) == 0
 
 
 def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):

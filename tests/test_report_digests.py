@@ -1,0 +1,126 @@
+"""Byte identity of every bundled report: sha256 pins of the CLI output.
+
+Each case runs one CLI command on a bundled document and compares the
+sha256 of what it writes to stdout, and its exit code, with a pinned value.
+A change that alters any report byte fails here.  To re-pin after an
+intended change in output, print the new digests with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from faultline.cli import main
+from faultline.documents import bundled_names
+
+
+def _cases():
+    cases = {"selftest": ["selftest"]}
+    for name in bundled_names():
+        src = ["-i", f"bundled:{name}"]
+        runs = {"analyze": ["analyze", *src], "cohomology": ["cohomology", *src]}
+        for sub in ("sigma1", "sigma2", "rho"):
+            runs[f"ap-{sub}"] = ["ap", *src, "--name", sub]
+            runs[f"mu-{sub}"] = ["mu", *src, "--name", sub]
+        for seed in ("a", "b"):
+            runs[f"fault-{seed}"] = ["fault", *src, "--top", "sigma1", "--bottom", "sigma2",
+                                     "--seed", seed]
+        for key, argv in runs.items():
+            for fmt in ("json", "text"):
+                cases[f"{name}-{key}-{fmt}"] = [*argv, "--format", fmt]
+    return cases
+
+
+CASES = _cases()
+
+# (exit code, sha256 of stdout), recorded before the change to integer
+# coefficient vectors in the fault scan, mod_reduce and tile_lengths
+DIGESTS = {
+    "doubling_swap-analyze-json": (0, "8e6e67228174ce5c113074b44d7700d8061193ee82b18b79dc92681af5e11b8d"),
+    "doubling_swap-analyze-text": (0, "3102e6c77c02a15b98b4eaaf272d7bdffdbfaa73b004ce0b9be55bc204f5dfdf"),
+    "doubling_swap-ap-rho-json": (0, "d40cd3d796f7609cc1dd4d97eeb85a7150a1b2b4f3a54e14d50d0c7830385652"),
+    "doubling_swap-ap-rho-text": (0, "ef353c9ee58fba9f94b295279c836b66feed8b5e254525fd9ea3eb629fbccbad"),
+    "doubling_swap-ap-sigma1-json": (0, "909737e3677b85514b4dbc67c950db30de5e00ae012386e008f5c1c780a884bd"),
+    "doubling_swap-ap-sigma1-text": (0, "ccf7f36701dede130ee8d1635fee5626d0e77c5d25c715faacb2af82dea9fdc5"),
+    "doubling_swap-ap-sigma2-json": (0, "81a147d04bb4fc8447620d49a7f76fe65767959066bbc8dcb32bf2a63300cf6a"),
+    "doubling_swap-ap-sigma2-text": (0, "1a1f1ce439964de4f806778b536467daef936341e205b1668648e348b1bef850"),
+    "doubling_swap-cohomology-json": (0, "d8f2de8f49588f05d7f420fbf8f94c1e838d4703288c7fc38bae911c0de4a80e"),
+    "doubling_swap-cohomology-text": (0, "f094a25d138ad83daf0bbd4f99afa9b8555830f624bd61e62f93067bcbc531b2"),
+    "doubling_swap-fault-a-json": (0, "d5b4ba450a3f06d2eb8e85e692a90e79c472961bd2dd8c901b7085c7044b469d"),
+    "doubling_swap-fault-a-text": (0, "cd67675d87cdfe6611334c559419ed876fca8c84ac9ab3a52083733c0e576a85"),
+    "doubling_swap-fault-b-json": (0, "60bf71e4489fafa91441dfc250a8e6f391c80f26cde7adba72d1f3138b77edfd"),
+    "doubling_swap-fault-b-text": (0, "d4ff4cb7815a6961f3a4abc4232653058b2f054f3b8d81bf3d1e9d4565ee34ff"),
+    "doubling_swap-mu-rho-json": (0, "e915a6b2fe4101f9b020dbb3a31b32def76d61fe1b2be723b33d70898c20ee30"),
+    "doubling_swap-mu-rho-text": (0, "4091286ea512ed8c93282a4147c832b3956b79c82c7416ef53831a8f0f126c3e"),
+    "doubling_swap-mu-sigma1-json": (0, "ceb4ebda898229bddf7ec58ac240a972d5ada40ecd9fe64e3c58474ead0f2c34"),
+    "doubling_swap-mu-sigma1-text": (0, "c25ef4e0b99b2e2c96f26bfb5c80cedbf4400ec6b4f578dee91100f420de6168"),
+    "doubling_swap-mu-sigma2-json": (0, "59f2d796ffc9a21455358d31e533ca2d10400caa66513bf0b28bcb0c610dfed1"),
+    "doubling_swap-mu-sigma2-text": (0, "fc2690d60de12c0a4bbe77b5063a8a4d63f56676662286ef476838369d8c6fe0"),
+    "period_doubling-analyze-json": (0, "a0a23038f8a85d2787e6203a02bd17223a7b7f0f6fc09c6afb661e690f66558d"),
+    "period_doubling-analyze-text": (0, "ebc89b79bc3d10e78a603300a3a80237bcc8438979f01b1e6cc76a59f5c7a9e9"),
+    "period_doubling-ap-rho-json": (0, "b256c6fcef0449ccfbe01beb374ec0fd31abf939e48989ea90144432cf82345c"),
+    "period_doubling-ap-rho-text": (0, "7681e3ca5a5c30d221109a6085add17a5af226f03dfa31f27c7e7e162fcf4d10"),
+    "period_doubling-ap-sigma1-json": (0, "909737e3677b85514b4dbc67c950db30de5e00ae012386e008f5c1c780a884bd"),
+    "period_doubling-ap-sigma1-text": (0, "ccf7f36701dede130ee8d1635fee5626d0e77c5d25c715faacb2af82dea9fdc5"),
+    "period_doubling-ap-sigma2-json": (0, "81a147d04bb4fc8447620d49a7f76fe65767959066bbc8dcb32bf2a63300cf6a"),
+    "period_doubling-ap-sigma2-text": (0, "1a1f1ce439964de4f806778b536467daef936341e205b1668648e348b1bef850"),
+    "period_doubling-cohomology-json": (0, "963a1a92643903763a91f87edeeaffbec3f74e0a525428c70e801dd29e9b964c"),
+    "period_doubling-cohomology-text": (0, "a6c74e3fde9f2253dd5919cc0ed6119fca5acc877efdccbc2dd31d711240daa7"),
+    "period_doubling-fault-a-json": (0, "d5b4ba450a3f06d2eb8e85e692a90e79c472961bd2dd8c901b7085c7044b469d"),
+    "period_doubling-fault-a-text": (0, "cd67675d87cdfe6611334c559419ed876fca8c84ac9ab3a52083733c0e576a85"),
+    "period_doubling-fault-b-json": (0, "60bf71e4489fafa91441dfc250a8e6f391c80f26cde7adba72d1f3138b77edfd"),
+    "period_doubling-fault-b-text": (0, "d4ff4cb7815a6961f3a4abc4232653058b2f054f3b8d81bf3d1e9d4565ee34ff"),
+    "period_doubling-mu-rho-json": (0, "fd276cabc703476fbaf431c7d259a9bd71b5d70597bcb1478803e3268fe342ab"),
+    "period_doubling-mu-rho-text": (0, "5a23e6bc51a580af00c56b8580657ddd9d4c6199c12c32fd1b8b88b12f744e46"),
+    "period_doubling-mu-sigma1-json": (0, "ceb4ebda898229bddf7ec58ac240a972d5ada40ecd9fe64e3c58474ead0f2c34"),
+    "period_doubling-mu-sigma1-text": (0, "c25ef4e0b99b2e2c96f26bfb5c80cedbf4400ec6b4f578dee91100f420de6168"),
+    "period_doubling-mu-sigma2-json": (0, "59f2d796ffc9a21455358d31e533ca2d10400caa66513bf0b28bcb0c610dfed1"),
+    "period_doubling-mu-sigma2-text": (0, "fc2690d60de12c0a4bbe77b5063a8a4d63f56676662286ef476838369d8c6fe0"),
+    "row_thirds-analyze-json": (0, "126f494f38ebf47ab04ef6a01c9cf525ac481f1b9f4cadb6087498fec40b0f42"),
+    "row_thirds-analyze-text": (0, "173980aabf1e3d1836daa9981920216cc978eb5427a2402e3dd24f2045874c2a"),
+    "row_thirds-ap-rho-json": (0, "fde220d1354e605fe4e51302ec6eb868f7efc4032344a5bab1bca5262b457a4b"),
+    "row_thirds-ap-rho-text": (0, "b09e9068859cae4cc38656c114c5c296e5bdc415dc7f922bcb906192950f2edd"),
+    "row_thirds-ap-sigma1-json": (0, "909737e3677b85514b4dbc67c950db30de5e00ae012386e008f5c1c780a884bd"),
+    "row_thirds-ap-sigma1-text": (0, "ccf7f36701dede130ee8d1635fee5626d0e77c5d25c715faacb2af82dea9fdc5"),
+    "row_thirds-ap-sigma2-json": (0, "81a147d04bb4fc8447620d49a7f76fe65767959066bbc8dcb32bf2a63300cf6a"),
+    "row_thirds-ap-sigma2-text": (0, "1a1f1ce439964de4f806778b536467daef936341e205b1668648e348b1bef850"),
+    "row_thirds-cohomology-json": (0, "1e6ebdc500dab473825ecb280c1f388c6bf9ee08b035cf409331cafbf297241d"),
+    "row_thirds-cohomology-text": (0, "656b56fca0b454c99ca113648d450a45017ed6e7ef419743d6ba8d106f724365"),
+    "row_thirds-fault-a-json": (0, "d5b4ba450a3f06d2eb8e85e692a90e79c472961bd2dd8c901b7085c7044b469d"),
+    "row_thirds-fault-a-text": (0, "cd67675d87cdfe6611334c559419ed876fca8c84ac9ab3a52083733c0e576a85"),
+    "row_thirds-fault-b-json": (0, "60bf71e4489fafa91441dfc250a8e6f391c80f26cde7adba72d1f3138b77edfd"),
+    "row_thirds-fault-b-text": (0, "d4ff4cb7815a6961f3a4abc4232653058b2f054f3b8d81bf3d1e9d4565ee34ff"),
+    "row_thirds-mu-rho-json": (0, "ef5573226d3f5dd8212c8044796a0566a64233af8dcbb5d04e1eabad30f8da81"),
+    "row_thirds-mu-rho-text": (0, "20ec062fb072f28036aded549cc3bdab9967f391afeac90410dc75a21f30b07a"),
+    "row_thirds-mu-sigma1-json": (0, "ceb4ebda898229bddf7ec58ac240a972d5ada40ecd9fe64e3c58474ead0f2c34"),
+    "row_thirds-mu-sigma1-text": (0, "c25ef4e0b99b2e2c96f26bfb5c80cedbf4400ec6b4f578dee91100f420de6168"),
+    "row_thirds-mu-sigma2-json": (0, "59f2d796ffc9a21455358d31e533ca2d10400caa66513bf0b28bcb0c610dfed1"),
+    "row_thirds-mu-sigma2-text": (0, "fc2690d60de12c0a4bbe77b5063a8a4d63f56676662286ef476838369d8c6fe0"),
+    "selftest": (0, "be540011bbcd710bed4f525cae9f6ec821521b49f32573da9292834b7f5f7655"),
+}
+
+
+def run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_every_case_is_pinned():
+    assert set(CASES) == set(DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_unchanged(case):
+    assert run(CASES[case]) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        code, digest = run(CASES[case])
+        print(f'    "{case}": ({code}, "{digest}"),')

@@ -1,11 +1,13 @@
 """Substitution action, abelianization, Perron data, spectral classes,
 legal words, shift conjugacy, tile lengths."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultline.abelian import mat
 from faultline.errors import (
-    DegenerateEigenspaceError,
     HypothesisError,
     NoPerronRootError,
     ResourceCapError,
@@ -20,7 +22,7 @@ from faultline.substitution import (
     tile_lengths,
 )
 
-from conftest import random_substitution, rng_for
+from conftest import random_substitution, reference_tile_lengths, rng_for
 
 
 def brute_iterate(rules, word, k):
@@ -180,6 +182,15 @@ def test_legal_words(period_doubling, sigma1):
     assert factors == s1_two
 
 
+def test_legal_words_past_length_one_images():
+    # a -> b -> c -> ab: two steps without growth before the first that grows
+    s = Substitution(["a", "b", "c"], {"a": "b", "b": "c", "c": "ab"})
+    long = s.iterate("a", 40)
+    assert len(long) > 10 ** 4
+    for n in (1, 2, 3, 5):
+        assert s.legal_words(n) == {long[i:i + n] for i in range(len(long) - n + 1)}
+
+
 def test_legal_words_nonprimitive_warns():
     s = Substitution(["a", "b"], {"a": "aa", "b": "ab"})
     assert not s.is_primitive()
@@ -249,8 +260,17 @@ def test_tile_lengths_eigen_identity_random():
 
 def test_tile_lengths_degenerate():
     ident = Substitution(["a", "b"], {"a": "a", "b": "b"})
-    with pytest.raises((DegenerateEigenspaceError, HypothesisError)):
+    with pytest.raises(HypothesisError):
         tile_lengths(ident)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 6))
+def test_tile_lengths_match_reference_elimination(seed, n_letters):
+    s = random_substitution(random.Random(seed), n_letters)
+    new, old = tile_lengths(s), reference_tile_lengths(s)
+    assert [x.coeffs for x in new] == [x.coeffs for x in old]
+    assert new[0].field.poly == old[0].field.poly
 
 
 def test_composition(sigma1, sigma2):

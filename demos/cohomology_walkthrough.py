@@ -35,7 +35,7 @@ for name in ("doubling_swap", "period_doubling", "row_thirds"):
     print("  H0 =", rep.h0.canonical())
     print("  H1 =", rep.h1.canonical())
     print("  H2 =", rep.h2.canonical(), "| rank", rep.h2.rank(),
-          "| presentation", rep.h2.presentation_matrix().tolist())
+          "| presentation", rep.h2.presentation_matrix())
     print("  H3 =", rep.h3.canonical(), "| rank", rep.h3.rank())
     print("  H^k = 0 for k > 3")
 

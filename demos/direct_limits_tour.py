@@ -49,7 +49,7 @@ print("mu (x) Z[1/2] as a presentation:", t.canonical())
 # recognized atoms stay symbolic, with the Kronecker presentation attached
 h2 = tensor(mu, GroupExpr.zloc(2))
 print("mu (x) Z[1/2] symbolically:", h2.canonical())
-print("  presentation:", h2.presentation_matrix().tolist())
+print("  presentation:", h2.presentation_matrix())
 print("  invariants:", invariants(h2))
 
 # direct sums collect equal summands into powers, localized parts first

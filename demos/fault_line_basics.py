@@ -15,7 +15,7 @@ sigma2 = Substitution(["a", "b"], {"a": "ab", "b": "aaa"})
 
 print("sigma1:", sigma1)
 print("sigma2:", sigma2)
-print("abelianization:", sigma1.matrix().tolist())
+print("abelianization:", sigma1.matrix())
 
 # Perron data: the expansion factor is the larger root of x^2 - x - 3
 pd = sigma1.perron()

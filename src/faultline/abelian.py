@@ -2,75 +2,91 @@
 under an endomorphism, and the group-expression algebra used to state
 cohomology answers.
 
-Matrices are numpy arrays with dtype=object holding Python ints, so all
-arithmetic is exact.  A direct limit lim->(Z^n, a) is presented by the pair
-(n, a); its invariants come from the induced injective map on the quotient of
-Z^n by the saturated eventual kernel.
+A matrix is a tuple of row tuples of Python ints, so all arithmetic is exact
+and every stored matrix is immutable and hashable.  An m x 0 matrix is m
+empty rows; a 0 x n matrix is the empty tuple, whose width is taken as 0.
+A direct limit lim->(Z^n, a) is presented by the pair (n, a); its invariants
+come from the induced injective map on the quotient of Z^n by the saturated
+eventual kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
-
-import numpy as np
+from operator import mul
 
 from .algebra import is_irreducible, peval, poly_str, ptrim
 from .errors import ValidationError
 
 
 def mat(rows):
-    """Object-dtype integer matrix from nested sequences."""
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if a.ndim != 2:
+    """Integer matrix (tuple of row tuples) from nested sequences."""
+    a = tuple(tuple(int(x) for x in row) for row in rows)
+    if len({len(row) for row in a}) > 1:
         raise ValidationError("matrix must be two-dimensional")
     return a
 
 
+def shape(a):
+    return len(a), (len(a[0]) if a else 0)
+
+
 def eye(n):
-    return np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)], dtype=object)
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_tuple(a):
-    return tuple(tuple(int(x) for x in row) for row in a)
+def add_identity(a, c):
+    """a + c * I for a square matrix a."""
+    return tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+def transpose(a):
+    return tuple(zip(*a))
+
+
+def matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_str(a):
-    return "[" + ",".join("[" + ",".join(str(int(x)) for x in row) + "]" for row in a) + "]"
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in a) + "]"
 
 
 def matpow(a, k):
-    out = eye(a.shape[0])
-    base = a.copy()
+    out = eye(len(a))
     while k:
         if k & 1:
-            out = out @ base
-        base = base @ base
+            out = matmul(out, a)
         k >>= 1
+        if k:
+            a = matmul(a, a)
     return out
 
 
 def kron(a, b):
-    return np.kron(a, b)
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
 def block_diag(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    m = sum(b.shape[1] for b in blocks)
-    out = np.zeros((n, m), dtype=object)
-    i = j = 0
-    for b in blocks:
-        out[i:i + b.shape[0], j:j + b.shape[1]] = b
-        i += b.shape[0]
-        j += b.shape[1]
-    return out
+    widths = [shape(b)[1] for b in blocks]
+    total = sum(widths)
+    out = []
+    left = 0
+    for b, w in zip(blocks, widths):
+        out.extend((0,) * left + tuple(row) + (0,) * (total - left - w) for row in b)
+        left += w
+    return tuple(out)
 
 
 def rank_q(a):
     """Rank over Q by fraction Gaussian elimination."""
-    m, n = a.shape
-    rows = [[Fraction(int(x)) for x in row] for row in a]
+    m, n = shape(a)
+    rows = [[Fraction(x) for x in row] for row in a]
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
@@ -90,12 +106,12 @@ def rank_q(a):
 
 def det(a):
     """Exact determinant (Bareiss fraction-free elimination)."""
-    n = a.shape[0]
-    if n != a.shape[1]:
+    n, cols = shape(a)
+    if n != cols:
         raise ValidationError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in a]
+    m = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -115,28 +131,19 @@ def det(a):
 
 def charpoly(a):
     """Characteristic polynomial det(xI - a) as an ascending integer tuple
-    (Faddeev-LeVerrier; all divisions are exact)."""
-    n = a.shape[0]
-    if n != a.shape[1]:
+    (Faddeev-LeVerrier on integer matrices; every division is exact)."""
+    n, cols = shape(a)
+    if n != cols:
         raise ValidationError("characteristic polynomial of a non-square matrix")
-    if n == 0:
-        return (1,)
-    frac = np.array([[Fraction(int(x)) for x in row] for row in a], dtype=object)
-    ident = np.array(
-        [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], dtype=object
-    )
-    coeffs = [Fraction(1)]  # descending from x^n
-    mk = frac.copy()
+    coeffs = [1]  # descending from x^n
+    mk = a
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0
         coeffs.append(ck)
         if k < n:
-            mk = frac @ (mk + ck * ident)
-    out = []
-    for c in reversed(coeffs):
-        assert c.denominator == 1
-        out.append(int(c))
-    return ptrim(out)
+            mk = matmul(a, add_identity(mk, ck))
+    return ptrim(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +152,14 @@ def charpoly(a):
 
 @dataclass(frozen=True)
 class SmithForm:
-    u: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-    u_inv: np.ndarray
+    u: tuple
+    d: tuple
+    v: tuple
+    u_inv: tuple
 
     @property
     def diagonal(self):
-        return tuple(int(self.d[i][i]) for i in range(min(self.d.shape)))
+        return tuple(self.d[i][i] for i in range(min(shape(self.d))))
 
     @property
     def rank(self):
@@ -160,44 +167,43 @@ class SmithForm:
 
 
 def smith_normal_form(a):
-    """u @ a @ v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
+    """u a v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
     The inverse of u is tracked alongside."""
-    a = np.array([[int(x) for x in row] for row in a], dtype=object)
-    m, n = a.shape
-    d = a.copy()
-    u, v = eye(m), eye(n)
-    ui = eye(m)
+    a = mat(a)
+    m, n = shape(a)
+    d = [list(row) for row in a]
+    # ui_t holds the columns of u^-1 as rows, so that the column operation
+    # matching each row operation on u is a row operation too
+    u, v, ui_t = ([list(row) for row in eye(k)] for k in (m, n, m))
 
     def row_add(i, j, q):  # row_i += q * row_j
-        d[i, :] += q * d[j, :]
-        u[i, :] += q * u[j, :]
-        ui[:, j] -= q * ui[:, i]
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        ui_t[j] = [x - q * y for x, y in zip(ui_t[j], ui_t[i])]
 
     def col_add(i, j, q):  # col_i += q * col_j
-        d[:, i] += q * d[:, j]
-        v[:, i] += q * v[:, j]
+        for row in chain(d, v):
+            row[i] += q * row[j]
 
     def row_swap(i, j):
-        d[[i, j], :] = d[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        ui[:, [i, j]] = ui[:, [j, i]]
+        for rows in (d, u, ui_t):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def col_swap(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
+        for row in chain(d, v):
+            row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
-        d[i, :] = -d[i, :]
-        u[i, :] = -u[i, :]
-        ui[:, i] = -ui[:, i]
+        for rows in (d, u, ui_t):
+            rows[i] = [-x for x in rows[i]]
 
     for t in range(min(m, n)):
         while True:
             best = None
             for i in range(t, m):
                 for j in range(t, n):
-                    x = d[i, j]
-                    if x != 0 and (best is None or abs(x) < abs(d[best[0], best[1]])):
+                    x = d[i][j]
+                    if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
                         best = (i, j)
             if best is None:
                 break
@@ -207,37 +213,36 @@ def smith_normal_form(a):
                 col_swap(t, best[1])
             dirty = False
             for i in range(t + 1, m):
-                if d[i, t] != 0:
-                    row_add(i, t, -(d[i, t] // d[t, t]))
-                    dirty = dirty or d[i, t] != 0
+                if d[i][t] != 0:
+                    row_add(i, t, -(d[i][t] // d[t][t]))
+                    dirty = dirty or d[i][t] != 0
             for j in range(t + 1, n):
-                if d[t, j] != 0:
-                    col_add(j, t, -(d[t, j] // d[t, t]))
-                    dirty = dirty or d[t, j] != 0
+                if d[t][j] != 0:
+                    col_add(j, t, -(d[t][j] // d[t][t]))
+                    dirty = dirty or d[t][j] != 0
             if dirty:
                 continue
             offender = None
             for i in range(t + 1, m):
-                if any(d[i, j] % d[t, t] != 0 for j in range(t + 1, n)):
+                if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, n)):
                     offender = i
                     break
             if offender is None:
                 break
             row_add(t, offender, 1)
-        if t < min(m, n) and d[t, t] < 0:
+        if t < min(m, n) and d[t][t] < 0:
             row_neg(t)
 
-    assert (u @ a @ v == d).all()
-    return SmithForm(u=u, d=d, v=v, u_inv=ui)
+    snf = SmithForm(u=mat(u), d=mat(d), v=mat(v), u_inv=transpose(ui_t))
+    assert matmul(matmul(snf.u, a), snf.v) == snf.d
+    return snf
 
 
 def kernel_basis(a):
-    """Columns spanning ker(a) as a saturated sublattice of Z^n."""
+    """Columns spanning ker(a) as a saturated sublattice of Z^n: the columns
+    of v past the rank, since the Smith diagonal lists its nonzeros first."""
     snf = smith_normal_form(a)
-    n = a.shape[1]
-    diag = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
-    cols = [j for j in range(n) if diag[j] == 0]
-    return snf.v[:, cols]
+    return tuple(row[snf.rank:] for row in snf.v)
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +264,25 @@ class DirectLimitGroup:
     projection: tuple
     section: tuple
 
-    @property
-    def a_prime_matrix(self):
-        return mat(self.a_prime) if self.r else np.zeros((0, 0), dtype=object)
 
 
 def direct_limit(a):
     """Direct limit of Z^n under an integer endomorphism."""
-    a = a if isinstance(a, np.ndarray) else mat(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
+    a = mat(a)
+    n, cols = shape(a)
+    if n != cols:
         raise ValidationError("direct limit needs a square matrix")
-    if n == 0:
-        return DirectLimitGroup(0, (), 0, (), (1,), 1, (), ())
     an = matpow(a, n)
     kern = kernel_basis(an)
-    k = kern.shape[1]
+    k = shape(kern)[1]
     if k == 0:
-        a_pr, proj, sect = a.copy(), eye(n), eye(n)
+        a_pr, proj, sect = a, eye(n), eye(n)
     else:
         snf = smith_normal_form(kern)
         assert all(x == 1 for x in snf.diagonal), "saturated kernel lattice must be unimodular"
-        proj = snf.u[k:, :]
-        sect = snf.u_inv[:, k:]
-        a_pr = proj @ a @ sect
+        proj = snf.u[k:]
+        sect = tuple(row[k:] for row in snf.u_inv)
+        a_pr = matmul(matmul(proj, a), sect)
     r = n - k
     cp = charpoly(a_pr)
     dp = det(a_pr)
@@ -290,13 +290,13 @@ def direct_limit(a):
     assert r == rank_q(an)
     return DirectLimitGroup(
         n=n,
-        a=mat_tuple(a),
+        a=a,
         r=r,
-        a_prime=mat_tuple(a_pr),
+        a_prime=a_pr,
         charpoly_prime=cp,
-        det_prime=int(dp),
-        projection=mat_tuple(proj),
-        section=mat_tuple(sect),
+        det_prime=dp,
+        projection=proj,
+        section=sect,
     )
 
 
@@ -436,7 +436,7 @@ class GroupExpr:
         if self.kind == "alg":
             return abs(self.poly[0])
         if self.kind == "limit":
-            return abs(det(mat(self.presentation)))
+            return abs(det(self.presentation))
         if self.kind == "sum":
             out = 1
             for c in self.children:
@@ -461,11 +461,11 @@ class GroupExpr:
         if self.kind == "z":
             return eye(1)
         if self.kind == "trivial":
-            return np.zeros((0, 0), dtype=object)
+            return ()
         if self.kind == "zloc":
-            return mat([[self.m]])
+            return ((self.m,),)
         if self.kind in ("alg", "limit"):
-            return mat(self.presentation)
+            return self.presentation
         if self.kind == "sum":
             return block_diag([c.presentation_matrix() for c in self.children])
         if self.kind == "tensor":
@@ -663,11 +663,11 @@ def recognize(g):
     Z and Z[1/|e|] summands; otherwise the raw presentation."""
     if g.r == 0:
         return GroupExpr.trivial()
-    a_pr = g.a_prime_matrix
+    a_pr = g.a_prime
     if abs(g.det_prime) == 1:
         return normalize(GroupExpr.zpow(g.r))
     if g.r == 1:
-        return GroupExpr.zloc(abs(int(a_pr[0, 0])))
+        return GroupExpr.zloc(abs(a_pr[0][0]))
     if is_irreducible(g.charpoly_prime):
         return GroupExpr.alg(g.charpoly_prime, g.a_prime)
     roots = integer_roots(g.charpoly_prime)
@@ -675,13 +675,13 @@ def recognize(g):
         lattices = []
         diagonalizable = True
         for e, m in roots:
-            ker = kernel_basis(a_pr - e * eye(g.r))
-            if ker.shape[1] != m:
+            ker = kernel_basis(add_identity(a_pr, -e))
+            if shape(ker)[1] != m:
                 diagonalizable = False
                 break
             lattices.append(ker)
         if diagonalizable:
-            index = abs(det(np.concatenate(lattices, axis=1)))
+            index = abs(det(tuple(sum(rows, ()) for rows in zip(*lattices))))
             nonunit = 1
             for e, m in roots:
                 if abs(e) != 1:

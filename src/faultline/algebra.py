@@ -432,8 +432,8 @@ class NumberField:
         poly, positive_below = self.poly, self._sign_lo > 0
 
         def below(mid):
-            smid = peval(poly, mid)
-            # irreducible of degree >= 2 has no rational roots
+            # den^deg * poly(mid) by integer Horner: p is irreducible, so never 0
+            smid, _, _ = horner_interval(poly, mid.numerator, mid.numerator, mid.denominator)
             assert smid != 0
             return (smid > 0) == positive_below
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import abelian
 from .errors import FaultlineError, ValidationError
 from .substitution import Substitution
@@ -65,7 +63,7 @@ class APComplex:
     edges: tuple                        # CollaredLetter per edge, index order
     edge_names: tuple
     edge_map: tuple                     # per edge: image as a tuple of edge ids
-    edge_matrix: np.ndarray             # abelianization of edge_map
+    edge_matrix: tuple                  # abelianization of edge_map
     vertices: tuple                     # per vertex: frozenset of (edge, 'start'|'end')
     vertex_map: tuple                   # per vertex: image vertex id
     transitions: tuple                  # legal 2-words of collared letters
@@ -216,7 +214,8 @@ def collar(s, cap=8):
     )
     # pullbacks on cochains must intertwine with the coboundary
     d = _coboundary(cx)
-    assert (edge_matrix.T @ d == d @ cx.vertex_pullback_matrix()).all()
+    assert (abelian.matmul(abelian.transpose(edge_matrix), d)
+            == abelian.matmul(d, cx.vertex_pullback_matrix()))
     return collared, cx
 
 
@@ -249,10 +248,6 @@ class GradedGroupData:
     h1_basis: tuple      # edge coordinates of the basis, one column per generator
     induced_h1: tuple    # action of the edge-matrix transpose on the cokernel
 
-    @property
-    def induced_matrix(self):
-        return abelian.mat(self.induced_h1) if self.h1_rank else np.zeros((0, 0), dtype=object)
-
 
 def graph_h1(cx):
     """Cokernel of the coboundary (free of rank E - V + 1 for a connected
@@ -264,12 +259,12 @@ def graph_h1(cx):
     rank = snf.rank
     assert all(x == 1 for x in snf.diagonal[:rank]), "graph coboundary must have unit invariant factors"
     e = cx.n_edges
-    proj = snf.u[rank:, :]
-    sect = snf.u_inv[:, rank:]
-    induced = proj @ cx.edge_matrix.T @ sect
+    proj = snf.u[rank:]
+    sect = tuple(row[rank:] for row in snf.u_inv)
+    induced = abelian.matmul(abelian.matmul(proj, abelian.transpose(cx.edge_matrix)), sect)
     assert rank == cx.n_vertices - 1
     return GradedGroupData(
         h1_rank=e - rank,
-        h1_basis=abelian.mat_tuple(sect),
-        induced_h1=abelian.mat_tuple(induced),
+        h1_basis=sect,
+        induced_h1=induced,
     )

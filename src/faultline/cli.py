@@ -85,7 +85,7 @@ def group_json(expr):
         "expr": expr.canonical(),
         "rank": expr.rank(),
         "det": expr.det_class(),
-        "presentation": [list(r) for r in map(tuple, expr.presentation_matrix())],
+        "presentation": [list(r) for r in expr.presentation_matrix()],
     }
 
 
@@ -111,7 +111,7 @@ def complex_json(cx):
             cx.edge_names[i]: [cx.edge_names[j] for j in img]
             for i, img in enumerate(cx.edge_map)
         },
-        "edge_matrix": [list(map(int, row)) for row in cx.edge_matrix],
+        "edge_matrix": [list(row) for row in cx.edge_matrix],
         "vertices": [slots(cls) for cls in cx.vertices],
         "vertex_map": list(cx.vertex_map),
         "transitions": [[cx.edge_names[e], cx.edge_names[f]] for e, f in cx.transitions],
@@ -217,7 +217,7 @@ def cmd_analyze(args):
         entry = {
             "alphabet": list(s.alphabet),
             "rules": {l.name: s.text(r) for l, r in zip(s.letters, s.rules)},
-            "matrix": [list(map(int, row)) for row in s.matrix()],
+            "matrix": [list(row) for row in s.matrix()],
             "charpoly": poly_str(pd.charpoly),
             "perron_root": alg_json(pd.root),
             "primitive": pd.primitive,
@@ -234,9 +234,18 @@ def cmd_analyze(args):
     return report, EXIT_OK
 
 
+def _complex_substitution(args):
+    """The substitution that ``ap``/``mu`` collar, with a one-line stderr
+    warning when it is not primitive; the report is the same either way."""
+    s = _load(args).substitution(args.name)
+    if not s.is_primitive():
+        print(f"warning: substitution {args.name!r} is not primitive; its legal words "
+              "are the union over all letters", file=sys.stderr)
+    return s
+
+
 def cmd_ap(args):
-    doc = _load(args)
-    s = doc.substitution(args.name)
+    s = _complex_substitution(args)
     _, cx = collar(s)
     data = graph_h1(cx)
     right, left = border_forcing(s)
@@ -255,8 +264,7 @@ def cmd_ap(args):
 
 
 def cmd_mu(args):
-    doc = _load(args)
-    s = doc.substitution(args.name)
+    s = _complex_substitution(args)
     expr, dl, note, data = h1_limit(collar(s)[1])
     report = {
         "command": "mu",

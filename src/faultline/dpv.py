@@ -26,8 +26,10 @@ from .abelian import (
     direct_limit,
     direct_sum,
     invariants,
+    mat,
     recognize,
     tensor,
+    transpose,
 )
 from .ap_complex import collar, graph_h1
 from .errors import ResourceCapError, UndeterminedError, ValidationError
@@ -97,8 +99,6 @@ class DPVSubstitution:
     def count_matrix(self):
         """2-d abelianization: entry (t', t) counts tile t' in the image
         array of tile t."""
-        from . import abelian
-
         n = self.n_tiles
         m = [[0] * n for _ in range(n)]
         for v in range(self.vertical.size):
@@ -107,7 +107,7 @@ class DPVSubstitution:
                 for row in self.image_array(v, h):
                     for (v2, h2) in row:
                         m[self.tile_index(v2, h2)][t] += 1
-        return abelian.mat(m)
+        return mat(m)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def validate_dpv(d, conjugacy_max_len=8):
     for i, s in enumerate(d.horizontal[1:], start=1):
         if s.length_vector() != base.length_vector():
             errors.append(_log("error", f"lengths-0-{i}", "per-letter image lengths differ"))
-        elif (s.matrix() != base.matrix()).any():
+        elif s.matrix() != base.matrix():
             errors.append(_log("error", f"abelianization-0-{i}", "abelianizations differ"))
         else:
             log.append(_log("ok", f"abelianization-0-{i}",
@@ -335,9 +335,9 @@ def h1_limit(cx):
 
     Returns (expr, limit group, hypothesis note, graph_h1 data)."""
     data = graph_h1(cx)
-    dl_ap = direct_limit(data.induced_matrix)
+    dl_ap = direct_limit(data.induced_h1)
     expr_ap = recognize(dl_ap)
-    dl_ab = direct_limit(cx.base.matrix().T)
+    dl_ab = direct_limit(transpose(cx.base.matrix()))
     expr_ab = recognize(dl_ab)
     agree = (
         expr_ap == expr_ab
@@ -370,7 +370,7 @@ def cochain_limits(d):
     """Direct limits of the 1-cochains (edge-matrix transpose) and 0-cochains
     (vertex pullback) on the vertical AP complex."""
     cx = d.vertical_complex
-    d1 = direct_limit(cx.edge_matrix.T)
+    d1 = direct_limit(transpose(cx.edge_matrix))
     d0 = direct_limit(cx.vertex_pullback_matrix())
     return d0, d1
 

@@ -133,7 +133,7 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise HypothesisError("boundary trace needs a common alphabet")
     if top.length_vector() != bottom.length_vector():
         raise HypothesisError("boundary trace needs equal per-letter image lengths")
-    if (top.matrix() != bottom.matrix()).any():
+    if top.matrix() != bottom.matrix():
         raise HypothesisError("boundary trace needs equal abelianizations")
     seed = top.word([seed])[0] if not isinstance(seed, int) else seed
     widths = top.tile_lengths()

@@ -101,7 +101,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     from .abelian import matpow
 
     col = d.tile_index(v0, h0)
-    total = sum(int(x) for x in matpow(counts, k)[:, col])
+    total = sum(row[col] for row in matpow(counts, k))
     if total > max_tiles:
         raise ResourceCapError(f"patch would contain {total} tiles (cap {max_tiles})")
 

@@ -8,15 +8,12 @@ in the image of letter j, so lengths of images are the column sums.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import add
-
-import numpy as np
+from operator import add, mul
 
 from . import abelian
 from .algebra import (
@@ -122,10 +119,9 @@ class Substitution:
         for i in word:
             counts[i] += 1
         m = self.matrix()
-        vec = np.array([[c] for c in counts], dtype=object)
         for _ in range(k):
-            vec = m @ vec
-            if sum(int(x) for x in vec.flat) > max_len:
+            counts = [sum(map(mul, row, counts)) for row in m]
+            if sum(counts) > max_len:
                 raise ResourceCapError(f"iterate would exceed {max_len} letters")
         for _ in range(k):
             word = self.apply(word)
@@ -139,7 +135,8 @@ class Substitution:
     # -- abelianization and spectra ---------------------------------------------
 
     def matrix(self):
-        """Abelianization: entry (i, j) counts letter i in the image of j."""
+        """Abelianization: entry (i, j) counts letter i in the image of j.
+        Cached; an immutable tuple of row tuples."""
         if self._matrix is None:
             n = self.size
             m = [[0] * n for _ in range(n)]
@@ -171,10 +168,7 @@ class Substitution:
         substitution until stable."""
         if n < 1:
             raise ValidationError("factor length must be >= 1")
-        if not self.is_primitive():
-            warnings.warn("legal_words on a non-primitive substitution; taking the "
-                          "union over all letters", stacklevel=2)
-        lam_ceiling = max(sum(int(x) for x in col) for col in self.matrix().T)
+        lam_ceiling = max(self.length_vector())
         target = max(64, 4 * n * lam_ceiling)
         factors = set()
         for a in range(self.size):
@@ -232,25 +226,27 @@ class PerronData:
 
 
 def is_primitive(m):
-    """Some power of m is entrywise positive (checked up to the Wielandt
-    bound (n-1)^2 + 1)."""
-    n = m.shape[0]
-    if n != m.shape[1]:
+    """Some power of the non-negative matrix m is entrywise positive, checked
+    up to the Wielandt bound (n-1)^2 + 1 on Boolean powers: row i of a power
+    is the set of columns where it is positive."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValidationError("primitivity needs a square matrix")
-    power = abelian.eye(n)
+    support = [frozenset(j for j, x in enumerate(row) if x) for row in m]
+    power = support
     for _ in range((n - 1) ** 2 + 1):
-        power = power @ m
-        if all(int(x) > 0 for x in power.flat):
+        if all(len(row) == n for row in power):
             return True
+        power = [frozenset().union(*(support[k] for k in row)) for row in power]
     return False
 
 
 def perron_data(m):
     """Characteristic polynomial, Perron root (largest real eigenvalue) as an
     exact algebraic number, and primitivity."""
-    if not any(int(x) for x in m.flat):
+    if not any(map(any, m)):
         raise NoPerronRootError("zero matrix has no Perron root")
-    if any(int(x) < 0 for x in m.flat):
+    if any(x < 0 for row in m for x in row):
         raise ValidationError("substitution matrices must be non-negative")
     cp = abelian.charpoly(m)
     field, root = NumberField.with_largest_real_root(cp)
@@ -404,7 +400,7 @@ def tile_lengths(s):
     field = pd.root.field
     lam = pd.root
     n, deg, poly = s.size, field.degree, field.poly
-    mt = [[int(x) for x in row] for row in s.matrix().T]
+    mt = abelian.transpose(s.matrix())
 
     def times_lam(c):
         """c * lambda, reduced by the monic minimal polynomial."""

@@ -145,6 +145,28 @@ def reference_refined(field, width):
     return Interval(lo, hi)
 
 
+def reference_charpoly(a):
+    """``abelian.charpoly`` as it was: Faddeev-LeVerrier over ``Fraction``
+    matrices, every coefficient checked to be an integer at the end."""
+    n = len(a)
+    frac = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(1)]  # descending from x^n
+    mk = frac
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            shifted = [[x + ck if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(mk)]
+            mk = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)]
+                  for row in frac]
+    assert all(c.denominator == 1 for c in coeffs)
+    out = [int(c) for c in reversed(coeffs)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 # Reference bodies of the field-arithmetic paths that ``NumberField.sign``,
 # the integer ``mod_reduce`` and ``q(M^T) e_0`` in ``tile_lengths`` replaced,
 # kept as oracles.
@@ -193,8 +215,8 @@ def reference_tile_lengths(s):
     Q(lambda), with the same normalisation."""
     pd = s.perron()
     field, lam, n = pd.root.field, pd.root, s.size
-    mt = s.matrix().T
-    rows = [[field.from_rational(int(mt[i, j])) for j in range(n)] for i in range(n)]
+    m = s.matrix()
+    rows = [[field.from_rational(m[j][i]) for j in range(n)] for i in range(n)]
     for i in range(n):
         rows[i][i] = rows[i][i] - lam
     pivots = []

@@ -1,10 +1,14 @@
 """Smith normal form, direct limits, recognition, group expressions."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+
+import numpy as np
+import pytest
 
 from faultline.abelian import (
     GroupExpr,
+    block_diag,
     charpoly,
     det,
     direct_limit,
@@ -15,14 +19,20 @@ from faultline.abelian import (
     kernel_basis,
     kron,
     mat,
+    matmul,
     matpow,
     rank_q,
     recognize,
+    shape,
     smith_normal_form,
     tensor,
+    transpose,
 )
+from faultline.algebra import peval
+from faultline.ap_complex import collar, graph_h1
+from faultline.errors import ValidationError
 
-from conftest import rng_for
+from conftest import reference_charpoly, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +41,11 @@ from conftest import rng_for
 
 def minors_gcd(m, k):
     """gcd of all k x k minors (brute force)."""
-    rows = range(m.shape[0])
-    cols = range(m.shape[1])
+    rows, cols = map(range, shape(m))
     g = 0
     for ri in combinations(rows, k):
         for ci in combinations(cols, k):
-            sub = m[list(ri)][:, list(ci)]
+            sub = [[m[i][j] for j in ci] for i in ri]
             g = gcd(g, abs(det(sub)))
     return g
 
@@ -45,7 +54,7 @@ def brute_invariant_factors(m):
     """Determinantal-divisor quotients d_k / d_{k-1}."""
     out = []
     prev = 1
-    for k in range(1, min(m.shape) + 1):
+    for k in range(1, min(shape(m)) + 1):
         dk = minors_gcd(m, k)
         if dk == 0:
             break
@@ -67,7 +76,7 @@ def test_snf_properties_random():
         cols = rng.randint(1, 5)
         a = mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
         snf = smith_normal_form(a)
-        assert (snf.u @ a @ snf.v == snf.d).all()
+        assert matmul(matmul(snf.u, a), snf.v) == snf.d
         assert abs(det(snf.u)) == 1 and abs(det(snf.v)) == 1
         diag = snf.diagonal
         for x, y in zip(diag, diag[1:]):
@@ -85,10 +94,10 @@ def test_kernel_is_saturated():
         n = rng.randint(1, 4)
         a = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         k = kernel_basis(a)
-        if k.shape[1] == 0:
+        if shape(k)[1] == 0:
             assert rank_q(a) == n
             continue
-        assert not (a @ k != 0).any()
+        assert not any(map(any, matmul(a, k)))
         # saturated lattice: unit invariant factors
         assert all(x == 1 for x in smith_normal_form(k).diagonal)
 
@@ -104,6 +113,9 @@ def test_direct_limit_examples():
     assert g.r == 3 and recognize(g).canonical() == "Z^3"
     g = direct_limit(mat([[0, 1], [0, 0]]))
     assert g.r == 0 and recognize(g).canonical() == "0"
+    g = direct_limit(())
+    assert (g.n, g.a, g.r, g.a_prime, g.charpoly_prime, g.det_prime, g.projection,
+            g.section) == (0, (), 0, (), (1,), 1, (), ())
 
 
 def test_direct_limit_power_invariance():
@@ -153,22 +165,24 @@ def test_recognize_stable_under_conjugation():
         mat([[1, 2], [1, 0]]),
     ]
     for a in cases:
-        n = a.shape[0]
+        n = len(a)
         base = recognize(direct_limit(a))
         for _ in range(6):
             # random unimodular via integer row operations on the identity
-            q = eye(n)
+            q = [list(row) for row in eye(n)]
             for _ in range(4):
                 i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
                 if i != j:
-                    q[i, :] += rng.randint(-2, 2) * q[j, :]
+                    c = rng.randint(-2, 2)
+                    q[i] = [x + c * y for x, y in zip(q[i], q[j])]
+            q = mat(q)
             qinv_det = det(q)
             assert abs(qinv_det) == 1
             # inverse of a unimodular integer matrix via adjugate-free SNF trick
             snf = smith_normal_form(q)
-            qinv = snf.v @ snf.u  # u q v = I  =>  q^{-1} = v u
-            assert (q @ qinv == eye(n)).all()
-            conj = q @ a @ qinv
+            qinv = matmul(snf.v, snf.u)  # u q v = I  =>  q^{-1} = v u
+            assert matmul(q, qinv) == eye(n)
+            conj = matmul(matmul(q, a), qinv)
             assert recognize(direct_limit(conj)) == base
 
 
@@ -196,7 +210,7 @@ def test_mu_tensor_mu_rank():
     sq = tensor(mu, mu)
     assert sq.rank() == 4
     pres = sq.presentation_matrix()
-    assert pres.tolist() == kron(mat([[1, 1], [3, 0]]), mat([[1, 1], [3, 0]])).tolist()
+    assert pres == kron(mat([[1, 1], [3, 0]]), mat([[1, 1], [3, 0]]))
     assert charpoly(pres) == charpoly(kron(mat([[1, 1], [3, 0]]), mat([[1, 1], [3, 0]])))
 
 
@@ -250,15 +264,135 @@ def test_integer_roots():
 
 
 def test_charpoly_matches_numpy():
-    import numpy as np
-
     rng = rng_for("charpoly")
     for _ in range(20):
         n = rng.randint(1, 4)
         a = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         cp = charpoly(a)
-        np_cp = np.poly(np.array(a.tolist(), dtype=float))
+        np_cp = np.poly(np.array(a, dtype=float))
         got = [float(c) for c in reversed(cp)]
         want = list(np_cp)
         assert len(got) == len(want)
         assert all(abs(g - w) < 1e-6 for g, w in zip(got, want))
+    # det(xI - a) at small integers; numpy gives 1 for the 0 x 0 matrix too
+    for n in range(7):
+        a = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        cp = charpoly(a)
+        assert len(cp) == n + 1 and cp[-1] == 1
+        for x in range(-2, 3):
+            want = np.linalg.det(x * np.eye(n) - np.array(a, dtype=float).reshape(n, n))
+            assert abs(peval(cp, x) - want) <= 1e-6 * max(1.0, abs(want))
+
+
+def test_charpoly_matches_fraction_reference():
+    rng = rng_for("charpoly-exact")
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        lo = rng.choice((-6, 0))
+        a = mat([[rng.randint(lo, 6) for _ in range(n)] for _ in range(n)])
+        assert charpoly(a) == reference_charpoly(a)
+
+
+# ---------------------------------------------------------------------------
+# the integer-matrix helpers against numpy
+# ---------------------------------------------------------------------------
+
+def _random(rng, rows, cols):
+    return mat([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+
+
+def _np(a, rows, cols):
+    return np.array(a, dtype=np.int64).reshape(rows, cols)
+
+
+def _same(got, want):
+    """``got`` is ``want`` as a tuple of int tuples.  A 0-row matrix is the
+    empty tuple, which has width 0 whatever numpy's width."""
+    rows, cols = want.shape
+    return (type(got) is tuple and all(type(r) is tuple for r in got)
+            and all(type(x) is int for r in got for x in r)
+            and shape(got) == (rows, cols if rows else 0)
+            and [list(r) for r in got] == want.tolist())
+
+
+# a 0 x n matrix is stored as (), so only shapes with n = 0 when there are no
+# rows are inputs the helpers can receive
+_SIZES = [(m, n) for m, n in product(range(4), repeat=2) if m or not n]
+
+
+def test_mat_rejects_ragged_rows():
+    with pytest.raises(ValidationError):
+        mat([[1, 2], [3]])
+    assert mat([]) == () and mat([[], []]) == ((), ())
+
+
+def test_eye_transpose_match_numpy():
+    rng = rng_for("helpers-transpose")
+    for n in range(4):
+        assert _same(eye(n), np.eye(n, dtype=np.int64))
+    for m, n in _SIZES:
+        a = _random(rng, m, n)
+        assert _same(transpose(a), _np(a, m, n).T)
+
+
+def test_matmul_matches_numpy():
+    rng = rng_for("helpers-matmul")
+    for (m, k), p in product(_SIZES, range(4)):
+        if k or not p:
+            a, b = _random(rng, m, k), _random(rng, k, p)
+            assert _same(matmul(a, b), _np(a, m, k) @ _np(b, k, p))
+
+
+def test_matpow_matches_numpy():
+    rng = rng_for("helpers-matpow")
+    for n, k in product(range(5), range(7)):
+        a = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        assert _same(matpow(a, k), np.linalg.matrix_power(_np(a, n, n), k))
+
+
+def test_kron_matches_numpy():
+    rng = rng_for("helpers-kron")
+    for (m, n), (p, q) in product(_SIZES, repeat=2):
+        a, b = _random(rng, m, n), _random(rng, p, q)
+        assert _same(kron(a, b), np.kron(_np(a, m, n), _np(b, p, q)))
+
+
+def test_block_diag_matches_numpy():
+    rng = rng_for("helpers-block-diag")
+    for _ in range(60):
+        sizes = [rng.choice(_SIZES) for _ in range(rng.randint(0, 4))]
+        blocks = [_random(rng, m, n) for m, n in sizes]
+        want = np.zeros((sum(m for m, _ in sizes), sum(n for _, n in sizes)), dtype=np.int64)
+        i = j = 0
+        for b, (m, n) in zip(blocks, sizes):
+            want[i:i + m, j:j + n] = _np(b, m, n)
+            i, j = i + m, j + n
+        assert _same(block_diag(blocks), want)
+
+
+def test_returned_matrices_are_int_tuples(sigma1, period_doubling):
+    def check(a, rows, cols):
+        assert _same(a, _np(a, rows, cols))
+
+    for s in (sigma1, period_doubling):
+        n = s.size
+        check(s.matrix(), n, n)
+        _, cx = collar(s)
+        e = cx.n_edges
+        check(cx.edge_matrix, e, e)
+        data = graph_h1(cx)
+        check(data.h1_basis, e, data.h1_rank)
+        check(data.induced_h1, data.h1_rank, data.h1_rank)
+        snf = smith_normal_form(cx.edge_matrix)
+        for part in (snf.u, snf.d, snf.v, snf.u_inv):
+            check(part, e, e)
+        g = direct_limit(transpose(cx.edge_matrix))
+        check(g.a, e, e)
+        check(g.a_prime, g.r, g.r)
+        check(g.projection, g.r, e)
+        check(g.section, e, g.r)
+        expr = recognize(g)
+        check(expr.presentation_matrix(), expr.rank(), expr.rank())
+    nilpotent = direct_limit(mat([[0, 1], [0, 0]]))
+    assert (nilpotent.a_prime, nilpotent.projection, nilpotent.section) == ((), (), ((), ()))
+    assert GroupExpr.trivial().presentation_matrix() == ()

@@ -1,8 +1,13 @@
 """Command-line behavior: subcommands, schemas, determinism, exit codes."""
 
+import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from fractions import Fraction
@@ -103,6 +108,45 @@ def test_length_one_images_before_growth(tmp_path, command):
         assert rep["complex"]["edges"] and rep["h1"]["rank"] >= 1
     else:
         assert rep["h1_of_tiling_space"]["rank"] >= 1
+
+
+# sha256 of the JSON reports from before the non-primitive warning moved
+# from a Python UserWarning to one stderr line
+NONPRIMITIVE_REPORTS = {
+    "ap": "1a11fb3aa7c2bb68897e1c7652c01455c9d47e98e2dece5aaabb923860628411",
+    "mu": "98caef0fdb2561ce819702d8c996e481047d7d0020d5cecd0d5fd28e26e0e4cb",
+}
+
+
+@pytest.mark.parametrize("command", ["ap", "mu"])
+def test_nonprimitive_warning_is_one_stderr_line(tmp_path, command):
+    doc = {"alphabets": {"ab": ["a", "b"]},
+           "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "a", "b": "bb"}}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "-i", str(path), "--name", "s"])
+    assert code == 0
+    assert err.getvalue() == ("warning: substitution 's' is not primitive; its legal "
+                              "words are the union over all letters\n")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == NONPRIMITIVE_REPORTS[command]
+    # a primitive substitution gets no warning
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main([command, "-i", "bundled:doubling_swap", "--name", "sigma1"]) == 0
+    assert err.getvalue() == ""
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, faultline.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_render_writes_svg(tmp_path):

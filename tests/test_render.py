@@ -67,7 +67,7 @@ def test_patch_counts_match_matrix_powers(doubling_swap, pd_dpv):
             col = d.tile_index(0, 0)
             for v in range(d.vertical.size):
                 for h in range(d.horizontal[0].size):
-                    assert counts.get((v, h), 0) == int(power[d.tile_index(v, h), col])
+                    assert counts.get((v, h), 0) == power[d.tile_index(v, h)][col]
 
 
 def test_patch_rows_tile_exactly(doubling_swap):

@@ -2,11 +2,12 @@
 legal words, shift conjugacy, tile lengths."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultline.abelian import mat
+from faultline.abelian import mat, matmul, matpow
 from faultline.errors import (
     HypothesisError,
     NoPerronRootError,
@@ -16,6 +17,7 @@ from faultline.errors import (
 from faultline.substitution import (
     SpectralKind,
     Substitution,
+    is_primitive,
     perron_data,
     shift_conjugacy,
     spectral_classify,
@@ -79,10 +81,21 @@ def test_iterate_word_cap(sigma1):
 
 
 def test_abelianization_examples(sigma1, period_doubling):
-    assert sigma1.matrix().tolist() == [[1, 3], [1, 0]]
+    assert sigma1.matrix() == ((1, 3), (1, 0))
     ident = Substitution(["a", "b"], {"a": "a", "b": "b"})
-    assert ident.matrix().tolist() == [[1, 0], [0, 1]]
-    assert period_doubling.matrix().tolist() == [[1, 2], [1, 0]]
+    assert ident.matrix() == ((1, 0), (0, 1))
+    assert period_doubling.matrix() == ((1, 2), (1, 0))
+
+
+def test_matrix_is_immutable_and_hashable(sigma1):
+    m = sigma1.matrix()
+    assert hash(m) == hash(((1, 3), (1, 0)))
+    with pytest.raises(TypeError):
+        m[0][0] = 7
+    with pytest.raises(TypeError):
+        m[0] = (7, 7)
+    # every caller shares the one cached value, which therefore cannot drift
+    assert sigma1.matrix() is m and m == ((1, 3), (1, 0))
 
 
 def test_letter_counts_transform_by_matrix(sigma1):
@@ -93,7 +106,7 @@ def test_letter_counts_transform_by_matrix(sigma1):
         img = sigma1.apply(w)
         before = [w.count(0), w.count(1)]
         after = [img.count(0), img.count(1)]
-        assert after == [sum(int(m[i, j]) * before[j] for j in range(2)) for i in range(2)]
+        assert after == [sum(m[i][j] * before[j] for j in range(2)) for i in range(2)]
         assert len(img) == sum(after)
 
 
@@ -191,10 +204,26 @@ def test_legal_words_past_length_one_images():
         assert s.legal_words(n) == {long[i:i + n] for i in range(len(long) - n + 1)}
 
 
-def test_legal_words_nonprimitive_warns():
+def test_is_primitive_matches_integer_powers():
+    # the Boolean powers against the integer powers they replaced
+    rng = rng_for("primitive")
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = mat([[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+        want = any(all(x > 0 for row in matpow(m, k) for x in row)
+                   for k in range(1, (n - 1) ** 2 + 2))
+        assert is_primitive(m) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_legal_words_nonprimitive_takes_union():
+    # the library does not warn; `ap` and `mu` say so on stderr
     s = Substitution(["a", "b"], {"a": "aa", "b": "ab"})
     assert not s.is_primitive()
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         words = s.legal_words(1)
     assert words == {(0,), (1,)}
 
@@ -235,7 +264,7 @@ def test_tile_lengths_examples(sigma1, period_doubling):
     for j in range(2):
         total = lam.field.zero()
         for i in range(2):
-            total = total + lengths[i] * int(m[i, j])
+            total = total + lengths[i] * m[i][j]
         assert total == lam * lengths[j]
 
     one = Substitution(["a"], {"a": "aa"})
@@ -254,7 +283,7 @@ def test_tile_lengths_eigen_identity_random():
         for j in range(s.size):
             total = lam.field.zero()
             for i in range(s.size):
-                total = total + lengths[i] * int(m[i, j])
+                total = total + lengths[i] * m[i][j]
             assert total == lam * lengths[j]
 
 
@@ -277,4 +306,4 @@ def test_composition(sigma1, sigma2):
     comp = sigma2.after(sigma1)
     for x in range(2):
         assert comp.rules[x] == sigma2.apply(sigma1.rules[x])
-    assert (comp.matrix() == sigma2.matrix() @ sigma1.matrix()).all()
+    assert comp.matrix() == matmul(sigma2.matrix(), sigma1.matrix())

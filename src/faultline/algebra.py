@@ -2,11 +2,15 @@
 
 Polynomials are tuples of coefficients in *ascending* degree order.  Ring
 operations are carried out over ``fractions.Fraction``; nothing stored here is
-ever a float.  Root isolation and factorization over Q are delegated to sympy
-(its Collins-Krandick isolation returns exact rational intervals); everything
-downstream of isolation (refinement, comparison, modular reduction) is
-implemented here with exact rational intervals, evaluated by one integer
-Horner routine over a common denominator (``horner_interval``).
+ever a float.  Real-root isolation and factorization over Q run in pure-int
+code (``zpoly``): the real-root intervals are the ones sympy's
+continued-fraction isolation returns, so every enclosure bisected from them
+is too.  Only the isolation of non-real roots, which spectral classification
+needs for irreducible factors of degree >= 3 with such roots, still calls
+sympy, imported inside ``isolate_complex_roots``.  Everything downstream of
+isolation (refinement, comparison, modular reduction) is implemented here
+with exact rational intervals, evaluated by one integer Horner routine over
+a common denominator (``horner_interval``).
 """
 
 from __future__ import annotations
@@ -14,16 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from sympy import Poly as _SymPoly, Symbol as _SymSymbol
-from sympy.polys.domains import ZZ as _ZZ
-from sympy.polys.rootisolation import (
-    dup_isolate_complex_roots_sqf as _isolate_complex,
-    dup_isolate_real_roots_sqf as _isolate_real,
-)
-
 from .errors import ValidationError
-
-_X = _SymSymbol("x")
+from .zpoly import irreducible_factors, isolate_real_roots
 
 _MAX_REFINE = 4096  # bisection guard; never reached for nonzero values
 
@@ -166,56 +162,24 @@ def poly_str(a):
     return "".join(parts)
 
 
-def _to_dup(a):
-    """ascending int tuple -> sympy dup list (descending ZZ)."""
-    return [_ZZ(int(c)) for c in reversed(ptrim(a))]
-
-
-def irreducible_factors(a):
-    """Distinct monic-integer irreducible factors of an integer polynomial
-    over Q, with multiplicities, ordered by (degree, coefficients)."""
-    p = _SymPoly(list(reversed([int(c) for c in ptrim(a)])), _X, domain="ZZ")
-    _, factors = p.factor_list()
-    out = []
-    for f, mult in factors:
-        coeffs = tuple(int(c) for c in reversed(f.all_coeffs()))
-        if coeffs[-1] < 0:
-            coeffs = tuple(-c for c in coeffs)
-        out.append((coeffs, int(mult)))
-    out.sort(key=lambda fm: (pdeg(fm[0]), fm[0]))
-    return out
-
-
 def is_irreducible(a):
     fs = irreducible_factors(a)
     return len(fs) == 1 and fs[0][1] == 1 and pdeg(fs[0][0]) == pdeg(ptrim(a))
 
 
-def isolate_real_roots(a, eps=None):
-    """Isolating rational intervals for the real roots of a squarefree integer
-    polynomial, sorted ascending.  Exact rational roots come back as
-    degenerate [r, r] intervals."""
-    dup = _to_dup(a)
-    if len(dup) <= 1:
-        return []
-    kw = {"eps": eps} if eps is not None else {}
-    raw = _isolate_real(dup, _ZZ, **kw)
-    return [
-        (Fraction(int(lo.numerator), int(lo.denominator)),
-         Fraction(int(hi.numerator), int(hi.denominator)))
-        for lo, hi in raw
-    ]
-
-
 def isolate_complex_roots(a, eps):
     """Isolating rectangles for the complex (non-real) roots of a squarefree
-    integer polynomial: list of ((re_lo, im_lo), (re_hi, im_hi))."""
-    dup = _to_dup(a)
+    integer polynomial: list of ((re_lo, im_lo), (re_hi, im_hi)).  Only
+    irreducible factors of degree >= 3 with non-real roots reach this, so
+    sympy's Collins-Krandick isolation is imported here, not at start-up."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
+
+    dup = [ZZ(int(c)) for c in reversed(ptrim(a))]
     if len(dup) <= 2:
         return []
-    raw = _isolate_complex(dup, _ZZ, eps=eps)
     out = []
-    for (a0, b0), (a1, b1) in raw:
+    for (a0, b0), (a1, b1) in dup_isolate_complex_roots_sqf(dup, ZZ, eps=eps):
         out.append(
             (
                 (Fraction(int(a0.numerator), int(a0.denominator)),
@@ -337,8 +301,9 @@ def horner_interval(nums, lo, hi, q):
 
 def bisect(lo, hi, width, below):
     """Halve [lo, hi] until it is at most ``width`` wide: each step keeps
-    [mid, hi] when ``below(mid)`` holds and [lo, mid] otherwise.  The one
-    certified bisection loop; returns (lo, hi)."""
+    [mid, hi] when ``below(mid)`` holds and [lo, mid] otherwise; returns
+    (lo, hi).  The certified bisection loop on rationals; a field's root
+    interval is halved on its integers instead (``NumberField.refined``)."""
     while hi - lo > width:
         mid = (lo + hi) / 2
         if below(mid):
@@ -384,7 +349,7 @@ class NumberField:
     field, the same number and width give a tighter (different) enclosure.
     """
 
-    __slots__ = ("poly", "_iv", "_ziv", "_sign_lo")
+    __slots__ = ("poly", "_ziv", "_sign_lo")
 
     def __init__(self, poly, interval):
         poly = ptrim(int(c) for c in poly)
@@ -405,10 +370,16 @@ class NumberField:
         self._sign_lo = 1 if pdeg(poly) == 1 or peval(poly, lo) > 0 else -1
 
     def _set_interval(self, lo, hi):
-        self._iv = (lo, hi)
+        """Store [lo, hi] as integers (lo * q, hi * q, q), q the lcm of the
+        two denominators; so gcd of the three is 1."""
         q = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
         self._ziv = (lo.numerator * (q // lo.denominator),
                      hi.numerator * (q // hi.denominator), q)
+
+    @property
+    def _iv(self):
+        lo, hi, q = self._ziv
+        return Fraction(lo, q), Fraction(hi, q)
 
     @property
     def degree(self):
@@ -426,25 +397,32 @@ class NumberField:
 
     def refined(self, width):
         """Shrink the cached isolating interval to at most ``width`` wide."""
-        lo, hi = self._iv
-        if self.degree == 1:
-            return Interval(lo, hi)
-        poly, positive_below = self.poly, self._sign_lo > 0
-
-        def below(mid):
-            # den^deg * poly(mid) by integer Horner: p is irreducible, so never 0
-            smid, _, _ = horner_interval(poly, mid.numerator, mid.numerator, mid.denominator)
-            assert smid != 0
-            return (smid > 0) == positive_below
-
-        lo, hi = bisect(lo, hi, Fraction(width), below)
-        self._set_interval(lo, hi)
-        return Interval(lo, hi)
+        if self.degree > 1:
+            width = Fraction(width)
+            while True:
+                lo, hi, q = self._ziv
+                if (hi - lo) * width.denominator <= width.numerator * q:
+                    break
+                self._bisect_once()
+        return self.interval
 
     def _bisect_once(self):
-        lo, hi = self._iv
-        if self.degree > 1:
-            self.refined((hi - lo) / 2)
+        """Halve the root interval on its integers, keeping the half that
+        holds the root.  The midpoint of [lo/q, hi/q] is (lo + hi)/(2q), and
+        the new triple stays in lowest terms without a gcd: it is (lo + hi)/2
+        over q when lo + hi is even, and over 2q otherwise."""
+        if self.degree == 1:
+            return
+        lo, hi, q = self._ziv
+        mid = lo + hi
+        if mid & 1:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        else:
+            mid >>= 1
+        # q^deg * poly(mid / q) by integer Horner: p is irreducible, so never 0
+        smid, _, _ = horner_interval(self.poly, mid, mid, q)
+        assert smid != 0
+        self._ziv = (mid, hi, q) if (smid > 0) == (self._sign_lo > 0) else (lo, mid, q)
 
     def enclose(self, nums, den, width=None):
         """Integer enclosure (a, b, e) of (sum(nums[i] * root**i)) / den, i.e.

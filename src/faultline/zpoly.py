@@ -1,0 +1,592 @@
+"""Integer polynomials: real-root isolation and factorization over Z.
+
+``isolate_real_roots`` and ``irreducible_factors``, which ``algebra``
+exports, in pure-int code; nothing here imports sympy.
+
+* Real roots are isolated by the Vincent-Akritas-Strzebonski continued
+  fraction method (Akritas and Strzebonski, "A comparative study of two real
+  root isolation methods", Nonlinear Analysis: Modelling and Control 10(4),
+  2005) with the LMQ bound on positive roots (Akritas, J. Univ. Comp. Sci.
+  15(3), 2009).  It follows sympy's ``dup_isolate_real_roots_sqf`` step for
+  step, so the rational intervals are the same as sympy's, not merely valid
+  ones: ``NumberField`` bisects from them, and they fix every printed
+  enclosure.  This part works on dense coefficient lists in *descending*
+  order, as the method is written there.
+* Factorization over Z is unique, so any correct algorithm gives the same
+  factors: quadratics by their discriminant, cubics by a rational-root test,
+  and higher degrees by Zassenhaus (distinct- and equal-degree factorization
+  mod a small prime, Hensel lifting, recombination under the Mignotte bound).
+  This part works on ascending coefficient lists, like ``algebra``.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt
+
+
+# ---------------------------------------------------------------------------
+# real-root isolation (descending coefficient lists)
+# ---------------------------------------------------------------------------
+
+def _log2(a):
+    """floor(log2(a)) as sympy's ``ZZ.log`` computes it, through a float.
+
+    The LMQ bound, and so every isolating interval, depends on this value,
+    and for large a it can differ from a.bit_length() - 1."""
+    return int(math.log(a, 2))
+
+
+def _lower_bound(f):
+    """int() of the LMQ lower bound on the positive roots of f: 1 / the
+    upper bound of the reversed polynomial, 0 when there is none."""
+    f = _reverse(f)
+    if f[0] < 0:
+        f = [-c for c in f]
+    f = f[::-1]
+    n = len(f)
+    t = [1] * n
+    best = None
+    for i in range(n):
+        if f[i] >= 0:
+            continue
+        a = _log2(-f[i])
+        ql = [((t[j] + a - _log2(f[j])) // (j - i), j)
+              for j in range(i + 1, n) if f[j] > 0]
+        if not ql:
+            continue
+        q, j = min(ql)
+        t[j] += 1
+        best = q if best is None or q > best else best
+    # the upper bound is 2**(best + 1); the lower bound its inverse
+    if best is None or best + 1 > 0:
+        return 0
+    return 1 << -(best + 1)
+
+
+def _reverse(f):
+    """x**n * f(1/x), leading zeros stripped."""
+    f = f[::-1]
+    i = 0
+    while i < len(f) and not f[i]:
+        i += 1
+    return f[i:]
+
+
+def _shift(f, a):
+    """Taylor shift f(x + a)."""
+    f = list(f)
+    for i in range(len(f) - 1, 0, -1):
+        for j in range(i):
+            f[j + 1] += a * f[j]
+    return f
+
+
+def _mirror(f):
+    """f(-x), without normalizing the sign."""
+    f = list(f)
+    for i in range(len(f) - 2, -1, -2):
+        f[i] = -f[i]
+    return f
+
+
+def _sign_variations(f):
+    prev = k = 0
+    for c in f:
+        if c * prev < 0:
+            k += 1
+        if c:
+            prev = c
+    return k
+
+
+def _step_refine(f, m):
+    """One continued-fraction step on the positive root of f that the Moebius
+    transform m = (a, b, c, d) maps into (0, oo)."""
+    a, b, c, d = m
+    if a == b and c == d:
+        return f, m
+    big = _lower_bound(f)
+    if big >= 1:
+        f = _shift(f, big)
+        b, d = big * a + b, big * c + d
+        if not f[-1]:
+            return f, (b, b, d, d)
+    f, g = _shift(f, 1), f
+    if not f[-1]:
+        return f, (a + b, a + b, c + d, c + d)
+    if _sign_variations(f) == 1:
+        return f, (a, a + b, c, c + d)
+    f = _shift(_reverse(g), 1)
+    if not f[-1]:
+        f = f[:-1]
+    return f, (b, a + b, d, c + d)
+
+
+def _refine(f, m, eps):
+    """Refine until the interval is finite and, with eps, narrower than eps."""
+    while not m[2]:
+        f, m = _step_refine(f, m)
+    if eps is not None:
+        num, den = eps.numerator, eps.denominator
+        while True:
+            a, b, c, d = m
+            if abs(a * d - b * c) * den < num * c * d:
+                break
+            f, m = _step_refine(f, m)
+    return f, m
+
+
+def _positive_roots(f, eps):
+    """Moebius transforms isolating the positive roots of f."""
+    m = (1, 0, 0, 1)
+    k = _sign_variations(f)
+    if k == 0:
+        return []
+    if k == 1:
+        return [_refine(f, m, eps)[1]]
+    roots, stack = [], [(m, f, k)]
+    while stack:
+        (a, b, c, d), f, k = stack.pop()
+        big = _lower_bound(f)
+        if big >= 1:
+            f = _shift(f, big)
+            b, d = big * a + b, big * c + d
+            if not f[-1]:
+                roots.append((b, b, d, d))
+                f = f[:-1]
+            k = _sign_variations(f)
+            if k == 0:
+                continue
+            if k == 1:
+                roots.append(_refine(f, (a, b, c, d), eps)[1])
+                continue
+        f1 = _shift(f, 1)
+        m1, r = (a, a + b, c, c + d), 0
+        if not f1[-1]:
+            roots.append((a + b, a + b, c + d, c + d))
+            f1, r = f1[:-1], 1
+        k1 = _sign_variations(f1)
+        k2 = k - k1 - r
+        m2 = (b, a + b, d, c + d)
+        f2 = None
+        if k2 > 1:
+            f2 = _shift(_reverse(f), 1)
+            if not f2[-1]:
+                f2 = f2[:-1]
+            k2 = _sign_variations(f2)
+        if k1 < k2:
+            m1, m2, f1, f2, k1, k2 = m2, m1, f2, f1, k2, k1
+        for mi, fi, ki in ((m1, f1, k1), (m2, f2, k2)):
+            if not ki:
+                break
+            if fi is None:
+                fi = _shift(_reverse(f), 1)
+                if not fi[-1]:
+                    fi = fi[:-1]
+            if ki == 1:
+                roots.append(_refine(fi, mi, eps)[1])
+            else:
+                stack.append((mi, fi, ki))
+    return roots
+
+
+def _interval(m):
+    a, b, c, d = m
+    s, t = Fraction(a, c), Fraction(b, d)
+    return (s, t) if s <= t else (t, s)
+
+
+def isolate_real_roots(f, eps=None):
+    """Isolating rational intervals (lo, hi) for the real roots of a
+    squarefree integer polynomial f (ascending coefficients), sorted
+    ascending: the intervals of sympy's ``dup_isolate_real_roots_sqf``.
+    Exact rational roots that the method meets come back as degenerate
+    (r, r) intervals.  With eps, every nondegenerate interval is narrower
+    than eps."""
+    f = [int(c) for c in reversed(f)]
+    while f and not f[0]:
+        f.pop(0)
+    if len(f) <= 1:
+        return []
+    if eps is not None:
+        eps = Fraction(eps)
+    roots = []
+    if not f[-1]:
+        while not f[-1]:
+            f.pop()
+        roots.append((Fraction(0), Fraction(0)))
+    for m in _positive_roots(_mirror(f), eps):
+        lo, hi = _interval(m)
+        roots.append((-hi, -lo))
+    roots.extend(_interval(m) for m in _positive_roots(f, eps))
+    return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials (ascending coefficient lists, trimmed)
+# ---------------------------------------------------------------------------
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    g = 0
+    for c in f:
+        g = gcd(g, c)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divides(f, g):
+    """f / g if g divides f exactly over Z, else None."""
+    f = list(f)
+    lead, dg = g[-1], len(g) - 1
+    q = [0] * (len(f) - dg)
+    for k in range(len(f) - 1, dg - 1, -1):
+        c, r = divmod(f[k], lead)
+        if r:
+            return None
+        q[k - dg] = c
+        if c:
+            for i in range(dg):
+                f[k - dg + i] -= c * g[i]
+    return q if not any(f[:dg]) else None
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b, trimmed."""
+    a, lead = list(a), b[-1]
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [x * lead for x in a]
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _gcd(a, b):
+    """Primitive gcd over Z by the primitive remainder sequence."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
+def _deriv(f):
+    return [i * f[i] for i in range(1, len(f))]
+
+
+# ---------------------------------------------------------------------------
+# factorization over Z
+# ---------------------------------------------------------------------------
+
+def irreducible_factors(f):
+    """Distinct irreducible factors over Q of an integer polynomial
+    (ascending coefficients), as primitive integer tuples with positive
+    leading coefficients, with multiplicities, ordered by (degree,
+    coefficients); a constant or zero gives []."""
+    f = [int(c) for c in f]
+    while f and not f[-1]:
+        f.pop()
+    if len(f) <= 1:
+        return []
+    f = _primitive(f)
+    out = []
+    k = 0
+    while not f[k]:
+        k += 1
+    if k:
+        out.append(((0, 1), k))
+        f = f[k:]
+    if len(f) > 1:
+        g = _gcd(f, _deriv(f))
+        sqf = f if len(g) == 1 else _divides(f, g)
+        for h in _factor_squarefree(sqf):
+            m = 0
+            while (q := _divides(f, h)) is not None:
+                f, m = q, m + 1
+            out.append((tuple(h), m))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
+def _linear(num, den):
+    """den*x - num as a primitive factor of a root num/den."""
+    r = Fraction(num, den)
+    return [-r.numerator, r.denominator]
+
+
+def _factor_squarefree(f):
+    """Irreducible factors of a squarefree primitive f with f(0) != 0."""
+    if len(f) <= 2:
+        return [f]
+    if len(f) == 3:
+        # a quadratic splits iff its discriminant is a square
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [f]
+        return [_linear(-b - s, 2 * a), _linear(-b + s, 2 * a)]
+    if len(f) == 4:
+        # a cubic is reducible iff it has a rational root, and a rational
+        # root k/a3 has numerator k an integer: isolate the real roots to
+        # width 1/(2 a3) and test the one candidate k in each interval
+        a3 = f[-1]
+        for lo, hi in isolate_real_roots(f, Fraction(1, 2 * a3)):
+            k = -((-lo.numerator * a3) // lo.denominator)
+            if k * hi.denominator <= hi.numerator * a3:
+                if sum(c * k ** i * a3 ** (3 - i) for i, c in enumerate(f)) == 0:
+                    lin = _linear(k, a3)
+                    return [lin] + _factor_squarefree(_divides(f, lin))
+        return [f]
+    return _zassenhaus(f)
+
+
+def _primes():
+    p = 3
+    while True:
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _zassenhaus(f):
+    """Irreducible factors of a squarefree primitive f of degree >= 4."""
+    n, lead = len(f) - 1, f[-1]
+    # the first good primes (p does not divide lead, f mod p squarefree);
+    # keep the one with fewest modular factors
+    best, tried = None, 0
+    for p in _primes():
+        if lead % p == 0:
+            continue
+        fp = _gf_monic(_gf(f, p), p)
+        if len(_gf_gcd(fp, _gf(_deriv(fp), p), p)) != 1:
+            continue
+        ddf = _gf_ddf(fp, p)
+        r = sum((len(g) - 1) // d for g, d in ddf)
+        if r == 1:
+            return [f]
+        if best is None or r < best[0]:
+            best = (r, p, ddf)
+        tried += 1
+        if tried == 3:
+            break
+    _, p, ddf = best
+    rng = random.Random(p)
+    modular = [h for g, d in ddf for h in _gf_edf(g, d, p, rng)]
+    # Mignotte: every coefficient of lead * (a factor / its leading
+    # coefficient) is below bound in absolute value
+    bound = abs(lead) * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    pk = p
+    while pk <= 2 * bound:
+        pk *= pk
+    modular = _hensel_lift(f, modular, p, pk)
+    return _recombine(f, modular, pk)
+
+
+def _symmetric(f, m):
+    """Coefficients reduced into (-m/2, m/2], trimmed."""
+    half = m // 2
+    out = [c % m for c in f]
+    out = [c - m if c > half else c for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _recombine(f, modular, pk):
+    """True factors from the lifted monic modular factors of f mod pk:
+    the primitive parts of products of subsets of increasing size, times
+    the leading coefficient, that divide f exactly."""
+    factors = []
+    rest = list(range(len(modular)))
+    s = 1
+    while 2 * s <= len(rest):
+        for subset in combinations(rest, s):
+            g = [f[-1]]
+            for i in subset:
+                g = _symmetric(_mul(g, modular[i]), pk)
+            g = _primitive(g)
+            if not g[0] or f[0] % g[0]:
+                continue
+            q = _divides(f, g)
+            if q is None:
+                continue
+            # the smallest subsets that give a true factor give the
+            # irreducible ones: smaller factors were taken out before
+            factors.append(g)
+            f = q
+            rest = [i for i in rest if i not in subset]
+            break
+        else:
+            s += 1
+    return factors + [f]
+
+
+def _hensel_lift(f, modular, p, pk):
+    """Lift the monic factorization f = lead * prod(modular) mod p to a
+    monic factorization mod pk (pk a power of p reached by squaring)."""
+    if len(modular) == 1:
+        inv = pow(f[-1], -1, pk)
+        return [_symmetric([c * inv for c in f], pk)]
+    k = len(modular) // 2
+    g = [f[-1] % p]
+    for h in modular[:k]:
+        g = _gf_mul(g, h, p)
+    h = [1]
+    for u in modular[k:]:
+        h = _gf_mul(h, u, p)
+    s, t = _gf_gcdex(g, h, p)
+    m = p
+    while m < pk:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, modular[:k], p, pk) + _hensel_lift(h, modular[k:], p, pk)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Quadratic Hensel step (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Algorithm 15.10): from f = g h and s g + t h = 1 mod m, with h
+    monic, to the same mod m**2."""
+    mm = m * m
+    e = _symmetric(_sub(f, _mul(g, h)), mm)
+    q, r = _gf_divmod(_mul(s, e), h, mm)
+    gg = _symmetric(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    hh = _symmetric(_add(h, r), mm)
+    b = _symmetric(_sub(_add(_mul(s, gg), _mul(t, hh)), [1]), mm)
+    c, d = _gf_divmod(_mul(s, b), hh, mm)
+    ss = _symmetric(_sub(s, d), mm)
+    tt = _symmetric(_sub(t, _add(_mul(t, b), _mul(c, gg))), mm)
+    return gg, hh, ss, tt
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _sub(a, b):
+    return _add(a, [-y for y in b])
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(p) (ascending lists of residues, trimmed)
+# ---------------------------------------------------------------------------
+
+def _gf(f, p):
+    out = [c % p for c in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gf_monic(f, p):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gf_mul(a, b, p):
+    return _gf(_mul(a, b), p)
+
+
+def _gf_sub(a, b, p):
+    return _gf(_sub(a, b), p)
+
+
+def _gf_divmod(a, b, p):
+    """Quotient and remainder mod p; p need not be prime when b's leading
+    coefficient is a unit mod p, as in Hensel lifting by a monic b."""
+    a = list(a)
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        q[k - db] = c
+        if c:
+            # a[k] is cancelled and never read again; the rest is reduced
+            # once at the end
+            for i in range(db):
+                a[k - db + i] -= c * b[i]
+    return _gf(q, p), _gf(a[:db], p)
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd."""
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p) if a else a
+
+
+def _gf_gcdex(a, b, p):
+    """(s, t) with s a + t b = 1 for coprime a, b; deg s < deg b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _gf_powmod(a, e, f, p):
+    out, a = [1], _gf_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _gf_divmod(_gf_mul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _gf_divmod(_gf_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _gf_ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f: pairs (g, d)
+    with g the product of the irreducible factors of degree d."""
+    out, h, d = [], [0, 1], 1
+    while 2 * d <= len(f) - 1:
+        h = _gf_powmod(h, p, f, p)
+        g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
+        d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _gf_edf(f, d, p, rng):
+    """Equal-degree factorization (Cantor-Zassenhaus, p odd) of a monic
+    product of irreducibles of degree d."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (p ** d - 1) // 2
+    while True:
+        a = [rng.randrange(p) for _ in range(len(f) - 1)]
+        g = _gf_gcd(f, _gf_sub(_gf_powmod(_gf(a, p), e, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
+            return (_gf_edf(g, d, p, rng)
+                    + _gf_edf(_gf_divmod(f, g, p)[0], d, p, rng))

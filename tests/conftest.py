@@ -255,3 +255,50 @@ def reference_tile_lengths(s):
     if all(c.denominator == 1 for x in scaled for c in x.coeffs):
         return tuple(scaled)
     return tuple(unit)
+
+
+# The sympy wrappers that ``algebra.isolate_real_roots`` and
+# ``algebra.irreducible_factors`` were before the pure-int ports in
+# ``faultline.zpoly``, kept as oracles.  sympy is imported only here.
+
+def sympy_isolate_real_roots(a, eps=None):
+    """sympy's ``dup_isolate_real_roots_sqf`` on an ascending integer
+    polynomial, as Fraction pairs."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+
+    dup = [ZZ(int(c)) for c in reversed(a)]
+    while dup and not dup[0]:
+        dup.pop(0)
+    if len(dup) <= 1:
+        return []
+    kw = {"eps": eps} if eps is not None else {}
+    return [(Fraction(int(lo.numerator), int(lo.denominator)),
+             Fraction(int(hi.numerator), int(hi.denominator)))
+            for lo, hi in dup_isolate_real_roots_sqf(dup, ZZ, **kw)]
+
+
+def sympy_irreducible_factors(a):
+    """``Poly.factor_list`` over ZZ: the factors with positive leading
+    coefficients and their multiplicities, ordered by (degree, coefficients)."""
+    from sympy import Poly, Symbol
+
+    coeffs = [int(c) for c in a]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    _, factors = Poly(list(reversed(coeffs)) or [0], Symbol("x"), domain="ZZ").factor_list()
+    out = []
+    for f, mult in factors:
+        c = tuple(int(x) for x in reversed(f.all_coeffs()))
+        if c[-1] < 0:
+            c = tuple(-x for x in c)
+        out.append((c, int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
+def sympy_is_squarefree(a):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_p
+
+    return dup_sqf_p([ZZ(int(c)) for c in reversed(a)], ZZ)

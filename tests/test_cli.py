@@ -149,6 +149,26 @@ def test_cli_import_does_not_load_numpy():
     assert run.stdout == "False\n"
 
 
+def test_commands_without_complex_roots_do_not_load_sympy(tmp_path):
+    # sympy is imported only for non-real roots of irreducible factors of
+    # degree >= 3, which no bundled document has
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = str(tmp_path / "out")
+    probe = "; ".join([
+        "import sys, faultline.cli",
+        f"assert faultline.cli.main(['cohomology', '-i', 'bundled:period_doubling', '-o', {out!r}]) == 0",
+        f"assert faultline.cli.main(['fault', '-i', 'bundled:doubling_swap', '--top', 'sigma1', "
+        f"'--bottom', 'sigma2', '--rounds', '8', '-o', {out!r}]) == 0",
+        f"assert faultline.cli.main(['render', '-i', 'bundled:row_thirds', '--rounds', '3', '-o', {out!r}]) == 0",
+        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))",
+    ])
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_render_writes_svg(tmp_path):
     out_path = tmp_path / "patch.svg"
     code, _ = run_cli("render", "-i", "bundled:doubling_swap",

@@ -10,6 +10,7 @@ intended change in output, print the new digests with
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 
 import pytest
@@ -118,6 +119,43 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_unchanged(case):
     assert run(CASES[case]) == DIGESTS[case]
+
+
+# Two substitutions whose charpolys have an irreducible factor of degree >= 3
+# with non-real roots, the one path that still calls sympy (imported inside
+# ``algebra.isolate_complex_roots``).  Digests recorded when all root
+# isolation and factoring still went through sympy.
+COMPLEX_ROOT_DOCS = {
+    # matrix [[1,0,1,0],[0,0,1,0],[1,0,0,1],[0,1,0,0]], charpoly
+    # x^4-x^3-x^2-x+1 (Salem; classified Undetermined)
+    "salem": {"a": "ac", "b": "d", "c": "ab", "d": "c"},
+    # tribonacci, x^3-x^2-x-1: a real root and a non-real pair
+    "tribonacci": {"a": "ab", "b": "ac", "c": "a"},
+}
+COMPLEX_ROOT_DIGESTS = {
+    "salem-json": (0, "49ac1755c2f385244dc7862e08e8a0e917fe38c297ee4e8e07a9c12f1694ce86"),
+    "salem-text": (0, "9f8480d433314d1ca4600f810f2d82977d692cd60fd6a92baf606d85aba94f35"),
+    "tribonacci-json": (0, "6a5b2ad87e8c90923676ccb6c6c5223c833d6fc1f7d5f27837db806000a81098"),
+    "tribonacci-text": (0, "e41c8bf758cc3705e8e92f75206fd5552e4ce7c018f9d4765a45a5afe730dff2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_ROOT_DIGESTS))
+def test_complex_root_reports_unchanged(case, tmp_path, monkeypatch):
+    import faultline.substitution
+
+    name, fmt = case.rsplit("-", 1)
+    rules = COMPLEX_ROOT_DOCS[name]
+    doc = {"alphabets": {"h": sorted(rules)},
+           "substitutions": {name: {"alphabet": "h", "rules": rules}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    isolate = faultline.substitution.isolate_complex_roots
+    monkeypatch.setattr(faultline.substitution, "isolate_complex_roots",
+                        lambda *a, **k: calls.append(a) or isolate(*a, **k))
+    assert run(["analyze", "-i", str(path), "--format", fmt]) == COMPLEX_ROOT_DIGESTS[case]
+    assert calls
 
 
 if __name__ == "__main__":

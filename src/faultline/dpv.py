@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 from .abelian import (
@@ -33,8 +34,13 @@ from .abelian import (
 )
 from .ap_complex import collar, graph_h1
 from .errors import ResourceCapError, UndeterminedError, ValidationError
-from .fault import BoundaryKind, classify_boundary
-from .substitution import DEFAULT_MAX_WORD_LEN, Substitution, shift_conjugacy
+from .fault import BoundaryKind, boundary_trace, classify_trace
+from .substitution import (
+    DEFAULT_MAX_WORD_LEN,
+    Substitution,
+    shift_conjugacy,
+    spectral_classify,
+)
 
 
 @dataclass(frozen=True)
@@ -221,15 +227,9 @@ def _feasible_cap(top, cap, max_word_len):
     """Largest rounds r <= cap whose predicted word length stays under the
     cap; classification needs at least 4."""
     r = 0
-    cur = {a: 1 for a in range(top.size)}
-    while r < cap:
-        nxt = {}
-        for a in range(top.size):
-            nxt[a] = sum(cur[b] for b in top.rules[a])
-        # length of round r+1 from any single-letter seed
-        if max(nxt.values()) > max_word_len:
+    for lengths in islice(top.image_lengths(), 1, cap + 1):
+        if max(lengths) > max_word_len:
             break
-        cur = nxt
         r += 1
     if r < 4:
         raise ResourceCapError(
@@ -252,12 +252,13 @@ def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
 
     The junction pair at a vertex evolves with an eventually periodic orbit;
     composing the per-row horizontal substitutions over one period gives the
-    effective top and bottom substitutions at that boundary, which are fed to
-    classify_boundary."""
+    effective top and bottom substitutions at that boundary, whose trace from
+    seed letter 0 is classified by classify_trace."""
     rho = d.vertical
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
     entries = []
+    spectral = {}   # composite matrices repeat across boundaries: classify each once
     for v in eventual:
         junctions = cx.junctions_at(v)
         assert junctions, "an eventual vertex must carry at least one junction"
@@ -291,8 +292,12 @@ def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
                 _feasible_cap(top_comp, cap, max_word_len),
                 _feasible_cap(bottom_comp, cap, max_word_len),
             )
-            cls = classify_boundary(top_comp, bottom_comp, cap=rounds,
-                                    max_word_len=max_word_len)
+            trace = boundary_trace(top_comp, bottom_comp, 0, rounds,
+                                   max_word_len=max_word_len)
+            m = top_comp.matrix()
+            if m not in spectral:
+                spectral[m] = spectral_classify(m).kind
+            cls = classify_trace(trace, spectral[m])
             kinds.add(cls.kind)
             if chosen is None:
                 chosen = (cycle, tuple(top_idx), tuple(bottom_idx), cls)

@@ -6,6 +6,11 @@ prefix is the difference in tracked-letter counts between the two rows up to
 the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
 a tile width.
+
+The rows are never built.  Each round is carried by its set of overlap
+states (top tile, bottom tile, count difference), which the two
+substitutions map to the next round's set; a round's distinct discrepancies
+are read off its states, so a trace costs per distinct state, not per letter.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import islice
+from operator import add, mul, sub
 
 from .algebra import clear_denominators, integer_vectors, mod_reduce, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
@@ -21,15 +28,45 @@ from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
 DEFAULT_ROUNDS = 12
 
-_SCALE = 1 << 96   # fixed-point scale of the prefix scan's filter
+_SCALE = 1 << 96   # fixed-point scale of the sign filter
+
+
+@dataclass(frozen=True)
+class Row:
+    """The word substitution^round(seed), read lazily: ``len()`` comes from
+    the letter lengths and iteration descends the rules depth first, so the
+    first n letters cost O(round + n) and no word is built."""
+    substitution: object
+    seed: int
+    round: int
+    length: int                   # |substitution^round(seed)|
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        rules, depth = self.substitution.rules, self.round + 1
+        stack = [iter((self.seed,))]
+        while stack:
+            for x in stack[-1]:
+                if len(stack) == depth:
+                    yield x
+                else:
+                    stack.append(iter(rules[x]))
+                    break
+            else:
+                stack.pop()
+
+    def __getitem__(self, index):
+        """A slice with a positive step, as a tuple of letters."""
+        return tuple(islice(self, *index.indices(self.length)))
 
 
 @dataclass(frozen=True)
 class BoundaryStep:
     round: int
-    top: tuple
-    bottom: tuple
-    prefix_discrepancies: tuple   # per top-tile prefix, exact position cut
+    top: Row
+    bottom: Row
     offsets: tuple                # distinct shear offsets this round, sorted ascending
     discrepancy_values: tuple     # distinct m values this round, sorted
 
@@ -54,7 +91,7 @@ class BoundaryTrace:
 
 
 class _ScanWidths:
-    """Tile widths as the prefix scan reads them: integer coefficient vectors
+    """Tile widths as the sign filter reads them: integer coefficient vectors
     over one denominator, and their image scaled by 2^96, built on first use
     and then kept for the whole trace."""
 
@@ -73,50 +110,116 @@ class _ScanWidths:
             out.append(round(Fraction((a + b) * _SCALE, 2 * e)))
         return out
 
+    def sign(self, x, image):
+        """Sign of sum(x[i] * widths[i]) for an integer vector x whose filter
+        image sum(x[i] * scaled[i]) is ``image``.  The filter decides it
+        whenever the image lies outside the margin sum(|x[i]|); a zero x
+        (margin 0) is an exact tie; only the rest goes to the exact sign."""
+        margin = sum(map(abs, x))
+        if image > margin:
+            return 1
+        if image < -margin:
+            return -1
+        if not margin:
+            return 0
+        vectors = self.vectors
+        return self.field.sign([sum(d * v[j] for d, v in zip(x, vectors))
+                                for j in range(self.field.degree)])
 
-def _prefix_discrepancies(top, bottom, widths, tracked):
-    """Tracked-letter count difference at each top-tile boundary, bottom side
-    cut at the same exact position (tiles whose right edge is <= the cut).
-    ``widths`` is a ``_ScanWidths``.
 
-    The scan keeps the count difference delta (top minus bottom), its
-    scaled-integer image t = sum(delta[i] * scaled[i]) and the filter's error
-    margin sum(|delta[i]|), each updated in O(1) per letter.  A bottom tile is
-    taken when the cut minus its right edge, sum(delta[i] * widths[i]) after
-    the tentative step, is >= 0.  The filter decides that sign whenever t lies
-    outside the margin; an all-zero delta (margin 0) is an exact tie; only the
-    rest goes to the exact sign of sum(delta[i] * vectors[i])."""
-    if top == bottom:
-        return tuple([0] * len(top))
-    field, vectors, scaled = widths.field, widths.vectors, widths.scaled
-    delta = [0] * len(vectors)
+def _prefix_counts(word, zero):
+    """Letter counts of word[:i] for i = 0 .. len(word)."""
+    out = [zero]
+    for x in word:
+        c = list(out[-1])
+        c[x] += 1
+        out.append(tuple(c))
+    return out
 
-    def exact_sign():
-        return field.sign([sum(d * v[j] for d, v in zip(delta, vectors))
-                           for j in range(field.degree)])
 
-    t = margin = 0
-    out = []
-    ib, nb = 0, len(bottom)
-    for letter in top:
-        d = delta[letter]
-        delta[letter] = d + 1
-        t += scaled[letter]
-        margin += 1 if d >= 0 else -1
-        # advance the bottom pointer while its next right edge stays <= cut
-        while ib < nb:
-            b = bottom[ib]
-            d = delta[b]
-            tb = t - scaled[b]
-            mb = margin + 1 if d <= 0 else margin - 1
-            delta[b] = d - 1
-            if tb < -mb or (tb <= mb and mb and exact_sign() < 0):
-                delta[b] = d
-                break
-            t, margin = tb, mb
-            ib += 1
-        out.append(delta[tracked])
-    return tuple(out)
+def _discrepancy_rounds(top, bottom, seed, k, widths, tracked):
+    """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
+    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.
+
+    A round is carried by its overlap states.  A state (t, b, D) is a top
+    tile t and a bottom tile b whose interiors overlap, with D the letter
+    counts left of t minus those left of b, so left(t) - left(b) = <w, D> for
+    the widths w.  Round 0 is {(seed, seed, 0)}.  Both rows share the
+    abelianization M and <w, M D> = lambda <w, D>, so the child pair
+    (t', b') = (top(t)[i], bottom(b)[j]) has count difference
+    D' = M D + P1(t, i) - P2(b, j), with P1, P2 the letter counts of the
+    children before t' and b'.  One merge sweep per state walks the
+    overlapping children of t and b in order of their right edges.  The
+    comparison it steps by, the sign of <w, E> for E = D' + e_t' - e_b', is
+    right(t') - right(b') and is also the child's read-off:
+
+    - <w, E> < 0: the cut right(t') falls inside b'; the discrepancy there is
+      (D' + e_t')[tracked];
+    - <w, E> = 0: the cut is the right edge of b', which counts: E[tracked];
+    - <w, E> > 0: b' ends before the cut; the state gives no value.
+
+    Every top-tile cut lies in exactly one bottom tile's (left, right], so a
+    round's values are the distinct discrepancies at all of its top-tile
+    prefixes.  Aligned equal tiles (x, x, 0) with equal images have aligned
+    equal children, decided without a sign; so the filter image is built on
+    the first round whose rows differ."""
+    rules1, rules2, matrix = top.rules, bottom.rules, top.matrix()
+    zero = (0,) * top.size
+    tables = {}
+
+    def table(t, b):
+        # for children i of t and j of b: the vectors P1(t, i) - P2(b, j),
+        # their filter images and their filter margins
+        if (t, b) not in tables:
+            p1, p2 = _prefix_counts(rules1[t], zero), _prefix_counts(rules2[b], zero)
+            vec = [[tuple(map(sub, u, v)) for v in p2] for u in p1]
+            image = [[sum(map(mul, x, widths.scaled)) for x in row] for row in vec]
+            margin = [[sum(map(abs, x)) for x in row] for row in vec]
+            tables[t, b] = (vec, image, margin)
+        return tables[t, b]
+
+    states = {(seed, seed, zero)}
+    for _ in range(k):
+        children, values = set(), set()
+        for t, b, d in states:
+            kids1, kids2 = rules1[t], rules2[b]
+            if t == b and d == zero and kids1 == kids2:
+                children.update((x, x, zero) for x in kids1)
+                values.add(0)
+                continue
+            vec, image, margin = table(t, b)
+            base = tuple(sum(map(mul, row, d)) for row in matrix)
+            base_image = sum(map(mul, base, widths.scaled))
+            base_margin = sum(map(abs, base))
+
+            def sign(i, j):
+                # sign of <w, base + vec[i][j]>; the sum of the two margins
+                # bounds the vector's own, which is built only when needed
+                s = base_image + image[i][j]
+                u = base_margin + margin[i][j]
+                if s > u:
+                    return 1
+                if s < -u:
+                    return -1
+                return widths.sign(tuple(map(add, base, vec[i][j])), s)
+
+            # skip the children that end at or before the other parent starts
+            i = j = 0
+            while sign(0, j + 1) >= 0:
+                j += 1
+            while sign(i + 1, 0) <= 0:
+                i += 1
+            p, q = len(kids1), len(kids2)
+            while i < p and j < q:
+                s = sign(i + 1, j + 1)
+                children.add((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
+                if s <= 0:
+                    values.add(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
+                    i += 1
+                if s >= 0:
+                    j += 1
+        states = children
+        yield tuple(sorted(values))
 
 
 def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
@@ -126,7 +229,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
 
     Requires equal alphabets and equal abelianizations (the rows must span
     the same exact interval each round).  The offset modulus defaults to the
-    widest tile."""
+    widest tile.  ``max_word_len`` caps the row length, which is computed
+    from the letter lengths; no row is built."""
     if k < 1:
         raise ValidationError("need at least one round")
     if top.alphabet != bottom.alphabet:
@@ -145,18 +249,15 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise ValidationError("offset modulus must be positive")
 
     unit_shift = widths[tracked_letter]
-    scan_widths = _ScanWidths(widths)
+    rounds = _discrepancy_rounds(top, bottom, seed, k, _ScanWidths(widths), tracked_letter)
     # the same discrepancy values recur round after round: reduce each once
     reduced = {}
     steps = []
-    wt = wb = (seed,)
-    for rnd in range(1, k + 1):
-        wt = top.apply(wt)
-        wb = bottom.apply(wb)
-        if len(wt) > max_word_len:
+    for rnd, lengths in enumerate(islice(top.image_lengths(), 1, k + 1), 1):
+        length = lengths[seed]
+        if length > max_word_len:
             raise ResourceCapError(f"boundary trace exceeded the {max_word_len}-letter word cap")
-        ds = _prefix_discrepancies(wt, wb, scan_widths, tracked_letter)
-        ms = tuple(sorted(set(ds)))
+        ms = next(rounds)
         for m in ms:
             if m not in reduced:
                 o = mod_reduce(unit_shift * m, modulus)
@@ -165,9 +266,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         steps.append(
             BoundaryStep(
                 round=rnd,
-                top=wt,
-                bottom=wb,
-                prefix_discrepancies=ds,
+                top=Row(top, seed, rnd, length),
+                bottom=Row(bottom, seed, rnd, length),
                 offsets=offsets,
                 discrepancy_values=ms,
             )
@@ -293,16 +393,19 @@ def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
                                          max_word_len=max_word_len))
 
 
-def classify_trace(trace):
+def classify_trace(trace, spectral=None):
     """classify_boundary on an existing trace, which must start from seed
-    letter 0; the cap is its number of rounds."""
+    letter 0; the cap is its number of rounds.  ``spectral`` is the
+    SpectralKind of the top substitution's matrix when the caller already
+    has it."""
     if trace.seed != 0:
         raise ValidationError("classification is defined on the trace from seed letter 0")
     cap = len(trace.steps)
     maxes = trace.max_abs_by_round()
     growth = discrepancy_growth(trace)
     per_round = tuple(len(s.offsets) for s in trace.steps)
-    spectral = spectral_classify(trace.top_sub.matrix()).kind
+    if spectral is None:
+        spectral = spectral_classify(trace.top_sub.matrix()).kind
 
     all_offsets = set()
     for s in trace.steps:

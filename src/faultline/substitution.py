@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import add, mul
 
@@ -118,14 +118,21 @@ class Substitution:
         counts = [0] * self.size
         for i in word:
             counts[i] += 1
-        m = self.matrix()
-        for _ in range(k):
-            counts = [sum(map(mul, row, counts)) for row in m]
-            if sum(counts) > max_len:
+        for lengths in islice(self.image_lengths(), 1, k + 1):
+            if sum(map(mul, counts, lengths)) > max_len:
                 raise ResourceCapError(f"iterate would exceed {max_len} letters")
         for _ in range(k):
             word = self.apply(word)
         return word
+
+    def image_lengths(self):
+        """Yield the tuple of |self^j(x)| over the letters x for j = 0, 1,
+        2, ..., by |self^(j+1)(x)| = sum of |self^j(y)| over the letters y of
+        the rule of x; no word is built."""
+        lengths = (1,) * self.size
+        while True:
+            yield lengths
+            lengths = tuple(sum(lengths[y] for y in rule) for rule in self.rules)
 
     def rule(self, letter):
         if isinstance(letter, str):

@@ -65,6 +65,63 @@ def shuffled_twin(rng, s):
     return Substitution(s.alphabet, rules)
 
 
+# The per-letter prefix scan that ``fault._discrepancy_rounds`` (overlap
+# states) replaced, kept verbatim as the oracle of the word-free trace.
+
+def scan_prefix_discrepancies(top, bottom, widths, tracked):
+    """Tracked-letter count difference at each top-tile boundary, bottom side
+    cut at the same exact position (tiles whose right edge is <= the cut).
+    ``widths`` is a ``_ScanWidths``.
+
+    The scan keeps the count difference delta (top minus bottom), its
+    scaled-integer image t = sum(delta[i] * scaled[i]) and the filter's error
+    margin sum(|delta[i]|), each updated in O(1) per letter.  A bottom tile is
+    taken when the cut minus its right edge, sum(delta[i] * widths[i]) after
+    the tentative step, is >= 0.  The filter decides that sign whenever t lies
+    outside the margin; an all-zero delta (margin 0) is an exact tie; only the
+    rest goes to the exact sign of sum(delta[i] * vectors[i])."""
+    if top == bottom:
+        return tuple([0] * len(top))
+    field, vectors, scaled = widths.field, widths.vectors, widths.scaled
+    delta = [0] * len(vectors)
+
+    def exact_sign():
+        return field.sign([sum(d * v[j] for d, v in zip(delta, vectors))
+                           for j in range(field.degree)])
+
+    t = margin = 0
+    out = []
+    ib, nb = 0, len(bottom)
+    for letter in top:
+        d = delta[letter]
+        delta[letter] = d + 1
+        t += scaled[letter]
+        margin += 1 if d >= 0 else -1
+        # advance the bottom pointer while its next right edge stays <= cut
+        while ib < nb:
+            b = bottom[ib]
+            d = delta[b]
+            tb = t - scaled[b]
+            mb = margin + 1 if d <= 0 else margin - 1
+            delta[b] = d - 1
+            if tb < -mb or (tb <= mb and mb and exact_sign() < 0):
+                delta[b] = d
+                break
+            t, margin = tb, mb
+            ib += 1
+        out.append(delta[tracked])
+    return tuple(out)
+
+
+def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked):
+    """``fault._discrepancy_rounds`` on materialised rows: each round applies
+    both substitutions to the previous words and scans every letter."""
+    wt = wb = (seed,)
+    for _ in range(k):
+        wt, wb = top.apply(wt), bottom.apply(wb)
+        yield tuple(sorted(set(scan_prefix_discrepancies(wt, wb, widths, tracked))))
+
+
 def rng_for(name):
     return random.Random(f"faultline-{name}")
 

@@ -26,6 +26,7 @@ from faultline.documents import bundled_document
 from faultline.dpv import cochain_limits, cohomology, compute_nu, essential_vertices
 from faultline.fault import (
     BoundaryKind,
+    _ScanWidths,
     boundary_trace,
     classify_boundary,
     discrepancy_growth,
@@ -33,7 +34,7 @@ from faultline.fault import (
 from faultline.render import generate_patch
 from faultline.substitution import SpectralKind, Substitution
 
-from conftest import random_substitution, rng_for, shuffled_twin
+from conftest import random_substitution, rng_for, scan_prefix_discrepancies, shuffled_twin
 
 MU = "Z[1/L:x^2-x-3]"
 
@@ -244,9 +245,10 @@ def test_criterion_10b_discrepancy_oracle():
         st = trace.steps[-1]
         if len(st.top) > 140:
             continue
-        assert list(st.prefix_discrepancies) == naive_discrepancies(
-            st.top, st.bottom, trace.widths, 0
-        )
+        top, bottom = tuple(st.top), tuple(st.bottom)
+        want = naive_discrepancies(top, bottom, trace.widths, 0)
+        assert list(scan_prefix_discrepancies(top, bottom, _ScanWidths(trace.widths), 0)) == want
+        assert st.discrepancy_values == tuple(sorted(set(want)))
         cases += 1
     ok("criterion 10b: 200 prefix-discrepancy traces against the naive scanner")
 

@@ -19,8 +19,10 @@ from faultline.cli import alg_json, main
 from faultline.documents import bundled_document, bundled_expected, bundled_names, load_document
 from faultline.dpv import cohomology
 from faultline.errors import ValidationError
-from faultline.fault import classify_boundary
+from faultline.fault import _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
+
+from conftest import scan_discrepancy_rounds
 
 
 def run_cli(*argv):
@@ -288,6 +290,52 @@ def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
     assert json.loads(counted)["classification"] == cls.kind.value
     if seed == "a":
         assert run_cli(*argv[:-2])[1] == plain
+
+
+@pytest.mark.parametrize("seed", ["a", "b"])
+def test_fault_builds_no_word(monkeypatch, seed):
+    # the report reads the rows only through their lengths and 77-letter
+    # prefixes, which the row views give without applying a substitution
+    traces, applied = [], []
+    trace = cli.boundary_trace
+    monkeypatch.setattr(cli, "boundary_trace",
+                        lambda *a, **k: traces.append(trace(*a, **k)) or traces[-1])
+    apply = Substitution.apply
+    monkeypatch.setattr(Substitution, "apply", lambda s, w: applied.append(w) or apply(s, w))
+    code, _ = run_cli("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                      "--bottom", "sigma2", "--seed", seed)
+    assert code == 0 and len(traces) == {"a": 1, "b": 2}[seed]
+    assert not applied
+    monkeypatch.undo()
+    for tr in traces:
+        for st in tr.steps:
+            top = tr.top_sub.iterate((tr.seed,), st.round)
+            bottom = tr.bottom_sub.iterate((tr.seed,), st.round)
+            assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
+            assert (st.top[:77], st.bottom[:77]) == (top[:77], bottom[:77])
+
+
+def test_fault_traces_past_any_materialisable_row(tmp_path):
+    # 24 rounds of the paper pair: 452,841,761 letters per row, which only
+    # the letter lengths ever see
+    argv = ["fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
+            "--rounds", "24", "--max-word-len", "1000000000"]
+    outs = []
+    for i in range(2):
+        path = tmp_path / f"deep{i}.json"
+        assert main(argv + ["-o", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    rows = json.loads(outs[0])["rounds"]
+    assert len(rows) == 24
+    doc = bundled_document("doubling_swap")
+    s1, s2 = doc.substitution("sigma1"), doc.substitution("sigma2")
+    trace = boundary_trace(s1, s2, "a", 24, max_word_len=10 ** 9)
+    assert len(trace.steps[-1].top) == 452841761
+    widths = _ScanWidths(s1.tile_lengths())
+    oracle = list(scan_discrepancy_rounds(s1, s2, 0, 12, widths, 0))
+    assert [st.discrepancy_values for st in trace.steps[:12]] == oracle
+    assert [row["max_discrepancy"] for row in rows] == list(trace.max_abs_by_round())
 
 
 @pytest.mark.parametrize("key, value", [

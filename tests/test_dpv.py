@@ -2,6 +2,7 @@
 
 import pytest
 
+from faultline import dpv
 from faultline.abelian import recognize
 from faultline.documents import bundled_document
 from faultline.dpv import (
@@ -13,7 +14,7 @@ from faultline.dpv import (
     essential_vertices,
     validate_dpv,
 )
-from faultline.errors import ValidationError
+from faultline.errors import ResourceCapError, ValidationError
 from faultline.fault import BoundaryKind
 from faultline.substitution import Substitution
 
@@ -125,6 +126,53 @@ def test_essential_vertices_thirds(thirds):
     for vb in ev.vertices:
         if vb.kind is BoundaryKind.RIGID:
             assert sorted(vb.top_sigmas) == sorted(vb.bottom_sigmas)
+
+
+def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
+    # composite boundary matrices repeat across the boundaries of one call;
+    # each distinct one is classified once, and every boundary gets the kind
+    # a fresh classification of its matrix gives
+    calls, classified = [], []
+    classify = dpv.spectral_classify
+    monkeypatch.setattr(dpv, "spectral_classify", lambda m: calls.append(m) or classify(m))
+    classify_trace = dpv.classify_trace
+    monkeypatch.setattr(dpv, "classify_trace", lambda trace, kind: classified.append(
+        (trace.top_sub.matrix(), kind)) or classify_trace(trace, kind))
+    rng = rng_for("spectral-once")
+    family = (Substitution(["a", "b"], {"a": "ba", "b": "aaa"}),
+              Substitution(["a", "b"], {"a": "ab", "b": "aaa"}))
+    docs = [bundled_document(name).dpv for name in ("doubling_swap", "period_doubling", "row_thirds")]
+    for _ in range(12):
+        rho = random_substitution(rng, rng.choice((2, 3)), max_len=2)
+        docs.append(DPVSubstitution(rho, family, tuple(
+            tuple(rng.randrange(2) for _ in r) for r in rho.rules)))
+    saved = done = 0
+    for d in docs:
+        calls.clear()
+        classified.clear()
+        try:
+            essential_vertices(d, cap=8)
+        except ResourceCapError:   # a junction cycle too long for 4 rounds
+            continue
+        done += 1
+        assert len(calls) == len(set(calls)) == len({m for m, _ in classified})
+        assert all(kind is classify(m).kind for m, kind in classified)
+        saved += len(classified) - len(calls)
+    assert done >= 8 and saved > 0
+
+
+def test_feasible_cap_matches_built_words():
+    rng = rng_for("feasible-cap")
+    for _ in range(20):
+        s = random_substitution(rng, rng.choice((2, 3)))
+        cap, max_len = rng.randint(4, 9), rng.randint(10, 400)
+        longest = [max(len(s.iterate((x,), r)) for x in range(s.size)) for r in range(cap + 1)]
+        rounds = next((r - 1 for r in range(1, cap + 1) if longest[r] > max_len), cap)
+        if rounds < 4:
+            with pytest.raises(ResourceCapError, match=f"under the {max_len}-letter cap"):
+                dpv._feasible_cap(s, cap, max_len)
+        else:
+            assert dpv._feasible_cap(s, cap, max_len) == rounds
 
 
 def test_compute_mu_nu(doubling_swap, pd_dpv):

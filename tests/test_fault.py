@@ -2,17 +2,20 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faultline import fault
 from faultline.algebra import AlgebraicNumber, NumberField
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
     BoundaryKind,
+    Row,
     _ScanWidths,
+    _discrepancy_rounds,
     _enclosure,
-    _prefix_discrepancies,
     boundary_trace,
     classify_boundary,
     classify_trace,
@@ -22,7 +25,13 @@ from faultline.fault import (
 )
 from faultline.substitution import Substitution
 
-from conftest import random_substitution, rng_for, shuffled_twin
+from conftest import (
+    random_substitution,
+    rng_for,
+    scan_discrepancy_rounds,
+    scan_prefix_discrepancies,
+    shuffled_twin,
+)
 
 PAIRS_EQ1 = [
     ("ba", "ab"),
@@ -100,6 +109,11 @@ def reference_prefix_discrepancies(top, bottom, widths, tracked):
     return tuple(out)
 
 
+def distinct(discrepancies):
+    """A round's ``discrepancy_values`` from its per-prefix discrepancies."""
+    return tuple(sorted(set(discrepancies)))
+
+
 def constant_length_substitution(rng, n_letters, length):
     """Random primitive substitution whose images all have one length, so
     the tile widths are rational and equal positions are common."""
@@ -127,18 +141,20 @@ def test_scan_matches_reference_and_naive(seed, n_letters, constant_length):
     start = (rng.randrange(n_letters),)
     wt, wb = s.apply(start), t.apply(start)
     scan = _ScanWidths(widths)
+    rounds = _discrepancy_rounds(s, t, start[0], 300, scan, tracked)
     while len(wt) <= 300:
-        fast = _prefix_discrepancies(wt, wb, scan, tracked)
-        assert fast == reference_prefix_discrepancies(wt, wb, widths, tracked)
+        oracle = scan_prefix_discrepancies(wt, wb, scan, tracked)
+        assert oracle == reference_prefix_discrepancies(wt, wb, widths, tracked)
         if len(wt) <= 30:
-            assert list(fast) == naive_discrepancies(wt, wb, widths, tracked)
+            assert list(oracle) == naive_discrepancies(wt, wb, widths, tracked)
+        assert next(rounds) == distinct(oracle)
         wt, wb = s.apply(wt), t.apply(wb)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4))
 def test_scan_decided_by_exact_signs_alone(seed, n_letters):
-    # A zero filter image sends every step with a nonzero delta to the exact
+    # A zero filter image sends every sign of a nonzero vector to the exact
     # fallback, which the true image almost never reaches except on ties.
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
@@ -147,10 +163,12 @@ def test_scan_decided_by_exact_signs_alone(seed, n_letters):
     scan = _ScanWidths(widths)
     scan.scaled = [0] * n_letters
     tracked = rng.randrange(n_letters)
+    rounds = _discrepancy_rounds(s, t, 0, 120, scan, tracked)
     wt, wb = s.apply((0,)), t.apply((0,))
     while len(wt) <= 120:
-        assert (_prefix_discrepancies(wt, wb, scan, tracked)
-                == reference_prefix_discrepancies(wt, wb, widths, tracked))
+        want = reference_prefix_discrepancies(wt, wb, widths, tracked)
+        assert scan_prefix_discrepancies(wt, wb, scan, tracked) == want
+        assert next(rounds) == distinct(want)
         wt, wb = s.apply(wt), t.apply(wb)
 
 
@@ -165,11 +183,12 @@ def test_scan_resolves_exact_ties_on_rational_widths(monkeypatch):
     sign = NumberField.sign
     monkeypatch.setattr(NumberField, "sign",
                         lambda field, nums: signs.append(sign(field, nums)) or signs[-1])
-    fast = _prefix_discrepancies(wt, wb, _ScanWidths(widths), 0)
+    fast = list(_discrepancy_rounds(s, t, 0, 3, _ScanWidths(widths), 0))[-1]
     assert signs and set(signs) == {0}
-    assert fast == reference_prefix_discrepancies(wt, wb, widths, 0)
-    assert list(fast) == naive_discrepancies(wt, wb, widths, 0)
-    assert set(fast) == {-1, 0, 1}
+    want = reference_prefix_discrepancies(wt, wb, widths, 0)
+    assert scan_prefix_discrepancies(wt, wb, _ScanWidths(widths), 0) == want
+    assert list(want) == naive_discrepancies(wt, wb, widths, 0)
+    assert fast == distinct(want) == (-1, 0, 1)
 
 
 def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
@@ -179,15 +198,16 @@ def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
               Substitution(["a", "b"], {"a": "ba", "b": "ab"}), 4)]
     for s, t, k in pairs:
         widths = _ScanWidths(s.tile_lengths())
-        wt, wb = s.iterate("a", k), t.iterate("a", k)
         built = []
         init = AlgebraicNumber.__init__
         monkeypatch.setattr(AlgebraicNumber, "__init__",
                             lambda x, *a: built.append(a) or init(x, *a))
-        fast = _prefix_discrepancies(wt, wb, widths, 0)
+        fast = list(_discrepancy_rounds(s, t, 0, k, widths, 0))
         monkeypatch.undo()
         assert not built
-        assert fast == reference_prefix_discrepancies(wt, wb, s.tile_lengths(), 0)
+        for r, values in enumerate(fast, 1):
+            wt, wb = s.iterate("a", r), t.iterate("a", r)
+            assert values == distinct(reference_prefix_discrepancies(wt, wb, s.tile_lengths(), 0))
 
 
 def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
@@ -207,8 +227,46 @@ def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
 
 
 def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):
-    for st_ in boundary_trace(sigma1, sigma2, "b", 8).steps:
-        assert st_.max_abs_discrepancy == max(abs(d) for d in st_.prefix_discrepancies)
+    trace = boundary_trace(sigma1, sigma2, "b", 8)
+    scan = _ScanWidths(trace.widths)
+    for st_ in trace.steps:
+        ds = scan_prefix_discrepancies(tuple(st_.top), tuple(st_.bottom), scan, 0)
+        assert st_.max_abs_discrepancy == max(abs(d) for d in ds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), k=st.integers(1, 7))
+def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
+    # every printed enclosure is read at the field's refinement after the
+    # trace, so the state path must leave each root interval where the scan
+    # of the materialised rows left it
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+    fast = boundary_trace(s, t, start, k, tracked_letter=tracked)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fault, "_discrepancy_rounds", scan_discrepancy_rounds)
+        slow = boundary_trace(s, t, start, k, tracked_letter=tracked)
+    assert fast.widths[0].field.root_ints == slow.widths[0].field.root_ints
+    for a, b in zip(fast.steps, slow.steps):
+        assert a.discrepancy_values == b.discrepancy_values
+        assert [o.coeffs for o in a.offsets] == [o.coeffs for o in b.offsets]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(1, 4), k=st.integers(0, 6),
+       cut=st.integers(-3, 90), step=st.sampled_from([None, 1, 2]))
+def test_row_view_reads_the_materialised_word(seed, n_letters, k, cut, step):
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters, primitive=False)
+    start = rng.randrange(n_letters)
+    word = s.iterate((start,), k)
+    row = Row(s, start, k, next(islice(s.image_lengths(), k, None))[start])
+    assert len(row) == len(word)
+    assert tuple(row) == word
+    assert row[:cut:step] == word[:cut:step]
+    assert row[cut::step] == word[cut::step]
 
 
 def coarse_field():
@@ -259,7 +317,7 @@ def test_trace_reproduces_displayed_pairs(sigma1, sigma2):
 def test_trace_identical_rows(sigma1):
     trace = boundary_trace(sigma1, sigma1, "a", 5)
     for s in trace.steps:
-        assert set(s.prefix_discrepancies) == {0}
+        assert s.discrepancy_values == (0,)
         assert len(s.offsets) == 1 and s.offsets[0].is_zero()
 
 
@@ -283,9 +341,9 @@ def test_trace_row_widths_agree(sigma1, sigma2):
 def test_trace_matches_naive_scanner(sigma1, sigma2):
     trace = boundary_trace(sigma1, sigma2, "a", 5)
     for s in trace.steps:
-        assert list(s.prefix_discrepancies) == naive_discrepancies(
-            s.top, s.bottom, trace.widths, 0
-        )
+        assert s.discrepancy_values == distinct(naive_discrepancies(
+            tuple(s.top), tuple(s.bottom), trace.widths, 0
+        ))
 
 
 def test_trace_hypothesis_errors(sigma1):
@@ -304,6 +362,16 @@ def test_trace_hypothesis_errors(sigma1):
 def test_trace_word_cap(sigma1, sigma2):
     with pytest.raises(ResourceCapError):
         boundary_trace(sigma1, sigma2, "a", 12, max_word_len=1000)
+
+
+def test_trace_word_cap_trips_at_the_first_long_row(sigma1, sigma2):
+    for cap in (2, 5, 25, 26, 27, 1000):
+        # round k is the first whose rows pass the cap
+        k = next(k for k in range(1, 20) if len(sigma1.iterate("a", k)) > cap)
+        boundary_trace(sigma1, sigma2, "a", k - 1, max_word_len=cap)
+        with pytest.raises(ResourceCapError,
+                           match=f"^boundary trace exceeded the {cap}-letter word cap$"):
+            boundary_trace(sigma1, sigma2, "a", k, max_word_len=cap)
 
 
 def test_growth_near_second_eigenvalue(sigma1, sigma2):

@@ -3,6 +3,7 @@ legal words, shift conjugacy, tile lengths."""
 
 import random
 import warnings
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,22 @@ def test_iterate_composes(sigma1):
 def test_iterate_word_cap(sigma1):
     with pytest.raises(ResourceCapError):
         sigma1.iterate("a", 30, max_len=10 ** 4)
+
+
+def test_image_lengths_match_iterated_words():
+    # the letter lengths are the lengths of the built images, and the
+    # iterate cap trips exactly when the built word would pass it
+    rng = rng_for("image-lengths")
+    for _ in range(20):
+        s = random_substitution(rng, rng.choice((1, 2, 3)), primitive=False)
+        word = tuple(rng.randrange(s.size) for _ in range(rng.randint(1, 3)))
+        for k, lengths in enumerate(islice(s.image_lengths(), 6)):
+            assert lengths == tuple(len(s.iterate((x,), k)) for x in range(s.size))
+            n = sum(lengths[x] for x in word)
+            assert len(s.iterate(word, k, max_len=n)) == n
+            if k:
+                with pytest.raises(ResourceCapError, match=f"exceed {n - 1} letters"):
+                    s.iterate(word, k, max_len=n - 1)
 
 
 def test_abelianization_examples(sigma1, period_doubling):

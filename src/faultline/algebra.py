@@ -2,15 +2,13 @@
 
 Polynomials are tuples of coefficients in *ascending* degree order.  Ring
 operations are carried out over ``fractions.Fraction``; nothing stored here is
-ever a float.  Real-root isolation and factorization over Q run in pure-int
-code (``zpoly``): the real-root intervals are the ones sympy's
-continued-fraction isolation returns, so every enclosure bisected from them
-is too.  Only the isolation of non-real roots, which spectral classification
-needs for irreducible factors of degree >= 3 with such roots, still calls
-sympy, imported inside ``isolate_complex_roots``.  Everything downstream of
-isolation (refinement, comparison, modular reduction) is implemented here
-with exact rational intervals, evaluated by one integer Horner routine over
-a common denominator (``horner_interval``).
+ever a float.  Root isolation and factorization over Q run in pure-int code
+(``zpoly``), which this module re-exports: the real-root intervals and the
+complex-root rectangles are the ones sympy's continued-fraction and
+Collins-Krandick isolation return, so every enclosure built from them is too.
+Everything downstream of isolation (refinement, comparison, modular
+reduction) is implemented here with exact rational intervals, evaluated by one
+integer Horner routine over a common denominator (``horner_interval``).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .zpoly import irreducible_factors, isolate_real_roots
+from .zpoly import irreducible_factors, isolate_complex_roots, isolate_real_roots
 
 _MAX_REFINE = 4096  # bisection guard; never reached for nonzero values
 
@@ -165,30 +163,6 @@ def poly_str(a):
 def is_irreducible(a):
     fs = irreducible_factors(a)
     return len(fs) == 1 and fs[0][1] == 1 and pdeg(fs[0][0]) == pdeg(ptrim(a))
-
-
-def isolate_complex_roots(a, eps):
-    """Isolating rectangles for the complex (non-real) roots of a squarefree
-    integer polynomial: list of ((re_lo, im_lo), (re_hi, im_hi)).  Only
-    irreducible factors of degree >= 3 with non-real roots reach this, so
-    sympy's Collins-Krandick isolation is imported here, not at start-up."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-
-    dup = [ZZ(int(c)) for c in reversed(ptrim(a))]
-    if len(dup) <= 2:
-        return []
-    out = []
-    for (a0, b0), (a1, b1) in dup_isolate_complex_roots_sqf(dup, ZZ, eps=eps):
-        out.append(
-            (
-                (Fraction(int(a0.numerator), int(a0.denominator)),
-                 Fraction(int(b0.numerator), int(b0.denominator))),
-                (Fraction(int(a1.numerator), int(a1.denominator)),
-                 Fraction(int(b1.numerator), int(b1.denominator))),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

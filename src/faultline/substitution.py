@@ -344,14 +344,14 @@ def spectral_classify(m, precision_bits=64):
             lo, hi = root_interval(msq, 2, width)
             moduli.append(_Modulus(lo, hi, exact=Fraction(1) if msq == 1 else None))
             continue
-        # general case: certified rectangles, refined while any straddles |z| = 1
+        # general case: certified rectangles for the upper half-plane, refined
+        # while any straddles |z| = 1
         eps = Fraction(1, 2 ** 16)
-        while True:
-            rects = [r for r in isolate_complex_roots(fac, eps=eps) if r[1][1] > 0]
-            straddle = any(lo_sq <= 1 <= hi_sq for lo_sq, hi_sq in map(_rect_modulus_sq, rects))
-            if not straddle or eps <= width:
-                break
+        rects = isolate_complex_roots(fac, eps)
+        while eps > width and any(lo_sq <= 1 <= hi_sq
+                                  for lo_sq, hi_sq in map(_rect_modulus_sq, rects)):
             eps = max(eps * eps, width)
+            rects = rects.refined(eps)
         for rect in rects:
             lo_sq, hi_sq = _rect_modulus_sq(rect)
             lo, _ = root_interval(lo_sq, 2, width)

@@ -1,7 +1,8 @@
-"""Integer polynomials: real-root isolation and factorization over Z.
+"""Integer polynomials: root isolation and factorization over Z.
 
-``isolate_real_roots`` and ``irreducible_factors``, which ``algebra``
-exports, in pure-int code; nothing here imports sympy.
+``isolate_real_roots``, ``isolate_complex_roots`` and
+``irreducible_factors``, which ``algebra`` exports, in pure-int code; nothing
+here imports sympy.
 
 * Real roots are isolated by the Vincent-Akritas-Strzebonski continued
   fraction method (Akritas and Strzebonski, "A comparative study of two real
@@ -17,6 +18,9 @@ exports, in pure-int code; nothing here imports sympy.
   and higher degrees by Zassenhaus (distinct- and equal-degree factorization
   mod a small prime, Hensel lifting, recombination under the Mignotte bound).
   This part works on ascending coefficient lists, like ``algebra``.
+* Non-real roots are isolated by Collins-Krandick bisection, which gives
+  sympy's ``dup_isolate_complex_roots_sqf`` rectangles; see the section at
+  the end.
 """
 
 from __future__ import annotations
@@ -590,3 +594,363 @@ def _gf_edf(f, d, p, rng):
         if 1 < len(g) < len(f):
             return (_gf_edf(g, d, p, rng)
                     + _gf_edf(_gf_divmod(f, g, p)[0], d, p, rng))
+
+
+# ---------------------------------------------------------------------------
+# complex-root isolation (ascending coefficient lists)
+# ---------------------------------------------------------------------------
+#
+# Collins-Krandick bisection as sympy's ``dup_isolate_complex_roots_sqf``
+# runs it.  Its rectangles depend only on the bound B, on eps and on the
+# number of roots in each rectangle it meets, so any exact count gives the
+# same ones.  The count is the winding number of f around the rectangle,
+# read off the sequence of half-axes and quadrants that f(z) visits along
+# each edge.  An edge lies on a line z = p0 + T d, T in [0, 1]; the roots of
+# Re f * Im f on the line are isolated once, by Descartes' rule of signs, and
+# each edge of a child rectangle is a dyadic piece of a line of its parent.
+# Everything runs in the plane scaled by 1/B, where every corner is dyadic.
+
+# positions of f(z) in eighths of a turn from the positive real axis: the
+# half-axes A1..A4 are 0, 2, 4, 6 and the open quadrants Q1..Q4 are 1, 3, 5,
+# 7; _OO is f(z) = 0
+_OO = None
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+# what a count leaves out, for the edges S, E, N, W and for the corners where
+# they start (SW, SE, NE, NW): a rectangle is [u, s) x (v, t], so it keeps
+# its W and N edges and its NW corner, and the two halves of a rectangle
+# part its roots between them
+_EDGES_OUT = (1, 1, 0, 0)
+_CORNERS_OUT = (1, 1, 1, 0)
+
+
+def _sign_at(f, x):
+    """Sign of f(x) for an integer polynomial f and a Fraction x."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _position(re, im):
+    if re > 0:
+        return 0 if not im else 1 if im > 0 else 7
+    if re < 0:
+        return 4 if not im else 3 if im > 0 else 5
+    return _OO if not im else 2 if im > 0 else 6
+
+
+def _turn(p, q, origin, excluded):
+    """The turn of f, in eighths, from position p to position q, passing
+    through 0 when `origin`.  A step of one eighth, or of a quarter between
+    open quadrants, is a plain turn.  Any other step passed through or beside
+    a root on the boundary; it counts counterclockwise (2 to 9 eighths) when
+    that root is inside, and the other way round when it is `excluded`."""
+    d = (q - p) % 8
+    if not origin and (d in (0, 1, 7) or (p & 1 and d in (2, 6))):
+        return d if d < 4 else d - 8
+    if d < 2:
+        d += 8
+    return d - 8 if excluded else d
+
+
+def _count(edges):
+    """Roots of f in a rectangle, from the position sequences of its edges
+    S, E, N, W in counterclockwise order."""
+    seqs = [e.seq() for e in edges]
+    total = 0
+    for i, seq in enumerate(seqs):
+        if not seq:
+            continue
+        if seq[-1] is _OO:
+            seq = seq[:-1]
+        if seq[0] is _OO:
+            seq = seq[1:]
+            total += _turn(seqs[i - 1][-2], seq[0], True, _CORNERS_OUT[i])
+        p, k = seq[0], 1
+        while k < len(seq):
+            origin = seq[k] is _OO
+            k += origin
+            total += _turn(p, seq[k], origin, _EDGES_OUT[i])
+            p, k = seq[k], k + 1
+    return total // 8
+
+
+def _unit_roots(f, depth=None):
+    """The roots in [0, 1] of an integer polynomial f (ascending), by
+    Descartes' rule of signs and bisection (Collins and Akritas, "Polynomial
+    real root isolation using Descartes' rule of signs", SYMSAC 1976): sorted
+    items (a, b), with a == b for a root at a dyadic point and otherwise an
+    open dyadic interval with one simple root and no root at either end.
+
+    The bisection ends only for squarefree f.  With `depth`, it gives up and
+    returns None instead of bisecting below 2^-depth."""
+    out = []
+    if not f[0]:
+        out.append((_ZERO, _ZERO))
+    if not sum(f):
+        out.append((_ONE, _ONE))
+    # (k, j, q): q (descending) is f on [k / 2^j, (k + 1) / 2^j] mapped to [0, 1]
+    stack = [(0, 0, f[::-1])]
+    while stack:
+        k, j, q = stack.pop()
+        v = _sign_variations(_shift(q[::-1], 1))
+        if not v:
+            continue
+        if v == 1 and q[-1] and sum(q):
+            out.append((Fraction(k, 1 << j), Fraction(k + 1, 1 << j)))
+            continue
+        if j == depth:
+            return None
+        left = [c << i for i, c in enumerate(q)]
+        right = _shift(left, 1)
+        if not right[-1]:
+            mid = Fraction(2 * k + 1, 1 << (j + 1))
+            out.append((mid, mid))
+        stack.append((2 * k, j + 1, left))
+        stack.append((2 * k + 1, j + 1, right))
+    return sorted(out)
+
+
+def _content_free(f):
+    """f over its content, trimmed; unlike ``_primitive`` the signs stay."""
+    g = 0
+    for c in f:
+        g = gcd(g, c)
+    f = [c // g for c in f] if g > 1 else list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _common_part(a, b):
+    """The squarefree part of gcd(a, b), or None when it is constant."""
+    g = _gcd(a, b)
+    if len(g) == 1:
+        return None
+    h = _gcd(g, _deriv(g))
+    return _divides(g, h) if len(h) > 1 else g
+
+
+class _Line:
+    """f along the segment x0 + i y0 + T d, T in [0, 1], with d = length or
+    i * length: Re f and Im f as integer polynomials in T, each up to a
+    positive factor, and the roots of their product in [0, 1] as items of
+    ``_unit_roots``."""
+
+    __slots__ = ("re", "im", "prod", "roots", "zeros")
+
+    def __init__(self, g, x0, y0, length, vertical):
+        den = max(x0.denominator, y0.denominator, length.denominator)
+        a, b, size = int(x0 * den), int(y0 * den), int(length * den)
+        # den^n g((W + a + i b) / den), by a Taylor shift in Z[i] ...
+        n = len(g) - 1
+        re, pw = [], 1
+        for c in reversed(g):
+            re.append(c * pw)
+            pw *= den
+        re.reverse()
+        im = [0] * (n + 1)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                r1, i1 = re[j + 1], im[j + 1]
+                re[j] += a * r1 - b * i1
+                im[j] += a * i1 + b * r1
+        # ... at W = T * size (horizontal) or W = i T * size (vertical)
+        pw = 1
+        for j in range(n + 1):
+            r, s = re[j] * pw, im[j] * pw
+            if vertical:
+                r, s = ((r, s), (-s, r), (-r, -s), (s, -r))[j % 4]
+            re[j], im[j] = r, s
+            pw *= size
+        self.re, self.im = _content_free(re), _content_free(im)
+        if not self.im:
+            prod = self.re
+        elif not self.re:
+            prod = self.im
+        else:
+            prod = _mul(self.re, self.im)
+        # zeros: a squarefree polynomial whose roots are the zeros of f in
+        # the open root intervals, or None.  Where f is real or imaginary
+        # all along the line, every root is one.  Otherwise a zero of f is a
+        # common root of Re f and Im f, so a repeated root of prod; prod is
+        # almost always squarefree in [0, 1], which the bisection shows by
+        # ending above 2^-24, and only if it does not are the repeated
+        # factors taken out and the common ones kept as zeros
+        zeros = None
+        roots = _unit_roots(prod, 24) if len(prod) > 1 else []
+        if roots is None:
+            rep = _gcd(prod, _deriv(prod))
+            prod = _divides(prod, rep) if len(rep) > 1 else prod
+            roots = _unit_roots(prod)
+            if self.re and self.im:
+                zeros = _common_part(self.re, self.im)
+        if not self.re or not self.im:
+            zeros = prod
+        self.prod, self.roots, self.zeros = prod, roots, zeros
+
+    def position(self, x):
+        return _position(_sign_at(self.re, x), _sign_at(self.im, x))
+
+    def split(self, m):
+        """Refine the root interval around m, if any, so that none has m
+        inside."""
+        for i, (a, b) in enumerate(self.roots):
+            if a < m < b:
+                sm = _sign_at(self.prod, m)
+                if not sm:
+                    self.roots[i] = (m, m)
+                elif sm != _sign_at(self.prod, a):
+                    self.roots[i] = (a, m)
+                else:
+                    self.roots[i] = (m, b)
+                return
+
+    def positions(self, lo, hi, back):
+        """The positions f visits along [lo, hi], backwards when `back`, in
+        the form of sympy's ``_intervals_to_quadrants``: the position in each
+        gap between the zeros of Re f * Im f, and between gaps the position
+        at each of those zeros found at a dyadic point, and _OO at each zero
+        of f.  [] when there is no zero."""
+        items = [(a, b) for a, b in self.roots if lo <= a and b <= hi]
+        if not items:
+            return []
+        s, t = lo, hi
+        if back:
+            items = [(b, a) for a, b in reversed(items)]
+            s, t = hi, lo
+        seq = [] if items[0] == (s, s) else [self.position(s)]
+        last = len(items) - 1
+        for i, (near, far) in enumerate(items):
+            if near != far:
+                zeros = self.zeros
+                if zeros and _sign_at(zeros, near) != _sign_at(zeros, far):
+                    seq.append(_OO)
+                gap = far
+            else:
+                seq.append(self.position(near))
+                if i < last:
+                    nxt, nxt_far = items[i + 1]
+                    gap = nxt if nxt != nxt_far else (near + nxt) / 2
+                elif near == t:
+                    break
+                else:
+                    gap = t
+            seq.append(self.position(gap))
+        return seq
+
+
+class _Edge:
+    """The piece [lo, hi] of a line, traversed backwards when `back`."""
+
+    __slots__ = ("line", "lo", "hi", "back", "_seq")
+
+    def __init__(self, line, lo, hi, back):
+        self.line, self.lo, self.hi, self.back = line, lo, hi, back
+        self._seq = None
+
+    def seq(self):
+        if self._seq is None:
+            self._seq = self.line.positions(self.lo, self.hi, self.back)
+        return self._seq
+
+    def halves(self):
+        mid = (self.lo + self.hi) / 2
+        self.line.split(mid)
+        return (_Edge(self.line, self.lo, mid, self.back),
+                _Edge(self.line, mid, self.hi, self.back))
+
+
+def _halves(g, rect):
+    """Halve (count, u, v, s, t, edges) by a vertical line when it is wider
+    than high, else by a horizontal one, as sympy's ``_vertical_bisection``
+    and ``_horizontal_bisection`` do."""
+    n, u, v, s, t, (south, east, north, west) = rect
+    if s - u > t - v:
+        x = (u + s) / 2
+        line = _Line(g, x, v, t - v, True)
+        s1, s2 = south.halves()
+        n1, n2 = north.halves()
+        a = (u, v, x, t, (s1, _Edge(line, _ZERO, _ONE, False), n1, west))
+        b = (x, v, s, t, (s2, east, n2, _Edge(line, _ZERO, _ONE, True)))
+    else:
+        y = (v + t) / 2
+        line = _Line(g, u, y, s - u, False)
+        e1, e2 = east.halves()
+        w1, w2 = west.halves()
+        a = (u, v, s, y, (south, e1, _Edge(line, _ZERO, _ONE, True), w1))
+        b = (u, y, s, t, (_Edge(line, _ZERO, _ONE, False), e2, north, w2))
+    count = _count(a[4])
+    return [(count,) + a, (n - count,) + b]
+
+
+def _small(rect, small):
+    _, u, v, s, t, _ = rect
+    return s - u < small and t - v < small
+
+
+def _descend(g, rects, small):
+    """Bisect until each rectangle that holds a root holds one and is
+    smaller than `small` both ways: the leaves."""
+    leaves = []
+    while rects:
+        for child in _halves(g, rects.pop()):
+            if child[0] == 1 and _small(child, small):
+                leaves.append(child)
+            elif child[0] >= 1:
+                rects.append(child)
+    return leaves
+
+
+class RootRectangles(list):
+    """The rectangles ((re_lo, im_lo), (re_hi, im_hi)) of
+    ``isolate_complex_roots``, with the bisection state behind them:
+    ``refined(eps)`` carries the same bisection on to a smaller eps, and so
+    gives the rectangles a fresh call with that eps would."""
+
+    def __init__(self, g=(), scale=1, leaves=()):
+        self._g, self._scale, self._leaves = g, scale, list(leaves)
+        super().__init__(sorted(((u * scale, v * scale), (s * scale, t * scale))
+                                for _, u, v, s, t, _ in self._leaves))
+
+    def refined(self, eps):
+        small = Fraction(eps) / self._scale
+        done = [r for r in self._leaves if _small(r, small)]
+        todo = [r for r in self._leaves if not _small(r, small)]
+        return RootRectangles(self._g, self._scale, done + _descend(self._g, todo, small))
+
+
+def isolate_complex_roots(f, eps):
+    """Isolating rectangles for the roots in the open upper half-plane of a
+    squarefree integer polynomial f (ascending coefficients), sorted by their
+    lower-left corners: the upper-half-plane rectangles of sympy's
+    ``dup_isolate_complex_roots_sqf`` (Collins and Krandick, "An efficient
+    algorithm for infallible polynomial complex root isolation", ISSAC 1992),
+    each narrower than eps both ways.  A rectangle (a, b) is
+    [a.re, b.re) x (a.im, b.im] and holds one root."""
+    f = [int(c) for c in f]
+    while f and not f[-1]:
+        f.pop()
+    if len(f) <= 2:
+        return RootRectangles()
+    n = len(f) - 1
+    bound = Fraction(2 * max(abs(c) for c in f), abs(f[-1]))
+    # g(w) = f(bound * w) up to a positive factor: its roots lie inside
+    # [-1, 1] x [-1, 1]
+    p, q = bound.numerator, bound.denominator
+    g = _content_free([c * p ** k * q ** (n - k) for k, c in enumerate(f)])
+    one, zero = _ONE, _ZERO
+    top = (-one, zero, one, one, (
+        _Edge(_Line(g, -one, zero, 2 * one, False), zero, one, False),
+        _Edge(_Line(g, one, zero, one, True), zero, one, False),
+        _Edge(_Line(g, -one, one, 2 * one, False), zero, one, True),
+        _Edge(_Line(g, -one, zero, one, True), zero, one, True)))
+    # sympy counts this first rectangle closed, so with the real roots, but
+    # only to stop when it holds none; the rectangles come out the same
+    count = _count(top[4])
+    if count < 1:
+        return RootRectangles()
+    return RootRectangles(g, bound, _descend(g, [(count,) + top], Fraction(eps) / bound))

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from faultline.algebra import Interval, clear_denominators, peval
+from faultline.algebra import Interval, clear_denominators, peval, ptrim
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
 
@@ -314,9 +314,10 @@ def reference_tile_lengths(s):
     return tuple(unit)
 
 
-# The sympy wrappers that ``algebra.isolate_real_roots`` and
-# ``algebra.irreducible_factors`` were before the pure-int ports in
-# ``faultline.zpoly``, kept as oracles.  sympy is imported only here.
+# The sympy wrappers that ``algebra.isolate_real_roots``,
+# ``algebra.irreducible_factors`` and ``algebra.isolate_complex_roots`` were
+# before the pure-int ports in ``faultline.zpoly``, kept as oracles.  sympy is
+# imported only here.
 
 def sympy_isolate_real_roots(a, eps=None):
     """sympy's ``dup_isolate_real_roots_sqf`` on an ascending integer
@@ -359,3 +360,27 @@ def sympy_is_squarefree(a):
     from sympy.polys.sqfreetools import dup_sqf_p
 
     return dup_sqf_p([ZZ(int(c)) for c in reversed(a)], ZZ)
+
+
+def sympy_isolate_complex_roots(a, eps):
+    """Isolating rectangles for the complex (non-real) roots of a squarefree
+    integer polynomial: list of ((re_lo, im_lo), (re_hi, im_hi)).  Only
+    irreducible factors of degree >= 3 with non-real roots reach this, so
+    sympy's Collins-Krandick isolation is imported here, not at start-up."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
+
+    dup = [ZZ(int(c)) for c in reversed(ptrim(a))]
+    if len(dup) <= 2:
+        return []
+    out = []
+    for (a0, b0), (a1, b1) in dup_isolate_complex_roots_sqf(dup, ZZ, eps=eps):
+        out.append(
+            (
+                (Fraction(int(a0.numerator), int(a0.denominator)),
+                 Fraction(int(b0.numerator), int(b0.denominator))),
+                (Fraction(int(a1.numerator), int(a1.denominator)),
+                 Fraction(int(b1.numerator), int(b1.denominator))),
+            )
+        )
+    return out

@@ -13,6 +13,7 @@ from importlib import resources
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultline import ap_complex, cli
 from faultline.cli import alg_json, main
@@ -169,6 +170,66 @@ def test_commands_without_complex_roots_do_not_load_sympy(tmp_path):
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout == "[]\n"
+
+
+# the two documents of test_report_digests whose charpolys have an
+# irreducible factor of degree >= 3 with non-real roots
+COMPLEX_ROOT_RULES = {
+    "salem": {"a": "ac", "b": "d", "c": "ab", "d": "c"},
+    "tribonacci": {"a": "ab", "b": "ac", "c": "a"},
+}
+
+
+def test_commands_with_complex_roots_load_neither_sympy_nor_numpy(tmp_path):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = str(tmp_path / "out")
+    lines = ["import sys, faultline.cli"]
+    for name, rules in COMPLEX_ROOT_RULES.items():
+        doc = {"alphabets": {"h": sorted(rules)},
+               "substitutions": {name: {"alphabet": "h", "rules": rules}}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("analyze", "ap", "mu"):
+            lines.append(f"assert faultline.cli.main([{command!r}, '-i', {str(path)!r}, "
+                         f"'--name', {name!r}, '-o', {out!r}]) == 0")
+    lines.append("print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", "; ".join(lines)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout == "[]\n"
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+LETTERS = "abcd"
+
+
+@st.composite
+def small_documents(draw):
+    """1-4 letters, each with an image of 0-4 letters, primitive or not."""
+    letters = LETTERS[:draw(st.integers(1, 4))]
+    rules = {x: "".join(draw(st.lists(st.sampled_from(letters), max_size=4)))
+             for x in letters}
+    return {"alphabets": {"x": list(letters)},
+            "substitutions": {"s": {"alphabet": "x", "rules": rules}}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=small_documents())
+def test_analyze_fuzz_exits_cleanly_and_deterministically(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    first = _run_captured(["analyze", "-i", str(path)])
+    code, _, err = first
+    assert code in (0, 1, 2, 3), (doc, first)
+    assert err.count("\n") <= 1, (doc, err)
+    assert _run_captured(["analyze", "-i", str(path)]) == first, doc
 
 
 def test_render_writes_svg(tmp_path):

@@ -1,19 +1,28 @@
-"""Real-root isolation and factorization over Z (``faultline.zpoly``)
-against sympy, the oracle they replaced: the same intervals and the same
-factor lists, not merely valid ones."""
+"""Root isolation and factorization over Z (``faultline.zpoly``) against
+sympy, the oracle they replaced: the same intervals, rectangles and factor
+lists, not merely valid ones."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from faultline import zpoly
-from faultline.algebra import irreducible_factors, is_irreducible, isolate_real_roots
+from faultline import substitution, zpoly
+from faultline.algebra import (
+    irreducible_factors,
+    is_irreducible,
+    isolate_complex_roots,
+    isolate_real_roots,
+)
 
 from conftest import (
+    random_substitution,
     rng_for,
     sympy_irreducible_factors,
     sympy_is_squarefree,
+    sympy_isolate_complex_roots,
     sympy_isolate_real_roots,
 )
 
@@ -125,3 +134,126 @@ def test_lmq_logarithm_mirrors_the_float_one():
     a = 2 ** 53 - 1
     assert zpoly._log2(a) == int(math.log(a, 2)) == 53 != a.bit_length() - 1
     assert all(zpoly._log2(a) == a.bit_length() - 1 for a in range(1, 5000))
+
+
+# ---------------------------------------------------------------------------
+# complex roots: the upper half of sympy's rectangles
+# ---------------------------------------------------------------------------
+
+EPS = [Fraction(1, 2 ** 16), Fraction(1, 2 ** 32), Fraction(1, 2 ** 64)]
+
+
+def sympy_upper(f, eps):
+    return [r for r in sympy_isolate_complex_roots(f, eps) if r[1][1] > 0]
+
+
+def assert_rectangles_match(f, deep=3):
+    """For each eps, a fresh call and the refined rectangles of the previous
+    eps agree; on the first `deep` eps they are sympy's too (sympy takes
+    seconds per polynomial at 2^-64 from degree 7 on)."""
+    rects = None
+    for i, eps in enumerate(EPS):
+        rects = isolate_complex_roots(f, eps) if rects is None else rects.refined(eps)
+        assert rects == isolate_complex_roots(f, eps), (f, eps)
+        if i < deep:
+            assert rects == sympy_upper(f, eps), (f, eps)
+    return rects
+
+
+def test_complex_isolation_matches_sympy_on_random_squarefree_polynomials():
+    rng = rng_for("zpoly-complex")
+    seen = 0
+    for deg in range(3, 11):
+        while True:
+            bound = rng.choice((1, 3, 10, 1000))
+            f = [rng.randint(-bound, bound) for _ in range(deg)]
+            f.append(rng.choice((1, -1, rng.randint(1, bound))))
+            if sympy_is_squarefree(f):
+                break
+        seen += len(assert_rectangles_match(f, 3 if deg <= 4 else 2 if deg <= 6 else 1))
+    assert seen >= 10
+
+
+@pytest.mark.parametrize("q, deep", [
+    ((1, 3, 1), 3),       # x^4 + 3x^2 + 1: four roots on Re z = 0, the first bisection line
+    ((1, 1, 1), 2),       # x^4 + x^2 + 1
+    ((-3, 1, 2, 1), 1),   # roots on both axes
+])
+def test_complex_isolation_matches_sympy_on_even_polynomials(q, deep):
+    f = [0] * (2 * len(q) - 1)
+    f[::2] = q
+    assert sympy_is_squarefree(f)
+    assert_rectangles_match(f, deep)
+
+
+@pytest.mark.parametrize("f, deep", [
+    ((-1, -1, -1, 1), 3),                               # tribonacci
+    ((1, -1, -1, -1, 1), 3),                            # Salem: two roots on |z| = 1
+    ((-2, 0, 0, 1), 3),                                 # x^3 - 2
+    ((6, -5, 0, 2, -3, 1), 1),                          # three real roots, one pair
+    # (x + 1)(x^2 + 2x + 10): the root -1 + 3i lies on the bisection line
+    # Im z = 3 = B/8, where f' is real, so Im f keeps its sign across it
+    ((10, 12, 3, 1), 3),
+    (tuple(zpoly._mul(zpoly._mul([-1, 1], [-3, 2]), [1, 1, 1])), 2),  # roots 1, 3/2
+    # two real roots 1e-9 apart: the real axis needs the squarefree fallback
+    (tuple(zpoly._mul(zpoly._mul([-2, 0, 1], [-2 * 10 ** 18 - 1, 0, 10 ** 18]),
+                      [7, 2, 1])), 1),
+])
+def test_complex_isolation_matches_sympy_on_factors_with_real_roots(f, deep):
+    assert sympy_is_squarefree(f)
+    assert_rectangles_match(f, deep)
+
+
+def test_complex_isolation_edge_cases():
+    assert isolate_complex_roots((), EPS[0]) == isolate_complex_roots((3, 1), EPS[0]) == []
+    assert isolate_complex_roots((-2, 0, 1), EPS[0]) == []       # real roots only
+    (a, b), = isolate_complex_roots((1, 0, 1), EPS[0])             # i
+    assert a[0] <= 0 < b[0] and a[1] < 1 <= b[1]
+    assert b[0] - a[0] < EPS[0] and b[1] - a[1] < EPS[0]
+    assert isolate_complex_roots((1, 0, 1), EPS[0]) == sympy_upper((1, 0, 1), EPS[0])
+
+
+def test_unit_roots_gives_up_on_a_repeated_root_then_a_line_takes_it_out():
+    # g(w) = (3w - 1)^2 (w + 5) along the real axis from -1 to 1: a double
+    # root at T = 2/3, which no dyadic bisection point hits
+    g = zpoly._mul(zpoly._mul([-1, 3], [-1, 3]), [5, 1])
+    assert zpoly._unit_roots(zpoly._content_free(g), 24) is None
+    line = zpoly._Line(g, Fraction(-1), Fraction(0), Fraction(2), False)
+    (a, b), = line.roots
+    assert a < Fraction(2, 3) < b
+    assert len(line.prod) == 3
+
+
+def test_turns_match_sympy_rule_tables():
+    from sympy.polys import rootisolation as ri
+
+    code = {name: i for i, name in enumerate(("A1", "Q1", "A2", "Q2", "A3", "Q3", "A4", "Q4"))}
+    code["OO"] = zpoly._OO
+    for rules in (ri._rules_simple, ri._rules_ambiguous):
+        for key, rule in rules.items():
+            p, q, origin = code[key[0]], code[key[-1]], len(key) == 3
+            for excluded in (0, 1) if rules is ri._rules_ambiguous else (0,):
+                num, den = ri._values[rule][excluded]
+                assert zpoly._turn(p, q, origin, excluded) == 4 * num // den, key
+
+
+class _Restarted(list):
+    """The oracle as ``spectral_classify`` called it before refinement
+    resumed: a fresh isolation at every eps, the upper half kept."""
+
+    def __init__(self, f, eps):
+        super().__init__(sympy_upper(f, eps))
+        self.f = f
+
+    def refined(self, eps):
+        return _Restarted(self.f, eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(3, 6))
+def test_spectral_classify_unchanged_with_the_sympy_oracle(seed, n_letters):
+    m = random_substitution(random.Random(seed), n_letters, max_len=4).matrix()
+    got = substitution.spectral_classify(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution, "isolate_complex_roots", _Restarted)
+        assert substitution.spectral_classify(m) == got

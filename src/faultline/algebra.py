@@ -673,12 +673,8 @@ def compare(a, b):
 
 def mod_reduce(a, modulus):
     """a - k*modulus with the integer k chosen so the result lies in
-    [0, modulus).  modulus must be positive.
-
-    Enclosures of a / modulus at the current root interval (bisected only
-    while they leave more than two candidates for k) give a first guess;
-    k is then the integer with the two exact signs a - k*modulus >= 0 and
-    a - (k+1)*modulus < 0."""
+    [0, modulus).  modulus must be positive.  On algebraic numbers, k comes
+    from ``mod_quotient`` on their integer coefficient vectors."""
     if not isinstance(a, AlgebraicNumber) and not isinstance(modulus, AlgebraicNumber):
         a, modulus = Fraction(a), Fraction(modulus)
         if modulus <= 0:
@@ -689,9 +685,22 @@ def mod_reduce(a, modulus):
     m = a._coerce(modulus)
     if m.sign() <= 0:
         raise ValidationError("modulus must be positive")
-    # m.sign() left m's root interval enclosing m above zero
-    field = m.field
     (av, mv), _ = integer_vectors((a, m))
+    return a - m * mod_quotient(m.field, av, mv)
+
+
+def mod_quotient(field, av, mv):
+    """The integer k with 0 <= a - k*m < m, where a and m are the field
+    elements with integer coefficient vectors av and mv over one common
+    positive denominator (which cancels and is not needed).  The enclosure
+    of m at the field's current root interval must already lie above zero,
+    as ``field.sign(mv)`` leaves it.
+
+    Enclosures of a / m at the current root interval (bisected only while
+    they leave more than two candidates for k) give a first guess; k is then
+    the integer with the two exact signs a - k*m >= 0 and a - (k+1)*m < 0.
+    Every enclosure and sign decides the same way on a positive multiple of
+    (av, mv), so the field is bisected the same whatever the denominator."""
     for _ in range(_MAX_REFINE):
         a0, a1, ae = field.enclose(av, 1)
         m0, m1, me = field.enclose(mv, 1)
@@ -712,4 +721,4 @@ def mod_reduce(a, modulus):
         k -= 1
     while rest(k + 1) >= 0:
         k += 1
-    return a - m * k
+    return k

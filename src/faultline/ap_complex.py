@@ -21,14 +21,19 @@ def border_forcing(s, cap=8):
     """(right_forced_in, left_forced_in): the smallest power m <= cap at
     which all m-fold images share a first letter (forcing the border on the
     right) resp. a last letter (forcing on the left); None if no m works.
-    This is the shared-prefix sufficient condition, not full border forcing."""
+    This is the shared-prefix sufficient condition, not full border forcing.
+
+    No image is built: rules are nonempty, so the first letter of s^m(a) is
+    the first letter of the rule of the first letter of s^(m-1)(a), and
+    likewise for last letters."""
     right = left = None
-    imgs = {a: (a,) for a in range(s.size)}
+    firsts = lasts = range(s.size)
     for m in range(1, cap + 1):
-        imgs = {a: s.apply(w) for a, w in imgs.items()}
-        if right is None and len({w[0] for w in imgs.values()}) == 1:
+        firsts = [s.rules[x][0] for x in firsts]
+        lasts = [s.rules[x][-1] for x in lasts]
+        if right is None and len(set(firsts)) == 1:
             right = m
-        if left is None and len({w[-1] for w in imgs.values()}) == 1:
+        if left is None and len(set(lasts)) == 1:
             left = m
         if right is not None and left is not None:
             break

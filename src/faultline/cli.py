@@ -37,7 +37,6 @@ from .fault import (
     classify_trace,
     discrepancy_growth,
     offset_statistics,
-    sort_exact,
 )
 from .render import emit_svg, generate_patch, overlay_boundaries
 EXIT_OK = 0
@@ -298,9 +297,7 @@ def cmd_fault(args):
     rows = []
     prev_max = None
     for st in trace.steps:
-        gap = None
-        if len(st.offsets) > 1:
-            gap = sort_exact([b - a for a, b in zip(st.offsets, st.offsets[1:])])[0]
+        gap = st.min_gap()
         step_ratio = None
         if prev_max not in (None, 0):
             step_ratio = _decimal12(Fraction(st.max_abs_discrepancy, prev_max))
@@ -311,10 +308,11 @@ def cmd_fault(args):
             "bottom": bottom.text(st.bottom) if len(st.bottom) <= 80
                       else bottom.text(st.bottom[:77]) + "...",
             "max_discrepancy": st.max_abs_discrepancy,
-            "distinct_offsets": len(st.offsets),
+            "distinct_offsets": len(st.offset_vectors),
             "min_gap": alg_json(gap) if gap is not None else None,
             "growth_step": step_ratio,
-            "offsets": [alg_json(o) for o in st.offsets] if len(st.offsets) <= 12 else None,
+            "offsets": ([alg_json(o) for o in st.offsets]
+                        if len(st.offset_vectors) <= 12 else None),
         })
     report = {
         "command": "fault",

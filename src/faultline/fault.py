@@ -5,7 +5,9 @@ aligned seed letter produces a pair of words per round.  The discrepancy at a
 prefix is the difference in tracked-letter counts between the two rows up to
 the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
-a tile width.
+a tile width.  They are kept as integer coefficient vectors over the widths'
+common denominator: reduction, ordering and gaps run on integers, and an
+``AlgebraicNumber`` is built only for an offset or gap that is read as one.
 
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
@@ -20,9 +22,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import islice
+from math import lcm
 from operator import add, mul, sub
 
-from .algebra import clear_denominators, integer_vectors, mod_reduce, root_interval
+from .algebra import AlgebraicNumber, integer_vectors, mod_quotient, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
 
@@ -62,18 +65,38 @@ class Row:
         return tuple(islice(self, *index.indices(self.length)))
 
 
+def _element(field, den, vector):
+    """The field element with integer coefficient vector ``vector`` over den."""
+    return AlgebraicNumber(field, [Fraction(c, den) for c in vector])
+
+
 @dataclass(frozen=True)
 class BoundaryStep:
     round: int
     top: Row
     bottom: Row
-    offsets: tuple                # distinct shear offsets this round, sorted ascending
+    offset_vectors: tuple         # the shear offset of each distinct m, sorted ascending,
+                                  # as integer coefficient vectors over den
     discrepancy_values: tuple     # distinct m values this round, sorted
+    field: object                 # the NumberField of the offsets
+    den: int
 
     @property
     def max_abs_discrepancy(self):
         v = self.discrepancy_values
         return max(abs(v[0]), abs(v[-1])) if v else 0
+
+    @cached_property
+    def offsets(self):
+        """The offsets as AlgebraicNumbers, built on first access."""
+        return tuple(_element(self.field, self.den, v) for v in self.offset_vectors)
+
+    def min_gap(self):
+        """The least gap between consecutive offsets as an AlgebraicNumber;
+        None for fewer than two offsets.  Orders the gaps on every call
+        (``min_gap_vector``)."""
+        gap = min_gap_vector(self.field, self.den, self.offset_vectors)
+        return None if gap is None else _element(self.field, self.den, gap)
 
 
 @dataclass(frozen=True)
@@ -228,8 +251,9 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     starting from one aligned seed letter.
 
     Requires equal alphabets and equal abelianizations (the rows must span
-    the same exact interval each round).  The offset modulus defaults to the
-    widest tile.  ``max_word_len`` caps the row length, which is computed
+    the same exact interval each round).  ``modulus`` is the letter index
+    of the tile width that offsets are reduced by; it defaults to the widest
+    tile.  ``max_word_len`` caps the row length, which is computed
     from the letter lengths; no row is built."""
     if k < 1:
         raise ValidationError("need at least one round")
@@ -241,16 +265,23 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise HypothesisError("boundary trace needs equal abelianizations")
     seed = top.word([seed])[0] if not isinstance(seed, int) else seed
     widths = top.tile_lengths()
+    field = widths[0].field
+    # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
+    vectors, den = integer_vectors(widths)
     if modulus is None:
-        modulus = max(widths)
-    elif isinstance(modulus, int):
-        modulus = widths[modulus]
-    if modulus.sign() <= 0:
+        # the widest tile by the signs max(widths) takes, so the field is
+        # refined alike
+        modulus = 0
+        for i in range(1, len(widths)):
+            if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
+                modulus = i
+    mod_vector = vectors[modulus]
+    if field.sign(mod_vector) <= 0:
         raise ValidationError("offset modulus must be positive")
-
-    unit_shift = widths[tracked_letter]
+    unit = vectors[tracked_letter]
     rounds = _discrepancy_rounds(top, bottom, seed, k, _ScanWidths(widths), tracked_letter)
-    # the same discrepancy values recur round after round: reduce each once
+    # the same discrepancy values recur round after round: reduce each once,
+    # and keep its enclosure at the refinement it was reduced at
     reduced = {}
     steps = []
     for rnd, lengths in enumerate(islice(top.image_lengths(), 1, k + 1), 1):
@@ -260,16 +291,21 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         ms = next(rounds)
         for m in ms:
             if m not in reduced:
-                o = mod_reduce(unit_shift * m, modulus)
-                reduced[m] = (o, _enclosure(o))
-        offsets = sort_exact([reduced[m][0] for m in ms], [reduced[m][1] for m in ms])
+                shift = tuple(m * x for x in unit)
+                q = mod_quotient(field, shift, mod_vector)
+                o = tuple(x - q * y for x, y in zip(shift, mod_vector))
+                reduced[m] = (o, field.enclose(o, den))
+        order = order_vectors(field, den, [reduced[m][0] for m in ms],
+                              [reduced[m][1] for m in ms])
         steps.append(
             BoundaryStep(
                 round=rnd,
                 top=Row(top, seed, rnd, length),
                 bottom=Row(bottom, seed, rnd, length),
-                offsets=offsets,
+                offset_vectors=tuple(reduced[ms[i]][0] for i in order),
                 discrepancy_values=ms,
+                field=field,
+                den=den,
             )
         )
     return BoundaryTrace(
@@ -278,47 +314,59 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         seed=seed,
         tracked_letter=tracked_letter,
         widths=tuple(widths),
-        modulus=modulus,
+        modulus=widths[modulus],
         steps=tuple(steps),
     )
 
 
-def _enclosure(x):
-    """(lo, hi) around x at its field's current refinement; never refines."""
-    a, b, e = x.field.enclose(*clear_denominators(x.coeffs))
-    return (Fraction(a, e), Fraction(b, e))
+def order_vectors(field, den, vectors, enclosures=None):
+    """Indices of ``vectors`` in ascending order of the field elements they
+    are the integer coefficient vectors of (over den > 0); equal values in
+    index order, as ``sorted`` orders the values.
 
-
-def sort_exact(values, enclosures=None):
-    """Algebraic numbers sorted ascending, equal values in input order, as
-    ``sorted`` would give.
-
-    Values are ordered by certified enclosures; exact Q(lambda) comparisons
-    run only inside groups of overlapping enclosures.  ``enclosures`` may
-    supply an enclosure per value (each at any refinement)."""
+    Values are ordered by certified enclosures, integer triples (a, b, e) for
+    [a/e, b/e] as ``field.enclose`` gives them; exact signs run only inside
+    groups of overlapping enclosures, and equal vectors compare equal without
+    one.  ``enclosures`` may supply an enclosure per vector (each at any
+    refinement); by default they are taken at the current root interval."""
     if enclosures is None:
-        enclosures = [_enclosure(x) for x in values]
-    order = sorted(range(len(values)), key=lambda i: enclosures[i][0])
+        enclosures = [field.enclose(v, den) for v in vectors]
+    scale = lcm(*{e for _, _, e in enclosures})
+    bounds = [(a * (scale // e), b * (scale // e)) for a, b, e in enclosures]
+    order = sorted(range(len(vectors)), key=lambda i: bounds[i][0])
 
     def exact(i, j):
-        return values[i].compare(values[j]) or (i > j) - (i < j)
+        u, v = vectors[i], vectors[j]
+        if u != v:
+            return field.sign(tuple(map(sub, u, v)))
+        return (i > j) - (i < j)
 
     out = []
     group = []
     group_hi = None
     for i in order:
-        lo, hi = enclosures[i]
+        lo, hi = bounds[i]
         if group and lo > group_hi:
             # every value in the group lies below this one
             group.sort(key=cmp_to_key(exact))
-            out.extend(values[j] for j in group)
+            out.extend(group)
             group = []
         if not group or hi > group_hi:
             group_hi = hi
         group.append(i)
     group.sort(key=cmp_to_key(exact))
-    out.extend(values[j] for j in group)
+    out.extend(group)
     return tuple(out)
+
+
+def min_gap_vector(field, den, ordered):
+    """The least difference of consecutive vectors in ``ordered`` (ascending
+    by value), as a vector over den; None for fewer than two.  All the
+    differences are ordered, not only scanned for the least: the exact signs
+    of that ordering refine the field, and printed enclosures read that
+    refinement (cli.alg_json)."""
+    gaps = [tuple(map(sub, b, a)) for a, b in zip(ordered, ordered[1:])]
+    return gaps[order_vectors(field, den, gaps)[0]] if gaps else None
 
 
 def discrepancy_growth(trace):
@@ -343,23 +391,32 @@ def offset_statistics(trace):
     gap between them; also the per-round distinct counts."""
     if not trace.steps:
         raise ValidationError("empty trace")
-    # equality of algebraic numbers is exact (coefficient-wise)
-    distinct = sort_exact(list(dict.fromkeys(o for s in trace.steps for o in s.offsets)))
-    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
-    min_gap = sort_exact(gaps)[0] if gaps else None
-    per_round = tuple(len(s.offsets) for s in trace.steps)
+    field, den = trace.steps[0].field, trace.steps[0].den
+    # equal vectors over one den are equal values
+    distinct = list(dict.fromkeys(v for s in trace.steps for v in s.offset_vectors))
+    distinct = [distinct[i] for i in order_vectors(field, den, distinct)]
     return OffsetStats(
         distinct_count=len(distinct),
-        min_gap=min_gap,
-        per_round_counts=per_round,
+        min_gap_vector=min_gap_vector(field, den, distinct),
+        per_round_counts=tuple(len(s.offset_vectors) for s in trace.steps),
+        field=field,
+        den=den,
     )
 
 
 @dataclass(frozen=True)
 class OffsetStats:
     distinct_count: int
-    min_gap: object            # AlgebraicNumber or None when < 2 offsets
+    min_gap_vector: object     # integer vector over den, or None when < 2 offsets
     per_round_counts: tuple
+    field: object
+    den: int
+
+    @cached_property
+    def min_gap(self):
+        """min_gap_vector as an AlgebraicNumber (or None), built on first access."""
+        v = self.min_gap_vector
+        return None if v is None else _element(self.field, self.den, v)
 
 
 class BoundaryKind(Enum):
@@ -403,14 +460,11 @@ def classify_trace(trace, spectral=None):
     cap = len(trace.steps)
     maxes = trace.max_abs_by_round()
     growth = discrepancy_growth(trace)
-    per_round = tuple(len(s.offsets) for s in trace.steps)
+    per_round = tuple(len(s.offset_vectors) for s in trace.steps)
     if spectral is None:
         spectral = spectral_classify(trace.top_sub.matrix()).kind
 
-    all_offsets = set()
-    for s in trace.steps:
-        all_offsets.update(s.offsets)
-    if len(all_offsets) <= 1:
+    if len({v for s in trace.steps for v in s.offset_vectors}) <= 1:
         kind = BoundaryKind.RIGID
     else:
         c = cap // 4

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
 
-from faultline.algebra import Interval, clear_denominators, peval, ptrim
+from faultline import fault
+from faultline.algebra import Interval, clear_denominators, integer_vectors, peval, ptrim
+from faultline.cli import alg_json
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
 
@@ -265,6 +268,129 @@ def reference_mod_reduce(a, m):
     r = a - m * k
     assert reference_sign(r) >= 0 and reference_sign(r - m) < 0
     return r
+
+
+def reference_border_forcing(s, cap=8):
+    """``ap_complex.border_forcing`` as it was: every m-fold image is built
+    and only its first and last letters are read."""
+    right = left = None
+    imgs = {a: (a,) for a in range(s.size)}
+    for m in range(1, cap + 1):
+        imgs = {a: s.apply(w) for a, w in imgs.items()}
+        if right is None and len({w[0] for w in imgs.values()}) == 1:
+            right = m
+        if left is None and len({w[-1] for w in imgs.values()}) == 1:
+            left = m
+        if right is not None and left is not None:
+            break
+    return right, left
+
+
+# The offset path that integer-vector offsets replaced: offsets held as
+# AlgebraicNumbers, reduced by the integer ``mod_reduce`` body, ordered by
+# ``sort_exact`` on certified enclosures, kept as the oracle of the offsets
+# of ``boundary_trace``, of ``offset_statistics`` and of the ``fault`` rows,
+# down to the field refinements they leave.
+
+def reference_enclosure(x):
+    """(lo, hi) around x at its field's current refinement; never refines."""
+    a, b, e = x.field.enclose(*clear_denominators(x.coeffs))
+    return (Fraction(a, e), Fraction(b, e))
+
+
+def reference_sort_exact(values, enclosures=None):
+    """Algebraic numbers sorted ascending, equal values in input order, as
+    ``sorted`` would give; exact comparisons run only inside groups of
+    overlapping enclosures."""
+    if enclosures is None:
+        enclosures = [reference_enclosure(x) for x in values]
+    order = sorted(range(len(values)), key=lambda i: enclosures[i][0])
+
+    def exact(i, j):
+        return values[i].compare(values[j]) or (i > j) - (i < j)
+
+    out = []
+    group = []
+    group_hi = None
+    for i in order:
+        lo, hi = enclosures[i]
+        if group and lo > group_hi:
+            group.sort(key=cmp_to_key(exact))
+            out.extend(values[j] for j in group)
+            group = []
+        if not group or hi > group_hi:
+            group_hi = hi
+        group.append(i)
+    group.sort(key=cmp_to_key(exact))
+    out.extend(values[j] for j in group)
+    return tuple(out)
+
+
+def reference_int_mod_reduce(a, m):
+    """``mod_reduce`` on two algebraic numbers in one body: k from the
+    corner floors of enclosures of a / m, then the two exact signs."""
+    if m.sign() <= 0:
+        raise ValidationError("modulus must be positive")
+    field = m.field
+    (av, mv), _ = integer_vectors((a, m))
+    while True:
+        a0, a1, ae = field.enclose(av, 1)
+        m0, m1, me = field.enclose(mv, 1)
+        floors = [x * me // (y * ae) for x in (a0, a1) for y in (m0, m1)]
+        k = min(floors)
+        if max(floors) - k <= 1:
+            break
+        field._bisect_once()
+
+    def rest(j):
+        return field.sign([x - j * y for x, y in zip(av, mv)])
+
+    while rest(k) < 0:
+        k -= 1
+    while rest(k + 1) >= 0:
+        k += 1
+    return a - m * k
+
+
+def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
+    """(field, rounds): the sorted offsets of each round of
+    ``boundary_trace(top, bottom, seed, k, modulus, tracked_letter)`` as
+    AlgebraicNumbers, on a field of its own."""
+    widths = top.tile_lengths()
+    if modulus is None:
+        modulus = max(widths)
+    elif isinstance(modulus, int):
+        modulus = widths[modulus]
+    assert modulus.sign() > 0
+    unit_shift = widths[tracked_letter]
+    reduced = {}
+    rounds = []
+    for ms in fault._discrepancy_rounds(top, bottom, seed, k, fault._ScanWidths(widths),
+                                        tracked_letter):
+        for m in ms:
+            if m not in reduced:
+                o = reference_int_mod_reduce(unit_shift * m, modulus)
+                reduced[m] = (o, reference_enclosure(o))
+        rounds.append(reference_sort_exact([reduced[m][0] for m in ms],
+                                           [reduced[m][1] for m in ms]))
+    return widths[0].field, rounds
+
+
+def reference_offset_statistics(rounds):
+    """(distinct_count, min_gap) of ``offset_statistics`` on those rounds."""
+    distinct = reference_sort_exact(list(dict.fromkeys(o for r in rounds for o in r)))
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+    return len(distinct), reference_sort_exact(gaps)[0] if gaps else None
+
+
+def reference_fault_row(offsets):
+    """The printed ``min_gap`` and ``offsets`` of one ``fault`` report row,
+    in the order ``cmd_fault`` builds them."""
+    gap = None
+    if len(offsets) > 1:
+        gap = reference_sort_exact([b - a for a, b in zip(offsets, offsets[1:])])[0]
+    gap = alg_json(gap) if gap is not None else None
+    return gap, [alg_json(o) for o in offsets] if len(offsets) <= 12 else None
 
 
 def reference_tile_lengths(s):

@@ -1,13 +1,14 @@
 """Anderson-Putnam complexes: border forcing, collaring, vertex dynamics, H^1."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultline.abelian import charpoly, direct_limit, recognize, transpose
 from faultline.ap_complex import border_forcing, collar, graph_h1
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
 
-from conftest import random_substitution, rng_for
+from conftest import random_substitution, reference_border_forcing, rng_for
 
 
 def test_border_forcing_period_doubling(period_doubling):
@@ -32,6 +33,30 @@ def test_border_forcing_sigma1_brute(sigma1):
         assert len(lasts) == 1
     assert right is None
     assert left == 1
+
+
+@st.composite
+def substitutions(draw, max_letters=6, max_len=5):
+    n = draw(st.integers(1, max_letters))
+    names = [chr(ord("a") + i) for i in range(n)]
+    letter = st.sampled_from(names)
+    return Substitution(names, {x: draw(st.lists(letter, min_size=1, max_size=max_len))
+                                for x in names})
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=substitutions(), cap=st.integers(1, 8))
+def test_border_forcing_matches_reference(s, cap):
+    assert border_forcing(s, cap) == reference_border_forcing(s, cap)
+
+
+def test_border_forcing_builds_no_image(monkeypatch, sigma1, period_doubling):
+    def forbidden(*args):
+        raise AssertionError("border_forcing applied the substitution")
+
+    monkeypatch.setattr(Substitution, "apply", forbidden)
+    assert border_forcing(sigma1) == (None, 1)
+    assert border_forcing(period_doubling) == (1, None)
 
 
 def test_collar_period_doubling(period_doubling):

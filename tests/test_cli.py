@@ -13,7 +13,7 @@ from importlib import resources
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from faultline import ap_complex, cli
 from faultline.cli import alg_json, main
@@ -153,8 +153,8 @@ def test_cli_import_does_not_load_numpy():
 
 
 def test_commands_without_complex_roots_do_not_load_sympy(tmp_path):
-    # sympy is imported only for non-real roots of irreducible factors of
-    # degree >= 3, which no bundled document has
+    # neither is imported by any command: root isolation, real and complex,
+    # is pure-int code (faultline.zpoly); the complex-root case is the next test
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -230,6 +230,42 @@ def test_analyze_fuzz_exits_cleanly_and_deterministically(doc, tmp_path_factory)
     assert code in (0, 1, 2, 3), (doc, first)
     assert err.count("\n") <= 1, (doc, err)
     assert _run_captured(["analyze", "-i", str(path)]) == first, doc
+
+
+@st.composite
+def fault_documents(draw):
+    """2-3 letters, images of 1-3 letters, and the shuffled twin as bottom;
+    optionally a modulus letter.  Primitive or not."""
+    letters = LETTERS[:draw(st.integers(2, 3))]
+    top = {x: "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
+           for x in letters}
+    bottom = {x: "".join(draw(st.permutations(img))) for x, img in top.items()}
+    doc = {"alphabets": {"x": list(letters)},
+           "substitutions": {"top": {"alphabet": "x", "rules": top},
+                             "bottom": {"alphabet": "x", "rules": bottom}}}
+    modulus = draw(st.sampled_from([None, *letters]))
+    if modulus is not None:
+        doc["options"] = {"modulus_letter": modulus}
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=fault_documents(), data=st.data())
+def test_fault_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["fault", "-i", str(path), "--top", "top", "--bottom", "bottom",
+            "--seed", data.draw(st.sampled_from(doc["alphabets"]["x"])),
+            "--rounds", str(data.draw(st.integers(4, 10)))]
+    # a small word cap, drawn on purpose, trips the cap (exit 3)
+    if data.draw(st.booleans()):
+        argv += ["--max-word-len", "30"]
+    first = _run_captured(argv)
+    code, _, err = first
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (doc, argv, first)
+    assert err.count("\n") <= 1, (doc, argv, err)
+    assert _run_captured(argv) == first, (doc, argv)
 
 
 def test_render_writes_svg(tmp_path):

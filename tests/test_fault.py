@@ -7,26 +7,29 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultline import fault
-from faultline.algebra import AlgebraicNumber, NumberField
+from faultline import algebra, fault
+from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors
+from faultline.cli import alg_json
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
     BoundaryKind,
     Row,
     _ScanWidths,
     _discrepancy_rounds,
-    _enclosure,
     boundary_trace,
     classify_boundary,
     classify_trace,
     discrepancy_growth,
     offset_statistics,
-    sort_exact,
+    order_vectors,
 )
-from faultline.substitution import Substitution
+from faultline.substitution import Substitution, spectral_classify
 
 from conftest import (
     random_substitution,
+    reference_fault_row,
+    reference_offset_statistics,
+    reference_offsets,
     rng_for,
     scan_discrepancy_rounds,
     scan_prefix_discrepancies,
@@ -278,33 +281,104 @@ def coarse_field():
 @given(coeffs=st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3), st.integers(0, 40)),
                        max_size=12),
        refine=st.booleans(), loose=st.lists(st.booleans(), max_size=12))
-def test_sort_exact_matches_sorted(coeffs, refine, loose):
+def test_order_vectors_matches_sorted(coeffs, refine, loose):
     # fresh field per example: enclosures of nearby values overlap on the
     # coarse root interval, and stay apart once it is refined
     field = coarse_field()
     if refine:
         field.refined(Fraction(1, 2 ** 40))
     values = [field.element([Fraction(a) + Fraction(1, 2 ** e), b]) for a, b, e in coeffs]
-    # equal values as distinct objects, to check that equal values keep their order
-    values += [field.element(v.coeffs) for v in values[: len(values) // 3]]
-    enclosures = [_enclosure(v) for v in values]
+    # equal values at other indices, to check that equal values keep their order
+    values += values[: len(values) // 3]
+    if not values:
+        assert order_vectors(field, 1, []) == ()
+        return
+    vectors, den = integer_vectors(values)
+    enclosures = [field.enclose(v, den) for v in vectors]
     for i, wide in enumerate(loose[: len(values)]):
         if wide:
-            enclosures[i] = (enclosures[i][0] - 8, enclosures[i][1] + 8)
-    want = [id(v) for v in sorted(values)]
-    assert [id(v) for v in sort_exact(values)] == want
-    assert [id(v) for v in sort_exact(values, enclosures)] == want
+            a, b, e = enclosures[i]
+            enclosures[i] = (a - 8 * e, b + 8 * e, e)
+    want = tuple(sorted(range(len(values)), key=lambda i: values[i]))
+    assert order_vectors(field, den, vectors) == want
+    assert order_vectors(field, den, vectors, enclosures) == want
 
 
-def test_sort_exact_overlapping_enclosures():
+def test_order_vectors_overlapping_enclosures():
     field = coarse_field()
     lam = field.gen()
     eps = Fraction(1, 2 ** 70)
     half = Fraction(5, 2)
     values = [lam + eps, lam, lam - eps, lam, field.from_rational(half), lam + 1]
-    lo, hi = _enclosure(lam)
-    assert lo < half < hi      # the rational 5/2 sits inside lambda's enclosure
-    assert [id(v) for v in sort_exact(values)] == [id(v) for v in sorted(values)]
+    vectors, den = integer_vectors(values)
+    a, b, e = field.enclose(vectors[1], den)
+    assert a < half * e < b    # the rational 5/2 sits inside lambda's enclosure
+    want = tuple(sorted(range(len(values)), key=lambda i: values[i]))
+    assert order_vectors(field, den, vectors) == want == (2, 1, 3, 0, 4, 5)
+
+
+def fault_row(step):
+    """The printed ``min_gap`` and ``offsets`` of one ``fault`` report row,
+    in the order ``cmd_fault`` builds them."""
+    gap = step.min_gap()
+    gap = alg_json(gap) if gap is not None else None
+    return gap, [alg_json(o) for o in step.offsets] if len(step.offset_vectors) <= 12 else None
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), k=st.integers(4, 10))
+def test_offsets_match_the_algebraic_number_path(seed, n_letters, k):
+    # offsets, their order, the gaps and the printed rows agree with the
+    # AlgebraicNumber path, and so does every field refinement on the way,
+    # which the printed enclosures read
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+    for modulus in (None, *range(n_letters)):
+        trace = boundary_trace(s, t, start, k, modulus=modulus, tracked_letter=tracked)
+        field = trace.widths[0].field
+        ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus, tracked)
+        assert field.root_ints == ref_field.root_ints
+        assert [[o.coeffs for o in st_.offsets] for st_ in trace.steps] == \
+            [[o.coeffs for o in r] for r in ref_rounds]
+        stats = offset_statistics(trace)
+        count, gap = reference_offset_statistics(ref_rounds)
+        assert stats.distinct_count == count
+        assert getattr(stats.min_gap, "coeffs", None) == getattr(gap, "coeffs", None)
+        assert field.root_ints == ref_field.root_ints
+        if start == 0:
+            rigid = len({o for r in ref_rounds for o in r}) <= 1
+            assert (classify_trace(trace).kind is BoundaryKind.RIGID) == rigid
+        for st_, r in zip(trace.steps, ref_rounds):
+            assert fault_row(st_) == reference_fault_row(r)
+            assert field.root_ints == ref_field.root_ints
+
+
+def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, sigma2):
+    # reduction, ordering, gaps and the Rigid test run on integer vectors;
+    # the widths come from tile_lengths, computed before the patches
+    widths = sigma1.tile_lengths()
+    spectral = spectral_classify(sigma1.matrix()).kind
+    monkeypatch.setattr(Substitution, "tile_lengths", lambda self: widths)
+
+    def forbidden(*args):
+        raise AssertionError("AlgebraicNumber arithmetic in the offset layer")
+
+    monkeypatch.setattr(algebra, "mod_reduce", forbidden)
+    for name in ("__sub__", "__rsub__", "__mul__", "__rmul__", "compare"):
+        monkeypatch.setattr(AlgebraicNumber, name, forbidden)
+    # modulo the tracked width itself every offset is 0
+    for modulus, kind in ((None, BoundaryKind.REGULAR_FAULT),
+                          (1, BoundaryKind.REGULAR_FAULT), (0, BoundaryKind.RIGID)):
+        trace = boundary_trace(sigma1, sigma2, "a", 10, modulus=modulus)
+        stats = offset_statistics(trace)
+        assert classify_trace(trace, spectral).kind is kind
+        gap = trace.steps[-1].min_gap()
+        if kind is BoundaryKind.RIGID:
+            assert stats.distinct_count == 1 and gap.is_zero()
+        else:
+            assert stats.distinct_count > 10 and gap.sign() > 0
 
 
 def test_trace_reproduces_displayed_pairs(sigma1, sigma2):

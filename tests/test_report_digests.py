@@ -122,9 +122,9 @@ def test_report_bytes_unchanged(case):
 
 
 # Two substitutions whose charpolys have an irreducible factor of degree >= 3
-# with non-real roots, the one path that still calls sympy (imported inside
-# ``algebra.isolate_complex_roots``).  Digests recorded when all root
-# isolation and factoring still went through sympy.
+# with non-real roots, the path of ``algebra.isolate_complex_roots`` (pure-int
+# code in ``faultline.zpoly``, as is real-root isolation).  Digests recorded
+# when all root isolation and factoring still went through sympy.
 COMPLEX_ROOT_DOCS = {
     # matrix [[1,0,1,0],[0,0,1,0],[1,0,0,1],[0,1,0,0]], charpoly
     # x^4-x^3-x^2-x+1 (Salem; classified Undetermined)

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .abelian import poly_str, recognize
@@ -45,7 +46,7 @@ EXIT_UNDETERMINED = 2
 EXIT_RESOURCE = 3
 
 _ENV_CAPS = {
-    "FAULTLINE_MAX_WORD_LEN": "max_word_len",
+    "FAULTLINE_MAX_STATES": "max_states",
     "FAULTLINE_MAX_TILES": "max_tiles",
     "FAULTLINE_ROUNDS": "rounds",
 }
@@ -193,7 +194,7 @@ def _apply_env(options):
     return options
 
 
-def _options(doc, args, flags=("rounds", "max_word_len", "precision_bits")):
+def _options(doc, args, flags=("rounds", "max_states", "precision_bits")):
     """Effective options: document options, then environment caps, then
     the command-line ``flags``."""
     opts = _apply_env(dict(doc.options))
@@ -287,12 +288,12 @@ def cmd_fault(args):
     if opts.get("modulus_letter") is not None:
         modulus = top.word([opts["modulus_letter"]])[0]
     trace = boundary_trace(top, bottom, seed, rounds, modulus=modulus,
-                           max_word_len=opts["max_word_len"])
+                           max_states=opts["max_states"])
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
     # classification is defined on the trace from seed letter 0
     seed0 = trace if trace.seed == 0 else boundary_trace(
-        top, bottom, 0, rounds, modulus=modulus, max_word_len=opts["max_word_len"])
+        top, bottom, 0, rounds, modulus=modulus, max_states=opts["max_states"])
     cls = classify_trace(seed0)
     rows = []
     prev_max = None
@@ -331,7 +332,7 @@ def cmd_fault(args):
 
 
 def _cohomology_report(doc, opts):
-    rep = cohomology(doc.dpv, cap=opts["rounds"], max_word_len=opts["max_word_len"])
+    rep = cohomology(doc.dpv, cap=opts["rounds"], max_states=opts["max_states"])
     body = {
         "H0": group_json(rep.h0),
         "H1": group_json(rep.h1),
@@ -479,7 +480,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_HELP = {
     "rounds": "iteration cap override",
     "precision_bits": "interval refinement precision override",
-    "max_word_len": "word length guard override",
+    "max_states": "overlap-state budget per trace round override",
 }
 
 
@@ -518,14 +519,14 @@ def build_parser():
     sp.set_defaults(func=cmd_mu)
 
     sp = sub.add_parser("fault", help="boundary trace and classification for a pair")
-    common(sp, "rounds", "max_word_len")
+    common(sp, "rounds", "max_states")
     sp.add_argument("--top", required=True, help="substitution above the boundary")
     sp.add_argument("--bottom", required=True, help="substitution below the boundary")
     sp.add_argument("--seed", help="seed letter (default: first letter)")
     sp.set_defaults(func=cmd_fault)
 
     sp = sub.add_parser("cohomology", help="H^0..H^3 of the DPV tiling space")
-    common(sp, "rounds", "max_word_len")
+    common(sp, "rounds", "max_states")
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("render", help="SVG patch of the DPV tiling")
@@ -541,10 +542,15 @@ def build_parser():
     return p
 
 
+@cache
+def _parser():
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         report, code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

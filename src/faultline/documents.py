@@ -14,17 +14,18 @@ from typing import Optional
 
 from .dpv import DPVSubstitution
 from .errors import ValidationError
+from .fault import DEFAULT_MAX_STATES
 from .substitution import Substitution
 
 _DOC_KEYS = {"alphabets", "substitutions", "dpv", "options"}
 _SUB_KEYS = {"alphabet", "rules"}
 _DPV_KEYS = {"vertical", "horizontal", "row_sigma"}
-_INT_OPTIONS = {"rounds", "max_word_len", "precision_bits", "max_tiles"}
+_INT_OPTIONS = {"rounds", "max_states", "precision_bits", "max_tiles"}
 _OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
 
 DEFAULT_OPTIONS = {
     "rounds": 12,
-    "max_word_len": 10 ** 6,
+    "max_states": DEFAULT_MAX_STATES,
     "precision_bits": 64,
     "max_tiles": 200_000,
     "modulus_letter": None,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Optional
 
 from .abelian import (
@@ -33,14 +32,9 @@ from .abelian import (
     transpose,
 )
 from .ap_complex import collar, graph_h1
-from .errors import ResourceCapError, UndeterminedError, ValidationError
-from .fault import BoundaryKind, boundary_trace, classify_trace
-from .substitution import (
-    DEFAULT_MAX_WORD_LEN,
-    Substitution,
-    shift_conjugacy,
-    spectral_classify,
-)
+from .errors import UndeterminedError, ValidationError
+from .fault import DEFAULT_MAX_STATES, BoundaryKind, boundary_trace, classify_trace
+from .substitution import Substitution, shift_conjugacy, spectral_classify
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,8 @@ def _log(level, check, detail):
 
 def validate_dpv(d, conjugacy_max_len=8):
     """Check the standing hypotheses: primitivity of the vertical and of
-    every horizontal substitution, equal per-letter image lengths, equal
+    every horizontal substitution, a vertical that expands (some image has
+    two letters or more), equal per-letter image lengths, equal
     abelianizations (hence one stretching factor), and pairwise shift
     conjugacy as a same-tiling-space certificate (a warning when the search
     fails; the hypothesis stays unverified rather than refuted)."""
@@ -137,6 +132,9 @@ def validate_dpv(d, conjugacy_max_len=8):
         log.append(_log("ok", "vertical-primitive", "vertical substitution is primitive"))
     else:
         errors.append(_log("error", "vertical-primitive", "vertical substitution is not primitive"))
+    if all(len(r) == 1 for r in rho.rules):
+        errors.append(_log("error", "vertical-expanding",
+                           "vertical substitution does not expand: every image is one letter"))
     for i, s in enumerate(d.horizontal):
         if s.is_primitive():
             log.append(_log("ok", f"horizontal-{i}-primitive", "primitive"))
@@ -223,22 +221,6 @@ def _junction_cycle(cx, e, f):
     return seq[seen[pair]:]
 
 
-def _feasible_cap(top, cap, max_word_len):
-    """Largest rounds r <= cap whose predicted word length stays under the
-    cap; classification needs at least 4."""
-    r = 0
-    for lengths in islice(top.image_lengths(), 1, cap + 1):
-        if max(lengths) > max_word_len:
-            break
-        r += 1
-    if r < 4:
-        raise ResourceCapError(
-            "composite boundary substitution grows too fast for a 4-round trace "
-            f"under the {max_word_len}-letter cap"
-        )
-    return r
-
-
 def _compose(family, indices):
     comp = family[indices[0]]
     for k in indices[1:]:
@@ -246,14 +228,16 @@ def _compose(family, indices):
     return comp
 
 
-def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
+def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
     """Classify the boundary at every eventual vertex of the vertical AP
     complex.
 
     The junction pair at a vertex evolves with an eventually periodic orbit;
     composing the per-row horizontal substitutions over one period gives the
     effective top and bottom substitutions at that boundary, whose trace from
-    seed letter 0 is classified by classify_trace."""
+    seed letter 0 is classified by classify_trace.  A cycle of length L is
+    traced for max(4, ceil(cap / L)) composite rounds, each of at most
+    ``max_states`` overlap states (ResourceCapError past that)."""
     rho = d.vertical
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
@@ -286,14 +270,8 @@ def essential_vertices(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN):
             bottom_comp = _compose(d.horizontal, bottom_idx)
             # one composite round is |cycle| substitution steps; keep the
             # effective depth near the configured cap
-            target = max(4, -(-cap // len(cycle)))
-            rounds = min(
-                target,
-                _feasible_cap(top_comp, cap, max_word_len),
-                _feasible_cap(bottom_comp, cap, max_word_len),
-            )
-            trace = boundary_trace(top_comp, bottom_comp, 0, rounds,
-                                   max_word_len=max_word_len)
+            rounds = max(4, -(-cap // len(cycle)))
+            trace = boundary_trace(top_comp, bottom_comp, 0, rounds, max_states=max_states)
             m = top_comp.matrix()
             if m not in spectral:
                 spectral[m] = spectral_classify(m).kind
@@ -415,9 +393,10 @@ def _assemble(mu, nu, n):
     return h2, normalize(h3)
 
 
-def cohomology(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN, strict=False):
+def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
     """Full pipeline: hypotheses, essential vertices, cochain limits, and the
-    assembled H^0..H^3.
+    assembled H^0..H^3.  ``cap`` and ``max_states`` bound the boundary traces
+    as in essential_vertices.
 
     When some boundary classification is undetermined the report is partial:
     H^2/H^3 are None and ``variants`` carries the formula for every n in the
@@ -426,7 +405,7 @@ def cohomology(d, cap=12, max_word_len=DEFAULT_MAX_WORD_LEN, strict=False):
     mu, mu_dl, mu_note = compute_mu(d)
     nu, nu_dl, nu_note = compute_nu(d)
     log.extend((mu_note, nu_note))
-    ev = essential_vertices(d, cap=cap, max_word_len=max_word_len)
+    ev = essential_vertices(d, cap=cap, max_states=max_states)
     d0, d1 = cochain_limits(d)
     d1_rec = recognize(d1)
 

@@ -15,7 +15,8 @@ class HypothesisError(FaultlineError):
 
 
 class ResourceCapError(FaultlineError):
-    """A configured cap (word length, tile count, rounds) would be exceeded."""
+    """A configured cap (trace states per round, word length, tile count)
+    would be exceeded."""
 
 
 class UndeterminedError(FaultlineError):

@@ -27,9 +27,10 @@ from operator import add, mul, sub
 
 from .algebra import AlgebraicNumber, integer_vectors, mod_quotient, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
-from .substitution import DEFAULT_MAX_WORD_LEN, SpectralKind, spectral_classify
+from .substitution import SpectralKind, spectral_classify
 
 DEFAULT_ROUNDS = 12
+DEFAULT_MAX_STATES = 100_000   # overlap states per round of a trace
 
 _SCALE = 1 << 96   # fixed-point scale of the sign filter
 
@@ -75,7 +76,7 @@ class BoundaryStep:
     round: int
     top: Row
     bottom: Row
-    offset_vectors: tuple         # the shear offset of each distinct m, sorted ascending,
+    offset_vectors: tuple         # the distinct shear offsets, sorted ascending,
                                   # as integer coefficient vectors over den
     discrepancy_values: tuple     # distinct m values this round, sorted
     field: object                 # the NumberField of the offsets
@@ -160,9 +161,11 @@ def _prefix_counts(word, zero):
     return out
 
 
-def _discrepancy_rounds(top, bottom, seed, k, widths, tracked):
+def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
+                        max_states=DEFAULT_MAX_STATES):
     """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
-    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.
+    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  A round
+    with more than ``max_states`` overlap states raises ResourceCapError.
 
     A round is carried by its overlap states.  A state (t, b, D) is a top
     tile t and a bottom tile b whose interiors overlap, with D the letter
@@ -202,7 +205,7 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked):
         return tables[t, b]
 
     states = {(seed, seed, zero)}
-    for _ in range(k):
+    for rnd in range(1, k + 1):
         children, values = set(), set()
         for t, b, d in states:
             kids1, kids2 = rules1[t], rules2[b]
@@ -241,20 +244,23 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked):
                     i += 1
                 if s >= 0:
                     j += 1
+        if len(children) > max_states:
+            raise ResourceCapError(
+                f"boundary trace exceeded the {max_states}-state budget at round {rnd}")
         states = children
         yield tuple(sorted(values))
 
 
 def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
-                   max_word_len=DEFAULT_MAX_WORD_LEN):
+                   max_states=DEFAULT_MAX_STATES):
     """Trace k substitution rounds of the two rows touching a boundary,
     starting from one aligned seed letter.
 
     Requires equal alphabets and equal abelianizations (the rows must span
     the same exact interval each round).  ``modulus`` is the letter index
     of the tile width that offsets are reduced by; it defaults to the widest
-    tile.  ``max_word_len`` caps the row length, which is computed
-    from the letter lengths; no row is built."""
+    tile.  ``max_states`` caps the overlap states of each round, which is
+    what a trace pays for; rows are never built, whatever their length."""
     if k < 1:
         raise ValidationError("need at least one round")
     if top.alphabet != bottom.alphabet:
@@ -265,9 +271,9 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         raise HypothesisError("boundary trace needs equal abelianizations")
     seed = top.word([seed])[0] if not isinstance(seed, int) else seed
     widths = top.tile_lengths()
-    field = widths[0].field
+    scan = _ScanWidths(widths)
     # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
-    vectors, den = integer_vectors(widths)
+    field, vectors, den = scan.field, scan.vectors, scan.den
     if modulus is None:
         # the widest tile by the signs max(widths) takes, so the field is
         # refined alike
@@ -279,15 +285,12 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     if field.sign(mod_vector) <= 0:
         raise ValidationError("offset modulus must be positive")
     unit = vectors[tracked_letter]
-    rounds = _discrepancy_rounds(top, bottom, seed, k, _ScanWidths(widths), tracked_letter)
+    rounds = _discrepancy_rounds(top, bottom, seed, k, scan, tracked_letter, max_states)
     # the same discrepancy values recur round after round: reduce each once,
     # and keep its enclosure at the refinement it was reduced at
     reduced = {}
     steps = []
     for rnd, lengths in enumerate(islice(top.image_lengths(), 1, k + 1), 1):
-        length = lengths[seed]
-        if length > max_word_len:
-            raise ResourceCapError(f"boundary trace exceeded the {max_word_len}-letter word cap")
         ms = next(rounds)
         for m in ms:
             if m not in reduced:
@@ -297,12 +300,15 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
                 reduced[m] = (o, field.enclose(o, den))
         order = order_vectors(field, den, [reduced[m][0] for m in ms],
                               [reduced[m][1] for m in ms])
+        # two m can reduce to one offset: keep each once (equal vectors over
+        # one den are equal values)
+        offsets = dict.fromkeys(reduced[ms[i]][0] for i in order)
         steps.append(
             BoundaryStep(
                 round=rnd,
-                top=Row(top, seed, rnd, length),
-                bottom=Row(bottom, seed, rnd, length),
-                offset_vectors=tuple(reduced[ms[i]][0] for i in order),
+                top=Row(top, seed, rnd, lengths[seed]),
+                bottom=Row(bottom, seed, rnd, lengths[seed]),
+                offset_vectors=tuple(offsets),
                 discrepancy_values=ms,
                 field=field,
                 den=den,
@@ -438,7 +444,7 @@ class BoundaryClass:
 
 
 def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
-                      max_word_len=DEFAULT_MAX_WORD_LEN):
+                      max_states=DEFAULT_MAX_STATES):
     """Rigid when the offsets stay a single constant through the cap;
     RegularFault when the horizontal expansion is NonPisotExpanding and the
     max discrepancy strictly increases across the last three doubling
@@ -447,7 +453,7 @@ def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
     return classify_trace(boundary_trace(top, bottom, seed=0, k=cap, modulus=modulus,
-                                         max_word_len=max_word_len))
+                                         max_states=max_states))
 
 
 def classify_trace(trace, spectral=None):

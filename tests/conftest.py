@@ -116,9 +116,10 @@ def scan_prefix_discrepancies(top, bottom, widths, tracked):
     return tuple(out)
 
 
-def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked):
+def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=None):
     """``fault._discrepancy_rounds`` on materialised rows: each round applies
-    both substitutions to the previous words and scans every letter."""
+    both substitutions to the previous words and scans every letter.  It has
+    no overlap states, so it takes ``max_states`` and ignores it."""
     wt = wb = (seed,)
     for _ in range(k):
         wt, wb = top.apply(wt), bottom.apply(wb)
@@ -353,7 +354,7 @@ def reference_int_mod_reduce(a, m):
 
 
 def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
-    """(field, rounds): the sorted offsets of each round of
+    """(field, rounds): the sorted distinct offsets of each round of
     ``boundary_trace(top, bottom, seed, k, modulus, tracked_letter)`` as
     AlgebraicNumbers, on a field of its own."""
     widths = top.tile_lengths()
@@ -371,8 +372,9 @@ def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
             if m not in reduced:
                 o = reference_int_mod_reduce(unit_shift * m, modulus)
                 reduced[m] = (o, reference_enclosure(o))
-        rounds.append(reference_sort_exact([reduced[m][0] for m in ms],
-                                           [reduced[m][1] for m in ms]))
+        # a round lists each distinct offset once
+        rounds.append(tuple(dict.fromkeys(reference_sort_exact(
+            [reduced[m][0] for m in ms], [reduced[m][1] for m in ms]))))
     return widths[0].field, rounds
 
 

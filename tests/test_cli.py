@@ -257,9 +257,55 @@ def test_fault_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_fact
     argv = ["fault", "-i", str(path), "--top", "top", "--bottom", "bottom",
             "--seed", data.draw(st.sampled_from(doc["alphabets"]["x"])),
             "--rounds", str(data.draw(st.integers(4, 10)))]
-    # a small word cap, drawn on purpose, trips the cap (exit 3)
+    # a small state budget, drawn on purpose, trips the cap (exit 3)
     if data.draw(st.booleans()):
-        argv += ["--max-word-len", "30"]
+        argv += ["--max-states", str(data.draw(st.integers(1, 30)))]
+    first = _run_captured(argv)
+    code, _, err = first
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (doc, argv, first)
+    assert err.count("\n") <= 1, (doc, argv, err)
+    assert _run_captured(argv) == first, (doc, argv)
+
+
+@st.composite
+def dpv_documents(draw):
+    """A vertical on 1-3 letters with images of 1-3 letters over 2-3
+    members of the horizontal family a -> (a^p b in some order), b -> a^q;
+    each row of each vertical image picks a member.  Half of the verticals
+    are primitive by construction (each letter's image holds the next
+    letter, and the first letter's holds itself); the rest may not be."""
+    letters = LETTERS[:draw(st.integers(1, 3))]
+    primitive = draw(st.booleans())
+    rules = {}
+    for i, x in enumerate(letters):
+        img = draw(st.lists(st.sampled_from(letters), min_size=0 if primitive else 1,
+                            max_size=1 if primitive else 3))
+        if primitive:
+            img += [letters[(i + 1) % len(letters)]] + ([x] if i == 0 else [])
+        rules[x] = "".join(draw(st.permutations(img)))
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    family = draw(st.lists(st.integers(0, p), min_size=2, max_size=3, unique=True))
+    subs = {"rho": {"alphabet": "v", "rules": rules}}
+    for j in family:
+        subs[f"s{j}"] = {"alphabet": "h", "rules": {"a": "a" * j + "b" + "a" * (p - j),
+                                                   "b": "a" * q}}
+    names = [f"s{j}" for j in family]
+    return {"alphabets": {"v": list(letters), "h": ["a", "b"]},
+            "substitutions": subs,
+            "dpv": {"vertical": "rho", "horizontal": names,
+                    "row_sigma": {x: [draw(st.sampled_from(names)) for _ in img]
+                                  for x, img in rules.items()}}}
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=dpv_documents(), data=st.data())
+def test_cohomology_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # the budget guards every boundary trace behind essential_vertices
+    argv = ["cohomology", "-i", str(path), "--rounds", str(data.draw(st.integers(4, 8))),
+            "--max-states", str(data.draw(st.integers(1, 50) | st.integers(51, 5000)))]
     first = _run_captured(argv)
     code, _, err = first
     event(f"exit {code}")
@@ -348,11 +394,18 @@ def test_undetermined_exit_code(tmp_path):
     assert json.loads(out)["classification"] == "Undetermined"
 
 
-def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("FAULTLINE_MAX_WORD_LEN", "100")
-    code, _ = run_cli("fault", "-i", "bundled:doubling_swap",
-                      "--top", "sigma1", "--bottom", "sigma2", "--rounds", "12")
-    assert code == 3  # resource cap
+def test_env_cap_override(monkeypatch, capsys):
+    # the paper pair has more than 100 overlap states from round 11 on
+    monkeypatch.setenv("FAULTLINE_MAX_STATES", "100")
+    capsys.readouterr()
+    assert main(["fault", "-i", "bundled:doubling_swap",
+                 "--top", "sigma1", "--bottom", "sigma2", "--rounds", "12"]) == 3
+    assert capsys.readouterr().err == (
+        "resource cap: boundary trace exceeded the 100-state budget at round 11\n")
+    # a flag overrides the environment
+    assert main(["fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                 "--bottom", "sigma2", "--rounds", "12", "--max-states", "200",
+                 "-o", os.devnull]) == 0
 
 
 def test_schema_validation_messages():
@@ -414,9 +467,9 @@ def test_fault_builds_no_word(monkeypatch, seed):
 
 def test_fault_traces_past_any_materialisable_row(tmp_path):
     # 24 rounds of the paper pair: 452,841,761 letters per row, which only
-    # the letter lengths ever see
+    # the letter lengths ever see, under the default state budget
     argv = ["fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
-            "--rounds", "24", "--max-word-len", "1000000000"]
+            "--rounds", "24"]
     outs = []
     for i in range(2):
         path = tmp_path / f"deep{i}.json"
@@ -427,7 +480,7 @@ def test_fault_traces_past_any_materialisable_row(tmp_path):
     assert len(rows) == 24
     doc = bundled_document("doubling_swap")
     s1, s2 = doc.substitution("sigma1"), doc.substitution("sigma2")
-    trace = boundary_trace(s1, s2, "a", 24, max_word_len=10 ** 9)
+    trace = boundary_trace(s1, s2, "a", 24)
     assert len(trace.steps[-1].top) == 452841761
     widths = _ScanWidths(s1.tile_lengths())
     oracle = list(scan_discrepancy_rounds(s1, s2, 0, 12, widths, 0))
@@ -437,9 +490,10 @@ def test_fault_traces_past_any_materialisable_row(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     (key, value)
-    for key in ("rounds", "max_word_len", "precision_bits", "max_tiles", "conjugacy_max_len")
+    for key in ("rounds", "max_states", "precision_bits", "max_tiles", "conjugacy_max_len")
     for value in ("x", True, 0, -3, 2.5, None)
-] + [("modulus_letter", v) for v in ("z", 0, True, ["a"])])
+] + [("modulus_letter", v) for v in ("z", 0, True, ["a"])] + [
+    ("max_word_len", v) for v in ("x", True, 0, -3, 2.5, None)])
 def test_option_types_rejected_at_load(tmp_path, capsys, key, value):
     doc = {
         "alphabets": {"ab": ["a", "b"]},
@@ -451,9 +505,9 @@ def test_option_types_rejected_at_load(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert main(["fault", "-i", str(path), "--top", "s", "--bottom", "s"]) == 1
     err = capsys.readouterr().err
-    if key == "conjugacy_max_len":
+    if key in ("conjugacy_max_len", "max_word_len"):
         # a removed option is an unknown field, whatever its value
-        assert err == "error: unknown fields in options: ['conjugacy_max_len']\n"
+        assert err == f"error: unknown fields in options: ['{key}']\n"
     else:
         assert err.startswith("error: options.") and err.count("\n") == 1
 
@@ -513,10 +567,10 @@ def test_render_colors_applied(tmp_path):
     ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
      "--rounds", "0"),
     ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
-     "--max-word-len", "-1"),
+     "--max-states", "-1"),
     ("cohomology", "-i", "bundled:doubling_swap", "--rounds", "-2"),
     ("render", "-i", "bundled:doubling_swap", "--rounds", "-1"),
-    ("cohomology", "-i", "bundled:doubling_swap", "--max-word-len", "0"),
+    ("cohomology", "-i", "bundled:doubling_swap", "--max-states", "0"),
 ])
 def test_bad_flag_values_rejected(capsys, argv):
     capsys.readouterr()
@@ -527,7 +581,7 @@ def test_bad_flag_values_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("var, value", [
-    ("FAULTLINE_ROUNDS", "0"), ("FAULTLINE_ROUNDS", "-5"), ("FAULTLINE_MAX_WORD_LEN", "0"),
+    ("FAULTLINE_ROUNDS", "0"), ("FAULTLINE_ROUNDS", "-5"), ("FAULTLINE_MAX_STATES", "0"),
     ("FAULTLINE_MAX_TILES", "-1"), ("FAULTLINE_MAX_TILES", "x"),
 ])
 def test_bad_env_caps_rejected(monkeypatch, capsys, var, value):
@@ -557,6 +611,10 @@ def test_render_zero_rounds_is_the_seed_tile(tmp_path):
     ("render", "-i", "bundled:doubling_swap", "--rounds", "1", "--format", "json"),
     ("selftest", "-o", "selftest.txt"),
     ("selftest", "--format", "text"),
+    # the word-length cap that the state budget replaced has no alias
+    ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
+     "--max-word-len", "1000"),
+    ("cohomology", "-i", "bundled:doubling_swap", "--max-word-len", "1000"),
 ])
 def test_usage_errors_are_one_line_exit_1(capsys, argv):
     capsys.readouterr()
@@ -564,6 +622,20 @@ def test_usage_errors_are_one_line_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("analyze", "-i", "bundled:doubling_swap")[0] == 0
+        assert main(["frob"]) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
 
 
 def test_flags_only_where_a_command_reads_them():
@@ -580,8 +652,8 @@ def test_flags_only_where_a_command_reads_them():
         "ap": sorted(report + ["--name"]),
         "mu": sorted(report + ["--name"]),
         "selftest": [],
-        "fault": sorted(report + ["--bottom", "--max-word-len", "--rounds", "--seed", "--top"]),
-        "cohomology": sorted(report + ["--max-word-len", "--rounds"]),
+        "fault": sorted(report + ["--bottom", "--max-states", "--rounds", "--seed", "--top"]),
+        "cohomology": sorted(report + ["--max-states", "--rounds"]),
         "render": ["--colors", "--input", "--output", "--overlay", "--rounds", "--seed"],
     }
 
@@ -590,7 +662,7 @@ def test_flags_only_where_a_command_reads_them():
 def test_cohomology_matches_expected_file(name):
     doc = bundled_document(name)
     rep = cohomology(doc.dpv, cap=doc.options["rounds"],
-                     max_word_len=doc.options["max_word_len"])
+                     max_states=doc.options["max_states"])
     assert cli.cohomology_summary(doc.dpv, rep) == bundled_expected(name)
 
 

@@ -82,6 +82,17 @@ def test_validate_rejects_nonprimitive_vertical():
         validate_dpv(d)
 
 
+def test_validate_rejects_a_vertical_that_does_not_expand():
+    # v -> v is primitive, but its AP complex has no junction at its vertex
+    s1 = Substitution(["a", "b"], {"a": "ba", "b": "aaa"})
+    rho = Substitution(["v"], {"v": "v"})
+    d = DPVSubstitution(vertical=rho, horizontal=(s1,), row_sigma=((0,),))
+    with pytest.raises(ValidationError, match="^vertical-expanding: "):
+        validate_dpv(d)
+    with pytest.raises(ValidationError, match="^vertical-expanding: "):
+        cohomology(d)
+
+
 def test_row_sigma_shape_checked():
     s1 = Substitution(["a", "b"], {"a": "ba", "b": "aaa"})
     rho = Substitution(["v"], {"v": "vv"})
@@ -146,33 +157,28 @@ def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
         rho = random_substitution(rng, rng.choice((2, 3)), max_len=2)
         docs.append(DPVSubstitution(rho, family, tuple(
             tuple(rng.randrange(2) for _ in r) for r in rho.rules)))
-    saved = done = 0
+    saved = 0
     for d in docs:
         calls.clear()
         classified.clear()
-        try:
-            essential_vertices(d, cap=8)
-        except ResourceCapError:   # a junction cycle too long for 4 rounds
-            continue
-        done += 1
+        essential_vertices(d, cap=8)
         assert len(calls) == len(set(calls)) == len({m for m, _ in classified})
         assert all(kind is classify(m).kind for m, kind in classified)
         saved += len(classified) - len(calls)
-    assert done >= 8 and saved > 0
+    assert len(docs) == 15 and saved > 0
 
 
-def test_feasible_cap_matches_built_words():
-    rng = rng_for("feasible-cap")
-    for _ in range(20):
-        s = random_substitution(rng, rng.choice((2, 3)))
-        cap, max_len = rng.randint(4, 9), rng.randint(10, 400)
-        longest = [max(len(s.iterate((x,), r)) for x in range(s.size)) for r in range(cap + 1)]
-        rounds = next((r - 1 for r in range(1, cap + 1) if longest[r] > max_len), cap)
-        if rounds < 4:
-            with pytest.raises(ResourceCapError, match=f"under the {max_len}-letter cap"):
-                dpv._feasible_cap(s, cap, max_len)
-        else:
-            assert dpv._feasible_cap(s, cap, max_len) == rounds
+def test_fast_growing_composite_boundaries_trace_under_the_default_budget():
+    # six composite boundaries whose 4-round rows have 589,951,041 letters:
+    # a trace pays per overlap state, so each classifies at full depth
+    family = (Substitution(["a", "b"], {"a": "ba", "b": "aaa"}),
+              Substitution(["a", "b"], {"a": "ab", "b": "aaa"}))
+    rho = Substitution(["a", "b", "c"], {"a": "b", "b": "cc", "c": "ab"})
+    d = DPVSubstitution(rho, family, ((0,), (0, 0), (1, 0)))
+    ev = essential_vertices(d, cap=8)
+    assert [vb.kind for vb in ev.vertices] == [BoundaryKind.REGULAR_FAULT] * 6
+    with pytest.raises(ResourceCapError, match="-state budget at round "):
+        essential_vertices(d, cap=8, max_states=1000)
 
 
 def test_compute_mu_nu(doubling_swap, pd_dpv):

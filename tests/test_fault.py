@@ -1,11 +1,12 @@
 """Boundary traces, discrepancy growth, offsets, classification."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from faultline import algebra, fault
 from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors
@@ -376,7 +377,7 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
         assert classify_trace(trace, spectral).kind is kind
         gap = trace.steps[-1].min_gap()
         if kind is BoundaryKind.RIGID:
-            assert stats.distinct_count == 1 and gap.is_zero()
+            assert stats.distinct_count == 1 and gap is None
         else:
             assert stats.distinct_count > 10 and gap.sign() > 0
 
@@ -433,19 +434,52 @@ def test_trace_hypothesis_errors(sigma1):
         boundary_trace(sigma1, twisted, "a", 2)
 
 
-def test_trace_word_cap(sigma1, sigma2):
-    with pytest.raises(ResourceCapError):
-        boundary_trace(sigma1, sigma2, "a", 12, max_word_len=1000)
+def test_trace_state_budget_pins_the_paper_pair_at_round_16(sigma1, sigma2):
+    # 475 overlap states at round 16, more than at any round before it
+    trace = boundary_trace(sigma1, sigma2, "a", 16, max_states=475)
+    assert len(trace.steps) == 16
+    with pytest.raises(ResourceCapError,
+                       match="^boundary trace exceeded the 474-state budget at round 16$"):
+        boundary_trace(sigma1, sigma2, "a", 16, max_states=474)
 
 
-def test_trace_word_cap_trips_at_the_first_long_row(sigma1, sigma2):
-    for cap in (2, 5, 25, 26, 27, 1000):
-        # round k is the first whose rows pass the cap
-        k = next(k for k in range(1, 20) if len(sigma1.iterate("a", k)) > cap)
-        boundary_trace(sigma1, sigma2, "a", k - 1, max_word_len=cap)
-        with pytest.raises(ResourceCapError,
-                           match=f"^boundary trace exceeded the {cap}-letter word cap$"):
-            boundary_trace(sigma1, sigma2, "a", k, max_word_len=cap)
+def step_key(step):
+    return (step.round, len(step.top), step.discrepancy_values, step.offset_vectors, step.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3), k=st.integers(1, 8),
+       budget=st.integers(1, 60))
+def test_state_budget_never_changes_a_trace(seed, n_letters, k, budget):
+    # a budgeted trace raises or is the unbudgeted trace step for step; when
+    # it raises at round r, the rounds before r fit the same budget
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+    free = boundary_trace(s, t, start, k, tracked_letter=tracked)
+    try:
+        capped = boundary_trace(s, t, start, k, tracked_letter=tracked, max_states=budget)
+    except ResourceCapError as exc:
+        event("budget tripped")
+        r = int(re.fullmatch(rf"boundary trace exceeded the {budget}-state budget "
+                             r"at round (\d+)", str(exc)).group(1))
+        assert 1 <= r <= k
+        if r > 1:
+            boundary_trace(s, t, start, r - 1, tracked_letter=tracked, max_states=budget)
+        return
+    assert [step_key(x) for x in capped.steps] == [step_key(x) for x in free.steps]
+
+
+def test_offsets_listed_once_per_round(sigma1, sigma2):
+    # modulo the tracked width every shear is 0: eight rounds of growing
+    # distinct discrepancies, one offset
+    trace = boundary_trace(sigma1, sigma2, "a", 8, modulus=0)
+    assert [len(st_.discrepancy_values) for st_ in trace.steps] == [2, 3, 3, 4, 5, 7, 8, 11]
+    assert all(st_.offset_vectors == ((0, 0),) for st_ in trace.steps)
+    assert all(st_.min_gap() is None for st_ in trace.steps)
+    assert offset_statistics(trace).distinct_count == 1
+    assert classify_trace(trace).kind is BoundaryKind.RIGID
 
 
 def test_growth_near_second_eigenvalue(sigma1, sigma2):

@@ -297,17 +297,18 @@ def cmd_fault(args):
     cls = classify_trace(seed0)
     rows = []
     prev_max = None
+    # the first 80 letters of both rows (one alphabet), read off the round before's
+    heads = zip(top.prefixes(trace.seed, 81), bottom.prefixes(trace.seed, 81))
+    next(heads)
     for st in trace.steps:
+        shown = [top.text(w) if len(w) <= 80 else top.text(w[:77]) + "..." for w in next(heads)]
         gap = st.min_gap()
-        step_ratio = None
-        if prev_max not in (None, 0):
-            step_ratio = _decimal12(Fraction(st.max_abs_discrepancy, prev_max))
+        step_ratio = _decimal12(Fraction(st.max_abs_discrepancy, prev_max)) if prev_max else None
         prev_max = st.max_abs_discrepancy
         rows.append({
             "round": st.round,
-            "top": top.text(st.top) if len(st.top) <= 80 else top.text(st.top[:77]) + "...",
-            "bottom": bottom.text(st.bottom) if len(st.bottom) <= 80
-                      else bottom.text(st.bottom[:77]) + "...",
+            "top": shown[0],
+            "bottom": shown[1],
             "max_discrepancy": st.max_abs_discrepancy,
             "distinct_offsets": len(st.offset_vectors),
             "min_gap": alg_json(gap) if gap is not None else None,
@@ -480,7 +481,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_HELP = {
     "rounds": "iteration cap override",
     "precision_bits": "interval refinement precision override",
-    "max_states": "overlap-state budget per trace round override",
+    "max_states": "overlap-state budget per trace override",
 }
 
 

@@ -236,8 +236,8 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
     composing the per-row horizontal substitutions over one period gives the
     effective top and bottom substitutions at that boundary, whose trace from
     seed letter 0 is classified by classify_trace.  A cycle of length L is
-    traced for max(4, ceil(cap / L)) composite rounds, each of at most
-    ``max_states`` overlap states (ResourceCapError past that)."""
+    traced for max(4, ceil(cap / L)) composite rounds and at most
+    ``max_states`` overlap states in all (ResourceCapError past that)."""
     rho = d.vertical
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)

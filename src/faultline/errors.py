@@ -15,8 +15,7 @@ class HypothesisError(FaultlineError):
 
 
 class ResourceCapError(FaultlineError):
-    """A configured cap (trace states per round, word length, tile count)
-    would be exceeded."""
+    """A configured cap (trace states, word length, tile count) would be exceeded."""
 
 
 class UndeterminedError(FaultlineError):

@@ -30,16 +30,16 @@ from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import SpectralKind, spectral_classify
 
 DEFAULT_ROUNDS = 12
-DEFAULT_MAX_STATES = 100_000   # overlap states per round of a trace
+DEFAULT_MAX_STATES = 100_000   # overlap states over all rounds of a trace
 
 _SCALE = 1 << 96   # fixed-point scale of the sign filter
 
 
 @dataclass(frozen=True)
 class Row:
-    """The word substitution^round(seed), read lazily: ``len()`` comes from
-    the letter lengths and iteration descends the rules depth first, so the
-    first n letters cost O(round + n) and no word is built."""
+    """The word substitution^round(seed), read lazily: ``length`` comes from
+    the letter lengths (``len()`` only up to sys.maxsize) and iteration
+    descends the rules depth first, so the first n letters cost O(round + n)."""
     substitution: object
     seed: int
     round: int
@@ -60,10 +60,6 @@ class Row:
                     break
             else:
                 stack.pop()
-
-    def __getitem__(self, index):
-        """A slice with a positive step, as a tuple of letters."""
-        return tuple(islice(self, *index.indices(self.length)))
 
 
 def _element(field, den, vector):
@@ -164,8 +160,9 @@ def _prefix_counts(word, zero):
 def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
                         max_states=DEFAULT_MAX_STATES):
     """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
-    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  A round
-    with more than ``max_states`` overlap states raises ResourceCapError.
+    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  The
+    round that takes the states of all rounds so far past ``max_states``
+    raises ResourceCapError.
 
     A round is carried by its overlap states.  A state (t, b, D) is a top
     tile t and a bottom tile b whose interiors overlap, with D the letter
@@ -204,7 +201,7 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
             tables[t, b] = (vec, image, margin)
         return tables[t, b]
 
-    states = {(seed, seed, zero)}
+    states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
     for rnd in range(1, k + 1):
         children, values = set(), set()
         for t, b, d in states:
@@ -244,7 +241,8 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
                     i += 1
                 if s >= 0:
                     j += 1
-        if len(children) > max_states:
+        spent += len(children)
+        if spent > max_states:
             raise ResourceCapError(
                 f"boundary trace exceeded the {max_states}-state budget at round {rnd}")
         states = children
@@ -259,8 +257,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     Requires equal alphabets and equal abelianizations (the rows must span
     the same exact interval each round).  ``modulus`` is the letter index
     of the tile width that offsets are reduced by; it defaults to the widest
-    tile.  ``max_states`` caps the overlap states of each round, which is
-    what a trace pays for; rows are never built, whatever their length."""
+    tile.  ``max_states`` caps the overlap states of all rounds together,
+    which is what a trace pays for; rows are never built."""
     if k < 1:
         raise ValidationError("need at least one round")
     if top.alphabet != bottom.alphabet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import gcd
 from operator import add, mul
 
@@ -133,6 +133,14 @@ class Substitution:
         while True:
             yield lengths
             lengths = tuple(sum(lengths[y] for y in rule) for rule in self.rules)
+
+    def prefixes(self, seed, n):
+        """Yield the first n letters of self^j(seed) for j = 0, 1, 2, ...,
+        each read off the one before (no rule is empty), in O(n) a round."""
+        word = (seed,)
+        while True:
+            yield word
+            word = tuple(islice(chain.from_iterable(self.rules[x] for x in word), n))
 
     def rule(self, letter):
         if isinstance(letter, str):

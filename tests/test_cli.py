@@ -10,6 +10,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -395,16 +396,16 @@ def test_undetermined_exit_code(tmp_path):
 
 
 def test_env_cap_override(monkeypatch, capsys):
-    # the paper pair has more than 100 overlap states from round 11 on
+    # the paper pair has 134 overlap states over rounds 1-7, 650 over 1-12
     monkeypatch.setenv("FAULTLINE_MAX_STATES", "100")
     capsys.readouterr()
     assert main(["fault", "-i", "bundled:doubling_swap",
                  "--top", "sigma1", "--bottom", "sigma2", "--rounds", "12"]) == 3
     assert capsys.readouterr().err == (
-        "resource cap: boundary trace exceeded the 100-state budget at round 11\n")
+        "resource cap: boundary trace exceeded the 100-state budget at round 7\n")
     # a flag overrides the environment
     assert main(["fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
-                 "--bottom", "sigma2", "--rounds", "12", "--max-states", "200",
+                 "--bottom", "sigma2", "--rounds", "12", "--max-states", "650",
                  "-o", os.devnull]) == 0
 
 
@@ -462,7 +463,8 @@ def test_fault_builds_no_word(monkeypatch, seed):
             top = tr.top_sub.iterate((tr.seed,), st.round)
             bottom = tr.bottom_sub.iterate((tr.seed,), st.round)
             assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
-            assert (st.top[:77], st.bottom[:77]) == (top[:77], bottom[:77])
+            assert tuple(islice(st.top, 77)) == top[:77]
+            assert tuple(islice(st.bottom, 77)) == bottom[:77]
 
 
 def test_fault_traces_past_any_materialisable_row(tmp_path):
@@ -486,6 +488,21 @@ def test_fault_traces_past_any_materialisable_row(tmp_path):
     oracle = list(scan_discrepancy_rounds(s1, s2, 0, 12, widths, 0))
     assert [st.discrepancy_values for st in trace.steps[:12]] == oracle
     assert [row["max_discrepancy"] for row in rows] == list(trace.max_abs_by_round())
+
+
+def test_fault_prints_rows_longer_than_an_index():
+    # equal substitutions keep two states a round, so 60 rounds fit the
+    # default budget while the rows pass sys.maxsize letters at round 53
+    code, out, err = _run_captured(["fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                                    "--bottom", "sigma1", "--rounds", "60"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rounds"]
+    sigma1 = bundled_document("doubling_swap").substitution("sigma1")
+    trace = boundary_trace(sigma1, sigma1, "a", 60)
+    assert trace.steps[52].top.length > sys.maxsize >= trace.steps[51].top.length
+    for row, st in zip(rows, trace.steps, strict=True):
+        text = sigma1.text(islice(st.top, 81))
+        assert row["top"] == row["bottom"] == (text if len(text) <= 80 else text[:77] + "...")
 
 
 @pytest.mark.parametrize("key, value", [

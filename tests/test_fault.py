@@ -260,8 +260,8 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(1, 4), k=st.integers(0, 6),
-       cut=st.integers(-3, 90), step=st.sampled_from([None, 1, 2]))
-def test_row_view_reads_the_materialised_word(seed, n_letters, k, cut, step):
+       n=st.integers(1, 90))
+def test_row_view_reads_the_materialised_word(seed, n_letters, k, n):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters, primitive=False)
     start = rng.randrange(n_letters)
@@ -269,8 +269,8 @@ def test_row_view_reads_the_materialised_word(seed, n_letters, k, cut, step):
     row = Row(s, start, k, next(islice(s.image_lengths(), k, None))[start])
     assert len(row) == len(word)
     assert tuple(row) == word
-    assert row[:cut:step] == word[:cut:step]
-    assert row[cut::step] == word[cut::step]
+    # the prefixes a report prints, each read off the round before
+    assert next(islice(s.prefixes(start, n), k, None)) == word[:n]
 
 
 def coarse_field():
@@ -435,12 +435,23 @@ def test_trace_hypothesis_errors(sigma1):
 
 
 def test_trace_state_budget_pins_the_paper_pair_at_round_16(sigma1, sigma2):
-    # 475 overlap states at round 16, more than at any round before it
-    trace = boundary_trace(sigma1, sigma2, "a", 16, max_states=475)
+    # 1,984 overlap states over rounds 1-16 (475 of them at round 16), 1,509
+    # over rounds 1-15: the budget counts the states of all rounds together
+    trace = boundary_trace(sigma1, sigma2, "a", 16, max_states=1984)
     assert len(trace.steps) == 16
     with pytest.raises(ResourceCapError,
-                       match="^boundary trace exceeded the 474-state budget at round 16$"):
-        boundary_trace(sigma1, sigma2, "a", 16, max_states=474)
+                       match="^boundary trace exceeded the 1983-state budget at round 16$"):
+        boundary_trace(sigma1, sigma2, "a", 16, max_states=1983)
+    boundary_trace(sigma1, sigma2, "a", 15, max_states=1509)
+
+
+def test_trace_state_budget_bounds_the_depth(sigma1):
+    # equal substitutions keep two aligned states a round, so only the
+    # running total stops a trace that asks for any number of rounds
+    assert len(boundary_trace(sigma1, sigma1, "a", 500, max_states=1000).steps) == 500
+    with pytest.raises(ResourceCapError,
+                       match="^boundary trace exceeded the 1000-state budget at round 501$"):
+        boundary_trace(sigma1, sigma1, "a", 10 ** 9, max_states=1000)
 
 
 def step_key(step):

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 
-from .algebra import is_irreducible, peval, poly_str, ptrim
+from .algebra import poly_str, ptrim
 from .errors import ValidationError
+from .zpoly import irreducible_factors
 
 
 def mat(rows):
@@ -298,49 +299,6 @@ def direct_limit(a):
         projection=proj,
         section=sect,
     )
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return out
-
-
-def _synth_div(p, r):
-    """Divide an ascending polynomial by (x - r); remainder must vanish."""
-    desc = list(reversed(p))
-    out_desc = []
-    acc = 0
-    for c in desc[:-1]:
-        acc = acc * r + c
-        out_desc.append(acc)
-    return list(reversed(out_desc))
-
-
-def integer_roots(poly):
-    """Integer roots of a monic integer polynomial, with multiplicities,
-    sorted ascending."""
-    p = list(ptrim(poly))
-    roots = []
-    mult0 = 0
-    while p and p[0] == 0:
-        mult0 += 1
-        p.pop(0)
-    if mult0:
-        roots.append((0, mult0))
-    if len(p) > 1 and p[0] != 0:
-        for r in sorted(d * s for d in _divisors(int(p[0])) for s in (1, -1)):
-            mult = 0
-            while len(p) > 1 and peval(p, r) == 0:
-                p = _synth_div(p, r)
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +626,12 @@ def recognize(g):
         return normalize(GroupExpr.zpow(g.r))
     if g.r == 1:
         return GroupExpr.zloc(abs(a_pr[0][0]))
-    if is_irreducible(g.charpoly_prime):
+    # charpoly_prime is monic: its factors are monic, and a linear one x - e
+    # is an integer root e
+    factors = irreducible_factors(g.charpoly_prime)
+    if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == g.r + 1:
         return GroupExpr.alg(g.charpoly_prime, g.a_prime)
-    roots = integer_roots(g.charpoly_prime)
+    roots = sorted((-f[0], m) for f, m in factors if len(f) == 2)
     if sum(m for _, m in roots) == g.r:
         lattices = []
         diagonalizable = True

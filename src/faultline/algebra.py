@@ -1,14 +1,17 @@
 """Exact arithmetic in real algebraic number fields Q(lambda) = Q[x]/(p).
 
-Polynomials are tuples of coefficients in *ascending* degree order.  Ring
-operations are carried out over ``fractions.Fraction``; nothing stored here is
-ever a float.  Root isolation and factorization over Q run in pure-int code
-(``zpoly``), which this module re-exports: the real-root intervals and the
-complex-root rectangles are the ones sympy's continued-fraction and
-Collins-Krandick isolation return, so every enclosure built from them is too.
-Everything downstream of isolation (refinement, comparison, modular
-reduction) is implemented here with exact rational intervals, evaluated by one
-integer Horner routine over a common denominator (``horner_interval``).
+Polynomials are tuples of coefficients in *ascending* degree order.  An
+element is a coefficient vector on the power basis; every product, inverse
+and reduction goes through one multiply-by-lambda step (``times_root``), and
+nothing stored here is ever a float.  Polynomial arithmetic over Z (root
+isolation, factorization, squarefree parts, signs at rationals) lives in
+``zpoly``, whose isolation and factoring this module re-exports: the real-root
+intervals and the complex-root rectangles are the ones sympy's
+continued-fraction and Collins-Krandick isolation return, so every enclosure
+built from them is too.  Everything downstream of isolation (refinement,
+comparison, modular reduction) is implemented here with exact rational
+intervals, evaluated by one integer Horner routine over a common denominator
+(``horner_interval``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .zpoly import irreducible_factors, isolate_complex_roots, isolate_real_roots
+from .zpoly import (
+    irreducible_factors,
+    isolate_complex_roots,
+    isolate_real_roots,
+    sign_at,
+    squarefree_part,
+)
 
 _MAX_REFINE = 4096  # bisection guard; never reached for nonzero values
 
@@ -37,106 +46,13 @@ def pdeg(c):
     return len(c) - 1
 
 
-def padd(a, b):
-    n = max(len(a), len(b))
-    return ptrim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def pneg(a):
-    return tuple(-x for x in a)
-
-
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
-def pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return ptrim(out)
-
-
-def pscale(a, s):
-    return ptrim(x * s for x in a)
-
-
-def pdivmod(a, b):
-    """Euclidean division over Q; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] -= coef * y
-        a.pop()
-    return ptrim(q), ptrim(a)
-
-
-def pmonic(a):
-    if not a:
-        return a
-    return tuple(Fraction(x) / a[-1] for x in a)
-
-
-def pgcd(a, b):
-    """Monic gcd over Q."""
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a) if a else ()
-
-
-def pderiv(a):
-    return ptrim(i * a[i] for i in range(1, len(a)))
-
-
-def peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def squarefree_part(a):
-    """a / gcd(a, a'), normalized to a primitive integer polynomial."""
-    g = pgcd(a, pderiv(a))
-    q, r = pdivmod(a, g)
-    assert not r
-    return int_normalize(q)
-
-
-def int_normalize(a):
-    """Scale a rational polynomial to primitive integer coefficients with a
-    positive leading coefficient."""
-    a = ptrim(Fraction(x) for x in a)
-    if not a:
-        return ()
-    denom = 1
-    for x in a:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def times_root(c, poly):
+    """c * x in Q[x]/(poly) for a coefficient vector c (a tuple of length
+    deg poly) and a monic integer poly: c shifted up one degree, less c[-1]
+    times poly, which cancels the x^deg term.  The one multiply-by-lambda
+    step; products, inverses, reduction, tile lengths and patch steps are
+    built from it.  Integer vectors stay integer."""
+    return tuple(x - c[-1] * f for x, f in zip((0,) + c[:-1], poly))
 
 
 def poly_str(a):
@@ -158,11 +74,6 @@ def poly_str(a):
             term = xs if mag == 1 else f"{mag}{xs}"
         parts.append(sign + term)
     return "".join(parts)
-
-
-def is_irreducible(a):
-    fs = irreducible_factors(a)
-    return len(fs) == 1 and fs[0][1] == 1 and pdeg(fs[0][0]) == pdeg(ptrim(a))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +246,14 @@ class NumberField:
             if not (lo <= root <= hi):
                 raise ValidationError("interval does not contain the rational root")
             lo = hi = root
+            sign_lo = 1
         else:
-            slo, shi = peval(poly, lo), peval(poly, hi)
-            if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
+            sign_lo = sign_at(poly, lo)
+            if sign_lo * sign_at(poly, hi) >= 0:
                 raise ValidationError("defining polynomial must change sign on the interval")
         self.poly = poly
         self._set_interval(lo, hi)
-        self._sign_lo = 1 if pdeg(poly) == 1 or peval(poly, lo) > 0 else -1
+        self._sign_lo = sign_lo
 
     def _set_interval(self, lo, hi):
         """Store [lo, hi] as integers (lo * q, hi * q, q), q the lcm of the
@@ -472,7 +384,7 @@ class NumberField:
 
         Returns (field, root).  Raises if the polynomial has no real root.
         """
-        sf = squarefree_part(poly)
+        sf = squarefree_part(ptrim(int(c) for c in poly))
         roots = isolate_real_roots(sf)
         if not roots:
             raise ValidationError("polynomial has no real root")
@@ -485,11 +397,9 @@ class NumberField:
                 if lo < r < hi or lo == r == hi:
                     field = cls(fac, (r, r))
                     return field, field.gen()
-            else:
-                flo, fhi = peval(fac, lo), peval(fac, hi)
-                if flo != 0 and fhi != 0 and (flo > 0) != (fhi > 0):
-                    field = cls(fac, (lo, hi))
-                    return field, field.gen()
+            elif sign_at(fac, lo) * sign_at(fac, hi) < 0:
+                field = cls(fac, (lo, hi))
+                return field, field.gen()
         raise ValidationError("no irreducible factor matches the isolated root")
 
     def __repr__(self):
@@ -504,13 +414,17 @@ class AlgebraicNumber:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > field.degree:
-            _, coeffs = pdivmod(coeffs, [Fraction(c) for c in field.poly])
-            coeffs = list(coeffs)
-        coeffs += [Fraction(0)] * (field.degree - len(coeffs))
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        deg = field.degree
+        if len(coeffs) > deg:
+            # Horner from the top deg coefficients down, one times_root a step
+            acc = coeffs[-deg:]
+            for c in reversed(coeffs[:-deg]):
+                acc = times_root(acc, field.poly)
+                acc = (acc[0] + c,) + acc[1:]
+            coeffs = acc
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs + (Fraction(0),) * (deg - len(coeffs))
 
     # -- coercion -------------------------------------------------------------
 
@@ -549,7 +463,12 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return AlgebraicNumber(self.field, pmul(self.coeffs, o.coeffs))
+        # Horner over the coefficients of self: acc := acc * x + a_i * o
+        poly, a, b = self.field.poly, self.coeffs, o.coeffs
+        acc = tuple(a[-1] * y for y in b)
+        for x in reversed(a[:-1]):
+            acc = tuple(u + x * y for u, y in zip(times_root(acc, poly), b))
+        return AlgebraicNumber(self.field, acc)
 
     __rmul__ = __mul__
 
@@ -566,19 +485,28 @@ class AlgebraicNumber:
         return out
 
     def inverse(self):
-        """Extended-gcd inverse; total because the defining poly is irreducible."""
+        """The y with self * y = 1, by Gauss-Jordan elimination on the matrix
+        of multiplication by self, whose column j is self * x^j (one
+        ``times_root`` step from column j - 1); total because the defining
+        poly is irreducible, so that matrix is invertible."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in number field")
-        p = [Fraction(c) for c in self.field.poly]
-        r0, r1 = ptrim(p), ptrim(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while pdeg(r1) > 0:
-            q, r = pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, psub(s0, pmul(q, s1))
-        assert r1, "irreducible modulus cannot share a factor with a nonzero element"
-        inv = pscale(s1, 1 / r1[0])
-        return AlgebraicNumber(self.field, inv)
+        poly, deg = self.field.poly, self.field.degree
+        cols = [self.coeffs]
+        for _ in range(deg - 1):
+            cols.append(times_root(cols[-1], poly))
+        # the augmented rows [M | e_0]
+        rows = [[c[i] for c in cols] + [Fraction(i == 0)] for i in range(deg)]
+        for k in range(deg):
+            piv = next(i for i in range(k, deg) if rows[i][k])
+            rows[k], rows[piv] = rows[piv], rows[k]
+            inv = 1 / rows[k][k]
+            pivot_row = rows[k] = [x * inv for x in rows[k]]
+            for i in range(deg):
+                f = rows[i][k]
+                if i != k and f:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], pivot_row)]
+        return AlgebraicNumber(self.field, [r[-1] for r in rows])
 
     def __truediv__(self, other):
         o = self._coerce(other)

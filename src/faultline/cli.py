@@ -234,18 +234,17 @@ def cmd_analyze(args):
     return report, EXIT_OK
 
 
-def _complex_substitution(args):
-    """The substitution that ``ap``/``mu`` collar, with a one-line stderr
-    warning when it is not primitive; the report is the same either way."""
-    s = _load(args).substitution(args.name)
+def _warn_nonprimitive(s, name):
+    """A one-line stderr warning when the substitution that ``ap``/``mu``
+    collared is not primitive; the report is the same either way.  Printed
+    once the report is built, so an error stays the only stderr line."""
     if not s.is_primitive():
-        print(f"warning: substitution {args.name!r} is not primitive; its legal words "
+        print(f"warning: substitution {name!r} is not primitive; its legal words "
               "are the union over all letters", file=sys.stderr)
-    return s
 
 
 def cmd_ap(args):
-    s = _complex_substitution(args)
+    s = _load(args).substitution(args.name)
     _, cx = collar(s)
     data = graph_h1(cx)
     right, left = border_forcing(s)
@@ -260,11 +259,12 @@ def cmd_ap(args):
             "induced": [list(r) for r in data.induced_h1],
         },
     }
+    _warn_nonprimitive(s, args.name)
     return report, EXIT_OK
 
 
 def cmd_mu(args):
-    s = _complex_substitution(args)
+    s = _load(args).substitution(args.name)
     expr, dl, note, data = h1_limit(collar(s)[1])
     report = {
         "command": "mu",
@@ -274,6 +274,7 @@ def cmd_mu(args):
         "complex_h1_rank": data.h1_rank,
         "note": note["detail"],
     }
+    _warn_nonprimitive(s, args.name)
     return report, EXIT_OK
 
 

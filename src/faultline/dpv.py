@@ -242,7 +242,10 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
     entries = []
-    spectral = {}   # composite matrices repeat across boundaries: classify each once
+    # composite boundaries and their matrices repeat across vertices:
+    # classify each matrix once, and trace each (top, bottom) pair once
+    spectral = {}
+    classes = {}
     for v in eventual:
         junctions = cx.junctions_at(v)
         assert junctions, "an eventual vertex must carry at least one junction"
@@ -266,19 +269,23 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
                 y = cx.edges[cf].core
                 bottom_idx.append(d.row_sigma[x][len(rho.rules[x]) - 1])
                 top_idx.append(d.row_sigma[y][0])
-            top_comp = _compose(d.horizontal, top_idx)
-            bottom_comp = _compose(d.horizontal, bottom_idx)
-            # one composite round is |cycle| substitution steps; keep the
-            # effective depth near the configured cap
-            rounds = max(4, -(-cap // len(cycle)))
-            trace = boundary_trace(top_comp, bottom_comp, 0, rounds, max_states=max_states)
-            m = top_comp.matrix()
-            if m not in spectral:
-                spectral[m] = spectral_classify(m).kind
-            cls = classify_trace(trace, spectral[m])
+            pair = (tuple(top_idx), tuple(bottom_idx))
+            if pair not in classes:
+                top_comp = _compose(d.horizontal, top_idx)
+                bottom_comp = _compose(d.horizontal, bottom_idx)
+                # one composite round is |cycle| substitution steps; keep the
+                # effective depth near the configured cap
+                rounds = max(4, -(-cap // len(cycle)))
+                trace = boundary_trace(top_comp, bottom_comp, 0, rounds,
+                                       max_states=max_states)
+                m = top_comp.matrix()
+                if m not in spectral:
+                    spectral[m] = spectral_classify(m).kind
+                classes[pair] = classify_trace(trace, spectral[m])
+            cls = classes[pair]
             kinds.add(cls.kind)
             if chosen is None:
-                chosen = (cycle, tuple(top_idx), tuple(bottom_idx), cls)
+                chosen = (cycle, *pair, cls)
         cycle, top_idx, bottom_idx, cls = chosen
         kind = cls.kind if len(kinds) == 1 else BoundaryKind.UNDETERMINED
         e0, f0 = cycle[0]

@@ -37,13 +37,18 @@ _SCALE = 1 << 96   # fixed-point scale of the sign filter
 
 @dataclass(frozen=True)
 class Row:
-    """The word substitution^round(seed), read lazily: ``length`` comes from
-    the letter lengths (``len()`` only up to sys.maxsize) and iteration
-    descends the rules depth first, so the first n letters cost O(round + n)."""
+    """The word substitution^round(seed), read lazily: ``length`` is computed
+    from the letter lengths on each read (``len()`` only up to sys.maxsize),
+    and iteration descends the rules depth first, so the first n letters cost
+    O(round + n)."""
     substitution: object
     seed: int
     round: int
-    length: int                   # |substitution^round(seed)|
+
+    @property
+    def length(self):
+        """|substitution^round(seed)|, by ``image_lengths``."""
+        return next(islice(self.substitution.image_lengths(), self.round, None))[self.seed]
 
     def __len__(self):
         return self.length
@@ -288,8 +293,7 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     # and keep its enclosure at the refinement it was reduced at
     reduced = {}
     steps = []
-    for rnd, lengths in enumerate(islice(top.image_lengths(), 1, k + 1), 1):
-        ms = next(rounds)
+    for rnd, ms in enumerate(rounds, 1):
         for m in ms:
             if m not in reduced:
                 shift = tuple(m * x for x in unit)
@@ -304,8 +308,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         steps.append(
             BoundaryStep(
                 round=rnd,
-                top=Row(top, seed, rnd, lengths[seed]),
-                bottom=Row(bottom, seed, rnd, lengths[seed]),
+                top=Row(top, seed, rnd),
+                bottom=Row(bottom, seed, rnd),
                 offset_vectors=tuple(offsets),
                 discrepancy_values=ms,
                 field=field,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .algebra import clear_denominators, decimal_string, integer_vectors
+from .algebra import clear_denominators, decimal_string, integer_vectors, times_root
 from .errors import ResourceCapError, ValidationError
 
 DEFAULT_MAX_TILES = 200_000
@@ -94,7 +94,6 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         raise ValidationError("rendering needs a rational vertical expansion factor")
     # a rational root of a monic integer polynomial is an integer
     lam_v = int(lam_v.as_fraction())
-    lam_h = field.gen()  # widths live in the Perron field, whose root is lambda
 
     # count guard before any recursion
     counts = d.count_matrix()
@@ -108,14 +107,11 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     width_nums, den_x = integer_vectors(widths)
     height_nums, den_y = clear_denominators(heights)
     lattice = Lattice(field, den_x, den_y, width_nums, height_nums)
-    # step[r][h] = den_x * width_h * lambda^r: integer vectors, since lambda
-    # is an algebraic integer
-    step = []
-    lam_pow = field.one()
-    for _ in range(k):
-        step.append(tuple(tuple(int(c * den_x) for c in (w * lam_pow).coeffs)
-                          for w in widths))
-        lam_pow = lam_pow * lam_h
+    # step[r][h] = den_x * width_h * lambda^r: integer vectors, since the
+    # widths live in the Perron field, whose root lambda is an algebraic integer
+    step = [width_nums]
+    for _ in range(k - 1):
+        step.append(tuple(times_root(v, field.poly) for v in step[-1]))
     images = {(v, h): d.image_array(v, h)
               for v in range(d.vertical.size) for h in range(len(widths))}
 

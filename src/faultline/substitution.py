@@ -24,7 +24,7 @@ from .algebra import (
     isolate_real_roots,
     pdeg,
     root_interval,
-    squarefree_part,
+    times_root,
 )
 from .errors import (
     HypothesisError,
@@ -326,12 +326,11 @@ def spectral_classify(m, precision_bits=64):
     isolation otherwise, refined down to width 2^-precision_bits before
     giving up as Undetermined."""
     pd = perron_data(m)
-    sf = squarefree_part(pd.charpoly)
     lam_iv = pd.root.interval(Fraction(1, 2 ** 24))
     width = Fraction(1, 2 ** precision_bits)
-    moduli = []      # _Modulus for every non-Perron root of the squarefree charpoly
+    moduli = []      # _Modulus for every non-Perron root, each root once
     lam_seen = False
-    for fac, _ in irreducible_factors(sf):
+    for fac, _ in irreducible_factors(pd.charpoly):
         deg = pdeg(fac)
         real = isolate_real_roots(fac, eps=Fraction(1, 2 ** 24))
         for lo, hi in real:
@@ -416,23 +415,19 @@ def tile_lengths(s):
     lam = pd.root
     n, deg, poly = s.size, field.degree, field.poly
     mt = abelian.transpose(s.matrix())
-
-    def times_lam(c):
-        """c * lambda, reduced by the monic minimal polynomial."""
-        return tuple(x - c[-1] * f for x, f in zip((0,) + c[:-1], poly))
-
     # Horner for q(M^T) e_0, with the coefficients of q by synthetic division:
     # q_{n-1} = 1 and q_{i-1} = p_i + lambda * q_i
     q = (1,) + (0,) * (deg - 1)
     vec = [q] + [(0,) * deg] * (n - 1)
     for i in range(n - 1, 0, -1):
-        q = times_lam(q)
+        q = times_root(q, poly)
         q = (q[0] + pd.charpoly[i],) + q[1:]
         vec = [tuple(sum(m * v[k] for m, v in zip(row, vec)) for k in range(deg))
                for row in mt]
         vec[0] = tuple(map(add, vec[0], q))
     sol = [field.element(c) for c in vec]
-    unit = [x / sol[0] for x in sol]  # first entry 1
+    inv = sol[0].inverse()
+    unit = [x * inv for x in sol]  # first entry 1
     if field.degree == 1:
         fracs = [x.as_fraction() for x in unit]
         denom = 1

@@ -1,8 +1,12 @@
-"""Integer polynomials: root isolation and factorization over Z.
+"""Integer polynomials: root isolation, factorization, squarefree parts and
+signs at rationals over Z.
 
 ``isolate_real_roots``, ``isolate_complex_roots`` and
 ``irreducible_factors``, which ``algebra`` exports, in pure-int code; nothing
-here imports sympy.
+here imports sympy.  It is the one home of integer-polynomial arithmetic:
+``squarefree_part`` (over the primitive gcd) and ``sign_at`` (the exact
+sign at a rational) serve ``algebra`` too, and integer roots are read off the
+linear factors that ``irreducible_factors`` returns.
 
 * Real roots are isolated by the Vincent-Akritas-Strzebonski continued
   fraction method (Akritas and Strzebonski, "A comparative study of two real
@@ -296,6 +300,23 @@ def _deriv(f):
     return [i * f[i] for i in range(1, len(f))]
 
 
+def sign_at(f, x):
+    """Sign of f(x) for an integer polynomial f and a Fraction x."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def squarefree_part(f):
+    """f / gcd(f, f') for a trimmed nonzero integer polynomial f: the product
+    of its distinct irreducible factors, times the sign and content of f."""
+    g = _gcd(f, _deriv(f))
+    return f if len(g) == 1 else _divides(f, g)
+
+
 # ---------------------------------------------------------------------------
 # factorization over Z
 # ---------------------------------------------------------------------------
@@ -319,9 +340,7 @@ def irreducible_factors(f):
         out.append(((0, 1), k))
         f = f[k:]
     if len(f) > 1:
-        g = _gcd(f, _deriv(f))
-        sqf = f if len(g) == 1 else _divides(f, g)
-        for h in _factor_squarefree(sqf):
+        for h in _factor_squarefree(squarefree_part(f)):
             m = 0
             while (q := _divides(f, h)) is not None:
                 f, m = q, m + 1
@@ -624,16 +643,6 @@ _EDGES_OUT = (1, 1, 0, 0)
 _CORNERS_OUT = (1, 1, 1, 0)
 
 
-def _sign_at(f, x):
-    """Sign of f(x) for an integer polynomial f and a Fraction x."""
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(f):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
 def _position(re, im):
     if re > 0:
         return 0 if not im else 1 if im > 0 else 7
@@ -728,10 +737,7 @@ def _content_free(f):
 def _common_part(a, b):
     """The squarefree part of gcd(a, b), or None when it is constant."""
     g = _gcd(a, b)
-    if len(g) == 1:
-        return None
-    h = _gcd(g, _deriv(g))
-    return _divides(g, h) if len(h) > 1 else g
+    return squarefree_part(g) if len(g) > 1 else None
 
 
 class _Line:
@@ -783,8 +789,7 @@ class _Line:
         zeros = None
         roots = _unit_roots(prod, 24) if len(prod) > 1 else []
         if roots is None:
-            rep = _gcd(prod, _deriv(prod))
-            prod = _divides(prod, rep) if len(rep) > 1 else prod
+            prod = squarefree_part(prod)
             roots = _unit_roots(prod)
             if self.re and self.im:
                 zeros = _common_part(self.re, self.im)
@@ -793,17 +798,17 @@ class _Line:
         self.prod, self.roots, self.zeros = prod, roots, zeros
 
     def position(self, x):
-        return _position(_sign_at(self.re, x), _sign_at(self.im, x))
+        return _position(sign_at(self.re, x), sign_at(self.im, x))
 
     def split(self, m):
         """Refine the root interval around m, if any, so that none has m
         inside."""
         for i, (a, b) in enumerate(self.roots):
             if a < m < b:
-                sm = _sign_at(self.prod, m)
+                sm = sign_at(self.prod, m)
                 if not sm:
                     self.roots[i] = (m, m)
-                elif sm != _sign_at(self.prod, a):
+                elif sm != sign_at(self.prod, a):
                     self.roots[i] = (a, m)
                 else:
                     self.roots[i] = (m, b)
@@ -827,7 +832,7 @@ class _Line:
         for i, (near, far) in enumerate(items):
             if near != far:
                 zeros = self.zeros
-                if zeros and _sign_at(zeros, near) != _sign_at(zeros, far):
+                if zeros and sign_at(zeros, near) != sign_at(zeros, far):
                     seq.append(_OO)
                 gap = far
             else:

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from faultline import fault
-from faultline.algebra import Interval, clear_denominators, integer_vectors, peval, ptrim
+from faultline.algebra import Interval, clear_denominators, integer_vectors, ptrim
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
@@ -130,6 +130,24 @@ def rng_for(name):
     return random.Random(f"faultline-{name}")
 
 
+def poly_eval(a, x):
+    """Horner's rule for the polynomial with ascending coefficients a at x,
+    in exact ``Fraction`` arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_mul(a, b):
+    """Product of two polynomials with ascending coefficients, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def peval_interval(a, iv):
     """Reference enclosure: Horner's rule in exact Fraction interval
     arithmetic, the body ``horner_interval`` replaced."""
@@ -196,7 +214,7 @@ def reference_refined(field, width):
     width = Fraction(width)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        smid = peval(field.poly, mid)
+        smid = poly_eval(field.poly, mid)
         assert smid != 0
         if (smid > 0) == (field._sign_lo > 0):
             lo = mid
@@ -488,6 +506,15 @@ def sympy_is_squarefree(a):
     from sympy.polys.sqfreetools import dup_sqf_p
 
     return dup_sqf_p([ZZ(int(c)) for c in reversed(a)], ZZ)
+
+
+def sympy_sqf_part(a):
+    """sympy's squarefree part of a nonzero ascending integer polynomial:
+    primitive, with a positive leading coefficient."""
+    from sympy import Poly, Symbol
+
+    f = Poly(list(reversed([int(c) for c in a])), Symbol("x"), domain="ZZ").sqf_part()
+    return [int(c) for c in reversed(f.all_coeffs())]
 
 
 def sympy_isolate_complex_roots(a, eps):

@@ -14,7 +14,6 @@ from faultline.abelian import (
     direct_limit,
     direct_sum,
     eye,
-    integer_roots,
     invariants,
     kernel_basis,
     kron,
@@ -28,11 +27,10 @@ from faultline.abelian import (
     tensor,
     transpose,
 )
-from faultline.algebra import peval
 from faultline.ap_complex import collar, graph_h1
 from faultline.errors import ValidationError
 
-from conftest import reference_charpoly, rng_for
+from conftest import poly_eval, reference_charpoly, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +129,41 @@ def test_direct_limit_power_invariance():
 
 
 def test_recognize_examples():
+    import sympy
+
     assert recognize(direct_limit(mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))).canonical() \
         == "Z[1/2] (+) Z^2"
     mu = recognize(direct_limit(mat([[1, 1], [3, 0]])))
     assert mu.canonical() == "Z[1/L:x^2-x-3]"
     assert mu.rank() == 2
     assert recognize(direct_limit(eye(4))).canonical() == "Z^4"
+    # integer roots come off the factor list, also two of size 10^7
+    a = mat([[10 ** 7, 0], [0, 10 ** 7 + 19]])
+    assert recognize(direct_limit(a)).canonical() == "Z[1/10000000] (+) Z[1/10000019]"
+    # a repeated integer root: one summand per multiplicity
+    g = direct_limit(mat([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    assert g.charpoly_prime == (-12, 16, -7, 1)
+    assert recognize(g).canonical() == "Z[1/2]^2 (+) Z[1/3]"
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2) is reducible without a rational
+    # root, so neither the irreducible nor the integer-root rule applies
+    companion = mat([[0, 0, 0, -4], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert recognize(direct_limit(companion)).kind == "limit"
+    # the rule taken agrees with sympy's factorization of the charpoly
+    x = sympy.Symbol("x")
+    rng = rng_for("recognize-factors")
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        a = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        g = direct_limit(a)
+        if g.r < 2 or abs(g.det_prime) == 1:
+            continue
+        cp = sympy.Poly(list(reversed(g.charpoly_prime)), x)
+        _, factors = cp.factor_list()
+        irreducible = len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == g.r
+        assert (recognize(g).kind == "alg") == irreducible, a
+        if recognize(g).kind == "sum":
+            roots = sympy.roots(cp)
+            assert all(r.is_integer for r in roots) and sum(roots.values()) == g.r, a
 
 
 def test_recognize_rule_order():
@@ -256,13 +283,6 @@ def test_canonical_ordering_matches_convention():
     assert h2.canonical() == "Z[1/L:x^2-x-3]^2 (+) (Z[1/L:x^2-x-3] (x) Z[1/2])"
 
 
-def test_integer_roots():
-    # (x-2)(x+1)^2 = x^3 - 3x - 2
-    assert integer_roots((-2, -3, 0, 1)) == [(-1, 2), (2, 1)]
-    assert integer_roots((0, 0, 1)) == [(0, 2)]
-    assert integer_roots((-3, -1, 1)) == []
-
-
 def test_charpoly_matches_numpy():
     rng = rng_for("charpoly")
     for _ in range(20):
@@ -281,7 +301,7 @@ def test_charpoly_matches_numpy():
         assert len(cp) == n + 1 and cp[-1] == 1
         for x in range(-2, 3):
             want = np.linalg.det(x * np.eye(n) - np.array(a, dtype=float).reshape(n, n))
-            assert abs(peval(cp, x) - want) <= 1e-6 * max(1.0, abs(want))
+            assert abs(poly_eval(cp, x) - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_charpoly_matches_fraction_reference():

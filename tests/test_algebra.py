@@ -19,15 +19,14 @@ from faultline.algebra import (
     irreducible_factors,
     isolate_real_roots,
     mod_reduce,
-    pmul,
     poly_str,
     root_interval,
-    squarefree_part,
 )
 from faultline.errors import ValidationError
 
 from conftest import (
     peval_interval,
+    poly_mul,
     random_substitution,
     reference_interval,
     reference_mod_reduce,
@@ -72,6 +71,8 @@ def test_field_operators(field):
 
 
 def test_division_and_inverse(field):
+    import sympy
+
     lam = field.gen()
     inv = lam.inverse()
     assert (lam * inv) == field.one()
@@ -79,6 +80,38 @@ def test_division_and_inverse(field):
     assert inv == (lam - 1) / 3
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
+    # products through the multiply-by-lambda step against sympy.rem, and
+    # inverses by elimination against sympy.invert, in the Perron fields of
+    # random 2-6 letter substitutions
+    x = sympy.Symbol("x")
+    rng = rng_for("sympy-ring")
+    degrees = set()
+    for _ in range(30):
+        field = random_substitution(rng, rng.randint(2, 6)).perron().root.field
+        degrees.add(field.degree)
+        p = sympy.Poly(list(reversed(field.poly)), x, domain="QQ")
+
+        def rand():
+            return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(field.degree)])
+
+        def as_poly(y):
+            return sympy.Poly(list(reversed(y.coeffs)), x, domain="QQ")
+
+        def coeffs(q):
+            c = [Fraction(int(v.p), int(v.q)) for v in reversed(q.all_coeffs())]
+            return tuple(c + [Fraction(0)] * (field.degree - len(c)))
+
+        for _ in range(4):
+            a, b = rand(), rand()
+            assert (a * b).coeffs == coeffs(sympy.rem(as_poly(a) * as_poly(b), p))
+            if not a.is_zero():
+                assert a.inverse().coeffs == coeffs(sympy.invert(as_poly(a), p))
+        # an over-long coefficient list is reduced mod p on construction
+        long = [Fraction(rng.randint(-9, 9)) for _ in range(2 * field.degree + 1)]
+        want = sympy.rem(sympy.Poly(list(reversed(long)), x, domain="QQ"), p)
+        assert field.element(long).coeffs == coeffs(want)
+    assert degrees == {1, 2, 3, 4, 5, 6}
 
 
 def test_compare_examples(field):
@@ -177,9 +210,6 @@ def test_poly_utilities():
     assert poly_str((1,)) == "1"
     assert poly_str((0, 2)) == "2x"
     assert poly_str((-1, 0, 0, 1)) == "x^3-1"
-    # (x-1)^2 (x+2) has squarefree part (x-1)(x+2)
-    sf = squarefree_part((2, -3, 0, 1))
-    assert sf == (-2, 1, 1) or sf == (2, -1, -1)
     facs = irreducible_factors((-2, -1, 1))
     assert [f for f, _ in facs] == [(-2, 1), (1, 1)]
     roots = isolate_real_roots((-3, -1, 1))
@@ -263,7 +293,7 @@ def test_decimal_string_rounds_half_up():
 def test_largest_real_root_skips_rational_root_at_interval_end():
     # (x-2)(x^3-3x^2+x-2): sympy isolates the largest root 2.893... in (2, 3],
     # whose left end is the root 2 of the other factor
-    field, root = NumberField.with_largest_real_root(pmul((-2, 1), (-2, 1, -3, 1)))
+    field, root = NumberField.with_largest_real_root(poly_mul((-2, 1), (-2, 1, -3, 1)))
     assert field.poly == (-2, 1, -3, 1)
     assert root.interval(Fraction(1, 10 ** 6)).lo > Fraction(2893, 1000)
 
@@ -276,7 +306,7 @@ def test_largest_real_root_matches_sympy_on_random_products():
     for _ in range(150):
         poly = (1,)
         for _ in range(rng.randint(1, 3)):
-            poly = pmul(poly, tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))) + (1,))
+            poly = poly_mul(poly, tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))) + (1,))
         poly = tuple(int(c) for c in poly)
         real = sympy.Poly(list(reversed(poly)), x).real_roots()
         if not real:

@@ -201,6 +201,23 @@ def test_commands_with_complex_roots_load_neither_sympy_nor_numpy(tmp_path):
     assert run.stdout == "[]\n"
 
 
+def test_demos_run_cleanly(tmp_path):
+    # each demo runs from a copy, so render_patches writes its SVGs under
+    # tmp_path
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    demos = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert len(demos) == 5
+    for demo in demos:
+        copy = tmp_path / demo.name
+        copy.write_text(demo.read_text(encoding="utf-8"), encoding="utf-8")
+        run = subprocess.run([sys.executable, str(copy)], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, ""), demo.name
+    assert len(list((tmp_path / "out").glob("*.svg"))) == 3
+
+
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -231,6 +248,32 @@ def test_analyze_fuzz_exits_cleanly_and_deterministically(doc, tmp_path_factory)
     assert code in (0, 1, 2, 3), (doc, first)
     assert err.count("\n") <= 1, (doc, err)
     assert _run_captured(["analyze", "-i", str(path)]) == first, doc
+
+
+@st.composite
+def complex_documents(draw):
+    """2-4 letters, each with an image of 1-3 letters, primitive or not."""
+    letters = LETTERS[:draw(st.integers(2, 4))]
+    rules = {x: "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
+             for x in letters}
+    return {"alphabets": {"x": list(letters)},
+            "substitutions": {"s": {"alphabet": "x", "rules": rules}}}
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=complex_documents())
+def test_ap_and_mu_fuzz_exit_cleanly_and_deterministically(doc, tmp_path_factory):
+    # mu reaches recognize on the direct limit of the collared complex
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("ap", "mu"):
+        argv = [command, "-i", str(path), "--name", "s"]
+        first = _run_captured(argv)
+        code, _, err = first
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3), (doc, argv, first)
+        assert err.count("\n") <= 1, (doc, argv, err)
+        assert _run_captured(argv) == first, (doc, argv)
 
 
 @st.composite

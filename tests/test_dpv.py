@@ -141,14 +141,18 @@ def test_essential_vertices_thirds(thirds):
 
 def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
     # composite boundary matrices repeat across the boundaries of one call;
-    # each distinct one is classified once, and every boundary gets the kind
-    # a fresh classification of its matrix gives
-    calls, classified = [], []
+    # each distinct one is classified once, each distinct (top, bottom)
+    # composite pair is traced once, and every boundary gets the kind a fresh
+    # classification of its matrix gives
+    calls, classified, traces = [], [], []
     classify = dpv.spectral_classify
     monkeypatch.setattr(dpv, "spectral_classify", lambda m: calls.append(m) or classify(m))
     classify_trace = dpv.classify_trace
     monkeypatch.setattr(dpv, "classify_trace", lambda trace, kind: classified.append(
         (trace.top_sub.matrix(), kind)) or classify_trace(trace, kind))
+    boundary_trace = dpv.boundary_trace
+    monkeypatch.setattr(dpv, "boundary_trace", lambda *args, **kw: traces.append(
+        args[:2]) or boundary_trace(*args, **kw))
     rng = rng_for("spectral-once")
     family = (Substitution(["a", "b"], {"a": "ba", "b": "aaa"}),
               Substitution(["a", "b"], {"a": "ab", "b": "aaa"}))
@@ -157,15 +161,23 @@ def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
         rho = random_substitution(rng, rng.choice((2, 3)), max_len=2)
         docs.append(DPVSubstitution(rho, family, tuple(
             tuple(rng.randrange(2) for _ in r) for r in rho.rules)))
-    saved = 0
+    # six eventual vertices over three distinct composite pairs (the document
+    # of the next test)
+    rho = Substitution(["a", "b", "c"], {"a": "b", "b": "cc", "c": "ab"})
+    docs.append(DPVSubstitution(rho, family, ((0,), (0, 0), (1, 0))))
+    saved, n_traces = 0, []
     for d in docs:
         calls.clear()
         classified.clear()
+        traces.clear()
         essential_vertices(d, cap=8)
         assert len(calls) == len(set(calls)) == len({m for m, _ in classified})
         assert all(kind is classify(m).kind for m, kind in classified)
+        assert len(traces) == len(classified)
         saved += len(classified) - len(calls)
-    assert len(docs) == 15 and saved > 0
+        n_traces.append(len(traces))
+    assert len(docs) == 16 and saved > 0
+    assert n_traces[1] == 1 and n_traces[-1] == 3
 
 
 def test_fast_growing_composite_boundaries_trace_under_the_default_budget():

@@ -266,8 +266,8 @@ def test_row_view_reads_the_materialised_word(seed, n_letters, k, n):
     s = random_substitution(rng, n_letters, primitive=False)
     start = rng.randrange(n_letters)
     word = s.iterate((start,), k)
-    row = Row(s, start, k, next(islice(s.image_lengths(), k, None))[start])
-    assert len(row) == len(word)
+    row = Row(s, start, k)
+    assert len(row) == row.length == len(word)
     assert tuple(row) == word
     # the prefixes a report prints, each read off the round before
     assert next(islice(s.prefixes(start, n), k, None)) == word[:n]

@@ -12,18 +12,19 @@ from hypothesis import given, settings, strategies as st
 from faultline import substitution, zpoly
 from faultline.algebra import (
     irreducible_factors,
-    is_irreducible,
     isolate_complex_roots,
     isolate_real_roots,
 )
 
 from conftest import (
+    poly_eval,
     random_substitution,
     rng_for,
     sympy_irreducible_factors,
     sympy_is_squarefree,
     sympy_isolate_complex_roots,
     sympy_isolate_real_roots,
+    sympy_sqf_part,
 )
 
 
@@ -81,6 +82,10 @@ def random_factored(rng):
 
 
 def test_factors_match_sympy_on_random_products():
+    # also the squarefree part against sympy's sqf_part (which is primitive
+    # with a positive leading coefficient; ours keeps the sign and content of
+    # f), its factors against those of f, and the sign at a rational against
+    # exact evaluation
     rng = rng_for("zpoly-factor")
     repeated = 0
     for i in range(1000):
@@ -88,6 +93,17 @@ def test_factors_match_sympy_on_random_products():
         got = irreducible_factors(tuple(f))
         assert got == sympy_irreducible_factors(f), f
         repeated += any(m > 1 for _, m in got)
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            continue
+        sf = zpoly.squarefree_part(f)
+        unit = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+        assert list(sf) == [unit * c for c in sympy_sqf_part(f)], f
+        assert irreducible_factors(sf) == [(h, 1) for h, _ in got], f
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        value = poly_eval(f, x)
+        assert zpoly.sign_at(f, x) == (value > 0) - (value < 0), (f, x)
     assert repeated > 100
 
 
@@ -108,14 +124,6 @@ def test_factors_match_sympy_on_random_products():
 ])
 def test_factor_examples(poly, factors):
     assert irreducible_factors(poly) == factors == sympy_irreducible_factors(poly)
-
-
-def test_is_irreducible_needs_one_simple_factor_of_full_degree():
-    assert is_irreducible((1, -1, -1, -1, 1))
-    assert not is_irreducible((4, -4, 1))        # (x-2)^2
-    assert not is_irreducible((4, 0, 0, 0, 1))   # x^4 + 4
-    assert is_irreducible((2, 4))                # 2 (x + 2): the content is dropped
-    assert not is_irreducible((7,))
 
 
 def test_isolation_examples():

@@ -137,6 +137,8 @@ def collar(s, cap=8):
     core_pos = 1 if need_left else 0
 
     contexts = sorted(s.legal_words(width))
+    if not contexts:
+        raise ValidationError(f"substitution has no legal word of the collar width {width}")
     seen = {}
     edges = []
     for w in contexts:

@@ -78,6 +78,23 @@ class DPVSubstitution:
         read this one."""
         return collar(self.vertical)[1]
 
+    @cached_property
+    def vertical_heights(self):
+        """(tile heights as Fractions, expansion factor as an int) of the
+        vertical substitution, computed once: patch placement and the overlay
+        both read it.  Rendering needs both rational; a rational root of a
+        monic integer polynomial is an integer."""
+        heights = self.vertical.tile_lengths()
+        if not all(h.is_rational() for h in heights):
+            raise ValidationError(
+                "rendering needs rational vertical tile heights "
+                "(irrational vertical expansion is unsupported)"
+            )
+        lam = heights[0].field.gen()     # the Perron root
+        if not lam.is_rational():
+            raise ValidationError("rendering needs a rational vertical expansion factor")
+        return tuple(h.as_fraction() for h in heights), int(lam.as_fraction())
+
     # -- tiles ---------------------------------------------------------------
 
     @property

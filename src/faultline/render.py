@@ -2,18 +2,21 @@
 
 A patch is the k-fold image of a seed tile, placed by recursive subdivision:
 the image array of each tile fills its parent rectangle row by row (bottom
-row first).  Coordinates are exact integer lattice vectors: a horizontal
+row first).  Coordinates are exact integer lattice points: a horizontal
 position is an integer coefficient vector on the power basis of Q(lambda)
-over one denominator per patch, a vertical position an integer over another.
-Placement only adds integers.  SVG output renders coordinates at 1e-9
-precision from the exact values and is deterministic.
+over one denominator per patch, packed into one int (``Lattice``), and a
+vertical position an integer over another.  Placement expands the patch one
+level at a time from tables of child offsets, so a placed tile costs one int
+add per coordinate.  SVG output renders coordinates at 1e-9 precision from
+the exact values and is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
+from functools import partial
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import clear_denominators, decimal_string, integer_vectors, times_root
@@ -30,20 +33,41 @@ _PALETTE = (
 @dataclass(frozen=True)
 class Lattice:
     """Coordinates shared by the tiles of one patch: x = X / den_x with X an
-    integer vector on the power basis of ``field``, y = Y / den_y."""
+    integer vector on the power basis of ``field``, y = Y / den_y.
+
+    X is stored packed as the one int sum(X[i] * 2**(shift * i)) (Kronecker
+    substitution), so adding packed values adds the vectors.  Every vector a
+    patch stores has |X[i]| < 2**(shift - 1), which makes unpacking exact."""
     field: object
     den_x: int
     den_y: int
-    widths: tuple      # den_x * width of each horizontal letter, integer vectors
+    shift: int
+    widths: tuple      # den_x * width of each horizontal letter, packed
     heights: tuple     # den_y * height of each vertical letter, integers
 
-    def element(self, nums):
-        return self.field.element([Fraction(c, self.den_x) for c in nums])
+    def pack(self, nums):
+        return sum(c << (self.shift * i) for i, c in enumerate(nums))
+
+    def vector(self, packed):
+        """The integer vector X of a packed value: its signed base-2**shift
+        digits, lowest first."""
+        unit = 1 << self.shift
+        nums = []
+        for _ in range(self.field.degree):
+            c = packed & (unit - 1)
+            if c >= unit >> 1:
+                c -= unit
+            nums.append(c)
+            packed = (packed - c) >> self.shift
+        return tuple(nums)
+
+    def element(self, packed):
+        return self.field.element([Fraction(c, self.den_x) for c in self.vector(packed)])
 
 
 class PlacedTile(NamedTuple):
     tile: tuple        # (vertical letter id, horizontal letter id)
-    xn: tuple          # den_x * left edge
+    xn: int            # den_x * left edge, packed (``Lattice``)
     yn: int            # den_y * bottom edge
     lattice: Lattice
 
@@ -68,15 +92,26 @@ class PlacedTile(NamedTuple):
         return Fraction(self.lattice.heights[self.tile[0]], self.lattice.den_y)
 
 
-def _vertical_heights(d):
-    heights = d.vertical.tile_lengths()
-    for h in heights:
-        if not h.is_rational():
-            raise ValidationError(
-                "rendering needs rational vertical tile heights "
-                "(irrational vertical expansion is unsupported)"
-            )
-    return tuple(h.as_fraction() for h in heights)
+def _tile_count(counts, col, k, cap):
+    """min(tiles in the k-fold image of tile ``col``, cap + 1): the column
+    sum of counts^k by square and multiply, every entry saturated at
+    cap + 1.  min(., cap + 1) commutes with + and * on nonnegative integers,
+    so a count at or under the cap is exact, and the cost is O(log k)."""
+    c = cap + 1
+
+    def product(a, b):
+        return tuple(tuple(min(sum(map(mul, row, column)), c) for column in zip(*b))
+                     for row in a)
+
+    vec = tuple((int(i == col),) for i in range(len(counts)))   # a column
+    power = counts
+    while k:
+        if k & 1:
+            vec = product(power, vec)
+        k >>= 1
+        if k:
+            power = product(power, power)
+    return min(sum(row[0] for row in vec), c)
 
 
 def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
@@ -87,56 +122,66 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         raise ValidationError("rounds must be >= 0")
     v0, h0 = seed
     widths = d.horizontal[0].tile_lengths()
-    heights = _vertical_heights(d)
+    heights, lam_v = d.vertical_heights
     field = widths[0].field
-    lam_v = d.vertical.perron().root
-    if not lam_v.is_rational():
-        raise ValidationError("rendering needs a rational vertical expansion factor")
-    # a rational root of a monic integer polynomial is an integer
-    lam_v = int(lam_v.as_fraction())
 
-    # count guard before any recursion
-    counts = d.count_matrix()
-    from .abelian import matpow
-
-    col = d.tile_index(v0, h0)
-    total = sum(row[col] for row in matpow(counts, k))
+    # count guard before any placement
+    total = _tile_count(d.count_matrix(), d.tile_index(v0, h0), k, max_tiles)
     if total > max_tiles:
-        raise ResourceCapError(f"patch would contain {total} tiles (cap {max_tiles})")
+        raise ResourceCapError(f"patch would contain more than {max_tiles} tiles "
+                               f"(cap {max_tiles})")
+    # every level of the expansion holds at least one tile
+    if k > max_tiles:
+        raise ResourceCapError(f"patch depth {k} is more than the tile cap {max_tiles}")
 
     width_nums, den_x = integer_vectors(widths)
     height_nums, den_y = clear_denominators(heights)
-    lattice = Lattice(field, den_x, den_y, width_nums, height_nums)
     # step[r][h] = den_x * width_h * lambda^r: integer vectors, since the
     # widths live in the Perron field, whose root lambda is an algebraic integer
     step = [width_nums]
     for _ in range(k - 1):
         step.append(tuple(times_root(v, field.poly) for v in step[-1]))
+    # A right edge sums at most ``total`` steps, so its coefficients stay
+    # under (total + 1) * bound < 2**(shift - 1) in absolute value.
+    bound = max(abs(c) for level in step for v in level for c in v)
+    lattice = Lattice(field, den_x, den_y, ((total + 1) * bound).bit_length() + 1,
+                      (), height_nums)
+    step = [tuple(map(lattice.pack, level)) for level in step]
+    lattice = replace(lattice, widths=step[0])
     images = {(v, h): d.image_array(v, h)
               for v in range(d.vertical.size) for h in range(len(widths))}
 
-    origin = (0,) * field.degree
-    out = []
-
-    def place(tile, x, y, rounds):
-        """The rounds-fold image (rounds >= 1) of ``tile`` placed at (x, y)."""
+    def offsets(rounds):
+        """(child, dx, dy) per child of each tile's rounds-fold image: its
+        offset from the parent's lower-left corner, dx packed."""
         row_step = step[rounds - 1]
         lam_v_pow = lam_v ** (rounds - 1)
-        for row in images[tile]:
-            x_cursor = x
-            for sub in row:
-                if rounds == 1:
-                    out.append(PlacedTile(sub, x_cursor, y, lattice))
-                else:
-                    place(sub, x_cursor, y, rounds - 1)
-                x_cursor = tuple(map(add, x_cursor, row_step[sub[1]]))
-            y += height_nums[row[0][0]] * lam_v_pow
+        table = {}
+        for tile, rows in images.items():
+            children, dy = [], 0
+            for row in rows:
+                dx = 0
+                for sub in row:
+                    children.append((sub, dx, dy))
+                    dx += row_step[sub[1]]
+                dy += height_nums[row[0][0]] * lam_v_pow
+            table[tile] = children
+        return table
 
+    # Expanding every node of a level in place keeps the leaves in
+    # depth-first order.
+    nodes = [((v0, h0), 0, 0)]
+    for rounds in range(k, 1, -1):
+        table = offsets(rounds)
+        nodes = [(sub, x + dx, y + dy)
+                 for tile, x, y in nodes for sub, dx, dy in table[tile]]
     if k == 0:
-        out.append(PlacedTile((v0, h0), origin, 0, lattice))
-    else:
-        place((v0, h0), origin, 0, k)
-    return out
+        return [PlacedTile((v0, h0), 0, 0, lattice)]
+    table = offsets(1)
+    # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
+    new_tile = partial(tuple.__new__, PlacedTile)
+    return [new_tile((sub, x + dx, y + dy, lattice))
+            for tile, x, y in nodes for sub, dx, dy in table[tile]]
 
 
 def overlay_boundaries(d, seed, k, order):
@@ -144,25 +189,19 @@ def overlay_boundaries(d, seed, k, order):
     in the k-round patch of ``seed``."""
     if not 1 <= order <= k:
         raise ValidationError("overlay order must be between 1 and the round count")
-    heights = _vertical_heights(d)
-    lam_v = d.vertical.perron().root.as_fraction()
-    cuts = set()
-
-    def walk(v, y, rounds):
-        # rounds counts remaining subdivisions down to order-(order) blocks
-        if rounds == 0:
-            return
-        y_cursor = y
-        rows = d.vertical.rules[v]
-        for j, v2 in enumerate(rows):
-            row_height = heights[v2] * lam_v ** (order - 1) * lam_v ** (rounds - 1)
-            if j > 0:
-                cuts.add(y_cursor)
-            walk(v2, y_cursor, rounds - 1)
-            y_cursor += row_height
-        return
-
-    walk(seed[0], Fraction(0), k - order + 1)
+    heights, lam_v = d.vertical_heights
+    # one level of order-``order`` blocks at a time, down from the seed
+    cuts, nodes = set(), [(seed[0], Fraction(0))]
+    for rounds in range(k - order + 1, 0, -1):
+        block = lam_v ** (order - 1) * lam_v ** (rounds - 1)
+        children = []
+        for v, y in nodes:
+            for j, v2 in enumerate(d.vertical.rules[v]):
+                if j > 0:
+                    cuts.add(y)
+                children.append((v2, y))
+                y += heights[v2] * block
+        nodes = children
     cuts.discard(Fraction(0))
     return tuple(sorted(cuts))
 
@@ -179,37 +218,52 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     if not patch:
         raise ValidationError("empty patch")
     lattice = patch[0].lattice
-    if any(t.lattice is not lattice for t in patch):
-        raise ValidationError("tiles from different patches")
     field, den_x, den_y = lattice.field, lattice.den_x, lattice.den_y
     widths, heights = lattice.widths, lattice.heights
     fine = Fraction(1, 10 ** 12)
+    rights, tile_ids, top = {}, set(), 0
+    for tile, xn, yn, tile_lattice in patch:
+        if tile_lattice is not lattice:
+            raise ValidationError("tiles from different patches")
+        rights[xn + widths[tile[1]]] = None
+        tile_ids.add(tile)
+        edge = yn + heights[tile[0]]
+        if edge > top:
+            top = edge
     # Each enclosure is taken at the field's current root interval, which is
     # bisected only when an enclosure is wider than 1e-12.  So the printed
     # midpoints depend on the order of requests: every right edge first, then
     # x and width tile by tile.  A request repeated while the root interval
-    # is unchanged gets the same answer, so answers are kept until it changes.
-    cache, root = {}, field.root_ints
+    # is unchanged gets the same answer, so enclosures, x strings and each
+    # tile type's rect tail (width, height, fill) are kept until it changes.
+    cache, xs, tails, root = {}, {}, {}, field.root_ints
 
-    def enclosure(nums):
-        """(hi numerator, denominator, scaled midpoint) of nums / den_x."""
+    def enclosure(packed):
+        """Enclosure (a, b, e) of packed / den_x, at most 1e-12 wide."""
         nonlocal root
-        got = cache.get(nums)
+        got = cache.get(packed)
         if got is None:
-            a, b, e = field.enclose(nums, den_x, fine)
-            got = (b, e, _fmt((a + b) * scale, 2 * e))
+            got = field.enclose(lattice.vector(packed), den_x, fine)
             if field.root_ints is not root:
                 cache.clear()
+                xs.clear()
+                tails.clear()
                 root = field.root_ints
-            cache[nums] = got
+            cache[packed] = got
         return got
 
+    def midpoint(packed):
+        a, b, e = enclosure(packed)
+        return _fmt((a + b) * scale, 2 * e)
+
+    # A right edge repeated after a bisection would get an enclosure inside
+    # its first one (interval Horner is inclusion isotonic): no bisection
+    # and no larger hi.  So each distinct right edge is enclosed once.
     right_num, right_den = 0, 1
-    for t in patch:
-        b, e, _ = enclosure(tuple(map(add, t.xn, widths[t.tile[1]])))
+    for packed in rights:
+        _, b, e = enclosure(packed)
         if b * right_den > right_num * e:
             right_num, right_den = b, e
-    top = max(t.yn + heights[t.tile[0]] for t in patch)
     w = _fmt(right_num * scale, right_den)
     h = _fmt(top * scale, den_y)
     lines = [
@@ -217,24 +271,26 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
         f'width="{w}" height="{h}">',
     ]
-    tile_ids = sorted({t.tile for t in patch})
     color_of = {}
-    for i, tid in enumerate(tile_ids):
+    for i, tid in enumerate(sorted(tile_ids)):
         color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
     tile_height = tuple(_fmt(hn * scale, den_y) for hn in heights)
     flipped = {}   # top edge numerator -> flipped y
-    for t in patch:
-        v, hz = t.tile
-        x = enclosure(t.xn)[2]
-        tw = enclosure(widths[hz])[2]
-        edge = t.yn + heights[v]
+    for tile, xn, yn, _ in patch:
+        x = xs.get(xn)
+        if x is None:
+            x = xs[xn] = midpoint(xn)
+        tail = tails.get(tile)
+        if tail is None:
+            tw = midpoint(widths[tile[1]])
+            tail = tails[tile] = (f'width="{tw}" height="{tile_height[tile[0]]}" '
+                                  f'fill="{color_of[tile]}" stroke="#202020" '
+                                  f'stroke-width="0.7"/>')
+        edge = yn + heights[tile[0]]
         y = flipped.get(edge)
         if y is None:
             y = flipped[edge] = _fmt((top - edge) * scale, den_y)
-        lines.append(
-            f'<rect x="{x}" y="{y}" width="{tw}" height="{tile_height[v]}" '
-            f'fill="{color_of[t.tile]}" stroke="#202020" stroke-width="0.7"/>'
-        )
+        lines.append(f'<rect x="{x}" y="{y}" {tail}')
     for cut in overlay:
         q = (Fraction(top, den_y) - cut) * scale
         y = _fmt(q.numerator, q.denominator)

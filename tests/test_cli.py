@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -112,6 +113,19 @@ def test_length_one_images_before_growth(tmp_path, command):
         assert rep["complex"]["edges"] and rep["h1"]["rank"] >= 1
     else:
         assert rep["h1_of_tiling_space"]["rank"] >= 1
+
+
+@pytest.mark.parametrize("command", ["ap", "mu"])
+def test_collar_without_legal_words_is_one_validation_line(tmp_path, command):
+    # a -> a, b -> b has no legal word of length 3, so no collared edge;
+    # collar once passed the empty edge alphabet on to Substitution
+    doc = {"alphabets": {"x": ["a", "b"]},
+           "substitutions": {"s": {"alphabet": "x", "rules": {"a": "a", "b": "b"}}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_captured([command, "-i", str(path), "--name", "s"])
+    assert (code, out) == (1, "")
+    assert err == "error: substitution has no legal word of the collar width 3\n"
 
 
 # sha256 of the JSON reports from before the non-primitive warning moved
@@ -356,6 +370,69 @@ def test_cohomology_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path
     assert code in (0, 1, 2, 3), (doc, argv, first)
     assert err.count("\n") <= 1, (doc, argv, err)
     assert _run_captured(argv) == first, (doc, argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.sampled_from(["doubling_swap", "period_doubling", "row_thirds"]) | dpv_documents(),
+       data=st.data())
+def test_render_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_factory):
+    if isinstance(doc, str):
+        source, doc = f"bundled:{doc}", json.loads(resources.files("faultline").joinpath(
+            "data", doc + ".json").read_text("utf-8"))
+    else:
+        source = str(tmp_path_factory.mktemp("fuzz") / "doc.json")
+        pathlib.Path(source).write_text(json.dumps(doc), encoding="utf-8")
+    vertical = doc["substitutions"][doc["dpv"]["vertical"]]["alphabet"]
+    horizontal = doc["substitutions"][doc["dpv"]["horizontal"][0]]["alphabet"]
+    # letters of the document, now and then one that no alphabet holds
+    tile = st.builds("{},{}".format, *(st.sampled_from([*doc["alphabets"][name]] * 4 + ["z"])
+                                       for name in (vertical, horizontal)))
+    # deep patches trip the tile cap (exit 3) on purpose
+    k = data.draw(st.integers(0, 3) | st.sampled_from([10 ** 5, 10 ** 9]))
+    argv = ["render", "-i", source, "--rounds", str(k)]
+    if data.draw(st.booleans()):
+        argv += ["--seed", data.draw(tile)]
+    if data.draw(st.booleans()):
+        argv += ["--colors", ";".join(f"{t}=#102030" for t in data.draw(
+            st.lists(tile, min_size=1, max_size=2)))]
+    if data.draw(st.booleans()):
+        argv += ["--overlay", str(data.draw(st.integers(1, 3) | st.sampled_from([0, 4])))]
+    first = _run_captured(argv)
+    code, _, err = first
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (doc, argv, first)
+    assert err.count("\n") <= 1, (doc, argv, err)
+    assert _run_captured(argv) == first, (doc, argv)
+
+
+@pytest.mark.parametrize("rounds", [10 ** 5, 10 ** 9])
+def test_render_tile_cap_is_one_line_and_fast(rounds):
+    # the exact count of a 10^5-round patch has more digits than int() may
+    # print, and a 10^9-round one takes minutes to compute
+    start = time.perf_counter()
+    code, out, err = _run_captured(["render", "-i", "bundled:doubling_swap",
+                                    "--rounds", str(rounds)])
+    assert (code, out) == (3, "")
+    assert err == "resource cap: patch would contain more than 200000 tiles (cap 200000)\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_render_depth_without_growth(tmp_path):
+    # u -> u over a -> a: one tile at every depth.  Placement and the overlay
+    # once recursed once per level (a RecursionError at depth 5,000); a depth
+    # over the tile cap is refused, since every level holds a tile.
+    doc = {"alphabets": {"v": ["u"], "h": ["a"]},
+           "substitutions": {"rho": {"alphabet": "v", "rules": {"u": "u"}},
+                             "s": {"alphabet": "h", "rules": {"a": "a"}}},
+           "dpv": {"vertical": "rho", "horizontal": ["s"], "row_sigma": {"u": ["s"]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_captured(["render", "-i", str(path), "--rounds", "5000",
+                                    "--overlay", "1"])
+    assert (code, out.count("<rect"), err) == (0, 1, "")
+    code, out, err = _run_captured(["render", "-i", str(path), "--rounds", str(10 ** 9)])
+    assert (code, out) == (3, "")
+    assert err == "resource cap: patch depth 1000000000 is more than the tile cap 200000\n"
 
 
 def test_render_writes_svg(tmp_path):

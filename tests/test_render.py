@@ -12,7 +12,13 @@ from faultline.abelian import matpow
 from faultline.cli import main
 from faultline.documents import bundled_document, load_document
 from faultline.errors import FaultlineError, ResourceCapError, ValidationError
-from faultline.render import _PALETTE, emit_svg, generate_patch, overlay_boundaries
+from faultline.render import (
+    _PALETTE,
+    Lattice,
+    emit_svg,
+    generate_patch,
+    overlay_boundaries,
+)
 from faultline.substitution import Substitution
 
 from conftest import reference_interval
@@ -277,6 +283,15 @@ def small_dpvs(draw):
     }
 
 
+def assert_matches_reference(d, ref_d, seed, k, max_tiles=200_000, **kwargs):
+    """Same SVG bytes from both renderers, and the same root interval after:
+    both took their enclosures at the same refinements."""
+    patch = generate_patch(d, seed, k, max_tiles=max_tiles)
+    ref_patch = reference_generate_patch(ref_d, seed, k)
+    assert emit_svg(patch, **kwargs) == reference_emit_svg(ref_patch, **kwargs)
+    assert patch[0].lattice.field.root_ints == ref_patch[0].x.field.root_ints
+
+
 @settings(max_examples=60, deadline=None)
 @given(doc=small_dpvs(), data=st.data())
 def test_svg_matches_reference_renderer(doc, data):
@@ -298,8 +313,7 @@ def test_svg_matches_reference_renderer(doc, data):
     overlay = overlay_boundaries(d, seed, k, order) if order else ()
     svg = emit_svg(generate_patch(d, seed, k), colors=colors, overlay=overlay, scale=scale)
     ref_d = load_document(doc).dpv
-    assert svg == reference_emit_svg(reference_generate_patch(ref_d, seed, k),
-                                     colors=colors, overlay=overlay, scale=scale)
+    assert_matches_reference(d, ref_d, seed, k, colors=colors, overlay=overlay, scale=scale)
 
 
 @pytest.mark.parametrize("name, k", [("doubling_swap", 4), ("row_thirds", 3)])
@@ -307,9 +321,98 @@ def test_svg_matches_reference_renderer(doc, data):
 def test_bundled_svg_matches_reference_renderer(name, k, scale):
     d, ref_d = bundled_document(name).dpv, bundled_document(name).dpv
     overlay = overlay_boundaries(d, (0, 0), k, 1)
-    assert emit_svg(generate_patch(d, (0, 0), k), overlay=overlay, scale=scale) == (
-        reference_emit_svg(reference_generate_patch(ref_d, (0, 0), k), overlay=overlay,
-                           scale=scale))
+    assert_matches_reference(d, ref_d, (0, 0), k, overlay=overlay, scale=scale)
+
+
+# tribonacci and its twin with every image reversed: a degree-3 field in
+# which the widths have coefficients of both signs, (0, 1, 0), (0, -1, 1)
+# and (1, 0, 0) on the power basis
+TRIBONACCI_DPV = {
+    "alphabets": {"v": ["u", "w"], "h": ["a", "b", "c"]},
+    "substitutions": {
+        "rho": {"alphabet": "v", "rules": {"u": "uw", "w": "wu"}},
+        "s0": {"alphabet": "h", "rules": {"a": "ab", "b": "ac", "c": "a"}},
+        "s1": {"alphabet": "h", "rules": {"a": "ba", "b": "ca", "c": "a"}},
+    },
+    "dpv": {"vertical": "rho", "horizontal": ["s0", "s1"],
+            "row_sigma": {"u": ["s0", "s1"], "w": ["s1", "s0"]}},
+}
+
+
+@pytest.mark.parametrize("max_tiles", [60, 500])
+@pytest.mark.parametrize("scale", [24, 10 ** 7])
+def test_mixed_sign_cubic_field_matches_reference_at_the_tile_cap(max_tiles, scale):
+    # the largest depth the cap allows, where the packing shift is sized
+    # from a tile count close to the cap
+    d = load_document(TRIBONACCI_DPV).dpv
+    k = 0
+    while True:
+        try:
+            generate_patch(d, (0, 0), k + 1, max_tiles=max_tiles)
+        except ResourceCapError:
+            break
+        k += 1
+    assert k >= 2
+    patch = generate_patch(d, (0, 0), k, max_tiles=max_tiles)
+    assert patch[0].lattice.field.degree == 3
+    vectors = [patch[0].lattice.vector(t.xn) for t in patch]
+    assert min(map(min, vectors)) < 0 < max(map(max, vectors))
+    d, ref_d = load_document(TRIBONACCI_DPV).dpv, load_document(TRIBONACCI_DPV).dpv
+    assert_matches_reference(d, ref_d, (0, 0), k, max_tiles=max_tiles, scale=scale,
+                             overlay=overlay_boundaries(d, (0, 0), k, 1))
+
+
+def _twin_dpv(base, twin):
+    return {
+        "alphabets": {"v": ["u", "w"], "h": ["a", "b", "c"]},
+        "substitutions": {
+            "rho": {"alphabet": "v", "rules": {"u": "uw", "w": "wu"}},
+            "s0": {"alphabet": "h", "rules": base},
+            "s1": {"alphabet": "h", "rules": twin},
+        },
+        "dpv": {"vertical": "rho", "horizontal": ["s0", "s1"],
+                "row_sigma": {"u": ["s0", "s1"], "w": ["s1", "s0"]}},
+    }
+
+
+# Patches whose root interval is bisected late.  In the first two, a width
+# that no right edge needed bisects it between rects, so the x and width
+# strings read before and after differ; in the third, right edges bisect it
+# one after another, so their order shows in the viewBox.
+LATE_REFINEMENT_DPVS = [
+    _twin_dpv({"a": "bc", "b": "c", "c": "aac"}, {"a": "bc", "b": "c", "c": "aca"}),
+    _twin_dpv({"a": "cbc", "b": "a", "c": "cb"}, {"a": "ccb", "b": "a", "c": "cb"}),
+    _twin_dpv({"a": "cb", "b": "c", "c": "bba"}, {"a": "bc", "b": "c", "c": "bab"}),
+]
+
+
+@pytest.mark.parametrize("doc", LATE_REFINEMENT_DPVS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_late_refinement_matches_reference(doc, k):
+    for h in range(3):
+        d, ref_d = load_document(doc).dpv, load_document(doc).dpv
+        assert_matches_reference(d, ref_d, (0, h), k, scale=10 ** 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lattice_vector_inverts_pack(data):
+    field = data.draw(st.sampled_from([
+        bundled_document("row_thirds").dpv.vertical.perron().root.field,      # degree 1
+        bundled_document("doubling_swap").dpv.horizontal[0].perron().root.field,  # degree 2
+        load_document(TRIBONACCI_DPV).dpv.horizontal[0].perron().root.field,  # degree 3
+    ]))
+    lattice = Lattice(field, 1, 1, data.draw(st.integers(1, 80)), (), ())
+    bound = 2 ** (lattice.shift - 1) - 1
+    coefficients = st.lists(st.integers(-bound, bound), min_size=field.degree,
+                            max_size=field.degree).map(tuple)
+    u, v = data.draw(coefficients), data.draw(coefficients)
+    assert lattice.vector(lattice.pack(u)) == u
+    # packing is additive, so the sum of two packed values unpacks to the
+    # vector sum while that stays in range
+    total = tuple(map(sum, zip(u, v)))
+    if max(map(abs, total)) <= bound:
+        assert lattice.vector(lattice.pack(u) + lattice.pack(v)) == total
 
 
 @pytest.mark.parametrize("argv, digest", [

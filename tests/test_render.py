@@ -311,7 +311,6 @@ def test_svg_matches_reference_renderer(doc, data):
     # root interval refinement
     d = load_document(doc).dpv
     overlay = overlay_boundaries(d, seed, k, order) if order else ()
-    svg = emit_svg(generate_patch(d, seed, k), colors=colors, overlay=overlay, scale=scale)
     ref_d = load_document(doc).dpv
     assert_matches_reference(d, ref_d, seed, k, colors=colors, overlay=overlay, scale=scale)
 

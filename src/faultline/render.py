@@ -148,6 +148,8 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
                       (), height_nums)
     step = [tuple(map(lattice.pack, level)) for level in step]
     lattice = replace(lattice, widths=step[0])
+    if k == 0:
+        return [PlacedTile((v0, h0), 0, 0, lattice)]
     images = {(v, h): d.image_array(v, h)
               for v in range(d.vertical.size) for h in range(len(widths))}
 
@@ -175,8 +177,6 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         table = offsets(rounds)
         nodes = [(sub, x + dx, y + dy)
                  for tile, x, y in nodes for sub, dx, dy in table[tile]]
-    if k == 0:
-        return [PlacedTile((v0, h0), 0, 0, lattice)]
     table = offsets(1)
     # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
     new_tile = partial(tuple.__new__, PlacedTile)

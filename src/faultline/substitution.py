@@ -192,6 +192,9 @@ class Substitution:
             # of w lies on a cycle of such letters: w never grows again
             stalled = 0
             while len(w) < target and stalled < self.size:
+                # every iterate: without primitivity, a factor of an early
+                # image need not recur in later ones
+                factors.update(w[i:i + n] for i in range(len(w) - n + 1))
                 nxt = self.apply(w)
                 stalled = stalled + 1 if len(nxt) == len(w) else 0
                 w = nxt

@@ -128,6 +128,20 @@ def test_collar_without_legal_words_is_one_validation_line(tmp_path, command):
     assert err == "error: substitution has no legal word of the collar width 3\n"
 
 
+@pytest.mark.parametrize("command", ["ap", "mu"])
+def test_collared_transition_of_an_early_image_only(tmp_path, command):
+    # the collared letter b|a|d maps to b|a|b a|b|a, a transition no later
+    # image repeats; legal_words once dropped it, and the complex failed its
+    # own intertwining assertion (a traceback)
+    doc = {"alphabets": {"x": ["a", "b", "c", "d"]},
+           "substitutions": {"s": {"alphabet": "x",
+                                   "rules": {"a": "ab", "b": "b", "c": "a", "d": "ad"}}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_captured([command, "-i", str(path), "--name", "s"])
+    assert (code, out, err) == (1, "", "error: AP complex is not connected\n")
+
+
 # sha256 of the JSON reports from before the non-primitive warning moved
 # from a Python UserWarning to one stderr line
 NONPRIMITIVE_REPORTS = {

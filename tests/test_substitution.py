@@ -245,6 +245,13 @@ def test_legal_words_nonprimitive_takes_union():
     assert words == {(0,), (1,)}
 
 
+def test_legal_words_nonprimitive_keeps_factors_of_early_images():
+    # x -> ab -> cd -> ccdd ...: ab is a factor of s(x) and of no later image
+    s = Substitution(["x", "a", "b", "c", "d"],
+                     {"x": "ab", "a": "c", "b": "d", "c": "cc", "d": "dd"})
+    assert {s.text(w) for w in s.legal_words(2)} == {"ab", "cc", "cd", "dd"}
+
+
 def test_shift_conjugacy(sigma1, sigma2):
     u = shift_conjugacy(sigma1, sigma2)
     assert u == sigma1.word("a")

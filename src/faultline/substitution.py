@@ -192,10 +192,14 @@ class Substitution:
             # of w lies on a cycle of such letters: w never grows again
             stalled = 0
             while len(w) < target and stalled < self.size:
-                # every iterate: without primitivity, a factor of an early
-                # image need not recur in later ones
-                factors.update(w[i:i + n] for i in range(len(w) - n + 1))
                 nxt = self.apply(w)
+                if len(w) < max(n, 2):
+                    # Without primitivity, a factor of an early image need
+                    # not recur in later ones.  The first image with length-n
+                    # factors is enough: every length-n factor of s(v) lies
+                    # in s(u) for a length-n factor u of v, so the closure
+                    # below reaches the factors of all later images.
+                    factors.update(nxt[i:i + n] for i in range(len(nxt) - n + 1))
                 stalled = stalled + 1 if len(nxt) == len(w) else 0
                 w = nxt
                 if len(w) > max_len:

@@ -93,25 +93,15 @@ class PlacedTile(NamedTuple):
 
 
 def _tile_count(counts, col, k, cap):
-    """min(tiles in the k-fold image of tile ``col``, cap + 1): the column
-    sum of counts^k by square and multiply, every entry saturated at
-    cap + 1.  min(., cap + 1) commutes with + and * on nonnegative integers,
-    so a count at or under the cap is exact, and the cost is O(log k)."""
-    c = cap + 1
-
-    def product(a, b):
-        return tuple(tuple(min(sum(map(mul, row, column)), c) for column in zip(*b))
-                     for row in a)
-
-    vec = tuple((int(i == col),) for i in range(len(counts)))   # a column
-    power = counts
-    while k:
-        if k & 1:
-            vec = product(power, vec)
-        k >>= 1
-        if k:
-            power = product(power, power)
-    return min(sum(row[0] for row in vec), c)
+    """min(tiles in the k-fold image of tile ``col``, cap + 1), one level at
+    a time.  Every tile's image holds a tile, so the count never falls and
+    may stop once it passes the cap."""
+    vec = [int(i == col) for i in range(len(counts))]
+    for _ in range(k):
+        vec = [sum(map(mul, row, vec)) for row in counts]
+        if sum(vec) > cap:
+            return cap + 1
+    return sum(vec)
 
 
 def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
@@ -125,14 +115,14 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     heights, lam_v = d.vertical_heights
     field = widths[0].field
 
-    # count guard before any placement
+    # guards before any placement; every level of the expansion holds at
+    # least one tile, so the depth check bounds the count's loop
+    if k > max_tiles:
+        raise ResourceCapError(f"patch depth {k} is more than the tile cap {max_tiles}")
     total = _tile_count(d.count_matrix(), d.tile_index(v0, h0), k, max_tiles)
     if total > max_tiles:
         raise ResourceCapError(f"patch would contain more than {max_tiles} tiles "
                                f"(cap {max_tiles})")
-    # every level of the expansion holds at least one tile
-    if k > max_tiles:
-        raise ResourceCapError(f"patch depth {k} is more than the tile cap {max_tiles}")
 
     width_nums, den_x = integer_vectors(widths)
     height_nums, den_y = clear_denominators(heights)

@@ -179,40 +179,37 @@ class Substitution:
     # -- language ------------------------------------------------------------------
 
     def legal_words(self, n, max_len=DEFAULT_MAX_WORD_LEN):
-        """All length-n factors of iterated images, closed under further
-        substitution until stable."""
+        """All length-n factors of the images s^k(a), k >= 1: the factors of
+        each letter's first image that has any, closed under substitution.
+        Every length-n factor of s(v) lies in s(u) for a length-n factor u
+        of v, so the closure holds the factors of every later image.  Without
+        primitivity a factor of an early image need not recur in later ones,
+        so no single long iterate would do."""
         if n < 1:
             raise ValidationError("factor length must be >= 1")
-        lam_ceiling = max(self.length_vector())
-        target = max(64, 4 * n * lam_ceiling)
         factors = set()
         for a in range(self.size):
-            w = (a,)
+            w = self.apply((a,))
             # after ``size`` steps through length-1 images only, every letter
             # of w lies on a cycle of such letters: w never grows again
             stalled = 0
-            while len(w) < target and stalled < self.size:
+            while len(w) < n and stalled < self.size:
                 nxt = self.apply(w)
-                if len(w) < max(n, 2):
-                    # Without primitivity, a factor of an early image need
-                    # not recur in later ones.  The first image with length-n
-                    # factors is enough: every length-n factor of s(v) lies
-                    # in s(u) for a length-n factor u of v, so the closure
-                    # below reaches the factors of all later images.
-                    factors.update(nxt[i:i + n] for i in range(len(nxt) - n + 1))
                 stalled = stalled + 1 if len(nxt) == len(w) else 0
                 w = nxt
                 if len(w) > max_len:
                     raise ResourceCapError("legal_words expansion exceeded the word cap")
             factors.update(w[i:i + n] for i in range(len(w) - n + 1))
-        while True:
+        # close under substitution, applying each word once
+        todo = factors
+        while todo:
             new = set()
-            for w in factors:
+            for w in todo:
                 img = self.apply(w)
                 new.update(img[i:i + n] for i in range(len(img) - n + 1))
-            if new <= factors:
-                return factors
-            factors |= new
+            todo = new - factors
+            factors |= todo
+        return factors
 
     # -- composition and comparison ----------------------------------------------
 

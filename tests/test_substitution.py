@@ -252,6 +252,39 @@ def test_legal_words_nonprimitive_keeps_factors_of_early_images():
     assert {s.text(w) for w in s.legal_words(2)} == {"ab", "cc", "cd", "dd"}
 
 
+def _iterate_factor_union(s, n):
+    """The length-n factors of s^k(a), united over k >= 1 and every letter a,
+    iterate by iterate.  Once |v| >= n the factors of s(v) are the factors of
+    the images of v's factors, so the factor sets of one letter's iterates
+    cycle; each letter stops at the first repeat."""
+    def windows(w):
+        return frozenset(w[i:i + n] for i in range(len(w) - n + 1))
+
+    union = set()
+    for a in range(s.size):
+        w, seen = s.apply((a,)), set()
+        while len(w) < n and w not in seen:     # short images: a cycle or growth
+            seen.add(w)
+            w = s.apply(w)
+        if len(w) < n:
+            continue
+        factors, seen = windows(w), set()
+        while factors not in seen:
+            seen.add(factors)
+            union |= factors
+            factors = frozenset().union(*(windows(s.apply(u)) for u in factors))
+    return union
+
+
+def test_legal_words_is_the_union_over_every_iterate():
+    rng = rng_for("legal-words-union")
+    for _ in range(300):
+        s = random_substitution(rng, rng.randint(1, 4), max_len=rng.randint(1, 3),
+                                primitive=False)
+        n = rng.randint(1, 4)
+        assert s.legal_words(n) == _iterate_factor_union(s, n), (s, n)
+
+
 def test_shift_conjugacy(sigma1, sigma2):
     u = shift_conjugacy(sigma1, sigma2)
     assert u == sigma1.word("a")

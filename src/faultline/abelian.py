@@ -13,10 +13,8 @@ eventual kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import mul
 
 from .algebra import poly_str, ptrim
 from .errors import ValidationError
@@ -36,7 +34,8 @@ def shape(a):
 
 
 def eye(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    zeros = (0,) * n
+    return tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n))
 
 
 def add_identity(a, c):
@@ -50,8 +49,19 @@ def transpose(a):
 
 
 def matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """Product a b, accumulated row by row; skips zero entries of both
+    factors."""
+    width = len(b[0]) if b else 0
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, terms in zip(row, nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_str(a):
@@ -85,20 +95,25 @@ def block_diag(blocks):
 
 
 def rank_q(a):
-    """Rank over Q by fraction Gaussian elimination."""
+    """Rank over Q by fraction-free (Bareiss) elimination.  Every row below
+    the pivot is updated, whatever its entry in the pivot column, so each
+    entry stays a minor of a and the division by the previous pivot is
+    exact; without it the entries grow exponentially."""
     m, n = shape(a)
-    rows = [[Fraction(x) for x in row] for row in a]
+    rows = [list(row) for row in a]
     rank = 0
+    prev = 1
     for col in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
+        piv = next((i for i in range(rank, m) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(m):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        pv = top[col]
+        for i in range(rank + 1, m):
+            z = rows[i][col]
+            rows[i] = [(pv * y - x * z) // prev for x, y in zip(top, rows[i])]
+        prev = pv
         rank += 1
         if rank == m:
             break
@@ -200,12 +215,19 @@ def smith_normal_form(a):
 
     for t in range(min(m, n)):
         while True:
+            # the first entry of least modulus; nothing beats modulus 1
             best = None
+            least = 0
             for i in range(t, m):
+                row = d[i]
                 for j in range(t, n):
-                    x = d[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
+                    x = row[j]
+                    if x and (best is None or abs(x) < least):
+                        best, least = (i, j), abs(x)
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break
             if best[0] != t:
@@ -223,6 +245,8 @@ def smith_normal_form(a):
                     dirty = dirty or d[t][j] != 0
             if dirty:
                 continue
+            if least == 1:  # a unit pivot divides every entry
+                break
             offender = None
             for i in range(t + 1, m):
                 if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, n)):
@@ -234,7 +258,8 @@ def smith_normal_form(a):
         if t < min(m, n) and d[t][t] < 0:
             row_neg(t)
 
-    snf = SmithForm(u=mat(u), d=mat(d), v=mat(v), u_inv=transpose(ui_t))
+    snf = SmithForm(u=tuple(map(tuple, u)), d=tuple(map(tuple, d)), v=tuple(map(tuple, v)),
+                    u_inv=transpose(ui_t))
     assert matmul(matmul(snf.u, a), snf.v) == snf.d
     return snf
 

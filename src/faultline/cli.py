@@ -89,7 +89,8 @@ def group_json(expr):
     }
 
 
-def dlg_json(g):
+def dlg_json(g, recognized):
+    """A direct limit with ``recognized``, the caller's ``recognize(g)``."""
     return {
         "n": g.n,
         "a": [list(r) for r in g.a],
@@ -97,7 +98,7 @@ def dlg_json(g):
         "a_prime": [list(r) for r in g.a_prime],
         "charpoly": poly_str(g.charpoly_prime),
         "det": g.det_prime,
-        "recognized": recognize(g).canonical(),
+        "recognized": recognized.canonical(),
     }
 
 
@@ -270,7 +271,7 @@ def cmd_mu(args):
         "command": "mu",
         "substitution": args.name,
         "h1_of_tiling_space": group_json(expr),
-        "limit": dlg_json(dl),
+        "limit": dlg_json(dl, expr),
         "complex_h1_rank": data.h1_rank,
         "note": note["detail"],
     }
@@ -345,8 +346,8 @@ def _cohomology_report(doc, opts):
         "mu_presentation": [list(r) for r in rep.mu_group.a_prime],
         "nu": group_json(rep.nu),
         "nu_presentation": [list(r) for r in rep.nu_group.a_prime],
-        "d0": dlg_json(rep.d0),
-        "d1": dlg_json(rep.d1),
+        "d0": dlg_json(rep.d0, recognize(rep.d0)),
+        "d1": dlg_json(rep.d1, rep.d1_recognized),
         "d1_recognized": rep.d1_recognized.canonical(),
         "essential_vertices": essential_json(rep.essential),
         "hypotheses": list(rep.hypothesis_log),

@@ -3,11 +3,14 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd
+from operator import mul
 
 import pytest
 
 from faultline import fault
+from faultline.abelian import SmithForm, mat, shape, transpose
 from faultline.algebra import Interval, clear_denominators, integer_vectors, ptrim
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
@@ -244,6 +247,112 @@ def reference_charpoly(a):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# The integer linear algebra of ``abelian`` before its sparse, fraction-free
+# kernels, kept as oracles: the dense column-dot ``matmul``, ``eye`` by one
+# generator call per entry, ``rank_q`` by ``Fraction`` elimination, and the
+# Smith form that scanned every entry for the pivot and ran the divisibility
+# scan at unit pivots too.
+
+def reference_eye(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def reference_matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def reference_rank_q(a):
+    """Rank over Q by fraction Gaussian elimination."""
+    m, n = shape(a)
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        for i in range(m):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / pv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def reference_smith_normal_form(a):
+    """u a v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
+    The inverse of u is tracked alongside."""
+    a = mat(a)
+    m, n = shape(a)
+    d = [list(row) for row in a]
+    u, v, ui_t = ([list(row) for row in reference_eye(k)] for k in (m, n, m))
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        ui_t[j] = [x - q * y for x, y in zip(ui_t[j], ui_t[i])]
+
+    def col_add(i, j, q):  # col_i += q * col_j
+        for row in chain(d, v):
+            row[i] += q * row[j]
+
+    def row_swap(i, j):
+        for rows in (d, u, ui_t):
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def col_swap(i, j):
+        for row in chain(d, v):
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(i):
+        for rows in (d, u, ui_t):
+            rows[i] = [-x for x in rows[i]]
+
+    for t in range(min(m, n)):
+        while True:
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    x = d[i][j]
+                    if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            if best[0] != t:
+                row_swap(t, best[0])
+            if best[1] != t:
+                col_swap(t, best[1])
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    row_add(i, t, -(d[i][t] // d[t][t]))
+                    dirty = dirty or d[i][t] != 0
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    col_add(j, t, -(d[t][j] // d[t][t]))
+                    dirty = dirty or d[t][j] != 0
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, m):
+                if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, n)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        if t < min(m, n) and d[t][t] < 0:
+            row_neg(t)
+
+    snf = SmithForm(u=mat(u), d=mat(d), v=mat(v), u_inv=transpose(ui_t))
+    assert reference_matmul(reference_matmul(snf.u, a), snf.v) == snf.d
+    return snf
 
 
 # Reference bodies of the field-arithmetic paths that ``NumberField.sign``,

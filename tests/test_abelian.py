@@ -1,5 +1,6 @@
 """Smith normal form, direct limits, recognition, group expressions."""
 
+import time
 from itertools import combinations, product
 from math import gcd
 
@@ -30,7 +31,15 @@ from faultline.abelian import (
 from faultline.ap_complex import collar, graph_h1
 from faultline.errors import ValidationError
 
-from conftest import poly_eval, reference_charpoly, rng_for
+from conftest import (
+    poly_eval,
+    reference_charpoly,
+    reference_eye,
+    reference_matmul,
+    reference_rank_q,
+    reference_smith_normal_form,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +425,117 @@ def test_returned_matrices_are_int_tuples(sigma1, period_doubling):
     nilpotent = direct_limit(mat([[0, 1], [0, 0]]))
     assert (nilpotent.a_prime, nilpotent.projection, nilpotent.section) == ((), (), ((), ()))
     assert GroupExpr.trivial().presentation_matrix() == ()
+
+
+# ---------------------------------------------------------------------------
+# the sparse, fraction-free kernels against the code they replaced
+# ---------------------------------------------------------------------------
+
+def _agrees_with_reference(a):
+    """Smith form (all four matrices), rank and products of ``a`` equal those
+    of the reference implementations in conftest."""
+    snf = smith_normal_form(a)
+    ref = reference_smith_normal_form(a)
+    assert (snf.u, snf.d, snf.v, snf.u_inv) == (ref.u, ref.d, ref.v, ref.u_inv)
+    assert rank_q(a) == reference_rank_q(a) == snf.rank
+    at = transpose(a)
+    for x, y in ((a, at), (at, a), (snf.u, a), (a, snf.v), (snf.u_inv, snf.u)):
+        assert matmul(x, y) == reference_matmul(x, y)
+
+
+def _coboundary(rng, n_vertices, n_edges):
+    """E x V coboundary of a random connected multigraph: a spanning tree on
+    shuffled vertices, then random edges (loops and parallel edges too), each
+    row +1 at its end and -1 at its start, rows in random order."""
+    labels = list(range(n_vertices))
+    rng.shuffle(labels)
+    ends = [(labels[rng.randrange(i)], labels[i]) for i in range(1, n_vertices)]
+    ends += [(rng.randrange(n_vertices), rng.randrange(n_vertices))
+             for _ in range(n_edges - len(ends))]
+    rng.shuffle(ends)
+    rows = []
+    for start, end in ends:
+        row = [0] * n_vertices
+        row[end] += 1
+        row[start] -= 1
+        rows.append(row)
+    return mat(rows)
+
+
+def _primitive_01(rng, n, duplicate_row=False):
+    """Random primitive 0-1 n x n matrix: some power is positive, so the
+    2^k-th power is, for 2^k >= (n - 1)^2 + 1 (Wielandt)."""
+    while True:
+        a = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+        if duplicate_row:
+            a[1] = list(a[0])
+        b = a
+        for _ in range(((n - 1) ** 2).bit_length() + 1):
+            b = [[int(x > 0) for x in row] for row in reference_matmul(b, b)]
+        if all(map(all, b)):
+            return mat(a)
+
+
+def test_eye_matches_reference():
+    for n in range(25):
+        assert eye(n) == reference_eye(n)
+
+
+def test_kernels_match_reference_on_graph_coboundaries():
+    rng = rng_for("reference-coboundary")
+    for _ in range(40):
+        n_vertices = rng.randint(1, 32)
+        n_edges = rng.randint(max(n_vertices - 1, 1), 60)
+        _agrees_with_reference(_coboundary(rng, n_vertices, n_edges))
+    _agrees_with_reference(_coboundary(rng, 32, 60))
+
+
+def test_kernels_match_reference_on_degenerate_shapes():
+    rng = rng_for("reference-degenerate")
+    # m x 0 is m empty rows; 0 x n is the empty tuple
+    for m in range(5):
+        _agrees_with_reference(((),) * m)
+    for _ in range(60):
+        m, n, r = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 3)
+        a = matmul(_random(rng, m, r), _random(rng, r, n)) if r else mat([[0] * n] * m)
+        rows = [list(row) for row in a]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randint(0, n)
+            rows = [row[:j] + [0] + row[j:] for row in rows]
+            n += 1
+        _agrees_with_reference(mat(rows))
+
+
+def test_kernels_match_reference_on_non_unit_pivots():
+    # no entry is a unit, so pivots of modulus 2 and up meet entries they do
+    # not divide, and the divisibility scan decides
+    rng = rng_for("reference-non-unit")
+    entries = (0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        _agrees_with_reference(mat([[rng.choice(entries) for _ in range(n)] for _ in range(m)]))
+
+
+def test_kernels_match_reference_on_primitive_powers():
+    # A^n is what direct_limit hands to kernel_basis and rank_q
+    rng = rng_for("reference-powers")
+    for n in (2, 3, 5, 8, 12, 16, 20):
+        a = _primitive_01(rng, n, duplicate_row=n % 2 == 0)
+        an = matpow(a, n)
+        assert an == reference_matmul(matpow(a, n - 1), a)
+        _agrees_with_reference(an)
+
+
+def test_rank_q_division_keeps_entries_small():
+    # Bareiss divides each update by the previous pivot.  Without that
+    # division the bit length of the entries doubles at every pivot, and 19
+    # pivots over 50-bit entries do not finish; the limit is loose, so only
+    # that blow-up fails it.
+    rng = rng_for("bareiss-growth")
+    a20 = matpow(_primitive_01(rng, 20, duplicate_row=True), 20)
+    start = time.perf_counter()
+    r = rank_q(a20)
+    assert time.perf_counter() - start < 10
+    assert r == reference_rank_q(a20) < 20

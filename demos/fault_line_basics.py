@@ -7,8 +7,16 @@ and the drift is controlled by the second eigenvalue of the substitution
 matrix.
 """
 
+from fractions import Fraction
+
 from faultline import Substitution, boundary_trace, classify_boundary, discrepancy_growth
 from faultline.fault import offset_statistics
+
+
+def approx(x):
+    """A decimal near the AlgebraicNumber x (the midpoint of a tight enclosure)."""
+    return float(x.interval(Fraction(1, 2 ** 60)).midpoint())
+
 
 sigma1 = Substitution(["a", "b"], {"a": "ba", "b": "aaa"})
 sigma2 = Substitution(["a", "b"], {"a": "ab", "b": "aaa"})
@@ -20,11 +28,15 @@ print("abelianization:", sigma1.matrix())
 # Perron data: the expansion factor is the larger root of x^2 - x - 3
 pd = sigma1.perron()
 print("charpoly coefficients (ascending):", pd.charpoly)
-print("expansion factor lambda ~", float(pd.root))
+print("expansion factor lambda ~", approx(pd.root))
 
-# tile widths making the substitution self-similar: a is lambda wide, b is 3
+# tile widths making the substitution self-similar: a is lambda wide, b is 3.
+# They are integer coefficient vectors on the basis 1, lambda over one
+# denominator: (0, 1) is lambda and (3, 0) is 3.
 widths = sigma1.tile_lengths()
-print("tile widths:", [str(round(float(w), 6)) for w in widths])
+print("tile widths as vectors over", widths.den, ":", widths.vectors)
+print("tile widths:", [str(round(approx(widths.field.element(v, widths.den)), 6))
+                       for v in widths.vectors])
 
 # the second eigenvalue 1 - lambda has modulus > 1, so letter-count
 # discrepancies between the two rows grow without bound
@@ -52,7 +64,7 @@ print("(compare lambda - 1 ~ 1.302776)")
 stats = offset_statistics(trace12)
 print("distinct offsets per round:", stats.per_round_counts)
 print("total distinct offsets:", stats.distinct_count,
-      "| smallest positive gap ~", float(stats.min_gap))
+      "| smallest positive gap ~", approx(stats.min_gap))
 
 # the classifier puts it together
 print("classify(sigma1, sigma2):", classify_boundary(sigma1, sigma2).kind.value)

@@ -10,6 +10,7 @@ where the fault lines develop.
 import pathlib
 
 from faultline import bundled_document, emit_svg, generate_patch
+from faultline.algebra import times_root
 from faultline.render import overlay_boundaries
 
 out_dir = pathlib.Path(__file__).resolve().parent / "out"
@@ -24,20 +25,23 @@ for name, seed, rounds in (
     patch = generate_patch(d, seed, rounds)
     print(f"{name}: {len(patch)} tiles at {rounds} rounds")
 
-    # verify the exact row identity before writing anything
-    lam = d.horizontal[0].perron().root
-    widths = d.horizontal[0].tile_lengths()
+    # verify the exact row identity before writing anything: a tile's left
+    # edge and width are packed integer vectors over one denominator, so two
+    # tiles meet exactly when the left edge plus the width is the next left edge
+    lattice = patch[0].lattice
     rows = {}
     for t in patch:
-        rows.setdefault(t.y, []).append(t)
-    target = lam ** rounds * widths[seed[1]]
+        rows.setdefault(t.yn, []).append(t)
+    target = lattice.vector(lattice.widths[seed[1]])
+    for _ in range(rounds):
+        target = times_root(target, lattice.field.poly)
     for y, row in rows.items():
-        row.sort(key=lambda t: float(t.x))
-        total = row[0].width
+        assert row[0].xn == 0, "every row starts at the seed's left edge"
         for t1, t2 in zip(row, row[1:]):
-            assert (t1.x + t1.width) == t2.x, "tiles must meet exactly"
-            total = total + t2.width
-        assert total == target, "every row spans lambda^k times the seed width"
+            assert t1.xn + lattice.widths[t1.tile[1]] == t2.xn, "tiles must meet exactly"
+        last = row[-1]
+        right = lattice.vector(last.xn + lattice.widths[last.tile[1]])
+        assert right == target, "every row spans lambda^k times the seed width"
     print("  exact tiling verified:", len(rows), "rows, each spanning lambda^k * seed")
 
     overlay = overlay_boundaries(d, seed, rounds, 1)

@@ -21,13 +21,14 @@ from .errors import (
     UndeterminedError,
     ValidationError,
 )
-from .algebra import AlgebraicNumber, Interval, NumberField, compare, mod_reduce
+from .algebra import AlgebraicNumber, NumberField
 from .substitution import (
     Letter,
     PerronData,
     SpectralClass,
     SpectralKind,
     Substitution,
+    TileLengths,
     shift_conjugacy,
     spectral_classify,
 )

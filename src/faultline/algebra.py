@@ -1,15 +1,16 @@
 """Exact arithmetic in real algebraic number fields Q(lambda) = Q[x]/(p).
 
 Polynomials are tuples of coefficients in *ascending* degree order.  An
-element is a coefficient vector on the power basis; every product, inverse
-and reduction goes through one multiply-by-lambda step (``times_root``), and
-nothing stored here is ever a float.  Polynomial arithmetic over Z (root
-isolation, factorization, squarefree parts, signs at rationals) lives in
-``zpoly``, whose isolation and factoring this module re-exports: the real-root
-intervals and the complex-root rectangles are the ones sympy's
-continued-fraction and Collins-Krandick isolation return, so every enclosure
-built from them is too.  Everything downstream of isolation (refinement,
-comparison, modular reduction) is implemented here with exact rational
+element is an integer coefficient vector on the power basis over a common
+denominator; every product, inverse and reduction goes through one
+multiply-by-lambda step (``times_root``), and nothing stored here is ever a
+float.  ``AlgebraicNumber`` is the view of such a vector that reports print.
+Polynomial arithmetic over Z (root isolation, factorization, squarefree
+parts, signs at rationals) lives in ``zpoly``, whose isolation and factoring
+this module re-exports: the real-root intervals and the complex-root
+rectangles are the ones sympy's continued-fraction and Collins-Krandick
+isolation return, so every enclosure built from them is too.  Everything downstream of isolation (refinement,
+signs, modular reduction) is implemented here with exact rational
 intervals, evaluated by one integer Horner routine over a common denominator
 (``horner_interval``).
 """
@@ -55,6 +56,44 @@ def times_root(c, poly):
     return tuple(x - c[-1] * f for x, f in zip((0,) + c[:-1], poly))
 
 
+def times(a, b, poly):
+    """a * b in Q[x]/(poly) for coefficient vectors a and b: Horner over the
+    coefficients of a, acc := acc * x + a_i * b, one ``times_root`` a step."""
+    acc = tuple(a[-1] * y for y in b)
+    for x in reversed(a[:-1]):
+        acc = tuple(u + x * y for u, y in zip(times_root(acc, poly), b))
+    return acc
+
+
+def inverse_vector(c, poly):
+    """(v, d): an integer vector v and an integer d > 0 with c * v = d in
+    Z[x]/(poly), for a nonzero integer vector c and a monic irreducible poly.
+
+    Fraction-free Gauss-Jordan elimination on [M | e_0], M the matrix of
+    multiplication by c (column j is c * x^j, one ``times_root`` step from
+    column j - 1): each step divides exactly by the pivot before it, and
+    leaves every diagonal entry equal to the last pivot, det M, with
+    det M * M^-1 e_0 in the last column."""
+    deg = len(c)
+    cols = [c]
+    for _ in range(deg - 1):
+        cols.append(times_root(cols[-1], poly))
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(deg)]
+    prev = 1
+    for k in range(deg):
+        piv = next(i for i in range(k, deg) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot_row = rows[k]
+        pv = pivot_row[k]
+        for i in range(deg):
+            f = rows[i][k]
+            if i != k:
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = pv
+    s = 1 if prev > 0 else -1
+    return tuple(s * r[-1] for r in rows), s * prev
+
+
 def poly_str(a):
     """Canonical display string, descending powers: ``x^2-x-3``."""
     a = ptrim(a)
@@ -91,53 +130,15 @@ class Interval:
             raise ValueError("interval endpoints out of order")
         self.lo, self.hi = lo, hi
 
-    def __add__(self, other):
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other):
-        cands = (
-            self.lo * other.lo, self.lo * other.hi,
-            self.hi * other.lo, self.hi * other.hi,
-        )
-        return Interval(min(cands), max(cands))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return Interval(self.lo * s, self.hi * s) if s >= 0 else Interval(self.hi * s, self.lo * s)
-
-    def shift(self, s):
-        return Interval(self.lo + s, self.hi + s)
-
-    def sign(self):
-        """1, -1, or None if the interval straddles (or touches) zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return None
-
     def abs(self):
         if self.lo >= 0:
             return self
         if self.hi <= 0:
-            return -self
+            return Interval(-self.hi, -self.lo)
         return Interval(0, max(-self.lo, self.hi))
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
     def midpoint(self):
         return (self.lo + self.hi) / 2
-
-    def __contains__(self, x):
-        return self.lo <= x <= self.hi
 
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
@@ -348,35 +349,15 @@ class NumberField:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, coeffs):
-        return AlgebraicNumber(self, coeffs)
-
-    def zero(self):
-        return self.element([0] * self.degree)
-
-    def one(self):
-        return self.from_rational(1)
-
-    def from_rational(self, q):
-        c = [Fraction(0)] * self.degree
-        c[0] = Fraction(q)
-        return self.element(c)
+    def element(self, nums, den=1):
+        """The element with coefficient vector nums / den."""
+        return AlgebraicNumber(self, [Fraction(c, den) for c in nums])
 
     def gen(self):
         """The distinguished root itself (the class of x)."""
         if self.degree == 1:
-            return self.from_rational(-Fraction(self.poly[0]))
-        c = [Fraction(0)] * self.degree
-        c[1] = Fraction(1)
-        return self.element(c)
-
-    def compatible(self, other):
-        if self is other:
-            return True
-        if self.poly != other.poly:
-            return False
-        a, b = self._iv, other._iv
-        return a[0] <= b[1] and b[0] <= a[1]
+            return self.element((-self.poly[0],))
+        return self.element((0, 1) + (0,) * (self.degree - 2))
 
     @classmethod
     def with_largest_real_root(cls, poly):
@@ -408,122 +389,19 @@ class NumberField:
 
 
 class AlgebraicNumber:
-    """Element of a NumberField: a rational coefficient vector on the power
-    basis 1, x, ..., x^(deg-1), always reduced mod p."""
+    """Element of a NumberField as reports print it: a rational coefficient
+    vector on the power basis 1, x, ..., x^(deg-1).  Arithmetic runs on
+    integer coefficient vectors (``times_root``, ``NumberField.sign``); this
+    class only carries a value to its enclosure and its exact sign."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
-        deg = field.degree
-        if len(coeffs) > deg:
-            # Horner from the top deg coefficients down, one times_root a step
-            acc = coeffs[-deg:]
-            for c in reversed(coeffs[:-deg]):
-                acc = times_root(acc, field.poly)
-                acc = (acc[0] + c,) + acc[1:]
-            coeffs = acc
+        if len(coeffs) > field.degree:
+            raise ValueError("more coefficients than the field degree")
         self.field = field
-        self.coeffs = coeffs + (Fraction(0),) * (deg - len(coeffs))
-
-    # -- coercion -------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, AlgebraicNumber):
-            if not self.field.compatible(other.field):
-                raise ValidationError("algebraic numbers from different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
-
-    # -- ring structure --------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return AlgebraicNumber(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraicNumber(self.field, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return AlgebraicNumber(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # Horner over the coefficients of self: acc := acc * x + a_i * o
-        poly, a, b = self.field.poly, self.coeffs, o.coeffs
-        acc = tuple(a[-1] * y for y in b)
-        for x in reversed(a[:-1]):
-            acc = tuple(u + x * y for u, y in zip(times_root(acc, poly), b))
-        return AlgebraicNumber(self.field, acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inverse(self):
-        """The y with self * y = 1, by Gauss-Jordan elimination on the matrix
-        of multiplication by self, whose column j is self * x^j (one
-        ``times_root`` step from column j - 1); total because the defining
-        poly is irreducible, so that matrix is invertible."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in number field")
-        poly, deg = self.field.poly, self.field.degree
-        cols = [self.coeffs]
-        for _ in range(deg - 1):
-            cols.append(times_root(cols[-1], poly))
-        # the augmented rows [M | e_0]
-        rows = [[c[i] for c in cols] + [Fraction(i == 0)] for i in range(deg)]
-        for k in range(deg):
-            piv = next(i for i in range(k, deg) if rows[i][k])
-            rows[k], rows[piv] = rows[piv], rows[k]
-            inv = 1 / rows[k][k]
-            pivot_row = rows[k] = [x * inv for x in rows[k]]
-            for i in range(deg):
-                f = rows[i][k]
-                if i != k and f:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], pivot_row)]
-        return AlgebraicNumber(self.field, [r[-1] for r in rows])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    # -- exact predicates -------------------------------------------------------
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        self.coeffs = coeffs + (Fraction(0),) * (field.degree - len(coeffs))
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
@@ -533,46 +411,14 @@ class AlgebraicNumber:
             raise ValueError("not a rational value")
         return self.coeffs[0]
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.field.poly, self.coeffs))
-
-    # -- order structure ----------------------------------------------------------
-
     def sign(self):
         """Exact sign: ``NumberField.sign`` of the numerators."""
         return self.field.sign(clear_denominators(self.coeffs)[0])
-
-    def compare(self, other):
-        d = self - self._coerce(other)
-        return d.sign()
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    # -- enclosures -----------------------------------------------------------------
 
     def interval(self, width=Fraction(1, 2 ** 40)):
         """Rational enclosure of at most ``width`` wide."""
         a, b, e = self.field.enclose(*clear_denominators(self.coeffs), Fraction(width))
         return Interval(Fraction(a, e), Fraction(b, e))
-
-    def __float__(self):
-        return float(self.interval(Fraction(1, 2 ** 64)).midpoint())
 
     def __repr__(self):
         terms = []
@@ -589,16 +435,6 @@ class AlgebraicNumber:
         return f"<{body} in Q[x]/({poly_str(self.field.poly)})>"
 
 
-def compare(a, b):
-    """Exact three-way comparison of algebraic numbers (or rationals)."""
-    if isinstance(a, AlgebraicNumber):
-        return a.compare(b)
-    if isinstance(b, AlgebraicNumber):
-        return -b.compare(a)
-    a, b = Fraction(a), Fraction(b)
-    return (a > b) - (a < b)
-
-
 def mod_reduce(a, modulus):
     """a - k*modulus with the integer k chosen so the result lies in
     [0, modulus).  modulus must be positive.  On algebraic numbers, k comes
@@ -608,13 +444,16 @@ def mod_reduce(a, modulus):
         if modulus <= 0:
             raise ValidationError("modulus must be positive")
         return a - (a / modulus).numerator // (a / modulus).denominator * modulus
-    if not isinstance(a, AlgebraicNumber):
-        a = modulus.field.from_rational(a)
-    m = a._coerce(modulus)
-    if m.sign() <= 0:
+    field = (modulus if isinstance(modulus, AlgebraicNumber) else a).field
+    a, m = (x if isinstance(x, AlgebraicNumber) else field.element((x,))
+            for x in (a, modulus))
+    if a.field.poly != m.field.poly:
+        raise ValidationError("algebraic numbers from different fields")
+    (av, mv), den = integer_vectors((a, m))
+    if m.field.sign(mv) <= 0:
         raise ValidationError("modulus must be positive")
-    (av, mv), _ = integer_vectors((a, m))
-    return a - m * mod_quotient(m.field, av, mv)
+    k = mod_quotient(m.field, av, mv)
+    return a.field.element([x - k * y for x, y in zip(av, mv)], den)
 
 
 def mod_quotient(field, av, mv):

@@ -228,8 +228,10 @@ def cmd_analyze(args):
             "degenerate": bool(pd.root.is_rational() and pd.root.as_fraction() == 1),
         }
         if pd.primitive:
+            lengths = s.tile_lengths()
             entry["tile_lengths"] = {
-                l.name: alg_json(x) for l, x in zip(s.letters, s.tile_lengths())
+                l.name: alg_json(lengths.field.element(v, lengths.den))
+                for l, v in zip(s.letters, lengths.vectors)
             }
         report["substitutions"][name] = entry
     return report, EXIT_OK
@@ -413,37 +415,31 @@ def cmd_render(args):
 # selftest: the three bundled examples against their expected reports
 # ---------------------------------------------------------------------------
 
-def cohomology_summary(d, rep):
-    """The figures of the cohomology report ``rep`` of the DPV ``d`` that
-    ``data/<name>.expected.json`` pins for each bundled document, as JSON
-    values."""
+def cohomology_summary(d, body):
+    """The figures of the cohomology report body ``body`` of the DPV ``d``
+    that ``data/<name>.expected.json`` pins for each bundled document."""
     cx = d.vertical_complex
-    summary = {
-        "H0": group_json(rep.h0),
-        "H1": group_json(rep.h1),
-        "H2": group_json(rep.h2),
-        "H3": group_json(rep.h3),
-        "mu": group_json(rep.mu),
-        "mu_presentation": [list(r) for r in rep.mu_group.a_prime],
-        "nu": group_json(rep.nu),
-        "n": essential_json(rep.essential)["n"],
-        "eventual": len(rep.essential.eventual),
-        "edges": cx.n_edges,
-        "vertices": cx.n_vertices,
-        "d1_recognized": rep.d1_recognized.canonical(),
-        "fault_junction_cores": [
-            [vb.lower_core, vb.upper_core]
-            for vb in rep.essential.vertices if vb.kind is BoundaryKind.REGULAR_FAULT
+    essential = body["essential_vertices"]
+    summary = {key: body[key] for key in
+               ("H0", "H1", "H2", "H3", "mu", "mu_presentation", "nu", "d1_recognized")}
+    summary.update(
+        n=essential["n"],
+        eventual=len(essential["eventual"]),
+        edges=cx.n_edges,
+        vertices=cx.n_vertices,
+        fault_junction_cores=[
+            [vb["lower_core"], vb["upper_core"]] for vb in essential["vertices"]
+            if vb["class"] == BoundaryKind.REGULAR_FAULT.value
         ],
-    }
-    return json.loads(json.dumps(summary))
+    )
+    return summary
 
 
 def _check_example(name, out):
     doc = bundled_document(name)
     opts = _apply_env(dict(doc.options))
-    rep, _ = _cohomology_report(doc, opts)
-    got = cohomology_summary(doc.dpv, rep)
+    _, body = _cohomology_report(doc, opts)
+    got = cohomology_summary(doc.dpv, body)
     want = bundled_expected(name)
     failures = [
         f"{key}: got {got.get(key)!r}, want {want.get(key)!r}"

@@ -80,20 +80,18 @@ class DPVSubstitution:
 
     @cached_property
     def vertical_heights(self):
-        """(tile heights as Fractions, expansion factor as an int) of the
-        vertical substitution, computed once: patch placement and the overlay
-        both read it.  Rendering needs both rational; a rational root of a
-        monic integer polynomial is an integer."""
-        heights = self.vertical.tile_lengths()
-        if not all(h.is_rational() for h in heights):
+        """(tile heights, expansion factor) of the vertical substitution, all
+        integers, computed once: patch placement and the overlay both read
+        it.  The heights are rational exactly when the Perron field has
+        degree 1; then ``tile_lengths`` gives the primitive integer vector,
+        and the root of x + poly[0] is the expansion factor."""
+        lengths = self.vertical.tile_lengths()
+        if lengths.field.degree != 1:
             raise ValidationError(
                 "rendering needs rational vertical tile heights "
                 "(irrational vertical expansion is unsupported)"
             )
-        lam = heights[0].field.gen()     # the Perron root
-        if not lam.is_rational():
-            raise ValidationError("rendering needs a rational vertical expansion factor")
-        return tuple(h.as_fraction() for h in heights), int(lam.as_fraction())
+        return tuple(v[0] for v in lengths.vectors), -lengths.field.poly[0]
 
     # -- tiles ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from itertools import islice
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import AlgebraicNumber, integer_vectors, mod_quotient, root_interval
+from .algebra import mod_quotient, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import SpectralKind, spectral_classify
 
@@ -67,11 +67,6 @@ class Row:
                 stack.pop()
 
 
-def _element(field, den, vector):
-    """The field element with integer coefficient vector ``vector`` over den."""
-    return AlgebraicNumber(field, [Fraction(c, den) for c in vector])
-
-
 @dataclass(frozen=True)
 class BoundaryStep:
     round: int
@@ -91,14 +86,14 @@ class BoundaryStep:
     @cached_property
     def offsets(self):
         """The offsets as AlgebraicNumbers, built on first access."""
-        return tuple(_element(self.field, self.den, v) for v in self.offset_vectors)
+        return tuple(self.field.element(v, self.den) for v in self.offset_vectors)
 
     def min_gap(self):
         """The least gap between consecutive offsets as an AlgebraicNumber;
         None for fewer than two offsets.  Orders the gaps on every call
         (``min_gap_vector``)."""
         gap = min_gap_vector(self.field, self.den, self.offset_vectors)
-        return None if gap is None else _element(self.field, self.den, gap)
+        return None if gap is None else self.field.element(gap, self.den)
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,8 @@ class BoundaryTrace:
     bottom_sub: object
     seed: int
     tracked_letter: int
-    widths: tuple                 # tile widths, AlgebraicNumbers
-    modulus: object               # AlgebraicNumber, the offset modulus
+    widths: object                # the TileLengths of the top substitution
+    modulus: int                  # letter whose width is the offset modulus
     steps: tuple
 
     def max_abs_by_round(self):
@@ -116,13 +111,12 @@ class BoundaryTrace:
 
 
 class _ScanWidths:
-    """Tile widths as the sign filter reads them: integer coefficient vectors
-    over one denominator, and their image scaled by 2^96, built on first use
-    and then kept for the whole trace."""
+    """Tile widths as the sign filter reads them: the integer coefficient
+    vectors over one denominator of a ``TileLengths``, and their image scaled
+    by 2^96, built on first use and then kept for the whole trace."""
 
     def __init__(self, widths):
-        self.field = widths[0].field
-        self.vectors, self.den = integer_vectors(widths)
+        self.field, self.vectors, self.den = widths.field, widths.vectors, widths.den
 
     @cached_property
     def scaled(self):
@@ -278,10 +272,10 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
     field, vectors, den = scan.field, scan.vectors, scan.den
     if modulus is None:
-        # the widest tile by the signs max(widths) takes, so the field is
-        # refined alike
+        # the widest tile, the first of equal ones: one exact sign per letter
+        # against the widest so far
         modulus = 0
-        for i in range(1, len(widths)):
+        for i in range(1, len(vectors)):
             if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
                 modulus = i
     mod_vector = vectors[modulus]
@@ -321,8 +315,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         bottom_sub=bottom,
         seed=seed,
         tracked_letter=tracked_letter,
-        widths=tuple(widths),
-        modulus=widths[modulus],
+        widths=widths,
+        modulus=modulus,
         steps=tuple(steps),
     )
 
@@ -424,7 +418,7 @@ class OffsetStats:
     def min_gap(self):
         """min_gap_vector as an AlgebraicNumber (or None), built on first access."""
         v = self.min_gap_vector
-        return None if v is None else _element(self.field, self.den, v)
+        return None if v is None else self.field.element(v, self.den)
 
 
 class BoundaryKind(Enum):
@@ -436,9 +430,6 @@ class BoundaryKind(Enum):
 @dataclass(frozen=True)
 class BoundaryClass:
     kind: BoundaryKind
-    growth_ratio: tuple          # rational interval
-    max_discrepancy_by_round: tuple
-    offsets_by_round: tuple      # distinct counts per round
     spectral_kind: SpectralKind
 
     def __str__(self):
@@ -466,9 +457,9 @@ def classify_trace(trace, spectral=None):
     if trace.seed != 0:
         raise ValidationError("classification is defined on the trace from seed letter 0")
     cap = len(trace.steps)
+    if cap < 4:
+        raise ValidationError("classification needs at least 4 rounds")
     maxes = trace.max_abs_by_round()
-    growth = discrepancy_growth(trace)
-    per_round = tuple(len(s.offset_vectors) for s in trace.steps)
     if spectral is None:
         spectral = spectral_classify(trace.top_sub.matrix()).kind
 
@@ -482,10 +473,4 @@ def classify_trace(trace, spectral=None):
             kind = BoundaryKind.REGULAR_FAULT
         else:
             kind = BoundaryKind.UNDETERMINED
-    return BoundaryClass(
-        kind=kind,
-        growth_ratio=growth,
-        max_discrepancy_by_round=maxes,
-        offsets_by_round=per_round,
-        spectral_kind=spectral,
-    )
+    return BoundaryClass(kind=kind, spectral_kind=spectral)

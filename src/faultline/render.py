@@ -5,7 +5,7 @@ the image array of each tile fills its parent rectangle row by row (bottom
 row first).  Coordinates are exact integer lattice points: a horizontal
 position is an integer coefficient vector on the power basis of Q(lambda)
 over one denominator per patch, packed into one int (``Lattice``), and a
-vertical position an integer over another.  Placement expands the patch one
+vertical position an integer.  Placement expands the patch one
 level at a time from tables of child offsets, so a placed tile costs one int
 add per coordinate.  SVG output renders coordinates at 1e-9 precision from
 the exact values and is deterministic.
@@ -19,7 +19,7 @@ from functools import partial
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import clear_denominators, decimal_string, integer_vectors, times_root
+from .algebra import decimal_string, times_root
 from .errors import ResourceCapError, ValidationError
 
 DEFAULT_MAX_TILES = 200_000
@@ -33,17 +33,16 @@ _PALETTE = (
 @dataclass(frozen=True)
 class Lattice:
     """Coordinates shared by the tiles of one patch: x = X / den_x with X an
-    integer vector on the power basis of ``field``, y = Y / den_y.
+    integer vector on the power basis of ``field``, and y an integer.
 
     X is stored packed as the one int sum(X[i] * 2**(shift * i)) (Kronecker
     substitution), so adding packed values adds the vectors.  Every vector a
     patch stores has |X[i]| < 2**(shift - 1), which makes unpacking exact."""
     field: object
     den_x: int
-    den_y: int
     shift: int
     widths: tuple      # den_x * width of each horizontal letter, packed
-    heights: tuple     # den_y * height of each vertical letter, integers
+    heights: tuple     # height of each vertical letter, an integer
 
     def pack(self, nums):
         return sum(c << (self.shift * i) for i, c in enumerate(nums))
@@ -61,35 +60,12 @@ class Lattice:
             packed = (packed - c) >> self.shift
         return tuple(nums)
 
-    def element(self, packed):
-        return self.field.element([Fraction(c, self.den_x) for c in self.vector(packed)])
-
 
 class PlacedTile(NamedTuple):
     tile: tuple        # (vertical letter id, horizontal letter id)
     xn: int            # den_x * left edge, packed (``Lattice``)
-    yn: int            # den_y * bottom edge
+    yn: int            # bottom edge
     lattice: Lattice
-
-    @property
-    def x(self):
-        """Left edge, an AlgebraicNumber."""
-        return self.lattice.element(self.xn)
-
-    @property
-    def width(self):
-        """An AlgebraicNumber."""
-        return self.lattice.element(self.lattice.widths[self.tile[1]])
-
-    @property
-    def y(self):
-        """Bottom edge, a Fraction."""
-        return Fraction(self.yn, self.lattice.den_y)
-
-    @property
-    def height(self):
-        """A Fraction."""
-        return Fraction(self.lattice.heights[self.tile[0]], self.lattice.den_y)
 
 
 def _tile_count(counts, col, k, cap):
@@ -113,7 +89,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     v0, h0 = seed
     widths = d.horizontal[0].tile_lengths()
     heights, lam_v = d.vertical_heights
-    field = widths[0].field
+    field, width_nums, den_x = widths.field, widths.vectors, widths.den
 
     # guards before any placement; every level of the expansion holds at
     # least one tile, so the depth check bounds the count's loop
@@ -124,8 +100,6 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         raise ResourceCapError(f"patch would contain more than {max_tiles} tiles "
                                f"(cap {max_tiles})")
 
-    width_nums, den_x = integer_vectors(widths)
-    height_nums, den_y = clear_denominators(heights)
     # step[r][h] = den_x * width_h * lambda^r: integer vectors, since the
     # widths live in the Perron field, whose root lambda is an algebraic integer
     step = [width_nums]
@@ -134,14 +108,13 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     # A right edge sums at most ``total`` steps, so its coefficients stay
     # under (total + 1) * bound < 2**(shift - 1) in absolute value.
     bound = max(abs(c) for level in step for v in level for c in v)
-    lattice = Lattice(field, den_x, den_y, ((total + 1) * bound).bit_length() + 1,
-                      (), height_nums)
+    lattice = Lattice(field, den_x, ((total + 1) * bound).bit_length() + 1, (), heights)
     step = [tuple(map(lattice.pack, level)) for level in step]
     lattice = replace(lattice, widths=step[0])
     if k == 0:
         return [PlacedTile((v0, h0), 0, 0, lattice)]
     images = {(v, h): d.image_array(v, h)
-              for v in range(d.vertical.size) for h in range(len(widths))}
+              for v in range(d.vertical.size) for h in range(len(width_nums))}
 
     def offsets(rounds):
         """(child, dx, dy) per child of each tile's rounds-fold image: its
@@ -156,7 +129,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
                 for sub in row:
                     children.append((sub, dx, dy))
                     dx += row_step[sub[1]]
-                dy += height_nums[row[0][0]] * lam_v_pow
+                dy += heights[row[0][0]] * lam_v_pow
             table[tile] = children
         return table
 
@@ -181,7 +154,7 @@ def overlay_boundaries(d, seed, k, order):
         raise ValidationError("overlay order must be between 1 and the round count")
     heights, lam_v = d.vertical_heights
     # one level of order-``order`` blocks at a time, down from the seed
-    cuts, nodes = set(), [(seed[0], Fraction(0))]
+    cuts, nodes = set(), [(seed[0], 0)]
     for rounds in range(k - order + 1, 0, -1):
         block = lam_v ** (order - 1) * lam_v ** (rounds - 1)
         children = []
@@ -192,7 +165,7 @@ def overlay_boundaries(d, seed, k, order):
                 children.append((v2, y))
                 y += heights[v2] * block
         nodes = children
-    cuts.discard(Fraction(0))
+    cuts.discard(0)
     return tuple(sorted(cuts))
 
 
@@ -208,7 +181,7 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     if not patch:
         raise ValidationError("empty patch")
     lattice = patch[0].lattice
-    field, den_x, den_y = lattice.field, lattice.den_x, lattice.den_y
+    field, den_x = lattice.field, lattice.den_x
     widths, heights = lattice.widths, lattice.heights
     fine = Fraction(1, 10 ** 12)
     rights, tile_ids, top = {}, set(), 0
@@ -255,7 +228,7 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
         if b * right_den > right_num * e:
             right_num, right_den = b, e
     w = _fmt(right_num * scale, right_den)
-    h = _fmt(top * scale, den_y)
+    h = _fmt(top * scale, 1)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
@@ -264,7 +237,7 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     color_of = {}
     for i, tid in enumerate(sorted(tile_ids)):
         color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
-    tile_height = tuple(_fmt(hn * scale, den_y) for hn in heights)
+    tile_height = tuple(_fmt(hn * scale, 1) for hn in heights)
     flipped = {}   # top edge numerator -> flipped y
     for tile, xn, yn, _ in patch:
         x = xs.get(xn)
@@ -279,10 +252,10 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
         edge = yn + heights[tile[0]]
         y = flipped.get(edge)
         if y is None:
-            y = flipped[edge] = _fmt((top - edge) * scale, den_y)
+            y = flipped[edge] = _fmt((top - edge) * scale, 1)
         lines.append(f'<rect x="{x}" y="{y}" {tail}')
     for cut in overlay:
-        q = (Fraction(top, den_y) - cut) * scale
+        q = (top - Fraction(cut)) * scale
         y = _fmt(q.numerator, q.denominator)
         lines.append(
             f'<line x1="0" y1="{y}" x2="{w}" y2="{y}" '

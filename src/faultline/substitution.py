@@ -13,17 +13,20 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice, product
 from math import gcd
-from operator import add, mul
+from operator import add
 
 from . import abelian
 from .algebra import (
     AlgebraicNumber,
     NumberField,
+    clear_denominators,
+    inverse_vector,
     irreducible_factors,
     isolate_complex_roots,
     isolate_real_roots,
     pdeg,
     root_interval,
+    times,
     times_root,
 )
 from .errors import (
@@ -108,22 +111,6 @@ class Substitution:
         for i in word:
             out.extend(self.rules[i])
         return tuple(out)
-
-    def iterate(self, seed, k, max_len=DEFAULT_MAX_WORD_LEN):
-        """k-fold application; iterate(w, 0) = w.  Predicted lengths are
-        checked against max_len before any word is materialized."""
-        if k < 0:
-            raise ValidationError("iteration count must be >= 0")
-        word = self.word(seed)
-        counts = [0] * self.size
-        for i in word:
-            counts[i] += 1
-        for lengths in islice(self.image_lengths(), 1, k + 1):
-            if sum(map(mul, counts, lengths)) > max_len:
-                raise ResourceCapError(f"iterate would exceed {max_len} letters")
-        for _ in range(k):
-            word = self.apply(word)
-        return word
 
     def image_lengths(self):
         """Yield the tuple of |self^j(x)| over the letters x for j = 0, 1,
@@ -323,6 +310,12 @@ def _rect_modulus_sq(rect):
     return dx * dx + dy * dy, mx * mx + my * my
 
 
+def _sign_minus(x, q):
+    """Exact sign of x - q for an AlgebraicNumber x and a rational q:
+    ``NumberField.sign`` of the numerators of x - q."""
+    return x.field.sign(clear_denominators((x.coeffs[0] - q,) + x.coeffs[1:])[0])
+
+
 def spectral_classify(m, precision_bits=64):
     """Classify all non-Perron roots of the characteristic polynomial by
     modulus.  Real roots are handled by exact isolation; complex roots by
@@ -339,7 +332,7 @@ def spectral_classify(m, precision_bits=64):
         real = isolate_real_roots(fac, eps=Fraction(1, 2 ** 24))
         for lo, hi in real:
             if (not lam_seen and fac == pd.root.field.poly
-                    and pd.root.compare(lo) >= 0 and pd.root.compare(hi) <= 0):
+                    and _sign_minus(pd.root, lo) >= 0 and _sign_minus(pd.root, hi) <= 0):
                 lam_seen = True  # skip the Perron root itself
                 continue
             if lo == hi:
@@ -398,15 +391,33 @@ def spectral_classify(m, precision_bits=64):
 # geometry
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TileLengths:
+    """Tile lengths as integer coefficient vectors over one denominator: the
+    length of letter i is sum(vectors[i][j] * lambda**j) / den, with lambda
+    the root of ``field`` and den > 0 least."""
+    field: NumberField
+    vectors: tuple
+    den: int
+
+
+def _lowest_terms(vectors, den):
+    """(vectors, den) with the common factor of every entry and den divided
+    out: the least denominator of the values vectors[i] / den."""
+    g = gcd(den, *(c for v in vectors for c in v))
+    return tuple(tuple(c // g for c in v) for v in vectors), den // g
+
+
 def tile_lengths(s):
     """Natural tile lengths: a left Perron eigenvector of the abelianization,
-    exact in Q(lambda).
+    exact in Q(lambda), as a ``TileLengths``.
 
     The eigenvector is q(M^T) e_0, where charpoly(x) = (x - lambda) q(x): by
     Cayley-Hamilton every column of q(M^T) lies in the lambda-eigenspace of
     M^T, and the first is nonzero because lambda is a simple root for
-    primitive M.  It is computed on integer coefficient vectors over the power
-    basis of Z[lambda].
+    primitive M.  Everything is computed on integer coefficient vectors over
+    the power basis of Z[lambda]: one inverse of the first entry normalises
+    it to 1, and ``times_root`` steps do the rest.
 
     Rational lambda gives the primitive positive integer eigenvector; for
     irrational lambda the vector is scaled so the first entry is lambda when
@@ -416,7 +427,6 @@ def tile_lengths(s):
     if not pd.primitive:
         raise HypothesisError("tile lengths need a primitive substitution")
     field = pd.root.field
-    lam = pd.root
     n, deg, poly = s.size, field.degree, field.poly
     mt = abelian.transpose(s.matrix())
     # Horner for q(M^T) e_0, with the coefficients of q by synthetic division:
@@ -429,23 +439,13 @@ def tile_lengths(s):
         vec = [tuple(sum(m * v[k] for m, v in zip(row, vec)) for k in range(deg))
                for row in mt]
         vec[0] = tuple(map(add, vec[0], q))
-    sol = [field.element(c) for c in vec]
-    inv = sol[0].inverse()
-    unit = [x * inv for x in sol]  # first entry 1
-    if field.degree == 1:
-        fracs = [x.as_fraction() for x in unit]
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        ints = [int(f * denom) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        return tuple(field.from_rational(Fraction(v, g)) for v in ints)
-    scaled = [x * lam for x in unit]
-    if all(c.denominator == 1 for x in scaled for c in x.coeffs):
-        return tuple(scaled)
-    return tuple(unit)
+    inv, d = inverse_vector(vec[0], poly)
+    unit = [times(v, inv, poly) for v in vec]   # over d; the first entry is 1
+    if deg == 1:
+        # the numerators in lowest terms are the primitive integer vector
+        return TileLengths(field, _lowest_terms(unit, d)[0], 1)
+    scaled = _lowest_terms([times_root(v, poly) for v in unit], d)
+    return TileLengths(field, *(scaled if scaled[1] == 1 else _lowest_terms(unit, d)))
 
 
 # ---------------------------------------------------------------------------

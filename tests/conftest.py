@@ -9,9 +9,15 @@ from operator import mul
 
 import pytest
 
-from faultline import fault
+from faultline import algebra, fault
 from faultline.abelian import SmithForm, mat, shape, transpose
-from faultline.algebra import Interval, clear_denominators, integer_vectors, ptrim
+from faultline.algebra import (
+    AlgebraicNumber,
+    clear_denominators,
+    integer_vectors,
+    ptrim,
+    times_root,
+)
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
@@ -131,6 +137,248 @@ def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=No
 
 def rng_for(name):
     return random.Random(f"faultline-{name}")
+
+
+def iterate(s, word, k):
+    """The k-fold image of a word under s, applied step by step."""
+    word = s.word(word)
+    for _ in range(k):
+        word = s.apply(word)
+    return word
+
+
+# The exact arithmetic that left ``algebra`` when the program moved to
+# integer coefficient vectors, kept as the tests' own Q(lambda) and the
+# oracles' arithmetic: the interval operations, the field's element
+# constructors (functions of the field here), and the ring, order and
+# ``float`` of ``Number``, an ``AlgebraicNumber`` that has them.
+
+class Interval(algebra.Interval):
+    """Closed interval with exact rational endpoints and its arithmetic."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        cands = (
+            self.lo * other.lo, self.lo * other.hi,
+            self.hi * other.lo, self.hi * other.hi,
+        )
+        return Interval(min(cands), max(cands))
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def scale(self, s):
+        s = Fraction(s)
+        return Interval(self.lo * s, self.hi * s) if s >= 0 else Interval(self.hi * s, self.lo * s)
+
+    def shift(self, s):
+        return Interval(self.lo + s, self.hi + s)
+
+    def sign(self):
+        """1, -1, or None if the interval straddles (or touches) zero."""
+        if self.lo > 0:
+            return 1
+        if self.hi < 0:
+            return -1
+        return None
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    def __contains__(self, x):
+        return self.lo <= x <= self.hi
+
+
+def zero(field):
+    return Number(field, [0] * field.degree)
+
+
+def one(field):
+    return from_rational(field, 1)
+
+
+def from_rational(field, q):
+    c = [Fraction(0)] * field.degree
+    c[0] = Fraction(q)
+    return Number(field, c)
+
+
+def gen(field):
+    """The distinguished root of ``field`` as a ``Number``."""
+    return ring(field.gen())
+
+
+def compatible(field, other):
+    if field is other:
+        return True
+    if field.poly != other.poly:
+        return False
+    a, b = field._iv, other._iv
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+def ring(x):
+    """The AlgebraicNumber x as a ``Number``."""
+    return Number(x.field, x.coeffs)
+
+
+def numbers(lengths):
+    """The lengths of a ``TileLengths`` as ``Number``s."""
+    return tuple(Number(lengths.field, [Fraction(c, lengths.den) for c in v])
+                 for v in lengths.vectors)
+
+
+class Number(AlgebraicNumber):
+    """Element of a NumberField with the field arithmetic."""
+
+    __slots__ = ()
+
+    # -- coercion -------------------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, AlgebraicNumber):
+            if not compatible(self.field, other.field):
+                raise ValidationError("algebraic numbers from different fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return from_rational(self.field, other)
+        return NotImplemented
+
+    # -- ring structure --------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return Number(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Number(self.field, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return Number(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        # Horner over the coefficients of self: acc := acc * x + a_i * o
+        poly, a, b = self.field.poly, self.coeffs, o.coeffs
+        acc = tuple(a[-1] * y for y in b)
+        for x in reversed(a[:-1]):
+            acc = tuple(u + x * y for u, y in zip(times_root(acc, poly), b))
+        return Number(self.field, acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            return (self ** (-k)).inverse()
+        out = one(self.field)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def inverse(self):
+        """The y with self * y = 1, by Gauss-Jordan elimination on the matrix
+        of multiplication by self, whose column j is self * x^j (one
+        ``times_root`` step from column j - 1); total because the defining
+        poly is irreducible, so that matrix is invertible."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in number field")
+        poly, deg = self.field.poly, self.field.degree
+        cols = [self.coeffs]
+        for _ in range(deg - 1):
+            cols.append(times_root(cols[-1], poly))
+        # the augmented rows [M | e_0]
+        rows = [[c[i] for c in cols] + [Fraction(i == 0)] for i in range(deg)]
+        for k in range(deg):
+            piv = next(i for i in range(k, deg) if rows[i][k])
+            rows[k], rows[piv] = rows[piv], rows[k]
+            inv = 1 / rows[k][k]
+            pivot_row = rows[k] = [x * inv for x in rows[k]]
+            for i in range(deg):
+                f = rows[i][k]
+                if i != k and f:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], pivot_row)]
+        return Number(self.field, [r[-1] for r in rows])
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self * ring(o).inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return ring(o) * self.inverse()
+
+    # -- exact predicates -------------------------------------------------------
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((self.field.poly, self.coeffs))
+
+    # -- order structure ----------------------------------------------------------
+
+    def compare(self, other):
+        d = self - self._coerce(other)
+        return d.sign()
+
+    def __lt__(self, other):
+        return self.compare(other) < 0
+
+    def __le__(self, other):
+        return self.compare(other) <= 0
+
+    def __gt__(self, other):
+        return self.compare(other) > 0
+
+    def __ge__(self, other):
+        return self.compare(other) >= 0
+
+    def __float__(self):
+        return float(self.interval(Fraction(1, 2 ** 64)).midpoint())
+
+
+def compare(a, b):
+    """Exact three-way comparison of algebraic numbers (or rationals)."""
+    if isinstance(a, AlgebraicNumber):
+        return ring(a).compare(b)
+    if isinstance(b, AlgebraicNumber):
+        return -ring(b).compare(a)
+    a, b = Fraction(a), Fraction(b)
+    return (a > b) - (a < b)
 
 
 def poly_eval(a, x):
@@ -382,7 +630,7 @@ def reference_floor(x):
         return c.numerator // c.denominator
     iv = x.interval(Fraction(1, 4))
     while (iv.lo.numerator // iv.lo.denominator) != (iv.hi.numerator // iv.hi.denominator):
-        iv = x.interval(iv.width / 2)
+        iv = x.interval((iv.hi - iv.lo) / 2)
     return iv.lo.numerator // iv.lo.denominator
 
 
@@ -484,7 +732,8 @@ def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
     """(field, rounds): the sorted distinct offsets of each round of
     ``boundary_trace(top, bottom, seed, k, modulus, tracked_letter)`` as
     AlgebraicNumbers, on a field of its own."""
-    widths = top.tile_lengths()
+    lengths = top.tile_lengths()
+    widths = numbers(lengths)
     if modulus is None:
         modulus = max(widths)
     elif isinstance(modulus, int):
@@ -493,7 +742,7 @@ def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
     unit_shift = widths[tracked_letter]
     reduced = {}
     rounds = []
-    for ms in fault._discrepancy_rounds(top, bottom, seed, k, fault._ScanWidths(widths),
+    for ms in fault._discrepancy_rounds(top, bottom, seed, k, fault._ScanWidths(lengths),
                                         tracked_letter):
         for m in ms:
             if m not in reduced:
@@ -502,7 +751,7 @@ def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
         # a round lists each distinct offset once
         rounds.append(tuple(dict.fromkeys(reference_sort_exact(
             [reduced[m][0] for m in ms], [reduced[m][1] for m in ms]))))
-    return widths[0].field, rounds
+    return lengths.field, rounds
 
 
 def reference_offset_statistics(rounds):
@@ -526,9 +775,9 @@ def reference_tile_lengths(s):
     """``tile_lengths`` by Gauss-Jordan elimination of (M^T - lambda I) over
     Q(lambda), with the same normalisation."""
     pd = s.perron()
-    field, lam, n = pd.root.field, pd.root, s.size
+    field, lam, n = pd.root.field, ring(pd.root), s.size
     m = s.matrix()
-    rows = [[field.from_rational(m[j][i]) for j in range(n)] for i in range(n)]
+    rows = [[from_rational(field, m[j][i]) for j in range(n)] for i in range(n)]
     for i in range(n):
         rows[i][i] = rows[i][i] - lam
     pivots = []
@@ -548,8 +797,8 @@ def reference_tile_lengths(s):
         r += 1
     free = [c for c in range(n) if c not in pivots]
     assert len(free) == 1
-    sol = [field.zero()] * n
-    sol[free[0]] = field.one()
+    sol = [zero(field)] * n
+    sol[free[0]] = one(field)
     for i, col in enumerate(pivots):
         sol[col] = -rows[i][free[0]]
     unit = [x / sol[0] for x in sol]
@@ -562,7 +811,7 @@ def reference_tile_lengths(s):
         g = 0
         for v in ints:
             g = gcd(g, abs(v))
-        return tuple(field.from_rational(Fraction(v, g)) for v in ints)
+        return tuple(from_rational(field, Fraction(v, g)) for v in ints)
     scaled = [x * lam for x in unit]
     if all(c.denominator == 1 for x in scaled for c in x.coeffs):
         return tuple(scaled)

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import sub
 
 from faultline.abelian import (
     det,
@@ -21,6 +22,7 @@ from faultline.abelian import (
     smith_normal_form,
     transpose,
 )
+from faultline.algebra import times_root
 from faultline.ap_complex import collar, graph_h1
 from faultline.documents import bundled_document
 from faultline.dpv import cochain_limits, cohomology, compute_nu, essential_vertices
@@ -34,7 +36,14 @@ from faultline.fault import (
 from faultline.render import generate_patch
 from faultline.substitution import SpectralKind, Substitution
 
-from conftest import random_substitution, rng_for, scan_prefix_discrepancies, shuffled_twin
+from conftest import (
+    numbers,
+    random_substitution,
+    rng_for,
+    scan_prefix_discrepancies,
+    shuffled_twin,
+    zero,
+)
 
 MU = "Z[1/L:x^2-x-3]"
 
@@ -95,13 +104,15 @@ def test_criterion_03_growth_and_offsets():
 
 def test_criterion_04_offset_recurrence():
     s1, _ = sigma_pair()
-    lam = s1.perron().root
-    field = lam.field
-    o2 = lam * lam - lam
-    assert o2 == field.from_rational(3)           # lambda^2 - lambda = 3 exactly
-    o3_direct = lam ** 3 - lam ** 2 - lam
-    o3_recurrence = lam * o2 - lam
-    assert o3_direct == o3_recurrence             # exact identity in Q(lambda)
+    poly = s1.perron().root.field.poly
+    lam = (0, 1)                                  # coefficients on 1, lambda
+    lam2 = times_root(lam, poly)
+    lam3 = times_root(lam2, poly)
+    o2 = tuple(map(sub, lam2, lam))
+    assert o2 == (3, 0)                           # lambda^2 - lambda = 3 exactly
+    o3_direct = tuple(a - b - c for a, b, c in zip(lam3, lam2, lam))
+    o3_recurrence = tuple(map(sub, times_root(o2, poly), lam))
+    assert o3_direct == o3_recurrence             # exact identity in Z[lambda]
     ok("criterion 4: offset recurrence is exact in the field")
 
 
@@ -201,13 +212,13 @@ def brute_invariant_factors(m):
 
 
 def naive_discrepancies(top, bottom, widths, tracked):
-    field = widths[0].field
+    field, widths = widths.field, numbers(widths)
     out = []
     for j in range(1, len(top) + 1):
-        cut = field.zero()
+        cut = zero(field)
         for c in top[:j]:
             cut = cut + widths[c]
-        pos = field.zero()
+        pos = zero(field)
         taken = []
         for c in bottom:
             nxt = pos + widths[c]

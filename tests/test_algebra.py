@@ -3,28 +3,41 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import faultline
+from faultline import algebra
 from faultline.algebra import (
     AlgebraicNumber,
-    Interval,
     NumberField,
     bisect,
     clear_denominators,
-    compare,
     decimal_string,
     horner_interval,
+    inverse_vector,
     irreducible_factors,
     isolate_real_roots,
     mod_reduce,
     poly_str,
     root_interval,
+    times,
+    times_root,
 )
 from faultline.errors import ValidationError
+from faultline.fault import order_vectors
+from faultline.render import Lattice, PlacedTile
+from faultline.substitution import Substitution
 
 from conftest import (
+    Interval,
+    Number,
+    from_rational,
+    gen,
+    numbers,
+    one,
     peval_interval,
     poly_mul,
     random_substitution,
@@ -34,6 +47,7 @@ from conftest import (
     reference_refined,
     reference_sign,
     reference_sqrt_interval,
+    ring,
     rng_for,
 )
 
@@ -47,41 +61,55 @@ def field():
     return f
 
 
+def test_algebra_keeps_only_the_print_view():
+    # the program computes on integer coefficient vectors; the Fraction ring,
+    # the exact order and interval arithmetic live on only in the tests
+    def inherited(cls, name):
+        return getattr(cls, name, None) is getattr(object, name, None)
+
+    for name in ("_coerce", "__add__", "__sub__", "__mul__", "__truediv__", "__pow__",
+                 "__neg__", "inverse", "is_zero", "__eq__", "__hash__", "compare",
+                 "__lt__", "__ge__", "__float__"):
+        assert inherited(AlgebraicNumber, name), name
+    for name in ("zero", "one", "from_rational", "compatible"):
+        assert inherited(NumberField, name), name
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "scale", "shift", "sign",
+                 "width", "__contains__"):
+        assert inherited(algebra.Interval, name), name
+    assert not hasattr(algebra, "compare")
+    assert not {"Interval", "compare", "mod_reduce"} & set(faultline.__all__)
+    assert "TileLengths" in faultline.__all__
+    assert not hasattr(Substitution, "iterate") and not hasattr(Lattice, "element")
+    for name in ("x", "width", "y", "height"):
+        assert not hasattr(PlacedTile, name), name
+
+
 def test_lambda_squared_reduces(field):
-    lam = field.gen()
-    assert lam * lam == lam + 3
-
-
-def test_sub_self_is_zero(field):
-    a = field.element([Fraction(2, 7), Fraction(-5, 3)])
-    assert (a - a).is_zero()
+    # lambda is (0, 1) on the power basis, and lambda^2 = lambda + 3
+    assert times_root((0, 1), field.poly) == (3, 1)
+    assert times((0, 1), (0, 1), field.poly) == (3, 1)
 
 
 def test_lambda_times_lambda_minus_one(field):
-    lam = field.gen()
-    assert lam * (lam - 1) == field.from_rational(3)
+    assert times((0, 1), (-1, 1), field.poly) == (3, 0)
 
 
 def test_field_operators(field):
-    lam = field.gen()
-    assert lam + lam == 2 * lam
-    assert (lam - lam).is_zero()
-    assert lam * lam == lam + 3
-    assert (lam + 3) / lam == lam
+    poly = field.poly
+    lam = (0, 1)
+    assert times((2, 0), lam, poly) == (0, 2)                    # lam + lam = 2 lam
+    assert times(lam, lam, poly) == (3, 1)                       # lam * lam = lam + 3
+    # 1/lambda = (lambda - 1)/3, so (lambda + 3)/lambda = lambda
+    inv, d = inverse_vector(lam, poly)
+    assert (inv, d) == ((-1, 1), 3)
+    assert tuple(Fraction(c, d) for c in times((3, 1), inv, poly)) == (0, 1)
 
 
-def test_division_and_inverse(field):
+def test_division_and_inverse():
     import sympy
 
-    lam = field.gen()
-    inv = lam.inverse()
-    assert (lam * inv) == field.one()
-    # 1/lambda = (lambda - 1)/3 since lambda(lambda-1) = 3
-    assert inv == (lam - 1) / 3
-    with pytest.raises(ZeroDivisionError):
-        field.zero().inverse()
     # products through the multiply-by-lambda step against sympy.rem, and
-    # inverses by elimination against sympy.invert, in the Perron fields of
+    # fraction-free inverses against sympy.invert, in the Perron fields of
     # random 2-6 letter substitutions
     x = sympy.Symbol("x")
     rng = rng_for("sympy-ring")
@@ -91,34 +119,31 @@ def test_division_and_inverse(field):
         degrees.add(field.degree)
         p = sympy.Poly(list(reversed(field.poly)), x, domain="QQ")
 
-        def rand():
-            return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                                  for _ in range(field.degree)])
-
-        def as_poly(y):
-            return sympy.Poly(list(reversed(y.coeffs)), x, domain="QQ")
+        def as_poly(v):
+            return sympy.Poly(list(reversed(v)), x, domain="QQ")
 
         def coeffs(q):
             c = [Fraction(int(v.p), int(v.q)) for v in reversed(q.all_coeffs())]
             return tuple(c + [Fraction(0)] * (field.degree - len(c)))
 
         for _ in range(4):
-            a, b = rand(), rand()
-            assert (a * b).coeffs == coeffs(sympy.rem(as_poly(a) * as_poly(b), p))
-            if not a.is_zero():
-                assert a.inverse().coeffs == coeffs(sympy.invert(as_poly(a), p))
-        # an over-long coefficient list is reduced mod p on construction
-        long = [Fraction(rng.randint(-9, 9)) for _ in range(2 * field.degree + 1)]
-        want = sympy.rem(sympy.Poly(list(reversed(long)), x, domain="QQ"), p)
-        assert field.element(long).coeffs == coeffs(want)
+            a, b = ([rng.randint(-9, 9) for _ in range(field.degree)] for _ in range(2))
+            assert times(tuple(a), tuple(b), field.poly) == coeffs(
+                sympy.rem(as_poly(a) * as_poly(b), p))
+            if any(a):
+                v, d = inverse_vector(tuple(a), field.poly)
+                assert d > 0 and all(isinstance(c, int) for c in v)
+                assert tuple(Fraction(c, d) for c in v) == coeffs(sympy.invert(as_poly(a), p))
     assert degrees == {1, 2, 3, 4, 5, 6}
 
 
 def test_compare_examples(field):
-    lam = field.gen()
-    assert compare(lam, field.from_rational(2)) > 0
-    assert compare(lam, lam) == 0
-    assert compare(lam * lam - lam, field.from_rational(3)) == 0
+    # an exact comparison is the sign of the difference vector
+    poly = field.poly
+    assert field.sign((-2, 1)) > 0                               # lambda - 2
+    assert field.sign((0, 0)) == 0                               # lambda - lambda
+    lam2 = times_root((0, 1), poly)
+    assert field.sign((lam2[0] - 3, lam2[1] - 1)) == 0           # lam^2 - lam - 3
 
 
 def test_compare_matches_float_on_random_elements(field):
@@ -127,43 +152,45 @@ def test_compare_matches_float_on_random_elements(field):
     for _ in range(40):
         c0 = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
         c1 = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-        elems.append(field.element([c0, c1]))
+        elems.append((c0, c1))
+    lam = 2.302775637731995
     for a in elems[:20]:
         for b in elems[20:]:
-            fa, fb = float(a), float(b)
+            fa, fb = float(a[0] + a[1] * lam), float(b[0] + b[1] * lam)
+            got = field.sign(clear_denominators([x - y for x, y in zip(a, b)])[0])
             if abs(fa - fb) > 1e-12:
-                assert compare(a, b) == (1 if fa > fb else -1)
+                assert got == (1 if fa > fb else -1)
             else:
-                assert compare(a, b) == 0
+                assert got == 0
 
 
 def test_ring_axioms_random(field):
+    # products on integer vectors: distributive, commutative, associative
     rng = rng_for("ring")
+    poly = field.poly
     for _ in range(60):
-        a, b, c = (
-            field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)])
-            for _ in range(3)
-        )
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert a * (b * c) == (a * b) * c
+        a, b, c = (tuple(rng.randint(-9, 9) for _ in range(2)) for _ in range(3))
+        ab = tuple(map(add, a, b))
+        assert times(ab, c, poly) == tuple(map(add, times(a, c, poly), times(b, c, poly)))
+        assert times(a, b, poly) == times(b, a, poly)
+        assert times(a, times(b, c, poly), poly) == times(times(a, b, poly), c, poly)
 
 
 def test_mod_reduce_examples(field):
-    lam = field.gen()
-    three = field.from_rational(3)
+    lam = gen(field)
+    three = from_rational(field, 3)
     assert mod_reduce(lam, three) == lam
-    assert mod_reduce(three, three).is_zero()
+    assert ring(mod_reduce(three, three)).is_zero()
     assert mod_reduce(2 * lam, three) == 2 * lam - 3
 
 
 def test_mod_reduce_invariants(field):
     rng = rng_for("mod")
-    lam = field.gen()
-    three = field.from_rational(3)
+    lam = gen(field)
+    three = from_rational(field, 3)
     for _ in range(30):
-        a = field.element([Fraction(rng.randint(-40, 40)), Fraction(rng.randint(-40, 40))])
-        r = mod_reduce(a, three)
+        a = Number(field, [Fraction(rng.randint(-40, 40)), Fraction(rng.randint(-40, 40))])
+        r = ring(mod_reduce(a, three))
         assert r.sign() >= 0 and (r - three).sign() < 0
         k = a - r
         # the cofactor is an exact integer multiple of the modulus
@@ -171,38 +198,40 @@ def test_mod_reduce_invariants(field):
         assert q.is_rational() and q.as_fraction().denominator == 1
     # irrational modulus too
     for m in range(1, 8):
-        r = mod_reduce(field.from_rational(m), lam)
+        r = ring(mod_reduce(from_rational(field, m), lam))
         assert r.sign() >= 0 and (r - lam).sign() < 0
 
 
 def test_floor_and_float(field):
     # the floor of a is a - mod_reduce(a, 1)
-    lam = field.gen()
-    one = field.one()
-    assert lam - mod_reduce(lam, one) == 2
-    assert -lam - mod_reduce(-lam, one) == -3
-    assert lam * lam - mod_reduce(lam * lam, one) == 5
+    lam = gen(field)
+    unit = one(field)
+    assert lam - mod_reduce(lam, unit) == 2
+    assert -lam - mod_reduce(-lam, unit) == -3
+    assert lam * lam - mod_reduce(lam * lam, unit) == 5
     assert abs(float(lam) - 2.302775637731995) < 1e-12
 
 
 def test_total_order_operators(field):
-    lam = field.gen()
-    xs = sorted([lam, field.from_rational(2), lam * lam, field.zero(), -lam])
-    assert [round(float(x), 3) for x in xs] == [-2.303, 0.0, 2.0, 2.303, 5.303]
+    # the order of field values, on their integer vectors (fault.order_vectors)
+    values = [(0, 1), (2, 0), times_root((0, 1), field.poly), (0, 0), (0, -1)]
+    order = order_vectors(field, 1, values)
+    assert [values[i] for i in order] == [(0, -1), (0, 0), (2, 0), (0, 1), (3, 1)]
 
 
 def test_rational_degree_one_field():
     f, root = NumberField.with_largest_real_root((-2, -1, 1))  # (x-2)(x+1)
     assert f.degree == 1
     assert root.is_rational() and root.as_fraction() == 2
+    root = ring(root)
     assert (root * root - root - 2).is_zero()
-    assert mod_reduce(f.from_rational(7), f.from_rational(2)) == f.from_rational(1)
+    assert mod_reduce(from_rational(f, 7), from_rational(f, 2)) == from_rational(f, 1)
 
 
 def test_field_mismatch_rejected(field):
     other, _ = NumberField.with_largest_real_root((-1, -1, 1))
     with pytest.raises(ValidationError):
-        field.gen() + other.gen()
+        mod_reduce(field.gen(), other.gen())
 
 
 def test_poly_utilities():
@@ -250,7 +279,7 @@ def test_interval_and_sign_match_reference_refinement(requests):
     for coeffs, bits, use_sign in requests:
         for new_f, ref_f in (fields[:2], fields[2:]):
             c = coeffs[:new_f.degree]
-            x, y = new_f.element(c), ref_f.element(c)
+            x, y = new_f.element(c), ring(ref_f.element(c))
             if use_sign:
                 ref = 0
                 if not y.is_zero():
@@ -388,8 +417,8 @@ def test_field_sign_matches_reference_loop(requests):
         for (new_f, ref_f), probe in zip((fields[:2], fields[2:]), probes[::2]):
             near = probe.gen().interval(Fraction(1, 2 ** bits)).lo
             c = coeffs[:new_f.degree]
-            x = new_f.element(c) * (new_f.gen() - near) + Fraction(offset, 2 ** bits)
-            y = ref_f.element(c) * (ref_f.gen() - near) + Fraction(offset, 2 ** bits)
+            x = ring(new_f.element(c)) * (gen(new_f) - near) + Fraction(offset, 2 ** bits)
+            y = ring(ref_f.element(c)) * (gen(ref_f) - near) + Fraction(offset, 2 ** bits)
             got = new_f.sign(clear_denominators(x.coeffs)[0]) if direct else x.sign()
             assert got == reference_sign(y)
             assert new_f.root_ints == ref_f.root_ints
@@ -406,7 +435,7 @@ def test_field_sign_examples(field):
 def scan_refined_widths(s):
     """Tile widths of s in a fresh field, refined as the prefix scan refines
     them: each width to 2^-96."""
-    widths = s.tile_lengths()
+    widths = numbers(s.tile_lengths())
     for w in widths:
         w.interval(Fraction(1, 2 ** 96))
     return widths
@@ -435,10 +464,10 @@ def test_mod_reduce_matches_reference_after_scan_refinement(seed, n_letters, ms)
 def test_mod_reduce_matches_reference_on_coarse_fields(seed, n_letters, a, scale):
     # unrefined fields: the two may refine differently, the value is the same
     s = random_substitution(random.Random(seed), n_letters)
-    new, ref = s.tile_lengths(), s.tile_lengths()
+    new, ref = numbers(s.tile_lengths()), numbers(s.tile_lengths())
     m = max(new)
-    x = new[0].field.element(a[:m.field.degree]) * scale
-    y = ref[0].field.element(a[:m.field.degree]) * scale
+    x = ring(new[0].field.element(a[:m.field.degree])) * scale
+    y = ring(ref[0].field.element(a[:m.field.degree])) * scale
     assert mod_reduce(x, m).coeffs == reference_mod_reduce(y, max(ref)).coeffs
 
 
@@ -446,9 +475,9 @@ def test_mod_reduce_uses_no_field_inverse(monkeypatch, field):
     def refuse(self):
         raise AssertionError("mod_reduce inverted in Q(lambda)")
 
-    monkeypatch.setattr(AlgebraicNumber, "inverse", refuse)
+    monkeypatch.setattr(Number, "inverse", refuse)
     assert not hasattr(AlgebraicNumber, "floor") and not hasattr(AlgebraicNumber, "mod")
-    lam = field.gen()
+    lam = gen(field)
     assert mod_reduce(7 * lam, lam * lam) == 7 * lam - (lam * lam) * 3
     assert mod_reduce(-lam, 3) == 3 - lam
-    assert mod_reduce(field.from_rational(7), lam) == 7 - 3 * lam
+    assert mod_reduce(from_rational(field, 7), lam) == 7 - 3 * lam

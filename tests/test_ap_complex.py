@@ -8,7 +8,7 @@ from faultline.ap_complex import border_forcing, collar, graph_h1
 from faultline.errors import ValidationError
 from faultline.substitution import Substitution
 
-from conftest import random_substitution, reference_border_forcing, rng_for
+from conftest import iterate, random_substitution, reference_border_forcing, rng_for
 
 
 def test_border_forcing_period_doubling(period_doubling):
@@ -27,8 +27,8 @@ def test_border_forcing_sigma1_brute(sigma1):
     # while last letters agree from m=1 on
     right, left = border_forcing(sigma1, cap=8)
     for m in range(1, 9):
-        firsts = {sigma1.iterate((a,), m)[0] for a in range(2)}
-        lasts = {sigma1.iterate((a,), m)[-1] for a in range(2)}
+        firsts = {iterate(sigma1, (a,), m)[0] for a in range(2)}
+        lasts = {iterate(sigma1, (a,), m)[-1] for a in range(2)}
         assert len(firsts) == 2
         assert len(lasts) == 1
     assert right is None

@@ -17,15 +17,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from faultline import ap_complex, cli
+from faultline import ap_complex, cli, fault
 from faultline.cli import alg_json, main
 from faultline.documents import bundled_document, bundled_expected, bundled_names, load_document
-from faultline.dpv import cohomology
 from faultline.errors import ValidationError
 from faultline.fault import _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
 
-from conftest import scan_discrepancy_rounds
+from conftest import iterate, scan_discrepancy_rounds
 
 
 def run_cli(*argv):
@@ -452,6 +451,36 @@ def test_render_depth_without_growth(tmp_path):
     assert err == "resource cap: patch depth 1000000000 is more than the tile cap 200000\n"
 
 
+def test_render_refuses_irrational_vertical_heights(tmp_path):
+    # a Fibonacci vertical: its Perron field has degree 2, so its heights are
+    # irrational and no integer row placement exists
+    doc = {"alphabets": {"v": ["x", "y"], "h": ["a"]},
+           "substitutions": {"rho": {"alphabet": "v", "rules": {"x": "xy", "y": "x"}},
+                             "s": {"alphabet": "h", "rules": {"a": "aa"}}},
+           "dpv": {"vertical": "rho", "horizontal": ["s"],
+                   "row_sigma": {"x": ["s", "s"], "y": ["s"]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_captured(["render", "-i", str(path), "--rounds", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("error: rendering needs rational vertical tile heights "
+                   "(irrational vertical expansion is unsupported)\n")
+
+
+def test_fault_estimates_growth_once(monkeypatch):
+    # the report's growth ratio is the one estimate; classification reads
+    # only its checkpoints
+    calls = []
+    growth = fault.discrepancy_growth
+    for module in (cli, fault):
+        monkeypatch.setattr(module, "discrepancy_growth",
+                            lambda t: calls.append(t) or growth(t))
+    code, out = run_cli("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                        "--bottom", "sigma2")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["growth_ratio"] == [str(x) for x in growth(calls[0])]
+
+
 def test_render_writes_svg(tmp_path):
     out_path = tmp_path / "patch.svg"
     code, _ = run_cli("render", "-i", "bundled:doubling_swap",
@@ -597,8 +626,8 @@ def test_fault_builds_no_word(monkeypatch, seed):
     monkeypatch.undo()
     for tr in traces:
         for st in tr.steps:
-            top = tr.top_sub.iterate((tr.seed,), st.round)
-            bottom = tr.bottom_sub.iterate((tr.seed,), st.round)
+            top = iterate(tr.top_sub, (tr.seed,), st.round)
+            bottom = iterate(tr.bottom_sub, (tr.seed,), st.round)
             assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
             assert tuple(islice(st.top, 77)) == top[:77]
             assert tuple(islice(st.bottom, 77)) == bottom[:77]
@@ -815,9 +844,8 @@ def test_flags_only_where_a_command_reads_them():
 @pytest.mark.parametrize("name", bundled_names())
 def test_cohomology_matches_expected_file(name):
     doc = bundled_document(name)
-    rep = cohomology(doc.dpv, cap=doc.options["rounds"],
-                     max_states=doc.options["max_states"])
-    assert cli.cohomology_summary(doc.dpv, rep) == bundled_expected(name)
+    _, body = cli._cohomology_report(doc, doc.options)
+    assert cli.cohomology_summary(doc.dpv, body) == bundled_expected(name)
 
 
 def _count_collars(monkeypatch):

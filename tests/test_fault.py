@@ -2,14 +2,16 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from operator import sub
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from faultline import algebra, fault
-from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors
+from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors, times_root
 from faultline.cli import alg_json
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
@@ -27,6 +29,11 @@ from faultline.fault import (
 from faultline.substitution import Substitution, spectral_classify
 
 from conftest import (
+    Number,
+    from_rational,
+    gen,
+    iterate,
+    numbers,
     random_substitution,
     reference_fault_row,
     reference_offset_statistics,
@@ -35,6 +42,7 @@ from conftest import (
     scan_discrepancy_rounds,
     scan_prefix_discrepancies,
     shuffled_twin,
+    zero,
 )
 
 PAIRS_EQ1 = [
@@ -47,14 +55,15 @@ PAIRS_EQ1 = [
 
 def naive_discrepancies(top, bottom, widths, tracked):
     """Independent scanner: exact cumulative positions compared directly in
-    the field, one bottom rescan per top prefix."""
-    field = widths[0].field
+    the field, one bottom rescan per top prefix.  ``widths`` is a
+    ``TileLengths``."""
+    field, widths = widths.field, numbers(widths)
     out = []
     for j in range(1, len(top) + 1):
-        cut = field.zero()
+        cut = zero(field)
         for c in top[:j]:
             cut = cut + widths[c]
-        pos = field.zero()
+        pos = zero(field)
         taken = []
         for c in bottom:
             nxt = pos + widths[c]
@@ -69,9 +78,11 @@ def naive_discrepancies(top, bottom, widths, tracked):
 
 def reference_prefix_discrepancies(top, bottom, widths, tracked):
     """The scan as first written: full count vectors, and a tentative add and
-    undo per bottom letter with the filter recomputed from scratch."""
+    undo per bottom letter with the filter recomputed from scratch.
+    ``widths`` is a ``TileLengths``."""
     if top == bottom:
         return tuple([0] * len(top))
+    widths = numbers(widths)
     n_letters = len(widths)
     scale = 1 << 96
     scaled = []
@@ -182,7 +193,7 @@ def test_scan_resolves_exact_ties_on_rational_widths(monkeypatch):
     s = Substitution(["a", "b"], {"a": "ab", "b": "ba"})
     t = Substitution(["a", "b"], {"a": "ba", "b": "ab"})
     widths = s.tile_lengths()
-    wt, wb = s.iterate("a", 3), t.iterate("a", 3)
+    wt, wb = iterate(s, "a", 3), iterate(t, "a", 3)
     signs = []
     sign = NumberField.sign
     monkeypatch.setattr(NumberField, "sign",
@@ -210,7 +221,7 @@ def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
         monkeypatch.undo()
         assert not built
         for r, values in enumerate(fast, 1):
-            wt, wb = s.iterate("a", r), t.iterate("a", r)
+            wt, wb = iterate(s, "a", r), iterate(t, "a", r)
             assert values == distinct(reference_prefix_discrepancies(wt, wb, s.tile_lengths(), 0))
 
 
@@ -252,7 +263,7 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fault, "_discrepancy_rounds", scan_discrepancy_rounds)
         slow = boundary_trace(s, t, start, k, tracked_letter=tracked)
-    assert fast.widths[0].field.root_ints == slow.widths[0].field.root_ints
+    assert fast.widths.field.root_ints == slow.widths.field.root_ints
     for a, b in zip(fast.steps, slow.steps):
         assert a.discrepancy_values == b.discrepancy_values
         assert [o.coeffs for o in a.offsets] == [o.coeffs for o in b.offsets]
@@ -265,7 +276,7 @@ def test_row_view_reads_the_materialised_word(seed, n_letters, k, n):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters, primitive=False)
     start = rng.randrange(n_letters)
-    word = s.iterate((start,), k)
+    word = iterate(s, (start,), k)
     row = Row(s, start, k)
     assert len(row) == row.length == len(word)
     assert tuple(row) == word
@@ -288,7 +299,7 @@ def test_order_vectors_matches_sorted(coeffs, refine, loose):
     field = coarse_field()
     if refine:
         field.refined(Fraction(1, 2 ** 40))
-    values = [field.element([Fraction(a) + Fraction(1, 2 ** e), b]) for a, b, e in coeffs]
+    values = [Number(field, [Fraction(a) + Fraction(1, 2 ** e), b]) for a, b, e in coeffs]
     # equal values at other indices, to check that equal values keep their order
     values += values[: len(values) // 3]
     if not values:
@@ -307,10 +318,10 @@ def test_order_vectors_matches_sorted(coeffs, refine, loose):
 
 def test_order_vectors_overlapping_enclosures():
     field = coarse_field()
-    lam = field.gen()
+    lam = gen(field)
     eps = Fraction(1, 2 ** 70)
     half = Fraction(5, 2)
-    values = [lam + eps, lam, lam - eps, lam, field.from_rational(half), lam + 1]
+    values = [lam + eps, lam, lam - eps, lam, from_rational(field, half), lam + 1]
     vectors, den = integer_vectors(values)
     a, b, e = field.enclose(vectors[1], den)
     assert a < half * e < b    # the rational 5/2 sits inside lambda's enclosure
@@ -338,7 +349,7 @@ def test_offsets_match_the_algebraic_number_path(seed, n_letters, k):
     start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
     for modulus in (None, *range(n_letters)):
         trace = boundary_trace(s, t, start, k, modulus=modulus, tracked_letter=tracked)
-        field = trace.widths[0].field
+        field = trace.widths.field
         ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus, tracked)
         assert field.root_ints == ref_field.root_ints
         assert [[o.coeffs for o in st_.offsets] for st_ in trace.steps] == \
@@ -366,9 +377,8 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
     def forbidden(*args):
         raise AssertionError("AlgebraicNumber arithmetic in the offset layer")
 
+    # AlgebraicNumber has no arithmetic to call (test_algebra checks that)
     monkeypatch.setattr(algebra, "mod_reduce", forbidden)
-    for name in ("__sub__", "__rsub__", "__mul__", "__rmul__", "compare"):
-        monkeypatch.setattr(AlgebraicNumber, name, forbidden)
     # modulo the tracked width itself every offset is 0
     for modulus, kind in ((None, BoundaryKind.REGULAR_FAULT),
                           (1, BoundaryKind.REGULAR_FAULT), (0, BoundaryKind.RIGID)):
@@ -393,24 +403,24 @@ def test_trace_identical_rows(sigma1):
     trace = boundary_trace(sigma1, sigma1, "a", 5)
     for s in trace.steps:
         assert s.discrepancy_values == (0,)
-        assert len(s.offsets) == 1 and s.offsets[0].is_zero()
+        assert len(s.offsets) == 1 and not any(s.offsets[0].coeffs)
 
 
 def test_trace_row_widths_agree(sigma1, sigma2):
+    # on the integer vectors: both rows of round r span lambda^r * width(seed)
     trace = boundary_trace(sigma1, sigma2, "a", 6)
     widths = trace.widths
-    lam = sigma1.perron().root
-    field = lam.field
-    seed_width = widths[0]
+    field = widths.field
+
+    def total(row):
+        counts = Counter(row)
+        return tuple(sum(n * widths.vectors[c][i] for c, n in counts.items())
+                     for i in range(field.degree))
+
+    span = widths.vectors[0]
     for s in trace.steps:
-        top_total = field.zero()
-        for c in s.top:
-            top_total = top_total + widths[c]
-        bottom_total = field.zero()
-        for c in s.bottom:
-            bottom_total = bottom_total + widths[c]
-        assert top_total == bottom_total
-        assert top_total == lam ** s.round * seed_width
+        span = times_root(span, field.poly)
+        assert total(s.top) == total(s.bottom) == span
 
 
 def test_trace_matches_naive_scanner(sigma1, sigma2):
@@ -516,29 +526,30 @@ def test_growth_bounded_for_pisot_pair():
 
 def test_offsets_contain_shift_values(sigma1, sigma2):
     trace = boundary_trace(sigma1, sigma2, "a", 10)
-    lam = sigma1.perron().root
+    assert trace.widths.den == 1                        # lambda is (0, 1), 3 is (3, 0)
     seen = set()
     for s in trace.steps:
-        seen.update(s.offsets)
-    assert any(o.is_zero() for o in seen)               # m = 0, and 3 = 0 mod 3
-    assert any(o == lam for o in seen)                  # m = 1: shear by lambda
+        seen.update(s.offset_vectors)
+    assert (0, 0) in seen                               # m = 0, and 3 = 0 mod 3
+    assert (0, 1) in seen                               # m = 1: shear by lambda
 
 
 def test_offset_recurrence(sigma1):
-    # o_1 = lambda, o_{k+1} = lambda o_k - lambda equals lambda^k - ... - lambda
-    lam = sigma1.perron().root
-    field = lam.field
+    # o_1 = lambda, o_{k+1} = lambda o_k - lambda equals lambda^k - ... - lambda,
+    # on integer vectors over the power basis
+    poly = sigma1.perron().root.field.poly
+    lam = (0, 1)
     o = lam
-    powers = [field.one(), lam]
+    powers = [(1, 0), lam]
     for k in range(2, 11):
-        o = lam * o - lam
-        powers.append(powers[-1] * lam)
+        o = tuple(map(sub, times_root(o, poly), lam))
+        powers.append(times_root(powers[-1], poly))
         direct = powers[k]
         for j in range(1, k):
-            direct = direct - powers[j]
+            direct = tuple(map(sub, direct, powers[j]))
         assert o == direct
     # and o_2 = lambda^2 - lambda = 3 exactly
-    assert (lam * lam - lam) == field.from_rational(3)
+    assert tuple(map(sub, times_root(lam, poly), lam)) == (3, 0)
 
 
 def test_offset_statistics(sigma1, sigma2):
@@ -562,6 +573,16 @@ def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
     assert classify_trace(trace) == classify_boundary(sigma1, sigma2, cap=10)
     with pytest.raises(ValidationError):
         classify_trace(boundary_trace(sigma1, sigma2, "b", 10))
+
+
+def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
+    # classification reads only the checkpoints and the offsets: no growth
+    # estimate, but the same refusal below 4 rounds
+    monkeypatch.setattr(fault, "discrepancy_growth", None)
+    assert classify_trace(boundary_trace(sigma1, sigma2, "a", 4)).kind is \
+        BoundaryKind.REGULAR_FAULT
+    with pytest.raises(ValidationError, match="^classification needs at least 4 rounds$"):
+        classify_trace(boundary_trace(sigma1, sigma2, "a", 3))
 
 
 def test_classify_pisot_pair():

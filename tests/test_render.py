@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from faultline.abelian import matpow
+from faultline.algebra import times_root
 from faultline.cli import main
 from faultline.documents import bundled_document, load_document
 from faultline.errors import FaultlineError, ResourceCapError, ValidationError
@@ -21,7 +22,7 @@ from faultline.render import (
 )
 from faultline.substitution import Substitution
 
-from conftest import reference_interval
+from conftest import gen, numbers, one, reference_interval, zero
 
 
 @pytest.fixture
@@ -34,33 +35,43 @@ def pd_dpv():
     return bundled_document("period_doubling").dpv
 
 
+def rows_by_height(patch):
+    """The tiles of a patch by bottom edge, each row in placement order."""
+    by_row = {}
+    for t in patch:
+        by_row.setdefault(t.yn, []).append(t)
+    return by_row
+
+
 def test_patch_first_round(doubling_swap):
     patch = generate_patch(doubling_swap, (0, 0), 1)
     assert len(patch) == 4
-    lam = doubling_swap.horizontal[0].perron().root
-    by_row = {}
-    for t in patch:
-        by_row.setdefault(t.y, []).append(t)
-    assert sorted(by_row) == [Fraction(0), Fraction(1)]
-    bottom = sorted(by_row[Fraction(0)], key=lambda t: float(t.x))
-    top = sorted(by_row[Fraction(1)], key=lambda t: float(t.x))
+    lattice = patch[0].lattice
+    widths = lattice.widths
+    # lambda is (0, 1) and 3 is (3, 0) over the denominator 1
+    assert lattice.den_x == 1 and lattice.vector(widths[0]) == (0, 1)
+    by_row = rows_by_height(patch)
+    assert sorted(by_row) == [0, 1]
+    bottom, top = by_row[0], by_row[1]
     # bottom row: b then a; top row: a then b
     assert [t.tile[1] for t in bottom] == [1, 0]
     assert [t.tile[1] for t in top] == [0, 1]
-    # the full row spans lambda^2 exactly (the eigen-identity lambda+3)
     for row in (bottom, top):
-        total = row[0].width + row[1].width
-        assert total == lam * lam
-        assert total == lam + 3
         # contiguous: next left edge is exactly the previous right edge
-        assert (row[0].x + row[0].width) == row[1].x
+        assert row[0].xn == 0
+        assert row[0].xn + widths[row[0].tile[1]] == row[1].xn
+        # the full row spans lambda^2 exactly (the eigen-identity lambda+3)
+        right = lattice.vector(row[1].xn + widths[row[1].tile[1]])
+        assert right == times_root((0, 1), lattice.field.poly) == (3, 1)
 
 
 def test_patch_zero_rounds(doubling_swap):
     patch = generate_patch(doubling_swap, (0, 1), 0)
     assert len(patch) == 1
     assert patch[0].tile == (0, 1)
-    assert patch[0].width == doubling_swap.horizontal[0].tile_lengths()[1]
+    lattice, lengths = patch[0].lattice, doubling_swap.horizontal[0].tile_lengths()
+    assert lattice.den_x == lengths.den
+    assert lattice.vector(lattice.widths[1]) == lengths.vectors[1]
 
 
 def test_patch_counts_match_matrix_powers(doubling_swap, pd_dpv):
@@ -77,21 +88,21 @@ def test_patch_counts_match_matrix_powers(doubling_swap, pd_dpv):
 
 
 def test_patch_rows_tile_exactly(doubling_swap):
-    lam = doubling_swap.horizontal[0].perron().root
     for k in (2, 3):
         patch = generate_patch(doubling_swap, (0, 0), k)
-        by_row = {}
-        for t in patch:
-            by_row.setdefault(t.y, []).append(t)
+        lattice = patch[0].lattice
+        by_row = rows_by_height(patch)
         assert len(by_row) == 2 ** k
-        width_target = lam ** k * lam  # seed tile a has width lambda
+        # lambda^k times the width of the seed tile a
+        width_target = lattice.vector(lattice.widths[0])
+        for _ in range(k):
+            width_target = times_root(width_target, lattice.field.poly)
         for row in by_row.values():
-            row.sort(key=lambda t: float(t.x))
-            assert row[0].x.is_zero()
+            assert row[0].xn == 0
             for t1, t2 in zip(row, row[1:]):
-                assert (t1.x + t1.width) == t2.x
+                assert t1.xn + lattice.widths[t1.tile[1]] == t2.xn
             last = row[-1]
-            assert (last.x + last.width) == width_target
+            assert lattice.vector(last.xn + lattice.widths[last.tile[1]]) == width_target
 
 
 def test_patch_resource_cap(doubling_swap):
@@ -155,12 +166,12 @@ class ReferenceTile:
 
 def reference_generate_patch(d, seed, k):
     v0, h0 = seed
-    widths = d.horizontal[0].tile_lengths()
-    heights = tuple(h.as_fraction() for h in d.vertical.tile_lengths())
+    widths = numbers(d.horizontal[0].tile_lengths())
+    heights = tuple(h.as_fraction() for h in numbers(d.vertical.tile_lengths()))
     field = widths[0].field
     lam_v = d.vertical.perron().root.as_fraction()
-    lam_h = field.gen()
-    lam_h_pow = [field.one()]
+    lam_h = gen(field)
+    lam_h_pow = [one(field)]
     for _ in range(k):
         lam_h_pow.append(lam_h_pow[-1] * lam_h)
     out = []
@@ -179,7 +190,7 @@ def reference_generate_patch(d, seed, k):
                 x_cursor = x_cursor + widths[h2] * lam_h_pow[rounds - 1]
             y_cursor = y_cursor + row_height
 
-    place(v0, h0, field.zero(), Fraction(0), k)
+    place(v0, h0, zero(field), Fraction(0), k)
     return out
 
 
@@ -401,7 +412,7 @@ def test_lattice_vector_inverts_pack(data):
         bundled_document("doubling_swap").dpv.horizontal[0].perron().root.field,  # degree 2
         load_document(TRIBONACCI_DPV).dpv.horizontal[0].perron().root.field,  # degree 3
     ]))
-    lattice = Lattice(field, 1, 1, data.draw(st.integers(1, 80)), (), ())
+    lattice = Lattice(field, 1, data.draw(st.integers(1, 80)), (), ())
     bound = 2 ** (lattice.shift - 1) - 1
     coefficients = st.lists(st.integers(-bound, bound), min_size=field.degree,
                             max_size=field.degree).map(tuple)

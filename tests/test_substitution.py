@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faultline.abelian import mat, matmul, matpow
+from faultline.algebra import integer_vectors, times_root
 from faultline.errors import (
     HypothesisError,
     NoPerronRootError,
-    ResourceCapError,
     ValidationError,
 )
+from faultline.fault import Row
 from faultline.substitution import (
     SpectralKind,
     Substitution,
@@ -25,14 +26,7 @@ from faultline.substitution import (
     tile_lengths,
 )
 
-from conftest import random_substitution, reference_tile_lengths, rng_for
-
-
-def brute_iterate(rules, word, k):
-    """Independent string-level iteration oracle."""
-    for _ in range(k):
-        word = "".join(rules[c] for c in word)
-    return word
+from conftest import iterate, random_substitution, reference_tile_lengths, ring, rng_for, zero
 
 
 def test_apply_examples(sigma1):
@@ -53,10 +47,19 @@ def test_apply_rejects_unknown_letter(sigma1):
     assert sigma1.apply(("b", "a")) == sigma1.apply((1, 0)) == sigma1.apply("ba")
 
 
+def brute_iterate(rules, word, k):
+    """Independent string-level iteration oracle."""
+    for _ in range(k):
+        word = "".join(rules[c] for c in word)
+    return word
+
+
+# The k-fold image of a letter is read lazily off ``fault.Row``.
+
 def test_iterate_examples(sigma1, sigma2):
-    assert sigma1.text(sigma1.iterate("a", 2)) == "aaaba"
-    assert sigma1.text(sigma1.iterate("a", 0)) == "a"
-    got = sigma2.text(sigma2.iterate("a", 3))
+    assert sigma1.text(Row(sigma1, 0, 2)) == "aaaba"
+    assert sigma1.text(Row(sigma1, 0, 0)) == "a"
+    got = sigma2.text(Row(sigma2, 0, 3))
     want = brute_iterate({"a": "ab", "b": "aaa"}, "a", 3)
     assert got == want and len(got) == 11
 
@@ -66,35 +69,26 @@ def test_iterate_matches_oracle_random():
     for _ in range(20):
         s = random_substitution(rng, rng.choice((2, 3)))
         rules = {l.name: s.text(r) for l, r in zip(s.letters, s.rules)}
-        seed = rng.choice(s.alphabet)
+        seed = rng.randrange(s.size)
         k = rng.randint(0, 4)
-        assert s.text(s.iterate(seed, k)) == brute_iterate(rules, seed, k)
+        assert s.text(Row(s, seed, k)) == brute_iterate(rules, s.alphabet[seed], k)
 
 
 def test_iterate_composes(sigma1):
-    w = sigma1.iterate("a", 2)
-    assert sigma1.iterate("a", 5) == sigma1.iterate(w, 3)
-
-
-def test_iterate_word_cap(sigma1):
-    with pytest.raises(ResourceCapError):
-        sigma1.iterate("a", 30, max_len=10 ** 4)
+    # s^5(a) is s^3 applied letter by letter to s^2(a)
+    w = tuple(Row(sigma1, 0, 2))
+    assert tuple(Row(sigma1, 0, 5)) == tuple(x for c in w for x in Row(sigma1, c, 3))
 
 
 def test_image_lengths_match_iterated_words():
-    # the letter lengths are the lengths of the built images, and the
-    # iterate cap trips exactly when the built word would pass it
+    # the letter lengths are the lengths of the built images
     rng = rng_for("image-lengths")
     for _ in range(20):
         s = random_substitution(rng, rng.choice((1, 2, 3)), primitive=False)
         word = tuple(rng.randrange(s.size) for _ in range(rng.randint(1, 3)))
         for k, lengths in enumerate(islice(s.image_lengths(), 6)):
-            assert lengths == tuple(len(s.iterate((x,), k)) for x in range(s.size))
-            n = sum(lengths[x] for x in word)
-            assert len(s.iterate(word, k, max_len=n)) == n
-            if k:
-                with pytest.raises(ResourceCapError, match=f"exceed {n - 1} letters"):
-                    s.iterate(word, k, max_len=n - 1)
+            assert lengths == tuple(len(iterate(s, (x,), k)) for x in range(s.size))
+            assert len(iterate(s, word, k)) == sum(lengths[x] for x in word)
 
 
 def test_abelianization_examples(sigma1, period_doubling):
@@ -145,9 +139,9 @@ def test_perron_examples(sigma1, period_doubling):
     # the characteristic polynomial vanishes exactly at the Perron root
     for s in (sigma1, period_doubling):
         p = s.perron()
-        acc = p.root.field.zero()
+        acc = zero(p.root.field)
         for c in reversed(p.charpoly):
-            acc = acc * p.root + c
+            acc = acc * ring(p.root) + c
         assert acc.is_zero()
 
 
@@ -205,7 +199,7 @@ def test_legal_words(period_doubling, sigma1):
     assert one == {(0,), (1,)}
     s1_two = {sigma1.text(w) for w in sigma1.legal_words(2)}
     # bb never occurs: images end in a and b is always followed by an image start
-    long = sigma1.text(sigma1.iterate("a", 9))
+    long = sigma1.text(iterate(sigma1, "a", 9))
     assert "bb" not in long
     assert s1_two == {"aa", "ab", "ba"}
     factors = {long[i:i + 2] for i in range(len(long) - 1)}
@@ -215,7 +209,7 @@ def test_legal_words(period_doubling, sigma1):
 def test_legal_words_past_length_one_images():
     # a -> b -> c -> ab: two steps without growth before the first that grows
     s = Substitution(["a", "b", "c"], {"a": "b", "b": "c", "c": "ab"})
-    long = s.iterate("a", 40)
+    long = iterate(s, "a", 40)
     assert len(long) > 10 ** 4
     for n in (1, 2, 3, 5):
         assert s.legal_words(n) == {long[i:i + n] for i in range(len(long) - n + 1)}
@@ -311,37 +305,35 @@ def test_shift_conjugacy_hypothesis_error(sigma1):
         shift_conjugacy(sigma1, other)
 
 
+def assert_eigen_identity(s, lengths):
+    """length(s(x)) = lambda * length(x) on the integer vectors:
+    sum_i M[i][j] * V_i == times_root(V_j) for every letter j."""
+    m, vectors, poly = s.matrix(), lengths.vectors, lengths.field.poly
+    for j in range(s.size):
+        total = tuple(sum(m[i][j] * v[c] for i, v in enumerate(vectors))
+                      for c in range(lengths.field.degree))
+        assert total == times_root(vectors[j], poly)
+
+
 def test_tile_lengths_examples(sigma1, period_doubling):
     lengths = sigma1.tile_lengths()
-    lam = sigma1.perron().root
-    assert lengths[0] == lam
-    assert lengths[1] == lam.field.from_rational(3)
-    # exact self-similarity: length(s(x)) = lambda * length(x)
-    m = sigma1.matrix()
-    for j in range(2):
-        total = lam.field.zero()
-        for i in range(2):
-            total = total + lengths[i] * m[i][j]
-        assert total == lam * lengths[j]
+    # a is lambda wide and b is 3, over the denominator 1
+    assert lengths.field.poly == (-3, -1, 1)
+    assert (lengths.vectors, lengths.den) == (((0, 1), (3, 0)), 1)
+    assert_eigen_identity(sigma1, lengths)
 
-    one = Substitution(["a"], {"a": "aa"})
-    assert [x.as_fraction() for x in one.tile_lengths()] == [1]
+    one = Substitution(["a"], {"a": "aa"}).tile_lengths()
+    assert (one.field.poly, one.vectors, one.den) == ((-2, 1), ((1,),), 1)
 
-    assert [x.as_fraction() for x in period_doubling.tile_lengths()] == [1, 1]
+    two = period_doubling.tile_lengths()
+    assert (two.vectors, two.den) == (((1,), (1,)), 1)
 
 
 def test_tile_lengths_eigen_identity_random():
     rng = rng_for("lengths")
     for _ in range(15):
         s = random_substitution(rng, rng.choice((2, 3)))
-        lengths = s.tile_lengths()
-        lam = s.perron().root
-        m = s.matrix()
-        for j in range(s.size):
-            total = lam.field.zero()
-            for i in range(s.size):
-                total = total + lengths[i] * m[i][j]
-            assert total == lam * lengths[j]
+        assert_eigen_identity(s, s.tile_lengths())
 
 
 def test_tile_lengths_degenerate():
@@ -355,8 +347,8 @@ def test_tile_lengths_degenerate():
 def test_tile_lengths_match_reference_elimination(seed, n_letters):
     s = random_substitution(random.Random(seed), n_letters)
     new, old = tile_lengths(s), reference_tile_lengths(s)
-    assert [x.coeffs for x in new] == [x.coeffs for x in old]
-    assert new[0].field.poly == old[0].field.poly
+    assert (new.field.poly, new.vectors, new.den) == (old[0].field.poly,
+                                                     *integer_vectors(old))
 
 
 def test_composition(sigma1, sigma2):

@@ -148,10 +148,10 @@ def iterate(s, word, k):
 
 
 # The exact arithmetic that left ``algebra`` when the program moved to
-# integer coefficient vectors, kept as the tests' own Q(lambda) and the
-# oracles' arithmetic: the interval operations, the field's element
-# constructors (functions of the field here), and the ring, order and
-# ``float`` of ``Number``, an ``AlgebraicNumber`` that has them.
+# integer coefficient vectors, kept where the tests and their oracles use it:
+# interval sums and products, the field's element constructors (functions of
+# the field here), and the ring, order and ``float`` of ``Number``, an
+# ``AlgebraicNumber`` that has them.
 
 class Interval(algebra.Interval):
     """Closed interval with exact rational endpoints and its arithmetic."""
@@ -161,25 +161,12 @@ class Interval(algebra.Interval):
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other):
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
     def __mul__(self, other):
         cands = (
             self.lo * other.lo, self.lo * other.hi,
             self.hi * other.lo, self.hi * other.hi,
         )
         return Interval(min(cands), max(cands))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return Interval(self.lo * s, self.hi * s) if s >= 0 else Interval(self.hi * s, self.lo * s)
-
-    def shift(self, s):
-        return Interval(self.lo + s, self.hi + s)
 
     def sign(self):
         """1, -1, or None if the interval straddles (or touches) zero."""
@@ -192,9 +179,6 @@ class Interval(algebra.Interval):
     @property
     def width(self):
         return self.hi - self.lo
-
-    def __contains__(self, x):
-        return self.lo <= x <= self.hi
 
 
 def zero(field):
@@ -260,8 +244,6 @@ class Number(AlgebraicNumber):
             return NotImplemented
         return Number(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Number(self.field, [-a for a in self.coeffs])
 
@@ -286,18 +268,6 @@ class Number(AlgebraicNumber):
         return Number(self.field, acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def inverse(self):
         """The y with self * y = 1, by Gauss-Jordan elimination on the matrix
@@ -328,12 +298,6 @@ class Number(AlgebraicNumber):
         if o is NotImplemented:
             return NotImplemented
         return self * ring(o).inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return ring(o) * self.inverse()
 
     # -- exact predicates -------------------------------------------------------
 
@@ -369,16 +333,6 @@ class Number(AlgebraicNumber):
 
     def __float__(self):
         return float(self.interval(Fraction(1, 2 ** 64)).midpoint())
-
-
-def compare(a, b):
-    """Exact three-way comparison of algebraic numbers (or rationals)."""
-    if isinstance(a, AlgebraicNumber):
-        return ring(a).compare(b)
-    if isinstance(b, AlgebraicNumber):
-        return -ring(b).compare(a)
-    a, b = Fraction(a), Fraction(b)
-    return (a > b) - (a < b)
 
 
 def poly_eval(a, x):

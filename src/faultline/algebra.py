@@ -29,7 +29,8 @@ from .zpoly import (
     squarefree_part,
 )
 
-_MAX_REFINE = 4096  # bisection guard; never reached for nonzero values
+_MAX_REFINE = 4096  # levels one refinement may go down; never reached for nonzero values
+_HALVINGS = 3       # plain halvings before a refinement searches its level
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +186,54 @@ def horner_interval(nums, lo, hi, q):
     return a, b, e
 
 
-def bisect(lo, hi, width, below):
-    """Halve [lo, hi] until it is at most ``width`` wide: each step keeps
-    [mid, hi] when ``below(mid)`` holds and [lo, mid] otherwise; returns
-    (lo, hi).  The certified bisection loop on rationals; a field's root
-    interval is halved on its integers instead (``NumberField.refined``)."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _cell(ziv, k, j):
+    """Cell j (from 0 at lo) of [lo/q, hi/q] cut into 2^k equal cells, as
+    integers (lo, hi, q) that need not be in lowest terms."""
+    lo, hi, q = ziv
+    x = (lo << k) + j * (hi - lo)
+    return x, x + hi - lo, q << k
+
+
+def _lowest_terms(cell):
+    """(lo, hi, q) divided by the gcd of the three."""
+    g = gcd(*cell)
+    return tuple(x // g for x in cell)
+
+
+def iroot(n, t):
+    """The integer t-th root of n >= 0: the largest r with r**t <= n, by
+    Newton's method on integers from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // t)      # 2^ceil(bits / t) > n^(1/t)
+    while True:
+        s = ((t - 1) * r + n // r ** (t - 1)) // t
+        if s >= r:
+            return r
+        r = s
 
 
 def root_interval(q, t, width):
     """Rational interval (lo, hi) around q**(1/t), q >= 0, at most ``width``
-    wide; (0, 0) for q = 0."""
-    q = Fraction(q)
+    wide; (0, 0) for q = 0.
+
+    It is the interval that halving [0, max(1, q)] gives, keeping [mid, hi]
+    while mid**t <= q: the cell [j, j + 1] * M / 2^L of the grid of step
+    M / 2^L, M = max(1, q), at the least level L with M / 2^L <= width.  j is
+    the largest grid index with (j M / 2^L)**t <= q, an integer t-th root,
+    and at most 2^L - 1, since the top end M is never a midpoint."""
+    q, width = Fraction(q), Fraction(width)
     if q == 0:
         return (Fraction(0), Fraction(0))
-    return bisect(Fraction(0), max(Fraction(1), q), width, lambda mid: mid ** t <= q)
+    top = max(Fraction(1), q)
+    # the least L with 2^L >= top / width
+    n = -(-top.numerator * width.denominator // (top.denominator * width.numerator))
+    level = (n - 1).bit_length()
+    # (j * top / 2^L)^t <= q  <=>  j^t <= q * (2^L / top)^t, floored
+    x = q * (Fraction(1 << level) / top) ** t
+    j = min(iroot(x.numerator // x.denominator, t), (1 << level) - 1)
+    step = top / (1 << level)
+    return j * step, (j + 1) * step
 
 
 def decimal_string(num, den, digits):
@@ -228,14 +256,21 @@ class NumberField:
 
     p is a monic irreducible integer polynomial, so the quotient is a genuine
     field and exact zero testing is coefficient-wise.  The root interval only
-    ever shrinks; refinements are cached on the field object.  Exact results
-    (signs, comparisons, modular reduction) do not depend on that cache, but
-    enclosures do: ``AlgebraicNumber.interval(width)`` evaluates at the
-    current root interval, so once an earlier computation has refined the
-    field, the same number and width give a tighter (different) enclosure.
+    ever shrinks, and always to one of the 2^k equal cells of the interval
+    before it: the one that holds the root, exactly as k halvings would leave
+    it.  Each refinement (``enclose`` to a width, ``sign``, ``refined``,
+    ``mod_quotient``) stops at the least level whose cell passes its test;
+    nested cells give nested enclosures, so a test once passed stays passed,
+    and that level is found in a few steps (``_descend``) rather than one
+    halving at a time.  Refinements are cached on the field object.  Exact
+    results (signs, comparisons, modular reduction) do not depend on that
+    cache, but enclosures do: ``AlgebraicNumber.interval(width)`` evaluates
+    at the current root interval, so once an earlier computation has refined
+    the field, the same number and width give a tighter (different)
+    enclosure.
     """
 
-    __slots__ = ("poly", "_ziv", "_sign_lo")
+    __slots__ = ("poly", "_ziv", "_sign_lo", "_dpoly")
 
     def __init__(self, poly, interval):
         poly = ptrim(int(c) for c in poly)
@@ -253,8 +288,17 @@ class NumberField:
             if sign_lo * sign_at(poly, hi) >= 0:
                 raise ValidationError("defining polynomial must change sign on the interval")
         self.poly = poly
+        self._dpoly = tuple(i * c for i, c in enumerate(poly))[1:]
         self._set_interval(lo, hi)
         self._sign_lo = sign_lo
+
+    def copy(self):
+        """A new field at the current root interval, refined apart from
+        this one from now on."""
+        other = object.__new__(NumberField)
+        for name in self.__slots__:
+            setattr(other, name, getattr(self, name))
+        return other
 
     def _set_interval(self, lo, hi):
         """Store [lo, hi] as integers (lo * q, hi * q, q), q the lcm of the
@@ -286,11 +330,16 @@ class NumberField:
         """Shrink the cached isolating interval to at most ``width`` wide."""
         if self.degree > 1:
             width = Fraction(width)
-            while True:
-                lo, hi, q = self._ziv
-                if (hi - lo) * width.denominator <= width.numerator * q:
-                    break
-                self._bisect_once()
+            wn, wd = width.numerator, width.denominator
+
+            def short(lo, hi, q):
+                # the halvings still needed: ceil(log2(cell width / width))
+                n = -(-(hi - lo) * wd // (wn * q))
+                return (n - 1).bit_length()
+
+            need = short(*self._ziv)
+            if need:
+                self._descend(short, need)
         return self.interval
 
     def _bisect_once(self):
@@ -311,41 +360,153 @@ class NumberField:
         assert smid != 0
         self._ziv = (mid, hi, q) if (smid > 0) == (self._sign_lo > 0) else (lo, mid, q)
 
+    def _locate(self, k):
+        """The index j of the cell that holds the root when the root interval
+        [lo/q, hi/q] is cut into 2^k equal cells, numbered from 0 at lo.
+
+        Safeguarded Newton's method on the integer grid of cell ends: grid
+        point t is x_t / s with x_t = lo * 2^k + t * (hi - lo) and s = q * 2^k,
+        and a Newton step from t goes to t - p(x_t/s) / (p'(x_t/s) (hi - lo)/s).
+        Every evaluation is an exact sign that narrows the bracket (tl, th)
+        around the root.  A Newton step that leaves the bracket, or is more
+        than half as long as the step before the last, is a halving of the
+        bracket instead, so a poor start falls back to halving.  Once a step
+        is short (its square below 2^k), the cell [f, f + 1] it lands in is
+        certified by the exact signs at its two ends.  The answer is the cell
+        that k halvings reach."""
+        lo, hi, q = self._ziv
+        w, x0, s = hi - lo, lo << k, q << k
+        poly, dpoly, left = self.poly, self._dpoly, self._sign_lo > 0
+        tl, th = 0, 1 << k      # the root lies strictly between these grid points
+        t = th >> 1
+        last = before = th      # the lengths of the last two steps
+        while True:
+            x = x0 + t * w
+            v = horner_interval(poly, x, x, s)[0]   # never 0: p has no rational root
+            if (v > 0) == left:
+                tl = t
+            else:
+                th = t
+            if th - tl == 1:
+                return tl
+            d = horner_interval(dpoly, x, x, s)[0] * w
+            f = t + (-v) // d if d else tl - 1   # the floor of the Newton point
+            step = abs(f - t)
+            if tl <= f < th and 2 * step <= before:
+                if step * step >> k == 0:
+                    # a short step: the root most likely lies in [f, f + 1]
+                    for g in (f, f + 1):
+                        if tl < g < th:
+                            x = x0 + g * w
+                            if (horner_interval(poly, x, x, s)[0] > 0) == left:
+                                tl = g
+                            else:
+                                th = g
+                    if th - tl == 1:
+                        return tl
+                if tl < f < th:
+                    t = f
+                elif tl < f + 1 < th:
+                    t = f + 1
+                else:
+                    t = (tl + th) >> 1
+            else:
+                t = (tl + th) >> 1
+                step = (th - tl) >> 1
+            before, last = last, step
+
+    def _descend(self, short, need):
+        """Refine the root interval to the least level at which
+        ``short(lo, hi, q)`` returns 0 on the cell that holds the root.
+        ``short`` is a test on a cell as integers (lo, hi, q), not in lowest
+        terms; once it passes it must pass on every subcell.  When it fails
+        it returns a guess of the further halvings needed (at least 1);
+        ``need`` is its value on the current cell, which fails.
+
+        The first ``_HALVINGS`` levels are plain halvings, since most calls
+        stop within them.  Past those the search gallops: it locates the cell
+        a guessed number of levels deeper (``_locate``), at least doubling the
+        depth of this call, and moves there while the test fails.  The least
+        passing level is then searched among the ancestors of the passing
+        cell: at m levels below the current cell, the ancestor of the cell j
+        at level k is the cell j >> (k - m).  The result is the triple that
+        halving one step at a time reaches."""
+        assert self.degree > 1, "a rational root has a point interval"
+        for _ in range(_HALVINGS):
+            self._bisect_once()
+            need = short(*self._ziv)
+            if not need:
+                return
+        depth = _HALVINGS       # levels gone down in this call
+        while True:
+            k = max(need, depth)
+            guided = need >= depth
+            if depth + k > _MAX_REFINE:
+                raise RuntimeError("interval refinement did not converge")
+            j = self._locate(k)
+            cell = _cell(self._ziv, k, j)
+            need = short(*cell)
+            if not need:
+                break
+            self._ziv = _lowest_terms(cell)
+            depth += k
+        # the least passing level in (0, k]: down from the top one step at a
+        # time, doubling, when a guess set k; by halving the range otherwise
+        lo, hi, step = 0, k, 1 if guided else k
+        while hi - lo > 1:
+            m = max(hi - step, (lo + hi) >> 1)
+            if short(*_cell(self._ziv, m, j >> (k - m))):
+                lo = m
+            else:
+                hi = m
+            step *= 2
+        self._ziv = _lowest_terms(_cell(self._ziv, hi, j >> (k - hi)))
+
     def enclose(self, nums, den, width=None):
         """Integer enclosure (a, b, e) of (sum(nums[i] * root**i)) / den, i.e.
         the value lies in [a/e, b/e], by ``horner_interval`` at the current
         root interval.
 
-        With ``width``, the root interval is bisected one step at a time
-        until the enclosure is at most ``width`` wide.  A rational value
+        With ``width``, the root interval is first refined to the least level
+        at which the enclosure is at most ``width`` wide.  A rational value
         (nums[1:] all zero) gives [c, c] and never touches the field."""
         if not any(nums[1:]):
             return nums[0], nums[0], den
-        for _ in range(_MAX_REFINE):
-            lo, hi, q = self._ziv
-            a, b, e = horner_interval(nums, lo, hi, q)
-            e *= den
-            if width is None or (b - a) * width.denominator <= width.numerator * e:
-                return a, b, e
-            self._bisect_once()
-        raise RuntimeError("interval refinement did not converge")  # pragma: no cover
+        a, b, e = horner_interval(nums, *self._ziv)
+        if width is not None:
+            wn, wd = width.numerator, width.denominator
+
+            def halvings(a, b, e):
+                # enclosure widths shrink about as fast as the cell: the
+                # halvings still needed are about log2(width ratio)
+                n = -(-(b - a) * wd // (wn * e * den))
+                return (n - 1).bit_length()
+
+            need = halvings(a, b, e)
+            if need:
+                self._descend(lambda *cell: halvings(*horner_interval(nums, *cell)), need)
+                a, b, e = horner_interval(nums, *self._ziv)
+        return a, b, e * den
 
     def sign(self, nums):
-        """Exact sign of sum(nums[i] * root**i) for integers nums: enclosures
-        at the current root interval, bisected one step at a time until one
-        excludes zero.  The one loop that bisects until a sign is decided;
-        a positive common denominator never changes a sign, so callers pass
-        numerators only."""
+        """Exact sign of sum(nums[i] * root**i) for integers nums: the sign
+        of its enclosure at the least level of the root interval at which
+        that enclosure excludes zero.  A positive common denominator never
+        changes a sign, so callers pass numerators only."""
         if not any(nums):
             return 0
-        for _ in range(_MAX_REFINE):
-            a, b, _ = self.enclose(nums, 1)
-            if a > 0:
-                return 1
-            if b < 0:
-                return -1
-            self._bisect_once()
-        raise RuntimeError("sign refinement did not converge")  # pragma: no cover
+        a, b, _ = horner_interval(nums, *self._ziv)
+        if a > 0:
+            return 1
+        if b < 0:
+            return -1
+
+        def short(lo, hi, q):
+            a, b, _ = horner_interval(nums, lo, hi, q)
+            return 0 if a > 0 or b < 0 else 1
+
+        self._descend(short, 1)
+        return 1 if horner_interval(nums, *self._ziv)[0] > 0 else -1
 
     # -- element constructors ------------------------------------------------
 
@@ -463,22 +624,27 @@ def mod_quotient(field, av, mv):
     of m at the field's current root interval must already lie above zero,
     as ``field.sign(mv)`` leaves it.
 
-    Enclosures of a / m at the current root interval (bisected only while
-    they leave more than two candidates for k) give a first guess; k is then
-    the integer with the two exact signs a - k*m >= 0 and a - (k+1)*m < 0.
-    Every enclosure and sign decides the same way on a positive multiple of
-    (av, mv), so the field is bisected the same whatever the denominator."""
-    for _ in range(_MAX_REFINE):
-        a0, a1, ae = field.enclose(av, 1)
-        m0, m1, me = field.enclose(mv, 1)
-        # floors of the corners of the enclosure of a / m
-        floors = [x * me // (y * ae) for x in (a0, a1) for y in (m0, m1)]
-        k = min(floors)
-        if max(floors) - k <= 1:
-            break
-        field._bisect_once()
-    else:  # pragma: no cover
-        raise RuntimeError("interval refinement did not converge")
+    Enclosures of a / m at the root interval, refined to the least level at
+    which they leave at most two candidates for k, give a first guess; k is
+    then the integer with the two exact signs a - k*m >= 0 and
+    a - (k+1)*m < 0.  Every enclosure and sign decides the same way on a
+    positive multiple of (av, mv), so the field is refined the same whatever
+    the denominator."""
+
+    def floors(lo, hi, q):
+        # floors of the corners of the enclosure of a / m on the cell
+        a0, a1, ae = horner_interval(av, lo, hi, q)
+        m0, m1, me = horner_interval(mv, lo, hi, q)
+        return [x * me // (y * ae) for x in (a0, a1) for y in (m0, m1)]
+
+    def spread(f):
+        return int(max(f) - min(f) > 1)
+
+    f = floors(*field.root_ints)
+    if spread(f):
+        field._descend(lambda *cell: spread(floors(*cell)), 1)
+        f = floors(*field.root_ints)
+    k = min(f)
 
     def rest(j):
         """Sign of a - j*m."""

@@ -19,6 +19,7 @@ from .abelian import poly_str, recognize
 from .algebra import decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
 from .documents import (
+    OPTION_MAXIMA,
     bundled_document,
     bundled_expected,
     bundled_names,
@@ -202,7 +203,8 @@ def _options(doc, args, flags=("rounds", "max_states", "precision_bits")):
     for key in flags:
         val = getattr(args, key, None)
         if val is not None:
-            opts[key] = check_count("--" + key.replace("_", "-"), val)
+            opts[key] = check_count("--" + key.replace("_", "-"), val,
+                                    most=OPTION_MAXIMA.get(key))
     return opts
 
 
@@ -402,12 +404,7 @@ def cmd_render(args):
     if args.overlay is not None:
         overlay = overlay_boundaries(d, seed, k, args.overlay)
     svg = emit_svg(patch, colors=colors, overlay=overlay)
-    out = args.output or "-"
-    if out == "-":
-        sys.stdout.write(svg)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    _write(args.output, lambda fh: fh.write(svg))
     return None, EXIT_OK
 
 
@@ -547,10 +544,25 @@ def _parser():
     return build_parser()
 
 
+def _write(path, emit):
+    """``emit(fh)`` on stdout, or on the file ``path`` unless that is None or
+    "-"; a file that cannot be opened or written is a ValidationError."""
+    if not path or path == "-":
+        emit(sys.stdout)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         report, code = args.func(args)
+        if report is not None:
+            _write(args.output, lambda fh: dump_report(report, args.format, fh))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -563,12 +575,6 @@ def main(argv=None):
     except FaultlineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if report is not None:
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                dump_report(report, args.format, fh)
-        else:
-            dump_report(report, args.format, sys.stdout)
     return code
 
 

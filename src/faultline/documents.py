@@ -23,6 +23,12 @@ _DPV_KEYS = {"vertical", "horizontal", "row_sigma"}
 _INT_OPTIONS = {"rounds", "max_states", "precision_bits", "max_tiles"}
 _OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
 
+# the largest precision_bits accepted: spectral_classify refines complex
+# roots on |z| = 1 down to 2^-precision_bits, which takes about 0.3 s at 512
+# bits and 1.2 s at 1024 on a quartic such as x^4-x^3-x^2-x+1
+MAX_PRECISION_BITS = 512
+OPTION_MAXIMA = {"precision_bits": MAX_PRECISION_BITS}
+
 DEFAULT_OPTIONS = {
     "rounds": 12,
     "max_states": DEFAULT_MAX_STATES,
@@ -53,17 +59,20 @@ def _require_keys(obj, allowed, where):
         raise ValidationError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def check_count(where, val, least=1):
-    """``val`` if it is an integer (not a bool) >= ``least``; otherwise a
-    ValidationError naming ``where``."""
-    if not isinstance(val, int) or isinstance(val, bool) or val < least:
-        raise ValidationError(f"{where} must be an integer >= {least}, got {val!r}")
+def check_count(where, val, least=1, most=None):
+    """``val`` if it is an integer (not a bool) >= ``least`` and, when
+    ``most`` is given, <= ``most``; otherwise a ValidationError naming
+    ``where``."""
+    if (not isinstance(val, int) or isinstance(val, bool) or val < least
+            or most is not None and val > most):
+        bound = f">= {least}" if most is None else f">= {least} and <= {most}"
+        raise ValidationError(f"{where} must be an integer {bound}, got {val!r}")
     return val
 
 
 def _check_options(opts, alphabets):
     for key in sorted(_INT_OPTIONS & set(opts)):
-        check_count(f"options.{key}", opts[key])
+        check_count(f"options.{key}", opts[key], most=OPTION_MAXIMA.get(key))
     letter = opts.get("modulus_letter")
     if letter is not None and not any(letter in letters for letters in alphabets.values()):
         raise ValidationError(f"options.modulus_letter must be null or a letter name, "
@@ -85,8 +94,13 @@ def load_document(source):
     else:
         text = source
         if not str(source).lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValidationError(f"cannot read {source}: {exc.strerror}") from None
+            except UnicodeDecodeError:
+                raise ValidationError(f"cannot read {source}: not UTF-8 text") from None
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -34,7 +34,7 @@ from .abelian import (
 from .ap_complex import collar, graph_h1
 from .errors import UndeterminedError, ValidationError
 from .fault import DEFAULT_MAX_STATES, BoundaryKind, boundary_trace, classify_trace
-from .substitution import Substitution, shift_conjugacy, spectral_classify
+from .substitution import Substitution, shift_conjugacy
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
                                        max_states=max_states)
                 m = top_comp.matrix()
                 if m not in spectral:
-                    spectral[m] = spectral_classify(m).kind
+                    spectral[m] = top_comp.spectral_class().kind
                 classes[pair] = classify_trace(trace, spectral[m])
             cls = classes[pair]
             kinds.add(cls.kind)

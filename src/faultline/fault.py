@@ -12,7 +12,9 @@ common denominator: reduction, ordering and gaps run on integers, and an
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
 substitutions map to the next round's set; a round's distinct discrepancies
-are read off its states, so a trace costs per distinct state, not per letter.
+are read off its states.  A state's children and read-offs depend only on
+the state, so each state is expanded once per trace, however many rounds it
+comes back in: a trace costs per distinct state, not per letter.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import add, mul, sub
 
 from .algebra import mod_quotient, root_interval
 from .errors import HypothesisError, ResourceCapError, ValidationError
-from .substitution import SpectralKind, spectral_classify
+from .substitution import SpectralKind
 
 DEFAULT_ROUNDS = 12
 DEFAULT_MAX_STATES = 100_000   # overlap states over all rounds of a trace
@@ -200,46 +202,61 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
             tables[t, b] = (vec, image, margin)
         return tables[t, b]
 
+    def expand(t, b, d):
+        # the children of state (t, b, d) in the order the sweep meets them,
+        # and its read-off values
+        kids1, kids2 = rules1[t], rules2[b]
+        if t == b and d == zero and kids1 == kids2:
+            return tuple((x, x, zero) for x in kids1), (0,)
+        vec, image, margin = table(t, b)
+        base = tuple(sum(map(mul, row, d)) for row in matrix)
+        base_image = sum(map(mul, base, widths.scaled))
+        base_margin = sum(map(abs, base))
+
+        def sign(i, j):
+            # sign of <w, base + vec[i][j]>; the sum of the two margins
+            # bounds the vector's own, which is built only when needed
+            s = base_image + image[i][j]
+            u = base_margin + margin[i][j]
+            if s > u:
+                return 1
+            if s < -u:
+                return -1
+            return widths.sign(tuple(map(add, base, vec[i][j])), s)
+
+        # skip the children that end at or before the other parent starts
+        i = j = 0
+        while sign(0, j + 1) >= 0:
+            j += 1
+        while sign(i + 1, 0) <= 0:
+            i += 1
+        p, q = len(kids1), len(kids2)
+        children, values = [], []
+        while i < p and j < q:
+            s = sign(i + 1, j + 1)
+            children.append((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
+            if s <= 0:
+                values.append(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
+                i += 1
+            if s >= 0:
+                j += 1
+        return tuple(children), tuple(values)
+
+    # a state's children depend only on the state, and states recur from
+    # round to round: expand each once per trace.  Every entry is a state
+    # some round counted, so ``max_states`` bounds this too.  A repeated
+    # expansion would not refine the field either: its exact signs were
+    # decided once, and a narrower root interval decides them again.
+    expanded = {}
     states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
     for rnd in range(1, k + 1):
         children, values = set(), set()
-        for t, b, d in states:
-            kids1, kids2 = rules1[t], rules2[b]
-            if t == b and d == zero and kids1 == kids2:
-                children.update((x, x, zero) for x in kids1)
-                values.add(0)
-                continue
-            vec, image, margin = table(t, b)
-            base = tuple(sum(map(mul, row, d)) for row in matrix)
-            base_image = sum(map(mul, base, widths.scaled))
-            base_margin = sum(map(abs, base))
-
-            def sign(i, j):
-                # sign of <w, base + vec[i][j]>; the sum of the two margins
-                # bounds the vector's own, which is built only when needed
-                s = base_image + image[i][j]
-                u = base_margin + margin[i][j]
-                if s > u:
-                    return 1
-                if s < -u:
-                    return -1
-                return widths.sign(tuple(map(add, base, vec[i][j])), s)
-
-            # skip the children that end at or before the other parent starts
-            i = j = 0
-            while sign(0, j + 1) >= 0:
-                j += 1
-            while sign(i + 1, 0) <= 0:
-                i += 1
-            p, q = len(kids1), len(kids2)
-            while i < p and j < q:
-                s = sign(i + 1, j + 1)
-                children.add((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
-                if s <= 0:
-                    values.add(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
-                    i += 1
-                if s >= 0:
-                    j += 1
+        for state in states:
+            entry = expanded.get(state)
+            if entry is None:
+                entry = expanded[state] = expand(*state)
+            children.update(entry[0])
+            values.update(entry[1])
         spent += len(children)
         if spent > max_states:
             raise ResourceCapError(
@@ -453,7 +470,8 @@ def classify_trace(trace, spectral=None):
     """classify_boundary on an existing trace, which must start from seed
     letter 0; the cap is its number of rounds.  ``spectral`` is the
     SpectralKind of the top substitution's matrix when the caller already
-    has it."""
+    has it; otherwise it comes from the traced substitution, whose Perron
+    data the trace already computed."""
     if trace.seed != 0:
         raise ValidationError("classification is defined on the trace from seed letter 0")
     cap = len(trace.steps)
@@ -461,7 +479,7 @@ def classify_trace(trace, spectral=None):
         raise ValidationError("classification needs at least 4 rounds")
     maxes = trace.max_abs_by_round()
     if spectral is None:
-        spectral = spectral_classify(trace.top_sub.matrix()).kind
+        spectral = trace.top_sub.spectral_class().kind
 
     if len({v for s in trace.steps for v in s.offset_vectors}) <= 1:
         kind = BoundaryKind.RIGID

@@ -68,6 +68,8 @@ class Substitution:
                 raise ValidationError(f"rule for {name!r} is empty")
         self.rules = tuple(imgs)
         self._matrix = None
+        self._perron = None     # PerronData on a field no caller refines
+        self._lengths = None    # (vectors, den) of tile_lengths
 
     # -- words ------------------------------------------------------------------
 
@@ -155,10 +157,20 @@ class Substitution:
         return is_primitive(self.matrix())
 
     def perron(self):
-        return perron_data(self.matrix())
+        """``perron_data`` of the abelianization, computed once per
+        substitution.  Every call gets the root on a new field at the root
+        interval that ``perron_data`` left: printed enclosures read a field's
+        refinement (``NumberField``), so no caller sees another's."""
+        if self._perron is None:
+            self._perron = perron_data(self.matrix())
+        pd = self._perron
+        return PerronData(charpoly=pd.charpoly,
+                          root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
+                          primitive=pd.primitive)
 
     def spectral_class(self, precision_bits=64):
-        return spectral_classify(self.matrix(), precision_bits=precision_bits)
+        return spectral_classify(self.matrix(), precision_bits=precision_bits,
+                                 perron=self.perron())
 
     def tile_lengths(self):
         return tile_lengths(self)
@@ -316,13 +328,14 @@ def _sign_minus(x, q):
     return x.field.sign(clear_denominators((x.coeffs[0] - q,) + x.coeffs[1:])[0])
 
 
-def spectral_classify(m, precision_bits=64):
+def spectral_classify(m, precision_bits=64, perron=None):
     """Classify all non-Perron roots of the characteristic polynomial by
     modulus.  Real roots are handled by exact isolation; complex roots by
     exact rational modulus for quadratic factors and certified rectangle
     isolation otherwise, refined down to width 2^-precision_bits before
-    giving up as Undetermined."""
-    pd = perron_data(m)
+    giving up as Undetermined.  ``perron`` is ``perron_data(m)`` when the
+    caller has it (``Substitution.spectral_class``), on a field of its own."""
+    pd = perron_data(m) if perron is None else perron
     lam_iv = pd.root.interval(Fraction(1, 2 ** 24))
     width = Fraction(1, 2 ** precision_bits)
     moduli = []      # _Modulus for every non-Perron root, each root once
@@ -410,14 +423,9 @@ def _lowest_terms(vectors, den):
 
 def tile_lengths(s):
     """Natural tile lengths: a left Perron eigenvector of the abelianization,
-    exact in Q(lambda), as a ``TileLengths``.
-
-    The eigenvector is q(M^T) e_0, where charpoly(x) = (x - lambda) q(x): by
-    Cayley-Hamilton every column of q(M^T) lies in the lambda-eigenspace of
-    M^T, and the first is nonzero because lambda is a simple root for
-    primitive M.  Everything is computed on integer coefficient vectors over
-    the power basis of Z[lambda]: one inverse of the first entry normalises
-    it to 1, and ``times_root`` steps do the rest.
+    exact in Q(lambda), as a ``TileLengths``.  The vectors are computed once
+    per substitution (``_tile_vectors``); each call gets them on a new field,
+    as ``Substitution.perron`` hands it out.
 
     Rational lambda gives the primitive positive integer eigenvector; for
     irrational lambda the vector is scaled so the first entry is lambda when
@@ -426,6 +434,20 @@ def tile_lengths(s):
     pd = s.perron()
     if not pd.primitive:
         raise HypothesisError("tile lengths need a primitive substitution")
+    if s._lengths is None:
+        s._lengths = _tile_vectors(s, pd)
+    return TileLengths(pd.root.field, *s._lengths)
+
+
+def _tile_vectors(s, pd):
+    """(vectors, den) of ``tile_lengths``.
+
+    The eigenvector is q(M^T) e_0, where charpoly(x) = (x - lambda) q(x): by
+    Cayley-Hamilton every column of q(M^T) lies in the lambda-eigenspace of
+    M^T, and the first is nonzero because lambda is a simple root for
+    primitive M.  Everything is computed on integer coefficient vectors over
+    the power basis of Z[lambda]: one inverse of the first entry normalises
+    it to 1, and ``times_root`` steps do the rest."""
     field = pd.root.field
     n, deg, poly = s.size, field.degree, field.poly
     mt = abelian.transpose(s.matrix())
@@ -443,9 +465,9 @@ def tile_lengths(s):
     unit = [times(v, inv, poly) for v in vec]   # over d; the first entry is 1
     if deg == 1:
         # the numerators in lowest terms are the primitive integer vector
-        return TileLengths(field, _lowest_terms(unit, d)[0], 1)
+        return _lowest_terms(unit, d)[0], 1
     scaled = _lowest_terms([times_root(v, poly) for v in unit], d)
-    return TileLengths(field, *(scaled if scaled[1] == 1 else _lowest_terms(unit, d)))
+    return scaled if scaled[1] == 1 else _lowest_terms(unit, d)
 
 
 # ---------------------------------------------------------------------------

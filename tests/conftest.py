@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 
@@ -13,6 +13,7 @@ from faultline import algebra, fault
 from faultline.abelian import SmithForm, mat, shape, transpose
 from faultline.algebra import (
     AlgebraicNumber,
+    NumberField,
     clear_denominators,
     integer_vectors,
     ptrim,
@@ -133,6 +134,74 @@ def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=No
     for _ in range(k):
         wt, wb = top.apply(wt), bottom.apply(wb)
         yield tuple(sorted(set(scan_prefix_discrepancies(wt, wb, widths, tracked))))
+
+
+def reference_discrepancy_rounds(top, bottom, seed, k, widths, tracked,
+                                  max_states=fault.DEFAULT_MAX_STATES):
+    """``fault._discrepancy_rounds`` as it was before it kept each state's
+    expansion for the trace: every state of every round runs the merge sweep
+    and the sign filter again."""
+    rules1, rules2, matrix = top.rules, bottom.rules, top.matrix()
+    zero = (0,) * top.size
+    tables = {}
+
+    def table(t, b):
+        # for children i of t and j of b: the vectors P1(t, i) - P2(b, j),
+        # their filter images and their filter margins
+        if (t, b) not in tables:
+            p1, p2 = fault._prefix_counts(rules1[t], zero), fault._prefix_counts(rules2[b], zero)
+            vec = [[tuple(map(sub, u, v)) for v in p2] for u in p1]
+            image = [[sum(map(mul, x, widths.scaled)) for x in row] for row in vec]
+            margin = [[sum(map(abs, x)) for x in row] for row in vec]
+            tables[t, b] = (vec, image, margin)
+        return tables[t, b]
+
+    states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
+    for rnd in range(1, k + 1):
+        children, values = set(), set()
+        for t, b, d in states:
+            kids1, kids2 = rules1[t], rules2[b]
+            if t == b and d == zero and kids1 == kids2:
+                children.update((x, x, zero) for x in kids1)
+                values.add(0)
+                continue
+            vec, image, margin = table(t, b)
+            base = tuple(sum(map(mul, row, d)) for row in matrix)
+            base_image = sum(map(mul, base, widths.scaled))
+            base_margin = sum(map(abs, base))
+
+            def sign(i, j):
+                # sign of <w, base + vec[i][j]>; the sum of the two margins
+                # bounds the vector's own, which is built only when needed
+                s = base_image + image[i][j]
+                u = base_margin + margin[i][j]
+                if s > u:
+                    return 1
+                if s < -u:
+                    return -1
+                return widths.sign(tuple(map(add, base, vec[i][j])), s)
+
+            # skip the children that end at or before the other parent starts
+            i = j = 0
+            while sign(0, j + 1) >= 0:
+                j += 1
+            while sign(i + 1, 0) <= 0:
+                i += 1
+            p, q = len(kids1), len(kids2)
+            while i < p and j < q:
+                s = sign(i + 1, j + 1)
+                children.add((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
+                if s <= 0:
+                    values.add(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
+                    i += 1
+                if s >= 0:
+                    j += 1
+        spent += len(children)
+        if spent > max_states:
+            raise fault.ResourceCapError(
+                f"boundary trace exceeded the {max_states}-state budget at round {rnd}")
+        states = children
+        yield tuple(sorted(values))
 
 
 def rng_for(name):
@@ -377,7 +446,30 @@ def reference_interval(x, width):
 
 
 # Reference bisection loops: the bodies that ``algebra.bisect`` and
-# ``algebra.root_interval`` replaced, kept as oracles.
+# ``algebra.root_interval`` replaced, kept as oracles, and the halving helper
+# with the ``root_interval`` built on it, which integer t-th roots replaced.
+
+def bisect(lo, hi, width, below):
+    """Halve [lo, hi] until it is at most ``width`` wide: each step keeps
+    [mid, hi] when ``below(mid)`` holds and [lo, mid] otherwise; returns
+    (lo, hi)."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def reference_root_interval(q, t, width):
+    """Rational interval (lo, hi) around q**(1/t), q >= 0, at most ``width``
+    wide; (0, 0) for q = 0: ``bisect`` on [0, max(1, q)]."""
+    q = Fraction(q)
+    if q == 0:
+        return (Fraction(0), Fraction(0))
+    return bisect(Fraction(0), max(Fraction(1), q), width, lambda mid: mid ** t <= q)
+
 
 def reference_sqrt_interval(q, prec):
     """Rational interval around sqrt(q) of width <= 2^-prec."""
@@ -427,6 +519,67 @@ def reference_refined(field, width):
             hi = mid
     field._set_interval(lo, hi)
     return Interval(lo, hi)
+
+
+class HalvingField(NumberField):
+    """A ``NumberField`` that refines one halving at a time, as the field did
+    before its refinements searched their level: the loops of ``enclose``,
+    ``sign`` and ``refined`` as they were.  Each stops at the least level
+    that passes its test, which is where the level search must stop too."""
+
+    def refined(self, width):
+        if self.degree > 1:
+            width = Fraction(width)
+            while True:
+                lo, hi, q = self._ziv
+                if (hi - lo) * width.denominator <= width.numerator * q:
+                    break
+                self._bisect_once()
+        return self.interval
+
+    def enclose(self, nums, den, width=None):
+        if not any(nums[1:]):
+            return nums[0], nums[0], den
+        while True:
+            a, b, e = algebra.horner_interval(nums, *self._ziv)
+            e *= den
+            if width is None or (b - a) * width.denominator <= width.numerator * e:
+                return a, b, e
+            self._bisect_once()
+
+    def sign(self, nums):
+        if not any(nums):
+            return 0
+        while True:
+            a, b, _ = self.enclose(nums, 1)
+            if a > 0:
+                return 1
+            if b < 0:
+                return -1
+            self._bisect_once()
+
+
+def reference_mod_quotient(field, av, mv):
+    """``algebra.mod_quotient`` as it was: bisect one step at a time while
+    the corner floors of the enclosure of a / m leave more than two
+    candidates, then the two exact signs."""
+    while True:
+        a0, a1, ae = field.enclose(av, 1)
+        m0, m1, me = field.enclose(mv, 1)
+        floors = [x * me // (y * ae) for x in (a0, a1) for y in (m0, m1)]
+        k = min(floors)
+        if max(floors) - k <= 1:
+            break
+        field._bisect_once()
+
+    def rest(j):
+        return field.sign([x - j * y for x, y in zip(av, mv)])
+
+    while rest(k) < 0:
+        k -= 1
+    while rest(k + 1) >= 0:
+        k += 1
+    return k
 
 
 def reference_charpoly(a):

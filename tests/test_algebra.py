@@ -13,13 +13,14 @@ from faultline import algebra
 from faultline.algebra import (
     AlgebraicNumber,
     NumberField,
-    bisect,
     clear_denominators,
     decimal_string,
     horner_interval,
     inverse_vector,
+    iroot,
     irreducible_factors,
     isolate_real_roots,
+    mod_quotient,
     mod_reduce,
     poly_str,
     root_interval,
@@ -32,7 +33,9 @@ from faultline.render import Lattice, PlacedTile
 from faultline.substitution import Substitution
 
 from conftest import (
+    HalvingField,
     Interval,
+    bisect,
     Number,
     from_rational,
     gen,
@@ -42,9 +45,11 @@ from conftest import (
     poly_mul,
     random_substitution,
     reference_interval,
+    reference_mod_quotient,
     reference_mod_reduce,
     reference_nth_root_interval,
     reference_refined,
+    reference_root_interval,
     reference_sign,
     reference_sqrt_interval,
     ring,
@@ -481,3 +486,140 @@ def test_mod_reduce_uses_no_field_inverse(monkeypatch, field):
     assert mod_reduce(7 * lam, lam * lam) == 7 * lam - (lam * lam) * 3
     assert mod_reduce(-lam, 3) == 3 - lam
     assert mod_reduce(from_rational(field, 7), lam) == 7 - 3 * lam
+
+
+# ---------------------------------------------------------------------------
+# root intervals by integer t-th roots against the halving they replaced
+# ---------------------------------------------------------------------------
+
+def test_iroot_is_the_floor_of_the_real_root():
+    for t in range(1, 7):
+        for n in range(0, 3000):
+            r = iroot(n, t)
+            assert r ** t <= n < (r + 1) ** t
+        for r in (10 ** 20, 2 ** 100 + 1):
+            assert iroot(r ** t, t) == r and iroot(r ** t - 1, t) == r - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12)
+                   .filter(lambda x: 0 < x < 1),
+                   st.just(Fraction(1)),
+                   st.fractions(min_value=1, max_value=10 ** 9, max_denominator=10 ** 6)
+                   .filter(lambda x: x > 1)),
+       t=st.integers(1, 6),
+       width=st.one_of(st.integers(1, 80).map(lambda b: Fraction(1, 2 ** b)),
+                       st.just(Fraction(1, 10 ** 6))))
+@example(q=Fraction(1), t=3, width=Fraction(1, 2 ** 40))
+@example(q=Fraction(1, 4), t=2, width=Fraction(1, 8))
+@example(q=Fraction(27, 8), t=3, width=Fraction(1, 2 ** 12))
+@example(q=Fraction(9), t=1, width=Fraction(1, 2))
+def test_root_interval_matches_halving(q, t, width):
+    # the grid cell at the least level no wider than width, with the q = 1
+    # edge (the root is the top end, never a midpoint) and exact grid roots
+    assert root_interval(q, t, width) == reference_root_interval(q, t, width)
+
+
+# ---------------------------------------------------------------------------
+# the level search against one halving at a time
+# ---------------------------------------------------------------------------
+
+def random_field(rng, degree):
+    """A field of the given degree on the largest real root of a random
+    monic integer polynomial."""
+    while True:
+        poly = tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,)
+        if poly[0] == 0 or not isolate_real_roots(poly):
+            continue
+        field, _ = NumberField.with_largest_real_root(poly)
+        if field.degree == degree:
+            return field
+
+
+def close_to_root(field, bits):
+    """Integers (-a, b, 0, ...) whose value b * root - a lies in (0, 2^-bits
+    * b): a/b is the low end of the root interval refined to 2^-bits, so its
+    sign needs about that many levels."""
+    twin = NumberField(field.poly, field._iv)
+    lo = twin.refined(Fraction(1, 2 ** bits)).lo
+    return (-lo.numerator, lo.denominator) + (0,) * (field.degree - 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), degree=st.integers(2, 6), start=st.integers(0, 40),
+       k=st.integers(1, 300))
+def test_locate_finds_the_cell_that_halving_reaches(seed, degree, start, k):
+    field = random_field(random.Random(seed), degree)
+    for _ in range(start):
+        field._bisect_once()
+    twin = NumberField(field.poly, field._iv)
+    for _ in range(k):
+        twin._bisect_once()
+    cell = algebra._cell(field.root_ints, k, field._locate(k))
+    assert algebra._lowest_terms(cell) == twin.root_ints
+
+
+coefficients = st.lists(st.integers(-40, 40), min_size=6, max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), degree=st.integers(1, 6),
+       requests=st.lists(st.tuples(
+           st.sampled_from(("enclose", "sign", "near", "mod_quotient", "refined")),
+           coefficients, coefficients, st.integers(1, 130)), min_size=1, max_size=10))
+def test_level_search_matches_halving_on_twin_fields(seed, degree, requests):
+    # one field refines by the level search, its twin one halving at a time;
+    # after every request the results and the root intervals must be equal
+    field = random_field(random.Random(seed), degree)
+    fast = NumberField(field.poly, field._iv)
+    slow = HalvingField(field.poly, field._iv)
+    for op, u, v, bits in requests:
+        u, v = tuple(u[:degree]), tuple(v[:degree])
+        width = Fraction(1, 2 ** bits)
+        if op == "enclose":
+            got, want = fast.enclose(u, 3, width), slow.enclose(u, 3, width)
+        elif op == "sign":
+            got, want = fast.sign(u), slow.sign(u)
+        elif op == "near":
+            if degree == 1:
+                continue
+            u = close_to_root(field, bits)
+            got, want = fast.sign(u), slow.sign(u)
+            assert got == 1
+        elif op == "refined":
+            got, want = fast.refined(width), slow.refined(width)
+            got, want = (got.lo, got.hi), (want.lo, want.hi)
+        else:
+            if not any(v):
+                v = (1,) + v[1:]
+            sv = fast.sign(v)
+            assert sv == slow.sign(v)
+            if sv < 0:
+                v = tuple(-x for x in v)
+            got, want = mod_quotient(fast, u, v), reference_mod_quotient(slow, u, v)
+        assert got == want
+        assert fast.root_ints == slow.root_ints
+
+
+def test_enclosing_the_golden_ratio_takes_few_evaluations(monkeypatch):
+    # halving one level per evaluation took 193 evaluations for enclose and
+    # 96 for refined; the level search takes a few per doubling of the depth
+    fine = Fraction(1, 2 ** 96)
+    fields = [NumberField.with_largest_real_root((-1, -1, 1))[0] for _ in range(3)]
+    twin = HalvingField(fields[0].poly, fields[0]._iv)
+    calls = []
+    horner = algebra.horner_interval
+    monkeypatch.setattr(algebra, "horner_interval",
+                        lambda *args: calls.append(args) or horner(*args))
+    a, b, e = fields[0].enclose((0, 1), 1, fine)
+    assert len(calls) < 40 and (b - a) * fine.denominator <= e
+    calls.clear()
+    fields[1].refined(fine)
+    assert len(calls) < 40
+    monkeypatch.undo()
+    assert twin.enclose((0, 1), 1, fine) == (a, b, e)
+    assert fields[0].root_ints == twin.root_ints
+    halving = HalvingField(fields[2].poly, fields[2]._iv)
+    halving.refined(fine)
+    assert fields[1].root_ints == halving.root_ints

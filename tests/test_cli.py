@@ -17,9 +17,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from faultline import ap_complex, cli, fault
+from faultline import abelian, ap_complex, cli, fault
 from faultline.cli import alg_json, main
-from faultline.documents import bundled_document, bundled_expected, bundled_names, load_document
+from faultline.documents import (
+    MAX_PRECISION_BITS,
+    bundled_document,
+    bundled_expected,
+    bundled_names,
+    load_document,
+)
 from faultline.errors import ValidationError
 from faultline.fault import _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
@@ -880,3 +886,77 @@ def test_selftest_collars_twice_per_document(monkeypatch):
     code, _ = run_cli("selftest")
     assert code == 0
     assert len(calls) == 2 * len(bundled_names())
+
+
+def test_perron_data_once_per_substitution(monkeypatch):
+    # analyze reads the Perron root, the spectral class and the tile lengths
+    # of each substitution; fault --seed b traces twice and classifies: one
+    # characteristic polynomial per substitution either way
+    calls = []
+    charpoly = abelian.charpoly
+    monkeypatch.setattr(abelian, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    code, out = run_cli("analyze", "-i", "bundled:doubling_swap")
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["substitutions"]) == 3
+    calls.clear()
+    code, _ = run_cli("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                      "--bottom", "sigma2", "--seed", "b")
+    assert code == 0 and len(calls) == 1
+
+
+def test_each_perron_consumer_gets_a_field_of_its_own():
+    s = bundled_document("doubling_swap").substitution("sigma1")
+    first, second = s.perron(), s.perron()
+    assert first.root.field is not second.root.field
+    before = second.root.field.root_ints
+    first.root.interval(Fraction(1, 2 ** 80))
+    assert second.root.field.root_ints == before
+    assert s.tile_lengths().field is not s.tile_lengths().field
+    assert s.tile_lengths().field.root_ints == before
+
+
+CIRCLE_QUARTIC = {
+    # x^4-x^3-x^2-x+1: a non-real pair on |z| = 1 that refinement never
+    # separates from the circle, so it refines down to 2^-precision_bits
+    "alphabets": {"abcd": ["a", "b", "c", "d"]},
+    "substitutions": {"q": {"alphabet": "abcd",
+                            "rules": {"a": "ac", "b": "d", "c": "ab", "d": "c"}}},
+}
+
+
+@pytest.mark.parametrize("case", ["missing input", "directory input", "missing output dir",
+                                  "precision flag", "precision option"])
+def test_unusable_paths_and_precision_are_one_error_line(tmp_path, capsys, case):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(CIRCLE_QUARTIC, options={"precision_bits": 5000})))
+    argv = {
+        "missing input": ["analyze", "-i", str(tmp_path / "nonexistent")],
+        "directory input": ["analyze", "-i", str(tmp_path)],
+        "missing output dir": ["analyze", "-i", "bundled:doubling_swap",
+                               "-o", str(tmp_path / "nonexistent" / "dir" / "x")],
+        "precision flag": ["analyze", "-i", "bundled:doubling_swap", "--precision-bits", "5000"],
+        "precision option": ["analyze", "-i", str(doc)],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_render_to_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["render", "-i", "bundled:doubling_swap", "--rounds", "1",
+                 "-o", str(tmp_path / "nonexistent" / "x.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_largest_precision_is_accepted(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(CIRCLE_QUARTIC))
+    start = time.perf_counter()
+    code, out = run_cli("analyze", "-i", str(doc), "--precision-bits", str(MAX_PRECISION_BITS))
+    # about 0.3 s; the bound leaves room for a loaded machine
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(out)["substitutions"]["q"]["spectral_class"] == "Undetermined"

@@ -16,7 +16,7 @@ from faultline.dpv import (
 )
 from faultline.errors import ResourceCapError, ValidationError
 from faultline.fault import BoundaryKind
-from faultline.substitution import Substitution
+from faultline.substitution import Substitution, spectral_classify
 
 from conftest import random_substitution, rng_for
 
@@ -145,8 +145,10 @@ def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
     # composite pair is traced once, and every boundary gets the kind a fresh
     # classification of its matrix gives
     calls, classified, traces = [], [], []
-    classify = dpv.spectral_classify
-    monkeypatch.setattr(dpv, "spectral_classify", lambda m: calls.append(m) or classify(m))
+    classify = spectral_classify
+    spectral_class = Substitution.spectral_class
+    monkeypatch.setattr(Substitution, "spectral_class", lambda s: calls.append(
+        s.matrix()) or spectral_class(s))
     classify_trace = dpv.classify_trace
     monkeypatch.setattr(dpv, "classify_trace", lambda trace, kind: classified.append(
         (trace.top_sub.matrix(), kind)) or classify_trace(trace, kind))

@@ -37,6 +37,7 @@ from conftest import (
     random_substitution,
     reference_fault_row,
     reference_offset_statistics,
+    reference_discrepancy_rounds,
     reference_offsets,
     rng_for,
     scan_discrepancy_rounds,
@@ -267,6 +268,49 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
     for a, b in zip(fast.steps, slow.steps):
         assert a.discrepancy_values == b.discrepancy_values
         assert [o.coeffs for o in a.offsets] == [o.coeffs for o in b.offsets]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), k=st.integers(1, 9),
+       cap=st.one_of(st.integers(1, 200), st.just(fault.DEFAULT_MAX_STATES)))
+def test_expanding_each_state_once_matches_the_reference_rounds(seed, n_letters, k, cap):
+    # every round, the round at which a small budget trips, and the
+    # refinement left on the field are those of expanding every state anew
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+
+    def run(rounds):
+        widths = _ScanWidths(s.tile_lengths())
+        out = []
+        try:
+            out.extend(rounds(s, t, start, k, widths, tracked, cap))
+        except ResourceCapError as exc:
+            out.append(str(exc))
+        return out, widths.field.root_ints
+
+    got = run(_discrepancy_rounds)
+    event("budget tripped" if isinstance(got[0][-1], str) else "all rounds")
+    assert got == run(reference_discrepancy_rounds)
+
+
+def test_repeated_states_are_expanded_once(monkeypatch, sigma1, sigma2):
+    # the paper pair revisits its overlap states round after round: kept
+    # expansions make fewer exact sign fallbacks than expanding every state
+    # anew, with the same rounds
+    widths = _ScanWidths(sigma1.tile_lengths())
+    signs = []
+    sign = _ScanWidths.sign
+    monkeypatch.setattr(_ScanWidths, "sign", lambda self, x, image: signs.append(x) or
+                        sign(self, x, image))
+    fast = list(_discrepancy_rounds(sigma1, sigma2, 0, 12, widths, 0))
+    fast_signs = len(signs)
+    signs.clear()
+    slow = list(reference_discrepancy_rounds(sigma1, sigma2, 0, 12,
+                                             _ScanWidths(sigma1.tile_lengths()), 0))
+    assert fast == slow
+    assert fast_signs < len(signs)
 
 
 @settings(max_examples=40, deadline=None)

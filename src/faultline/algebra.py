@@ -194,6 +194,12 @@ def _cell(ziv, k, j):
     return x, x + hi - lo, q << k
 
 
+def _halvings(num, den):
+    """The least L >= 0 with num / den <= 2^L, for num >= 0 and den > 0: the
+    halvings that take a width num / den down to 1."""
+    return max(0, -(-num // den) - 1).bit_length()
+
+
 def _lowest_terms(cell):
     """(lo, hi, q) divided by the gcd of the three."""
     g = gcd(*cell)
@@ -226,9 +232,7 @@ def root_interval(q, t, width):
     if q == 0:
         return (Fraction(0), Fraction(0))
     top = max(Fraction(1), q)
-    # the least L with 2^L >= top / width
-    n = -(-top.numerator * width.denominator // (top.denominator * width.numerator))
-    level = (n - 1).bit_length()
+    level = _halvings(top.numerator * width.denominator, top.denominator * width.numerator)
     # (j * top / 2^L)^t <= q  <=>  j^t <= q * (2^L / top)^t, floored
     x = q * (Fraction(1 << level) / top) ** t
     j = min(iroot(x.numerator // x.denominator, t), (1 << level) - 1)
@@ -333,9 +337,7 @@ class NumberField:
             wn, wd = width.numerator, width.denominator
 
             def short(lo, hi, q):
-                # the halvings still needed: ceil(log2(cell width / width))
-                n = -(-(hi - lo) * wd // (wn * q))
-                return (n - 1).bit_length()
+                return _halvings((hi - lo) * wd, wn * q)
 
             need = short(*self._ziv)
             if need:
@@ -477,10 +479,9 @@ class NumberField:
             wn, wd = width.numerator, width.denominator
 
             def halvings(a, b, e):
-                # enclosure widths shrink about as fast as the cell: the
-                # halvings still needed are about log2(width ratio)
-                n = -(-(b - a) * wd // (wn * e * den))
-                return (n - 1).bit_length()
+                # enclosure widths shrink about as fast as the cell, so this
+                # is about the halvings still needed
+                return _halvings((b - a) * wd, wn * e * den)
 
             need = halvings(a, b, e)
             if need:

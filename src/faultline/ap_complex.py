@@ -70,6 +70,7 @@ class APComplex:
     edge_map: tuple                     # per edge: image as a tuple of edge ids
     edge_matrix: tuple                  # abelianization of edge_map
     vertices: tuple                     # per vertex: frozenset of (edge, 'start'|'end')
+    ends: tuple                         # per edge: (start vertex id, end vertex id)
     vertex_map: tuple                   # per vertex: image vertex id
     transitions: tuple                  # legal 2-words of collared letters
     collared_left: bool
@@ -84,10 +85,9 @@ class APComplex:
         return len(self.vertices)
 
     def vertex_of(self, slot):
-        for i, cls in enumerate(self.vertices):
-            if slot in cls:
-                return i
-        raise KeyError(slot)
+        """The vertex id of an endpoint slot (edge, 'start'|'end')."""
+        e, side = slot
+        return self.ends[e][side == "end"]
 
     def vertex_pullback_matrix(self):
         """0-1 matrix of f -> f o vertex_map acting on 0-cochains."""
@@ -100,10 +100,7 @@ class APComplex:
     def junctions_at(self, vertex):
         """Legal transitions (e, f) whose junction end(e) ~ start(f) sits at
         the given vertex, sorted."""
-        cls = self.vertices[vertex]
-        return tuple(
-            sorted((e, f) for e, f in self.transitions if (e, "end") in cls)
-        )
+        return tuple(sorted((e, f) for e, f in self.transitions if self.ends[e][1] == vertex))
 
 
 class _UnionFind:
@@ -214,6 +211,7 @@ def collar(s, cap=8):
         edge_map=edge_map,
         edge_matrix=edge_matrix,
         vertices=vertices,
+        ends=tuple((vertex_of[(e, "start")], vertex_of[(e, "end")]) for e in range(len(edges))),
         vertex_map=tuple(vertex_map),
         transitions=transitions,
         collared_left=need_left,
@@ -228,11 +226,10 @@ def collar(s, cap=8):
 
 def _coboundary(cx):
     """Vertex-to-edge coboundary: (df)(e) = f(end e) - f(start e)."""
-    vertex_of = {slot: i for i, cls in enumerate(cx.vertices) for slot in cls}
     d = [[0] * cx.n_vertices for _ in range(cx.n_edges)]
-    for e in range(cx.n_edges):
-        d[e][vertex_of[(e, "end")]] += 1
-        d[e][vertex_of[(e, "start")]] -= 1
+    for e, (start, end) in enumerate(cx.ends):
+        d[e][end] += 1
+        d[e][start] -= 1
     return abelian.mat(d)
 
 
@@ -240,9 +237,8 @@ def _is_connected(cx):
     if cx.n_vertices == 0:
         return False
     uf = _UnionFind(range(cx.n_vertices))
-    vertex_of = {slot: i for i, cls in enumerate(cx.vertices) for slot in cls}
-    for e in range(cx.n_edges):
-        uf.union(vertex_of[(e, "start")], vertex_of[(e, "end")])
+    for start, end in cx.ends:
+        uf.union(start, end)
     return len({uf.find(v) for v in range(cx.n_vertices)}) == 1
 
 

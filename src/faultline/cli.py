@@ -19,7 +19,6 @@ from .abelian import poly_str, recognize
 from .algebra import decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
 from .documents import (
-    OPTION_MAXIMA,
     bundled_document,
     bundled_expected,
     bundled_names,
@@ -196,27 +195,25 @@ def _apply_env(options):
     return options
 
 
-def _options(doc, args, flags=("rounds", "max_states", "precision_bits")):
+def _options(doc, args, flags=("rounds", "max_states")):
     """Effective options: document options, then environment caps, then
     the command-line ``flags``."""
     opts = _apply_env(dict(doc.options))
     for key in flags:
         val = getattr(args, key, None)
         if val is not None:
-            opts[key] = check_count("--" + key.replace("_", "-"), val,
-                                    most=OPTION_MAXIMA.get(key))
+            opts[key] = check_count("--" + key.replace("_", "-"), val)
     return opts
 
 
 def cmd_analyze(args):
     doc = _load(args)
-    opts = _options(doc, args)
     names = [args.name] if args.name else sorted(doc.substitutions)
     report = {"command": "analyze", "substitutions": {}}
     for name in names:
         s = doc.substitution(name)
         pd = s.perron()
-        sc = s.spectral_class(precision_bits=opts["precision_bits"])
+        sc = s.spectral_class()
         entry = {
             "alphabet": list(s.alphabet),
             "rules": {l.name: s.text(r) for l, r in zip(s.letters, s.rules)},
@@ -475,7 +472,6 @@ class _Parser(argparse.ArgumentParser):
 
 _FLAG_HELP = {
     "rounds": "iteration cap override",
-    "precision_bits": "interval refinement precision override",
     "max_states": "overlap-state budget per trace override",
 }
 
@@ -500,7 +496,7 @@ def build_parser():
                             help=_FLAG_HELP[key])
 
     sp = sub.add_parser("analyze", help="spectral report for substitutions")
-    common(sp, "precision_bits")
+    common(sp)
     sp.add_argument("--name", help="substitution to analyze (default: all)")
     sp.set_defaults(func=cmd_analyze)
 

@@ -20,19 +20,12 @@ from .substitution import Substitution
 _DOC_KEYS = {"alphabets", "substitutions", "dpv", "options"}
 _SUB_KEYS = {"alphabet", "rules"}
 _DPV_KEYS = {"vertical", "horizontal", "row_sigma"}
-_INT_OPTIONS = {"rounds", "max_states", "precision_bits", "max_tiles"}
+_INT_OPTIONS = {"rounds", "max_states", "max_tiles"}
 _OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
-
-# the largest precision_bits accepted: spectral_classify refines complex
-# roots on |z| = 1 down to 2^-precision_bits, which takes about 0.3 s at 512
-# bits and 1.2 s at 1024 on a quartic such as x^4-x^3-x^2-x+1
-MAX_PRECISION_BITS = 512
-OPTION_MAXIMA = {"precision_bits": MAX_PRECISION_BITS}
 
 DEFAULT_OPTIONS = {
     "rounds": 12,
     "max_states": DEFAULT_MAX_STATES,
-    "precision_bits": 64,
     "max_tiles": 200_000,
     "modulus_letter": None,
 }
@@ -59,20 +52,17 @@ def _require_keys(obj, allowed, where):
         raise ValidationError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def check_count(where, val, least=1, most=None):
-    """``val`` if it is an integer (not a bool) >= ``least`` and, when
-    ``most`` is given, <= ``most``; otherwise a ValidationError naming
-    ``where``."""
-    if (not isinstance(val, int) or isinstance(val, bool) or val < least
-            or most is not None and val > most):
-        bound = f">= {least}" if most is None else f">= {least} and <= {most}"
-        raise ValidationError(f"{where} must be an integer {bound}, got {val!r}")
+def check_count(where, val, least=1):
+    """``val`` if it is an integer (not a bool) >= ``least``; otherwise a
+    ValidationError naming ``where``."""
+    if not isinstance(val, int) or isinstance(val, bool) or val < least:
+        raise ValidationError(f"{where} must be an integer >= {least}, got {val!r}")
     return val
 
 
 def _check_options(opts, alphabets):
     for key in sorted(_INT_OPTIONS & set(opts)):
-        check_count(f"options.{key}", opts[key], most=OPTION_MAXIMA.get(key))
+        check_count(f"options.{key}", opts[key])
     letter = opts.get("modulus_letter")
     if letter is not None and not any(letter in letters for letters in alphabets.values()):
         raise ValidationError(f"options.modulus_letter must be null or a letter name, "

@@ -27,6 +27,7 @@ from .abelian import (
     direct_sum,
     invariants,
     mat,
+    normalize,
     recognize,
     tensor,
     transpose,
@@ -410,8 +411,6 @@ class CohomologyReport:
 def _assemble(mu, nu, n):
     h2 = tensor(mu, direct_sum(nu, GroupExpr.zpow(n - 1)))
     h3 = GroupExpr(kind="power", base=tensor(mu, mu), power=n)
-    from .abelian import normalize
-
     return h2, normalize(h3)
 
 
@@ -422,7 +421,9 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
 
     When some boundary classification is undetermined the report is partial:
     H^2/H^3 are None and ``variants`` carries the formula for every n in the
-    range.  ``strict=True`` raises UndeterminedError instead."""
+    range.  When every boundary is rigid (n = 0) the formulas do not apply
+    and H^1..H^3 are None.  ``strict=True`` raises UndeterminedError instead
+    of either."""
     log = list(validate_dpv(d))
     mu, mu_dl, mu_note = compute_mu(d)
     nu, nu_dl, nu_note = compute_nu(d)
@@ -439,32 +440,20 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
                     f"rank(d1) = rank(nu) + eventual - 1 = {lhs}"))
 
     n = ev.n
+    h1, h2, h3, variants = nu, None, None, ()
     if isinstance(n, tuple):
         detail = f"{ev.n_fault} fault vertices plus {ev.n_undetermined} undetermined"
         log.append(_log("warn", "essential-vertices", detail))
         if strict:
             raise UndeterminedError(detail)
-        variants = []
-        for nn in range(n[0], n[1] + 1):
-            if nn == 0:
-                continue
-            h2v, h3v = _assemble(mu, nu, nn)
-            variants.append((nn, h2v, h3v))
-        return CohomologyReport(
-            h0=GroupExpr.z(), h1=nu, h2=None, h3=None,
-            hk_above_3=GroupExpr.trivial(),
-            mu=mu, nu=nu, mu_group=mu_dl, nu_group=nu_dl,
-            d0=d0, d1=d1, d1_recognized=d1_rec,
-            essential=ev, hypothesis_log=tuple(log), variants=tuple(variants),
-        )
-
-    if n == 0:
+        variants = tuple((nn, *_assemble(mu, nu, nn)) for nn in range(max(n[0], 1), n[1] + 1))
+    elif n == 0:
         log.append(_log("warn", "essential-vertices",
                         "no fault vertices: the space has finite local complexity and "
                         "these formulas do not apply"))
         if strict:
             raise UndeterminedError("no fault vertices")
-        h2 = h3 = None
+        h1 = None
     else:
         h2, h3 = _assemble(mu, nu, n)
         if ev.n_fault == len(ev.eventual):
@@ -477,9 +466,9 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
                                 f"d1 = {d1_rec.canonical()} vs nu (+) Z^(n-1) = "
                                 f"{want.canonical()}: invariant mismatch"))
     return CohomologyReport(
-        h0=GroupExpr.z(), h1=nu, h2=h2, h3=h3,
+        h0=GroupExpr.z(), h1=h1, h2=h2, h3=h3,
         hk_above_3=GroupExpr.trivial(),
         mu=mu, nu=nu, mu_group=mu_dl, nu_group=nu_dl,
         d0=d0, d1=d1, d1_recognized=d1_rec,
-        essential=ev, hypothesis_log=tuple(log),
+        essential=ev, hypothesis_log=tuple(log), variants=variants,
     )

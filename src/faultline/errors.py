@@ -19,7 +19,7 @@ class ResourceCapError(FaultlineError):
 
 
 class UndeterminedError(FaultlineError):
-    """A classification refused to commit at the configured precision."""
+    """A boundary classification or a fault count that the evidence leaves open."""
 
 
 class NoPerronRootError(FaultlineError):

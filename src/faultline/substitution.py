@@ -19,22 +19,24 @@ from . import abelian
 from .algebra import (
     AlgebraicNumber,
     NumberField,
-    clear_denominators,
     inverse_vector,
     irreducible_factors,
     isolate_complex_roots,
     isolate_real_roots,
     pdeg,
+    poly_str,
     root_interval,
     times,
     times_root,
 )
 from .errors import (
+    FaultlineError,
     HypothesisError,
     NoPerronRootError,
     ResourceCapError,
     ValidationError,
 )
+from .zpoly import circle_roots
 
 DEFAULT_MAX_WORD_LEN = 10 ** 6
 
@@ -83,12 +85,8 @@ class Substitution:
 
     def word(self, w):
         """Coerce a string / name sequence / id sequence to a word (id tuple)."""
-        if isinstance(w, str):
-            symbols = list(w)
-        else:
-            symbols = list(w)
         out = []
-        for s in symbols:
+        for s in w:
             if isinstance(s, int):
                 if not 0 <= s < self.size:
                     raise ValidationError(f"letter id {s} out of range")
@@ -168,9 +166,8 @@ class Substitution:
                           root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
                           primitive=pd.primitive)
 
-    def spectral_class(self, precision_bits=64):
-        return spectral_classify(self.matrix(), precision_bits=precision_bits,
-                                 perron=self.perron())
+    def spectral_class(self):
+        return spectral_classify(self.matrix(), perron=self.perron())
 
     def tile_lengths(self):
         return tile_lengths(self)
@@ -282,38 +279,24 @@ class SpectralKind(Enum):
     SALEM = "Salem"
     NON_PISOT_EXPANDING = "NonPisotExpanding"
     UNIMODULAR = "Unimodular"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
 class SpectralClass:
     kind: SpectralKind
     second_eigenvalue_modulus: tuple  # rational interval (lo, hi) of the largest non-Perron modulus
-    perron_interval: tuple            # rational interval enclosing the Perron root
 
     def __str__(self):
         lo, hi = self.second_eigenvalue_modulus
         return f"{self.kind.value}(|second| in [{lo}, {hi}])"
 
 
-class _Modulus:
-    """Enclosure of |root| with an optional exactness certificate."""
-
-    def __init__(self, lo, hi, exact=None):
-        self.lo, self.hi, self.exact = Fraction(lo), Fraction(hi), exact
-
-    def vs_one(self):
-        """1, -1, 0 for certified >, <, = 1; None when undecided."""
-        if self.exact is not None:
-            return (self.exact > 1) - (self.exact < 1)
-        if self.lo > 1:
-            return 1
-        if self.hi < 1:
-            return -1
-        return None
+_WIDTH = Fraction(1, 2 ** 64)      # the width of every printed modulus enclosure
+_DEEPEST = Fraction(1, 2 ** 4096)  # rectangles never need refining past this
 
 
 def _rect_modulus_sq(rect):
+    """(least, greatest) |z|^2 over a closed rectangle."""
     (re_lo, im_lo), (re_hi, im_hi) = rect
     dx = Fraction(0) if re_lo <= 0 <= re_hi else min(abs(re_lo), abs(re_hi))
     dy = Fraction(0) if im_lo <= 0 <= im_hi else min(abs(im_lo), abs(im_hi))
@@ -322,82 +305,77 @@ def _rect_modulus_sq(rect):
     return dx * dx + dy * dy, mx * mx + my * my
 
 
-def _sign_minus(x, q):
-    """Exact sign of x - q for an AlgebraicNumber x and a rational q:
-    ``NumberField.sign`` of the numerators of x - q."""
-    return x.field.sign(clear_denominators((x.coeffs[0] - q,) + x.coeffs[1:])[0])
+def _straddling(squares):
+    return sum(lo <= 1 <= hi for lo, hi in squares)
 
 
-def spectral_classify(m, precision_bits=64, perron=None):
-    """Classify all non-Perron roots of the characteristic polynomial by
-    modulus.  Real roots are handled by exact isolation; complex roots by
-    exact rational modulus for quadratic factors and certified rectangle
-    isolation otherwise, refined down to width 2^-precision_bits before
-    giving up as Undetermined.  ``perron`` is ``perron_data(m)`` when the
-    caller has it (``Substitution.spectral_class``), on a field of its own."""
+def spectral_classify(m, perron=None):
+    """Classify the non-Perron roots of the characteristic polynomial by
+    their modulus against 1, exactly, and enclose the largest modulus in a
+    rational interval at most 2^-64 wide (exact for rational roots).
+
+    Rational roots compare as they are, irrational real roots by
+    ``NumberField.sign`` of +-x - 1, and a non-real pair of a quadratic
+    factor by its constant term, |z|^2.  The non-real roots of a factor of
+    degree >= 3 lie in certified rectangles, refined down to 2^-64 while any
+    straddles |z| = 1, and past that while more straddle than the factor has
+    roots on the circle (``circle_roots``): then every straddling rectangle
+    holds one.  ``perron`` is ``perron_data(m)`` when the caller has it
+    (``Substitution.spectral_class``), on a field of its own."""
     pd = perron_data(m) if perron is None else perron
-    lam_iv = pd.root.interval(Fraction(1, 2 ** 24))
-    width = Fraction(1, 2 ** precision_bits)
-    moduli = []      # _Modulus for every non-Perron root, each root once
-    lam_seen = False
+    moduli, votes = [], []   # per non-Perron root: modulus enclosure, sign of |z| - 1
     for fac, _ in irreducible_factors(pd.charpoly):
-        deg = pdeg(fac)
+        deg, own = pdeg(fac), fac == pd.root.field.poly
+        if deg == 1:
+            r = abs(Fraction(fac[0]))
+            if not own:
+                moduli.append((r, r))
+                votes.append((r > 1) - (r < 1))
+            continue
         real = isolate_real_roots(fac, eps=Fraction(1, 2 ** 24))
-        for lo, hi in real:
-            if (not lam_seen and fac == pd.root.field.poly
-                    and _sign_minus(pd.root, lo) >= 0 and _sign_minus(pd.root, hi) <= 0):
-                lam_seen = True  # skip the Perron root itself
-                continue
-            if lo == hi:
-                moduli.append(_Modulus(abs(lo), abs(hi), exact=abs(lo)))
-            else:
-                a = NumberField(fac, (lo, hi)).gen().interval(width).abs()
-                moduli.append(_Modulus(a.lo, a.hi))
-        if deg - len(real) == 0:
+        # the Perron root is the largest real root of its minimal polynomial
+        for lo, hi in real[:-1] if own else real:
+            field = NumberField(fac, (lo, hi))
+            a = field.gen().interval(_WIDTH).abs()
+            moduli.append((a.lo, a.hi))
+            votes.append(field.sign((-1, 1 if hi > 0 else -1)))
+        if len(real) == deg:
             continue
         if deg == 2:
-            # conjugate pair of a monic quadratic: |z|^2 is the constant term
-            msq = Fraction(abs(fac[0]))
-            lo, hi = root_interval(msq, 2, width)
-            moduli.append(_Modulus(lo, hi, exact=Fraction(1) if msq == 1 else None))
+            # a non-real pair of a monic quadratic: |z|^2 is the constant term
+            moduli.append(root_interval(fac[0], 2, _WIDTH))
+            votes.append(int(fac[0] > 1))
             continue
-        # general case: certified rectangles for the upper half-plane, refined
-        # while any straddles |z| = 1
         eps = Fraction(1, 2 ** 16)
         rects = isolate_complex_roots(fac, eps)
-        while eps > width and any(lo_sq <= 1 <= hi_sq
-                                  for lo_sq, hi_sq in map(_rect_modulus_sq, rects)):
-            eps = max(eps * eps, width)
+        while eps > _WIDTH and _straddling(map(_rect_modulus_sq, rects)):
+            eps = max(eps * eps, _WIDTH)
             rects = rects.refined(eps)
-        for rect in rects:
-            lo_sq, hi_sq = _rect_modulus_sq(rect)
-            lo, _ = root_interval(lo_sq, 2, width)
-            _, hi = root_interval(hi_sq, 2, width)
-            moduli.append(_Modulus(lo, hi))
-    assert lam_seen, "Perron root must appear among the isolated real roots"
+        squares = [_rect_modulus_sq(rect) for rect in rects]
+        moduli.extend((root_interval(lo, 2, _WIDTH)[0], root_interval(hi, 2, _WIDTH)[1])
+                      for lo, hi in squares)
+        # a root z on |z| = 1 is non-real here, and 1/z = conj(z) is a root
+        # too, so the irreducible factor equals its reversal
+        on_circle = circle_roots(fac) if fac == fac[::-1] else 0
+        while _straddling(squares) > on_circle:
+            if eps <= _DEEPEST:
+                raise FaultlineError(f"no separation of the roots of {poly_str(fac)} "
+                                     "from |z| = 1 found")
+            eps *= eps
+            rects = rects.refined(eps)
+            squares = [_rect_modulus_sq(rect) for rect in rects]
+        votes.extend((lo > 1) - (hi < 1) for lo, hi in squares)
 
-    if moduli:
-        second = (max(mm.lo for mm in moduli), max(mm.hi for mm in moduli))
-    else:
-        second = (Fraction(0), Fraction(0))
-    votes = [mm.vs_one() for mm in moduli]
-    lam_is_one = pd.root.is_rational() and pd.root.as_fraction() == 1
-
-    if any(v == 1 for v in votes):
+    second = tuple(map(max, zip(*moduli))) if moduli else (Fraction(0), Fraction(0))
+    if 1 in votes:
         kind = SpectralKind.NON_PISOT_EXPANDING
-    elif any(v is None for v in votes):
-        kind = SpectralKind.UNDETERMINED
-    elif lam_is_one and all(v == 0 for v in votes):
+    elif not any(votes) and pd.root.is_rational() and pd.root.as_fraction() == 1:
         kind = SpectralKind.UNIMODULAR
-    elif any(v == 0 for v in votes):
+    elif 0 in votes:
         kind = SpectralKind.SALEM
     else:
         kind = SpectralKind.PISOT
-    return SpectralClass(
-        kind=kind,
-        second_eigenvalue_modulus=second,
-        perron_interval=(lam_iv.lo, lam_iv.hi),
-    )
+    return SpectralClass(kind=kind, second_eigenvalue_modulus=second)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ linear factors that ``irreducible_factors`` returns.
   This part works on ascending coefficient lists, like ``algebra``.
 * Non-real roots are isolated by Collins-Krandick bisection, which gives
   sympy's ``dup_isolate_complex_roots_sqf`` rectangles; see the section at
-  the end.
+  the end.  ``circle_roots`` counts the roots on |z| = 1 of a palindromic
+  polynomial exactly, as real roots of its trace polynomial.
 """
 
 from __future__ import annotations
@@ -721,6 +722,26 @@ def _unit_roots(f, depth=None):
         stack.append((2 * k, j + 1, left))
         stack.append((2 * k + 1, j + 1, right))
     return sorted(out)
+
+
+def circle_roots(f):
+    """The number of roots on |z| = 1 in the open upper half-plane of a
+    squarefree palindromic integer polynomial f (ascending) of degree 2k
+    with f(1) and f(-1) nonzero.
+
+    Such an f is z^k h(z + 1/z), and z = e^(i theta), 0 < theta < pi, is a
+    root exactly when 2 cos(theta), in (-2, 2), is a root of h, which is
+    squarefree too.  h comes from z^j + z^-j = P_j(t), with P_0 = 2,
+    P_1 = t and P_(j+1) = t P_j - P_(j-1), written at once in u with
+    t = 4u - 2, so its roots in (-2, 2) are the ones ``_unit_roots`` finds
+    in (0, 1)."""
+    k = (len(f) - 1) // 2
+    t = [-2, 4]
+    prev, cur, h = [2], t, [f[k]]
+    for c in f[k + 1:]:
+        h = _add(h, [c * x for x in cur])
+        prev, cur = cur, _sub(_mul(t, cur), prev)
+    return len(_unit_roots(h))
 
 
 def _content_free(f):

@@ -1004,3 +1004,91 @@ def sympy_isolate_complex_roots(a, eps):
             )
         )
     return out
+
+
+# The spectral classifier before exact circle counts, kept verbatim up to
+# its return value as the oracle of ``substitution.spectral_classify``: every
+# modulus enclosure refined to 2^-precision_bits, and a root whose
+# enclosure still holds 1 left undecided.  Returns (kind, modulus enclosure),
+# kind None where the old classifier said Undetermined.
+
+class _Modulus:
+    """Enclosure of |root| with an optional exactness certificate."""
+
+    def __init__(self, lo, hi, exact=None):
+        self.lo, self.hi, self.exact = Fraction(lo), Fraction(hi), exact
+
+    def vs_one(self):
+        """1, -1, 0 for certified >, <, = 1; None when undecided."""
+        if self.exact is not None:
+            return (self.exact > 1) - (self.exact < 1)
+        if self.lo > 1:
+            return 1
+        if self.hi < 1:
+            return -1
+        return None
+
+
+def _sign_minus(x, q):
+    """Exact sign of x - q for an AlgebraicNumber x and a rational q."""
+    return x.field.sign(clear_denominators((x.coeffs[0] - q,) + x.coeffs[1:])[0])
+
+
+def reference_spectral_classify(m, precision_bits=64):
+    from faultline.substitution import SpectralKind, _rect_modulus_sq, perron_data
+
+    pd = perron_data(m)
+    width = Fraction(1, 2 ** precision_bits)
+    moduli = []
+    lam_seen = False
+    for fac, _ in algebra.irreducible_factors(pd.charpoly):
+        deg = algebra.pdeg(fac)
+        real = algebra.isolate_real_roots(fac, eps=Fraction(1, 2 ** 24))
+        for lo, hi in real:
+            if (not lam_seen and fac == pd.root.field.poly
+                    and _sign_minus(pd.root, lo) >= 0 and _sign_minus(pd.root, hi) <= 0):
+                lam_seen = True
+                continue
+            if lo == hi:
+                moduli.append(_Modulus(abs(lo), abs(hi), exact=abs(lo)))
+            else:
+                a = NumberField(fac, (lo, hi)).gen().interval(width).abs()
+                moduli.append(_Modulus(a.lo, a.hi))
+        if deg - len(real) == 0:
+            continue
+        if deg == 2:
+            msq = Fraction(abs(fac[0]))
+            lo, hi = algebra.root_interval(msq, 2, width)
+            moduli.append(_Modulus(lo, hi, exact=Fraction(1) if msq == 1 else None))
+            continue
+        eps = Fraction(1, 2 ** 16)
+        rects = algebra.isolate_complex_roots(fac, eps)
+        while eps > width and any(lo_sq <= 1 <= hi_sq
+                                  for lo_sq, hi_sq in map(_rect_modulus_sq, rects)):
+            eps = max(eps * eps, width)
+            rects = rects.refined(eps)
+        for rect in rects:
+            lo_sq, hi_sq = _rect_modulus_sq(rect)
+            lo, _ = algebra.root_interval(lo_sq, 2, width)
+            _, hi = algebra.root_interval(hi_sq, 2, width)
+            moduli.append(_Modulus(lo, hi))
+    assert lam_seen, "Perron root must appear among the isolated real roots"
+
+    if moduli:
+        second = (max(mm.lo for mm in moduli), max(mm.hi for mm in moduli))
+    else:
+        second = (Fraction(0), Fraction(0))
+    votes = [mm.vs_one() for mm in moduli]
+    lam_is_one = pd.root.is_rational() and pd.root.as_fraction() == 1
+
+    if any(v == 1 for v in votes):
+        kind = SpectralKind.NON_PISOT_EXPANDING
+    elif any(v is None for v in votes):
+        kind = None
+    elif lam_is_one and all(v == 0 for v in votes):
+        kind = SpectralKind.UNIMODULAR
+    elif any(v == 0 for v in votes):
+        kind = SpectralKind.SALEM
+    else:
+        kind = SpectralKind.PISOT
+    return kind, second

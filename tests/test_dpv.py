@@ -264,8 +264,8 @@ def test_cohomology_zero_faults_partial():
     d = DPVSubstitution(vertical=rho, horizontal=(t1, t2), row_sigma=((0, 1),))
     rep = cohomology(d)
     assert rep.essential.n == 0
-    assert rep.h2 is None and rep.h3 is None
-    assert rep.h1.canonical() == "Z[1/2]"
+    # H^1 = nu is a formula for n >= 1 too, so it is left out with H^2, H^3
+    assert rep.h1 is None and rep.h2 is None and rep.h3 is None
     from faultline.errors import UndeterminedError
 
     with pytest.raises(UndeterminedError):

@@ -124,17 +124,19 @@ def test_report_bytes_unchanged(case):
 # Two substitutions whose charpolys have an irreducible factor of degree >= 3
 # with non-real roots, the path of ``algebra.isolate_complex_roots`` (pure-int
 # code in ``faultline.zpoly``, as is real-root isolation).  Digests recorded
-# when all root isolation and factoring still went through sympy.
+# when all root isolation and factoring still went through sympy; the Salem
+# digests again when exact circle counts turned its class from Undetermined
+# to Salem, the one line in which the reports differ.
 COMPLEX_ROOT_DOCS = {
     # matrix [[1,0,1,0],[0,0,1,0],[1,0,0,1],[0,1,0,0]], charpoly
-    # x^4-x^3-x^2-x+1 (Salem; classified Undetermined)
+    # x^4-x^3-x^2-x+1 (Salem; a non-real pair on |z| = 1)
     "salem": {"a": "ac", "b": "d", "c": "ab", "d": "c"},
     # tribonacci, x^3-x^2-x-1: a real root and a non-real pair
     "tribonacci": {"a": "ab", "b": "ac", "c": "a"},
 }
 COMPLEX_ROOT_DIGESTS = {
-    "salem-json": (0, "49ac1755c2f385244dc7862e08e8a0e917fe38c297ee4e8e07a9c12f1694ce86"),
-    "salem-text": (0, "9f8480d433314d1ca4600f810f2d82977d692cd60fd6a92baf606d85aba94f35"),
+    "salem-json": (0, "8ff2acc6f71531149d833f39bfaa6acb4abe19501c836b2dbaf223895cf61487"),
+    "salem-text": (0, "cbfe18d786d902a8f174bc2d3bffae31ea46e91ba0da8116556ba3d70f08b292"),
     "tribonacci-json": (0, "6a5b2ad87e8c90923676ccb6c6c5223c833d6fc1f7d5f27837db806000a81098"),
     "tribonacci-text": (0, "e41c8bf758cc3705e8e92f75206fd5552e4ce7c018f9d4765a45a5afe730dff2"),
 }

@@ -2,15 +2,18 @@
 legal words, shift conjugacy, tile lengths."""
 
 import random
+from fractions import Fraction
 import warnings
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from faultline import substitution
 from faultline.abelian import mat, matmul, matpow
 from faultline.algebra import integer_vectors, times_root
 from faultline.errors import (
+    FaultlineError,
     HypothesisError,
     NoPerronRootError,
     ValidationError,
@@ -26,7 +29,15 @@ from faultline.substitution import (
     tile_lengths,
 )
 
-from conftest import iterate, random_substitution, reference_tile_lengths, ring, rng_for, zero
+from conftest import (
+    iterate,
+    random_substitution,
+    reference_spectral_classify,
+    reference_tile_lengths,
+    ring,
+    rng_for,
+    zero,
+)
 
 
 def test_apply_examples(sigma1):
@@ -190,6 +201,74 @@ def test_spectral_complex_pair_expanding():
     non_perron = sorted(abs(r) for r in roots)[:-1]
     assert all(m > 1 for m in non_perron)
     assert s.spectral_class().kind is SpectralKind.NON_PISOT_EXPANDING
+
+
+def numpy_kind(m):
+    """The spectral kind that numpy's eigenvalue moduli give, with 1e-6 as
+    the width of the unit circle."""
+    import numpy as np
+
+    values = sorted(np.linalg.eigvals(np.array(m, dtype=float)),
+                    key=lambda z: (abs(z.imag) < 1e-9, z.real))
+    lam, moduli = values[-1].real, [abs(z) for z in values[:-1]]
+    if any(x > 1 + 1e-6 for x in moduli):
+        return SpectralKind.NON_PISOT_EXPANDING
+    if abs(lam - 1) < 1e-6 and all(abs(x - 1) < 1e-6 for x in moduli):
+        return SpectralKind.UNIMODULAR
+    if any(abs(x - 1) < 1e-6 for x in moduli):
+        return SpectralKind.SALEM
+    return SpectralKind.PISOT
+
+
+# matrices that the width-based classifier left Undetermined: a non-real
+# pair on |z| = 1 of a palindromic factor of degree 4 or 6
+UNDECIDED_BY_WIDTH = [
+    ((1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0)),
+    ((1, 1, 0, 0, 1), (0, 2, 1, 0, 1), (1, 0, 0, 1, 0), (1, 0, 1, 0, 2), (0, 1, 1, 0, 0)),
+    ((1, 0, 1, 0, 1, 0), (0, 1, 0, 0, 1, 0), (0, 1, 0, 1, 0, 1), (2, 1, 1, 0, 0, 0),
+     (0, 1, 0, 1, 1, 1), (1, 0, 1, 0, 1, 0)),
+    ((0, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 1), (1, 1, 0, 0, 0)),
+]
+
+
+def _agrees_with_reference(m):
+    got = spectral_classify(m)
+    kind, second = reference_spectral_classify(m)
+    if kind is None:
+        assert got.kind is numpy_kind(m)
+    else:
+        assert got.kind is kind
+    # the printed enclosure keeps its bytes, decided or not
+    assert got.second_eigenvalue_modulus == second
+
+
+@pytest.mark.parametrize("m", UNDECIDED_BY_WIDTH)
+def test_circle_roots_decide_what_the_width_left_open(m):
+    assert reference_spectral_classify(m)[0] is None
+    _agrees_with_reference(m)
+    assert spectral_classify(m).kind is SpectralKind.SALEM
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 6))
+@example(seed=0, n_letters=2)
+def test_spectral_classify_matches_the_width_based_reference(seed, n_letters):
+    _agrees_with_reference(random_substitution(random.Random(seed), n_letters,
+                                               max_len=4).matrix())
+
+
+def test_spectral_kinds_are_all_decided():
+    assert {k.value for k in SpectralKind} == {"Pisot", "Salem", "NonPisotExpanding",
+                                               "Unimodular"}
+
+
+def test_a_root_that_never_leaves_the_circle_is_a_one_line_error(monkeypatch):
+    # with a circle count of 0 the Salem quartic's pair always straddles |z| = 1;
+    # refinement stops at the ceiling with an error, never with a kind
+    monkeypatch.setattr(substitution, "circle_roots", lambda f: 0)
+    monkeypatch.setattr(substitution, "_DEEPEST", Fraction(1, 2 ** 128))
+    with pytest.raises(FaultlineError, match=r"^no separation of the roots of .* found$"):
+        spectral_classify(UNDECIDED_BY_WIDTH[0])
 
 
 def test_legal_words(period_doubling, sigma1):

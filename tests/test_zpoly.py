@@ -265,3 +265,34 @@ def test_spectral_classify_unchanged_with_the_sympy_oracle(seed, n_letters):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(substitution, "isolate_complex_roots", _Restarted)
         assert substitution.spectral_classify(m) == got
+
+
+def _numpy_circle_roots(f):
+    import numpy as np
+
+    return sum(1 for z in np.roots(f[::-1]) if z.imag > 0 and abs(abs(z) - 1) < 1e-7)
+
+
+# Lehmer's polynomial: a Salem number of degree 10 with 8 conjugates on |z| = 1
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(half=st.lists(st.integers(-4, 4), min_size=3, max_size=5).filter(lambda h: h[0]))
+def test_circle_roots_match_numpy_on_palindromes(half):
+    # degree 4 to 8; the count needs an irreducible (so squarefree) f
+    f = tuple(half) + tuple(reversed(half[:-1]))
+    if f[-1] < 0:
+        f = tuple(-c for c in f)
+    factors = irreducible_factors(f)
+    if len(factors) != 1 or factors[0][1] != 1:
+        return
+    assert zpoly.circle_roots(f) == _numpy_circle_roots(f)
+
+
+def test_circle_roots_of_lehmer_and_small_cases():
+    assert zpoly.circle_roots(LEHMER) == _numpy_circle_roots(LEHMER) == 4
+    assert zpoly.circle_roots((1, -1, -1, -1, 1)) == 1    # the Salem quartic
+    assert zpoly.circle_roots((1, 1, 1, 1, 1)) == 2       # the 5th cyclotomic
+    assert zpoly.circle_roots((1, 3, 1)) == 0             # two real roots
+    assert zpoly.circle_roots((1, -3, 3, -3, 1)) == 1     # Salem quartic of 2.15...

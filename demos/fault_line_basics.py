@@ -13,9 +13,12 @@ from faultline import Substitution, boundary_trace, classify_boundary, discrepan
 from faultline.fault import offset_statistics
 
 
-def approx(x):
-    """A decimal near the AlgebraicNumber x (the midpoint of a tight enclosure)."""
-    return float(x.interval(Fraction(1, 2 ** 60)).midpoint())
+def approx(field, nums, den=1):
+    """A decimal near the element nums / den of field, where nums is an
+    integer coefficient vector on the basis 1, lambda, ... (the midpoint of
+    a tight enclosure)."""
+    a, b, e = field.enclose(nums, den, Fraction(1, 2 ** 60))
+    return float(Fraction(a + b, 2 * e))
 
 
 sigma1 = Substitution(["a", "b"], {"a": "ba", "b": "aaa"})
@@ -28,14 +31,14 @@ print("abelianization:", sigma1.matrix())
 # Perron data: the expansion factor is the larger root of x^2 - x - 3
 pd = sigma1.perron()
 print("charpoly coefficients (ascending):", pd.charpoly)
-print("expansion factor lambda ~", approx(pd.root))
+print("expansion factor lambda ~", approx(pd.root.field, (0, 1)))   # lambda is (0, 1)
 
 # tile widths making the substitution self-similar: a is lambda wide, b is 3.
 # They are integer coefficient vectors on the basis 1, lambda over one
 # denominator: (0, 1) is lambda and (3, 0) is 3.
 widths = sigma1.tile_lengths()
 print("tile widths as vectors over", widths.den, ":", widths.vectors)
-print("tile widths:", [str(round(approx(widths.field.element(v, widths.den)), 6))
+print("tile widths:", [str(round(approx(widths.field, v, widths.den), 6))
                        for v in widths.vectors])
 
 # the second eigenvalue 1 - lambda has modulus > 1, so letter-count
@@ -60,11 +63,12 @@ print("geometric-mean growth over the last half:", float(lo), "..", float(hi))
 print("(compare lambda - 1 ~ 1.302776)")
 
 # the shear offsets lambda*m mod 3 keep accumulating new exact values:
-# evidence for density in the limit
+# evidence for density in the limit.  They are integer vectors too, and so
+# is the least gap between two of them.
 stats = offset_statistics(trace12)
 print("distinct offsets per round:", stats.per_round_counts)
 print("total distinct offsets:", stats.distinct_count,
-      "| smallest positive gap ~", approx(stats.min_gap))
+      "| smallest positive gap ~", approx(stats.field, stats.min_gap_vector, stats.den))
 
 # the classifier puts it together
 print("classify(sigma1, sigma2):", classify_boundary(sigma1, sigma2).kind.value)

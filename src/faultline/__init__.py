@@ -47,7 +47,7 @@ from .fault import (
     BoundaryTrace,
     boundary_trace,
     classify_boundary,
-    classify_trace,
+    classify_rounds,
     discrepancy_growth,
     offset_statistics,
 )

@@ -16,7 +16,7 @@ from functools import cache
 
 from . import __version__
 from .abelian import poly_str, recognize
-from .algebra import decimal_string
+from .algebra import clear_denominators, decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
 from .documents import (
     bundled_document,
@@ -35,8 +35,10 @@ from .errors import (
 from .fault import (
     BoundaryKind,
     boundary_trace,
-    classify_trace,
+    classify_boundary,
+    classify_rounds,
     discrepancy_growth,
+    min_gap_vector,
     offset_statistics,
 )
 from .render import emit_svg, generate_patch, overlay_boundaries
@@ -61,20 +63,20 @@ def _decimal12(q):
     return decimal_string(q.numerator, q.denominator, 12)
 
 
-def alg_json(x):
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        return {"coeffs": [str(x)], "poly": "x", "interval": [str(x), str(x)],
-                "decimal": _decimal12(x)}
+def alg_json(field, nums, den):
+    """The element of ``field`` with integer coefficient vector nums / den
+    (den > 0), as reports print it."""
     # The enclosure is taken at the field's current refinement, so these
     # strings depend on how far earlier stages refined the field (the fault
     # scan refines it to 2^-96); changing that refinement changes reports.
-    iv = x.interval(Fraction(1, 2 ** 48))
+    # Enclosures decide the same way on a positive multiple of (nums, den),
+    # so a vector not in lowest terms prints and refines as its reduced form.
+    a, b, e = field.enclose(nums, den, Fraction(1, 2 ** 48))
     return {
-        "poly": poly_str(x.field.poly),
-        "coeffs": [str(c) for c in x.coeffs],
-        "interval": [str(iv.lo), str(iv.hi)],
-        "decimal": _decimal12(iv.midpoint()),
+        "poly": poly_str(field.poly),
+        "coeffs": [str(Fraction(c, den)) for c in nums],
+        "interval": [str(Fraction(a, e)), str(Fraction(b, e))],
+        "decimal": _decimal12(Fraction(a + b, 2 * e)),
     }
 
 
@@ -219,7 +221,7 @@ def cmd_analyze(args):
             "rules": {l.name: s.text(r) for l, r in zip(s.letters, s.rules)},
             "matrix": [list(row) for row in s.matrix()],
             "charpoly": poly_str(pd.charpoly),
-            "perron_root": alg_json(pd.root),
+            "perron_root": alg_json(pd.root.field, *clear_denominators(pd.root.coeffs)),
             "primitive": pd.primitive,
             "spectral_class": sc.kind.value,
             "second_eigenvalue_modulus": [str(sc.second_eigenvalue_modulus[0]),
@@ -229,7 +231,7 @@ def cmd_analyze(args):
         if pd.primitive:
             lengths = s.tile_lengths()
             entry["tile_lengths"] = {
-                l.name: alg_json(lengths.field.element(v, lengths.den))
+                l.name: alg_json(lengths.field, v, lengths.den)
                 for l, v in zip(s.letters, lengths.vectors)
             }
         report["substitutions"][name] = entry
@@ -294,10 +296,22 @@ def cmd_fault(args):
                            max_states=opts["max_states"])
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
-    # classification is defined on the trace from seed letter 0
-    seed0 = trace if trace.seed == 0 else boundary_trace(
-        top, bottom, 0, rounds, modulus=modulus, max_states=opts["max_states"])
-    cls = classify_trace(seed0)
+    spectral = cache(lambda: top.spectral_class().kind)
+    # classification is defined on the trace from seed letter 0; from another
+    # seed it traces again, with no state of the printed trace expanded twice
+    if trace.seed == 0:
+        widths = trace.widths.vectors
+        cls = classify_rounds((st.discrepancy_values for st in trace.steps),
+                              widths[trace.tracked_letter], widths[trace.modulus], spectral)
+    else:
+        cls = classify_boundary(top, bottom, rounds, modulus=modulus,
+                                max_states=opts["max_states"], spectral=spectral,
+                                expanded=trace.expanded)
+    field, den = stats.field, stats.den
+
+    def number(v):
+        return alg_json(field, v, den) if v is not None else None
+
     rows = []
     prev_max = None
     # the first 80 letters of both rows (one alphabet), read off the round before's
@@ -305,7 +319,7 @@ def cmd_fault(args):
     next(heads)
     for st in trace.steps:
         shown = [top.text(w) if len(w) <= 80 else top.text(w[:77]) + "..." for w in next(heads)]
-        gap = st.min_gap()
+        gap = min_gap_vector(field, den, st.offset_vectors)
         step_ratio = _decimal12(Fraction(st.max_abs_discrepancy, prev_max)) if prev_max else None
         prev_max = st.max_abs_discrepancy
         rows.append({
@@ -314,9 +328,9 @@ def cmd_fault(args):
             "bottom": shown[1],
             "max_discrepancy": st.max_abs_discrepancy,
             "distinct_offsets": len(st.offset_vectors),
-            "min_gap": alg_json(gap) if gap is not None else None,
+            "min_gap": number(gap),
             "growth_step": step_ratio,
-            "offsets": ([alg_json(o) for o in st.offsets]
+            "offsets": ([number(o) for o in st.offset_vectors]
                         if len(st.offset_vectors) <= 12 else None),
         })
     report = {
@@ -327,11 +341,11 @@ def cmd_fault(args):
         "rounds": rows,
         "growth_ratio": [str(growth[0]), str(growth[1])],
         "distinct_offsets_total": stats.distinct_count,
-        "min_offset_gap": alg_json(stats.min_gap) if stats.min_gap is not None else None,
+        "min_offset_gap": number(stats.min_gap_vector),
         "classification": cls.kind.value,
-        "spectral_class": cls.spectral_kind.value,
+        "spectral_class": spectral().value,
     }
-    code = EXIT_UNDETERMINED if cls.kind.value == "Undetermined" else EXIT_OK
+    code = EXIT_UNDETERMINED if cls.kind is BoundaryKind.UNDETERMINED else EXIT_OK
     return report, code
 
 

@@ -34,7 +34,7 @@ from .abelian import (
 )
 from .ap_complex import collar, graph_h1
 from .errors import UndeterminedError, ValidationError
-from .fault import DEFAULT_MAX_STATES, BoundaryKind, boundary_trace, classify_trace
+from .fault import DEFAULT_MAX_STATES, BoundaryKind, classify_boundary
 from .substitution import Substitution, shift_conjugacy
 
 
@@ -250,18 +250,28 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
 
     The junction pair at a vertex evolves with an eventually periodic orbit;
     composing the per-row horizontal substitutions over one period gives the
-    effective top and bottom substitutions at that boundary, whose trace from
-    seed letter 0 is classified by classify_trace.  A cycle of length L is
-    traced for max(4, ceil(cap / L)) composite rounds and at most
-    ``max_states`` overlap states in all (ResourceCapError past that)."""
+    effective top and bottom substitutions at that boundary, which
+    classify_boundary classifies.  A cycle of length L is traced for
+    max(4, ceil(cap / L)) composite rounds and at most ``max_states``
+    overlap states in all (ResourceCapError past that).  Each distinct
+    (top, bottom) pair is classified once, and the spectral class of each
+    distinct composite matrix is computed once, only when some boundary
+    with that matrix is not Rigid."""
     rho = d.vertical
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
     entries = []
     # composite boundaries and their matrices repeat across vertices:
-    # classify each matrix once, and trace each (top, bottom) pair once
+    # classify each (top, bottom) pair once, and each matrix at most once
     spectral = {}
     classes = {}
+
+    def spectral_kind(s):
+        m = s.matrix()
+        if m not in spectral:
+            spectral[m] = s.spectral_class().kind
+        return spectral[m]
+
     for v in eventual:
         junctions = cx.junctions_at(v)
         assert junctions, "an eventual vertex must carry at least one junction"
@@ -292,12 +302,9 @@ def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
                 # one composite round is |cycle| substitution steps; keep the
                 # effective depth near the configured cap
                 rounds = max(4, -(-cap // len(cycle)))
-                trace = boundary_trace(top_comp, bottom_comp, 0, rounds,
-                                       max_states=max_states)
-                m = top_comp.matrix()
-                if m not in spectral:
-                    spectral[m] = top_comp.spectral_class().kind
-                classes[pair] = classify_trace(trace, spectral[m])
+                classes[pair] = classify_boundary(
+                    top_comp, bottom_comp, rounds, max_states=max_states,
+                    spectral=lambda: spectral_kind(top_comp))
             cls = classes[pair]
             kinds.add(cls.kind)
             if chosen is None:
@@ -420,9 +427,10 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
     as in essential_vertices.
 
     When some boundary classification is undetermined the report is partial:
-    H^2/H^3 are None and ``variants`` carries the formula for every n in the
-    range.  When every boundary is rigid (n = 0) the formulas do not apply
-    and H^1..H^3 are None.  ``strict=True`` raises UndeterminedError instead
+    H^2/H^3 are None and ``variants`` carries the formula for every n >= 1
+    in the range.  When every boundary is rigid (n = 0) the formulas do not
+    apply and H^1..H^3 are None; so H^1 is None too when the range starts
+    at 0.  ``strict=True`` raises UndeterminedError instead
     of either."""
     log = list(validate_dpv(d))
     mu, mu_dl, mu_note = compute_mu(d)
@@ -447,6 +455,10 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
         if strict:
             raise UndeterminedError(detail)
         variants = tuple((nn, *_assemble(mu, nu, nn)) for nn in range(max(n[0], 1), n[1] + 1))
+        if n[0] == 0:
+            # n = 0 is one of the counts it stands for, and there H^1 = nu
+            # does not hold either
+            h1 = None
     elif n == 0:
         log.append(_log("warn", "essential-vertices",
                         "no fault vertices: the space has finite local complexity and "

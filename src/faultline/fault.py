@@ -6,8 +6,9 @@ prefix is the difference in tracked-letter counts between the two rows up to
 the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
 a tile width.  They are kept as integer coefficient vectors over the widths'
-common denominator: reduction, ordering and gaps run on integers, and an
-``AlgebraicNumber`` is built only for an offset or gap that is read as one.
+common denominator: reduction, ordering and gaps run on integers, and reports
+print each from its vector.  Classification reads no offset: it decides
+``Rigid`` from the discrepancies alone (``classify_rounds``).
 
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
@@ -19,7 +20,7 @@ comes back in: a trace costs per distinct state, not per letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -85,18 +86,6 @@ class BoundaryStep:
         v = self.discrepancy_values
         return max(abs(v[0]), abs(v[-1])) if v else 0
 
-    @cached_property
-    def offsets(self):
-        """The offsets as AlgebraicNumbers, built on first access."""
-        return tuple(self.field.element(v, self.den) for v in self.offset_vectors)
-
-    def min_gap(self):
-        """The least gap between consecutive offsets as an AlgebraicNumber;
-        None for fewer than two offsets.  Orders the gaps on every call
-        (``min_gap_vector``)."""
-        gap = min_gap_vector(self.field, self.den, self.offset_vectors)
-        return None if gap is None else self.field.element(gap, self.den)
-
 
 @dataclass(frozen=True)
 class BoundaryTrace:
@@ -107,6 +96,8 @@ class BoundaryTrace:
     widths: object                # the TileLengths of the top substitution
     modulus: int                  # letter whose width is the offset modulus
     steps: tuple
+    # the overlap states the trace expanded: (t, b, D) -> (children, read-offs)
+    expanded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def max_abs_by_round(self):
         return tuple(s.max_abs_discrepancy for s in self.steps)
@@ -159,11 +150,14 @@ def _prefix_counts(word, zero):
 
 
 def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
-                        max_states=DEFAULT_MAX_STATES):
+                        max_states=DEFAULT_MAX_STATES, *, expanded=None):
     """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
     computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  The
     round that takes the states of all rounds so far past ``max_states``
-    raises ResourceCapError.
+    raises ResourceCapError.  ``expanded`` is the table of expanded states,
+    (t, b, D) -> (children, read-offs), to read and fill; it may come from
+    another trace of the same rows and tracked letter, whatever its seed
+    and widths, since both entries are exact.
 
     A round is carried by its overlap states.  A state (t, b, D) is a top
     tile t and a bottom tile b whose interiors overlap, with D the letter
@@ -247,7 +241,8 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
     # some round counted, so ``max_states`` bounds this too.  A repeated
     # expansion would not refine the field either: its exact signs were
     # decided once, and a narrower root interval decides them again.
-    expanded = {}
+    if expanded is None:
+        expanded = {}
     states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
     for rnd in range(1, k + 1):
         children, values = set(), set()
@@ -265,6 +260,31 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
         yield tuple(sorted(values))
 
 
+def _check_pair(top, bottom):
+    """The rows of a boundary must span the same exact interval each round."""
+    if top.alphabet != bottom.alphabet:
+        raise HypothesisError("boundary trace needs a common alphabet")
+    if top.length_vector() != bottom.length_vector():
+        raise HypothesisError("boundary trace needs equal per-letter image lengths")
+    if top.matrix() != bottom.matrix():
+        raise HypothesisError("boundary trace needs equal abelianizations")
+
+
+def _modulus_letter(scan, modulus):
+    """The letter whose width is the offset modulus: ``modulus``, or by
+    default the widest tile, the first of equal ones (one exact sign per
+    letter against the widest so far)."""
+    field, vectors = scan.field, scan.vectors
+    if modulus is None:
+        modulus = 0
+        for i in range(1, len(vectors)):
+            if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
+                modulus = i
+    if field.sign(vectors[modulus]) <= 0:
+        raise ValidationError("offset modulus must be positive")
+    return modulus
+
+
 def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
                    max_states=DEFAULT_MAX_STATES):
     """Trace k substitution rounds of the two rows touching a boundary,
@@ -277,29 +297,18 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     which is what a trace pays for; rows are never built."""
     if k < 1:
         raise ValidationError("need at least one round")
-    if top.alphabet != bottom.alphabet:
-        raise HypothesisError("boundary trace needs a common alphabet")
-    if top.length_vector() != bottom.length_vector():
-        raise HypothesisError("boundary trace needs equal per-letter image lengths")
-    if top.matrix() != bottom.matrix():
-        raise HypothesisError("boundary trace needs equal abelianizations")
+    _check_pair(top, bottom)
     seed = top.word([seed])[0] if not isinstance(seed, int) else seed
     widths = top.tile_lengths()
     scan = _ScanWidths(widths)
     # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
     field, vectors, den = scan.field, scan.vectors, scan.den
-    if modulus is None:
-        # the widest tile, the first of equal ones: one exact sign per letter
-        # against the widest so far
-        modulus = 0
-        for i in range(1, len(vectors)):
-            if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
-                modulus = i
+    modulus = _modulus_letter(scan, modulus)
     mod_vector = vectors[modulus]
-    if field.sign(mod_vector) <= 0:
-        raise ValidationError("offset modulus must be positive")
     unit = vectors[tracked_letter]
-    rounds = _discrepancy_rounds(top, bottom, seed, k, scan, tracked_letter, max_states)
+    expanded = {}
+    rounds = _discrepancy_rounds(top, bottom, seed, k, scan, tracked_letter, max_states,
+                                 expanded=expanded)
     # the same discrepancy values recur round after round: reduce each once,
     # and keep its enclosure at the refinement it was reduced at
     reduced = {}
@@ -335,6 +344,7 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         widths=widths,
         modulus=modulus,
         steps=tuple(steps),
+        expanded=expanded,
     )
 
 
@@ -431,12 +441,6 @@ class OffsetStats:
     field: object
     den: int
 
-    @cached_property
-    def min_gap(self):
-        """min_gap_vector as an AlgebraicNumber (or None), built on first access."""
-        v = self.min_gap_vector
-        return None if v is None else self.field.element(v, self.den)
-
 
 class BoundaryKind(Enum):
     RIGID = "Rigid"
@@ -447,48 +451,79 @@ class BoundaryKind(Enum):
 @dataclass(frozen=True)
 class BoundaryClass:
     kind: BoundaryKind
-    spectral_kind: SpectralKind
+    spectral_kind: SpectralKind | None   # None for Rigid, decided without it
 
     def __str__(self):
         return self.kind.value
 
 
 def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
-                      max_states=DEFAULT_MAX_STATES):
-    """Rigid when the offsets stay a single constant through the cap;
-    RegularFault when the horizontal expansion is NonPisotExpanding and the
-    max discrepancy strictly increases across the last three doubling
-    checkpoints; otherwise Undetermined (deliberately: for more than two
-    letters the dichotomy is open)."""
+                      max_states=DEFAULT_MAX_STATES, *, spectral=None, expanded=None):
+    """Classify the boundary between rows of ``top`` and ``bottom`` by
+    ``classify_rounds`` on their discrepancies over ``cap`` rounds from seed
+    letter 0; ``modulus`` and ``max_states`` are as in ``boundary_trace``.
+
+    ``spectral`` is a callable that returns the SpectralKind of the top
+    matrix, by default the top substitution's spectral class; it is called
+    only for a boundary that is not Rigid.  ``expanded`` is a table of
+    expanded overlap states of the same rows with tracked letter 0, such as
+    ``BoundaryTrace.expanded`` of a trace from another seed: no state in it
+    is expanded again, and the states expanded here are added to it.  The
+    widths get a field of their own, so the refinements of this pass reach
+    no field that a report prints."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
-    return classify_trace(boundary_trace(top, bottom, seed=0, k=cap, modulus=modulus,
-                                         max_states=max_states))
+    _check_pair(top, bottom)
+    scan = _ScanWidths(top.tile_lengths())
+    modulus = _modulus_letter(scan, modulus)
+    rounds = _discrepancy_rounds(top, bottom, 0, cap, scan, 0, max_states, expanded=expanded)
+    return classify_rounds(rounds, scan.vectors[0], scan.vectors[modulus],
+                           spectral or (lambda: top.spectral_class().kind))
 
 
-def classify_trace(trace, spectral=None):
-    """classify_boundary on an existing trace, which must start from seed
-    letter 0; the cap is its number of rounds.  ``spectral`` is the
-    SpectralKind of the top substitution's matrix when the caller already
-    has it; otherwise it comes from the traced substitution, whose Perron
-    data the trace already computed."""
-    if trace.seed != 0:
-        raise ValidationError("classification is defined on the trace from seed letter 0")
-    cap = len(trace.steps)
+def _period(unit, mod_vector):
+    """The least d > 0 with d * unit an integer multiple of mod_vector (both
+    integer vectors, mod_vector nonzero), or 0 when unit is no rational
+    multiple of mod_vector."""
+    i = next(i for i, c in enumerate(mod_vector) if c)
+    if any(u * mod_vector[i] != unit[i] * w for u, w in zip(unit, mod_vector)):
+        return 0
+    return Fraction(unit[i], mod_vector[i]).denominator
+
+
+def classify_rounds(rounds, unit, mod_vector, spectral):
+    """The class of a boundary from ``rounds``, the sorted distinct
+    discrepancies of each round of its trace from seed letter 0 (at least
+    4 rounds).  ``unit`` and ``mod_vector`` are the integer vectors, over one
+    denominator, of the tracked tile's width and of the offset modulus;
+    ``spectral`` is a callable that returns the SpectralKind of the top
+    matrix.
+
+    Rigid when every offset m * w_tracked mod w_mod is the same.  Two
+    offsets lie in [0, w_mod), so those of m and m' are equal exactly when
+    (m - m') * unit is an integer multiple of mod_vector: when m = m' modulo
+    the least d with d * unit such a multiple (``_period``), or when m = m'
+    if there is none.  That is an integer test, and ``spectral`` is not
+    called for it.  Otherwise RegularFault when the top matrix is
+    NonPisotExpanding and the max |discrepancy| strictly increases across
+    the last three doubling checkpoints; otherwise Undetermined
+    (deliberately: for more than two letters the dichotomy is open).  Every
+    round is read, so a state budget trips as the trace's would."""
+    period = _period(unit, mod_vector)
+    maxes, residues = [], set()
+    for ms in rounds:
+        maxes.append(max(abs(ms[0]), abs(ms[-1])) if ms else 0)
+        if len(residues) < 2:
+            residues.update({m % period for m in ms} if period else ms)
+    cap = len(maxes)
     if cap < 4:
         raise ValidationError("classification needs at least 4 rounds")
-    maxes = trace.max_abs_by_round()
-    if spectral is None:
-        spectral = trace.top_sub.spectral_class().kind
-
-    if len({v for s in trace.steps for v in s.offset_vectors}) <= 1:
-        kind = BoundaryKind.RIGID
-    else:
-        c = cap // 4
-        checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])
-        if (spectral is SpectralKind.NON_PISOT_EXPANDING
-                and checkpoints[0] < checkpoints[1] < checkpoints[2]):
-            kind = BoundaryKind.REGULAR_FAULT
-        else:
-            kind = BoundaryKind.UNDETERMINED
-    return BoundaryClass(kind=kind, spectral_kind=spectral)
+    if len(residues) <= 1:
+        return BoundaryClass(kind=BoundaryKind.RIGID, spectral_kind=None)
+    kind = spectral()
+    c = cap // 4
+    checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])
+    if (kind is SpectralKind.NON_PISOT_EXPANDING
+            and checkpoints[0] < checkpoints[1] < checkpoints[2]):
+        return BoundaryClass(kind=BoundaryKind.REGULAR_FAULT, spectral_kind=kind)
+    return BoundaryClass(kind=BoundaryKind.UNDETERMINED, spectral_kind=kind)

@@ -21,7 +21,7 @@ from faultline.algebra import (
 )
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
-from faultline.substitution import Substitution
+from faultline.substitution import SpectralKind, Substitution
 
 
 @pytest.fixture
@@ -126,10 +126,12 @@ def scan_prefix_discrepancies(top, bottom, widths, tracked):
     return tuple(out)
 
 
-def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=None):
+def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=None, *,
+                            expanded=None):
     """``fault._discrepancy_rounds`` on materialised rows: each round applies
     both substitutions to the previous words and scans every letter.  It has
-    no overlap states, so it takes ``max_states`` and ignores it."""
+    no overlap states, so it takes ``max_states`` and ``expanded`` and
+    ignores them."""
     wt = wb = (seed,)
     for _ in range(k):
         wt, wb = top.apply(wt), bottom.apply(wb)
@@ -868,14 +870,75 @@ def reference_offset_statistics(rounds):
     return len(distinct), reference_sort_exact(gaps)[0] if gaps else None
 
 
+def number_json(x):
+    """``cli.alg_json`` of an AlgebraicNumber, from its coefficients in
+    lowest terms."""
+    return alg_json(x.field, *clear_denominators(x.coeffs))
+
+
 def reference_fault_row(offsets):
     """The printed ``min_gap`` and ``offsets`` of one ``fault`` report row,
     in the order ``cmd_fault`` builds them."""
     gap = None
     if len(offsets) > 1:
         gap = reference_sort_exact([b - a for a, b in zip(offsets, offsets[1:])])[0]
-    gap = alg_json(gap) if gap is not None else None
-    return gap, [alg_json(o) for o in offsets] if len(offsets) <= 12 else None
+    gap = number_json(gap) if gap is not None else None
+    return gap, [number_json(o) for o in offsets] if len(offsets) <= 12 else None
+
+
+# The print views that the trace's steps and statistics built before reports
+# printed offsets from their vectors: ``BoundaryStep.offsets``,
+# ``BoundaryStep.min_gap()`` and ``OffsetStats.min_gap``, as functions.
+
+def step_offsets(step):
+    """The offsets of a ``BoundaryStep`` as AlgebraicNumbers."""
+    return tuple(step.field.element(v, step.den) for v in step.offset_vectors)
+
+
+def step_min_gap(step):
+    """The least gap between consecutive offsets of a ``BoundaryStep`` as an
+    AlgebraicNumber; None for fewer than two offsets."""
+    gap = fault.min_gap_vector(step.field, step.den, step.offset_vectors)
+    return None if gap is None else step.field.element(gap, step.den)
+
+
+def stats_min_gap(stats):
+    """``OffsetStats.min_gap_vector`` as an AlgebraicNumber, or None."""
+    v = stats.min_gap_vector
+    return None if v is None else stats.field.element(v, stats.den)
+
+
+# The classifier that ``fault.classify_rounds`` replaced: it read the trace's
+# reduced offsets for the Rigid test and took the spectral class of every
+# boundary.  Kept verbatim (but for its name) as the oracle of the integer
+# Rigid test.
+
+def reference_classify_trace(trace, spectral=None):
+    """classify_boundary on an existing trace, which must start from seed
+    letter 0; the cap is its number of rounds.  ``spectral`` is the
+    SpectralKind of the top substitution's matrix when the caller already
+    has it; otherwise it comes from the traced substitution, whose Perron
+    data the trace already computed."""
+    if trace.seed != 0:
+        raise ValidationError("classification is defined on the trace from seed letter 0")
+    cap = len(trace.steps)
+    if cap < 4:
+        raise ValidationError("classification needs at least 4 rounds")
+    maxes = trace.max_abs_by_round()
+    if spectral is None:
+        spectral = trace.top_sub.spectral_class().kind
+
+    if len({v for s in trace.steps for v in s.offset_vectors}) <= 1:
+        kind = fault.BoundaryKind.RIGID
+    else:
+        c = cap // 4
+        checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])
+        if (spectral is SpectralKind.NON_PISOT_EXPANDING
+                and checkpoints[0] < checkpoints[1] < checkpoints[2]):
+            kind = fault.BoundaryKind.REGULAR_FAULT
+        else:
+            kind = fault.BoundaryKind.UNDETERMINED
+    return fault.BoundaryClass(kind=kind, spectral_kind=spectral)
 
 
 def reference_tile_lengths(s):

@@ -96,7 +96,7 @@ def test_criterion_03_growth_and_offsets():
     target = 1.3027756377319946  # lambda - 1
     # the interval must contain a value within 5% of lambda - 1
     assert float(lo) <= target * 1.05 and float(hi) >= target * 0.95
-    counts = [len(st.offsets) for st in trace.steps]
+    counts = [len(st.offset_vectors) for st in trace.steps]
     for i in range(3, 9):  # rounds 4..10, strictly increasing
         assert counts[i] < counts[i + 1]
     ok("criterion 3: growth ratio within 5% and strictly growing offset counts")

@@ -141,20 +141,25 @@ def test_essential_vertices_thirds(thirds):
 
 def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
     # composite boundary matrices repeat across the boundaries of one call;
-    # each distinct one is classified once, each distinct (top, bottom)
-    # composite pair is traced once, and every boundary gets the kind a fresh
-    # classification of its matrix gives
-    calls, classified, traces = [], [], []
+    # each distinct (top, bottom) composite pair is classified once, the
+    # spectral class of each distinct matrix is computed at most once and
+    # only for a boundary that is not Rigid, and every boundary that asks
+    # gets the kind a fresh classification of its matrix gives
+    calls, classified = [], []
     classify = spectral_classify
     spectral_class = Substitution.spectral_class
     monkeypatch.setattr(Substitution, "spectral_class", lambda s: calls.append(
         s.matrix()) or spectral_class(s))
-    classify_trace = dpv.classify_trace
-    monkeypatch.setattr(dpv, "classify_trace", lambda trace, kind: classified.append(
-        (trace.top_sub.matrix(), kind)) or classify_trace(trace, kind))
-    boundary_trace = dpv.boundary_trace
-    monkeypatch.setattr(dpv, "boundary_trace", lambda *args, **kw: traces.append(
-        args[:2]) or boundary_trace(*args, **kw))
+    classify_boundary = dpv.classify_boundary
+
+    def recorded(top, bottom, *args, spectral, **kw):
+        kinds = []
+        cls = classify_boundary(top, bottom, *args, **kw,
+                                spectral=lambda: kinds.append(spectral()) or kinds[-1])
+        classified.append((top.matrix(), cls.kind, kinds))
+        return cls
+
+    monkeypatch.setattr(dpv, "classify_boundary", recorded)
     rng = rng_for("spectral-once")
     family = (Substitution(["a", "b"], {"a": "ba", "b": "aaa"}),
               Substitution(["a", "b"], {"a": "ab", "b": "aaa"}))
@@ -171,15 +176,30 @@ def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
     for d in docs:
         calls.clear()
         classified.clear()
-        traces.clear()
         essential_vertices(d, cap=8)
-        assert len(calls) == len(set(calls)) == len({m for m, _ in classified})
-        assert all(kind is classify(m).kind for m, kind in classified)
-        assert len(traces) == len(classified)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {m for m, _, kinds in classified if kinds}
+        for m, kind, kinds in classified:
+            assert len(kinds) == (kind is not BoundaryKind.RIGID)
+            assert all(k is classify(m).kind for k in kinds)
         saved += len(classified) - len(calls)
-        n_traces.append(len(traces))
+        n_traces.append(len(classified))
     assert len(docs) == 16 and saved > 0
     assert n_traces[1] == 1 and n_traces[-1] == 3
+
+
+def test_rigid_boundaries_never_ask_for_a_spectral_class(monkeypatch):
+    # Fibonacci on every row under a Fibonacci vertical: every boundary is
+    # Rigid, which the integer test decides without the spectral class
+    calls = []
+    spectral_class = Substitution.spectral_class
+    monkeypatch.setattr(Substitution, "spectral_class", lambda s: calls.append(
+        s.matrix()) or spectral_class(s))
+    fib = Substitution(["a", "b"], {"a": "ab", "b": "a"})
+    rho = Substitution(["v", "w"], {"v": "vw", "w": "v"})
+    ev = essential_vertices(DPVSubstitution(rho, (fib,), ((0, 0), (0,))))
+    assert ev.vertices and all(vb.kind is BoundaryKind.RIGID for vb in ev.vertices)
+    assert calls == []
 
 
 def test_fast_growing_composite_boundaries_trace_under_the_default_budget():
@@ -289,6 +309,20 @@ def test_cohomology_undetermined_range_variants():
     _, h2, h3 = rep.variants[0]
     assert h2.rank() == rep.mu.rank() * rep.nu.rank()
     assert h3.rank() == rep.mu.rank() ** 2
+
+
+def test_undetermined_range_from_zero_leaves_h1_null():
+    # n = (0, 1): n = 0 is one of the counts the range stands for, and there
+    # H^1 = nu does not hold, so H^1 is null as it is for n = 0; n = 1 is
+    # the one variant
+    s1 = Substitution(["a", "b"], {"a": "ab", "b": "abb"})
+    s2 = Substitution(["a", "b"], {"a": "ba", "b": "bba"})
+    rho = Substitution(["v"], {"v": "vv"})
+    d = DPVSubstitution(vertical=rho, horizontal=(s1, s2), row_sigma=((0, 1),))
+    rep = cohomology(d)
+    assert rep.essential.n == (0, 1)
+    assert rep.h1 is None and rep.h2 is None and rep.h3 is None
+    assert [n for (n, _, _) in rep.variants] == [1]
 
 
 def test_rank_identity_bundled_and_random():

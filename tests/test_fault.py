@@ -21,7 +21,7 @@ from faultline.fault import (
     _discrepancy_rounds,
     boundary_trace,
     classify_boundary,
-    classify_trace,
+    classify_rounds,
     discrepancy_growth,
     offset_statistics,
     order_vectors,
@@ -35,6 +35,7 @@ from conftest import (
     iterate,
     numbers,
     random_substitution,
+    reference_classify_trace,
     reference_fault_row,
     reference_offset_statistics,
     reference_discrepancy_rounds,
@@ -43,6 +44,9 @@ from conftest import (
     scan_discrepancy_rounds,
     scan_prefix_discrepancies,
     shuffled_twin,
+    stats_min_gap,
+    step_min_gap,
+    step_offsets,
     zero,
 )
 
@@ -267,7 +271,7 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
     assert fast.widths.field.root_ints == slow.widths.field.root_ints
     for a, b in zip(fast.steps, slow.steps):
         assert a.discrepancy_values == b.discrepancy_values
-        assert [o.coeffs for o in a.offsets] == [o.coeffs for o in b.offsets]
+        assert [o.coeffs for o in step_offsets(a)] == [o.coeffs for o in step_offsets(b)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,10 +379,11 @@ def test_order_vectors_overlapping_enclosures():
 
 def fault_row(step):
     """The printed ``min_gap`` and ``offsets`` of one ``fault`` report row,
-    in the order ``cmd_fault`` builds them."""
-    gap = step.min_gap()
-    gap = alg_json(gap) if gap is not None else None
-    return gap, [alg_json(o) for o in step.offsets] if len(step.offset_vectors) <= 12 else None
+    in the order ``cmd_fault`` builds them, from the integer vectors."""
+    field, den, offsets = step.field, step.den, step.offset_vectors
+    gap = fault.min_gap_vector(field, den, offsets)
+    gap = alg_json(field, gap, den) if gap is not None else None
+    return gap, [alg_json(field, o, den) for o in offsets] if len(offsets) <= 12 else None
 
 
 @settings(max_examples=25, deadline=None)
@@ -396,16 +401,16 @@ def test_offsets_match_the_algebraic_number_path(seed, n_letters, k):
         field = trace.widths.field
         ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus, tracked)
         assert field.root_ints == ref_field.root_ints
-        assert [[o.coeffs for o in st_.offsets] for st_ in trace.steps] == \
+        assert [[o.coeffs for o in step_offsets(st_)] for st_ in trace.steps] == \
             [[o.coeffs for o in r] for r in ref_rounds]
         stats = offset_statistics(trace)
         count, gap = reference_offset_statistics(ref_rounds)
         assert stats.distinct_count == count
-        assert getattr(stats.min_gap, "coeffs", None) == getattr(gap, "coeffs", None)
+        assert getattr(stats_min_gap(stats), "coeffs", None) == getattr(gap, "coeffs", None)
         assert field.root_ints == ref_field.root_ints
         if start == 0:
             rigid = len({o for r in ref_rounds for o in r}) <= 1
-            assert (classify_trace(trace).kind is BoundaryKind.RIGID) == rigid
+            assert (reference_classify_trace(trace).kind is BoundaryKind.RIGID) == rigid
         for st_, r in zip(trace.steps, ref_rounds):
             assert fault_row(st_) == reference_fault_row(r)
             assert field.root_ints == ref_field.root_ints
@@ -428,8 +433,9 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
                           (1, BoundaryKind.REGULAR_FAULT), (0, BoundaryKind.RIGID)):
         trace = boundary_trace(sigma1, sigma2, "a", 10, modulus=modulus)
         stats = offset_statistics(trace)
-        assert classify_trace(trace, spectral).kind is kind
-        gap = trace.steps[-1].min_gap()
+        assert classify_boundary(sigma1, sigma2, 10, modulus=modulus,
+                                 spectral=lambda: spectral).kind is kind
+        gap = step_min_gap(trace.steps[-1])
         if kind is BoundaryKind.RIGID:
             assert stats.distinct_count == 1 and gap is None
         else:
@@ -447,7 +453,7 @@ def test_trace_identical_rows(sigma1):
     trace = boundary_trace(sigma1, sigma1, "a", 5)
     for s in trace.steps:
         assert s.discrepancy_values == (0,)
-        assert len(s.offsets) == 1 and not any(s.offsets[0].coeffs)
+        assert len(s.offset_vectors) == 1 and not any(s.offset_vectors[0])
 
 
 def test_trace_row_widths_agree(sigma1, sigma2):
@@ -542,9 +548,10 @@ def test_offsets_listed_once_per_round(sigma1, sigma2):
     trace = boundary_trace(sigma1, sigma2, "a", 8, modulus=0)
     assert [len(st_.discrepancy_values) for st_ in trace.steps] == [2, 3, 3, 4, 5, 7, 8, 11]
     assert all(st_.offset_vectors == ((0, 0),) for st_ in trace.steps)
-    assert all(st_.min_gap() is None for st_ in trace.steps)
+    assert all(step_min_gap(st_) is None for st_ in trace.steps)
     assert offset_statistics(trace).distinct_count == 1
-    assert classify_trace(trace).kind is BoundaryKind.RIGID
+    assert reference_classify_trace(trace).kind is BoundaryKind.RIGID
+    assert classify_boundary(sigma1, sigma2, 8, modulus=0).kind is BoundaryKind.RIGID
 
 
 def test_growth_near_second_eigenvalue(sigma1, sigma2):
@@ -601,10 +608,10 @@ def test_offset_statistics(sigma1, sigma2):
     stats = offset_statistics(trace)
     counts = stats.per_round_counts
     assert all(counts[i] < counts[i + 1] for i in range(3, 9))
-    assert stats.min_gap is not None and stats.min_gap.sign() > 0
+    assert stats_min_gap(stats) is not None and stats_min_gap(stats).sign() > 0
     assert stats.distinct_count >= counts[-1]
     short = offset_statistics(boundary_trace(sigma1, sigma1, "a", 2))
-    assert short.distinct_count == 1 and short.min_gap is None
+    assert short.distinct_count == 1 and stats_min_gap(short) is None
 
 
 def test_classify_examples(sigma1, sigma2):
@@ -614,19 +621,63 @@ def test_classify_examples(sigma1, sigma2):
 
 def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
     trace = boundary_trace(sigma1, sigma2, "a", 10)
-    assert classify_trace(trace) == classify_boundary(sigma1, sigma2, cap=10)
+    assert reference_classify_trace(trace) == classify_boundary(sigma1, sigma2, cap=10)
     with pytest.raises(ValidationError):
-        classify_trace(boundary_trace(sigma1, sigma2, "b", 10))
+        reference_classify_trace(boundary_trace(sigma1, sigma2, "b", 10))
+
+
+def classify_steps(trace):
+    """``classify_rounds`` on the discrepancies of a trace from seed 0, as
+    ``fault`` classifies its printed trace."""
+    vectors = trace.widths.vectors
+    return classify_rounds((st_.discrepancy_values for st_ in trace.steps),
+                           vectors[trace.tracked_letter], vectors[trace.modulus],
+                           lambda: trace.top_sub.spectral_class().kind)
 
 
 def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
-    # classification reads only the checkpoints and the offsets: no growth
-    # estimate, but the same refusal below 4 rounds
+    # classification reads only the checkpoints and the discrepancies: no
+    # growth estimate, but the same refusal below 4 rounds
     monkeypatch.setattr(fault, "discrepancy_growth", None)
-    assert classify_trace(boundary_trace(sigma1, sigma2, "a", 4)).kind is \
+    assert classify_steps(boundary_trace(sigma1, sigma2, "a", 4)).kind is \
         BoundaryKind.REGULAR_FAULT
     with pytest.raises(ValidationError, match="^classification needs at least 4 rounds$"):
-        classify_trace(boundary_trace(sigma1, sigma2, "a", 3))
+        classify_steps(boundary_trace(sigma1, sigma2, "a", 3))
+    with pytest.raises(ValidationError, match="^classification needs cap >= 4$"):
+        classify_boundary(sigma1, sigma2, cap=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 12),
+       modulus=st.one_of(st.none(), st.integers(0, 3)),
+       budget=st.one_of(st.integers(4, 400), st.just(20_000)))
+def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, modulus, budget):
+    # the integer Rigid test and the lazily asked spectral class give the
+    # kind that the reduced offsets of a full trace give, and a budget trips
+    # at the same round; so they do with the expanded states of a trace from
+    # another seed
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    if modulus is not None:
+        modulus %= n_letters
+
+    def outcome(classify):
+        try:
+            return classify().kind
+        except ResourceCapError as exc:
+            return str(exc)
+
+    want = outcome(lambda: reference_classify_trace(
+        boundary_trace(s, t, 0, cap, modulus=modulus, max_states=budget)))
+    event("budget tripped" if isinstance(want, str) else want.value)
+    assert outcome(lambda: classify_boundary(s, t, cap, modulus, budget)) == want
+    try:
+        table = boundary_trace(s, t, rng.randrange(n_letters), cap, max_states=budget).expanded
+    except ResourceCapError:
+        return
+    assert outcome(lambda: classify_boundary(s, t, cap, modulus, budget,
+                                             expanded=table)) == want
 
 
 def test_classify_pisot_pair():

@@ -160,6 +160,76 @@ def test_complex_root_reports_unchanged(case, tmp_path, monkeypatch):
     assert calls
 
 
+# Small documents beside the bundled ones, on the two paths that classify
+# boundaries: ``fault --seed b``, whose classification traces again from
+# seed 0, and ``cohomology``, which classifies every essential vertex.
+# Recorded before boundaries were classified from their discrepancies; the
+# pisot_undetermined cohomology digests were recorded again when H1 became
+# null for a range of n that starts at 0, the one line in which those
+# reports differ.
+INLINE_DOCS = {
+    # Pisot, with the narrow letter tracked: several offsets but no growth,
+    # so Undetermined, and n = (0, 1)
+    "pisot_undetermined": (
+        {"a": "ab", "b": "abb"}, {"a": "ba", "b": "bba"},
+        {"v": "vv"}, {"v": ["sigma1", "sigma2"]}),
+    # the paper pair under a Fibonacci vertical: two RegularFault boundaries
+    "fibonacci_fault": (
+        {"a": "ba", "b": "aaa"}, {"a": "ab", "b": "aaa"},
+        {"v": "vw", "w": "v"}, {"v": ["sigma1", "sigma2"], "w": ["sigma1"]}),
+    # x^2-x-4 (non-Pisot) under a three-letter vertical: two RegularFault
+    # boundaries and one Rigid
+    "mixed": (
+        {"a": "ab", "b": "aaaa"}, {"a": "ba", "b": "aaaa"},
+        {"x": "xy", "y": "zx", "z": "yz"},
+        {"x": ["sigma1", "sigma1"], "y": ["sigma2", "sigma1"], "z": ["sigma1", "sigma1"]}),
+    # tribonacci and its twin: degree-3 widths, one Rigid boundary, n = 0
+    "tribonacci_twins": (
+        {"a": "ab", "b": "ac", "c": "a"}, {"a": "ba", "b": "ca", "c": "a"},
+        {"v": "vv"}, {"v": ["sigma1", "sigma2"]}),
+}
+INLINE_DIGESTS = {
+    "fibonacci_fault-cohomology-json": (0, "98cae9acb5c4d515db61f083b863bd7f5a125cba1472014b2fb565e7f089729a"),
+    "fibonacci_fault-cohomology-text": (0, "b759531dc88dc139c8dcd4292452a38707e04c371e5d956bd6ee4257aa81d9e7"),
+    "fibonacci_fault-fault-b-json": (0, "60bf71e4489fafa91441dfc250a8e6f391c80f26cde7adba72d1f3138b77edfd"),
+    "fibonacci_fault-fault-b-text": (0, "d4ff4cb7815a6961f3a4abc4232653058b2f054f3b8d81bf3d1e9d4565ee34ff"),
+    "mixed-cohomology-json": (0, "3b8a5b39dbd78431ef7bcd04897168fa7238ea51d7e6b0274993023b3d50d3ab"),
+    "mixed-cohomology-text": (0, "e578f92e41925faf0893fecf288c216b44e0d7c24fdc4027305cb12756947de8"),
+    "mixed-fault-b-json": (0, "3da27c5f5ea2ad1baeb7d059aa45d27eddbd79eee358d43bd3395803d54c0504"),
+    "mixed-fault-b-text": (0, "217b4bf83adfd68e62d386f081efedfc693518e00cb67812e5c92ef5de104260"),
+    "pisot_undetermined-cohomology-json": (2, "340b2798b91d809efc413136f2a6b1b4f4a436eda3fca1a9c3778e6f44a64c7a"),
+    "pisot_undetermined-cohomology-text": (2, "4c8d054981824aa8c51f5a2d4df2fbf5fce42ffa824132d535eac729cb4aa5e7"),
+    "pisot_undetermined-fault-b-json": (2, "271ab1ca8723d42eee540ff789c4bc4a333af49703e2c5fbff7a6ea8c74cba56"),
+    "pisot_undetermined-fault-b-text": (2, "6c8953c207a630d3ff846ecaeaadcdb78ded7f4f110507637972217c16aab846"),
+    "tribonacci_twins-cohomology-json": (2, "f10949e8ff089092c7ce530f083abf454a44cb35e8c9910e2e885ccc99337af8"),
+    "tribonacci_twins-cohomology-text": (2, "4dfbe7a4ba381ac93f5f5f9e48b2c4842d4c16e032f54c946f67f81c12d49fb0"),
+    "tribonacci_twins-fault-b-json": (0, "396811cb239e7eb3a99d43c43429a4f343dfac8c2ef5c5f421abdf321ac5a95d"),
+    "tribonacci_twins-fault-b-text": (0, "b531122425a6b16c126a76fab491d6180c91ca4381fde056962234062765a2d1"),
+}
+
+
+def inline_document(name):
+    sigma1, sigma2, rho, row_sigma = INLINE_DOCS[name]
+    return {
+        "alphabets": {"h": sorted(sigma1), "v": sorted(rho)},
+        "substitutions": {"sigma1": {"alphabet": "h", "rules": sigma1},
+                          "sigma2": {"alphabet": "h", "rules": sigma2},
+                          "rho": {"alphabet": "v", "rules": rho}},
+        "dpv": {"vertical": "rho", "horizontal": ["sigma1", "sigma2"], "row_sigma": row_sigma},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_DIGESTS))
+def test_inline_classification_reports_unchanged(case, tmp_path):
+    name, rest = case.split("-", 1)
+    command, fmt = rest.rsplit("-", 1)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(inline_document(name)), encoding="utf-8")
+    argv = {"fault-b": ["fault", "--top", "sigma1", "--bottom", "sigma2", "--seed", "b"],
+            "cohomology": ["cohomology"]}[command]
+    assert run([argv[0], "-i", str(path), *argv[1:], "--format", fmt]) == INLINE_DIGESTS[case]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         code, digest = run(CASES[case])

@@ -188,14 +188,24 @@ def smith_normal_form(a):
     a = mat(a)
     m, n = shape(a)
     d = [list(row) for row in a]
+    v = [list(row) for row in eye(n)]
     # ui_t holds the columns of u^-1 as rows, so that the column operation
-    # matching each row operation on u is a row operation too
-    u, v, ui_t = ([list(row) for row in eye(k)] for k in (m, n, m))
+    # matching each row operation on u is a row operation too.  The rows of
+    # u and ui_t are mostly zero, so they are kept sparse, {column: entry}
+    u, ui_t = ([{i: 1} for i in range(m)] for _ in range(2))
+
+    def sparse_add(row, other, q):  # row += q * other
+        for j, y in other.items():
+            x = row.get(j, 0) + q * y
+            if x:
+                row[j] = x
+            else:
+                row.pop(j, None)
 
     def row_add(i, j, q):  # row_i += q * row_j
         d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        ui_t[j] = [x - q * y for x, y in zip(ui_t[j], ui_t[i])]
+        sparse_add(u[i], u[j], q)
+        sparse_add(ui_t[j], ui_t[i], -q)
 
     def col_add(i, j, q):  # col_i += q * col_j
         for row in chain(d, v):
@@ -210,8 +220,9 @@ def smith_normal_form(a):
             row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
-        for rows in (d, u, ui_t):
-            rows[i] = [-x for x in rows[i]]
+        d[i] = [-x for x in d[i]]
+        for rows in (u, ui_t):
+            rows[i] = {j: -x for j, x in rows[i].items()}
 
     for t in range(min(m, n)):
         while True:
@@ -258,8 +269,16 @@ def smith_normal_form(a):
         if t < min(m, n) and d[t][t] < 0:
             row_neg(t)
 
-    snf = SmithForm(u=tuple(map(tuple, u)), d=tuple(map(tuple, d)), v=tuple(map(tuple, v)),
-                    u_inv=transpose(ui_t))
+    # dense again: u row by row, and u^-1 with ui_t's rows as its columns
+    dense_u = [[0] * m for _ in range(m)]
+    u_inv = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j, x in u[i].items():
+            dense_u[i][j] = x
+        for j, x in ui_t[i].items():
+            u_inv[j][i] = x
+    snf = SmithForm(u=tuple(map(tuple, dense_u)), d=tuple(map(tuple, d)),
+                    v=tuple(map(tuple, v)), u_inv=tuple(map(tuple, u_inv)))
     assert matmul(matmul(snf.u, a), snf.v) == snf.d
     return snf
 

@@ -522,17 +522,19 @@ class NumberField:
         return self.element((0, 1) + (0,) * (self.degree - 2))
 
     @classmethod
-    def with_largest_real_root(cls, poly):
+    def with_largest_real_root(cls, poly, factors=None):
         """Field generated by the largest real root of an integer polynomial.
 
         Returns (field, root).  Raises if the polynomial has no real root.
+        ``factors`` is ``irreducible_factors(poly)`` when the caller has it;
+        the factors of poly and of its squarefree part are the same.
         """
         sf = squarefree_part(ptrim(int(c) for c in poly))
         roots = isolate_real_roots(sf)
         if not roots:
             raise ValidationError("polynomial has no real root")
         lo, hi = roots[-1]
-        for fac, _ in irreducible_factors(sf):
+        for fac, _ in irreducible_factors(sf) if factors is None else factors:
             if pdeg(fac) == 1:
                 r = -Fraction(fac[0])
                 # a nondegenerate isolating interval holds its root inside;

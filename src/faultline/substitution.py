@@ -164,7 +164,7 @@ class Substitution:
         pd = self._perron
         return PerronData(charpoly=pd.charpoly,
                           root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
-                          primitive=pd.primitive)
+                          primitive=pd.primitive, factors=pd.factors)
 
     def spectral_class(self):
         return spectral_classify(self.matrix(), perron=self.perron())
@@ -238,6 +238,7 @@ class PerronData:
     charpoly: tuple          # full characteristic polynomial, ascending
     root: AlgebraicNumber    # Perron eigenvalue in its minimal field
     primitive: bool
+    factors: tuple           # irreducible_factors(charpoly)
 
 
 def is_primitive(m):
@@ -257,17 +258,20 @@ def is_primitive(m):
 
 
 def perron_data(m):
-    """Characteristic polynomial, Perron root (largest real eigenvalue) as an
-    exact algebraic number, and primitivity."""
+    """Characteristic polynomial, its irreducible factors (factored once,
+    for the Perron root's field and for ``spectral_classify``), Perron root
+    (largest real eigenvalue) as an exact algebraic number, and
+    primitivity."""
     if not any(map(any, m)):
         raise NoPerronRootError("zero matrix has no Perron root")
     if any(x < 0 for row in m for x in row):
         raise ValidationError("substitution matrices must be non-negative")
     cp = abelian.charpoly(m)
-    field, root = NumberField.with_largest_real_root(cp)
+    factors = tuple(irreducible_factors(cp))
+    field, root = NumberField.with_largest_real_root(cp, factors)
     if root.sign() <= 0:
         raise NoPerronRootError("largest real eigenvalue is not positive")
-    return PerronData(charpoly=cp, root=root, primitive=is_primitive(m))
+    return PerronData(charpoly=cp, root=root, primitive=is_primitive(m), factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def spectral_classify(m, perron=None):
     (``Substitution.spectral_class``), on a field of its own."""
     pd = perron_data(m) if perron is None else perron
     moduli, votes = [], []   # per non-Perron root: modulus enclosure, sign of |z| - 1
-    for fac, _ in irreducible_factors(pd.charpoly):
+    for fac, _ in pd.factors:
         deg, own = pdeg(fac), fac == pd.root.field.poly
         if deg == 1:
             r = abs(Fraction(fac[0]))

@@ -24,8 +24,11 @@ linear factors that ``irreducible_factors`` returns.
   This part works on ascending coefficient lists, like ``algebra``.
 * Non-real roots are isolated by Collins-Krandick bisection, which gives
   sympy's ``dup_isolate_complex_roots_sqf`` rectangles; see the section at
-  the end.  ``circle_roots`` counts the roots on |z| = 1 of a palindromic
-  polynomial exactly, as real roots of its trace polynomial.
+  the end.  Bisection only separates the roots: a rectangle that holds one
+  goes straight to the leaf bisection would reach, located by integer
+  complex Newton and certified by a root count.  ``circle_roots`` counts
+  the roots on |z| = 1 of a palindromic polynomial exactly, as real roots of
+  its trace polynomial.
 """
 
 from __future__ import annotations
@@ -629,6 +632,9 @@ def _gf_edf(f, d, p, rng):
 # Re f * Im f on the line are isolated once, by Descartes' rule of signs, and
 # each edge of a child rectangle is a dyadic piece of a line of its parent.
 # Everything runs in the plane scaled by 1/B, where every corner is dyadic.
+# A rectangle with one root skips the levels between it and its leaf
+# (``_locate``): the leaf is a fixed grid square, so a guess at the root names
+# it, and a count on four fresh lines certifies it.
 
 # positions of f(z) in eighths of a turn from the positive real axis: the
 # half-axes A1..A4 are 0, 2, 4, 6 and the open quadrants Q1..Q4 are 1, 3, 5,
@@ -919,11 +925,21 @@ def _small(rect, small):
 
 
 def _descend(g, rects, small):
-    """Bisect until each rectangle that holds a root holds one and is
-    smaller than `small` both ways: the leaves."""
+    """Descend until each rectangle that holds a root holds one and is
+    smaller than `small` both ways: the leaves.  A rectangle with two or more
+    roots is bisected; one with a single root goes straight to its leaf
+    (``_locate``), and is bisected once only when that fails."""
     leaves = []
+    # the least k >= 0 with 2^-k < small
+    level = (small.denominator // small.numerator).bit_length()
     while rects:
-        for child in _halves(g, rects.pop()):
+        rect = rects.pop()
+        if rect[0] == 1:
+            leaf = _locate(g, rect, level)
+            if leaf is not None:
+                leaves.append(leaf)
+                continue
+        for child in _halves(g, rect):
             if child[0] == 1 and _small(child, small):
                 leaves.append(child)
             elif child[0] >= 1:
@@ -931,11 +947,76 @@ def _descend(g, rects, small):
     return leaves
 
 
+# bits of fixed point below a leaf's side, and the Newton steps that may be
+# taken, in ``_locate``
+_GUARD = 16
+_NEWTON_STEPS = 40
+
+
+def _value(f, x, y, prec):
+    """f(z) at z = (x + i y) / 2^prec, in the same fixed point, by Horner
+    with truncation."""
+    re, im = f[-1] << prec, 0
+    for c in reversed(f[:-1]):
+        re, im = ((re * x - im * y) >> prec) + (c << prec), (re * y + im * x) >> prec
+    return re, im
+
+
+def _locate(g, rect, level):
+    """The leaf that bisection reaches from `rect`, which holds one root and
+    is not small, or None.
+
+    ``_halves`` halves the wider side, and the height on a tie, so from the
+    first rectangle (2 x 1) on, every rectangle is a square or twice as wide
+    as high, and the first one below 2^-level both ways is the square of
+    side 2^-level.  Those squares, [u, s) x (v, t] each, partition `rect`, so
+    the leaf is the one that holds the root.  Integer complex Newton from
+    the centre of `rect`, in fixed point 2^-prec, guesses the root; the
+    square the guess falls in is certified by a count of 1 on fresh lines
+    for its four edges.  None when a Newton step leaves `rect`, Newton does
+    not settle, or the count is 0."""
+    _, u, v, s, t, _ = rect
+    prec = level + _GUARD
+    one = 1 << prec
+    lo_x, lo_y, hi_x, hi_y = (int(c * one) for c in (u, v, s, t))
+    x, y = (lo_x + hi_x) >> 1, (lo_y + hi_y) >> 1
+    dg = _deriv(g)
+    for _ in range(_NEWTON_STEPS):
+        gr, gi = _value(g, x, y, prec)
+        dr, di = _value(dg, x, y, prec)
+        norm = dr * dr + di * di
+        if not norm:
+            return None
+        dx = ((gr * dr + gi * di) << prec) // norm
+        dy = ((gi * dr - gr * di) << prec) // norm
+        x, y = x - dx, y - dy
+        if not (lo_x <= x < hi_x and lo_y < y <= hi_y):
+            return None
+        if abs(dx) >> _GUARD == 0 and abs(dy) >> _GUARD == 0:
+            break
+    else:
+        return None
+    # the square [x0, x0 + side) x (y0, y0 + side] that holds x + i y
+    side = 1 << _GUARD
+    x0, y0 = x // side * side, (y - 1) // side * side
+    u, v = Fraction(x0, one), Fraction(y0, one)
+    s, t = Fraction(x0 + side, one), Fraction(y0 + side, one)
+    length = s - u
+    edges = (_Edge(_Line(g, u, v, length, False), _ZERO, _ONE, False),
+             _Edge(_Line(g, s, v, length, True), _ZERO, _ONE, False),
+             _Edge(_Line(g, u, t, length, False), _ZERO, _ONE, True),
+             _Edge(_Line(g, u, v, length, True), _ZERO, _ONE, True))
+    if _count(edges) != 1:
+        return None
+    return (1, u, v, s, t, edges)
+
+
 class RootRectangles(list):
     """The rectangles ((re_lo, im_lo), (re_hi, im_hi)) of
-    ``isolate_complex_roots``, with the bisection state behind them:
-    ``refined(eps)`` carries the same bisection on to a smaller eps, and so
-    gives the rectangles a fresh call with that eps would."""
+    ``isolate_complex_roots``, with the leaves behind them:
+    ``refined(eps)`` carries the same descent on to a smaller eps, each leaf
+    going straight to its square at the new eps where it can (``_locate``),
+    and so gives the rectangles a fresh call with that eps would."""
 
     def __init__(self, g=(), scale=1, leaves=()):
         self._g, self._scale, self._leaves = g, scale, list(leaves)

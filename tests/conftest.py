@@ -9,7 +9,7 @@ from operator import add, mul, sub
 
 import pytest
 
-from faultline import algebra, fault
+from faultline import algebra, fault, zpoly
 from faultline.abelian import SmithForm, mat, shape, transpose
 from faultline.algebra import (
     AlgebraicNumber,
@@ -1067,6 +1067,63 @@ def sympy_isolate_complex_roots(a, eps):
             )
         )
     return out
+
+
+# Complex-root isolation by Collins-Krandick bisection alone, as
+# ``zpoly.isolate_complex_roots`` ran it before a rectangle with one root
+# went straight to its leaf: kept verbatim (but for the names) as the oracle
+# of the located leaves, ``refined`` included.
+
+def reference_descend(g, rects, small):
+    """Bisect until each rectangle that holds a root holds one and is
+    smaller than `small` both ways: the leaves."""
+    leaves = []
+    while rects:
+        for child in zpoly._halves(g, rects.pop()):
+            if child[0] == 1 and zpoly._small(child, small):
+                leaves.append(child)
+            elif child[0] >= 1:
+                rects.append(child)
+    return leaves
+
+
+class ReferenceRootRectangles(list):
+    """``RootRectangles`` with ``refined`` carried on by bisection alone."""
+
+    def __init__(self, g=(), scale=1, leaves=()):
+        self._g, self._scale, self._leaves = g, scale, list(leaves)
+        super().__init__(sorted(((u * scale, v * scale), (s * scale, t * scale))
+                                for _, u, v, s, t, _ in self._leaves))
+
+    def refined(self, eps):
+        small = Fraction(eps) / self._scale
+        done = [r for r in self._leaves if zpoly._small(r, small)]
+        todo = [r for r in self._leaves if not zpoly._small(r, small)]
+        return ReferenceRootRectangles(self._g, self._scale,
+                                       done + reference_descend(self._g, todo, small))
+
+
+def reference_isolate_complex_roots(f, eps):
+    f = [int(c) for c in f]
+    while f and not f[-1]:
+        f.pop()
+    if len(f) <= 2:
+        return ReferenceRootRectangles()
+    n = len(f) - 1
+    bound = Fraction(2 * max(abs(c) for c in f), abs(f[-1]))
+    p, q = bound.numerator, bound.denominator
+    g = zpoly._content_free([c * p ** k * q ** (n - k) for k, c in enumerate(f)])
+    one, zero = Fraction(1), Fraction(0)
+    top = (-one, zero, one, one, (
+        zpoly._Edge(zpoly._Line(g, -one, zero, 2 * one, False), zero, one, False),
+        zpoly._Edge(zpoly._Line(g, one, zero, one, True), zero, one, False),
+        zpoly._Edge(zpoly._Line(g, -one, one, 2 * one, False), zero, one, True),
+        zpoly._Edge(zpoly._Line(g, -one, zero, one, True), zero, one, True)))
+    count = zpoly._count(top[4])
+    if count < 1:
+        return ReferenceRootRectangles()
+    return ReferenceRootRectangles(g, bound, reference_descend(g, [(count,) + top],
+                                                               Fraction(eps) / bound))
 
 
 # The spectral classifier before exact circle counts, kept verbatim up to

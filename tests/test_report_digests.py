@@ -121,24 +121,40 @@ def test_report_bytes_unchanged(case):
     assert run(CASES[case]) == DIGESTS[case]
 
 
-# Two substitutions whose charpolys have an irreducible factor of degree >= 3
+# Substitutions whose charpolys have an irreducible factor of degree >= 3
 # with non-real roots, the path of ``algebra.isolate_complex_roots`` (pure-int
-# code in ``faultline.zpoly``, as is real-root isolation).  Digests recorded
-# when all root isolation and factoring still went through sympy; the Salem
-# digests again when exact circle counts turned its class from Undetermined
-# to Salem, the one line in which the reports differ.
+# code in ``faultline.zpoly``, as is real-root isolation).  Digests of the
+# first two recorded when all root isolation and factoring still went through
+# sympy; the Salem digests again when exact circle counts turned its class
+# from Undetermined to Salem, the one line in which the reports differ.  The
+# other three print a second_eigenvalue_modulus read off a non-real pair's
+# rectangle; recorded while rectangles were still found by bisection alone.
 COMPLEX_ROOT_DOCS = {
     # matrix [[1,0,1,0],[0,0,1,0],[1,0,0,1],[0,1,0,0]], charpoly
     # x^4-x^3-x^2-x+1 (Salem; a non-real pair on |z| = 1)
     "salem": {"a": "ac", "b": "d", "c": "ab", "d": "c"},
     # tribonacci, x^3-x^2-x-1: a real root and a non-real pair
     "tribonacci": {"a": "ab", "b": "ac", "c": "a"},
+    # x^3-2x^2-1 (Pisot): |second| ~ 0.673 from the non-real pair
+    "pisot_cubic": {"a": "ab", "b": "ca", "c": "aca"},
+    # x^4-2x^3-x^2-6x-4, irreducible: two real roots and a pair of modulus
+    # ~ 1.440 (non-Pisot expanding)
+    "quartic": {"a": "cd", "b": "baac", "c": "db", "d": "cdbb"},
+    # x^6-3x^5-x^4+x^3+x^2-x-3, irreducible, drawn from ap-random: two real
+    # roots and two non-real pairs, the larger of modulus ~ 1.059
+    "sextic": {"a": "fbd", "b": "dfdb", "c": "acec", "d": "ce", "e": "cb", "f": "deab"},
 }
 COMPLEX_ROOT_DIGESTS = {
     "salem-json": (0, "8ff2acc6f71531149d833f39bfaa6acb4abe19501c836b2dbaf223895cf61487"),
     "salem-text": (0, "cbfe18d786d902a8f174bc2d3bffae31ea46e91ba0da8116556ba3d70f08b292"),
     "tribonacci-json": (0, "6a5b2ad87e8c90923676ccb6c6c5223c833d6fc1f7d5f27837db806000a81098"),
     "tribonacci-text": (0, "e41c8bf758cc3705e8e92f75206fd5552e4ce7c018f9d4765a45a5afe730dff2"),
+    "pisot_cubic-json": (0, "2284c6f9b92e056e55cac84b84e281084f1832f6252bfcb20b43ed1258a767df"),
+    "pisot_cubic-text": (0, "9232769c3fabc8fecfb783305feeb7da11390eba2d88f3d06224cf5dfa7fd23e"),
+    "quartic-json": (0, "8be46cefa9e7dfa250230657d773c5a36d24464178129311aee4f2daaeb1ce8b"),
+    "quartic-text": (0, "3ca9f4067eae6c2538e0c32ea7ef2f96f228d4234ab898655c883746142c74b8"),
+    "sextic-json": (0, "0a5a6c9b6c213ac3cfcbbf2af5a43140d56dbef2b060f29e78c93fc12bd20d75"),
+    "sextic-text": (0, "511de2129ee03a639b70a61156bd1af9a35152c2b615455f34ee61d163ebc845"),
 }
 
 

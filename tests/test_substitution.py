@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultline import substitution
+from faultline import algebra, substitution, zpoly
 from faultline.abelian import mat, matmul, matpow
 from faultline.algebra import integer_vectors, times_root
 from faultline.errors import (
@@ -159,6 +159,40 @@ def test_perron_examples(sigma1, period_doubling):
 def test_perron_zero_matrix():
     with pytest.raises(NoPerronRootError):
         perron_data(mat([[0, 0], [0, 0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(1, 6), repeat=st.booleans())
+def test_perron_factors_are_those_of_the_squarefree_part(seed, n_letters, repeat):
+    # ``with_largest_real_root`` factored the squarefree part of the
+    # charpoly; it now reads the factors of the charpoly itself.  Both lists
+    # hold the same primitive factors with positive leading coefficients, in
+    # the same order, so the field and ``own`` in spectral_classify are as
+    # they were.  `repeat` squares the matrix's charpoly by a block diagonal
+    m = random_substitution(random.Random(seed), n_letters, max_len=4).matrix()
+    if repeat:
+        k = len(m)
+        m = tuple(row + (0,) * k for row in m) + tuple((0,) * k + row for row in m)
+    pd = perron_data(m)
+    assert pd.factors == tuple(algebra.irreducible_factors(pd.charpoly))
+    sf = zpoly.squarefree_part(list(pd.charpoly))
+    assert [f for f, _ in pd.factors] == [f for f, _ in algebra.irreducible_factors(sf)]
+    assert pd.root.field.poly in [f for f, _ in pd.factors]
+    field, _ = algebra.NumberField.with_largest_real_root(pd.charpoly)
+    assert (field.poly, field.root_ints) == (pd.root.field.poly, pd.root.field.root_ints)
+
+
+def test_charpoly_factored_once_per_substitution(monkeypatch):
+    calls = []
+    for module in (algebra, substitution):
+        factor = module.irreducible_factors
+        monkeypatch.setattr(module, "irreducible_factors",
+                            lambda f, factor=factor: calls.append(f) or factor(f))
+    # tribonacci: a factor of degree 3 with a non-real pair
+    s = Substitution(["a", "b", "c"], {"a": "ab", "b": "ac", "c": "a"})
+    assert s.spectral_class().kind is SpectralKind.PISOT
+    s.perron(), s.tile_lengths()
+    assert len(calls) == 1
 
 
 def test_spectral_examples(sigma1):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from faultline import substitution, zpoly
 from faultline.algebra import (
@@ -19,6 +19,7 @@ from faultline.algebra import (
 from conftest import (
     poly_eval,
     random_substitution,
+    reference_isolate_complex_roots,
     rng_for,
     sympy_irreducible_factors,
     sympy_is_squarefree,
@@ -243,6 +244,110 @@ def test_turns_match_sympy_rule_tables():
             for excluded in (0, 1) if rules is ri._rules_ambiguous else (0,):
                 num, den = ri._values[rule][excluded]
                 assert zpoly._turn(p, q, origin, excluded) == 4 * num // den, key
+
+
+# ---------------------------------------------------------------------------
+# located leaves: a rectangle with one root goes straight to the leaf that
+# bisection alone reaches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def locate_calls(monkeypatch):
+    """Results of ``zpoly._locate``, True where it fell back to bisection."""
+    calls = []
+    locate = zpoly._locate
+
+    def wrapped(*args):
+        leaf = locate(*args)
+        calls.append(leaf is None)
+        return leaf
+
+    monkeypatch.setattr(zpoly, "_locate", wrapped)
+    return calls
+
+
+@pytest.fixture
+def line_builds(monkeypatch):
+    """The number of ``zpoly._Line`` built so far, as a one-item list."""
+    builds = [0]
+
+    class Counted(zpoly._Line):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            builds[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(zpoly, "_Line", Counted)
+    return builds
+
+
+def assert_chain_matches_reference(f, bits):
+    """A fresh call at 2^-bits[0], then ``refined`` at each deeper 2^-bits,
+    equal to the bisection reference at every step."""
+    got = want = None
+    for k in bits:
+        eps = Fraction(1, 2 ** k)
+        if got is None:
+            got, want = isolate_complex_roots(f, eps), reference_isolate_complex_roots(f, eps)
+        else:
+            got, want = got.refined(eps), want.refined(eps)
+        assert got == want, (f, k)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(deg=st.integers(3, 10), bound=st.sampled_from((1, 3, 10, 1000)),
+       data=st.data(), first=st.integers(4, 64),
+       deeper=st.lists(st.integers(5, 256), max_size=2, unique=True))
+def test_located_leaves_match_bisection_on_random_squarefree_polynomials(
+        deg, bound, data, first, deeper):
+    coeff = st.integers(-bound, bound)
+    f = data.draw(st.lists(coeff, min_size=deg, max_size=deg)) + [
+        data.draw(coeff.filter(bool))]
+    assume(len(zpoly._gcd(f, zpoly._deriv(f))) == 1)
+    assert_chain_matches_reference(f, [first] + sorted(k for k in deeper if k > first))
+
+
+@pytest.mark.parametrize("f", [
+    # (x + 1)(x^2 + 2x + 10): the root -1 + 3i lies on the line Im z = B/8
+    (10, 12, 3, 1),
+    (1, 0, 3, 0, 1),   # x^4 + 3x^2 + 1: every root on Re z = 0
+    # (x^2 - 2x + 2)(x - 3): the root 1 + i is (1 + i) B / 16, on lines of
+    # both directions, and the guess can fall in the rectangle beside its own
+    tuple(zpoly._mul([2, -2, 1], [-3, 1])),
+])
+def test_roots_on_bisection_lines_take_the_fallback(f, locate_calls):
+    assert_chain_matches_reference(f, [16, 64, 128])
+    assert_chain_matches_reference(f, [64, 128])
+    assert any(locate_calls)
+
+
+def test_refining_near_the_unit_circle_builds_few_lines(line_builds):
+    # (N z^2 - N z + N + 1)(z - 2) with N = 2^70, its constant term moved by
+    # 1: an irreducible cubic whose non-real pair has modulus 1 + O(2^-70),
+    # so its rectangles at 2^-64 still straddle |z| = 1.  spectral_classify
+    # refines such rectangles by squaring eps; here down to 2^-512
+    n = 2 ** 70
+    f = zpoly._mul([n + 1, -n, n], [-2, 1])
+    f[0] += 1
+    assert [len(fac) for fac, _ in irreducible_factors(f)] == [4]
+    bits = [16, 32, 64, 128, 256, 512]
+    at = {}
+    for k in bits:
+        at[k] = assert_chain_matches_reference(f, bits[:bits.index(k) + 1])
+    assert any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, at[64]))
+    assert not any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, at[512]))
+    line_builds[0] = 0
+    rects = isolate_complex_roots(f, Fraction(1, 2 ** 16))
+    for k in bits[1:]:
+        rects = rects.refined(Fraction(1, 2 ** k))
+    located = line_builds[0]
+    line_builds[0] = 0
+    rects = reference_isolate_complex_roots(f, Fraction(1, 2 ** 16))
+    for k in bits[1:]:
+        rects = rects.refined(Fraction(1, 2 ** k))
+    assert located < 64 < line_builds[0]
 
 
 class _Restarted(list):

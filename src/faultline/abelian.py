@@ -269,16 +269,14 @@ def smith_normal_form(a):
         if t < min(m, n) and d[t][t] < 0:
             row_neg(t)
 
-    # dense again: u row by row, and u^-1 with ui_t's rows as its columns
-    dense_u = [[0] * m for _ in range(m)]
-    u_inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j, x in u[i].items():
-            dense_u[i][j] = x
-        for j, x in ui_t[i].items():
-            u_inv[j][i] = x
-    snf = SmithForm(u=tuple(map(tuple, dense_u)), d=tuple(map(tuple, d)),
-                    v=tuple(map(tuple, v)), u_inv=tuple(map(tuple, u_inv)))
+    def dense(row):
+        out = [0] * m
+        for j, x in row.items():
+            out[j] = x
+        return tuple(out)
+
+    snf = SmithForm(u=tuple(map(dense, u)), d=tuple(map(tuple, d)), v=tuple(map(tuple, v)),
+                    u_inv=transpose(map(dense, ui_t)))
     assert matmul(matmul(snf.u, a), snf.v) == snf.d
     return snf
 

@@ -284,19 +284,21 @@ def line_builds(monkeypatch):
 
 def assert_chain_matches_reference(f, bits):
     """A fresh call at 2^-bits[0], then ``refined`` at each deeper 2^-bits,
-    equal to the bisection reference at every step."""
-    got = want = None
+    equal to the bisection reference at every step; the rectangles of each
+    step."""
+    steps = []
     for k in bits:
         eps = Fraction(1, 2 ** k)
-        if got is None:
+        if not steps:
             got, want = isolate_complex_roots(f, eps), reference_isolate_complex_roots(f, eps)
         else:
             got, want = got.refined(eps), want.refined(eps)
         assert got == want, (f, k)
-    return got
+        steps.append(got)
+    return steps
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(deg=st.integers(3, 10), bound=st.sampled_from((1, 3, 10, 1000)),
        data=st.data(), first=st.integers(4, 64),
        deeper=st.lists(st.integers(5, 256), max_size=2, unique=True))
@@ -333,21 +335,18 @@ def test_refining_near_the_unit_circle_builds_few_lines(line_builds):
     f[0] += 1
     assert [len(fac) for fac, _ in irreducible_factors(f)] == [4]
     bits = [16, 32, 64, 128, 256, 512]
-    at = {}
-    for k in bits:
-        at[k] = assert_chain_matches_reference(f, bits[:bits.index(k) + 1])
-    assert any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, at[64]))
-    assert not any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, at[512]))
-    line_builds[0] = 0
-    rects = isolate_complex_roots(f, Fraction(1, 2 ** 16))
-    for k in bits[1:]:
-        rects = rects.refined(Fraction(1, 2 ** k))
-    located = line_builds[0]
-    line_builds[0] = 0
-    rects = reference_isolate_complex_roots(f, Fraction(1, 2 ** 16))
-    for k in bits[1:]:
-        rects = rects.refined(Fraction(1, 2 ** k))
-    assert located < 64 < line_builds[0]
+    steps = assert_chain_matches_reference(f, bits)
+    assert any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, steps[2]))
+    assert not any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, steps[-1]))
+
+    def lines(isolate):
+        line_builds[0] = 0
+        rects = isolate(f, Fraction(1, 2 ** bits[0]))
+        for k in bits[1:]:
+            rects = rects.refined(Fraction(1, 2 ** k))
+        return line_builds[0]
+
+    assert lines(isolate_complex_roots) < 64 < lines(reference_isolate_complex_roots)
 
 
 class _Restarted(list):

@@ -973,8 +973,8 @@ def _locate(g, rect, level):
     the leaf is the one that holds the root.  Integer complex Newton from
     the centre of `rect`, in fixed point 2^-prec, guesses the root; the
     square the guess falls in is certified by a count of 1 on fresh lines
-    for its four edges.  None when a Newton step leaves `rect`, Newton does
-    not settle, or the count is 0."""
+    for its four edges.  None when Newton does not settle, the guess it
+    settles on is not in `rect`, or the count is 0."""
     _, u, v, s, t, _ = rect
     prec = level + _GUARD
     one = 1 << prec
@@ -990,11 +990,15 @@ def _locate(g, rect, level):
         dx = ((gr * dr + gi * di) << prec) // norm
         dy = ((gi * dr - gr * di) << prec) // norm
         x, y = x - dx, y - dy
-        if not (lo_x <= x < hi_x and lo_y < y <= hi_y):
-            return None
+        if abs(x) > 2 * one or abs(y) > 2 * one:
+            return None     # far outside the box [-1, 1]^2 that holds every root
         if abs(dx) >> _GUARD == 0 and abs(dy) >> _GUARD == 0:
             break
     else:
+        return None
+    # only the settled guess must lie in `rect`: on the way, a step may cross
+    # an edge that the root lies on
+    if not (lo_x <= x < hi_x and lo_y < y <= hi_y):
         return None
     # the square [x0, x0 + side) x (y0, y0 + side] that holds x + i y
     side = 1 << _GUARD

@@ -311,9 +311,16 @@ def test_located_leaves_match_bisection_on_random_squarefree_polynomials(
     assert_chain_matches_reference(f, [first] + sorted(k for k in deeper if k > first))
 
 
+def test_root_on_a_horizontal_bisection_line_is_located(locate_calls):
+    # (x + 1)(x^2 + 2x + 10): the root -1 + 3i lies on the line Im z = B/8.
+    # Newton settles on that line, and rectangles are (v, t] in height, so
+    # the guess falls in the square below it, which holds the root
+    assert_chain_matches_reference((10, 12, 3, 1), [16, 64, 128])
+    assert_chain_matches_reference((10, 12, 3, 1), [64, 128])
+    assert locate_calls and not any(locate_calls)
+
+
 @pytest.mark.parametrize("f", [
-    # (x + 1)(x^2 + 2x + 10): the root -1 + 3i lies on the line Im z = B/8
-    (10, 12, 3, 1),
     (1, 0, 3, 0, 1),   # x^4 + 3x^2 + 1: every root on Re z = 0
     # (x^2 - 2x + 2)(x - 3): the root 1 + i is (1 + i) B / 16, on lines of
     # both directions, and the guess can fall in the rectangle beside its own
@@ -323,6 +330,17 @@ def test_roots_on_bisection_lines_take_the_fallback(f, locate_calls):
     assert_chain_matches_reference(f, [16, 64, 128])
     assert_chain_matches_reference(f, [64, 128])
     assert any(locate_calls)
+
+
+def test_roots_on_the_imaginary_axis_build_few_lines(line_builds):
+    # x^4 + 3x^2 + 1: each root lies on Re z = 0, the left edge of every
+    # rectangle that holds it, and a Newton step crosses that edge on its
+    # way to the root; only the settled guess is held to the rectangle
+    f = (1, 0, 3, 0, 1)
+    assert_chain_matches_reference(f, [256])
+    line_builds[0] = 0
+    isolate_complex_roots(f, Fraction(1, 2 ** 256))
+    assert line_builds[0] < 64
 
 
 def test_refining_near_the_unit_circle_builds_few_lines(line_builds):

@@ -18,7 +18,6 @@ from .errors import (
     HypothesisError,
     NoPerronRootError,
     ResourceCapError,
-    UndeterminedError,
     ValidationError,
 )
 from .algebra import AlgebraicNumber, NumberField

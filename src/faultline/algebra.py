@@ -30,7 +30,6 @@ from .zpoly import (
 )
 
 _MAX_REFINE = 4096  # levels one refinement may go down; never reached for nonzero values
-_HALVINGS = 3       # plain halvings before a refinement searches its level
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,9 @@ class NumberField:
     it.  Each refinement (``enclose`` to a width, ``sign``, ``refined``,
     ``mod_quotient``) stops at the least level whose cell passes its test;
     nested cells give nested enclosures, so a test once passed stays passed,
-    and that level is found in a few steps (``_descend``) rather than one
-    halving at a time.  Refinements are cached on the field object.  Exact
+    and that level is found in a few steps rather than one halving at a
+    time: ``_descend`` gallops to deeper cells that integer Newton steps
+    locate, then searches among their ancestors.  Refinements are cached on the field object.  Exact
     results (signs, comparisons, modular reduction) do not depend on that
     cache, but enclosures do: ``AlgebraicNumber.interval(width)`` evaluates
     at the current root interval, so once an earlier computation has refined
@@ -331,36 +331,10 @@ class NumberField:
         return self._ziv
 
     def refined(self, width):
-        """Shrink the cached isolating interval to at most ``width`` wide."""
-        if self.degree > 1:
-            width = Fraction(width)
-            wn, wd = width.numerator, width.denominator
-
-            def short(lo, hi, q):
-                return _halvings((hi - lo) * wd, wn * q)
-
-            need = short(*self._ziv)
-            if need:
-                self._descend(short, need)
+        """Shrink the cached isolating interval to at most ``width`` wide:
+        the enclosure of the root itself is the root interval."""
+        self.enclose((0, 1), 1, Fraction(width))
         return self.interval
-
-    def _bisect_once(self):
-        """Halve the root interval on its integers, keeping the half that
-        holds the root.  The midpoint of [lo/q, hi/q] is (lo + hi)/(2q), and
-        the new triple stays in lowest terms without a gcd: it is (lo + hi)/2
-        over q when lo + hi is even, and over 2q otherwise."""
-        if self.degree == 1:
-            return
-        lo, hi, q = self._ziv
-        mid = lo + hi
-        if mid & 1:
-            lo, hi, q = 2 * lo, 2 * hi, 2 * q
-        else:
-            mid >>= 1
-        # q^deg * poly(mid / q) by integer Horner: p is irreducible, so never 0
-        smid, _, _ = horner_interval(self.poly, mid, mid, q)
-        assert smid != 0
-        self._ziv = (mid, hi, q) if (smid > 0) == (self._sign_lo > 0) else (lo, mid, q)
 
     def _locate(self, k):
         """The index j of the cell that holds the root when the root interval
@@ -425,21 +399,15 @@ class NumberField:
         it returns a guess of the further halvings needed (at least 1);
         ``need`` is its value on the current cell, which fails.
 
-        The first ``_HALVINGS`` levels are plain halvings, since most calls
-        stop within them.  Past those the search gallops: it locates the cell
-        a guessed number of levels deeper (``_locate``), at least doubling the
+        The search gallops from the current cell: it locates the cell a
+        guessed number of levels deeper (``_locate``), at least doubling the
         depth of this call, and moves there while the test fails.  The least
         passing level is then searched among the ancestors of the passing
         cell: at m levels below the current cell, the ancestor of the cell j
         at level k is the cell j >> (k - m).  The result is the triple that
         halving one step at a time reaches."""
         assert self.degree > 1, "a rational root has a point interval"
-        for _ in range(_HALVINGS):
-            self._bisect_once()
-            need = short(*self._ziv)
-            if not need:
-                return
-        depth = _HALVINGS       # levels gone down in this call
+        depth = 0               # levels gone down in this call
         while True:
             k = max(need, depth)
             guided = need >= depth

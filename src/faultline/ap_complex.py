@@ -16,8 +16,10 @@ from . import abelian
 from .errors import FaultlineError, ValidationError
 from .substitution import Substitution
 
+_FORCING_CAP = 8   # the highest power at which collar looks for border forcing
 
-def border_forcing(s, cap=8):
+
+def border_forcing(s, cap=_FORCING_CAP):
     """(right_forced_in, left_forced_in): the smallest power m <= cap at
     which all m-fold images share a first letter (forcing the border on the
     right) resp. a last letter (forcing on the left); None if no m works.
@@ -117,7 +119,7 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
-def collar(s, cap=8):
+def collar(s):
     """Build the collared substitution and its Anderson-Putnam complex.
 
     Collars carry exactly one letter of context on each side that is not
@@ -127,7 +129,7 @@ def collar(s, cap=8):
     one class)."""
     if not isinstance(s, Substitution):
         raise ValidationError("collar expects a Substitution")
-    right_forced, left_forced = border_forcing(s, cap=cap)
+    right_forced, left_forced = border_forcing(s)
     need_left = left_forced is None
     need_right = right_forced is None
     width = 1 + (1 if need_left else 0) + (1 if need_right else 0)

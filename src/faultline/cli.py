@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -26,17 +27,11 @@ from .documents import (
     load_document,
 )
 from .dpv import cohomology, h1_limit
-from .errors import (
-    FaultlineError,
-    ResourceCapError,
-    UndeterminedError,
-    ValidationError,
-)
+from .errors import FaultlineError, ResourceCapError, ValidationError
 from .fault import (
     BoundaryKind,
     boundary_trace,
     classify_boundary,
-    classify_rounds,
     discrepancy_growth,
     min_gap_vector,
     offset_statistics,
@@ -46,6 +41,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNDETERMINED = 2
 EXIT_RESOURCE = 3
+
+# an SVG fill the patch may carry: nothing that could end the attribute
+_COLOR = re.compile(r"#[0-9A-Fa-f]{3}|#[0-9A-Fa-f]{6}|[A-Za-z]+")
 
 _ENV_CAPS = {
     "FAULTLINE_MAX_STATES": "max_states",
@@ -297,16 +295,11 @@ def cmd_fault(args):
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
     spectral = cache(lambda: top.spectral_class().kind)
-    # classification is defined on the trace from seed letter 0; from another
-    # seed it traces again, with no state of the printed trace expanded twice
-    if trace.seed == 0:
-        widths = trace.widths.vectors
-        cls = classify_rounds((st.discrepancy_values for st in trace.steps),
-                              widths[trace.tracked_letter], widths[trace.modulus], spectral)
-    else:
-        cls = classify_boundary(top, bottom, rounds, modulus=modulus,
-                                max_states=opts["max_states"], spectral=spectral,
-                                expanded=trace.expanded)
+    # classification is defined on the trace from seed letter 0: it reads the
+    # printed trace's expanded states, so no state is expanded twice
+    cls = classify_boundary(top, bottom, rounds, modulus=trace.modulus,
+                            max_states=opts["max_states"], spectral=spectral,
+                            expanded=trace.expanded)
     field, den = stats.field, stats.den
 
     def number(v):
@@ -405,9 +398,10 @@ def cmd_render(args):
     if args.colors:
         for part in args.colors.split(";"):
             tile, _, color = part.partition("=")
-            if "," not in tile or not color:
+            if "," not in tile or not _COLOR.fullmatch(color):
                 raise ValidationError(f"--colors entries must be '<vertical>,<horizontal>="
-                                      f"<color>', got {part!r}")
+                                      f"<color>' with a color #rgb, #rrggbb or a name, "
+                                      f"got {part!r}")
             vn, hn = tile.split(",", 1)
             colors[(d.vertical.word([vn])[0], d.horizontal[0].word([hn])[0])] = color
     patch = generate_patch(d, seed, k, max_tiles=opts["max_tiles"])
@@ -576,9 +570,6 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except UndeterminedError as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .dpv import DPVSubstitution
 from .errors import ValidationError
-from .fault import DEFAULT_MAX_STATES
+from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS
+from .render import DEFAULT_MAX_TILES
 from .substitution import Substitution
 
 _DOC_KEYS = {"alphabets", "substitutions", "dpv", "options"}
@@ -24,9 +25,9 @@ _INT_OPTIONS = {"rounds", "max_states", "max_tiles"}
 _OPTION_KEYS = _INT_OPTIONS | {"modulus_letter"}
 
 DEFAULT_OPTIONS = {
-    "rounds": 12,
+    "rounds": DEFAULT_ROUNDS,
     "max_states": DEFAULT_MAX_STATES,
-    "max_tiles": 200_000,
+    "max_tiles": DEFAULT_MAX_TILES,
     "modulus_letter": None,
 }
 

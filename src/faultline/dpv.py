@@ -33,9 +33,11 @@ from .abelian import (
     transpose,
 )
 from .ap_complex import collar, graph_h1
-from .errors import UndeterminedError, ValidationError
-from .fault import DEFAULT_MAX_STATES, BoundaryKind, classify_boundary
+from .errors import ValidationError
+from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, classify_boundary
 from .substitution import Substitution, shift_conjugacy
+
+_CONJUGACY_MAX_LEN = 8   # the longest conjugating word validate_dpv searches for
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _log(level, check, detail):
     return {"level": level, "check": check, "detail": detail}
 
 
-def validate_dpv(d, conjugacy_max_len=8):
+def validate_dpv(d):
     """Check the standing hypotheses: primitivity of the vertical and of
     every horizontal substitution, a vertical that expands (some image has
     two letters or more), equal per-letter image lengths, equal
@@ -169,7 +171,7 @@ def validate_dpv(d, conjugacy_max_len=8):
         for j in range(i + 1, len(d.horizontal)):
             if d.horizontal[i].length_vector() != d.horizontal[j].length_vector():
                 continue  # already a hard error above
-            u = shift_conjugacy(d.horizontal[i], d.horizontal[j], max_len=conjugacy_max_len)
+            u = shift_conjugacy(d.horizontal[i], d.horizontal[j], max_len=_CONJUGACY_MAX_LEN)
             if u is not None:
                 log.append(_log("ok", f"conjugacy-{i}-{j}",
                                 f"shift conjugacy by u of length {len(u)}: same tiling space"))
@@ -244,7 +246,7 @@ def _compose(family, indices):
     return comp
 
 
-def essential_vertices(d, cap=12, max_states=DEFAULT_MAX_STATES):
+def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
     """Classify the boundary at every eventual vertex of the vertical AP
     complex.
 
@@ -421,7 +423,7 @@ def _assemble(mu, nu, n):
     return h2, normalize(h3)
 
 
-def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
+def cohomology(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
     """Full pipeline: hypotheses, essential vertices, cochain limits, and the
     assembled H^0..H^3.  ``cap`` and ``max_states`` bound the boundary traces
     as in essential_vertices.
@@ -430,8 +432,7 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
     H^2/H^3 are None and ``variants`` carries the formula for every n >= 1
     in the range.  When every boundary is rigid (n = 0) the formulas do not
     apply and H^1..H^3 are None; so H^1 is None too when the range starts
-    at 0.  ``strict=True`` raises UndeterminedError instead
-    of either."""
+    at 0."""
     log = list(validate_dpv(d))
     mu, mu_dl, mu_note = compute_mu(d)
     nu, nu_dl, nu_note = compute_nu(d)
@@ -452,8 +453,6 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
     if isinstance(n, tuple):
         detail = f"{ev.n_fault} fault vertices plus {ev.n_undetermined} undetermined"
         log.append(_log("warn", "essential-vertices", detail))
-        if strict:
-            raise UndeterminedError(detail)
         variants = tuple((nn, *_assemble(mu, nu, nn)) for nn in range(max(n[0], 1), n[1] + 1))
         if n[0] == 0:
             # n = 0 is one of the counts it stands for, and there H^1 = nu
@@ -463,8 +462,6 @@ def cohomology(d, cap=12, max_states=DEFAULT_MAX_STATES, strict=False):
         log.append(_log("warn", "essential-vertices",
                         "no fault vertices: the space has finite local complexity and "
                         "these formulas do not apply"))
-        if strict:
-            raise UndeterminedError("no fault vertices")
         h1 = None
     else:
         h2, h3 = _assemble(mu, nu, n)

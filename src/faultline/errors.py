@@ -18,10 +18,6 @@ class ResourceCapError(FaultlineError):
     """A configured cap (trace states, word length, tile count) would be exceeded."""
 
 
-class UndeterminedError(FaultlineError):
-    """A boundary classification or a fault count that the evidence leaves open."""
-
-
 class NoPerronRootError(FaultlineError):
     """The matrix has no positive real eigenvalue (zero matrix)."""
 

@@ -433,6 +433,27 @@ def peval_interval(a, iv):
     return acc
 
 
+def bisect_once(field):
+    """Halve the root interval of ``field`` on its integers, keeping the half
+    that holds the root: the step that every refinement took before they
+    searched their level, kept as the oracle they are checked against.  The
+    midpoint of [lo/q, hi/q] is (lo + hi)/(2q), and the new triple stays in
+    lowest terms without a gcd: it is (lo + hi)/2 over q when lo + hi is
+    even, and over 2q otherwise."""
+    if field.degree == 1:
+        return
+    lo, hi, q = field.root_ints
+    mid = lo + hi
+    if mid & 1:
+        lo, hi, q = 2 * lo, 2 * hi, 2 * q
+    else:
+        mid >>= 1
+    # q^deg * poly(mid / q) by integer Horner: p is irreducible, so never 0
+    smid, _, _ = algebra.horner_interval(field.poly, mid, mid, q)
+    assert smid != 0
+    field._ziv = (mid, hi, q) if (smid > 0) == (field._sign_lo > 0) else (lo, mid, q)
+
+
 def reference_interval(x, width):
     """Reference ``AlgebraicNumber.interval``: ``peval_interval`` at the
     field's root interval, bisected one step at a time until the enclosure
@@ -442,7 +463,7 @@ def reference_interval(x, width):
     width = Fraction(width)
     iv = peval_interval(x.coeffs, x.field.interval)
     while iv.width > width:
-        x.field._bisect_once()
+        bisect_once(x.field)
         iv = peval_interval(x.coeffs, x.field.interval)
     return iv
 
@@ -536,7 +557,7 @@ class HalvingField(NumberField):
                 lo, hi, q = self._ziv
                 if (hi - lo) * width.denominator <= width.numerator * q:
                     break
-                self._bisect_once()
+                bisect_once(self)
         return self.interval
 
     def enclose(self, nums, den, width=None):
@@ -547,7 +568,7 @@ class HalvingField(NumberField):
             e *= den
             if width is None or (b - a) * width.denominator <= width.numerator * e:
                 return a, b, e
-            self._bisect_once()
+            bisect_once(self)
 
     def sign(self, nums):
         if not any(nums):
@@ -558,7 +579,7 @@ class HalvingField(NumberField):
                 return 1
             if b < 0:
                 return -1
-            self._bisect_once()
+            bisect_once(self)
 
 
 def reference_mod_quotient(field, av, mv):
@@ -572,7 +593,7 @@ def reference_mod_quotient(field, av, mv):
         k = min(floors)
         if max(floors) - k <= 1:
             break
-        field._bisect_once()
+        bisect_once(field)
 
     def rest(j):
         return field.sign([x - j * y for x, y in zip(av, mv)])
@@ -727,7 +748,7 @@ def reference_sign(x):
             return 1
         if b < 0:
             return -1
-        x.field._bisect_once()
+        bisect_once(x.field)
     raise AssertionError("sign refinement did not converge")
 
 
@@ -825,7 +846,7 @@ def reference_int_mod_reduce(a, m):
         k = min(floors)
         if max(floors) - k <= 1:
             break
-        field._bisect_once()
+        bisect_once(field)
 
     def rest(j):
         return field.sign([x - j * y for x, y in zip(av, mv)])

@@ -641,10 +641,11 @@ def test_fault_builds_no_word(monkeypatch, seed):
             assert tuple(islice(st.bottom, 77)) == bottom[:77]
 
 
-def test_fault_from_another_seed_expands_each_state_once(monkeypatch):
-    # --seed b on the paper pair: one boundary_trace, and the seed-0
+@pytest.mark.parametrize("seed", ["a", "b"])
+def test_fault_from_any_seed_expands_each_state_once(monkeypatch, seed):
+    # --seed a or b on the paper pair: one boundary_trace, and the seed-0
     # classification pass reads the printed trace's expanded states, so no
-    # state is expanded twice in the call
+    # state is expanded twice in the call; from seed a it expands none
     class Counting(dict):
         def __init__(self, *args):
             super().__init__(*args)
@@ -667,14 +668,16 @@ def test_fault_from_another_seed_expands_each_state_once(monkeypatch):
     trace = cli.boundary_trace
     monkeypatch.setattr(cli, "boundary_trace", lambda *a, **k: traces.append(a) or trace(*a, **k))
     argv = ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
-            "--seed", "b")
+            "--seed", seed)
     code, out = run_cli(*argv)
     assert code == 0 and len(traces) == 1
-    assert [(seed, given) for seed, given, _ in passes] == [(1, 0), (0, len(passes[0][2]))]
+    assert [(start, given) for start, given, _ in passes] == \
+        [("ab".index(seed), 0), (0, len(passes[0][2]))]
     written = [key for _, _, table in passes for key in table.written]
     assert len(written) == len(set(written))
-    assert passes[0][2].written and passes[1][2].written
-    # the seed-0 pass found some states already expanded
+    assert passes[0][2].written
+    # the seed-0 pass found some states already expanded, and from seed a all
+    assert bool(passes[1][2].written) == (seed == "b")
     monkeypatch.undo()
     doc = bundled_document("doubling_swap")
     s1, s2 = doc.substitution("sigma1"), doc.substitution("sigma2")
@@ -777,7 +780,8 @@ def test_alg_json_interval_depends_on_field_refinement():
     assert before["coeffs"] == after["coeffs"]
 
 
-@pytest.mark.parametrize("colors", ["a", "v,a", "v", "=#112233", "v,a=#112233;", ";v,a=#112233"])
+@pytest.mark.parametrize("colors", ["a", "v,a", "v", "=#112233", "v,a=#112233;", ";v,a=#112233",
+                                    'v,a=red" onload="alert(1)', "v,a=<x>"])
 def test_render_malformed_colors_rejected(capsys, colors):
     capsys.readouterr()
     code = main(["render", "-i", "bundled:doubling_swap", "--rounds", "1", "--colors", colors])

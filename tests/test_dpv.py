@@ -286,10 +286,6 @@ def test_cohomology_zero_faults_partial():
     assert rep.essential.n == 0
     # H^1 = nu is a formula for n >= 1 too, so it is left out with H^2, H^3
     assert rep.h1 is None and rep.h2 is None and rep.h3 is None
-    from faultline.errors import UndeterminedError
-
-    with pytest.raises(UndeterminedError):
-        cohomology(d, strict=True)
 
 
 def test_cohomology_undetermined_range_variants():

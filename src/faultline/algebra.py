@@ -266,12 +266,12 @@ class NumberField:
     nested cells give nested enclosures, so a test once passed stays passed,
     and that level is found in a few steps rather than one halving at a
     time: ``_descend`` gallops to deeper cells that integer Newton steps
-    locate, then searches among their ancestors.  Refinements are cached on the field object.  Exact
-    results (signs, comparisons, modular reduction) do not depend on that
-    cache, but enclosures do: ``AlgebraicNumber.interval(width)`` evaluates
-    at the current root interval, so once an earlier computation has refined
-    the field, the same number and width give a tighter (different)
-    enclosure.
+    locate, then searches among their ancestors.  Refinements are cached on
+    the field object.  Exact results (signs, comparisons, modular reduction)
+    do not depend on that cache, but enclosures do:
+    ``AlgebraicNumber.interval(width)`` evaluates at the current root
+    interval, so once an earlier computation has refined the field, the same
+    number and width give a tighter (different) enclosure.
     """
 
     __slots__ = ("poly", "_ziv", "_sign_lo", "_dpoly")

@@ -295,11 +295,10 @@ def cmd_fault(args):
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
     spectral = cache(lambda: top.spectral_class().kind)
-    # classification is defined on the trace from seed letter 0: it reads the
-    # printed trace's expanded states, so no state is expanded twice
-    cls = classify_boundary(top, bottom, rounds, modulus=trace.modulus,
-                            max_states=opts["max_states"], spectral=spectral,
-                            expanded=trace.expanded)
+    # classification walks the overlap states from every aligned seed: it
+    # reads the printed trace's expanded states, so no state is expanded twice
+    cls = classify_boundary(top, bottom, rounds, max_states=opts["max_states"],
+                            spectral=spectral, expanded=trace.expanded)
     field, den = stats.field, stats.den
 
     def number(v):

@@ -7,8 +7,9 @@ the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
 a tile width.  They are kept as integer coefficient vectors over the widths'
 common denominator: reduction, ordering and gaps run on integers, and reports
-print each from its vector.  Classification reads no offset: it decides
-``Rigid`` from the discrepancies alone (``classify_rounds``).
+print each from its vector.  Classification reads no offset and no tracked
+letter: a boundary is ``Rigid`` when the overlap states it reaches from every
+aligned seed close (``classify_boundary``).
 
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
@@ -134,9 +135,12 @@ class _ScanWidths:
             return -1
         if not margin:
             return 0
-        vectors = self.vectors
-        return self.field.sign([sum(d * v[j] for d, v in zip(x, vectors))
-                                for j in range(self.field.degree)])
+        return self.field.sign(self.value(x))
+
+    def value(self, x):
+        """The coefficient vector over ``den`` of sum(x[i] * widths[i])."""
+        return tuple(sum(d * v[j] for d, v in zip(x, self.vectors))
+                     for j in range(self.field.degree))
 
 
 def _prefix_counts(word, zero):
@@ -150,7 +154,7 @@ def _prefix_counts(word, zero):
 
 
 def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
-                        max_states=DEFAULT_MAX_STATES, *, expanded=None):
+                        max_states=DEFAULT_MAX_STATES, *, expanded=None, seen=None):
     """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
     computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  The
     round that takes the states of all rounds so far past ``max_states``
@@ -158,6 +162,11 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
     (t, b, D) -> (children, read-offs), to read and fill; it may come from
     another trace of the same rows and tracked letter, whatever its seed
     and widths, since both entries are exact.
+
+    ``seen`` is a set of placed overlaps (t, b, <w, D>) to fill from round 0
+    on; the walk stops, before yielding it, at the first round that adds
+    none.  A placed overlap is keyed by its state when the field has the
+    alphabet's degree (D -> <w, D> is then injective), else by <w, D>'s vector.
 
     A round is carried by its overlap states.  A state (t, b, D) is a top
     tile t and a bottom tile b whose interiors overlap, with D the letter
@@ -243,7 +252,21 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
     # decided once, and a narrower root interval decides them again.
     if expanded is None:
         expanded = {}
+    injective = widths.field.degree == top.size
+
+    def closes(states):
+        # whether ``seen`` holds each placed overlap of a round; else it takes them
+        if seen is None:
+            return False
+        placed = states if injective else {(t, b, widths.value(d)) for t, b, d in states}
+        if placed <= seen:
+            return True
+        seen.update(placed)
+        return False
+
     states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
+    if closes(states):
+        return
     for rnd in range(1, k + 1):
         children, values = set(), set()
         for state in states:
@@ -257,6 +280,8 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
             raise ResourceCapError(
                 f"boundary trace exceeded the {max_states}-state budget at round {rnd}")
         states = children
+        if closes(states):
+            return
         yield tuple(sorted(values))
 
 
@@ -268,21 +293,6 @@ def _check_pair(top, bottom):
         raise HypothesisError("boundary trace needs equal per-letter image lengths")
     if top.matrix() != bottom.matrix():
         raise HypothesisError("boundary trace needs equal abelianizations")
-
-
-def _modulus_letter(scan, modulus):
-    """The letter whose width is the offset modulus: ``modulus``, or by
-    default the widest tile, the first of equal ones (one exact sign per
-    letter against the widest so far)."""
-    field, vectors = scan.field, scan.vectors
-    if modulus is None:
-        modulus = 0
-        for i in range(1, len(vectors)):
-            if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
-                modulus = i
-    if field.sign(vectors[modulus]) <= 0:
-        raise ValidationError("offset modulus must be positive")
-    return modulus
 
 
 def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
@@ -303,7 +313,14 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     scan = _ScanWidths(widths)
     # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
     field, vectors, den = scan.field, scan.vectors, scan.den
-    modulus = _modulus_letter(scan, modulus)
+    if modulus is None:
+        # the widest tile, the first of equal ones
+        modulus = 0
+        for i in range(1, len(vectors)):
+            if field.sign(tuple(map(sub, vectors[i], vectors[modulus]))) > 0:
+                modulus = i
+    if field.sign(vectors[modulus]) <= 0:
+        raise ValidationError("offset modulus must be positive")
     mod_vector = vectors[modulus]
     unit = vectors[tracked_letter]
     expanded = {}
@@ -457,69 +474,51 @@ class BoundaryClass:
         return self.kind.value
 
 
-def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, modulus=None,
-                      max_states=DEFAULT_MAX_STATES, *, spectral=None, expanded=None):
+def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES, *,
+                      spectral=None, expanded=None):
     """Classify the boundary between rows of ``top`` and ``bottom`` by
-    ``classify_rounds`` on their discrepancies over ``cap`` rounds from seed
-    letter 0; ``modulus`` and ``max_states`` are as in ``boundary_trace``.
+    walking its overlap states for at most ``cap`` rounds from each aligned
+    seed (x, x, 0), seed 0 first; ``max_states`` bounds each walk as in
+    ``boundary_trace``.
 
-    ``spectral`` is a callable that returns the SpectralKind of the top
-    matrix, by default the top substitution's spectral class; it is called
-    only for a boundary that is not Rigid.  ``expanded`` is a table of
-    expanded overlap states of the same rows with tracked letter 0, such as
-    ``BoundaryTrace.expanded`` of a trace from another seed: no state in it
-    is expanded again, and the states expanded here are added to it.  The
-    widths get a field of their own, so the refinements of this pass reach
-    no field that a report prints."""
+    A walk closes at the first round that adds no placed overlap
+    (t, b, left(t) - left(b)) to those of its earlier rounds.  The children
+    of a state and their placed overlaps depend on D only through <w, D>,
+    so the placed overlaps of a closed walk are closed under children: its
+    rows meet in finitely many ways.  Rigid when every walk closes, which
+    reads no label.  The first walk that does not close goes to
+    ``classify_rounds``, with ``spectral`` a callable that returns the
+    SpectralKind of the top matrix, by default the top substitution's.
+    ``expanded`` is as in ``_discrepancy_rounds``, for tracked letter 0,
+    such as ``BoundaryTrace.expanded``.  The widths get a field of their
+    own, so this pass refines no field that a report prints."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
     _check_pair(top, bottom)
     scan = _ScanWidths(top.tile_lengths())
-    modulus = _modulus_letter(scan, modulus)
-    rounds = _discrepancy_rounds(top, bottom, 0, cap, scan, 0, max_states, expanded=expanded)
-    return classify_rounds(rounds, scan.vectors[0], scan.vectors[modulus],
-                           spectral or (lambda: top.spectral_class().kind))
+    expanded = {} if expanded is None else expanded
+    for seed in range(top.size):
+        rounds = tuple(_discrepancy_rounds(top, bottom, seed, cap, scan, 0, max_states,
+                                           expanded=expanded, seen=set()))
+        if len(rounds) == cap:
+            return classify_rounds(rounds, spectral or (lambda: top.spectral_class().kind))
+    return BoundaryClass(kind=BoundaryKind.RIGID, spectral_kind=None)
 
 
-def _period(unit, mod_vector):
-    """The least d > 0 with d * unit an integer multiple of mod_vector (both
-    integer vectors, mod_vector nonzero), or 0 when unit is no rational
-    multiple of mod_vector."""
-    i = next(i for i, c in enumerate(mod_vector) if c)
-    if any(u * mod_vector[i] != unit[i] * w for u, w in zip(unit, mod_vector)):
-        return 0
-    return Fraction(unit[i], mod_vector[i]).denominator
+def classify_rounds(rounds, spectral):
+    """The class of a boundary whose walk does not close, from ``rounds``,
+    the sorted distinct discrepancies of each round of that walk (at least
+    4 rounds); ``spectral`` is a callable that returns the SpectralKind of
+    the top matrix.
 
-
-def classify_rounds(rounds, unit, mod_vector, spectral):
-    """The class of a boundary from ``rounds``, the sorted distinct
-    discrepancies of each round of its trace from seed letter 0 (at least
-    4 rounds).  ``unit`` and ``mod_vector`` are the integer vectors, over one
-    denominator, of the tracked tile's width and of the offset modulus;
-    ``spectral`` is a callable that returns the SpectralKind of the top
-    matrix.
-
-    Rigid when every offset m * w_tracked mod w_mod is the same.  Two
-    offsets lie in [0, w_mod), so those of m and m' are equal exactly when
-    (m - m') * unit is an integer multiple of mod_vector: when m = m' modulo
-    the least d with d * unit such a multiple (``_period``), or when m = m'
-    if there is none.  That is an integer test, and ``spectral`` is not
-    called for it.  Otherwise RegularFault when the top matrix is
-    NonPisotExpanding and the max |discrepancy| strictly increases across
-    the last three doubling checkpoints; otherwise Undetermined
-    (deliberately: for more than two letters the dichotomy is open).  Every
-    round is read, so a state budget trips as the trace's would."""
-    period = _period(unit, mod_vector)
-    maxes, residues = [], set()
-    for ms in rounds:
-        maxes.append(max(abs(ms[0]), abs(ms[-1])) if ms else 0)
-        if len(residues) < 2:
-            residues.update({m % period for m in ms} if period else ms)
+    RegularFault when the top matrix is NonPisotExpanding and the max
+    |discrepancy| strictly increases across the last three doubling
+    checkpoints; otherwise Undetermined (deliberately: for more than two
+    letters the dichotomy is open)."""
+    maxes = [max(abs(ms[0]), abs(ms[-1])) if ms else 0 for ms in rounds]
     cap = len(maxes)
     if cap < 4:
         raise ValidationError("classification needs at least 4 rounds")
-    if len(residues) <= 1:
-        return BoundaryClass(kind=BoundaryKind.RIGID, spectral_kind=None)
     kind = spectral()
     c = cap // 4
     checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])

@@ -67,6 +67,13 @@ def random_substitution(rng, n_letters, max_len=3, primitive=True, tries=200):
     raise AssertionError("could not generate a primitive substitution")
 
 
+def relabelled(s, order):
+    """``s`` with its alphabet listed in ``order``, a permutation of its
+    letter names: the same rules under other letter indices."""
+    return Substitution(order, {letter.name: tuple(s.letters[x].name for x in img)
+                                for letter, img in zip(s.letters, s.rules)})
+
+
 def shuffled_twin(rng, s):
     """Substitution with every rule image permuted: same lengths, same
     abelianization, different order."""
@@ -931,8 +938,9 @@ def stats_min_gap(stats):
 
 # The classifier that ``fault.classify_rounds`` replaced: it read the trace's
 # reduced offsets for the Rigid test and took the spectral class of every
-# boundary.  Kept verbatim (but for its name) as the oracle of the integer
-# Rigid test.
+# boundary.  Kept verbatim (but for its name) as the oracle of
+# ``classify_boundary``; test_fault lists where overlap-state closure may
+# decide otherwise.
 
 def reference_classify_trace(trace, spectral=None):
     """classify_boundary on an existing trace, which must start from seed

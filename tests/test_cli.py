@@ -348,10 +348,12 @@ def test_fault_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_fact
 @st.composite
 def dpv_documents(draw):
     """A vertical on 1-3 letters with images of 1-3 letters over 2-3
-    members of the horizontal family a -> (a^p b in some order), b -> a^q;
-    each row of each vertical image picks a member.  Half of the verticals
-    are primitive by construction (each letter's image holds the next
-    letter, and the first letter's holds itself); the rest may not be."""
+    horizontal members; each row of each vertical image picks a member.
+    The members are the family a -> (a^p b in some order), b -> a^q, or
+    shuffled twins of one primitive rule set on three letters, and either
+    alphabet is listed in a drawn order.  Half of the verticals are
+    primitive by construction (each letter's image holds the next letter,
+    and the first letter's holds itself); the rest may not be."""
     letters = LETTERS[:draw(st.integers(1, 3))]
     primitive = draw(st.booleans())
     rules = {}
@@ -361,14 +363,23 @@ def dpv_documents(draw):
         if primitive:
             img += [letters[(i + 1) % len(letters)]] + ([x] if i == 0 else [])
         rules[x] = "".join(draw(st.permutations(img)))
-    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 4))
-    family = draw(st.lists(st.integers(0, p), min_size=2, max_size=3, unique=True))
+    if draw(st.booleans()):
+        horizontal = ["a", "b"]
+        p, q = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        family = draw(st.lists(st.integers(0, p), min_size=2, max_size=3, unique=True))
+        members = {f"s{j}": {"a": "a" * j + "b" + "a" * (p - j), "b": "a" * q} for j in family}
+    else:
+        # primitive: each letter's image holds the next letter, and a's holds a
+        horizontal = ["a", "b", "c"]
+        base = {x: draw(st.lists(st.sampled_from(horizontal), max_size=2))
+                + ["bca"[i]] + (["a"] if i == 0 else []) for i, x in enumerate(horizontal)}
+        members = {f"s{j}": {x: "".join(draw(st.permutations(img))) for x, img in base.items()}
+                   for j in range(draw(st.integers(2, 3)))}
     subs = {"rho": {"alphabet": "v", "rules": rules}}
-    for j in family:
-        subs[f"s{j}"] = {"alphabet": "h", "rules": {"a": "a" * j + "b" + "a" * (p - j),
-                                                   "b": "a" * q}}
-    names = [f"s{j}" for j in family]
-    return {"alphabets": {"v": list(letters), "h": ["a", "b"]},
+    subs.update((name, {"alphabet": "h", "rules": r}) for name, r in members.items())
+    names = list(members)
+    return {"alphabets": {"v": draw(st.permutations(letters)),
+                          "h": draw(st.permutations(horizontal))},
             "substitutions": subs,
             "dpv": {"vertical": "rho", "horizontal": names,
                     "row_sigma": {x: [draw(st.sampled_from(names)) for _ in img]
@@ -553,14 +564,13 @@ def test_text_format():
 
 def test_undetermined_exit_code(tmp_path):
     doc = {
-        "alphabets": {"ab": ["a", "b"]},
+        "alphabets": {"abc": ["a", "b", "c"]},
         "substitutions": {
-            "t1": {"alphabet": "ab", "rules": {"a": "ab", "b": "a"}},
-            "t2": {"alphabet": "ab", "rules": {"a": "ba", "b": "a"}},
+            "t1": {"alphabet": "abc", "rules": {"a": "cb", "b": "baa", "c": "b"}},
+            "t2": {"alphabet": "abc", "rules": {"a": "cb", "b": "aab", "c": "b"}},
         },
-        "options": {"modulus_letter": "b"},
     }
-    path = tmp_path / "golden.json"
+    path = tmp_path / "pisot3.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli("fault", "-i", str(path), "--top", "t1", "--bottom", "t2")
     assert code == 2
@@ -905,6 +915,27 @@ def test_cohomology_matches_expected_file(name):
     doc = bundled_document(name)
     _, body = cli._cohomology_report(doc, doc.options)
     assert cli.cohomology_summary(doc.dpv, body) == bundled_expected(name)
+
+
+@pytest.mark.parametrize("name", ["doubling_swap", "period_doubling", "row_thirds"])
+def test_reversed_alphabets_give_the_bundled_groups(name):
+    # rules name their letters, so listing every alphabet backwards changes
+    # no tiling: the groups, n and the fault junctions are the bundled ones
+    # (presentations are conjugated by the reversal)
+    raw = json.loads(resources.files("faultline").joinpath("data", name + ".json")
+                     .read_text("utf-8"))
+    raw["alphabets"] = {key: names[::-1] for key, names in raw["alphabets"].items()}
+    doc = load_document(raw)
+    _, body = cli._cohomology_report(doc, doc.options)
+    got, want = cli.cohomology_summary(doc.dpv, body), bundled_expected(name)
+
+    def groups(summary):
+        return {key: (summary[key]["expr"], summary[key]["rank"], summary[key]["det"])
+                for key in ("H0", "H1", "H2", "H3", "mu", "nu")}
+
+    assert groups(got) == groups(want)
+    assert got["n"] == want["n"]
+    assert sorted(got["fault_junction_cores"]) == sorted(want["fault_junction_cores"])
 
 
 def _count_collars(monkeypatch):

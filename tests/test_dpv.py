@@ -1,6 +1,9 @@
 """DPV validation, essential vertices, cochain limits, cohomology reports."""
 
+import random
+
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from faultline import dpv
 from faultline.abelian import recognize
@@ -18,7 +21,7 @@ from faultline.errors import ResourceCapError, ValidationError
 from faultline.fault import BoundaryKind
 from faultline.substitution import Substitution, spectral_classify
 
-from conftest import random_substitution, rng_for
+from conftest import random_substitution, relabelled, rng_for, shuffled_twin
 
 MU = "Z[1/L:x^2-x-3]"
 
@@ -275,9 +278,9 @@ def test_cohomology_crosscheck_logged(pd_dpv):
 
 
 def test_cohomology_zero_faults_partial():
-    # golden-mean pair: Pisot expansion, offsets constant under the default
-    # modulus, so the single eventual boundary is Rigid and n = 0: the fault
-    # formulas do not apply and the report stays partial
+    # golden-mean pair: Pisot expansion whose overlap states close, so the
+    # single eventual boundary is Rigid and n = 0: the fault formulas do not
+    # apply and the report stays partial
     t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
     t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
     rho = Substitution(["v"], {"v": "vv"})
@@ -289,11 +292,11 @@ def test_cohomology_zero_faults_partial():
 
 
 def test_cohomology_undetermined_range_variants():
-    # Pisot expansion whose narrow letter is the tracked one: the boundary
-    # shows several distinct offsets but no growth, hence Undetermined, and
-    # the report parameterizes H^2/H^3 by the feasible fault counts
-    s1 = Substitution(["a", "b"], {"a": "ab", "b": "abb"})
-    s2 = Substitution(["a", "b"], {"a": "ba", "b": "bba"})
+    # a three-letter pair whose overlap states do not close within the cap
+    # and whose discrepancies do not grow, hence Undetermined, and the report
+    # parameterizes H^2/H^3 by the feasible fault counts
+    s1 = Substitution(["a", "b", "c"], {"a": "cb", "b": "baa", "c": "b"})
+    s2 = Substitution(["a", "b", "c"], {"a": "cb", "b": "aab", "c": "b"})
     rho = Substitution(["v"], {"v": "vv"})
     d = DPVSubstitution(vertical=rho, horizontal=(s1, s2), row_sigma=((0, 1),))
     rep = cohomology(d)
@@ -311,8 +314,8 @@ def test_undetermined_range_from_zero_leaves_h1_null():
     # n = (0, 1): n = 0 is one of the counts the range stands for, and there
     # H^1 = nu does not hold, so H^1 is null as it is for n = 0; n = 1 is
     # the one variant
-    s1 = Substitution(["a", "b"], {"a": "ab", "b": "abb"})
-    s2 = Substitution(["a", "b"], {"a": "ba", "b": "bba"})
+    s1 = Substitution(["a", "b", "c"], {"a": "cb", "b": "baa", "c": "b"})
+    s2 = Substitution(["a", "b", "c"], {"a": "cb", "b": "aab", "c": "b"})
     rho = Substitution(["v"], {"v": "vv"})
     d = DPVSubstitution(vertical=rho, horizontal=(s1, s2), row_sigma=((0, 1),))
     rep = cohomology(d)
@@ -342,3 +345,53 @@ def test_rank_identity_bundled_and_random():
         for _ in range(cx.n_vertices):
             current = {cx.vertex_map[v] for v in current}
         assert d1.r == nu_dl.r + len(current) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3), data=st.data())
+def test_cohomology_does_not_depend_on_the_order_of_the_horizontal_alphabet(
+        seed, n_letters, data):
+    # a DPV over a random horizontal, or a non-Pisot one, and its shuffled
+    # twins, under a random vertical: listing the horizontal alphabet in another order changes no
+    # tiling, so no vertex may become Rigid or stop being Rigid, and where
+    # both orders decide every vertex, n and the groups are the same
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    if data.draw(st.booleans()):
+        # a -> a^p b, b -> a^q with q > p + 1: non-Pisot, so its twins fault
+        p = rng.randint(1, 2)
+        s = Substitution(["a", "b"], {"a": "a" * p + "b", "b": "a" * rng.randint(p + 2, 4)})
+    family = [s] + [shuffled_twin(rng, s) for _ in range(rng.randint(1, 2))]
+    rho = random_substitution(rng, rng.randint(1, 2), max_len=2)
+    while max(map(len, rho.rules)) < 2:
+        rho = random_substitution(rng, rho.size, max_len=2)
+    row_sigma = tuple(tuple(rng.randrange(len(family)) for _ in img) for img in rho.rules)
+    order = data.draw(st.permutations(s.alphabet))
+
+    def report(horizontal):
+        d = DPVSubstitution(vertical=rho, horizontal=tuple(horizontal), row_sigma=row_sigma)
+        try:
+            return cohomology(d, cap=8, max_states=20_000)
+        except ResourceCapError:
+            return None
+
+    reports = report(family), report(relabelled(x, order) for x in family)
+    if None in reports:
+        event("budget tripped")
+        return
+    kinds = [[v.kind for v in rep.essential.vertices] for rep in reports]
+    assert [[k is BoundaryKind.RIGID for k in ks] for ks in kinds] == \
+        [[k is BoundaryKind.RIGID for k in kinds[0]]] * 2
+    if any(BoundaryKind.UNDETERMINED in ks for ks in kinds):
+        event("undetermined")
+        return
+    event(f"n = {reports[0].essential.n}")
+
+    def groups(rep):
+        # an unrecognised limit prints its presentation, which the order
+        # conjugates; its rank and determinant do not change
+        return [g and ("Lim(" not in g.canonical() and g.canonical(), g.rank(), g.det_class())
+                for g in (rep.h0, rep.h1, rep.h2, rep.h3)]
+
+    assert reports[0].essential.n == reports[1].essential.n
+    assert groups(reports[0]) == groups(reports[1])

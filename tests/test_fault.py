@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from operator import sub
+from operator import mul, sub
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -40,6 +40,7 @@ from conftest import (
     reference_offset_statistics,
     reference_discrepancy_rounds,
     reference_offsets,
+    relabelled,
     rng_for,
     scan_discrepancy_rounds,
     scan_prefix_discrepancies,
@@ -428,18 +429,18 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
 
     # AlgebraicNumber has no arithmetic to call (test_algebra checks that)
     monkeypatch.setattr(algebra, "mod_reduce", forbidden)
-    # modulo the tracked width itself every offset is 0
-    for modulus, kind in ((None, BoundaryKind.REGULAR_FAULT),
-                          (1, BoundaryKind.REGULAR_FAULT), (0, BoundaryKind.RIGID)):
+    # modulo the tracked width itself every offset is 0; the modulus shapes
+    # only the offsets, not the class
+    for modulus in (None, 1, 0):
         trace = boundary_trace(sigma1, sigma2, "a", 10, modulus=modulus)
         stats = offset_statistics(trace)
-        assert classify_boundary(sigma1, sigma2, 10, modulus=modulus,
-                                 spectral=lambda: spectral).kind is kind
         gap = step_min_gap(trace.steps[-1])
-        if kind is BoundaryKind.RIGID:
+        if modulus == 0:
             assert stats.distinct_count == 1 and gap is None
         else:
             assert stats.distinct_count > 10 and gap.sign() > 0
+    assert classify_boundary(sigma1, sigma2, 10, spectral=lambda: spectral).kind is \
+        BoundaryKind.REGULAR_FAULT
 
 
 def test_trace_reproduces_displayed_pairs(sigma1, sigma2):
@@ -544,14 +545,16 @@ def test_state_budget_never_changes_a_trace(seed, n_letters, k, budget):
 
 def test_offsets_listed_once_per_round(sigma1, sigma2):
     # modulo the tracked width every shear is 0: eight rounds of growing
-    # distinct discrepancies, one offset
+    # distinct discrepancies, one offset.  The offset reference reads that
+    # one offset as Rigid; the overlap states do not close, so the boundary
+    # is a fault whatever the modulus
     trace = boundary_trace(sigma1, sigma2, "a", 8, modulus=0)
     assert [len(st_.discrepancy_values) for st_ in trace.steps] == [2, 3, 3, 4, 5, 7, 8, 11]
     assert all(st_.offset_vectors == ((0, 0),) for st_ in trace.steps)
     assert all(step_min_gap(st_) is None for st_ in trace.steps)
     assert offset_statistics(trace).distinct_count == 1
     assert reference_classify_trace(trace).kind is BoundaryKind.RIGID
-    assert classify_boundary(sigma1, sigma2, 8, modulus=0).kind is BoundaryKind.RIGID
+    assert classify_boundary(sigma1, sigma2, 8).kind is BoundaryKind.REGULAR_FAULT
 
 
 def test_growth_near_second_eigenvalue(sigma1, sigma2):
@@ -627,11 +630,9 @@ def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
 
 
 def classify_steps(trace):
-    """``classify_rounds`` on the discrepancies of a trace from seed 0, as
-    ``fault`` classifies its printed trace."""
-    vectors = trace.widths.vectors
+    """``classify_rounds`` on the discrepancies of a trace, as
+    ``classify_boundary`` reads a walk that does not close."""
     return classify_rounds((st_.discrepancy_values for st_ in trace.steps),
-                           vectors[trace.tracked_letter], vectors[trace.modulus],
                            lambda: trace.top_sub.spectral_class().kind)
 
 
@@ -652,10 +653,17 @@ def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
        modulus=st.one_of(st.none(), st.integers(0, 3)),
        budget=st.one_of(st.integers(4, 400), st.just(20_000)))
 def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, modulus, budget):
-    # the integer Rigid test and the lazily asked spectral class give the
-    # kind that the reduced offsets of a full trace give, and a budget trips
-    # at the same round; so they do with the expanded states of a trace from
-    # another seed
+    # where the walk from seed 0 does not close, the lazily asked spectral
+    # class gives the kind that the reduced offsets of a full trace give,
+    # and a budget trips at the same round.  The classes differ only where
+    # the offsets could not see what the overlap states show:
+    # - the reference's vacuous Rigid, when the tracked width is an integer
+    #   multiple of the modulus, so that every offset is 0, says nothing;
+    # - a closed walk is Rigid where the reference reads Undetermined or a
+    #   budget past the closing round, and where it reads RegularFault only
+    #   with a reducible charpoly (D grows while <w, D> stays bounded);
+    # - once seed 0 closes, the walks from the other seeds decide.
+    # The expanded states of a trace from another seed change nothing.
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
@@ -670,27 +678,152 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
 
     want = outcome(lambda: reference_classify_trace(
         boundary_trace(s, t, 0, cap, modulus=modulus, max_states=budget)))
-    event("budget tripped" if isinstance(want, str) else want.value)
-    assert outcome(lambda: classify_boundary(s, t, cap, modulus, budget)) == want
+    got = outcome(lambda: classify_boundary(s, t, cap, budget))
+    widths = _ScanWidths(s.tile_lengths())
+    try:
+        closes = len(list(_discrepancy_rounds(s, t, 0, cap, widths, 0, budget,
+                                              seen=set()))) < cap
+    except ResourceCapError:
+        closes = False
+    unit, mod = widths.vectors[0], widths.vectors[boundary_trace(s, t, 0, 1, modulus).modulus]
+    q = Fraction(next(u for u, m in zip(unit, mod) if m), next(m for m in mod if m))
+    vacuous = want is BoundaryKind.RIGID and q.denominator == 1 and \
+        all(u == q * m for u, m in zip(unit, mod))
+    event("closed" if closes else "open")
+    event(getattr(got, "value", "budget tripped"))
+    assert (got is BoundaryKind.RIGID) <= closes
+    if not closes and not vacuous:
+        assert got == want
+    if got is BoundaryKind.RIGID and want is BoundaryKind.REGULAR_FAULT:
+        assert widths.field.degree < n_letters
+    if want is BoundaryKind.RIGID and not vacuous:
+        assert got is BoundaryKind.RIGID
     try:
         table = boundary_trace(s, t, rng.randrange(n_letters), cap, max_states=budget).expanded
     except ResourceCapError:
         return
-    assert outcome(lambda: classify_boundary(s, t, cap, modulus, budget,
-                                             expanded=table)) == want
+    assert outcome(lambda: classify_boundary(s, t, cap, budget, expanded=table)) == got
 
 
 def test_classify_pisot_pair():
+    # the golden-mean pair: modulo the b width it shows two offsets, but its
+    # overlap states close, so it meets in finitely many ways: Rigid under
+    # either order of the alphabet
     t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
     t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
-    # default modulus is the widest tile (the golden-width a itself), so all
-    # observed offsets reduce to zero: constant offsets mean Rigid
-    cls = classify_boundary(t1, t2)
-    assert cls.kind is BoundaryKind.RIGID
-    # reducing modulo the b width instead exposes two distinct offsets, and
-    # with a Pisot expansion there is no growth evidence either way
-    cls_b = classify_boundary(t1, t2, modulus=1)
-    assert cls_b.kind is BoundaryKind.UNDETERMINED
+    assert offset_statistics(boundary_trace(t1, t2, "a", 12, modulus=1)).distinct_count == 2
+    assert classify_boundary(t1, t2).kind is BoundaryKind.RIGID
+    r1 = Substitution(["b", "a"], {"a": "ab", "b": "a"})
+    r2 = Substitution(["b", "a"], {"a": "ba", "b": "a"})
+    assert classify_boundary(r1, r2).kind is BoundaryKind.RIGID
+
+
+def placed_overlaps(top, bottom, widths):
+    """Every (t, b, <w, D>) of a top tile t and a bottom tile b that overlap
+    in two materialised rows, with D the letter counts left of t minus
+    those left of b: one merge of the rows on exact right edges."""
+    d, out, i, j = [0] * len(widths.vectors), set(), 0, 0
+    while i < len(top) and j < len(bottom):
+        t, b = top[i], bottom[j]
+        out.add((t, b, widths.value(d)))
+        e = list(d)
+        e[t] += 1
+        e[b] -= 1
+        sign = widths.sign(e, sum(map(mul, e, widths.scaled)))   # right(t) - right(b)
+        if sign <= 0:
+            d[t] += 1
+            i += 1
+        if sign >= 0:
+            d[b] -= 1
+            j += 1
+    return out
+
+
+def check_closure(top, bottom, cap, letters=20_000):
+    """Whether every walk of ``classify_boundary`` closes within ``cap``
+    rounds; for one that does, the rows built to twice its closing round,
+    or until they pass ``letters``, meet only in its placed overlaps, and,
+    when those are its states (an irreducible charpoly), read only its
+    read-offs."""
+    widths = _ScanWidths(top.tile_lengths())
+    walks, expanded = [], {}
+    for seed in range(top.size):
+        seen = set()
+        closing = len(list(_discrepancy_rounds(top, bottom, seed, cap, widths, 0,
+                                               expanded=expanded, seen=seen))) + 1
+        if closing > cap:
+            return False
+        walks.append((seed, closing, seen))
+    injective = widths.field.degree == top.size
+    for seed, closing, seen in walks:
+        placed = {(t, b, widths.value(d)) for t, b, d in seen} if injective else seen
+        read_offs = {m for state in seen for m in expanded[state][1]} if injective else None
+        wt = wb = (seed,)
+        for values in scan_discrepancy_rounds(top, bottom, seed, 2 * closing, widths, 0):
+            wt, wb = top.apply(wt), bottom.apply(wb)
+            assert placed_overlaps(wt, wb, widths) <= placed
+            assert read_offs is None or set(values) <= read_offs
+            if len(wt) > letters:
+                break
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3))
+def test_closed_walks_bound_the_built_rows(seed, n_letters):
+    # a walk that closes holds every placed overlap, and every discrepancy,
+    # of the rows built to twice its closing round
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    closed = check_closure(s, t, 8)
+    event("closed" if closed else "open")
+    assert (classify_boundary(s, t, 8).kind is BoundaryKind.RIGID) == closed
+
+
+def test_closure_keys_by_placement_when_the_charpoly_is_reducible():
+    # charpoly (x + 2)(x^2 - 3x + 1): D grows but <w, D> does not, so the
+    # placed overlaps close where the states do not; the checkpoints read
+    # growing discrepancies
+    s = Substitution(["a", "b", "c"], {"a": "bb", "b": "aca", "c": "cab"})
+    t = Substitution(["a", "b", "c"], {"a": "bb", "b": "aca", "c": "abc"})
+    widths = _ScanWidths(s.tile_lengths())
+    assert widths.field.degree == 2
+    assert check_closure(s, t, 12)
+    assert classify_boundary(s, t).kind is BoundaryKind.RIGID
+    maxes = boundary_trace(s, t, "a", 12).max_abs_by_round()
+    assert maxes[2] < maxes[5] < maxes[11]
+    assert classify_rounds(list(_discrepancy_rounds(s, t, 0, 12, widths, 0)),
+                           lambda: spectral_classify(s.matrix()).kind).kind is \
+        BoundaryKind.REGULAR_FAULT
+
+
+def test_golden_mean_pair_closes():
+    t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
+    t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
+    assert check_closure(t1, t2, 12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3), data=st.data())
+def test_rigid_does_not_depend_on_the_order_of_the_alphabet(seed, n_letters, data):
+    # the rules name their letters, so listing the alphabet in another order
+    # changes no boundary; nor may it change whether the boundary is Rigid
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    order = data.draw(st.permutations(s.alphabet))
+
+    def rigid(top, bottom):
+        try:
+            return classify_boundary(top, bottom, 8, 20_000).kind is BoundaryKind.RIGID
+        except ResourceCapError:
+            return None
+
+    got = rigid(s, t)
+    event(f"rigid {got}")
+    if got is not None:
+        assert rigid(relabelled(s, order), relabelled(t, order)) is got
 
 
 def test_classify_self_rigid_random():

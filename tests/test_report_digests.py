@@ -177,17 +177,22 @@ def test_complex_root_reports_unchanged(case, tmp_path, monkeypatch):
 
 
 # Small documents beside the bundled ones, on the two paths that classify
-# boundaries: ``fault --seed b``, whose classification traces again from
-# seed 0, and ``cohomology``, which classifies every essential vertex.
-# Recorded before boundaries were classified from their discrepancies; the
-# pisot_undetermined cohomology digests were recorded again when H1 became
-# null for a range of n that starts at 0, the one line in which those
-# reports differ.
+# boundaries: ``fault --seed b``, whose classification walks from every
+# seed, and ``cohomology``, which classifies every essential vertex.
+# Recorded before boundaries were classified from their discrepancies.  The
+# pisot_undetermined and golden_rigid digests were recorded when Rigid
+# became overlap-state closure, and are those the tracked-letter residue
+# test gave.
 INLINE_DOCS = {
-    # Pisot, with the narrow letter tracked: several offsets but no growth,
-    # so Undetermined, and n = (0, 1)
+    # x^3-x^2-2x-2: its overlap states do not close within the cap, and its
+    # discrepancies do not grow, so Undetermined, and n = (0, 1)
     "pisot_undetermined": (
-        {"a": "ab", "b": "abb"}, {"a": "ba", "b": "bba"},
+        {"a": "cb", "b": "baa", "c": "b"}, {"a": "cb", "b": "aab", "c": "b"},
+        {"v": "vv"}, {"v": ["sigma1", "sigma2"]}),
+    # the golden-mean pair: two offsets modulo the b width, but its overlap
+    # states close, so Rigid and n = 0
+    "golden_rigid": (
+        {"a": "ab", "b": "a"}, {"a": "ba", "b": "a"},
         {"v": "vv"}, {"v": ["sigma1", "sigma2"]}),
     # the paper pair under a Fibonacci vertical: two RegularFault boundaries
     "fibonacci_fault": (
@@ -213,10 +218,14 @@ INLINE_DIGESTS = {
     "mixed-cohomology-text": (0, "e578f92e41925faf0893fecf288c216b44e0d7c24fdc4027305cb12756947de8"),
     "mixed-fault-b-json": (0, "3da27c5f5ea2ad1baeb7d059aa45d27eddbd79eee358d43bd3395803d54c0504"),
     "mixed-fault-b-text": (0, "217b4bf83adfd68e62d386f081efedfc693518e00cb67812e5c92ef5de104260"),
-    "pisot_undetermined-cohomology-json": (2, "340b2798b91d809efc413136f2a6b1b4f4a436eda3fca1a9c3778e6f44a64c7a"),
-    "pisot_undetermined-cohomology-text": (2, "4c8d054981824aa8c51f5a2d4df2fbf5fce42ffa824132d535eac729cb4aa5e7"),
-    "pisot_undetermined-fault-b-json": (2, "271ab1ca8723d42eee540ff789c4bc4a333af49703e2c5fbff7a6ea8c74cba56"),
-    "pisot_undetermined-fault-b-text": (2, "6c8953c207a630d3ff846ecaeaadcdb78ded7f4f110507637972217c16aab846"),
+    "golden_rigid-cohomology-json": (2, "94f0b96789491982d91e89166fee0ed04b366f2495c9a65bd44b1042e4949b9c"),
+    "golden_rigid-cohomology-text": (2, "b18309306bfd5660eccf1be3860bf7f2f05c04bb3dd2822e7b24c00380ad56f8"),
+    "golden_rigid-fault-b-json": (0, "26df86b323f7a56150266b9799ece75825648eac128d59b647d508dfe496bdec"),
+    "golden_rigid-fault-b-text": (0, "a4812b27b255d14e17d859a354e8fc7404613dc8e83aa0783fa34e4ea80c001e"),
+    "pisot_undetermined-cohomology-json": (2, "7cdaf34f239f66f69c940681ca96525e2addf94bec9574c022f99bafea581149"),
+    "pisot_undetermined-cohomology-text": (2, "342b242e118795018781168e55d4a64b44a11582c197562f4e7797ec1985417d"),
+    "pisot_undetermined-fault-b-json": (2, "1ad54d6c0b3ea82485624d2f4e1b5123f80e6f907eb891bd67d5da3080c088fb"),
+    "pisot_undetermined-fault-b-text": (2, "2df29adfd78befc7366a467e1939773dfe6ab23f55909a0791339453f1525fdf"),
     "tribonacci_twins-cohomology-json": (2, "f10949e8ff089092c7ce530f083abf454a44cb35e8c9910e2e885ccc99337af8"),
     "tribonacci_twins-cohomology-text": (2, "4dfbe7a4ba381ac93f5f5f9e48b2c4842d4c16e032f54c946f67f81c12d49fb0"),
     "tribonacci_twins-fault-b-json": (0, "396811cb239e7eb3a99d43c43429a4f343dfac8c2ef5c5f421abdf321ac5a95d"),

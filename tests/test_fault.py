@@ -713,6 +713,7 @@ def test_classify_pisot_pair():
     t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
     assert offset_statistics(boundary_trace(t1, t2, "a", 12, modulus=1)).distinct_count == 2
     assert classify_boundary(t1, t2).kind is BoundaryKind.RIGID
+    assert check_closure(t1, t2, 12)
     r1 = Substitution(["b", "a"], {"a": "ab", "b": "a"})
     r2 = Substitution(["b", "a"], {"a": "ba", "b": "a"})
     assert classify_boundary(r1, r2).kind is BoundaryKind.RIGID
@@ -796,12 +797,6 @@ def test_closure_keys_by_placement_when_the_charpoly_is_reducible():
     assert classify_rounds(list(_discrepancy_rounds(s, t, 0, 12, widths, 0)),
                            lambda: spectral_classify(s.matrix()).kind).kind is \
         BoundaryKind.REGULAR_FAULT
-
-
-def test_golden_mean_pair_closes():
-    t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
-    t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
-    assert check_closure(t1, t2, 12)
 
 
 @settings(max_examples=80, deadline=None)

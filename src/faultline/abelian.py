@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from operator import index
 
 from .algebra import poly_str, ptrim
 from .errors import ValidationError
@@ -22,11 +23,26 @@ from .zpoly import irreducible_factors
 
 
 def mat(rows):
-    """Integer matrix (tuple of row tuples) from nested sequences."""
-    a = tuple(tuple(int(x) for x in row) for row in rows)
-    if len({len(row) for row in a}) > 1:
+    """Integer matrix (tuple of row tuples) from nested sequences of
+    integers."""
+    try:
+        a = tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        raise ValidationError("matrix entries must be integers") from None
+    if len(set(map(len, a))) > 1:
         raise ValidationError("matrix must be two-dimensional")
     return a
+
+
+def _as_mat(a):
+    """``a`` itself when it is a matrix already, a tuple of equal-length
+    tuples of ints, as every matrix the package builds is; else ``mat(a)``.
+    The test reads each entry's type but builds nothing."""
+    if (type(a) is tuple and set(map(type, a)) <= {tuple}
+            and len(set(map(len, a))) <= 1
+            and set(map(type, chain.from_iterable(a))) <= {int}):
+        return a
+    return mat(a)
 
 
 def shape(a):
@@ -185,7 +201,7 @@ class SmithForm:
 def smith_normal_form(a):
     """u a v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
     The inverse of u is tracked alongside."""
-    a = mat(a)
+    a = _as_mat(a)
     m, n = shape(a)
     d = [list(row) for row in a]
     v = [list(row) for row in eye(n)]
@@ -311,7 +327,7 @@ class DirectLimitGroup:
 
 def direct_limit(a):
     """Direct limit of Z^n under an integer endomorphism."""
-    a = mat(a)
+    a = _as_mat(a)
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")

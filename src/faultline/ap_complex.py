@@ -10,7 +10,7 @@ is the edge matrix) and a compatible map on vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import abelian
 from .errors import FaultlineError, ValidationError
@@ -42,8 +42,7 @@ def border_forcing(s, cap=_FORCING_CAP):
     return right, left
 
 
-@dataclass(frozen=True, order=True)
-class CollaredLetter:
+class CollaredLetter(NamedTuple):
     """Core letter with the collar context actually used on each side."""
 
     left: Optional[int]
@@ -77,6 +76,7 @@ class APComplex:
     transitions: tuple                  # legal 2-words of collared letters
     collared_left: bool
     collared_right: bool
+    coboundary: tuple                   # vertex-to-edge: (df)(e) = f(end e) - f(start e)
 
     @property
     def n_edges(self):
@@ -93,11 +93,8 @@ class APComplex:
 
     def vertex_pullback_matrix(self):
         """0-1 matrix of f -> f o vertex_map acting on 0-cochains."""
-        n = self.n_vertices
-        m = [[0] * n for _ in range(n)]
-        for v, w in enumerate(self.vertex_map):
-            m[v][w] = 1
-        return abelian.mat(m)
+        zeros = (0,) * self.n_vertices
+        return tuple(zeros[:w] + (1,) + zeros[w + 1:] for w in self.vertex_map)
 
     def junctions_at(self, vertex):
         """Legal transitions (e, f) whose junction end(e) ~ start(f) sits at
@@ -119,6 +116,9 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
+_SIDES = ("end", "start")
+
+
 def collar(s):
     """Build the collared substitution and its Anderson-Putnam complex.
 
@@ -132,79 +132,69 @@ def collar(s):
     right_forced, left_forced = border_forcing(s)
     need_left = left_forced is None
     need_right = right_forced is None
-    width = 1 + (1 if need_left else 0) + (1 if need_right else 0)
-    core_pos = 1 if need_left else 0
+    width = 1 + need_left + need_right
+    core_pos = int(need_left)
 
+    # a collared letter is its context word, in the same order: the sorted
+    # legal words of the collar width are the edges
     contexts = sorted(s.legal_words(width))
     if not contexts:
         raise ValidationError(f"substitution has no legal word of the collar width {width}")
-    seen = {}
-    edges = []
-    for w in contexts:
-        c = CollaredLetter(
-            left=w[core_pos - 1] if need_left else None,
-            core=w[core_pos],
-            right=w[core_pos + 1] if need_right else None,
-        )
-        if c not in seen:
-            seen[c] = len(edges)
-            edges.append(c)
-    edges = tuple(sorted(edges))
-    index = {c: i for i, c in enumerate(edges)}
-    alphabet = s.alphabet
+    edges = tuple(CollaredLetter(w[0] if need_left else None, w[core_pos],
+                                 w[-1] if need_right else None) for w in contexts)
+    index = {w: i for i, w in enumerate(contexts)}
+    rules = s.rules
 
-    def image_word(c):
-        ctx = []
-        if need_left:
-            ctx.append(c.left)
-        ctx.append(c.core)
-        if need_right:
-            ctx.append(c.right)
-        img = s.apply(tuple(ctx))
-        start = len(s.rule(c.left)) if need_left else 0
-        block = s.rule(c.core)
+    def image_word(w):
+        # the image of the core with its collared sides' neighbouring letters
+        core = rules[w[core_pos]]
+        img = ((rules[w[0]][-1:] if need_left else ()) + core
+               + (rules[w[-1]][:1] if need_right else ()))
         out = []
-        for pos in range(start, start + len(block)):
-            cc = CollaredLetter(
-                left=img[pos - 1] if need_left else None,
-                core=img[pos],
-                right=img[pos + 1] if need_right else None,
-            )
-            if cc not in index:
+        for pos in range(len(core)):
+            cw = img[pos:pos + width]
+            if cw not in index:
+                cc = CollaredLetter(cw[0] if need_left else None, cw[core_pos],
+                                    cw[-1] if need_right else None)
                 raise FaultlineError(
                     f"collared image letter {cc} is not legal; collaring is inconsistent"
                 )
-            out.append(index[cc])
+            out.append(index[cw])
         return tuple(out)
 
-    edge_map = tuple(image_word(c) for c in edges)
+    edge_map = tuple(map(image_word, contexts))
+    alphabet = s.alphabet
     names = tuple(c.display(alphabet) for c in edges)
-    collared = Substitution(names, {names[i]: edge_map[i] for i in range(len(edges))})
+    collared = Substitution(names, dict(zip(names, edge_map)))
     edge_matrix = collared.matrix()
-
     transitions = tuple(sorted(collared.legal_words(2)))
-    slots = [(e, side) for e in range(len(edges)) for side in ("start", "end")]
-    uf = _UnionFind(slots)
+
+    # endpoint slots: 2e is the end of edge e and 2e + 1 its start, so that
+    # slots sort as the (edge, side) pairs they stand for
+    n = len(edges)
+    uf = _UnionFind(range(2 * n))
     for e, f in transitions:
-        uf.union((e, "end"), (f, "start"))
+        uf.union(2 * e, 2 * f + 1)
     classes = {}
-    for slot in slots:
+    for slot in range(2 * n):
         classes.setdefault(uf.find(slot), []).append(slot)
-    vertices = tuple(sorted((frozenset(v) for v in classes.values()), key=lambda c: sorted(c)))
-    vertex_of = {slot: i for i, cls in enumerate(vertices) for slot in cls}
+    groups = sorted(classes.values())
+    vertex_of = [0] * (2 * n)
+    for i, group in enumerate(groups):
+        for slot in group:
+            vertex_of[slot] = i
 
     vertex_map = []
-    for cls in vertices:
-        targets = set()
-        for e, side in cls:
-            if side == "end":
-                targets.add(vertex_of[(edge_map[e][-1], "end")])
-            else:
-                targets.add(vertex_of[(edge_map[e][0], "start")])
+    for group in groups:
+        # the end of e lands on the end of its image's last edge, the start
+        # on the start of its first
+        targets = {vertex_of[2 * edge_map[slot >> 1][-1]] if slot & 1 == 0
+                   else vertex_of[2 * edge_map[slot >> 1][0] + 1] for slot in group}
         if len(targets) != 1:
             raise FaultlineError("vertex map is inconsistent; the complex is invalid")
         vertex_map.append(targets.pop())
 
+    ends = tuple((vertex_of[2 * e + 1], vertex_of[2 * e]) for e in range(n))
     cx = APComplex(
         base=s,
         substitution=collared,
@@ -212,27 +202,31 @@ def collar(s):
         edge_names=names,
         edge_map=edge_map,
         edge_matrix=edge_matrix,
-        vertices=vertices,
-        ends=tuple((vertex_of[(e, "start")], vertex_of[(e, "end")]) for e in range(len(edges))),
+        vertices=tuple(frozenset((slot >> 1, _SIDES[slot & 1]) for slot in group)
+                       for group in groups),
+        ends=ends,
         vertex_map=tuple(vertex_map),
         transitions=transitions,
         collared_left=need_left,
         collared_right=need_right,
+        coboundary=_coboundary(len(groups), ends),
     )
     # pullbacks on cochains must intertwine with the coboundary
-    d = _coboundary(cx)
+    d = cx.coboundary
     assert (abelian.matmul(abelian.transpose(edge_matrix), d)
             == abelian.matmul(d, cx.vertex_pullback_matrix()))
     return collared, cx
 
 
-def _coboundary(cx):
+def _coboundary(n_vertices, ends):
     """Vertex-to-edge coboundary: (df)(e) = f(end e) - f(start e)."""
-    d = [[0] * cx.n_vertices for _ in range(cx.n_edges)]
-    for e, (start, end) in enumerate(cx.ends):
-        d[e][end] += 1
-        d[e][start] -= 1
-    return abelian.mat(d)
+    rows = []
+    for start, end in ends:
+        row = [0] * n_vertices
+        row[end] += 1
+        row[start] -= 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _is_connected(cx):
@@ -259,8 +253,7 @@ def graph_h1(cx):
     complex) and the descended action of the edge-matrix transpose."""
     if not _is_connected(cx):
         raise ValidationError("AP complex is not connected")
-    d = _coboundary(cx)
-    snf = abelian.smith_normal_form(d)
+    snf = abelian.smith_normal_form(cx.coboundary)
     rank = snf.rank
     assert all(x == 1 for x in snf.diagonal[:rank]), "graph coboundary must have unit invariant factors"
     e = cx.n_edges

@@ -14,6 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .abelian import poly_str, recognize
@@ -85,7 +86,7 @@ def group_json(expr):
         "expr": expr.canonical(),
         "rank": expr.rank(),
         "det": expr.det_class(),
-        "presentation": [list(r) for r in expr.presentation_matrix()],
+        "presentation": expr.presentation_matrix(),
     }
 
 
@@ -93,9 +94,9 @@ def dlg_json(g, recognized):
     """A direct limit with ``recognized``, the caller's ``recognize(g)``."""
     return {
         "n": g.n,
-        "a": [list(r) for r in g.a],
+        "a": g.a,
         "r": g.r,
-        "a_prime": [list(r) for r in g.a_prime],
+        "a_prime": g.a_prime,
         "charpoly": poly_str(g.charpoly_prime),
         "det": g.det_prime,
         "recognized": recognized.canonical(),
@@ -105,25 +106,24 @@ def dlg_json(g, recognized):
 def complex_json(cx):
     slots = lambda cls: sorted(f"{cx.edge_names[e]}.{side}" for e, side in cls)
     return {
-        "edges": list(cx.edge_names),
+        "edges": cx.edge_names,
         "collared_left": cx.collared_left,
         "collared_right": cx.collared_right,
         "edge_map": {
             cx.edge_names[i]: [cx.edge_names[j] for j in img]
             for i, img in enumerate(cx.edge_map)
         },
-        "edge_matrix": [list(row) for row in cx.edge_matrix],
+        "edge_matrix": cx.edge_matrix,
         "vertices": [slots(cls) for cls in cx.vertices],
-        "vertex_map": list(cx.vertex_map),
+        "vertex_map": cx.vertex_map,
         "transitions": [[cx.edge_names[e], cx.edge_names[f]] for e, f in cx.transitions],
     }
 
 
 def essential_json(ev):
-    n = ev.n
     return {
-        "eventual": list(ev.eventual),
-        "n": list(n) if isinstance(n, tuple) else n,
+        "eventual": ev.eventual,
+        "n": ev.n,
         "vertices": [
             {
                 "vertex": vb.vertex,
@@ -133,17 +133,55 @@ def essential_json(ev):
                 "upper_core": vb.upper_core,
                 "class": vb.kind.value,
                 "cycle_length": vb.cycle_length,
-                "top_sigmas": list(vb.top_sigmas),
-                "bottom_sigmas": list(vb.bottom_sigmas),
+                "top_sigmas": vb.top_sigmas,
+                "bottom_sigmas": vb.bottom_sigmas,
             }
             for vb in ev.vertices
         ],
     }
 
 
+def _json(node, pad):
+    """``node`` as ``json.dumps(node, sort_keys=True, indent=2)`` writes it,
+    with ``pad`` the indent of the line it starts on.  Reports hold only
+    dicts with str keys, lists, tuples (written as lists), str, int, bool and
+    None; anything else is a TypeError."""
+    if isinstance(node, str):
+        return _quote(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        if not all(isinstance(k, str) for k in node):
+            raise TypeError("report keys must be str")
+        body = sep.join([_quote(k) + ": " + _json(v, inner) for k, v in sorted(node.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        kinds = set(map(type, node))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, node))
+        elif kinds == {str}:
+            body = sep.join(map(_quote, node))
+        else:
+            body = sep.join([_json(v, inner) for v in node])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"a report cannot hold a {type(node).__name__}")
+
+
 def dump_report(report, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2))
+        out.write(_json(report, ""))
         out.write("\n")
     else:
         _dump_text(report, out)
@@ -154,16 +192,17 @@ def _dump_text(node, out, indent=0):
     if isinstance(node, dict):
         for k in sorted(node):
             v = node[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 out.write(f"{pad}{k}:\n")
                 _dump_text(v, out, indent + 1)
             else:
                 out.write(f"{pad}{k}: {v}\n")
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         for v in node:
-            if isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v):
+            if (isinstance(v, (list, tuple))
+                    and all(not isinstance(x, (dict, list, tuple)) for x in v)):
                 out.write(f"{pad}- [{', '.join(str(x) for x in v)}]\n")
-            elif isinstance(v, (dict, list)):
+            elif isinstance(v, (dict, list, tuple)):
                 _dump_text(v, out, indent)
                 out.write("\n" if indent == 0 else "")
             else:
@@ -215,9 +254,9 @@ def cmd_analyze(args):
         pd = s.perron()
         sc = s.spectral_class()
         entry = {
-            "alphabet": list(s.alphabet),
+            "alphabet": s.alphabet,
             "rules": {l.name: s.text(r) for l, r in zip(s.letters, s.rules)},
-            "matrix": [list(row) for row in s.matrix()],
+            "matrix": s.matrix(),
             "charpoly": poly_str(pd.charpoly),
             "perron_root": alg_json(pd.root.field, *clear_denominators(pd.root.coeffs)),
             "primitive": pd.primitive,
@@ -257,8 +296,8 @@ def cmd_ap(args):
         "complex": complex_json(cx),
         "h1": {
             "rank": data.h1_rank,
-            "basis": [list(r) for r in data.h1_basis],
-            "induced": [list(r) for r in data.induced_h1],
+            "basis": data.h1_basis,
+            "induced": data.induced_h1,
         },
     }
     _warn_nonprimitive(s, args.name)
@@ -350,14 +389,14 @@ def _cohomology_report(doc, opts):
         "H3": group_json(rep.h3),
         "H_above_3": rep.hk_above_3.canonical(),
         "mu": group_json(rep.mu),
-        "mu_presentation": [list(r) for r in rep.mu_group.a_prime],
+        "mu_presentation": rep.mu_group.a_prime,
         "nu": group_json(rep.nu),
-        "nu_presentation": [list(r) for r in rep.nu_group.a_prime],
+        "nu_presentation": rep.nu_group.a_prime,
         "d0": dlg_json(rep.d0, recognize(rep.d0)),
         "d1": dlg_json(rep.d1, rep.d1_recognized),
         "d1_recognized": rep.d1_recognized.canonical(),
         "essential_vertices": essential_json(rep.essential),
-        "hypotheses": list(rep.hypothesis_log),
+        "hypotheses": rep.hypothesis_log,
     }
     if rep.variants:
         body["variants"] = [
@@ -433,7 +472,8 @@ def cohomology_summary(d, body):
             if vb["class"] == BoundaryKind.REGULAR_FAULT.value
         ],
     )
-    return summary
+    # as the expected file holds it: matrices as lists of lists
+    return json.loads(_json(summary, ""))
 
 
 def _check_example(name, out):

@@ -145,7 +145,7 @@ class Substitution:
             for j in range(n):
                 for i in self.rules[j]:
                     m[i][j] += 1
-            self._matrix = abelian.mat(m)
+            self._matrix = tuple(map(tuple, m))
         return self._matrix
 
     def length_vector(self):

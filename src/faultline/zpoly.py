@@ -951,6 +951,9 @@ def _descend(g, rects, small):
 # taken, in ``_locate``
 _GUARD = 16
 _NEWTON_STEPS = 40
+# fixed-point units: a guess this close to an edge that its square leaves out
+# is not tried (see ``_locate``)
+_NEAR = 4
 
 
 def _value(f, x, y, prec):
@@ -974,7 +977,13 @@ def _locate(g, rect, level):
     the centre of `rect`, in fixed point 2^-prec, guesses the root; the
     square the guess falls in is certified by a count of 1 on fresh lines
     for its four edges.  None when Newton does not settle, the guess it
-    settles on is not in `rect`, or the count is 0."""
+    settles on is not in `rect` or lies within _NEAR units of the bottom or
+    the right edge of its square, or the count is 0.
+
+    Truncation leaves a guess a unit or two off the root, so a root on an
+    edge of the grid, such as a real root on Im z = 0, can put the guess
+    just inside the square beyond it, which leaves that edge out and counts
+    0; such a guess goes straight to the fallback without building lines."""
     _, u, v, s, t, _ = rect
     prec = level + _GUARD
     one = 1 << prec
@@ -1003,6 +1012,8 @@ def _locate(g, rect, level):
     # the square [x0, x0 + side) x (y0, y0 + side] that holds x + i y
     side = 1 << _GUARD
     x0, y0 = x // side * side, (y - 1) // side * side
+    if y - y0 <= _NEAR or x0 + side - x <= _NEAR:
+        return None
     u, v = Fraction(x0, one), Fraction(y0, one)
     s, t = Fraction(x0 + side, one), Fraction(y0 + side, one)
     length = s - u

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked example substitutions and random generators."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -22,6 +23,12 @@ from faultline.algebra import (
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
 from faultline.substitution import SpectralKind, Substitution
+
+
+def reference_dump(report):
+    """A JSON report as the stdlib encoder writes it, the oracle of
+    ``cli.dump_report`` (which adds a final newline)."""
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Smith normal form, direct limits, recognition, group expressions."""
 
 import time
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -28,7 +29,9 @@ from faultline.abelian import (
     tensor,
     transpose,
 )
+from faultline import abelian
 from faultline.ap_complex import collar, graph_h1
+from faultline.dpv import h1_limit
 from faultline.errors import ValidationError
 
 from conftest import (
@@ -353,6 +356,42 @@ def test_mat_rejects_ragged_rows():
     with pytest.raises(ValidationError):
         mat([[1, 2], [3]])
     assert mat([]) == () and mat([[], []]) == ((), ())
+
+
+@pytest.mark.parametrize("bad", [
+    [[1, 2], [3]], ((1, 2), (3,)),              # ragged
+    [[1.0, 2]], ((1, 2.5),), ((1, "2"),),       # entries that are not integers
+    ((1, 2), [3, None]), [[Fraction(1, 2)]],
+])
+def test_smith_and_direct_limit_reject_what_mat_rejects(bad):
+    for f in (mat, smith_normal_form, direct_limit):
+        with pytest.raises(ValidationError):
+            f(bad)
+
+
+def test_smith_and_direct_limit_take_lists_bools_and_numpy_ints():
+    a = ((2, 1, 0), (0, 3, 1), (1, 0, 4))
+    for rows in ([list(r) for r in a], [list(map(np.int64, r)) for r in a]):
+        assert smith_normal_form(rows) == smith_normal_form(a)
+        assert direct_limit(rows) == direct_limit(a)
+    assert direct_limit(((True, False), (0, 1))) == direct_limit(eye(2))
+
+
+def test_package_matrices_skip_mat(monkeypatch, period_doubling):
+    # the coboundary, the edge matrix, the vertex pullback and every matrix
+    # that smith_normal_form and direct_limit pass on are tuples of int
+    # tuples already: none is rebuilt entry by entry
+    calls = []
+    real = abelian.mat
+    monkeypatch.setattr(abelian, "mat", lambda rows: calls.append(rows) or real(rows))
+    _, cx = collar(period_doubling)
+    data = graph_h1(cx)
+    h1_limit(cx)
+    recognize(direct_limit(cx.vertex_pullback_matrix()))
+    recognize(direct_limit(data.induced_h1))
+    assert calls == []
+    smith_normal_form([[1, 2], [3, 4]])
+    assert calls == [[[1, 2], [3, 4]]]
 
 
 def test_eye_transpose_match_numpy():

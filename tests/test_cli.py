@@ -30,7 +30,7 @@ from faultline.errors import ValidationError
 from faultline.fault import _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
 
-from conftest import iterate, number_json, scan_discrepancy_rounds
+from conftest import iterate, number_json, reference_dump, scan_discrepancy_rounds
 
 
 def run_cli(*argv):
@@ -560,6 +560,65 @@ def test_text_format():
     assert code == 0
     assert "charpoly: x^2-x-3" in out
     assert "spectral_class: NonPisotExpanding" in out
+
+
+def test_text_reports_pinned():
+    # the text rendering of analyze, ap, mu and cohomology, with their
+    # matrices, as written before reports carried tuple rows
+    path = pathlib.Path(__file__).parent / "data" / "period_doubling_text_reports.txt"
+    blocks = path.read_text(encoding="utf-8").split("$ faultline ")[1:]
+    assert [b.split()[0] for b in blocks] == ["analyze", "ap", "mu", "cohomology"]
+    for block in blocks:
+        command, _, want = block.partition("\n")
+        assert run_cli(*command.split()) == (0, want)
+
+
+def _dumped(report):
+    out = io.StringIO()
+    cli.dump_report(report, "json", out)
+    return out.getvalue()
+
+
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "\u00e9", "\u2028",
+                            "\U0001f600", "\ud800", 'a"b\\c', ""])
+_TEXT = st.one_of(st.text(), _AWKWARD)
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.integers(-2 ** 300, 2 ** 300), st.sampled_from((-1, 0, 10 ** 100)), _TEXT)
+_REPORT = st.recursive(
+    _LEAF,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.tuples(kids, kids),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.lists(st.integers(), max_size=4).map(tuple),
+                           st.lists(_TEXT, max_size=4),
+                           st.dictionaries(_TEXT, kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT)
+def test_report_writer_matches_the_stdlib_encoder(report):
+    assert _dumped(report) == reference_dump(report) + "\n"
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_report_writer_matches_the_stdlib_encoder_on_bundled_reports(name):
+    src = ["-i", f"bundled:{name}"]
+    argvs = [["analyze", *src], ["cohomology", *src]]
+    argvs += [[cmd, *src, "--name", sub] for cmd in ("ap", "mu")
+              for sub in ("sigma1", "sigma2", "rho")]
+    argvs += [["fault", *src, "--top", "sigma1", "--bottom", "sigma2", "--seed", seed]
+              for seed in ("a", "b")]
+    for argv in argvs:
+        args = cli._parser().parse_args(argv)
+        report, _ = args.func(args)
+        assert _dumped(report) == reference_dump(report) + "\n", argv
+
+
+@pytest.mark.parametrize("report", [1.5, {"a": [1, 2.0]}, {1: "a"}, {"a": {2: None}},
+                                    [Fraction(1, 2)], {"a": {1, 2}}])
+def test_report_writer_rejects_what_reports_never_hold(report):
+    with pytest.raises(TypeError):
+        _dumped(report)
 
 
 def test_undetermined_exit_code(tmp_path):

@@ -343,6 +343,27 @@ def test_roots_on_the_imaginary_axis_build_few_lines(line_builds):
     assert line_builds[0] < 64
 
 
+@pytest.mark.parametrize("f", [(6, -10, -7, -1, 1), (-1, 1, 2, 2, -4, 1)])
+def test_guess_beside_a_real_root_builds_no_lines(f, line_builds, monkeypatch):
+    # taken from ap-random charpolys: from the centre of a rectangle that
+    # holds one non-real root, Newton settles on a real root instead, a
+    # fixed-point unit above Im z = 0, which the guess's square leaves out.
+    # That guess is dropped before any line is built (the square would count
+    # 0), and the one-halving fallback reaches the leaf
+    locate, tried = zpoly._locate, []
+
+    def wrapped(*args):
+        before = line_builds[0]
+        leaf = locate(*args)
+        tried.append((leaf is not None, line_builds[0] - before))
+        return leaf
+
+    monkeypatch.setattr(zpoly, "_locate", wrapped)
+    assert_chain_matches_reference(f, [16, 32, 64])
+    assert (False, 0) in tried
+    assert all(found for found, lines in tried if lines)
+
+
 def test_refining_near_the_unit_circle_builds_few_lines(line_builds):
     # (N z^2 - N z + N + 1)(z - 2) with N = 2^70, its constant term moved by
     # 1: an irreducible cubic whose non-real pair has modulus 1 + O(2^-70),

@@ -326,25 +326,28 @@ class DirectLimitGroup:
 
 
 def direct_limit(a):
-    """Direct limit of Z^n under an integer endomorphism."""
+    """Direct limit of Z^n under an integer endomorphism.  When det(a) != 0,
+    a^n is injective: the eventual kernel is 0 and a is the reduced map, so
+    only a singular a needs the Smith form of a^n."""
     a = _as_mat(a)
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")
     an = matpow(a, n)
-    kern = kernel_basis(an)
-    k = shape(kern)[1]
-    if k == 0:
-        a_pr, proj, sect = a, eye(n), eye(n)
+    dp = det(a)
+    if dp:
+        k, a_pr, proj, sect = 0, a, eye(n), eye(n)
     else:
+        kern = kernel_basis(an)
+        k = shape(kern)[1]
         snf = smith_normal_form(kern)
         assert all(x == 1 for x in snf.diagonal), "saturated kernel lattice must be unimodular"
         proj = snf.u[k:]
         sect = tuple(row[k:] for row in snf.u_inv)
         a_pr = matmul(matmul(proj, a), sect)
+        dp = det(a_pr)
     r = n - k
     cp = charpoly(a_pr)
-    dp = det(a_pr)
     assert dp != 0, "reduced bonding map must be injective"
     assert r == rank_q(an)
     return DirectLimitGroup(
@@ -597,7 +600,11 @@ def _tensor_factors(factors):
             limits.append(f)
         else:
             rest.append(f)
-    if limits:
+    if len(limits) == 1 and zloc_m == 1:
+        # a limit's presentation is an injective reduced map already, so it
+        # is its own direct limit
+        rest.append(limits[0])
+    elif limits:
         prod = limits[0].presentation_matrix()
         for f in limits[1:]:
             prod = kron(prod, f.presentation_matrix())
@@ -669,8 +676,10 @@ def invariants(expr):
 # recognition
 # ---------------------------------------------------------------------------
 
-def recognize(g):
-    """Map a DirectLimitGroup to a recognized GroupExpr.
+def recognize(g, factored=None):
+    """Map a DirectLimitGroup to a recognized GroupExpr.  ``factored`` maps
+    a polynomial to its irreducible factors, when the caller keeps such a
+    table.
 
     Rules, in order: trivial limit; unimodular bonding -> Z^r; rank one ->
     Z[1/m]; irreducible charpoly -> Z[x]/(p) localized at x; diagonalizable
@@ -686,7 +695,8 @@ def recognize(g):
         return GroupExpr.zloc(abs(a_pr[0][0]))
     # charpoly_prime is monic: its factors are monic, and a linear one x - e
     # is an integer root e
-    factors = irreducible_factors(g.charpoly_prime)
+    cp = g.charpoly_prime
+    factors = irreducible_factors(cp) if factored is None else factored[cp]
     if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == g.r + 1:
         return GroupExpr.alg(g.charpoly_prime, g.a_prime)
     roots = sorted((-f[0], m) for f, m in factors if len(f) == 2)

@@ -17,7 +17,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .abelian import poly_str, recognize
+from .abelian import poly_str
 from .algebra import clear_denominators, decimal_string
 from .ap_complex import border_forcing, collar, graph_h1
 from .documents import (
@@ -275,13 +275,14 @@ def cmd_analyze(args):
     return report, EXIT_OK
 
 
-def _warn_nonprimitive(s, name):
+def _warn_nonprimitive(args, s):
     """A one-line stderr warning when the substitution that ``ap``/``mu``
-    collared is not primitive; the report is the same either way.  Printed
-    once the report is built, so an error stays the only stderr line."""
+    collared is not primitive; the report is the same either way.  ``main``
+    prints ``args.warning`` once the report is written, so an error stays
+    the only stderr line."""
     if not s.is_primitive():
-        print(f"warning: substitution {name!r} is not primitive; its legal words "
-              "are the union over all letters", file=sys.stderr)
+        args.warning = (f"warning: substitution {args.name!r} is not primitive; its legal "
+                        "words are the union over all letters")
 
 
 def cmd_ap(args):
@@ -300,7 +301,7 @@ def cmd_ap(args):
             "induced": data.induced_h1,
         },
     }
-    _warn_nonprimitive(s, args.name)
+    _warn_nonprimitive(args, s)
     return report, EXIT_OK
 
 
@@ -315,7 +316,7 @@ def cmd_mu(args):
         "complex_h1_rank": data.h1_rank,
         "note": note["detail"],
     }
-    _warn_nonprimitive(s, args.name)
+    _warn_nonprimitive(args, s)
     return report, EXIT_OK
 
 
@@ -392,7 +393,7 @@ def _cohomology_report(doc, opts):
         "mu_presentation": rep.mu_group.a_prime,
         "nu": group_json(rep.nu),
         "nu_presentation": rep.nu_group.a_prime,
-        "d0": dlg_json(rep.d0, recognize(rep.d0)),
+        "d0": dlg_json(rep.d0, rep.d0_recognized),
         "d1": dlg_json(rep.d1, rep.d1_recognized),
         "d1_recognized": rep.d1_recognized.canonical(),
         "essential_vertices": essential_json(rep.essential),
@@ -606,6 +607,8 @@ def main(argv=None):
         report, code = args.func(args)
         if report is not None:
             _write(args.output, lambda fh: dump_report(report, args.format, fh))
+        if getattr(args, "warning", None):
+            print(args.warning, file=sys.stderr)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -61,6 +61,20 @@ def check_count(where, val, least=1):
     return val
 
 
+def _section(raw, key):
+    """The object under ``key`` of a document, {} when absent or empty."""
+    obj = raw.get(key) or {}
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{key} must be an object")
+    return obj
+
+
+def _known(name, table):
+    """``name`` names an entry of ``table``; a list or an object, which JSON
+    allows there too, names none."""
+    return isinstance(name, str) and name in table
+
+
 def _check_options(opts, alphabets):
     for key in sorted(_INT_OPTIONS & set(opts)):
         check_count(f"options.{key}", opts[key])
@@ -99,7 +113,7 @@ def load_document(source):
     _require_keys(raw, _DOC_KEYS, "document")
 
     alphabets = {}
-    for name, letters in (raw.get("alphabets") or {}).items():
+    for name, letters in _section(raw, "alphabets").items():
         if (not isinstance(letters, list) or not letters
                 or not all(isinstance(x, str) and x for x in letters)
                 or len(set(letters)) != len(letters)):
@@ -109,9 +123,9 @@ def load_document(source):
         raise ValidationError("document declares no alphabets")
 
     substitutions = {}
-    for name, spec in (raw.get("substitutions") or {}).items():
+    for name, spec in _section(raw, "substitutions").items():
         _require_keys(spec, _SUB_KEYS, f"substitution {name!r}")
-        if spec.get("alphabet") not in alphabets:
+        if not _known(spec.get("alphabet"), alphabets):
             raise ValidationError(f"substitution {name!r} references unknown alphabet "
                                   f"{spec.get('alphabet')!r}")
         letters = alphabets[spec["alphabet"]]
@@ -128,11 +142,11 @@ def load_document(source):
         spec = raw["dpv"]
         _require_keys(spec, _DPV_KEYS, "dpv")
         vname = spec.get("vertical")
-        if vname not in substitutions:
+        if not _known(vname, substitutions):
             raise ValidationError(f"dpv.vertical references unknown substitution {vname!r}")
         hnames = spec.get("horizontal")
         if (not isinstance(hnames, list) or not hnames
-                or any(h not in substitutions for h in hnames)):
+                or not all(_known(h, substitutions) for h in hnames)):
             raise ValidationError("dpv.horizontal must list known substitutions")
         rho = substitutions[vname]
         row_sigma_raw = spec.get("row_sigma")

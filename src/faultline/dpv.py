@@ -35,9 +35,41 @@ from .abelian import (
 from .ap_complex import collar, graph_h1
 from .errors import ValidationError
 from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, classify_boundary
-from .substitution import Substitution, shift_conjugacy
+from .substitution import Substitution, perron_data, shift_conjugacy
+from .zpoly import irreducible_factors
 
 _CONJUGACY_MAX_LEN = 8   # the longest conjugating word validate_dpv searches for
+
+
+class _Once(dict):
+    """key -> compute(key), computed on the first lookup of the key."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def factors_table():
+    """polynomial -> its irreducible factors as a tuple, each distinct
+    polynomial factored once."""
+    return _Once(lambda p: tuple(irreducible_factors(p)))
+
+
+def limits_table(factored=None):
+    """matrix -> (direct_limit(matrix), recognize of that limit), each
+    distinct matrix limited once.  Recognition reads ``factored``, a
+    ``factors_table``, by default a new one."""
+    factored = factors_table() if factored is None else factored
+
+    def limit(a):
+        g = direct_limit(a)
+        return g, recognize(g, factored)
+
+    return _Once(limit)
 
 
 @dataclass(frozen=True)
@@ -80,6 +112,29 @@ class DPVSubstitution:
         nu, the essential vertices, the cochain limits and the reports all
         read this one."""
         return collar(self.vertical)[1]
+
+    # Every exact invariant of the document is computed once: the tables
+    # below are keyed by matrix or polynomial, and the stages that meet the
+    # same one (nu and the cochain limits, members and composites with one
+    # abelianization) read the same entry.
+
+    @cached_property
+    def factored(self):
+        """``factors_table`` of this document: the Perron data and the
+        recognized limits read it."""
+        return factors_table()
+
+    @cached_property
+    def limits(self):
+        """``limits_table`` of this document."""
+        return limits_table(self.factored)
+
+    @cached_property
+    def perrons(self):
+        """matrix -> ``perron_data``, shared by the horizontal members and
+        the composites (``Substitution.share_perron``); each caller still
+        gets the root on a field of its own."""
+        return _Once(lambda m: perron_data(m, self.factored))
 
     @cached_property
     def vertical_heights(self):
@@ -299,7 +354,7 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
                 top_idx.append(d.row_sigma[y][0])
             pair = (tuple(top_idx), tuple(bottom_idx))
             if pair not in classes:
-                top_comp = _compose(d.horizontal, top_idx)
+                top_comp = _compose(d.horizontal, top_idx).share_perron(d.perrons)
                 bottom_comp = _compose(d.horizontal, bottom_idx)
                 # one composite round is |cycle| substitution steps; keep the
                 # effective depth near the configured cap
@@ -341,19 +396,20 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
 # cochain limits and the H^1 groups
 # ---------------------------------------------------------------------------
 
-def h1_limit(cx):
+def h1_limit(cx, limits=None):
     """H^1 of the substitution tiling space of ``cx.base`` as a direct limit
     over its AP complex ``cx``, cross-checked against the direct limit of the
     plain abelianization transpose.  When both recognize to the same group
     the abelianization presentation is reported (it is the canonical small
-    one); otherwise the AP-complex value wins.
+    one); otherwise the AP-complex value wins.  ``limits`` is the caller's
+    ``limits_table``, by default a new one, so that equal matrices are
+    limited once either way.
 
     Returns (expr, limit group, hypothesis note, graph_h1 data)."""
+    limits = limits_table() if limits is None else limits
     data = graph_h1(cx)
-    dl_ap = direct_limit(data.induced_h1)
-    expr_ap = recognize(dl_ap)
-    dl_ab = direct_limit(transpose(cx.base.matrix()))
-    expr_ab = recognize(dl_ab)
+    dl_ap, expr_ap = limits[data.induced_h1]
+    dl_ab, expr_ab = limits[transpose(cx.base.matrix())]
     agree = (
         expr_ap == expr_ab
         and dl_ap.r == dl_ab.r
@@ -373,20 +429,21 @@ def h1_limit(cx):
 
 def compute_mu(d):
     """mu = H^1 of the horizontal tiling space (first family member)."""
-    return h1_limit(collar(d.horizontal[0])[1])[:3]
+    return h1_limit(collar(d.horizontal[0])[1], d.limits)[:3]
 
 
 def compute_nu(d):
     """nu = H^1 of the vertical tiling space."""
-    return h1_limit(d.vertical_complex)[:3]
+    return h1_limit(d.vertical_complex, d.limits)[:3]
 
 
 def cochain_limits(d):
     """Direct limits of the 1-cochains (edge-matrix transpose) and 0-cochains
-    (vertex pullback) on the vertical AP complex."""
+    (vertex pullback) on the vertical AP complex; ``d.limits`` holds their
+    recognized groups too."""
     cx = d.vertical_complex
-    d1 = direct_limit(transpose(cx.edge_matrix))
-    d0 = direct_limit(cx.vertex_pullback_matrix())
+    d1 = d.limits[transpose(cx.edge_matrix)][0]
+    d0 = d.limits[cx.vertex_pullback_matrix()][0]
     return d0, d1
 
 
@@ -407,6 +464,7 @@ class CohomologyReport:
     nu_group: DirectLimitGroup
     d0: DirectLimitGroup
     d1: DirectLimitGroup
+    d0_recognized: GroupExpr
     d1_recognized: GroupExpr
     essential: EssentialVertexReport
     hypothesis_log: tuple
@@ -417,9 +475,11 @@ class CohomologyReport:
         return self.h2 is not None
 
 
-def _assemble(mu, nu, n):
+def _assemble(mu, nu, mu_mu, n):
+    """(H^2, H^3) for n fault vertices; ``mu_mu`` is tensor(mu, mu), which
+    every n shares."""
     h2 = tensor(mu, direct_sum(nu, GroupExpr.zpow(n - 1)))
-    h3 = GroupExpr(kind="power", base=tensor(mu, mu), power=n)
+    h3 = GroupExpr(kind="power", base=mu_mu, power=n)
     return h2, normalize(h3)
 
 
@@ -439,7 +499,7 @@ def cohomology(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
     log.extend((mu_note, nu_note))
     ev = essential_vertices(d, cap=cap, max_states=max_states)
     d0, d1 = cochain_limits(d)
-    d1_rec = recognize(d1)
+    d0_rec, d1_rec = d.limits[d0.a][1], d.limits[d1.a][1]
 
     # exact rank identity: 1-cochain limit vs nu and the eventual vertices
     lhs = d1.r
@@ -453,7 +513,9 @@ def cohomology(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
     if isinstance(n, tuple):
         detail = f"{ev.n_fault} fault vertices plus {ev.n_undetermined} undetermined"
         log.append(_log("warn", "essential-vertices", detail))
-        variants = tuple((nn, *_assemble(mu, nu, nn)) for nn in range(max(n[0], 1), n[1] + 1))
+        mu_mu = tensor(mu, mu)
+        variants = tuple((nn, *_assemble(mu, nu, mu_mu, nn))
+                         for nn in range(max(n[0], 1), n[1] + 1))
         if n[0] == 0:
             # n = 0 is one of the counts it stands for, and there H^1 = nu
             # does not hold either
@@ -464,7 +526,7 @@ def cohomology(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
                         "these formulas do not apply"))
         h1 = None
     else:
-        h2, h3 = _assemble(mu, nu, n)
+        h2, h3 = _assemble(mu, nu, tensor(mu, mu), n)
         if ev.n_fault == len(ev.eventual):
             want = direct_sum(nu, GroupExpr.zpow(n - 1))
             if invariants(d1_rec) == invariants(want):
@@ -478,6 +540,6 @@ def cohomology(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
         h0=GroupExpr.z(), h1=h1, h2=h2, h3=h3,
         hk_above_3=GroupExpr.trivial(),
         mu=mu, nu=nu, mu_group=mu_dl, nu_group=nu_dl,
-        d0=d0, d1=d1, d1_recognized=d1_rec,
+        d0=d0, d1=d1, d0_recognized=d0_rec, d1_recognized=d1_rec,
         essential=ev, hypothesis_log=tuple(log), variants=variants,
     )

@@ -71,6 +71,7 @@ class Substitution:
         self.rules = tuple(imgs)
         self._matrix = None
         self._perron = None     # PerronData on a field no caller refines
+        self._perrons = None    # matrix -> PerronData shared with others (share_perron)
         self._lengths = None    # (vectors, den) of tile_lengths
 
     # -- words ------------------------------------------------------------------
@@ -160,11 +161,19 @@ class Substitution:
         interval that ``perron_data`` left: printed enclosures read a field's
         refinement (``NumberField``), so no caller sees another's."""
         if self._perron is None:
-            self._perron = perron_data(self.matrix())
+            m = self.matrix()
+            self._perron = perron_data(m) if self._perrons is None else self._perrons[m]
         pd = self._perron
         return PerronData(charpoly=pd.charpoly,
                           root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
                           primitive=pd.primitive, factors=pd.factors)
+
+    def share_perron(self, table):
+        """Read ``perron`` from ``table``, a mapping from matrices to their
+        ``perron_data`` that substitutions with equal matrices share and
+        that computes a missing entry on lookup.  Returns self."""
+        self._perrons = table
+        return self
 
     def spectral_class(self):
         return spectral_classify(self.matrix(), perron=self.perron())
@@ -257,17 +266,18 @@ def is_primitive(m):
     return False
 
 
-def perron_data(m):
+def perron_data(m, factored=None):
     """Characteristic polynomial, its irreducible factors (factored once,
     for the Perron root's field and for ``spectral_classify``), Perron root
     (largest real eigenvalue) as an exact algebraic number, and
-    primitivity."""
+    primitivity.  ``factored`` maps a polynomial to its irreducible factors,
+    as a tuple, when the caller keeps such a table."""
     if not any(map(any, m)):
         raise NoPerronRootError("zero matrix has no Perron root")
     if any(x < 0 for row in m for x in row):
         raise ValidationError("substitution matrices must be non-negative")
     cp = abelian.charpoly(m)
-    factors = tuple(irreducible_factors(cp))
+    factors = tuple(irreducible_factors(cp)) if factored is None else factored[cp]
     field, root = NumberField.with_largest_real_root(cp, factors)
     if root.sign() <= 0:
         raise NoPerronRootError("largest real eigenvalue is not positive")

@@ -9,8 +9,9 @@ from math import gcd
 from operator import add, mul, sub
 
 import pytest
+from hypothesis import settings
 
-from faultline import algebra, fault, zpoly
+from faultline import abelian, algebra, fault, zpoly
 from faultline.abelian import SmithForm, mat, shape, transpose
 from faultline.algebra import (
     AlgebraicNumber,
@@ -23,6 +24,12 @@ from faultline.algebra import (
 from faultline.cli import alg_json
 from faultline.errors import ValidationError
 from faultline.substitution import SpectralKind, Substitution
+
+
+# a failing hypothesis example also prints the blob that replays it with
+# @reproduce_failure, so that a failure seen once is never lost
+settings.register_profile("faultline", print_blob=True)
+settings.load_profile("faultline")
 
 
 def reference_dump(report):
@@ -745,6 +752,33 @@ def reference_smith_normal_form(a):
     snf = SmithForm(u=mat(u), d=mat(d), v=mat(v), u_inv=transpose(ui_t))
     assert reference_matmul(reference_matmul(snf.u, a), snf.v) == snf.d
     return snf
+
+
+def reference_direct_limit(a):
+    """``abelian.direct_limit`` as it was: the Smith form of a^n finds the
+    eventual kernel whatever det(a) is."""
+    a = abelian._as_mat(a)
+    n, cols = shape(a)
+    if n != cols:
+        raise ValidationError("direct limit needs a square matrix")
+    an = abelian.matpow(a, n)
+    kern = abelian.kernel_basis(an)
+    k = shape(kern)[1]
+    if k == 0:
+        a_pr, proj, sect = a, abelian.eye(n), abelian.eye(n)
+    else:
+        snf = abelian.smith_normal_form(kern)
+        assert all(x == 1 for x in snf.diagonal), "saturated kernel lattice must be unimodular"
+        proj = snf.u[k:]
+        sect = tuple(row[k:] for row in snf.u_inv)
+        a_pr = abelian.matmul(abelian.matmul(proj, a), sect)
+    r = n - k
+    cp = abelian.charpoly(a_pr)
+    dp = abelian.det(a_pr)
+    assert dp != 0, "reduced bonding map must be injective"
+    assert r == abelian.rank_q(an)
+    return abelian.DirectLimitGroup(n=n, a=a, r=r, a_prime=a_pr, charpoly_prime=cp,
+                                    det_prime=dp, projection=proj, section=sect)
 
 
 # Reference bodies of the field-arithmetic paths that ``NumberField.sign``,

@@ -12,6 +12,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from itertools import islice
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,11 @@ def test_nonprimitive_warning_is_one_stderr_line(tmp_path, command):
     assert err.getvalue() == ("warning: substitution 's' is not primitive; its legal "
                               "words are the union over all letters\n")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == NONPRIMITIVE_REPORTS[command]
+    # a report that cannot be written leaves the error as the one line
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main([command, "-i", str(path), "--name", "s", "-o", str(tmp_path)]) == 1
+    assert err.getvalue().startswith("error: cannot write ") and err.getvalue().count("\n") == 1
     # a primitive substitution gets no warning
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -663,6 +669,15 @@ def test_schema_validation_messages():
             "alphabets": {"ab": ["a", "b"]},
             "substitutions": {"s": {"alphabet": "ab", "rules": {"a": "ab", "b": ""}}},
         })
+    # a list or a number where an object or a name belongs
+    one = {"alphabets": {"x": ["a"]},
+           "substitutions": {"s": {"alphabet": "x", "rules": {"a": "aa"}}}}
+    for bad in ({"alphabets": 1}, dict(one, substitutions=[1]),
+                dict(one, substitutions={"s": {"alphabet": ["x"], "rules": {"a": "aa"}}}),
+                dict(one, dpv={"vertical": ["s"], "horizontal": ["s"], "row_sigma": {}}),
+                dict(one, dpv={"vertical": "s", "horizontal": [{}], "row_sigma": {}})):
+        with pytest.raises(ValidationError):
+            load_document(bad)
 
 
 @pytest.mark.parametrize("seed, traces", [("a", 1), ("b", 1)])
@@ -1162,3 +1177,96 @@ def test_readme_flag_table_matches_the_parser():
         parser[name] = ({opt for opt, _ in flags if opt in ("--output", "--format")},
                         {opt for opt, dest in flags if dest in documents.DEFAULT_OPTIONS})
     assert _readme_flag_table() == parser
+
+
+# raw argv: subcommands, flags and values drawn as a user might type them
+_COUNTS = (st.integers(-3, 12).map(str)
+           | st.sampled_from(["0", "-0", "10" * 20, str(-2 ** 70), "1e3", "1.5", "x", "",
+                              "0x10", " 7", "٣", "--rounds", "None"]))
+_SMALL_COUNTS = st.integers(-3, 40).map(str) | st.sampled_from(["0", "x", "", "1.0"])
+_NAMES = st.sampled_from(["sigma1", "sigma2", "rho", "pd", "s", "", "zz", "a", "b", "a,b",
+                          "v,a", "a=#fff", "a,a=red;", "--top"])
+
+
+_OWN_FLAGS = {
+    "analyze": ["-i", "-o", "--format", "--name"],
+    "ap": ["-i", "-o", "--format", "--name"],
+    "mu": ["-i", "-o", "--format", "--name"],
+    "fault": ["-i", "-o", "--format", "--top", "--bottom", "--seed", "--rounds", "--max-states"],
+    "cohomology": ["-i", "-o", "--format", "--rounds", "--max-states"],
+    "render": ["-i", "-o", "--rounds", "--seed", "--overlay", "--colors"],
+}
+
+
+@st.composite
+def raw_argvs(draw, inputs, outputs):
+    """A subcommand, then flags mostly of that command and now and then of
+    another, each usually with a value: negative, huge and non-numeric
+    counts, names from the bundled documents and garbage, good and bad
+    paths."""
+    command = draw(st.sampled_from([*_OWN_FLAGS, "selftest", "frob", "", "--version", "-h"]))
+    values = {
+        "--input": inputs, "-i": inputs, "--output": outputs, "-o": outputs,
+        "--format": st.sampled_from(["json", "text", "svg", ""]),
+        "--name": _NAMES, "--top": _NAMES, "--bottom": _NAMES, "--seed": _NAMES,
+        "--colors": _NAMES, "--rounds": _COUNTS, "--overlay": _COUNTS,
+        # the state budget stays small, so that a huge --rounds trips it soon
+        "--max-states": _SMALL_COUNTS, "--max-word-len": _COUNTS, "--precision-bits": _COUNTS,
+    }
+    own = _OWN_FLAGS.get(command, [])
+    anything = st.sampled_from([*values, "--help", "--rou", "-x", "--", "stray"])
+    argv = [command] if command else []
+    if own and draw(st.integers(0, 4)):
+        argv += ["-i", draw(inputs)]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(own)) if own and draw(st.integers(0, 4)) else draw(anything)
+        argv.append(flag)
+        if flag in values and draw(st.integers(0, 9)):
+            argv.append(draw(values[flag]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def raw_argv_files(tmp_path_factory):
+    """Input and output choices: bundled names good and bad, a missing
+    file, a directory, a file that is not JSON, a document with a
+    non-primitive substitution, JSON text given inline, with a list or an
+    object where a name belongs among it; an output file, a directory, a
+    file in a missing directory and stdout."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "garbage.json").write_bytes(b"\xff\x00 not json")
+    (root / "nonprimitive.json").write_text(json.dumps({
+        "alphabets": {"x": ["a", "b"]},
+        "substitutions": {"s": {"alphabet": "x", "rules": {"a": "ab", "b": "b"}}}}))
+    inputs = st.sampled_from([
+        "bundled:doubling_swap", "bundled:period_doubling", "bundled:row_thirds",
+        "bundled:", "bundled:nope", "bundled:../data/row_thirds", str(root / "missing.json"),
+        str(root), str(root / "garbage.json"), str(root / "nonprimitive.json"),
+        "{", "{}", '{"alphabets": 1}', ""] + [json.dumps({
+            "alphabets": {"x": ["a"]},
+            "substitutions": {"s": {"alphabet": alphabet, "rules": {"a": "aa"}}},
+            "dpv": {"vertical": vertical, "horizontal": [vertical], "row_sigma": {"a": [0, 0]}}})
+            for alphabet, vertical in (("x", "s"), (["x"], "s"), ("x", ["s"]), ("x", {}))])
+    outputs = st.sampled_from([str(root / "out"), str(root), str(root / "missing" / "out"), "-"])
+    return inputs, outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_raw_argv_fuzz_exits_cleanly(data, raw_argv_files):
+    # every argv ends in exit 0-3 with at most one stderr line and no
+    # traceback; --help and --version exit through argparse, as the
+    # command does.  Environment caps keep every drawn case short.
+    argv = data.draw(raw_argvs(*raw_argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    caps = {"FAULTLINE_MAX_STATES": "300", "FAULTLINE_MAX_TILES": "300"}
+    with mock.patch.dict(os.environ, caps), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert err.count("\n") <= 1, (argv, err)

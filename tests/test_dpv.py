@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from faultline import dpv
-from faultline.abelian import recognize
+from faultline import abelian, algebra, dpv, substitution
+from faultline.abelian import det, recognize
 from faultline.documents import bundled_document
 from faultline.dpv import (
     DPVSubstitution,
@@ -395,3 +395,75 @@ def test_cohomology_does_not_depend_on_the_order_of_the_horizontal_alphabet(
 
     assert reports[0].essential.n == reports[1].essential.n
     assert groups(reports[0]) == groups(reports[1])
+
+
+def _count_invariants(monkeypatch):
+    """Record every direct limit with the Smith forms run inside it, every
+    factorization and every ``perron_data`` call."""
+    seen = {"limits": [], "factored": [], "perron": []}
+    inside = []
+    limit, smith = abelian.direct_limit, abelian.smith_normal_form
+
+    def counted_limit(a):
+        inside.append([])
+        try:
+            return limit(a)
+        finally:
+            seen["limits"].append((a, inside.pop()))
+
+    def counted_smith(a):
+        if inside:
+            inside[-1].append(a)
+        return smith(a)
+
+    for module in (abelian, dpv):
+        monkeypatch.setattr(module, "direct_limit", counted_limit)
+    monkeypatch.setattr(abelian, "smith_normal_form", counted_smith)
+    for module in (abelian, algebra, dpv, substitution):
+        factor = module.irreducible_factors
+        monkeypatch.setattr(module, "irreducible_factors",
+                            lambda p, factor=factor: seen["factored"].append(tuple(p)) or factor(p))
+    perron = substitution.perron_data
+    counted_perron = lambda m, *rest: seen["perron"].append(m) or perron(m, *rest)
+    for module in (substitution, dpv):
+        monkeypatch.setattr(module, "perron_data", counted_perron)
+    return seen
+
+
+def _undetermined_pair():
+    # as in test_undetermined_range_from_zero_leaves_h1_null: n = (0, 1),
+    # so the report carries a variant
+    s1 = Substitution(["a", "b", "c"], {"a": "cb", "b": "baa", "c": "b"})
+    s2 = Substitution(["a", "b", "c"], {"a": "cb", "b": "aab", "c": "b"})
+    rho = Substitution(["v"], {"v": "vv"})
+    return DPVSubstitution(vertical=rho, horizontal=(s1, s2), row_sigma=((0, 1),))
+
+
+def _singular_vertical():
+    # v -> vw, w -> vw: the vertical's matrix, its edge and vertex maps are
+    # singular, so their limits need the Smith form
+    rho = Substitution(["v", "w"], {"v": "vw", "w": "vw"})
+    horizontal = bundled_document("doubling_swap").dpv.horizontal
+    return DPVSubstitution(vertical=rho, horizontal=horizontal, row_sigma=((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("name", ["doubling_swap", "period_doubling", "row_thirds",
+                                  "undetermined pair", "singular vertical"])
+def test_cohomology_computes_each_invariant_once(monkeypatch, name):
+    # one direct limit per distinct matrix, a Smith form only inside the
+    # limit of a singular bonding map, one factorization per polynomial and
+    # one perron_data per matrix; a second report on the same DPV reads them
+    d = {"undetermined pair": _undetermined_pair,
+         "singular vertical": _singular_vertical}.get(name, lambda: bundled_document(name).dpv)()
+    seen = _count_invariants(monkeypatch)
+    first = cohomology(d)
+    matrices = [a for a, _ in seen["limits"]]
+    assert len(matrices) == len(set(matrices)) > 0
+    for a, smith in seen["limits"]:
+        assert bool(smith) == (det(a) == 0), a
+    assert len(seen["factored"]) == len(set(seen["factored"])) > 0
+    assert len(seen["perron"]) == len(set(seen["perron"])) > 0
+    for calls in seen.values():
+        calls.clear()
+    assert cohomology(d) == first
+    assert seen == {"limits": [], "factored": [], "perron": []}

@@ -8,7 +8,7 @@ from itertools import islice
 from operator import mul, sub
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from faultline import algebra, fault
 from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors, times_root
@@ -652,11 +652,19 @@ def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 12),
        modulus=st.one_of(st.none(), st.integers(0, 3)),
        budget=st.one_of(st.integers(4, 400), st.just(20_000)))
+# a->daa, b->c, c->a, d->b over a->aad: the offsets read Rigid from cap 4 on,
+# while the walks from seeds 0-3 close only after rounds 5, 7, 6 and 8
+@example(seed=18226549, n_letters=4, cap=4, modulus=1, budget=20_000)
+@example(seed=18226549, n_letters=4, cap=8, modulus=1, budget=20_000)
 def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, modulus, budget):
-    # where the walk from seed 0 does not close, the lazily asked spectral
-    # class gives the kind that the reduced offsets of a full trace give,
-    # and a budget trips at the same round.  The classes differ only where
-    # the offsets could not see what the overlap states show:
+    # classify_boundary reads Rigid exactly when the walk from every seed
+    # closes.  Where the walk from seed 0 does not close, the lazily asked
+    # spectral class gives the kind that the reduced offsets of a full trace
+    # give, and a budget trips at the same round, unless the offsets read
+    # Rigid: they can settle before the overlap states close, and until
+    # every walk closes the class is then anything but RegularFault.  The
+    # classes differ only where the offsets could not see what the overlap
+    # states show:
     # - the reference's vacuous Rigid, when the tracked width is an integer
     #   multiple of the modulus, so that every offset is 0, says nothing;
     # - a closed walk is Rigid where the reference reads Undetermined or a
@@ -680,24 +688,29 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
         boundary_trace(s, t, 0, cap, modulus=modulus, max_states=budget)))
     got = outcome(lambda: classify_boundary(s, t, cap, budget))
     widths = _ScanWidths(s.tile_lengths())
-    try:
-        closes = len(list(_discrepancy_rounds(s, t, 0, cap, widths, 0, budget,
-                                              seen=set()))) < cap
-    except ResourceCapError:
-        closes = False
+
+    def walk_closes(x):
+        try:
+            return len(list(_discrepancy_rounds(s, t, x, cap, widths, 0, budget,
+                                                seen=set()))) < cap
+        except ResourceCapError:
+            return False
+
+    closes = walk_closes(0)
+    every_walk_closes = all(map(walk_closes, range(n_letters)))
     unit, mod = widths.vectors[0], widths.vectors[boundary_trace(s, t, 0, 1, modulus).modulus]
     q = Fraction(next(u for u, m in zip(unit, mod) if m), next(m for m in mod if m))
     vacuous = want is BoundaryKind.RIGID and q.denominator == 1 and \
         all(u == q * m for u, m in zip(unit, mod))
     event("closed" if closes else "open")
     event(getattr(got, "value", "budget tripped"))
-    assert (got is BoundaryKind.RIGID) <= closes
-    if not closes and not vacuous:
+    assert (got is BoundaryKind.RIGID) == every_walk_closes
+    if not closes and not vacuous and want is not BoundaryKind.RIGID:
         assert got == want
     if got is BoundaryKind.RIGID and want is BoundaryKind.REGULAR_FAULT:
         assert widths.field.degree < n_letters
     if want is BoundaryKind.RIGID and not vacuous:
-        assert got is BoundaryKind.RIGID
+        assert got is not BoundaryKind.REGULAR_FAULT
     try:
         table = boundary_trace(s, t, rng.randrange(n_letters), cap, max_states=budget).expanded
     except ResourceCapError:

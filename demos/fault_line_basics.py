@@ -9,7 +9,8 @@ matrix.
 
 from fractions import Fraction
 
-from faultline import Substitution, boundary_trace, classify_boundary, discrepancy_growth
+from faultline import (OverlapGraph, Substitution, boundary_trace, classify_boundary,
+                       discrepancy_growth)
 from faultline.fault import offset_statistics
 
 
@@ -47,8 +48,13 @@ sc = sigma1.spectral_class()
 print("spectral class:", sc.kind.value,
       "| second eigenvalue modulus ~", float(sc.second_eigenvalue_modulus[0]))
 
+# the overlap graph of the boundary: pairs of a top tile and a bottom tile
+# that overlap, walked round by round from aligned seed tiles.  Traces and
+# the classifier read its walks, so each round is walked once.
+graph = OverlapGraph(sigma1, sigma2)
+
 # start from an aligned pair of a tiles and substitute four times
-trace = boundary_trace(sigma1, sigma2, "a", 4)
+trace = boundary_trace(graph, "a", 4)
 for step in trace.steps:
     print(f"round {step.round}:")
     print("   top:", sigma1.text(step.top))
@@ -56,7 +62,7 @@ for step in trace.steps:
     print("   max |discrepancy|:", step.max_abs_discrepancy)
 
 # over twelve rounds the max discrepancy multiplies by about |1 - lambda|
-trace12 = boundary_trace(sigma1, sigma2, "a", 12)
+trace12 = boundary_trace(graph, "a", 12)   # walks only rounds 5-12 anew
 lo, hi = discrepancy_growth(trace12)
 print("max |discrepancy| by round:", trace12.max_abs_by_round())
 print("geometric-mean growth over the last half:", float(lo), "..", float(hi))
@@ -70,6 +76,7 @@ print("distinct offsets per round:", stats.per_round_counts)
 print("total distinct offsets:", stats.distinct_count,
       "| smallest positive gap ~", approx(stats.field, stats.min_gap_vector, stats.den))
 
-# the classifier puts it together
-print("classify(sigma1, sigma2):", classify_boundary(sigma1, sigma2).kind.value)
-print("classify(sigma1, sigma1):", classify_boundary(sigma1, sigma1).kind.value)
+# the classifier puts it together; it reads the walk from a that the trace
+# took, and prints last, since its exact signs refine the graph's field
+print("classify(sigma1, sigma2):", classify_boundary(graph).kind.value)
+print("classify(sigma1, sigma1):", classify_boundary(OverlapGraph(sigma1, sigma1)).kind.value)

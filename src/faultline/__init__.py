@@ -44,6 +44,7 @@ from .fault import (
     BoundaryClass,
     BoundaryKind,
     BoundaryTrace,
+    OverlapGraph,
     boundary_trace,
     classify_boundary,
     classify_rounds,

@@ -31,6 +31,7 @@ from .dpv import cohomology, h1_limit
 from .errors import FaultlineError, ResourceCapError, ValidationError
 from .fault import (
     BoundaryKind,
+    OverlapGraph,
     boundary_trace,
     classify_boundary,
     discrepancy_growth,
@@ -330,15 +331,10 @@ def cmd_fault(args):
     modulus = None
     if opts.get("modulus_letter") is not None:
         modulus = top.word([opts["modulus_letter"]])[0]
-    trace = boundary_trace(top, bottom, seed, rounds, modulus=modulus,
-                           max_states=opts["max_states"])
+    graph = OverlapGraph(top, bottom, opts["max_states"])
+    trace = boundary_trace(graph, seed, rounds, modulus=modulus)
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
-    spectral = cache(lambda: top.spectral_class().kind)
-    # classification walks the overlap states from every aligned seed: it
-    # reads the printed trace's expanded states, so no state is expanded twice
-    cls = classify_boundary(top, bottom, rounds, max_states=opts["max_states"],
-                            spectral=spectral, expanded=trace.expanded)
     field, den = stats.field, stats.den
 
     def number(v):
@@ -374,9 +370,13 @@ def cmd_fault(args):
         "growth_ratio": [str(growth[0]), str(growth[1])],
         "distinct_offsets_total": stats.distinct_count,
         "min_offset_gap": number(stats.min_gap_vector),
-        "classification": cls.kind.value,
-        "spectral_class": spectral().value,
     }
+    # the classification reads the trace's walks and walks the other seeds on
+    # the same graph, whose exact signs refine the field printed above: it
+    # comes after everything that prints an enclosure
+    cls = classify_boundary(graph, rounds)
+    report["classification"] = cls.kind.value
+    report["spectral_class"] = (cls.spectral_kind or top.spectral_class().kind).value
     code = EXIT_UNDETERMINED if cls.kind is BoundaryKind.UNDETERMINED else EXIT_OK
     return report, code
 

@@ -34,7 +34,7 @@ from .abelian import (
 )
 from .ap_complex import collar, graph_h1
 from .errors import ValidationError
-from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, classify_boundary
+from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, OverlapGraph, classify_boundary
 from .substitution import Substitution, perron_data, shift_conjugacy
 from .zpoly import irreducible_factors
 
@@ -360,7 +360,7 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
                 # effective depth near the configured cap
                 rounds = max(4, -(-cap // len(cycle)))
                 classes[pair] = classify_boundary(
-                    top_comp, bottom_comp, rounds, max_states=max_states,
+                    OverlapGraph(top_comp, bottom_comp, max_states), rounds,
                     spectral=lambda: spectral_kind(top_comp))
             cls = classes[pair]
             kinds.add(cls.kind)

@@ -2,26 +2,26 @@
 
 Two substitutions act on the rows touching the boundary; iterating from an
 aligned seed letter produces a pair of words per round.  The discrepancy at a
-prefix is the difference in tracked-letter counts between the two rows up to
+prefix is the difference in counts of letter 0 between the two rows up to
 the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
 a tile width.  They are kept as integer coefficient vectors over the widths'
 common denominator: reduction, ordering and gaps run on integers, and reports
-print each from its vector.  Classification reads no offset and no tracked
-letter: a boundary is ``Rigid`` when the overlap states it reaches from every
-aligned seed close (``classify_boundary``).
+print each from its vector.  ``Rigid`` reads no offset and no letter: a
+boundary is ``Rigid`` when the overlap states it reaches from every aligned
+seed close (``classify_boundary``).
 
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
 substitutions map to the next round's set; a round's distinct discrepancies
-are read off its states.  A state's children and read-offs depend only on
-the state, so each state is expanded once per trace, however many rounds it
-comes back in: a trace costs per distinct state, not per letter.
+are read off its states.  One ``OverlapGraph`` per boundary expands each
+state once and keeps each walk, which traces and the classifier read: a
+trace costs per distinct state, not per letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -93,12 +93,9 @@ class BoundaryTrace:
     top_sub: object
     bottom_sub: object
     seed: int
-    tracked_letter: int
     widths: object                # the TileLengths of the top substitution
     modulus: int                  # letter whose width is the offset modulus
     steps: tuple
-    # the overlap states the trace expanded: (t, b, D) -> (children, read-offs)
-    expanded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def max_abs_by_round(self):
         return tuple(s.max_abs_discrepancy for s in self.steps)
@@ -107,7 +104,7 @@ class BoundaryTrace:
 class _ScanWidths:
     """Tile widths as the sign filter reads them: the integer coefficient
     vectors over one denominator of a ``TileLengths``, and their image scaled
-    by 2^96, built on first use and then kept for the whole trace."""
+    by 2^96, built on first use and then kept for the whole graph."""
 
     def __init__(self, widths):
         self.field, self.vectors, self.den = widths.field, widths.vectors, widths.den
@@ -153,66 +150,124 @@ def _prefix_counts(word, zero):
     return out
 
 
-def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
-                        max_states=DEFAULT_MAX_STATES, *, expanded=None, seen=None):
-    """Yield the sorted distinct discrepancies of rounds 1 .. k, each round
-    computed when it is asked for.  ``widths`` is a ``_ScanWidths``.  The
-    round that takes the states of all rounds so far past ``max_states``
-    raises ResourceCapError.  ``expanded`` is the table of expanded states,
-    (t, b, D) -> (children, read-offs), to read and fill; it may come from
-    another trace of the same rows and tracked letter, whatever its seed
-    and widths, since both entries are exact.
+class OverlapGraph:
+    """The overlap graph of the boundary between rows of ``top`` and
+    ``bottom`` (Solomyak, ETDS 17, 1997; Sirvent-Solomyak, Canad. Math.
+    Bull. 45, 2002), walked from aligned seed letters.  The rows must span
+    the same exact interval each round.
 
-    ``seen`` is a set of placed overlaps (t, b, <w, D>) to fill from round 0
-    on; the walk stops, before yielding it, at the first round that adds
-    none.  A placed overlap is keyed by its state when the field has the
-    alphabet's degree (D -> <w, D> is then injective), else by <w, D>'s vector.
+    A state (t, b, D) is a top tile t and a bottom tile b whose interiors
+    overlap, with D the letter counts left of t minus those left of b, so
+    left(t) - left(b) = <w, D> for the widths w.  Round 0 of the walk from
+    seed x is {(x, x, 0)}.  Both rows share the abelianization M and
+    <w, M D> = lambda <w, D>, so the child pair (t', b') =
+    (top(t)[i], bottom(b)[j]) has D' = M D + P1(t, i) - P2(b, j), with P1, P2
+    the letter counts of the children before t' and b'.  One merge sweep per
+    state walks the overlapping children in order of their right edges.  The
+    sign it steps by, of <w, E> for E = D' + e_t' - e_b', is
+    right(t') - right(b') and gives the child's read-off:
 
-    A round is carried by its overlap states.  A state (t, b, D) is a top
-    tile t and a bottom tile b whose interiors overlap, with D the letter
-    counts left of t minus those left of b, so left(t) - left(b) = <w, D> for
-    the widths w.  Round 0 is {(seed, seed, 0)}.  Both rows share the
-    abelianization M and <w, M D> = lambda <w, D>, so the child pair
-    (t', b') = (top(t)[i], bottom(b)[j]) has count difference
-    D' = M D + P1(t, i) - P2(b, j), with P1, P2 the letter counts of the
-    children before t' and b'.  One merge sweep per state walks the
-    overlapping children of t and b in order of their right edges.  The
-    comparison it steps by, the sign of <w, E> for E = D' + e_t' - e_b', is
-    right(t') - right(b') and is also the child's read-off:
-
-    - <w, E> < 0: the cut right(t') falls inside b'; the discrepancy there is
-      (D' + e_t')[tracked];
-    - <w, E> = 0: the cut is the right edge of b', which counts: E[tracked];
-    - <w, E> > 0: b' ends before the cut; the state gives no value.
+    - <w, E> < 0: the cut right(t') falls inside b': (D' + e_t')[0];
+    - <w, E> = 0: the cut is the right edge of b', which counts: E[0];
+    - <w, E> > 0: b' ends before the cut: no value.
 
     Every top-tile cut lies in exactly one bottom tile's (left, right], so a
-    round's values are the distinct discrepancies at all of its top-tile
-    prefixes.  Aligned equal tiles (x, x, 0) with equal images have aligned
-    equal children, decided without a sign; so the filter image is built on
-    the first round whose rows differ."""
-    rules1, rules2, matrix = top.rules, bottom.rules, top.matrix()
-    zero = (0,) * top.size
-    tables = {}
+    round's read-offs are the distinct letter-0 discrepancies at its
+    top-tile prefixes.  Aligned equal tiles with equal images have aligned
+    equal children, decided without a sign, so the filter image is built on
+    the first round whose rows differ.
 
-    def table(t, b):
-        # for children i of t and j of b: the vectors P1(t, i) - P2(b, j),
-        # their filter images and their filter margins
-        if (t, b) not in tables:
-            p1, p2 = _prefix_counts(rules1[t], zero), _prefix_counts(rules2[b], zero)
+    A state's children depend only on the state: each is expanded once per
+    graph (``expanded``: (t, b, D) -> (children, read-offs)), and each
+    seed's walk is kept as far as it has been asked for (``walks``), so each
+    round is walked once whoever asks for it.  The walks' exact signs refine
+    the widths' one field, whose enclosures reports print.  A walk closes at
+    the first round that adds no placed overlap (t, b, <w, D>), keyed by the
+    state when D -> <w, D> is injective (the field has the alphabet's
+    degree).  The round that takes the states of all the rounds of a walk
+    past ``max_states`` raises ResourceCapError."""
+
+    def __init__(self, top, bottom, max_states=DEFAULT_MAX_STATES):
+        if top.alphabet != bottom.alphabet:
+            raise HypothesisError("boundary trace needs a common alphabet")
+        if top.length_vector() != bottom.length_vector():
+            raise HypothesisError("boundary trace needs equal per-letter image lengths")
+        if top.matrix() != bottom.matrix():
+            raise HypothesisError("boundary trace needs equal abelianizations")
+        self.top, self.bottom, self.max_states = top, bottom, max_states
+        self.widths = top.tile_lengths()
+        self.scan = _ScanWidths(self.widths)
+        self.expanded, self.walks, self._tables = {}, {}, {}
+        self._zero = (0,) * top.size
+        self._injective = self.scan.field.degree == top.size
+
+    def rounds(self, seed, k):
+        """Yield the sorted distinct read-offs of rounds 1 .. k of the walk
+        from ``seed`` (a letter name or index), each walked when first asked."""
+        walk = self._walk(seed)
+        for rnd in range(k):
+            if rnd == len(walk.rounds):
+                self._step(walk)
+            yield walk.rounds[rnd]
+
+    def closes(self, seed, cap):
+        """Whether the walk from ``seed`` closes within ``cap`` rounds; it is
+        walked no further than its closing round."""
+        walk = self._walk(seed)
+        while walk.closed is None and len(walk.rounds) < cap:
+            self._step(walk)
+        return walk.closed is not None and walk.closed <= cap
+
+    def _walk(self, seed):
+        seed, = self.top.word((seed,))
+        if seed not in self.walks:
+            self.walks[seed] = walk = _Walk({(seed, seed, self._zero)})
+            self._adds_no_overlap(walk)
+        return self.walks[seed]
+
+    def _step(self, walk):
+        children, values = set(), set()
+        for state in walk.states:
+            entry = self.expanded.get(state)
+            if entry is None:
+                entry = self.expanded[state] = self._expand(*state)
+            children.update(entry[0])
+            values.update(entry[1])
+        spent = walk.spent + len(children)
+        if spent > self.max_states:
+            raise ResourceCapError(f"boundary trace exceeded the {self.max_states}-state "
+                                   f"budget at round {len(walk.rounds) + 1}")
+        walk.states, walk.spent = children, spent
+        walk.rounds.append(tuple(sorted(values)))
+        if walk.closed is None and self._adds_no_overlap(walk):
+            walk.closed = len(walk.rounds)
+
+    def _adds_no_overlap(self, walk):
+        # whether the walk's last round adds no placed overlap to those it
+        # has; else it adds them
+        placed = walk.states if self._injective else \
+            {(t, b, self.scan.value(d)) for t, b, d in walk.states}
+        if placed <= walk.seen:
+            return True
+        walk.seen.update(placed)
+        return False
+
+    def _expand(self, t, b, d):
+        # the children of state (t, b, d) in the order the sweep meets them,
+        # and its read-off values
+        kids1, kids2, zero, widths = self.top.rules[t], self.bottom.rules[b], self._zero, self.scan
+        if t == b and d == zero and kids1 == kids2:
+            return tuple((x, x, zero) for x in kids1), (0,)
+        if (t, b) not in self._tables:
+            # for children i of t and j of b: the vectors P1(t, i) - P2(b, j),
+            # their filter images and their filter margins
+            p1, p2 = _prefix_counts(kids1, zero), _prefix_counts(kids2, zero)
             vec = [[tuple(map(sub, u, v)) for v in p2] for u in p1]
             image = [[sum(map(mul, x, widths.scaled)) for x in row] for row in vec]
             margin = [[sum(map(abs, x)) for x in row] for row in vec]
-            tables[t, b] = (vec, image, margin)
-        return tables[t, b]
-
-    def expand(t, b, d):
-        # the children of state (t, b, d) in the order the sweep meets them,
-        # and its read-off values
-        kids1, kids2 = rules1[t], rules2[b]
-        if t == b and d == zero and kids1 == kids2:
-            return tuple((x, x, zero) for x in kids1), (0,)
-        vec, image, margin = table(t, b)
-        base = tuple(sum(map(mul, row, d)) for row in matrix)
+            self._tables[t, b] = (vec, image, margin)
+        vec, image, margin = self._tables[t, b]
+        base = tuple(sum(map(mul, row, d)) for row in self.top.matrix())
         base_image = sum(map(mul, base, widths.scaled))
         base_margin = sum(map(abs, base))
 
@@ -239,80 +294,37 @@ def _discrepancy_rounds(top, bottom, seed, k, widths, tracked,
             s = sign(i + 1, j + 1)
             children.append((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
             if s <= 0:
-                values.append(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
+                values.append(base[0] + vec[i + 1][j + (s == 0)][0])
                 i += 1
             if s >= 0:
                 j += 1
         return tuple(children), tuple(values)
 
-    # a state's children depend only on the state, and states recur from
-    # round to round: expand each once per trace.  Every entry is a state
-    # some round counted, so ``max_states`` bounds this too.  A repeated
-    # expansion would not refine the field either: its exact signs were
-    # decided once, and a narrower root interval decides them again.
-    if expanded is None:
-        expanded = {}
-    injective = widths.field.degree == top.size
 
-    def closes(states):
-        # whether ``seen`` holds each placed overlap of a round; else it takes them
-        if seen is None:
-            return False
-        placed = states if injective else {(t, b, widths.value(d)) for t, b, d in states}
-        if placed <= seen:
-            return True
-        seen.update(placed)
-        return False
+class _Walk:
+    """One seed's walk, as far as it has been asked for."""
 
-    states, spent = {(seed, seed, zero)}, 0   # spent: states of rounds 1 .. rnd
-    if closes(states):
-        return
-    for rnd in range(1, k + 1):
-        children, values = set(), set()
-        for state in states:
-            entry = expanded.get(state)
-            if entry is None:
-                entry = expanded[state] = expand(*state)
-            children.update(entry[0])
-            values.update(entry[1])
-        spent += len(children)
-        if spent > max_states:
-            raise ResourceCapError(
-                f"boundary trace exceeded the {max_states}-state budget at round {rnd}")
-        states = children
-        if closes(states):
-            return
-        yield tuple(sorted(values))
+    def __init__(self, states):
+        self.states = states    # the last round's states
+        self.rounds = []        # the sorted distinct read-offs of rounds 1, 2, ...
+        self.spent = 0          # the states of those rounds together
+        self.seen = set()       # the placed overlaps of the rounds before closing
+        self.closed = None      # the first round that added no placed overlap
 
 
-def _check_pair(top, bottom):
-    """The rows of a boundary must span the same exact interval each round."""
-    if top.alphabet != bottom.alphabet:
-        raise HypothesisError("boundary trace needs a common alphabet")
-    if top.length_vector() != bottom.length_vector():
-        raise HypothesisError("boundary trace needs equal per-letter image lengths")
-    if top.matrix() != bottom.matrix():
-        raise HypothesisError("boundary trace needs equal abelianizations")
+def boundary_trace(graph, seed, k, modulus=None):
+    """Trace k substitution rounds of the rows of an ``OverlapGraph`` from
+    one aligned seed letter, a name or an index.
 
-
-def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
-                   max_states=DEFAULT_MAX_STATES):
-    """Trace k substitution rounds of the two rows touching a boundary,
-    starting from one aligned seed letter.
-
-    Requires equal alphabets and equal abelianizations (the rows must span
-    the same exact interval each round).  ``modulus`` is the letter index
-    of the tile width that offsets are reduced by; it defaults to the widest
-    tile.  ``max_states`` caps the overlap states of all rounds together,
-    which is what a trace pays for; rows are never built."""
+    ``modulus`` is the letter index of the tile width that offsets are
+    reduced by; it defaults to the widest tile.  The graph's ``max_states``
+    caps the overlap states of all rounds together, which is what a trace
+    pays for; rows are never built."""
     if k < 1:
         raise ValidationError("need at least one round")
-    _check_pair(top, bottom)
-    seed = top.word([seed])[0] if not isinstance(seed, int) else seed
-    widths = top.tile_lengths()
-    scan = _ScanWidths(widths)
-    # offsets m*w_t - q*w_mod as integer vectors m*V_t - q*V_mod over one den
-    field, vectors, den = scan.field, scan.vectors, scan.den
+    seed, = graph.top.word((seed,))
+    # offsets m*w_0 - q*w_mod as integer vectors m*V_0 - q*V_mod over one den
+    field, vectors, den = graph.scan.field, graph.scan.vectors, graph.scan.den
     if modulus is None:
         # the widest tile, the first of equal ones
         modulus = 0
@@ -322,15 +334,12 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
     if field.sign(vectors[modulus]) <= 0:
         raise ValidationError("offset modulus must be positive")
     mod_vector = vectors[modulus]
-    unit = vectors[tracked_letter]
-    expanded = {}
-    rounds = _discrepancy_rounds(top, bottom, seed, k, scan, tracked_letter, max_states,
-                                 expanded=expanded)
+    unit = vectors[0]
     # the same discrepancy values recur round after round: reduce each once,
     # and keep its enclosure at the refinement it was reduced at
     reduced = {}
     steps = []
-    for rnd, ms in enumerate(rounds, 1):
+    for rnd, ms in enumerate(graph.rounds(seed, k), 1):
         for m in ms:
             if m not in reduced:
                 shift = tuple(m * x for x in unit)
@@ -345,8 +354,8 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
         steps.append(
             BoundaryStep(
                 round=rnd,
-                top=Row(top, seed, rnd),
-                bottom=Row(bottom, seed, rnd),
+                top=Row(graph.top, seed, rnd),
+                bottom=Row(graph.bottom, seed, rnd),
                 offset_vectors=tuple(offsets),
                 discrepancy_values=ms,
                 field=field,
@@ -354,14 +363,12 @@ def boundary_trace(top, bottom, seed, k, modulus=None, tracked_letter=0,
             )
         )
     return BoundaryTrace(
-        top_sub=top,
-        bottom_sub=bottom,
+        top_sub=graph.top,
+        bottom_sub=graph.bottom,
         seed=seed,
-        tracked_letter=tracked_letter,
-        widths=widths,
+        widths=graph.widths,
         modulus=modulus,
         steps=tuple(steps),
-        expanded=expanded,
     )
 
 
@@ -474,34 +481,24 @@ class BoundaryClass:
         return self.kind.value
 
 
-def classify_boundary(top, bottom, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES, *,
-                      spectral=None, expanded=None):
-    """Classify the boundary between rows of ``top`` and ``bottom`` by
-    walking its overlap states for at most ``cap`` rounds from each aligned
-    seed (x, x, 0), seed 0 first; ``max_states`` bounds each walk as in
-    ``boundary_trace``.
+def classify_boundary(graph, cap=DEFAULT_ROUNDS, *, spectral=None):
+    """Classify the boundary of an ``OverlapGraph`` by its walks from each
+    aligned seed (x, x, 0), seed 0 first, each stopped at its closing round
+    or after ``cap`` rounds.
 
-    A walk closes at the first round that adds no placed overlap
-    (t, b, left(t) - left(b)) to those of its earlier rounds.  The children
-    of a state and their placed overlaps depend on D only through <w, D>,
-    so the placed overlaps of a closed walk are closed under children: its
-    rows meet in finitely many ways.  Rigid when every walk closes, which
-    reads no label.  The first walk that does not close goes to
-    ``classify_rounds``, with ``spectral`` a callable that returns the
-    SpectralKind of the top matrix, by default the top substitution's.
-    ``expanded`` is as in ``_discrepancy_rounds``, for tracked letter 0,
-    such as ``BoundaryTrace.expanded``.  The widths get a field of their
-    own, so this pass refines no field that a report prints."""
+    The children of a state and their placed overlaps depend on D only
+    through <w, D>, so the placed overlaps of a closed walk are closed under
+    children: its rows meet in finitely many ways.  Rigid when every walk
+    closes within ``cap`` rounds, which reads no label.  The first walk that
+    does not close goes to ``classify_rounds``, with ``spectral`` a callable
+    that returns the SpectralKind of the top matrix, by default the top
+    substitution's."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
-    _check_pair(top, bottom)
-    scan = _ScanWidths(top.tile_lengths())
-    expanded = {} if expanded is None else expanded
-    for seed in range(top.size):
-        rounds = tuple(_discrepancy_rounds(top, bottom, seed, cap, scan, 0, max_states,
-                                           expanded=expanded, seen=set()))
-        if len(rounds) == cap:
-            return classify_rounds(rounds, spectral or (lambda: top.spectral_class().kind))
+    for seed in range(graph.top.size):
+        if not graph.closes(seed, cap):
+            return classify_rounds(tuple(graph.rounds(seed, cap)),
+                                   spectral or (lambda: graph.top.spectral_class().kind))
     return BoundaryClass(kind=BoundaryKind.RIGID, spectral_kind=None)
 
 

@@ -99,7 +99,7 @@ def shuffled_twin(rng, s):
     return Substitution(s.alphabet, rules)
 
 
-# The per-letter prefix scan that ``fault._discrepancy_rounds`` (overlap
+# The per-letter prefix scan that the walks of ``fault.OverlapGraph`` (overlap
 # states) replaced, kept verbatim as the oracle of the word-free trace.
 
 def scan_prefix_discrepancies(top, bottom, widths, tracked):
@@ -147,23 +147,20 @@ def scan_prefix_discrepancies(top, bottom, widths, tracked):
     return tuple(out)
 
 
-def scan_discrepancy_rounds(top, bottom, seed, k, widths, tracked, max_states=None, *,
-                            expanded=None):
-    """``fault._discrepancy_rounds`` on materialised rows: each round applies
-    both substitutions to the previous words and scans every letter.  It has
-    no overlap states, so it takes ``max_states`` and ``expanded`` and
-    ignores them."""
+def scan_discrepancy_rounds(top, bottom, seed, k, widths):
+    """``fault.OverlapGraph.rounds`` on materialised rows: each round applies
+    both substitutions to the previous words and scans every letter."""
     wt = wb = (seed,)
     for _ in range(k):
         wt, wb = top.apply(wt), bottom.apply(wb)
-        yield tuple(sorted(set(scan_prefix_discrepancies(wt, wb, widths, tracked))))
+        yield tuple(sorted(set(scan_prefix_discrepancies(wt, wb, widths, 0))))
 
 
-def reference_discrepancy_rounds(top, bottom, seed, k, widths, tracked,
+def reference_discrepancy_rounds(top, bottom, seed, k, widths,
                                   max_states=fault.DEFAULT_MAX_STATES):
-    """``fault._discrepancy_rounds`` as it was before it kept each state's
-    expansion for the trace: every state of every round runs the merge sweep
-    and the sign filter again."""
+    """``fault.OverlapGraph.rounds`` as the walk was before it kept each
+    state's expansion: every state of every round runs the merge sweep and
+    the sign filter again."""
     rules1, rules2, matrix = top.rules, bottom.rules, top.matrix()
     zero = (0,) * top.size
     tables = {}
@@ -215,7 +212,7 @@ def reference_discrepancy_rounds(top, bottom, seed, k, widths, tracked,
                 s = sign(i + 1, j + 1)
                 children.add((kids1[i], kids2[j], tuple(map(add, base, vec[i][j]))))
                 if s <= 0:
-                    values.add(base[tracked] + vec[i + 1][j + (s == 0)][tracked])
+                    values.add(base[0] + vec[i + 1][j + (s == 0)][0])
                     i += 1
                 if s >= 0:
                     j += 1
@@ -906,22 +903,22 @@ def reference_int_mod_reduce(a, m):
     return a - m * k
 
 
-def reference_offsets(top, bottom, seed, k, modulus=None, tracked_letter=0):
+def reference_offsets(top, bottom, seed, k, modulus=None):
     """(field, rounds): the sorted distinct offsets of each round of
-    ``boundary_trace(top, bottom, seed, k, modulus, tracked_letter)`` as
+    ``boundary_trace(OverlapGraph(top, bottom), seed, k, modulus)`` as
     AlgebraicNumbers, on a field of its own."""
-    lengths = top.tile_lengths()
+    graph = fault.OverlapGraph(top, bottom)
+    lengths = graph.widths
     widths = numbers(lengths)
     if modulus is None:
         modulus = max(widths)
     elif isinstance(modulus, int):
         modulus = widths[modulus]
     assert modulus.sign() > 0
-    unit_shift = widths[tracked_letter]
+    unit_shift = widths[0]
     reduced = {}
     rounds = []
-    for ms in fault._discrepancy_rounds(top, bottom, seed, k, fault._ScanWidths(lengths),
-                                        tracked_letter):
+    for ms in graph.rounds(seed, k):
         for m in ms:
             if m not in reduced:
                 o = reference_int_mod_reduce(unit_shift * m, modulus)

@@ -28,6 +28,7 @@ from faultline.documents import bundled_document
 from faultline.dpv import cochain_limits, cohomology, compute_nu, essential_vertices
 from faultline.fault import (
     BoundaryKind,
+    OverlapGraph,
     _ScanWidths,
     boundary_trace,
     classify_boundary,
@@ -77,7 +78,7 @@ def test_criterion_01_spectral_data():
 
 def test_criterion_02_displayed_word_pairs():
     s1, s2 = sigma_pair()
-    trace = boundary_trace(s1, s2, "a", 4)
+    trace = boundary_trace(OverlapGraph(s1, s2), "a", 4)
     got = [(s1.text(st.top), s2.text(st.bottom)) for st in trace.steps]
     assert got == [
         ("ba", "ab"),
@@ -91,7 +92,7 @@ def test_criterion_02_displayed_word_pairs():
 
 def test_criterion_03_growth_and_offsets():
     s1, s2 = sigma_pair()
-    trace = boundary_trace(s1, s2, "a", 12)
+    trace = boundary_trace(OverlapGraph(s1, s2), "a", 12)
     lo, hi = discrepancy_growth(trace)
     target = 1.3027756377319946  # lambda - 1
     # the interval must contain a value within 5% of lambda - 1
@@ -252,7 +253,7 @@ def test_criterion_10b_discrepancy_oracle():
         s = random_substitution(rng, 2, max_len=3)
         t = shuffled_twin(rng, s)
         k = rng.randint(1, 4)
-        trace = boundary_trace(s, t, rng.randint(0, 1), k)
+        trace = boundary_trace(OverlapGraph(s, t), rng.randint(0, 1), k)
         st = trace.steps[-1]
         if len(st.top) > 140:
             continue
@@ -283,7 +284,7 @@ def test_criterion_11_rigid_sanity():
     rng = rng_for("acceptance-rigid")
     for _ in range(50):
         s = random_substitution(rng, 2, max_len=3)
-        assert classify_boundary(s, s, cap=12).kind is BoundaryKind.RIGID
+        assert classify_boundary(OverlapGraph(s, s), cap=12).kind is BoundaryKind.RIGID
     s1, s2 = sigma_pair()
-    assert classify_boundary(s1, s2).kind is BoundaryKind.REGULAR_FAULT
+    assert classify_boundary(OverlapGraph(s1, s2)).kind is BoundaryKind.REGULAR_FAULT
     ok("criterion 11: 50 self-boundaries rigid; the paper pair is a regular fault")

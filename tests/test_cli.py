@@ -28,7 +28,7 @@ from faultline.documents import (
     load_document,
 )
 from faultline.errors import ValidationError
-from faultline.fault import _ScanWidths, boundary_trace, classify_boundary
+from faultline.fault import OverlapGraph, _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
 
 from conftest import iterate, number_json, reference_dump, scan_discrepancy_rounds
@@ -683,7 +683,7 @@ def test_schema_validation_messages():
 @pytest.mark.parametrize("seed, traces", [("a", 1), ("b", 1)])
 def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
     # the printed trace is the only one: from seed 0 the report classifies
-    # its discrepancies, and from another seed classify_boundary runs
+    # its walk, and from another seed classify_boundary walks seed 0 too
     argv = ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
             "--bottom", "sigma2", "--rounds", "8", "--seed", seed)
     _, plain = run_cli(*argv)
@@ -695,7 +695,8 @@ def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
     assert len(calls) == traces
     assert counted == plain
     doc = bundled_document("doubling_swap")
-    cls = classify_boundary(doc.substitution("sigma1"), doc.substitution("sigma2"), cap=8)
+    cls = classify_boundary(OverlapGraph(doc.substitution("sigma1"), doc.substitution("sigma2")),
+                            cap=8)
     assert json.loads(counted)["classification"] == cls.kind.value
     if seed == "a":
         assert run_cli(*argv[:-2])[1] == plain
@@ -727,48 +728,83 @@ def test_fault_builds_no_word(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", ["a", "b"])
 def test_fault_from_any_seed_expands_each_state_once(monkeypatch, seed):
-    # --seed a or b on the paper pair: one boundary_trace, and the seed-0
-    # classification pass reads the printed trace's expanded states, so no
-    # state is expanded twice in the call; from seed a it expands none
-    class Counting(dict):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.written = []
+    # --seed a or b on the paper pair: one overlap graph, read by the trace
+    # and by the classification.  From seed a the classification reads the
+    # trace's walk, which does not close: it walks no round and expands no
+    # state.  From seed b it walks seed a, and no state is expanded twice
+    graphs, expanded, walked = [], [], []
+    phase = ["trace"]
+    init, expand, step = OverlapGraph.__init__, OverlapGraph._expand, OverlapGraph._step
 
-        def __setitem__(self, key, value):
-            self.written.append(key)
-            super().__setitem__(key, value)
+    def stepped(graph, walk):
+        start = next(x for x, w in graph.walks.items() if w is walk)
+        walked.append((phase[0], start, len(walk.rounds) + 1))
+        return step(graph, walk)
 
-    passes, traces = [], []
-    rounds = fault._discrepancy_rounds
+    def classified(*args, **kw):
+        phase[0] = "classify"
+        return classify_boundary(*args, **kw)
 
-    def counted(*args, expanded, **kw):
-        table = Counting(expanded)
-        passes.append((args[2], len(expanded), table))
-        yield from rounds(*args, expanded=table, **kw)
-        expanded.update(table)
-
-    monkeypatch.setattr(fault, "_discrepancy_rounds", counted)
-    trace = cli.boundary_trace
-    monkeypatch.setattr(cli, "boundary_trace", lambda *a, **k: traces.append(a) or trace(*a, **k))
+    monkeypatch.setattr(OverlapGraph, "__init__",
+                        lambda graph, *a: graphs.append(graph) or init(graph, *a))
+    monkeypatch.setattr(OverlapGraph, "_expand",
+                        lambda graph, *state: expanded.append((phase[0], state)) or
+                        expand(graph, *state))
+    monkeypatch.setattr(OverlapGraph, "_step", stepped)
+    monkeypatch.setattr(cli, "classify_boundary", classified)
     argv = ("fault", "-i", "bundled:doubling_swap", "--top", "sigma1", "--bottom", "sigma2",
             "--seed", seed)
     code, out = run_cli(*argv)
-    assert code == 0 and len(traces) == 1
-    assert [(start, given) for start, given, _ in passes] == \
-        [("ab".index(seed), 0), (0, len(passes[0][2]))]
-    written = [key for _, _, table in passes for key in table.written]
-    assert len(written) == len(set(written))
-    assert passes[0][2].written
-    # the seed-0 pass found some states already expanded, and from seed a all
-    assert bool(passes[1][2].written) == (seed == "b")
+    assert code == 0 and len(graphs) == 1 and phase == ["classify"]
+    start = "ab".index(seed)
+    assert [w for w in walked if w[0] == "trace"] == \
+        [("trace", start, r) for r in range(1, 13)]
+    states = [state for _, state in expanded]
+    assert len(states) == len(set(states))
+    walked_later = [w[1:] for w in walked if w[0] == "classify"]
+    expanded_later = [state for when, state in expanded if when == "classify"]
     monkeypatch.undo()
-    doc = bundled_document("doubling_swap")
-    s1, s2 = doc.substitution("sigma1"), doc.substitution("sigma2")
-    fresh = boundary_trace(s1, s2, 0, 12)
-    assert len(passes[1][2].written) < len(fresh.expanded)
+    if seed == "a":
+        assert walked_later == [] and expanded_later == []
+    else:
+        assert walked_later == [(0, r) for r in range(1, 13)]
+        # the walk from a meets some of the states that the trace expanded
+        fresh = OverlapGraph(graphs[0].top, graphs[0].bottom)
+        boundary_trace(fresh, 0, 12)
+        assert 0 < len(expanded_later) < len(fresh.expanded)
     assert json.loads(out)["classification"] == "RegularFault"
     assert (code, out) == run_cli(*argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=fault_documents(), data=st.data())
+def test_fault_bytes_match_a_classification_on_a_fresh_graph(doc, data, tmp_path_factory):
+    # the trace and the classification share one graph and so one field,
+    # whose refinement the printed enclosures read: the report must be that
+    # of a run whose classification walks a second, fresh graph, and that of
+    # a run whose classification leaves the shared field refined far deeper
+    # than any exact sign needs
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["fault", "-i", str(path), "--top", "top", "--bottom", "bottom",
+            "--seed", data.draw(st.sampled_from("ab")),
+            "--rounds", str(data.draw(st.integers(4, 10)))]
+    shared = _run_captured(argv)
+    event(f"exit {shared[0]}")
+
+    def fresh(graph, *args, **kw):
+        return classify_boundary(OverlapGraph(graph.top, graph.bottom, graph.max_states),
+                                 *args, **kw)
+
+    def deep(graph, *args, **kw):
+        cls = classify_boundary(graph, *args, **kw)
+        graph.scan.field.refined(Fraction(1, 2 ** 400))
+        return cls
+
+    for classify in (fresh, deep):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "classify_boundary", classify)
+            assert _run_captured(argv) == shared, (doc, argv, classify.__name__)
 
 
 def test_fault_traces_past_any_materialisable_row(tmp_path):
@@ -786,10 +822,10 @@ def test_fault_traces_past_any_materialisable_row(tmp_path):
     assert len(rows) == 24
     doc = bundled_document("doubling_swap")
     s1, s2 = doc.substitution("sigma1"), doc.substitution("sigma2")
-    trace = boundary_trace(s1, s2, "a", 24)
+    trace = boundary_trace(OverlapGraph(s1, s2), "a", 24)
     assert len(trace.steps[-1].top) == 452841761
     widths = _ScanWidths(s1.tile_lengths())
-    oracle = list(scan_discrepancy_rounds(s1, s2, 0, 12, widths, 0))
+    oracle = list(scan_discrepancy_rounds(s1, s2, 0, 12, widths))
     assert [st.discrepancy_values for st in trace.steps[:12]] == oracle
     assert [row["max_discrepancy"] for row in rows] == list(trace.max_abs_by_round())
 
@@ -802,7 +838,7 @@ def test_fault_prints_rows_longer_than_an_index():
     assert (code, err) == (0, "")
     rows = json.loads(out)["rounds"]
     sigma1 = bundled_document("doubling_swap").substitution("sigma1")
-    trace = boundary_trace(sigma1, sigma1, "a", 60)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma1), "a", 60)
     assert trace.steps[52].top.length > sys.maxsize >= trace.steps[51].top.length
     for row, st in zip(rows, trace.steps, strict=True):
         text = sigma1.text(islice(st.top, 81))

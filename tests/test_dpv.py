@@ -155,11 +155,11 @@ def test_essential_vertices_classifies_each_matrix_once(monkeypatch):
         s.matrix()) or spectral_class(s))
     classify_boundary = dpv.classify_boundary
 
-    def recorded(top, bottom, *args, spectral, **kw):
+    def recorded(graph, *args, spectral, **kw):
         kinds = []
-        cls = classify_boundary(top, bottom, *args, **kw,
+        cls = classify_boundary(graph, *args, **kw,
                                 spectral=lambda: kinds.append(spectral()) or kinds[-1])
-        classified.append((top.matrix(), cls.kind, kinds))
+        classified.append((graph.top.matrix(), cls.kind, kinds))
         return cls
 
     monkeypatch.setattr(dpv, "classify_boundary", recorded)

@@ -16,9 +16,9 @@ from faultline.cli import alg_json
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
     BoundaryKind,
+    OverlapGraph,
     Row,
     _ScanWidths,
-    _discrepancy_rounds,
     boundary_trace,
     classify_boundary,
     classify_rounds,
@@ -157,17 +157,16 @@ def test_scan_matches_reference_and_naive(seed, n_letters, constant_length):
     else:
         s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    widths = s.tile_lengths()
-    tracked = rng.randrange(n_letters)
     start = (rng.randrange(n_letters),)
     wt, wb = s.apply(start), t.apply(start)
-    scan = _ScanWidths(widths)
-    rounds = _discrepancy_rounds(s, t, start[0], 300, scan, tracked)
+    graph = OverlapGraph(s, t)
+    widths, scan = graph.widths, graph.scan
+    rounds = graph.rounds(start[0], 300)
     while len(wt) <= 300:
-        oracle = scan_prefix_discrepancies(wt, wb, scan, tracked)
-        assert oracle == reference_prefix_discrepancies(wt, wb, widths, tracked)
+        oracle = scan_prefix_discrepancies(wt, wb, scan, 0)
+        assert oracle == reference_prefix_discrepancies(wt, wb, widths, 0)
         if len(wt) <= 30:
-            assert list(oracle) == naive_discrepancies(wt, wb, widths, tracked)
+            assert list(oracle) == naive_discrepancies(wt, wb, widths, 0)
         assert next(rounds) == distinct(oracle)
         wt, wb = s.apply(wt), t.apply(wb)
 
@@ -180,15 +179,14 @@ def test_scan_decided_by_exact_signs_alone(seed, n_letters):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    widths = s.tile_lengths()
-    scan = _ScanWidths(widths)
+    graph = OverlapGraph(s, t)
+    widths, scan = graph.widths, graph.scan
     scan.scaled = [0] * n_letters
-    tracked = rng.randrange(n_letters)
-    rounds = _discrepancy_rounds(s, t, 0, 120, scan, tracked)
+    rounds = graph.rounds(0, 120)
     wt, wb = s.apply((0,)), t.apply((0,))
     while len(wt) <= 120:
-        want = reference_prefix_discrepancies(wt, wb, widths, tracked)
-        assert scan_prefix_discrepancies(wt, wb, scan, tracked) == want
+        want = reference_prefix_discrepancies(wt, wb, widths, 0)
+        assert scan_prefix_discrepancies(wt, wb, scan, 0) == want
         assert next(rounds) == distinct(want)
         wt, wb = s.apply(wt), t.apply(wb)
 
@@ -204,7 +202,7 @@ def test_scan_resolves_exact_ties_on_rational_widths(monkeypatch):
     sign = NumberField.sign
     monkeypatch.setattr(NumberField, "sign",
                         lambda field, nums: signs.append(sign(field, nums)) or signs[-1])
-    fast = list(_discrepancy_rounds(s, t, 0, 3, _ScanWidths(widths), 0))[-1]
+    fast = list(OverlapGraph(s, t).rounds(0, 3))[-1]
     assert signs and set(signs) == {0}
     want = reference_prefix_discrepancies(wt, wb, widths, 0)
     assert scan_prefix_discrepancies(wt, wb, _ScanWidths(widths), 0) == want
@@ -218,12 +216,12 @@ def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
              (Substitution(["a", "b"], {"a": "ab", "b": "ba"}),
               Substitution(["a", "b"], {"a": "ba", "b": "ab"}), 4)]
     for s, t, k in pairs:
-        widths = _ScanWidths(s.tile_lengths())
+        graph = OverlapGraph(s, t)
         built = []
         init = AlgebraicNumber.__init__
         monkeypatch.setattr(AlgebraicNumber, "__init__",
                             lambda x, *a: built.append(a) or init(x, *a))
-        fast = list(_discrepancy_rounds(s, t, 0, k, widths, 0))
+        fast = list(graph.rounds(0, k))
         monkeypatch.undo()
         assert not built
         for r, values in enumerate(fast, 1):
@@ -232,7 +230,7 @@ def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
 
 
 def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
-    # the 2^-96 filter image is built once per trace, on the first round
+    # the 2^-96 filter image is built once per graph, on the first round
     # whose rows differ, and never when they never do
     fine = Fraction(1, 2 ** 96)
     calls = []
@@ -240,15 +238,15 @@ def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
     monkeypatch.setattr(NumberField, "enclose",
                         lambda f, nums, den, width=None: calls.append(width) or
                         enclose(f, nums, den, width))
-    boundary_trace(sigma1, sigma2, "a", 8)
+    boundary_trace(OverlapGraph(sigma1, sigma2), "a", 8)
     assert calls.count(fine) == 2
     calls.clear()
-    boundary_trace(sigma1, sigma1, "a", 8)
+    boundary_trace(OverlapGraph(sigma1, sigma1), "a", 8)
     assert calls.count(fine) == 0
 
 
 def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "b", 8)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "b", 8)
     scan = _ScanWidths(trace.widths)
     for st_ in trace.steps:
         ds = scan_prefix_discrepancies(tuple(st_.top), tuple(st_.bottom), scan, 0)
@@ -264,11 +262,12 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
-    fast = boundary_trace(s, t, start, k, tracked_letter=tracked)
+    start = rng.randrange(n_letters)
+    fast = boundary_trace(OverlapGraph(s, t), start, k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fault, "_discrepancy_rounds", scan_discrepancy_rounds)
-        slow = boundary_trace(s, t, start, k, tracked_letter=tracked)
+        mp.setattr(OverlapGraph, "rounds", lambda graph, seed, k: scan_discrepancy_rounds(
+            graph.top, graph.bottom, seed, k, graph.scan))
+        slow = boundary_trace(OverlapGraph(s, t), start, k)
     assert fast.widths.field.root_ints == slow.widths.field.root_ints
     for a, b in zip(fast.steps, slow.steps):
         assert a.discrepancy_values == b.discrepancy_values
@@ -284,36 +283,37 @@ def test_expanding_each_state_once_matches_the_reference_rounds(seed, n_letters,
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+    start = rng.randrange(n_letters)
 
-    def run(rounds):
-        widths = _ScanWidths(s.tile_lengths())
+    def run(rounds, field):
         out = []
         try:
-            out.extend(rounds(s, t, start, k, widths, tracked, cap))
+            out.extend(rounds)
         except ResourceCapError as exc:
             out.append(str(exc))
-        return out, widths.field.root_ints
+        return out, field.root_ints
 
-    got = run(_discrepancy_rounds)
+    graph = OverlapGraph(s, t, cap)
+    got = run(graph.rounds(start, k), graph.scan.field)
     event("budget tripped" if isinstance(got[0][-1], str) else "all rounds")
-    assert got == run(reference_discrepancy_rounds)
+    widths = _ScanWidths(s.tile_lengths())
+    assert got == run(reference_discrepancy_rounds(s, t, start, k, widths, cap), widths.field)
 
 
 def test_repeated_states_are_expanded_once(monkeypatch, sigma1, sigma2):
     # the paper pair revisits its overlap states round after round: kept
     # expansions make fewer exact sign fallbacks than expanding every state
     # anew, with the same rounds
-    widths = _ScanWidths(sigma1.tile_lengths())
+    graph = OverlapGraph(sigma1, sigma2)
     signs = []
     sign = _ScanWidths.sign
     monkeypatch.setattr(_ScanWidths, "sign", lambda self, x, image: signs.append(x) or
                         sign(self, x, image))
-    fast = list(_discrepancy_rounds(sigma1, sigma2, 0, 12, widths, 0))
+    fast = list(graph.rounds(0, 12))
     fast_signs = len(signs)
     signs.clear()
     slow = list(reference_discrepancy_rounds(sigma1, sigma2, 0, 12,
-                                             _ScanWidths(sigma1.tile_lengths()), 0))
+                                             _ScanWidths(sigma1.tile_lengths())))
     assert fast == slow
     assert fast_signs < len(signs)
 
@@ -396,11 +396,11 @@ def test_offsets_match_the_algebraic_number_path(seed, n_letters, k):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
+    start = rng.randrange(n_letters)
     for modulus in (None, *range(n_letters)):
-        trace = boundary_trace(s, t, start, k, modulus=modulus, tracked_letter=tracked)
+        trace = boundary_trace(OverlapGraph(s, t), start, k, modulus=modulus)
         field = trace.widths.field
-        ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus, tracked)
+        ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus)
         assert field.root_ints == ref_field.root_ints
         assert [[o.coeffs for o in step_offsets(st_)] for st_ in trace.steps] == \
             [[o.coeffs for o in r] for r in ref_rounds]
@@ -429,29 +429,30 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
 
     # AlgebraicNumber has no arithmetic to call (test_algebra checks that)
     monkeypatch.setattr(algebra, "mod_reduce", forbidden)
-    # modulo the tracked width itself every offset is 0; the modulus shapes
+    # modulo the width of letter 0 itself every offset is 0; the modulus shapes
     # only the offsets, not the class
     for modulus in (None, 1, 0):
-        trace = boundary_trace(sigma1, sigma2, "a", 10, modulus=modulus)
+        trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 10, modulus=modulus)
         stats = offset_statistics(trace)
         gap = step_min_gap(trace.steps[-1])
         if modulus == 0:
             assert stats.distinct_count == 1 and gap is None
         else:
             assert stats.distinct_count > 10 and gap.sign() > 0
-    assert classify_boundary(sigma1, sigma2, 10, spectral=lambda: spectral).kind is \
+    assert classify_boundary(OverlapGraph(sigma1, sigma2), 10,
+                             spectral=lambda: spectral).kind is \
         BoundaryKind.REGULAR_FAULT
 
 
 def test_trace_reproduces_displayed_pairs(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 4)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 4)
     got = [(sigma1.text(s.top), sigma2.text(s.bottom)) for s in trace.steps]
     assert got == PAIRS_EQ1
     assert len(trace.steps[3].top) == 26
 
 
 def test_trace_identical_rows(sigma1):
-    trace = boundary_trace(sigma1, sigma1, "a", 5)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma1), "a", 5)
     for s in trace.steps:
         assert s.discrepancy_values == (0,)
         assert len(s.offset_vectors) == 1 and not any(s.offset_vectors[0])
@@ -459,7 +460,7 @@ def test_trace_identical_rows(sigma1):
 
 def test_trace_row_widths_agree(sigma1, sigma2):
     # on the integer vectors: both rows of round r span lambda^r * width(seed)
-    trace = boundary_trace(sigma1, sigma2, "a", 6)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 6)
     widths = trace.widths
     field = widths.field
 
@@ -475,7 +476,7 @@ def test_trace_row_widths_agree(sigma1, sigma2):
 
 
 def test_trace_matches_naive_scanner(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 5)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 5)
     for s in trace.steps:
         assert s.discrepancy_values == distinct(naive_discrepancies(
             tuple(s.top), tuple(s.bottom), trace.widths, 0
@@ -485,34 +486,114 @@ def test_trace_matches_naive_scanner(sigma1, sigma2):
 def test_trace_hypothesis_errors(sigma1):
     other_alpha = Substitution(["x", "y"], {"x": "yx", "y": "xxx"})
     with pytest.raises(HypothesisError):
-        boundary_trace(sigma1, other_alpha, "a", 2)
+        boundary_trace(OverlapGraph(sigma1, other_alpha), "a", 2)
     shorter = Substitution(["a", "b"], {"a": "ba", "b": "aa"})
     with pytest.raises(HypothesisError):
-        boundary_trace(sigma1, shorter, "a", 2)
+        boundary_trace(OverlapGraph(sigma1, shorter), "a", 2)
     # equal lengths but different abelianization is rejected too
     twisted = Substitution(["a", "b"], {"a": "bb", "b": "aaa"})
     with pytest.raises(HypothesisError):
-        boundary_trace(sigma1, twisted, "a", 2)
+        boundary_trace(OverlapGraph(sigma1, twisted), "a", 2)
 
 
 def test_trace_state_budget_pins_the_paper_pair_at_round_16(sigma1, sigma2):
     # 1,984 overlap states over rounds 1-16 (475 of them at round 16), 1,509
     # over rounds 1-15: the budget counts the states of all rounds together
-    trace = boundary_trace(sigma1, sigma2, "a", 16, max_states=1984)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2, 1984), "a", 16)
     assert len(trace.steps) == 16
     with pytest.raises(ResourceCapError,
                        match="^boundary trace exceeded the 1983-state budget at round 16$"):
-        boundary_trace(sigma1, sigma2, "a", 16, max_states=1983)
-    boundary_trace(sigma1, sigma2, "a", 15, max_states=1509)
+        boundary_trace(OverlapGraph(sigma1, sigma2, 1983), "a", 16)
+    boundary_trace(OverlapGraph(sigma1, sigma2, 1509), "a", 15)
 
 
 def test_trace_state_budget_bounds_the_depth(sigma1):
     # equal substitutions keep two aligned states a round, so only the
     # running total stops a trace that asks for any number of rounds
-    assert len(boundary_trace(sigma1, sigma1, "a", 500, max_states=1000).steps) == 500
+    assert len(boundary_trace(OverlapGraph(sigma1, sigma1, 1000), "a", 500).steps) == 500
     with pytest.raises(ResourceCapError,
                        match="^boundary trace exceeded the 1000-state budget at round 501$"):
-        boundary_trace(sigma1, sigma1, "a", 10 ** 9, max_states=1000)
+        boundary_trace(OverlapGraph(sigma1, sigma1, 1000), "a", 10 ** 9)
+
+
+def test_walks_reject_a_seed_outside_the_alphabet(sigma1, sigma2):
+    # an index names a letter or is an error: never an IndexError, and never
+    # the letter that negative indexing would pick
+    graph = OverlapGraph(sigma1, sigma2)
+    for seed in (2, -1):
+        message = f"^letter id {seed} out of range$"
+        with pytest.raises(ValidationError, match=message):
+            boundary_trace(graph, seed, 4)
+        with pytest.raises(ValidationError, match=message):
+            next(graph.rounds(seed, 4))
+        with pytest.raises(ValidationError, match=message):
+            graph.closes(seed, 4)
+    assert not graph.walks
+
+
+class CountingGraph(OverlapGraph):
+    """An ``OverlapGraph`` that lists the states it expands."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.expansions = []
+
+    def _expand(self, *state):
+        self.expansions.append(state)
+        return super()._expand(*state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 8),
+       k=st.integers(1, 8), more=st.integers(1, 4),
+       budget=st.one_of(st.integers(4, 300), st.just(fault.DEFAULT_MAX_STATES)),
+       order=st.sampled_from(["classify, trace", "trace, classify", "trace, trace"]))
+def test_walks_resume_in_any_order(seed, n_letters, cap, k, more, budget, order):
+    # one graph asked in any order gives what fresh graphs give: the same
+    # rounds as both oracles, the same class and the same round at which the
+    # budget trips; and it expands no state twice
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    kind = spectral_classify(s.matrix()).kind
+
+    def outcome(f):
+        try:
+            return f()
+        except ResourceCapError as exc:
+            return str(exc)
+
+    def classify(graph):
+        return outcome(lambda: classify_boundary(graph, cap, spectral=lambda: kind).kind)
+
+    def trace(graph, start, rounds):
+        return outcome(lambda: [x.discrepancy_values
+                                for x in boundary_trace(graph, start, rounds).steps])
+
+    fresh_class = classify(OverlapGraph(s, t, budget))
+    for start in range(n_letters):
+        graph = CountingGraph(s, t, budget)
+        if order == "classify, trace":
+            asked = [("class", classify(graph)), (k, trace(graph, start, k))]
+        elif order == "trace, classify":
+            asked = [(k, trace(graph, start, k)), ("class", classify(graph))]
+        else:
+            asked = [(k, trace(graph, start, k)), (k + more, trace(graph, start, k + more))]
+        for rounds, got in asked:
+            if rounds == "class":
+                assert got == fresh_class
+                continue
+            assert got == trace(OverlapGraph(s, t, budget), start, rounds)
+            reference = outcome(lambda: list(reference_discrepancy_rounds(
+                s, t, start, rounds, _ScanWidths(s.tile_lengths()), budget)))
+            assert got == reference
+            if isinstance(got, list):
+                short = sum(Row(s, start, r).length <= 2000 for r in range(1, rounds + 1))
+                assert got[:short] == list(islice(scan_discrepancy_rounds(
+                    s, t, start, rounds, _ScanWidths(s.tile_lengths())), short))
+        event(f"{order}: budget tripped" if any(isinstance(got, str) for _, got in asked)
+              else order)
+        assert len(graph.expansions) == len(set(graph.expansions))
 
 
 def step_key(step):
@@ -528,37 +609,37 @@ def test_state_budget_never_changes_a_trace(seed, n_letters, k, budget):
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
-    start, tracked = rng.randrange(n_letters), rng.randrange(n_letters)
-    free = boundary_trace(s, t, start, k, tracked_letter=tracked)
+    start = rng.randrange(n_letters)
+    free = boundary_trace(OverlapGraph(s, t), start, k)
     try:
-        capped = boundary_trace(s, t, start, k, tracked_letter=tracked, max_states=budget)
+        capped = boundary_trace(OverlapGraph(s, t, budget), start, k)
     except ResourceCapError as exc:
         event("budget tripped")
         r = int(re.fullmatch(rf"boundary trace exceeded the {budget}-state budget "
                              r"at round (\d+)", str(exc)).group(1))
         assert 1 <= r <= k
         if r > 1:
-            boundary_trace(s, t, start, r - 1, tracked_letter=tracked, max_states=budget)
+            boundary_trace(OverlapGraph(s, t, budget), start, r - 1)
         return
     assert [step_key(x) for x in capped.steps] == [step_key(x) for x in free.steps]
 
 
 def test_offsets_listed_once_per_round(sigma1, sigma2):
-    # modulo the tracked width every shear is 0: eight rounds of growing
+    # modulo the width of letter 0 every shear is 0: eight rounds of growing
     # distinct discrepancies, one offset.  The offset reference reads that
     # one offset as Rigid; the overlap states do not close, so the boundary
     # is a fault whatever the modulus
-    trace = boundary_trace(sigma1, sigma2, "a", 8, modulus=0)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 8, modulus=0)
     assert [len(st_.discrepancy_values) for st_ in trace.steps] == [2, 3, 3, 4, 5, 7, 8, 11]
     assert all(st_.offset_vectors == ((0, 0),) for st_ in trace.steps)
     assert all(step_min_gap(st_) is None for st_ in trace.steps)
     assert offset_statistics(trace).distinct_count == 1
     assert reference_classify_trace(trace).kind is BoundaryKind.RIGID
-    assert classify_boundary(sigma1, sigma2, 8).kind is BoundaryKind.REGULAR_FAULT
+    assert classify_boundary(OverlapGraph(sigma1, sigma2), 8).kind is BoundaryKind.REGULAR_FAULT
 
 
 def test_growth_near_second_eigenvalue(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 12)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 12)
     lo, hi = discrepancy_growth(trace)
     target = 1.3027756377319946  # lambda - 1
     assert lo <= hi
@@ -566,20 +647,20 @@ def test_growth_near_second_eigenvalue(sigma1, sigma2):
 
 
 def test_growth_zero_for_identical(sigma1):
-    trace = boundary_trace(sigma1, sigma1, "a", 6)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma1), "a", 6)
     assert discrepancy_growth(trace) == (Fraction(0), Fraction(0))
 
 
 def test_growth_bounded_for_pisot_pair():
     t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
     t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
-    trace = boundary_trace(t1, t2, "a", 12)
+    trace = boundary_trace(OverlapGraph(t1, t2), "a", 12)
     lo, hi = discrepancy_growth(trace)
     assert float(hi) < 1.05
 
 
 def test_offsets_contain_shift_values(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 10)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 10)
     assert trace.widths.den == 1                        # lambda is (0, 1), 3 is (3, 0)
     seen = set()
     for s in trace.steps:
@@ -607,26 +688,27 @@ def test_offset_recurrence(sigma1):
 
 
 def test_offset_statistics(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 10)
+    trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 10)
     stats = offset_statistics(trace)
     counts = stats.per_round_counts
     assert all(counts[i] < counts[i + 1] for i in range(3, 9))
     assert stats_min_gap(stats) is not None and stats_min_gap(stats).sign() > 0
     assert stats.distinct_count >= counts[-1]
-    short = offset_statistics(boundary_trace(sigma1, sigma1, "a", 2))
+    short = offset_statistics(boundary_trace(OverlapGraph(sigma1, sigma1), "a", 2))
     assert short.distinct_count == 1 and stats_min_gap(short) is None
 
 
 def test_classify_examples(sigma1, sigma2):
-    assert classify_boundary(sigma1, sigma2).kind is BoundaryKind.REGULAR_FAULT
-    assert classify_boundary(sigma1, sigma1).kind is BoundaryKind.RIGID
+    assert classify_boundary(OverlapGraph(sigma1, sigma2)).kind is BoundaryKind.REGULAR_FAULT
+    assert classify_boundary(OverlapGraph(sigma1, sigma1)).kind is BoundaryKind.RIGID
 
 
 def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
-    trace = boundary_trace(sigma1, sigma2, "a", 10)
-    assert reference_classify_trace(trace) == classify_boundary(sigma1, sigma2, cap=10)
+    graph = OverlapGraph(sigma1, sigma2)
+    assert reference_classify_trace(boundary_trace(graph, "a", 10)) == \
+        classify_boundary(graph, cap=10)
     with pytest.raises(ValidationError):
-        reference_classify_trace(boundary_trace(sigma1, sigma2, "b", 10))
+        reference_classify_trace(boundary_trace(OverlapGraph(sigma1, sigma2), "b", 10))
 
 
 def classify_steps(trace):
@@ -640,12 +722,12 @@ def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
     # classification reads only the checkpoints and the discrepancies: no
     # growth estimate, but the same refusal below 4 rounds
     monkeypatch.setattr(fault, "discrepancy_growth", None)
-    assert classify_steps(boundary_trace(sigma1, sigma2, "a", 4)).kind is \
+    assert classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 4)).kind is \
         BoundaryKind.REGULAR_FAULT
     with pytest.raises(ValidationError, match="^classification needs at least 4 rounds$"):
-        classify_steps(boundary_trace(sigma1, sigma2, "a", 3))
+        classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 3))
     with pytest.raises(ValidationError, match="^classification needs cap >= 4$"):
-        classify_boundary(sigma1, sigma2, cap=3)
+        classify_boundary(OverlapGraph(sigma1, sigma2), cap=3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -665,13 +747,14 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
     # every walk closes the class is then anything but RegularFault.  The
     # classes differ only where the offsets could not see what the overlap
     # states show:
-    # - the reference's vacuous Rigid, when the tracked width is an integer
+    # - the reference's vacuous Rigid, when the width of letter 0 is an integer
     #   multiple of the modulus, so that every offset is 0, says nothing;
     # - a closed walk is Rigid where the reference reads Undetermined or a
     #   budget past the closing round, and where it reads RegularFault only
     #   with a reducible charpoly (D grows while <w, D> stays bounded);
     # - once seed 0 closes, the walks from the other seeds decide.
-    # The expanded states of a trace from another seed change nothing.
+    # A trace from another seed on the same graph changes nothing, also when
+    # it trips the budget.
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
@@ -685,20 +768,21 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
             return str(exc)
 
     want = outcome(lambda: reference_classify_trace(
-        boundary_trace(s, t, 0, cap, modulus=modulus, max_states=budget)))
-    got = outcome(lambda: classify_boundary(s, t, cap, budget))
-    widths = _ScanWidths(s.tile_lengths())
+        boundary_trace(OverlapGraph(s, t, budget), 0, cap, modulus=modulus)))
+    got = outcome(lambda: classify_boundary(OverlapGraph(s, t, budget), cap))
+    graph = OverlapGraph(s, t, budget)
+    widths = graph.scan
 
     def walk_closes(x):
         try:
-            return len(list(_discrepancy_rounds(s, t, x, cap, widths, 0, budget,
-                                                seen=set()))) < cap
+            return graph.closes(x, cap)
         except ResourceCapError:
             return False
 
     closes = walk_closes(0)
     every_walk_closes = all(map(walk_closes, range(n_letters)))
-    unit, mod = widths.vectors[0], widths.vectors[boundary_trace(s, t, 0, 1, modulus).modulus]
+    modulus = boundary_trace(OverlapGraph(s, t), 0, 1, modulus).modulus
+    unit, mod = widths.vectors[0], widths.vectors[modulus]
     q = Fraction(next(u for u, m in zip(unit, mod) if m), next(m for m in mod if m))
     vacuous = want is BoundaryKind.RIGID and q.denominator == 1 and \
         all(u == q * m for u, m in zip(unit, mod))
@@ -711,11 +795,12 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
         assert widths.field.degree < n_letters
     if want is BoundaryKind.RIGID and not vacuous:
         assert got is not BoundaryKind.REGULAR_FAULT
+    graph = OverlapGraph(s, t, budget)
     try:
-        table = boundary_trace(s, t, rng.randrange(n_letters), cap, max_states=budget).expanded
+        boundary_trace(graph, rng.randrange(n_letters), cap)
     except ResourceCapError:
-        return
-    assert outcome(lambda: classify_boundary(s, t, cap, budget, expanded=table)) == got
+        pass
+    assert outcome(lambda: classify_boundary(graph, cap)) == got
 
 
 def test_classify_pisot_pair():
@@ -724,12 +809,13 @@ def test_classify_pisot_pair():
     # either order of the alphabet
     t1 = Substitution(["a", "b"], {"a": "ab", "b": "a"})
     t2 = Substitution(["a", "b"], {"a": "ba", "b": "a"})
-    assert offset_statistics(boundary_trace(t1, t2, "a", 12, modulus=1)).distinct_count == 2
-    assert classify_boundary(t1, t2).kind is BoundaryKind.RIGID
+    trace = boundary_trace(OverlapGraph(t1, t2), "a", 12, modulus=1)
+    assert offset_statistics(trace).distinct_count == 2
+    assert classify_boundary(OverlapGraph(t1, t2)).kind is BoundaryKind.RIGID
     assert check_closure(t1, t2, 12)
     r1 = Substitution(["b", "a"], {"a": "ab", "b": "a"})
     r2 = Substitution(["b", "a"], {"a": "ba", "b": "a"})
-    assert classify_boundary(r1, r2).kind is BoundaryKind.RIGID
+    assert classify_boundary(OverlapGraph(r1, r2)).kind is BoundaryKind.RIGID
 
 
 def placed_overlaps(top, bottom, widths):
@@ -759,21 +845,17 @@ def check_closure(top, bottom, cap, letters=20_000):
     or until they pass ``letters``, meet only in its placed overlaps, and,
     when those are its states (an irreducible charpoly), read only its
     read-offs."""
-    widths = _ScanWidths(top.tile_lengths())
-    walks, expanded = [], {}
-    for seed in range(top.size):
-        seen = set()
-        closing = len(list(_discrepancy_rounds(top, bottom, seed, cap, widths, 0,
-                                               expanded=expanded, seen=seen))) + 1
-        if closing > cap:
-            return False
-        walks.append((seed, closing, seen))
+    graph = OverlapGraph(top, bottom)
+    if not all(graph.closes(seed, cap) for seed in range(top.size)):
+        return False
+    widths = graph.scan
     injective = widths.field.degree == top.size
-    for seed, closing, seen in walks:
+    for seed, walk in graph.walks.items():
+        seen = walk.seen
         placed = {(t, b, widths.value(d)) for t, b, d in seen} if injective else seen
-        read_offs = {m for state in seen for m in expanded[state][1]} if injective else None
+        read_offs = {m for state in seen for m in graph.expanded[state][1]} if injective else None
         wt = wb = (seed,)
-        for values in scan_discrepancy_rounds(top, bottom, seed, 2 * closing, widths, 0):
+        for values in scan_discrepancy_rounds(top, bottom, seed, 2 * walk.closed, widths):
             wt, wb = top.apply(wt), bottom.apply(wb)
             assert placed_overlaps(wt, wb, widths) <= placed
             assert read_offs is None or set(values) <= read_offs
@@ -792,7 +874,7 @@ def test_closed_walks_bound_the_built_rows(seed, n_letters):
     t = shuffled_twin(rng, s)
     closed = check_closure(s, t, 8)
     event("closed" if closed else "open")
-    assert (classify_boundary(s, t, 8).kind is BoundaryKind.RIGID) == closed
+    assert (classify_boundary(OverlapGraph(s, t), 8).kind is BoundaryKind.RIGID) == closed
 
 
 def test_closure_keys_by_placement_when_the_charpoly_is_reducible():
@@ -801,13 +883,12 @@ def test_closure_keys_by_placement_when_the_charpoly_is_reducible():
     # growing discrepancies
     s = Substitution(["a", "b", "c"], {"a": "bb", "b": "aca", "c": "cab"})
     t = Substitution(["a", "b", "c"], {"a": "bb", "b": "aca", "c": "abc"})
-    widths = _ScanWidths(s.tile_lengths())
-    assert widths.field.degree == 2
+    assert _ScanWidths(s.tile_lengths()).field.degree == 2
     assert check_closure(s, t, 12)
-    assert classify_boundary(s, t).kind is BoundaryKind.RIGID
-    maxes = boundary_trace(s, t, "a", 12).max_abs_by_round()
+    assert classify_boundary(OverlapGraph(s, t)).kind is BoundaryKind.RIGID
+    maxes = boundary_trace(OverlapGraph(s, t), "a", 12).max_abs_by_round()
     assert maxes[2] < maxes[5] < maxes[11]
-    assert classify_rounds(list(_discrepancy_rounds(s, t, 0, 12, widths, 0)),
+    assert classify_rounds(list(OverlapGraph(s, t).rounds(0, 12)),
                            lambda: spectral_classify(s.matrix()).kind).kind is \
         BoundaryKind.REGULAR_FAULT
 
@@ -824,7 +905,8 @@ def test_rigid_does_not_depend_on_the_order_of_the_alphabet(seed, n_letters, dat
 
     def rigid(top, bottom):
         try:
-            return classify_boundary(top, bottom, 8, 20_000).kind is BoundaryKind.RIGID
+            return classify_boundary(OverlapGraph(top, bottom, 20_000), 8).kind is \
+                BoundaryKind.RIGID
         except ResourceCapError:
             return None
 
@@ -838,7 +920,7 @@ def test_classify_self_rigid_random():
     rng = rng_for("rigid")
     for _ in range(10):
         s = random_substitution(rng, 2)
-        assert classify_boundary(s, s, cap=8).kind is BoundaryKind.RIGID
+        assert classify_boundary(OverlapGraph(s, s), cap=8).kind is BoundaryKind.RIGID
 
 
 def test_classify_shuffled_twin_random():
@@ -846,6 +928,6 @@ def test_classify_shuffled_twin_random():
     for _ in range(6):
         s = random_substitution(rng, 2, max_len=3)
         t = shuffled_twin(rng, s)
-        cls = classify_boundary(s, t, cap=8)
+        cls = classify_boundary(OverlapGraph(s, t), cap=8)
         assert cls.kind in (BoundaryKind.RIGID, BoundaryKind.REGULAR_FAULT,
                             BoundaryKind.UNDETERMINED)

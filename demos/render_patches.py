@@ -28,13 +28,14 @@ for name, seed, rounds in (
     # verify the exact row identity before writing anything: a tile's left
     # edge and width are packed integer vectors over one denominator, so two
     # tiles meet exactly when the left edge plus the width is the next left edge
-    lattice = patch[0].lattice
+    lattice = patch.lattice
     rows = {}
-    for t in patch:
+    for t in patch.tiles:
         rows.setdefault(t.yn, []).append(t)
     target = lattice.vector(lattice.widths[seed[1]])
     for _ in range(rounds):
         target = times_root(target, lattice.field.poly)
+    assert lattice.vector(patch.right) == target, "the patch's right edge is lambda^k * seed"
     for y, row in rows.items():
         assert row[0].xn == 0, "every row starts at the seed's left edge"
         for t1, t2 in zip(row, row[1:]):

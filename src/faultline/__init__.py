@@ -63,7 +63,7 @@ from .dpv import (
     h1_limit,
     validate_dpv,
 )
-from .render import PlacedTile, emit_svg, generate_patch
+from .render import Patch, PlacedTile, emit_svg, generate_patch
 from .documents import Document, bundled_document, bundled_names, load_document
 
 __version__ = "0.1.0"

@@ -333,11 +333,11 @@ def direct_limit(a):
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")
-    an = matpow(a, n)
     dp = det(a)
     if dp:
         k, a_pr, proj, sect = 0, a, eye(n), eye(n)
     else:
+        an = matpow(a, n)
         kern = kernel_basis(an)
         k = shape(kern)[1]
         snf = smith_normal_form(kern)
@@ -346,10 +346,10 @@ def direct_limit(a):
         sect = tuple(row[k:] for row in snf.u_inv)
         a_pr = matmul(matmul(proj, a), sect)
         dp = det(a_pr)
+        assert dp != 0, "reduced bonding map must be injective"
+        assert n - k == rank_q(an)
     r = n - k
     cp = charpoly(a_pr)
-    assert dp != 0, "reduced bonding map must be injective"
-    assert r == rank_q(an)
     return DirectLimitGroup(
         n=n,
         a=a,

@@ -151,6 +151,28 @@ class DPVSubstitution:
             )
         return tuple(v[0] for v in lengths.vectors), -lengths.field.poly[0]
 
+    def member_log(self):
+        """``validate_dpv``'s entries comparing each horizontal member with
+        the first: equal per-letter image lengths, then equal abelianization
+        (so one stretching factor, and rows of one width)."""
+        base, out = self.horizontal[0], []
+        for i, s in enumerate(self.horizontal[1:], start=1):
+            if s.length_vector() != base.length_vector():
+                out.append(_log("error", f"lengths-0-{i}", "per-letter image lengths differ"))
+            elif s.matrix() != base.matrix():
+                out.append(_log("error", f"abelianization-0-{i}", "abelianizations differ"))
+            else:
+                out.append(_log("ok", f"abelianization-0-{i}",
+                                "equal image lengths and abelianization (same stretching factor)"))
+        return out
+
+    def check_members(self):
+        """Raise ``validate_dpv``'s ValidationError for the errors of
+        ``member_log``, if any."""
+        errors = [e for e in self.member_log() if e["level"] == "error"]
+        if errors:
+            raise _hypothesis_error([], errors)
+
     # -- tiles ---------------------------------------------------------------
 
     @property
@@ -213,15 +235,8 @@ def validate_dpv(d):
             log.append(_log("ok", f"horizontal-{i}-primitive", "primitive"))
         else:
             errors.append(_log("error", f"horizontal-{i}-primitive", "not primitive"))
-    base = d.horizontal[0]
-    for i, s in enumerate(d.horizontal[1:], start=1):
-        if s.length_vector() != base.length_vector():
-            errors.append(_log("error", f"lengths-0-{i}", "per-letter image lengths differ"))
-        elif s.matrix() != base.matrix():
-            errors.append(_log("error", f"abelianization-0-{i}", "abelianizations differ"))
-        else:
-            log.append(_log("ok", f"abelianization-0-{i}",
-                            "equal image lengths and abelianization (same stretching factor)"))
+    for entry in d.member_log():
+        (errors if entry["level"] == "error" else log).append(entry)
     for i in range(len(d.horizontal)):
         for j in range(i + 1, len(d.horizontal)):
             if d.horizontal[i].length_vector() != d.horizontal[j].length_vector():
@@ -235,10 +250,15 @@ def validate_dpv(d):
                                 "no shift-conjugacy certificate found; same-tiling-space "
                                 "hypothesis is unverified"))
     if errors:
-        err = ValidationError("; ".join(e["check"] + ": " + e["detail"] for e in errors))
-        err.hypothesis_log = tuple(log + errors)
-        raise err
+        raise _hypothesis_error(log, errors)
     return tuple(log)
+
+
+def _hypothesis_error(log, errors):
+    """The ValidationError naming each failed check, with the whole log."""
+    err = ValidationError("; ".join(e["check"] + ": " + e["detail"] for e in errors))
+    err.hypothesis_log = tuple(log + errors)
+    return err
 
 
 # ---------------------------------------------------------------------------

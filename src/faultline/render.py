@@ -7,8 +7,8 @@ position is an integer coefficient vector on the power basis of Q(lambda)
 over one denominator per patch, packed into one int (``Lattice``), and a
 vertical position an integer.  Placement expands the patch one
 level at a time from tables of child offsets, so a placed tile costs one int
-add per coordinate.  SVG output renders coordinates at 1e-9 precision from
-the exact values and is deterministic.
+add per coordinate.  SVG output prints each coordinate as its exact value
+correctly rounded to 9 decimals, so its bytes depend on the values alone.
 """
 
 from __future__ import annotations
@@ -65,7 +65,23 @@ class PlacedTile(NamedTuple):
     tile: tuple        # (vertical letter id, horizontal letter id)
     xn: int            # den_x * left edge, packed (``Lattice``)
     yn: int            # bottom edge
+
+
+@dataclass(frozen=True)
+class Patch:
+    """The tiles of one ``generate_patch`` call, in depth-first order, and
+    what the substitution fixes for them: every row spans the seed's image,
+    so each ends at the packed right edge ``right`` = den_x * width(seed) *
+    lambda^k; the top edge is ``top`` = height(seed) * lambda_v^k; and
+    ``tile_ids`` are the sorted distinct tiles.  ``len`` is the tile count."""
     lattice: Lattice
+    tiles: list
+    right: int
+    top: int
+    tile_ids: tuple
+
+    def __len__(self):
+        return len(self.tiles)
 
 
 def _tile_count(counts, col, k, cap):
@@ -81,11 +97,13 @@ def _tile_count(counts, col, k, cap):
 
 
 def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
-    """All tiles of the k-fold image of ``seed`` = (vertical, horizontal)
+    """The ``Patch`` of the k-fold image of ``seed`` = (vertical, horizontal)
     letter ids, with exact coordinates; the seed's lower-left corner is the
-    origin."""
+    origin.  The horizontal members must share one abelianization, as
+    ``validate_dpv`` checks: otherwise rows of one patch differ in width."""
     if k < 0:
         raise ValidationError("rounds must be >= 0")
+    d.check_members()
     v0, h0 = seed
     widths = d.horizontal[0].tile_lengths()
     heights, lam_v = d.vertical_heights
@@ -103,7 +121,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     # step[r][h] = den_x * width_h * lambda^r: integer vectors, since the
     # widths live in the Perron field, whose root lambda is an algebraic integer
     step = [width_nums]
-    for _ in range(k - 1):
+    for _ in range(k):
         step.append(tuple(times_root(v, field.poly) for v in step[-1]))
     # A right edge sums at most ``total`` steps, so its coefficients stay
     # under (total + 1) * bound < 2**(shift - 1) in absolute value.
@@ -111,10 +129,15 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     lattice = Lattice(field, den_x, ((total + 1) * bound).bit_length() + 1, (), heights)
     step = [tuple(map(lattice.pack, level)) for level in step]
     lattice = replace(lattice, widths=step[0])
-    if k == 0:
-        return [PlacedTile((v0, h0), 0, 0, lattice)]
     images = {(v, h): d.image_array(v, h)
               for v in range(d.vertical.size) for h in range(len(width_nums))}
+    # the tiles of each level are the children of those of the level above
+    tile_ids = {(v0, h0)}
+    for _ in range(k):
+        tile_ids = {sub for tile in tile_ids for row in images[tile] for sub in row}
+    right, top, tile_ids = step[k][h0], heights[v0] * lam_v ** k, tuple(sorted(tile_ids))
+    if k == 0:
+        return Patch(lattice, [PlacedTile((v0, h0), 0, 0)], right, top, tile_ids)
 
     def offsets(rounds):
         """(child, dx, dy) per child of each tile's rounds-fold image: its
@@ -143,8 +166,9 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
     table = offsets(1)
     # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
     new_tile = partial(tuple.__new__, PlacedTile)
-    return [new_tile((sub, x + dx, y + dy, lattice))
-            for tile, x, y in nodes for sub, dx, dy in table[tile]]
+    tiles = [new_tile((sub, x + dx, y + dy))
+             for tile, x, y in nodes for sub, dx, dy in table[tile]]
+    return Patch(lattice, tiles, right, top, tile_ids)
 
 
 def overlay_boundaries(d, seed, k, order):
@@ -174,86 +198,85 @@ def _fmt(num, den):
     return decimal_string(num, den, 9).rstrip("0").rstrip(".")
 
 
+_UNIT = 10 ** 9    # the printed precision
+_GUARD = 40        # bits of a fixed-point image beyond its error bound
+
+
+def _rounder(lattice, scale):
+    """The printed string of scale * packed / den_x for the packed values of
+    ``lattice``: the exact value rounded half up to 9 fractional digits, a
+    function of the value alone.
+
+    With X the vector of a packed value, 10^9 * value = sum(X[i] * c[i]) for
+    c[i] = 10^9 * scale * lambda^i / den_x.  F[i] is c[i] * 2^bits rounded
+    from an enclosure of lambda^i, with |F[i] - c[i] * 2^bits| < 2.  Every
+    |X[i]| < 2^(shift - 1), so the image sum(X[i] * F[i]) lies within
+    err = degree * 2^shift < 2^(bits - 40) of 2^bits times the exact value.
+    The rounding is read off the image unless a tie (an odd multiple of 1/2
+    in units of 10^-9) lies within err of it; then the exact sign of the
+    value minus that tie decides, and a rational value at the tie rounds up."""
+    field, scale = lattice.field, Fraction(scale)
+    num, den = scale.numerator, lattice.den_x * scale.denominator
+    err = field.degree << lattice.shift
+    bits = err.bit_length() + _GUARD
+    width = Fraction(den, num * _UNIT << bits)
+    images = []
+    for i in range(field.degree):
+        a, b, e = field.enclose((0,) * i + (1,), 1, width)
+        images.append(((a + b) * num * _UNIT << bits) // (2 * e * den))
+    half, vector = 1 << (bits - 1), lattice.vector
+
+    def text(packed):
+        x = vector(packed)
+        image = sum(map(mul, x, images)) + half
+        n = (image - err) >> bits
+        if (image + err) >> bits != n:
+            # n + 1 when 10^9 * value >= n + 1/2
+            tie = [2 * _UNIT * num * c for c in x]
+            tie[0] -= (2 * n + 1) * den
+            n += field.sign(tie) >= 0
+        return _fmt(n, _UNIT)
+
+    return text
+
+
 def emit_svg(patch, colors=None, overlay=(), scale=24):
-    """One rect per tile; y flipped so the patch displays with y increasing
-    upward; optional horizontal overlay lines.  Deterministic output.  The
-    tiles must come from one ``generate_patch`` call."""
-    if not patch:
-        raise ValidationError("empty patch")
-    lattice = patch[0].lattice
-    field, den_x = lattice.field, lattice.den_x
+    """One rect per tile of the ``Patch`` ``patch``; y flipped so the patch
+    displays with y increasing upward; optional horizontal overlay lines.
+    Every coordinate prints as its exact value rounded half up to 9 digits."""
+    if not isinstance(patch, Patch):
+        raise ValidationError("emit_svg draws one Patch from generate_patch")
+    if scale <= 0:
+        raise ValidationError("scale must be positive")
+    lattice, top = patch.lattice, patch.top
     widths, heights = lattice.widths, lattice.heights
-    fine = Fraction(1, 10 ** 12)
-    rights, tile_ids, top = {}, set(), 0
-    for tile, xn, yn, tile_lattice in patch:
-        if tile_lattice is not lattice:
-            raise ValidationError("tiles from different patches")
-        rights[xn + widths[tile[1]]] = None
-        tile_ids.add(tile)
-        edge = yn + heights[tile[0]]
-        if edge > top:
-            top = edge
-    # Each enclosure is taken at the field's current root interval, which is
-    # bisected only when an enclosure is wider than 1e-12.  So the printed
-    # midpoints depend on the order of requests: every right edge first, then
-    # x and width tile by tile.  A request repeated while the root interval
-    # is unchanged gets the same answer, so enclosures, x strings and each
-    # tile type's rect tail (width, height, fill) are kept until it changes.
-    cache, xs, tails, root = {}, {}, {}, field.root_ints
-
-    def enclosure(packed):
-        """Enclosure (a, b, e) of packed / den_x, at most 1e-12 wide."""
-        nonlocal root
-        got = cache.get(packed)
-        if got is None:
-            got = field.enclose(lattice.vector(packed), den_x, fine)
-            if field.root_ints is not root:
-                cache.clear()
-                xs.clear()
-                tails.clear()
-                root = field.root_ints
-            cache[packed] = got
-        return got
-
-    def midpoint(packed):
-        a, b, e = enclosure(packed)
-        return _fmt((a + b) * scale, 2 * e)
-
-    # A right edge repeated after a bisection would get an enclosure inside
-    # its first one (interval Horner is inclusion isotonic): no bisection
-    # and no larger hi.  So each distinct right edge is enclosed once.
-    right_num, right_den = 0, 1
-    for packed in rights:
-        _, b, e = enclosure(packed)
-        if b * right_den > right_num * e:
-            right_num, right_den = b, e
-    w = _fmt(right_num * scale, right_den)
-    h = _fmt(top * scale, 1)
+    text = _rounder(lattice, scale)
+    scale = Fraction(scale)
+    num, den = scale.numerator, scale.denominator
+    w = text(patch.right)
+    h = _fmt(top * num, den)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
         f'width="{w}" height="{h}">',
     ]
-    color_of = {}
-    for i, tid in enumerate(sorted(tile_ids)):
-        color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
-    tile_height = tuple(_fmt(hn * scale, 1) for hn in heights)
-    flipped = {}   # top edge numerator -> flipped y
-    for tile, xn, yn, _ in patch:
+    colors = colors or {}
+    tails = {}    # tile -> its rect's width, height and fill
+    for i, tile in enumerate(patch.tile_ids):
+        color = colors.get(tile) or _PALETTE[i % len(_PALETTE)]
+        tails[tile] = (f'width="{text(widths[tile[1]])}" '
+                       f'height="{_fmt(heights[tile[0]] * num, den)}" '
+                       f'fill="{color}" stroke="#202020" stroke-width="0.7"/>')
+    xs, flipped = {}, {}   # packed x -> x; top edge -> flipped y
+    for tile, xn, yn in patch.tiles:
         x = xs.get(xn)
         if x is None:
-            x = xs[xn] = midpoint(xn)
-        tail = tails.get(tile)
-        if tail is None:
-            tw = midpoint(widths[tile[1]])
-            tail = tails[tile] = (f'width="{tw}" height="{tile_height[tile[0]]}" '
-                                  f'fill="{color_of[tile]}" stroke="#202020" '
-                                  f'stroke-width="0.7"/>')
+            x = xs[xn] = text(xn)
         edge = yn + heights[tile[0]]
         y = flipped.get(edge)
         if y is None:
-            y = flipped[edge] = _fmt((top - edge) * scale, 1)
-        lines.append(f'<rect x="{x}" y="{y}" {tail}')
+            y = flipped[edge] = _fmt((top - edge) * num, den)
+        lines.append(f'<rect x="{x}" y="{y}" {tails[tile]}')
     for cut in overlay:
         q = (top - Fraction(cut)) * scale
         y = _fmt(q.numerator, q.denominator)

@@ -1279,3 +1279,69 @@ def reference_spectral_classify(m, precision_bits=64):
     else:
         kind = SpectralKind.PISOT
     return kind, second
+
+
+# ---------------------------------------------------------------------------
+# the enclosure renderer: the body ``render.emit_svg`` replaced, kept as the
+# oracle that the bundled and seeded SVG bytes did not change
+# ---------------------------------------------------------------------------
+
+def enclosure_emit_svg(patch, colors=None, overlay=(), scale=24):
+    """``emit_svg`` as it printed each x and width: the midpoint of an
+    enclosure at most 1e-12 wide, and the viewBox width as the upper end of
+    the widest right edge's, each taken at the field's current root
+    interval.  So its bytes depend on how far the field was refined before,
+    and on the order of its requests: every right edge first, then x and
+    width tile by tile."""
+    from faultline.render import _PALETTE, _fmt
+
+    lattice = patch.lattice
+    field, den_x = lattice.field, lattice.den_x
+    widths, heights = lattice.widths, lattice.heights
+    fine = Fraction(1, 10 ** 12)
+    rights, tile_ids, top = {}, set(), 0
+    for tile, xn, yn in patch.tiles:
+        rights[xn + widths[tile[1]]] = None
+        tile_ids.add(tile)
+        top = max(top, yn + heights[tile[0]])
+
+    def enclosure(packed):
+        # emit_svg kept these while the root interval stayed put, which gives
+        # the enclosures that taking each one afresh gives
+        return field.enclose(lattice.vector(packed), den_x, fine)
+
+    def midpoint(packed):
+        a, b, e = enclosure(packed)
+        return _fmt((a + b) * scale, 2 * e)
+
+    right_num, right_den = 0, 1
+    for packed in rights:
+        _, b, e = enclosure(packed)
+        if b * right_den > right_num * e:
+            right_num, right_den = b, e
+    w = _fmt(right_num * scale, right_den)
+    h = _fmt(top * scale, 1)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+        f'width="{w}" height="{h}">',
+    ]
+    color_of = {}
+    for i, tid in enumerate(sorted(tile_ids)):
+        color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
+    for tile, xn, yn in patch.tiles:
+        x = midpoint(xn)
+        tw = midpoint(widths[tile[1]])
+        y = _fmt((top - yn - heights[tile[0]]) * scale, 1)
+        lines.append(f'<rect x="{x}" y="{y}" width="{tw}" '
+                     f'height="{_fmt(heights[tile[0]] * scale, 1)}" '
+                     f'fill="{color_of[tile]}" stroke="#202020" stroke-width="0.7"/>')
+    for cut in overlay:
+        q = (top - Fraction(cut)) * scale
+        y = _fmt(q.numerator, q.denominator)
+        lines.append(
+            f'<line x1="0" y1="{y}" x2="{w}" y2="{y}" '
+            f'stroke="#d02020" stroke-width="1.6" stroke-dasharray="6,3"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

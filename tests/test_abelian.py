@@ -130,6 +130,17 @@ def test_direct_limit_examples():
             g.section) == (0, (), 0, (), (1,), 1, (), ())
 
 
+def test_direct_limit_builds_no_power_when_det_is_nonzero(monkeypatch):
+    # a^n and its rank only check the singular reduction; a unimodular map
+    # is its own reduced map
+    calls = []
+    monkeypatch.setattr(abelian, "matpow", lambda a, k: calls.append(k) or matpow(a, k))
+    g = direct_limit(mat([[2, 1], [1, 1]]))
+    assert (g.r, g.det_prime, calls) == (2, 1, [])
+    g = direct_limit(mat([[1, 1], [1, 1]]))
+    assert (g.r, g.det_prime, calls) == (1, 2, [2])
+
+
 def test_direct_limit_power_invariance():
     rng = rng_for("dl-power")
     for _ in range(25):

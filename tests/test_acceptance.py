@@ -271,7 +271,7 @@ def test_criterion_10c_renderer_counts_oracle():
         cm = d.count_matrix()
         for k in range(6):
             patch = generate_patch(d, (0, 0), k)
-            counts = Counter(t.tile for t in patch)
+            counts = Counter(t.tile for t in patch.tiles)
             power = matpow(cm, k)
             col = d.tile_index(0, 0)
             for v in range(d.vertical.size):

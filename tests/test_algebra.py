@@ -86,7 +86,7 @@ def test_algebra_keeps_only_the_print_view():
     assert not {"Interval", "compare", "mod_reduce"} & set(faultline.__all__)
     assert "TileLengths" in faultline.__all__
     assert not hasattr(Substitution, "iterate") and not hasattr(Lattice, "element")
-    for name in ("x", "width", "y", "height"):
+    for name in ("x", "width", "y", "height", "lattice"):
         assert not hasattr(PlacedTile, name), name
 
 

@@ -490,6 +490,22 @@ def test_render_refuses_irrational_vertical_heights(tmp_path):
                    "(irrational vertical expansion is unsupported)\n")
 
 
+def test_render_refuses_members_of_different_abelianization(tmp_path):
+    # rows of s0 and s1 over one letter differ in length, so a patch would
+    # have ragged rows; cohomology refuses the document with the same line
+    doc = {"alphabets": {"v": ["u"], "h": ["a", "b"]},
+           "substitutions": {"rho": {"alphabet": "v", "rules": {"u": "uu"}},
+                             "s0": {"alphabet": "h", "rules": {"a": "ab", "b": "a"}},
+                             "s1": {"alphabet": "h", "rules": {"a": "abb", "b": "a"}}},
+           "dpv": {"vertical": "rho", "horizontal": ["s0", "s1"],
+                   "row_sigma": {"u": ["s0", "s1"]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("render", "cohomology"):
+        code, out, err = _run_captured([command, "-i", str(path)])
+        assert (code, out, err) == (1, "", "error: lengths-0-1: per-letter image lengths differ\n")
+
+
 def test_fault_estimates_growth_once(monkeypatch):
     # the report's growth ratio is the one estimate; classification reads
     # only its checkpoints

@@ -204,8 +204,8 @@ _GUARD = 40        # bits of a fixed-point image beyond its error bound
 
 def _rounder(lattice, scale):
     """The printed string of scale * packed / den_x for the packed values of
-    ``lattice``: the exact value rounded half up to 9 fractional digits, a
-    function of the value alone.
+    ``lattice`` and a positive Fraction ``scale``: the exact value rounded
+    half up to 9 fractional digits, a function of the value alone.
 
     With X the vector of a packed value, 10^9 * value = sum(X[i] * c[i]) for
     c[i] = 10^9 * scale * lambda^i / den_x.  F[i] is c[i] * 2^bits rounded
@@ -215,7 +215,7 @@ def _rounder(lattice, scale):
     The rounding is read off the image unless a tie (an odd multiple of 1/2
     in units of 10^-9) lies within err of it; then the exact sign of the
     value minus that tie decides, and a rational value at the tie rounds up."""
-    field, scale = lattice.field, Fraction(scale)
+    field = lattice.field
     num, den = scale.numerator, lattice.den_x * scale.denominator
     err = field.degree << lattice.shift
     bits = err.bit_length() + _GUARD
@@ -246,12 +246,12 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     Every coordinate prints as its exact value rounded half up to 9 digits."""
     if not isinstance(patch, Patch):
         raise ValidationError("emit_svg draws one Patch from generate_patch")
+    scale = Fraction(scale)
     if scale <= 0:
         raise ValidationError("scale must be positive")
     lattice, top = patch.lattice, patch.top
     widths, heights = lattice.widths, lattice.heights
     text = _rounder(lattice, scale)
-    scale = Fraction(scale)
     num, den = scale.numerator, scale.denominator
     w = text(patch.right)
     h = _fmt(top * num, den)

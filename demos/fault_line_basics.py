@@ -76,7 +76,10 @@ print("distinct offsets per round:", stats.per_round_counts)
 print("total distinct offsets:", stats.distinct_count,
       "| smallest positive gap ~", approx(stats.field, stats.min_gap_vector, stats.den))
 
-# the classifier puts it together; it reads the walk from a that the trace
-# took, and prints last, since its exact signs refine the graph's field
-print("classify(sigma1, sigma2):", classify_boundary(graph).kind.value)
-print("classify(sigma1, sigma1):", classify_boundary(OverlapGraph(sigma1, sigma1)).kind.value)
+# the classifier puts it together and returns the boundary's kind.  It reads
+# the walk from a that the trace took, and prints last, since its exact signs
+# refine the graph's field.  The walk from a does not close: one of its
+# states has |x_2| > C_2 / (|1 - lambda| - 1) in the conjugate 1 - lambda,
+# and from there x_2 only grows, so the rows meet in infinitely many ways
+print("classify(sigma1, sigma2):", classify_boundary(graph).value)
+print("classify(sigma1, sigma1):", classify_boundary(OverlapGraph(sigma1, sigma1)).value)

@@ -41,13 +41,11 @@ from .abelian import (
 )
 from .ap_complex import APComplex, CollaredLetter, GradedGroupData, border_forcing, collar, graph_h1
 from .fault import (
-    BoundaryClass,
     BoundaryKind,
     BoundaryTrace,
     OverlapGraph,
     boundary_trace,
     classify_boundary,
-    classify_rounds,
     discrepancy_growth,
     offset_statistics,
 )

@@ -137,9 +137,6 @@ class Interval:
             return Interval(-self.hi, -self.lo)
         return Interval(0, max(-self.lo, self.hi))
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 

@@ -374,10 +374,10 @@ def cmd_fault(args):
     # the classification reads the trace's walks and walks the other seeds on
     # the same graph, whose exact signs refine the field printed above: it
     # comes after everything that prints an enclosure
-    cls = classify_boundary(graph, rounds)
-    report["classification"] = cls.kind.value
-    report["spectral_class"] = (cls.spectral_kind or top.spectral_class().kind).value
-    code = EXIT_UNDETERMINED if cls.kind is BoundaryKind.UNDETERMINED else EXIT_OK
+    kind = classify_boundary(graph, rounds)
+    report["classification"] = kind.value
+    report["spectral_class"] = top.spectral_class().kind.value
+    code = EXIT_UNDETERMINED if kind is BoundaryKind.UNDETERMINED else EXIT_OK
     return report, code
 
 

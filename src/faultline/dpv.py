@@ -331,24 +331,14 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
     classify_boundary classifies.  A cycle of length L is traced for
     max(4, ceil(cap / L)) composite rounds and at most ``max_states``
     overlap states in all (ResourceCapError past that).  Each distinct
-    (top, bottom) pair is classified once, and the spectral class of each
-    distinct composite matrix is computed once, only when some boundary
-    with that matrix is not Rigid."""
+    (top, bottom) pair is classified once."""
     rho = d.vertical
     cx = d.vertical_complex
     eventual = _eventual_vertices(cx)
     entries = []
-    # composite boundaries and their matrices repeat across vertices:
-    # classify each (top, bottom) pair once, and each matrix at most once
-    spectral = {}
+    # composite boundaries repeat across vertices: classify each (top,
+    # bottom) pair once
     classes = {}
-
-    def spectral_kind(s):
-        m = s.matrix()
-        if m not in spectral:
-            spectral[m] = s.spectral_class().kind
-        return spectral[m]
-
     for v in eventual:
         junctions = cx.junctions_at(v)
         assert junctions, "an eventual vertex must carry at least one junction"
@@ -380,14 +370,12 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
                 # effective depth near the configured cap
                 rounds = max(4, -(-cap // len(cycle)))
                 classes[pair] = classify_boundary(
-                    OverlapGraph(top_comp, bottom_comp, max_states), rounds,
-                    spectral=lambda: spectral_kind(top_comp))
-            cls = classes[pair]
-            kinds.add(cls.kind)
+                    OverlapGraph(top_comp, bottom_comp, max_states), rounds)
+            kinds.add(classes[pair])
             if chosen is None:
-                chosen = (cycle, *pair, cls)
-        cycle, top_idx, bottom_idx, cls = chosen
-        kind = cls.kind if len(kinds) == 1 else BoundaryKind.UNDETERMINED
+                chosen = (cycle, *pair)
+        cycle, top_idx, bottom_idx = chosen
+        kind = classes[top_idx, bottom_idx] if len(kinds) == 1 else BoundaryKind.UNDETERMINED
         e0, f0 = cycle[0]
         entries.append(
             VertexBoundary(

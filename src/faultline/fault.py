@@ -7,9 +7,7 @@ the same exact horizontal position (positions live in Q(lambda), and every
 comparison is exact).  Offsets are the induced shears lambda*m reduced modulo
 a tile width.  They are kept as integer coefficient vectors over the widths'
 common denominator: reduction, ordering and gaps run on integers, and reports
-print each from its vector.  ``Rigid`` reads no offset and no letter: a
-boundary is ``Rigid`` when the overlap states it reaches from every aligned
-seed close (``classify_boundary``).
+print each from its vector.
 
 The rows are never built.  Each round is carried by its set of overlap
 states (top tile, bottom tile, count difference), which the two
@@ -17,11 +15,20 @@ substitutions map to the next round's set; a round's distinct discrepancies
 are read off its states.  One ``OverlapGraph`` per boundary expands each
 state once and keeps each walk, which traces and the classifier read: a
 trace costs per distinct state, not per letter.
-"""
 
+``classify_boundary`` reads no offset and no letter.  A state places its
+overlap at x = <w, D>, and a child has x' = lambda x + <w, P1 - P2>.  Read
+at a conjugate lambda_j of lambda (the star map), x_j' = lambda_j x_j + c
+with |c| <= C_j.  A walk that closes meets in finitely many placed overlaps:
+``Rigid`` when every walk does.  A state with |lambda_j| > 1 and
+|x_j| > C_j / (|lambda_j| - 1) escapes: each child has
+|x_j'| - R >= |lambda_j| (|x_j| - R) for R = C_j / (|lambda_j| - 1), and
+every state has a child, so x_j, and with it x, takes infinitely many
+values: ``RegularFault``.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -29,9 +36,10 @@ from itertools import islice
 from math import lcm
 from operator import add, mul, sub
 
-from .algebra import mod_quotient, root_interval
+from .algebra import NumberField, mod_quotient, root_interval, times
 from .errors import HypothesisError, ResourceCapError, ValidationError
-from .substitution import SpectralKind
+from .substitution import _rect_modulus_sq
+from .zpoly import isolate_complex_roots, isolate_real_roots
 
 DEFAULT_ROUNDS = 12
 DEFAULT_MAX_STATES = 100_000   # overlap states over all rounds of a trace
@@ -140,6 +148,108 @@ class _ScanWidths:
                      for j in range(self.field.degree))
 
 
+class _Conjugate:
+    """A conjugate lambda_j of lambda with |lambda_j| > 1, as the escape
+    test reads it: per letter, the width w_j at lambda_j as a fixed-point
+    image (re, im), each part within 1 of 2^96 times the exact one (im is
+    exactly 0 for a real lambda_j), and ``radius_sq`` >= (2^96 R)^2 for
+    R = C_j / (|lambda_j| - 1).  C_j bounds |<w_j, P1 - P2>| over every
+    top child prefix P1 and bottom child prefix P2.  A real conjugate keeps
+    its ``_ScanWidths`` for the exact test where the filter cannot decide."""
+
+    def __init__(self, images, low, spans, scan=None):
+        # images: per letter (re, im); low: a rational lower bound > 1 of
+        # |lambda_j|; spans: the top and the bottom child prefix vectors
+        self.images, self.scan, self.real = images, scan, scan is not None
+        top, bottom = ([self._box(p) for p in ps] for ps in spans)
+        # the hull of <w_j, P1> minus the hull of <w_j, P2> holds every c
+        diff = ((min(b[0][0] for b in top) - max(b[1][0] for b in bottom),
+                 min(b[0][1] for b in top) - max(b[1][1] for b in bottom)),
+                (max(b[1][0] for b in top) - min(b[0][0] for b in bottom),
+                 max(b[1][1] for b in top) - min(b[0][1] for b in bottom)))
+        self.radius_sq = _rect_modulus_sq(diff)[1] / (low - 1) ** 2
+
+    def _box(self, x):
+        """A rectangle ((re_lo, im_lo), (re_hi, im_hi)) that holds
+        2^96 <w_j, x> for an integer vector x."""
+        re = sum(c * w[0] for c, w in zip(x, self.images))
+        im = sum(c * w[1] for c, w in zip(x, self.images))
+        m = sum(map(abs, x))
+        mi = 0 if self.real else m
+        return (re - m, im - mi), (re + m, im + mi)
+
+    def escapes(self, d):
+        """Whether |<w_j, d>| > R: certified by the filter, and for a real
+        conjugate decided by an exact sign where the filter cannot."""
+        lo, hi = _rect_modulus_sq(self._box(d))
+        if lo > self.radius_sq:
+            return True
+        if hi <= self.radius_sq or not self.real:
+            return False
+        # x^2 - radius_sq / 2^192 for x = value / den, times den^2 2^192 q
+        n, q = self.radius_sq.numerator, self.radius_sq.denominator
+        field, v = self.scan.field, self.scan.value(d)
+        sq = [c * q * _SCALE * _SCALE for c in times(v, v, field.poly)]
+        sq[0] -= n * self.scan.den ** 2
+        return field.sign(sq) > 0
+
+
+def _horner_box(nums, den, rect):
+    """Rectangle enclosure (re_lo, re_hi, im_lo, im_hi) of
+    sum(nums[i] z^i) / den over z in the closed rectangle ``rect``, by
+    Horner's rule in rectangular interval arithmetic."""
+    (xl, yl), (xh, yh) = rect
+
+    def span(a, b, c, d):
+        t = (a * c, a * d, b * c, b * d)
+        return min(t), max(t)
+
+    a = b = Fraction(nums[-1])
+    c = d = Fraction(0)
+    for k in reversed(nums[:-1]):
+        # (re + i im)(x + i y) = (re x - im y) + i (re y + im x)
+        rx, iy, ry, ix = span(a, b, xl, xh), span(c, d, yl, yh), \
+            span(a, b, yl, yh), span(c, d, xl, xh)
+        a, b, c, d = rx[0] - iy[1] + k, rx[1] - iy[0] + k, ry[0] + ix[0], ry[1] + ix[1]
+    return a / den, b / den, c / den, d / den
+
+
+def _conjugates(widths, spans):
+    """The ``_Conjugate`` of each conjugate lambda_j of the widths' lambda
+    with |lambda_j| > 1 by a margin the 2^-96 enclosures see: the real ones
+    by ``isolate_real_roots`` on fields of their own (lambda, the largest
+    real root, is left out), one of each non-real pair by
+    ``isolate_complex_roots``.  None of them refines ``widths.field``."""
+    poly, unit = widths.field.poly, Fraction(1, _SCALE)
+    out = []
+    real = isolate_real_roots(poly)
+    for lo, hi in real[:-1]:
+        if max(-lo, hi) <= 1:
+            continue
+        scan = _ScanWidths(replace(widths, field=NumberField(poly, (lo, hi))))
+        a, b, e = scan.field.enclose((0, 1), 1, unit)
+        low = Fraction(min(abs(a), abs(b)), e) if a * b > 0 else 0
+        if low > 1:
+            out.append(_Conjugate([(s, 0) for s in scan.scaled], low, spans, scan))
+    if len(real) == widths.field.degree:
+        return tuple(out)
+    eps = Fraction(1, 2 ** 16)
+    rects = isolate_complex_roots(poly, eps)
+    while True:
+        boxes = [[_horner_box(v, widths.den, rect) for v in widths.vectors] for rect in rects]
+        if all(b - a <= unit and d - c <= unit for box in boxes for a, b, c, d in box):
+            break
+        eps *= eps
+        rects = rects.refined(eps)
+    for rect, box in zip(rects, boxes):
+        low = root_interval(_rect_modulus_sq(rect)[0], 2, unit)[0]
+        if low > 1:
+            images = [(round((a + b) / 2 * _SCALE), round((c + d) / 2 * _SCALE))
+                      for a, b, c, d in box]
+            out.append(_Conjugate(images, low, spans))
+    return tuple(out)
+
+
 def _prefix_counts(word, zero):
     """Letter counts of word[:i] for i = 0 .. len(word)."""
     out = [zero]
@@ -217,6 +327,30 @@ class OverlapGraph:
         while walk.closed is None and len(walk.rounds) < cap:
             self._step(walk)
         return walk.closed is not None and walk.closed <= cap
+
+    def escapes(self, seed, cap):
+        """Whether a state of the walk from ``seed`` escapes in a conjugate
+        of lambda (the module docstring): a state of its last walked round,
+        or of round ``cap`` where a trace walked it further.  An escape
+        passes to every descendant, so that round stands for every round
+        before it.  The conjugates are found on first use."""
+        seed, = self.top.word((seed,))
+        walk = self._walk(seed)
+        states = walk.states
+        if len(walk.rounds) > cap:
+            # replay round cap through states expanded already
+            states = {(seed, seed, self._zero)}
+            for _ in range(cap):
+                states = {c for s in states for c in self.expanded[s][0]}
+        ds = {d for _, _, d in states}
+        return any(c.escapes(d) for c in self.conjugates for d in ds)
+
+    @cached_property
+    def conjugates(self):
+        """The ``_Conjugate`` of each conjugate of lambda that can escape."""
+        spans = [[p for rule in s.rules for p in _prefix_counts(rule, self._zero)[:-1]]
+                 for s in (self.top, self.bottom)]
+        return _conjugates(self.widths, spans)
 
     def _walk(self, seed):
         seed, = self.top.word((seed,))
@@ -472,54 +606,32 @@ class BoundaryKind(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
-    kind: BoundaryKind
-    spectral_kind: SpectralKind | None   # None for Rigid, decided without it
+def classify_boundary(graph, cap=DEFAULT_ROUNDS):
+    """The ``BoundaryKind`` of the boundary of an ``OverlapGraph``, from its
+    walks from each aligned seed (x, x, 0), seed 0 first, each stopped at
+    its closing round, after ``cap`` rounds, or where the state budget
+    trips.  The children of a state and their placed overlaps depend on D
+    only through <w, D>, so a closed walk meets in finitely many ways.
 
-    def __str__(self):
-        return self.kind.value
-
-
-def classify_boundary(graph, cap=DEFAULT_ROUNDS, *, spectral=None):
-    """Classify the boundary of an ``OverlapGraph`` by its walks from each
-    aligned seed (x, x, 0), seed 0 first, each stopped at its closing round
-    or after ``cap`` rounds.
-
-    The children of a state and their placed overlaps depend on D only
-    through <w, D>, so the placed overlaps of a closed walk are closed under
-    children: its rows meet in finitely many ways.  Rigid when every walk
-    closes within ``cap`` rounds, which reads no label.  The first walk that
-    does not close goes to ``classify_rounds``, with ``spectral`` a callable
-    that returns the SpectralKind of the top matrix, by default the top
-    substitution's."""
+    RegularFault at the first walk that does not close and escapes (on its
+    last round: ``OverlapGraph.escapes``); Rigid when every walk closes.
+    Otherwise the first walk that does not close decides: Undetermined when
+    it reached the cap, and its ResourceCapError when the budget stopped it.
+    No verdict reads a label."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
+    open_walks = []     # per walk that does not close: its budget trip or None
     for seed in range(graph.top.size):
-        if not graph.closes(seed, cap):
-            return classify_rounds(tuple(graph.rounds(seed, cap)),
-                                   spectral or (lambda: graph.top.spectral_class().kind))
-    return BoundaryClass(kind=BoundaryKind.RIGID, spectral_kind=None)
-
-
-def classify_rounds(rounds, spectral):
-    """The class of a boundary whose walk does not close, from ``rounds``,
-    the sorted distinct discrepancies of each round of that walk (at least
-    4 rounds); ``spectral`` is a callable that returns the SpectralKind of
-    the top matrix.
-
-    RegularFault when the top matrix is NonPisotExpanding and the max
-    |discrepancy| strictly increases across the last three doubling
-    checkpoints; otherwise Undetermined (deliberately: for more than two
-    letters the dichotomy is open)."""
-    maxes = [max(abs(ms[0]), abs(ms[-1])) if ms else 0 for ms in rounds]
-    cap = len(maxes)
-    if cap < 4:
-        raise ValidationError("classification needs at least 4 rounds")
-    kind = spectral()
-    c = cap // 4
-    checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])
-    if (kind is SpectralKind.NON_PISOT_EXPANDING
-            and checkpoints[0] < checkpoints[1] < checkpoints[2]):
-        return BoundaryClass(kind=BoundaryKind.REGULAR_FAULT, spectral_kind=kind)
-    return BoundaryClass(kind=BoundaryKind.UNDETERMINED, spectral_kind=kind)
+        try:
+            if graph.closes(seed, cap):
+                continue
+            open_walks.append(None)
+        except ResourceCapError as exc:
+            open_walks.append(exc)
+        if graph.escapes(seed, cap):
+            return BoundaryKind.REGULAR_FAULT
+    if not open_walks:
+        return BoundaryKind.RIGID
+    if open_walks[0] is not None:
+        raise open_walks[0]
+    return BoundaryKind.UNDETERMINED

@@ -421,7 +421,8 @@ class Number(AlgebraicNumber):
         return self.compare(other) >= 0
 
     def __float__(self):
-        return float(self.interval(Fraction(1, 2 ** 64)).midpoint())
+        iv = self.interval(Fraction(1, 2 ** 64))
+        return float((iv.lo + iv.hi) / 2)
 
 
 def poly_eval(a, x):
@@ -976,9 +977,9 @@ def stats_min_gap(stats):
 
 # The classifier that ``fault.classify_rounds`` replaced: it read the trace's
 # reduced offsets for the Rigid test and took the spectral class of every
-# boundary.  Kept verbatim (but for its name) as the oracle of
-# ``classify_boundary``; test_fault lists where overlap-state closure may
-# decide otherwise.
+# boundary.  Kept verbatim (but for its name, and for returning the kind) as
+# the oracle of ``classify_boundary``; test_fault lists where overlap-state
+# closure may decide otherwise.
 
 def reference_classify_trace(trace, spectral=None):
     """classify_boundary on an existing trace, which must start from seed
@@ -1005,7 +1006,37 @@ def reference_classify_trace(trace, spectral=None):
             kind = fault.BoundaryKind.REGULAR_FAULT
         else:
             kind = fault.BoundaryKind.UNDETERMINED
-    return fault.BoundaryClass(kind=kind, spectral_kind=spectral)
+    return kind
+
+
+# The checkpoint rule that the escape test of ``fault.classify_boundary``
+# replaced, moved here verbatim but for returning the kind: the class of a
+# walk that does not close, read off the max |discrepancy| of its rounds and
+# the spectral class.  It reads letter 0, so its verdict can depend on the
+# order of an alphabet, and it says RegularFault for some boundaries that
+# close (test_fault lists both).
+
+def classify_rounds(rounds, spectral):
+    """The class of a boundary whose walk does not close, from ``rounds``,
+    the sorted distinct discrepancies of each round of that walk (at least
+    4 rounds); ``spectral`` is a callable that returns the SpectralKind of
+    the top matrix.
+
+    RegularFault when the top matrix is NonPisotExpanding and the max
+    |discrepancy| strictly increases across the last three doubling
+    checkpoints; otherwise Undetermined (deliberately: for more than two
+    letters the dichotomy is open)."""
+    maxes = [max(abs(ms[0]), abs(ms[-1])) if ms else 0 for ms in rounds]
+    cap = len(maxes)
+    if cap < 4:
+        raise ValidationError("classification needs at least 4 rounds")
+    kind = spectral()
+    c = cap // 4
+    checkpoints = (maxes[c - 1], maxes[2 * c - 1], maxes[4 * c - 1])
+    if (kind is SpectralKind.NON_PISOT_EXPANDING
+            and checkpoints[0] < checkpoints[1] < checkpoints[2]):
+        return fault.BoundaryKind.REGULAR_FAULT
+    return fault.BoundaryKind.UNDETERMINED
 
 
 def reference_tile_lengths(s):

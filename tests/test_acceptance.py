@@ -284,7 +284,7 @@ def test_criterion_11_rigid_sanity():
     rng = rng_for("acceptance-rigid")
     for _ in range(50):
         s = random_substitution(rng, 2, max_len=3)
-        assert classify_boundary(OverlapGraph(s, s), cap=12).kind is BoundaryKind.RIGID
+        assert classify_boundary(OverlapGraph(s, s), cap=12) is BoundaryKind.RIGID
     s1, s2 = sigma_pair()
-    assert classify_boundary(OverlapGraph(s1, s2)).kind is BoundaryKind.REGULAR_FAULT
+    assert classify_boundary(OverlapGraph(s1, s2)) is BoundaryKind.REGULAR_FAULT
     ok("criterion 11: 50 self-boundaries rigid; the paper pair is a regular fault")

@@ -711,9 +711,9 @@ def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
     assert len(calls) == traces
     assert counted == plain
     doc = bundled_document("doubling_swap")
-    cls = classify_boundary(OverlapGraph(doc.substitution("sigma1"), doc.substitution("sigma2")),
-                            cap=8)
-    assert json.loads(counted)["classification"] == cls.kind.value
+    kind = classify_boundary(OverlapGraph(doc.substitution("sigma1"), doc.substitution("sigma2")),
+                             cap=8)
+    assert json.loads(counted)["classification"] == kind.value
     if seed == "a":
         assert run_cli(*argv[:-2])[1] == plain
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from faultline.abelian import matpow
 from faultline.algebra import times_root
@@ -289,7 +289,11 @@ def small_dpvs(draw):
         try:
             Substitution(horizontal, base).tile_lengths()
         except FaultlineError:
-            assume(False)
+            # repair it: a -> b a ..., b -> c ..., c -> a ...  The cycle
+            # a b c and the loop at a make the matrix primitive; every image
+            # keeps its length, but a's has at least two letters
+            base = {x: [y] + img[1:] for (x, img), y in zip(base.items(), "bca")}
+            base["a"] = ["b", "a"] + base["a"][2:]
         twin = {x: list(draw(st.permutations(img))) for x, img in base.items()}
         subs["s0"] = {"alphabet": "h", "rules": base}
         subs["s1"] = {"alphabet": "h", "rules": twin}

@@ -185,6 +185,20 @@ def test_essential_vertices_classifies_each_pair_once(monkeypatch):
     assert n_traces[1] == 1 and n_traces[-1] == 3
 
 
+def test_rigid_boundaries_never_ask_for_a_spectral_class(monkeypatch):
+    # Fibonacci on every row under a Fibonacci vertical: every boundary is
+    # Rigid, which the integer test decides without the spectral class
+    calls = []
+    spectral_class = Substitution.spectral_class
+    monkeypatch.setattr(Substitution, "spectral_class", lambda s: calls.append(
+        s.matrix()) or spectral_class(s))
+    fib = Substitution(["a", "b"], {"a": "ab", "b": "a"})
+    rho = Substitution(["v", "w"], {"v": "vw", "w": "v"})
+    ev = essential_vertices(DPVSubstitution(rho, (fib,), ((0, 0), (0,))))
+    assert ev.vertices and all(vb.kind is BoundaryKind.RIGID for vb in ev.vertices)
+    assert calls == []
+
+
 def test_fast_growing_composite_boundaries_trace_under_the_default_budget():
     # six composite boundaries whose 4-round rows have 589,951,041 letters:
     # a trace pays per overlap state, so each classifies at full depth

@@ -5,9 +5,12 @@ cohomology answers.
 A matrix is a tuple of row tuples of Python ints, so all arithmetic is exact
 and every stored matrix is immutable and hashable.  An m x 0 matrix is m
 empty rows; a 0 x n matrix is the empty tuple, whose width is taken as 0.
-A direct limit lim->(Z^n, a) is presented by the pair (n, a); its invariants
-come from the induced injective map on the quotient of Z^n by the saturated
-eventual kernel.
+Rank and determinant both come from the one fraction-free elimination,
+``algebra.gauss_jordan``.  A direct limit lim->(Z^n, a) is presented by the
+pair (n, a); its invariants come from the induced injective map on the
+quotient of Z^n by the saturated eventual kernel.  A group expression is
+presented by one matrix, block sums over direct sums and Kronecker products
+over tensor products, and its rank and |det| are read off that matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain
 from math import gcd
 from operator import index
 
-from .algebra import poly_str, ptrim
+from .algebra import gauss_jordan, poly_str, ptrim
 from .errors import ValidationError
 from .zpoly import irreducible_factors
 
@@ -111,54 +114,18 @@ def block_diag(blocks):
 
 
 def rank_q(a):
-    """Rank over Q by fraction-free (Bareiss) elimination.  Every row below
-    the pivot is updated, whatever its entry in the pivot column, so each
-    entry stays a minor of a and the division by the previous pivot is
-    exact; without it the entries grow exponentially."""
-    m, n = shape(a)
-    rows = [list(row) for row in a]
-    rank = 0
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        pv = top[col]
-        for i in range(rank + 1, m):
-            z = rows[i][col]
-            rows[i] = [(pv * y - x * z) // prev for x, y in zip(top, rows[i])]
-        prev = pv
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank over Q: the pivot count of ``gauss_jordan``."""
+    return gauss_jordan([list(row) for row in a])[0]
 
 
 def det(a):
-    """Exact determinant (Bareiss fraction-free elimination)."""
+    """Exact determinant: ``gauss_jordan``'s signed last pivot, or 0 when a
+    column has no pivot."""
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, d = gauss_jordan([list(row) for row in a])
+    return d if rank == n else 0
 
 
 def charpoly(a):
@@ -426,53 +393,12 @@ class GroupExpr:
     # -- invariants -----------------------------------------------------------
 
     def rank(self):
-        if self.kind in ("z", "zloc"):
-            return 1
-        if self.kind == "trivial":
-            return 0
-        if self.kind == "alg":
-            return len(self.poly) - 1
-        if self.kind == "limit":
-            return len(self.presentation)
-        if self.kind == "sum":
-            return sum(c.rank() for c in self.children)
-        if self.kind == "tensor":
-            out = 1
-            for c in self.children:
-                out *= c.rank()
-            return out
-        if self.kind == "power":
-            return self.base.rank() * self.power
-        raise AssertionError(self.kind)
+        """Rank of the presentation: its row count."""
+        return len(self.presentation_matrix())
 
     def det_class(self):
-        """|det| of the presentation: products over sums, rank-weighted powers
-        over tensors."""
-        if self.kind in ("z", "trivial"):
-            return 1
-        if self.kind == "zloc":
-            return self.m
-        if self.kind == "alg":
-            return abs(self.poly[0])
-        if self.kind == "limit":
-            return abs(det(self.presentation))
-        if self.kind == "sum":
-            out = 1
-            for c in self.children:
-                out *= c.det_class()
-            return out
-        if self.kind == "tensor":
-            out = 1
-            for i, c in enumerate(self.children):
-                other = 1
-                for j, o in enumerate(self.children):
-                    if j != i:
-                        other *= o.rank()
-                out *= c.det_class() ** other
-            return out
-        if self.kind == "power":
-            return self.base.det_class() ** self.power
-        raise AssertionError(self.kind)
+        """|det| of the presentation (1 for the empty one)."""
+        return abs(det(self.presentation_matrix()))
 
     def presentation_matrix(self):
         """Presentation of the expression as lim->(Z^rank, A): block sums over
@@ -663,12 +589,13 @@ def tensor(x, y):
 
 
 def invariants(expr):
-    """Isomorphism-invariant summary of a normalized expression."""
-    rank = expr.rank()
+    """Isomorphism-invariant summary of a normalized expression: the rank,
+    |det| and characteristic polynomial of its one presentation matrix."""
+    a = expr.presentation_matrix()
     return {
-        "rank": rank,
-        "det": expr.det_class(),
-        "charpoly": poly_str(charpoly(expr.presentation_matrix())) if rank else "1",
+        "rank": len(a),
+        "det": abs(det(a)),
+        "charpoly": poly_str(charpoly(a)) if a else "1",
     }
 
 

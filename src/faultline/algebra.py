@@ -65,33 +65,59 @@ def times(a, b, poly):
     return acc
 
 
+def gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of ``rows``, a list of equal-length integer lists, in place.
+
+    Each column in turn pivots on its first nonzero entry among the rows
+    not yet pivoted, swapped up.  Every other row, above and below, whatever
+    its entry f in the pivot column, becomes (pivot * row - f * pivot row)
+    divided exactly by the pivot before, so every entry stays a minor of
+    the input; without the division the entries grow exponentially.  It
+    stops once every row has pivoted, and then every pivot row holds the
+    last pivot in its pivot column.  Returns (rank, d), d the last pivot
+    times the sign of the row swaps (1 before any pivot): the determinant
+    of a square input of full rank."""
+    m = len(rows)
+    rank, prev, sign = 0, 1, 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        pv = top[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            # with f = 0 and pv = prev the update leaves the row as it is
+            if i != rank and (f or pv != prev):
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        rank += 1
+        if rank == m:
+            break
+    return rank, sign * prev
+
+
 def inverse_vector(c, poly):
     """(v, d): an integer vector v and an integer d > 0 with c * v = d in
     Z[x]/(poly), for a nonzero integer vector c and a monic irreducible poly.
 
-    Fraction-free Gauss-Jordan elimination on [M | e_0], M the matrix of
-    multiplication by c (column j is c * x^j, one ``times_root`` step from
-    column j - 1): each step divides exactly by the pivot before it, and
-    leaves every diagonal entry equal to the last pivot, det M, with
-    det M * M^-1 e_0 in the last column."""
+    ``gauss_jordan`` on [M | e_0], M the matrix of multiplication by c
+    (column j is c * x^j, one ``times_root`` step from column j - 1): M is
+    invertible, so it leaves every diagonal entry equal to its last pivot
+    p = +-det M, with p * M^-1 e_0 in the last column."""
     deg = len(c)
     cols = [c]
     for _ in range(deg - 1):
         cols.append(times_root(cols[-1], poly))
     rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(deg)]
-    prev = 1
-    for k in range(deg):
-        piv = next(i for i in range(k, deg) if rows[i][k])
-        rows[k], rows[piv] = rows[piv], rows[k]
-        pivot_row = rows[k]
-        pv = pivot_row[k]
-        for i in range(deg):
-            f = rows[i][k]
-            if i != k:
-                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
-        prev = pv
-    s = 1 if prev > 0 else -1
-    return tuple(s * r[-1] for r in rows), s * prev
+    gauss_jordan(rows)
+    p = rows[0][0]
+    s = 1 if p > 0 else -1
+    return tuple(s * r[-1] for r in rows), s * p
 
 
 def poly_str(a):

@@ -615,9 +615,10 @@ def classify_boundary(graph, cap=DEFAULT_ROUNDS):
 
     RegularFault at the first walk that does not close and escapes (on its
     last round: ``OverlapGraph.escapes``); Rigid when every walk closes.
-    Otherwise the first walk that does not close decides: Undetermined when
-    it reached the cap, and its ResourceCapError when the budget stopped it.
-    No verdict reads a label."""
+    Otherwise Undetermined when any walk that does not close reached the
+    cap, and a ResourceCapError only when the budget stopped every such
+    walk.  No verdict reads a label, and none depends on the order of the
+    seeds."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")
     open_walks = []     # per walk that does not close: its budget trip or None
@@ -632,6 +633,6 @@ def classify_boundary(graph, cap=DEFAULT_ROUNDS):
             return BoundaryKind.REGULAR_FAULT
     if not open_walks:
         return BoundaryKind.RIGID
-    if open_walks[0] is not None:
+    if None not in open_walks:
         raise open_walks[0]
     return BoundaryKind.UNDETERMINED

@@ -23,6 +23,7 @@ from faultline.abelian import (
     mat,
     matmul,
     matpow,
+    normalize,
     rank_q,
     recognize,
     shape,
@@ -339,6 +340,9 @@ def test_invariants_examples():
     h2 = tensor(mu, GroupExpr.zloc(2))
     assert invariants(h2)["rank"] == 2
     assert invariants(h2)["det"] == 12
+    for k in range(4):
+        assert (GroupExpr.zpow(k).rank(), GroupExpr.zpow(k).det_class()) == (k, 1)
+        assert (GroupExpr.zloc(k + 1).rank(), GroupExpr.zloc(k + 1).det_class()) == (1, k + 1)
 
 
 def test_canonical_ordering_matches_convention():
@@ -376,6 +380,100 @@ def test_charpoly_matches_fraction_reference():
         lo = rng.choice((-6, 0))
         a = mat([[rng.randint(lo, 6) for _ in range(n)] for _ in range(n)])
         assert charpoly(a) == reference_charpoly(a)
+
+
+@st.composite
+def group_exprs(draw, leaves=3):
+    """A normalized expression over the atoms Z, Z[1/m], Z^k and recognized
+    direct limits of random integer matrices up to 3 x 3 and of Jordan
+    blocks (raw limits), combined by direct sum, tensor product and powers,
+    of rank at most 12."""
+    atom = st.one_of(
+        st.just(GroupExpr.z()),
+        st.integers(1, 12).map(GroupExpr.zloc),
+        st.integers(0, 3).map(GroupExpr.zpow),
+        st.integers(1, 3).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+        .map(lambda a: recognize(direct_limit(mat(a)))),
+        st.integers(-4, 4).map(lambda e: recognize(direct_limit(((e, 1), (0, e))))),
+    )
+    expr = draw(atom)
+    for _ in range(draw(st.integers(0, leaves - 1))):
+        op = draw(st.sampled_from(["sum", "tensor", "power"]))
+        if op == "power":
+            k = draw(st.integers(1, 3))
+            if expr.rank() * k <= 12:
+                expr = normalize(GroupExpr(kind="power", base=expr, power=k))
+            continue
+        other = draw(atom)
+        if op == "sum" and expr.rank() + other.rank() <= 12:
+            expr = direct_sum(expr, other)
+        elif op == "tensor" and expr.rank() * other.rank() <= 12:
+            expr = tensor(expr, other)
+    return expr
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=group_exprs(), b=group_exprs(), k=st.integers(0, 3))
+def test_rank_and_det_follow_the_group_algebra(a, b, k):
+    # rank and |det| are read off the presentation; they obey the rules of
+    # direct sums, tensor products and powers
+    ra, rb, da, db = a.rank(), b.rank(), a.det_class(), b.det_class()
+    assert invariants(a)["rank"] == ra and invariants(a)["det"] == da
+    s = direct_sum(a, b)
+    assert (s.rank(), s.det_class()) == (ra + rb, da * db)
+    p = normalize(GroupExpr(kind="power", base=a, power=k))
+    assert (p.rank(), p.det_class()) == (k * ra, da ** k)
+    if ra * rb <= 36:
+        t = tensor(a, b)
+        assert (t.rank(), t.det_class()) == (ra * rb, da ** rb * db ** ra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=bonding_maps())
+def test_rank_and_det_of_recognized_limits(a):
+    # a recognized direct limit has the rank and |det| of its reduced
+    # bonding map, whichever atom it becomes
+    g = direct_limit(a)
+    expr = recognize(g)
+    assert (expr.rank(), expr.det_class()) == (g.r, abs(g.det_prime) if g.r else 1)
+
+
+@st.composite
+def int_matrices(draw):
+    """m x n integer matrices, m and n from 0 to 6 (a 0 x n matrix is the
+    empty tuple): arbitrary ones, and ones whose rows repeat sums of others."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = [[draw(st.integers(-4, 4) | st.just(0)) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2)) if m > 2 else 0):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        a[i] = [x + y for x, y in zip(a[j], a[k])]
+    return mat(a) if n else ((),) * m
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=bonding_maps() | int_matrices())
+@example(a=())
+@example(a=((), (), ()))
+@example(a=((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+@example(a=((0, 1), (1, 0)))
+@example(a=((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+@example(a=((0, 2, 1), (0, 1, 3), (5, 0, 0)))
+@example(a=((2, 1, 1), (4, 2, 2), (1, 0, 1)))
+@example(a=((0, 1, 2), (0, 2, 4)))
+@example(a=((0, 3), (0, 1), (2, 5)))
+def test_det_and_rank_q_match_sympy_and_the_fraction_reference(a):
+    # one fraction-free elimination: the rank its pivots count, and the
+    # determinant its last pivot gives with the sign of its row swaps
+    import sympy
+
+    m, n = shape(a)
+    assert rank_q(a) == reference_rank_q(a)
+    if m == n:
+        assert det(a) == sympy.Matrix(m, n, [x for row in a for x in row]).det()
+    else:
+        with pytest.raises(ValidationError):
+            det(a)
 
 
 # ---------------------------------------------------------------------------

@@ -161,13 +161,14 @@ class _Conjugate:
         # images: per letter (re, im); low: a rational lower bound > 1 of
         # |lambda_j|; spans: the top and the bottom child prefix vectors
         self.images, self.scan, self.real = images, scan, scan is not None
-        top, bottom = ([self._box(p) for p in ps] for ps in spans)
-        # the hull of <w_j, P1> minus the hull of <w_j, P2> holds every c
-        diff = ((min(b[0][0] for b in top) - max(b[1][0] for b in bottom),
-                 min(b[0][1] for b in top) - max(b[1][1] for b in bottom)),
-                (max(b[1][0] for b in top) - min(b[0][0] for b in bottom),
-                 max(b[1][1] for b in top) - min(b[0][1] for b in bottom)))
-        self.radius_sq = _rect_modulus_sq(diff)[1] / (low - 1) ** 2
+        # C_j as the largest |c| over the pairs themselves: the hull of the
+        # c in a rectangle would grow with the rectangle's turn against the
+        # c, which the order of the alphabet sets through the width of
+        # letter 0 (the widths' unit)
+        top, bottom = (set(map(tuple, ps)) for ps in spans)
+        c_sq = max(_rect_modulus_sq(self._box(tuple(map(sub, p, q))))[1]
+                   for p in top for q in bottom)
+        self.radius_sq = c_sq / (low - 1) ** 2
 
     def _box(self, x):
         """A rectangle ((re_lo, im_lo), (re_hi, im_hi)) that holds

@@ -1053,13 +1053,14 @@ def test_escape_radius_matches_a_float_recomputation(seed, n_letters, non_pisot)
 
 def test_a_non_real_conjugate_escapes():
     # charpoly x^3 - 2x^2 - 6: lambda ~ 2.78 and a non-real pair of modulus
-    # ~ 1.47, in which the walk from a escapes at round 4
+    # ~ 1.47, in which the walk from a escapes at round 3: there its largest
+    # |x_j| is ~ 13.1 against R ~ 11.5
     s = Substitution(["a", "b", "c"], {"a": "aac", "b": "aaa", "c": "bb"})
     t = Substitution(["a", "b", "c"], {"a": "aca", "b": "aaa", "c": "bb"})
     graph = OverlapGraph(s, t)
     assert classify_boundary(graph, 8) is BoundaryKind.REGULAR_FAULT
     assert check_escape_radii(s, t) == (0, 1)
-    assert first_escape(OverlapGraph(s, t), 8) == (4, 0)
+    assert first_escape(OverlapGraph(s, t), 8) == (3, 0)
     assert check_new_offsets(s, t, 8) == 3
 
 

@@ -16,6 +16,7 @@ over tensor products, and its rank and |det| are read off that matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import index
@@ -402,7 +403,12 @@ class GroupExpr:
 
     def presentation_matrix(self):
         """Presentation of the expression as lim->(Z^rank, A): block sums over
-        (+), Kronecker products over (x)."""
+        (+), Kronecker products over (x).  Built once per expression, so the
+        rank, the |det| and a printed matrix read one build."""
+        return self._presentation
+
+    @cached_property
+    def _presentation(self):
         if self.kind == "z":
             return eye(1)
         if self.kind == "trivial":

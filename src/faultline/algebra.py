@@ -521,7 +521,13 @@ class NumberField:
         the factors of poly and of its squarefree part are the same.
         """
         sf = squarefree_part(ptrim(int(c) for c in poly))
-        roots = isolate_real_roots(sf)
+        return cls.with_largest_of(sf, isolate_real_roots(sf), factors)
+
+    @classmethod
+    def with_largest_of(cls, sf, roots, factors=None):
+        """``with_largest_real_root`` of a squarefree polynomial sf whose
+        real roots the caller has isolated: ``roots`` is
+        ``isolate_real_roots(sf)``."""
         if not roots:
             raise ValidationError("polynomial has no real root")
         lo, hi = roots[-1]

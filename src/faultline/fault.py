@@ -24,7 +24,9 @@ with |c| <= C_j.  A walk that closes meets in finitely many placed overlaps:
 |x_j| > C_j / (|lambda_j| - 1) escapes: each child has
 |x_j'| - R >= |lambda_j| (|x_j| - R) for R = C_j / (|lambda_j| - 1), and
 every state has a child, so x_j, and with it x, takes infinitely many
-values: ``RegularFault``.
+values: ``RegularFault``.  An escape passes to every descendant, so the
+classifier tests each round it walks and stops a walk at its first round
+that escapes: no later round can close it.
 """
 from __future__ import annotations
 
@@ -33,13 +35,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import islice
-from math import lcm
+from math import floor, lcm
 from operator import add, mul, sub
 
 from .algebra import NumberField, mod_quotient, root_interval, times
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import _rect_modulus_sq
-from .zpoly import isolate_complex_roots, isolate_real_roots
+from .zpoly import isolate_complex_roots, sign_at
 
 DEFAULT_ROUNDS = 12
 DEFAULT_MAX_STATES = 100_000   # overlap states over all rounds of a trace
@@ -153,39 +155,44 @@ class _Conjugate:
     test reads it: per letter, the width w_j at lambda_j as a fixed-point
     image (re, im), each part within 1 of 2^96 times the exact one (im is
     exactly 0 for a real lambda_j), and ``radius_sq`` >= (2^96 R)^2 for
-    R = C_j / (|lambda_j| - 1).  C_j bounds |<w_j, P1 - P2>| over every
-    top child prefix P1 and bottom child prefix P2.  A real conjugate keeps
-    its ``_ScanWidths`` for the exact test where the filter cannot decide."""
+    R = C_j / (|lambda_j| - 1), with ``bound`` its floor, against which the
+    integer moduli of the filter compare as against ``radius_sq`` itself.
+    C_j bounds |<w_j, P1 - P2>| over every top child prefix P1 and bottom
+    child prefix P2.  A real conjugate keeps its ``_ScanWidths`` for the
+    exact test where the filter cannot decide."""
 
     def __init__(self, images, low, spans, scan=None):
         # images: per letter (re, im); low: a rational lower bound > 1 of
         # |lambda_j|; spans: the top and the bottom child prefix vectors
-        self.images, self.scan, self.real = images, scan, scan is not None
+        self.re, self.im = (tuple(w[k] for w in images) for k in (0, 1))
+        self.scan, self.real = scan, scan is not None
         # C_j as the largest |c| over the pairs themselves: the hull of the
         # c in a rectangle would grow with the rectangle's turn against the
         # c, which the order of the alphabet sets through the width of
         # letter 0 (the widths' unit)
         top, bottom = (set(map(tuple, ps)) for ps in spans)
-        c_sq = max(_rect_modulus_sq(self._box(tuple(map(sub, p, q))))[1]
-                   for p in top for q in bottom)
+        c_sq = max(self._moduli_sq(tuple(map(sub, p, q)))[1] for p in top for q in bottom)
         self.radius_sq = c_sq / (low - 1) ** 2
+        self.bound = floor(self.radius_sq)
 
-    def _box(self, x):
-        """A rectangle ((re_lo, im_lo), (re_hi, im_hi)) that holds
-        2^96 <w_j, x> for an integer vector x."""
-        re = sum(c * w[0] for c, w in zip(x, self.images))
-        im = sum(c * w[1] for c, w in zip(x, self.images))
+    def _moduli_sq(self, x):
+        """The least and the greatest |z|^2, as integers, over the rectangle
+        that holds 2^96 <w_j, x> for an integer vector x: the images' sum,
+        widened by sum(|x[i]|) in each part that is not exactly 0."""
         m = sum(map(abs, x))
-        mi = 0 if self.real else m
-        return (re - m, im - mi), (re + m, im + mi)
+        re = abs(sum(map(mul, x, self.re)))
+        if self.real:
+            return max(re - m, 0) ** 2, (re + m) ** 2
+        im = abs(sum(map(mul, x, self.im)))
+        return max(re - m, 0) ** 2 + max(im - m, 0) ** 2, (re + m) ** 2 + (im + m) ** 2
 
     def escapes(self, d):
         """Whether |<w_j, d>| > R: certified by the filter, and for a real
         conjugate decided by an exact sign where the filter cannot."""
-        lo, hi = _rect_modulus_sq(self._box(d))
-        if lo > self.radius_sq:
+        lo, hi = self._moduli_sq(d)
+        if lo > self.bound:
             return True
-        if hi <= self.radius_sq or not self.real:
+        if hi <= self.bound or not self.real:
             return False
         # x^2 - radius_sq / 2^192 for x = value / den, times den^2 2^192 q
         n, q = self.radius_sq.numerator, self.radius_sq.denominator
@@ -215,15 +222,20 @@ def _horner_box(nums, den, rect):
     return a / den, b / den, c / den, d / den
 
 
-def _conjugates(widths, spans):
-    """The ``_Conjugate`` of each conjugate lambda_j of the widths' lambda
-    with |lambda_j| > 1 by a margin the 2^-96 enclosures see: the real ones
-    by ``isolate_real_roots`` on fields of their own (lambda, the largest
-    real root, is left out), one of each non-real pair by
-    ``isolate_complex_roots``.  None of them refines ``widths.field``."""
+def _conjugates(widths, roots):
+    """(images, low, scan) for a ``_Conjugate`` of each conjugate lambda_j
+    of the widths' lambda with |lambda_j| > 1 by a margin the 2^-96
+    enclosures see.  The real ones are read off ``roots``, the isolating
+    intervals of the real roots of the squarefree charpoly
+    (``PerronData.real_roots``), as those across which the field's ``poly``
+    changes sign, each on a field of its own (lambda, the largest, is left
+    out); one of each non-real pair comes from ``isolate_complex_roots``.
+    None of them refines ``widths.field``."""
     poly, unit = widths.field.poly, Fraction(1, _SCALE)
+    if widths.field.degree == 1:
+        return []
+    real = [(lo, hi) for lo, hi in roots if sign_at(poly, lo) * sign_at(poly, hi) < 0]
     out = []
-    real = isolate_real_roots(poly)
     for lo, hi in real[:-1]:
         if max(-lo, hi) <= 1:
             continue
@@ -231,9 +243,9 @@ def _conjugates(widths, spans):
         a, b, e = scan.field.enclose((0, 1), 1, unit)
         low = Fraction(min(abs(a), abs(b)), e) if a * b > 0 else 0
         if low > 1:
-            out.append(_Conjugate([(s, 0) for s in scan.scaled], low, spans, scan))
+            out.append(([(s, 0) for s in scan.scaled], low, scan))
     if len(real) == widths.field.degree:
-        return tuple(out)
+        return out
     eps = Fraction(1, 2 ** 16)
     rects = isolate_complex_roots(poly, eps)
     while True:
@@ -247,8 +259,8 @@ def _conjugates(widths, spans):
         if low > 1:
             images = [(round((a + b) / 2 * _SCALE), round((c + d) / 2 * _SCALE))
                       for a, b, c, d in box]
-            out.append(_Conjugate(images, low, spans))
-    return tuple(out)
+            out.append((images, low, None))
+    return out
 
 
 def _prefix_counts(word, zero):
@@ -322,36 +334,53 @@ class OverlapGraph:
             yield walk.rounds[rnd]
 
     def closes(self, seed, cap):
-        """Whether the walk from ``seed`` closes within ``cap`` rounds; it is
-        walked no further than its closing round."""
+        """Whether the walk from ``seed`` closes within ``cap`` rounds.  Each
+        round it walks that adds a placed overlap is tested for an escape
+        (``escapes``), and the walk stops at its closing round, at the first
+        round that escapes, which ``_Walk.escaped`` records, or at round
+        ``cap``.  A walk that escapes never closes: the state that escapes
+        has a child, and every descendant escapes further."""
         walk = self._walk(seed)
-        while walk.closed is None and len(walk.rounds) < cap:
+        while walk.closed is None and walk.escaped is None and len(walk.rounds) < cap:
             self._step(walk)
+            if walk.closed is None and self._escape_in(walk.states):
+                walk.escaped = len(walk.rounds)
         return walk.closed is not None and walk.closed <= cap
 
     def escapes(self, seed, cap):
         """Whether a state of the walk from ``seed`` escapes in a conjugate
-        of lambda (the module docstring): a state of its last walked round,
-        or of round ``cap`` where a trace walked it further.  An escape
-        passes to every descendant, so that round stands for every round
-        before it.  The conjugates are found on first use."""
+        of lambda (the module docstring) by round ``cap``: at the round
+        ``closes`` found it first escapes, else on its last walked round, or
+        on round ``cap`` where a trace walked it further.  An escape passes
+        to every descendant, so a round that escapes stands for every round
+        after it, and one that does not for every round before it."""
         seed, = self.top.word((seed,))
         walk = self._walk(seed)
+        if walk.escaped is not None and walk.escaped <= cap:
+            return True
         states = walk.states
         if len(walk.rounds) > cap:
             # replay round cap through states expanded already
             states = {(seed, seed, self._zero)}
             for _ in range(cap):
                 states = {c for s in states for c in self.expanded[s][0]}
+        return self._escape_in(states)
+
+    def _escape_in(self, states):
+        # whether a state of ``states`` escapes in a conjugate of lambda
         ds = {d for _, _, d in states}
         return any(c.escapes(d) for c in self.conjugates for d in ds)
 
     @cached_property
     def conjugates(self):
-        """The ``_Conjugate`` of each conjugate of lambda that can escape."""
+        """The ``_Conjugate`` of each conjugate of lambda that can escape,
+        found on first use."""
+        found = _conjugates(self.widths, self.top.perron().real_roots)
+        if not found:
+            return ()
         spans = [[p for rule in s.rules for p in _prefix_counts(rule, self._zero)[:-1]]
                  for s in (self.top, self.bottom)]
-        return _conjugates(self.widths, spans)
+        return tuple(_Conjugate(images, low, spans, scan) for images, low, scan in found)
 
     def _walk(self, seed):
         seed, = self.top.word((seed,))
@@ -445,6 +474,7 @@ class _Walk:
         self.spent = 0          # the states of those rounds together
         self.seen = set()       # the placed overlaps of the rounds before closing
         self.closed = None      # the first round that added no placed overlap
+        self.escaped = None     # the first round of those ``closes`` walked that escapes
 
 
 def boundary_trace(graph, seed, k, modulus=None):
@@ -610,13 +640,14 @@ class BoundaryKind(Enum):
 def classify_boundary(graph, cap=DEFAULT_ROUNDS):
     """The ``BoundaryKind`` of the boundary of an ``OverlapGraph``, from its
     walks from each aligned seed (x, x, 0), seed 0 first, each stopped at
-    its closing round, after ``cap`` rounds, or where the state budget
-    trips.  The children of a state and their placed overlaps depend on D
-    only through <w, D>, so a closed walk meets in finitely many ways.
+    its closing round, at its first round that escapes, after ``cap``
+    rounds, or where the state budget trips (``OverlapGraph.closes``).  The
+    children of a state and their placed overlaps depend on D only through
+    <w, D>, so a closed walk meets in finitely many ways.
 
-    RegularFault at the first walk that does not close and escapes (on its
-    last round: ``OverlapGraph.escapes``); Rigid when every walk closes.
-    Otherwise Undetermined when any walk that does not close reached the
+    RegularFault at the first walk that escapes by round ``cap``, as
+    ``closes`` recorded it (``OverlapGraph.escapes``); Rigid when every walk
+    closes.  Otherwise Undetermined when any walk that does not close reached the
     cap, and a ResourceCapError only when the budget stopped every such
     walk.  No verdict reads a label, and none depends on the order of the
     seeds."""

@@ -26,6 +26,7 @@ from .algebra import (
     pdeg,
     poly_str,
     root_interval,
+    squarefree_part,
     times,
     times_root,
 )
@@ -166,7 +167,8 @@ class Substitution:
         pd = self._perron
         return PerronData(charpoly=pd.charpoly,
                           root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
-                          primitive=pd.primitive, factors=pd.factors)
+                          primitive=pd.primitive, factors=pd.factors,
+                          real_roots=pd.real_roots)
 
     def share_perron(self, table):
         """Read ``perron`` from ``table``, a mapping from matrices to their
@@ -248,6 +250,7 @@ class PerronData:
     root: AlgebraicNumber    # Perron eigenvalue in its minimal field
     primitive: bool
     factors: tuple           # irreducible_factors(charpoly)
+    real_roots: tuple        # isolate_real_roots of its squarefree part, ascending
 
 
 def is_primitive(m):
@@ -271,17 +274,22 @@ def perron_data(m, factored=None):
     for the Perron root's field and for ``spectral_classify``), Perron root
     (largest real eigenvalue) as an exact algebraic number, and
     primitivity.  ``factored`` maps a polynomial to its irreducible factors,
-    as a tuple, when the caller keeps such a table."""
+    as a tuple, when the caller keeps such a table.  The isolating intervals
+    of the real roots that found the Perron root are kept (``real_roots``):
+    the escape test of ``fault`` reads the conjugates of lambda off them."""
     if not any(map(any, m)):
         raise NoPerronRootError("zero matrix has no Perron root")
     if any(x < 0 for row in m for x in row):
         raise ValidationError("substitution matrices must be non-negative")
     cp = abelian.charpoly(m)
     factors = tuple(irreducible_factors(cp)) if factored is None else factored[cp]
-    field, root = NumberField.with_largest_real_root(cp, factors)
+    sf = squarefree_part(cp)
+    real = tuple(isolate_real_roots(sf))
+    field, root = NumberField.with_largest_of(sf, real, factors)
     if root.sign() <= 0:
         raise NoPerronRootError("largest real eigenvalue is not positive")
-    return PerronData(charpoly=cp, root=root, primitive=is_primitive(m), factors=factors)
+    return PerronData(charpoly=cp, root=root, primitive=is_primitive(m), factors=factors,
+                      real_roots=real)
 
 
 # ---------------------------------------------------------------------------

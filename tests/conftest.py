@@ -22,7 +22,7 @@ from faultline.algebra import (
     times_root,
 )
 from faultline.cli import alg_json
-from faultline.errors import ValidationError
+from faultline.errors import ResourceCapError, ValidationError
 from faultline.substitution import SpectralKind, Substitution
 
 
@@ -1036,6 +1036,54 @@ def classify_rounds(rounds, spectral):
     if (kind is SpectralKind.NON_PISOT_EXPANDING
             and checkpoints[0] < checkpoints[1] < checkpoints[2]):
         return fault.BoundaryKind.REGULAR_FAULT
+    return fault.BoundaryKind.UNDETERMINED
+
+
+# ``fault.classify_boundary`` before a walk stopped at its first round that
+# escapes, kept but for its name as the oracle of that early stop: every walk
+# that does not close runs to the cap or to the budget trip, and only its
+# last walked round is tested for an escape (round ``cap``, replayed, where a
+# trace walked it further).  It reads the graph through ``_walk``, ``_step``,
+# ``expanded`` and ``conjugates``, so give it a graph of its own.
+
+def reference_classify_boundary(graph, cap=fault.DEFAULT_ROUNDS):
+    """The ``BoundaryKind`` of an ``OverlapGraph``'s boundary, by walks
+    stopped only at their closing round, after ``cap`` rounds or where the
+    state budget trips."""
+    if cap < 4:
+        raise ValidationError("classification needs cap >= 4")
+
+    def closes(seed):
+        walk = graph._walk(seed)
+        while walk.closed is None and len(walk.rounds) < cap:
+            graph._step(walk)
+        return walk.closed is not None and walk.closed <= cap
+
+    def escapes(seed):
+        walk = graph._walk(seed)
+        states = walk.states
+        if len(walk.rounds) > cap:
+            # replay round cap through states expanded already
+            states = {(seed, seed, graph._zero)}
+            for _ in range(cap):
+                states = {c for s in states for c in graph.expanded[s][0]}
+        ds = {d for _, _, d in states}
+        return any(c.escapes(d) for c in graph.conjugates for d in ds)
+
+    open_walks = []     # per walk that does not close: its budget trip or None
+    for seed in range(graph.top.size):
+        try:
+            if closes(seed):
+                continue
+            open_walks.append(None)
+        except ResourceCapError as exc:
+            open_walks.append(exc)
+        if escapes(seed):
+            return fault.BoundaryKind.REGULAR_FAULT
+    if not open_walks:
+        return fault.BoundaryKind.RIGID
+    if None not in open_walks:
+        raise open_walks[0]
     return fault.BoundaryKind.UNDETERMINED
 
 

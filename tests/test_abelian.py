@@ -33,6 +33,7 @@ from faultline.abelian import (
 )
 from faultline import abelian
 from faultline.ap_complex import collar, graph_h1
+from faultline.cli import group_json
 from faultline.dpv import h1_limit
 from faultline.errors import ValidationError
 
@@ -305,6 +306,23 @@ def test_mu_tensor_mu_rank():
     pres = sq.presentation_matrix()
     assert pres == kron(mat([[1, 1], [3, 0]]), mat([[1, 1], [3, 0]]))
     assert charpoly(pres) == charpoly(kron(mat([[1, 1], [3, 0]]), mat([[1, 1], [3, 0]])))
+
+
+def test_presentation_built_once_per_group(monkeypatch):
+    # a printed group reads its rank, its |det| and its matrix off one
+    # build of the presentation: two Kronecker products and one block sum
+    mu = recognize(direct_limit(mat([[1, 1], [3, 0]])))
+    expr = direct_sum(tensor(mu, mu), GroupExpr.zloc(2))
+    built = []
+    for name in ("kron", "block_diag"):
+        real = getattr(abelian, name)
+        monkeypatch.setattr(abelian, name,
+                            lambda *a, real=real, name=name: built.append(name) or real(*a))
+    report = group_json(expr)
+    assert sorted(built) == ["block_diag", "kron", "kron"]
+    assert (report["rank"], report["det"]) == (5, 3 ** 4 * 2)
+    assert report["presentation"] == block_diag([kron(mu.presentation_matrix(),
+                                                      mu.presentation_matrix()), ((2,),)])
 
 
 def test_tensor_commutes_and_associates():

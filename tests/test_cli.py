@@ -747,7 +747,8 @@ def test_fault_from_any_seed_expands_each_state_once(monkeypatch, seed):
     # --seed a or b on the paper pair: one overlap graph, read by the trace
     # and by the classification.  From seed a the classification reads the
     # trace's walk, which does not close: it walks no round and expands no
-    # state.  From seed b it walks seed a, and no state is expanded twice
+    # state.  From seed b it walks seed a up to round 6, where that walk
+    # first escapes, and no state is expanded twice
     graphs, expanded, walked = [], [], []
     phase = ["trace"]
     init, expand, step = OverlapGraph.__init__, OverlapGraph._expand, OverlapGraph._step
@@ -783,13 +784,28 @@ def test_fault_from_any_seed_expands_each_state_once(monkeypatch, seed):
     if seed == "a":
         assert walked_later == [] and expanded_later == []
     else:
-        assert walked_later == [(0, r) for r in range(1, 13)]
-        # the walk from a meets some of the states that the trace expanded
-        fresh = OverlapGraph(graphs[0].top, graphs[0].bottom)
-        boundary_trace(fresh, 0, 12)
-        assert 0 < len(expanded_later) < len(fresh.expanded)
+        assert walked_later == [(0, r) for r in range(1, 7)]
+        # the states of the walk from a up to round 5 are all states that
+        # the 12 rounds of the trace from b expanded (to round 12 the walk
+        # from a expanded states of its own)
+        assert expanded_later == []
     assert json.loads(out)["classification"] == "RegularFault"
     assert (code, out) == run_cli(*argv)
+
+
+@pytest.mark.parametrize("name, states", [("doubling_swap", 40), ("period_doubling", 6),
+                                           ("row_thirds", 44)])
+def test_cohomology_expands_few_states(monkeypatch, name, states):
+    # a work count, not a wall time: the overlap states that ``cohomology``
+    # expands on each bundled document.  A walk that escapes stops at its
+    # first round that escapes; walked to the round cap, as before, these
+    # were 222, 95 and 226
+    expanded = []
+    expand = OverlapGraph._expand
+    monkeypatch.setattr(OverlapGraph, "_expand",
+                        lambda graph, *state: expanded.append(state) or expand(graph, *state))
+    assert run_cli("cohomology", "-i", f"bundled:{name}")[0] == 0
+    assert len(expanded) == states
 
 
 @settings(max_examples=100, deadline=None)

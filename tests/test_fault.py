@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from faultline import algebra, fault
+from faultline import algebra, fault, substitution
 from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors, times_root
 from faultline.cli import alg_json
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
@@ -36,6 +36,7 @@ from conftest import (
     iterate,
     numbers,
     random_substitution,
+    reference_classify_boundary,
     reference_classify_trace,
     reference_fault_row,
     reference_offset_statistics,
@@ -1064,6 +1065,18 @@ def test_a_non_real_conjugate_escapes():
     assert check_new_offsets(s, t, 8) == 3
 
 
+def test_real_conjugates_are_roots_of_the_field_polynomial():
+    # charpoly (x^2 - 5x + 5)(x^2 - x - 3): lambda ~ 3.618 has the real
+    # conjugate ~ 1.382; the Perron data also isolates the roots ~ -1.303
+    # and ~ 2.303 of the other factor, which are no conjugates of lambda
+    s = Substitution(["a", "b", "c", "d"], {"a": "cadd", "b": "bdb", "c": "cca", "d": "adab"})
+    t = Substitution(["a", "b", "c", "d"], {"a": "dcad", "b": "dbb", "c": "acc", "d": "abad"})
+    assert s.perron().charpoly == (-15, 10, 7, -6, 1)
+    assert s.tile_lengths().field.poly == (5, -5, 1)
+    assert len(s.perron().real_roots) == 4
+    assert check_escape_radii(s, t) == (1, 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3), non_pisot=st.booleans())
 def test_an_escape_places_new_offsets_in_every_later_round(seed, n_letters, non_pisot):
@@ -1100,20 +1113,93 @@ def test_walks_that_close_never_escape(seed, n_letters):
         assert not any(graph.escapes(x, r) for r in range(1, graph.walks[x].closed + 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 12),
+       budget=st.one_of(st.integers(4, 400), st.just(20_000)), data=st.data())
+def test_classify_boundary_matches_the_walk_to_the_cap(seed, n_letters, cap, budget, data):
+    # a walk stopped at its first round that escapes reads the kind, and the
+    # budget trip, of the same walk run to the cap and tested on its last
+    # round: an escape passes to every descendant, and a walk that escapes
+    # never closes
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    order = data.draw(st.permutations(s.alphabet))
+    s, t = relabelled(s, order), relabelled(t, order)
+
+    def outcome(classify):
+        try:
+            return classify(OverlapGraph(s, t, budget), cap)
+        except ResourceCapError as exc:
+            return str(exc)
+
+    got = outcome(classify_boundary)
+    event(getattr(got, "value", "budget tripped"))
+    assert got == outcome(reference_classify_boundary)
+
+
+def escaping_rounds(graph, seed):
+    """The rounds of the walk from ``seed``, as far as it has been walked,
+    whose states escape, replayed through the states expanded already."""
+    states, out = {(seed, seed, graph._zero)}, []
+    for rnd in range(1, len(graph.walks[seed].rounds) + 1):
+        states = {c for x in states for c in graph.expanded[x][0]}
+        if any(c.escapes(d) for c in graph.conjugates for _, _, d in states):
+            out.append(rnd)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 12),
+       non_pisot=st.booleans())
+def test_classifier_walks_stop_at_their_first_escaping_round(seed, n_letters, cap, non_pisot):
+    # no walk of the classifier goes past its first round that escapes,
+    # which it records; a walk that escapes escapes at every later round
+    s, t = twin_pair(random.Random(seed), n_letters, non_pisot)
+    graph = OverlapGraph(s, t, 20_000)
+    try:
+        kind = classify_boundary(graph, cap)
+    except ResourceCapError:
+        kind = None
+    event(f"kind {getattr(kind, 'value', 'budget tripped')}")
+    for x, walk in graph.walks.items():
+        escaping = escaping_rounds(graph, x)
+        if escaping:
+            event(f"stopped at round {walk.escaped} of cap {cap}")
+            assert len(walk.rounds) == walk.escaped == escaping[0]
+        else:
+            assert walk.escaped is None
+    if kind is BoundaryKind.REGULAR_FAULT:
+        x, walk = list(graph.walks.items())[-1]
+        assert walk.escaped is not None
+        graph.closes(x, cap + 3)
+        assert len(walk.rounds) == walk.escaped
+        try:
+            list(graph.rounds(x, walk.escaped + 3))
+        except ResourceCapError:
+            return
+        assert escaping_rounds(graph, x) == list(range(walk.escaped, walk.escaped + 4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 10),
        budget=st.one_of(st.integers(4, 400), st.just(20_000)))
+# Rigid, but a walk stays open after round 1 and closes later: the escape
+# test of that round found the conjugates
+@example(seed=193, n_letters=4, cap=4, budget=20_000)
 def test_classification_stays_within_the_cap_and_off_the_printed_field(
         seed, n_letters, cap, budget):
     # the classifier steps no walk past the cap; the escape test, on fields
     # and rectangles of its own, never moves the root interval of the
-    # widths' field, whose enclosures reports print; and a boundary whose
-    # walks all close isolates no conjugate
+    # widths' field, whose enclosures reports print; a boundary whose walks
+    # all close at round 1 isolates no conjugate; and no graph isolates one
+    # polynomial twice: the real conjugates are read off the intervals that
+    # found the Perron root
     rng = random.Random(seed)
     s = random_substitution(rng, n_letters)
     t = shuffled_twin(rng, s)
     steps, isolated = [], []
-    step, escapes = OverlapGraph._step, OverlapGraph.escapes
+    step, escapes, escape_in = OverlapGraph._step, OverlapGraph.escapes, OverlapGraph._escape_in
 
     def stepped(graph, walk):
         steps.append(len(walk.rounds) + 1)
@@ -1125,20 +1211,32 @@ def test_classification_stays_within_the_cap_and_off_the_printed_field(
         assert graph.scan.field.root_ints == before
         return out
 
+    def escaped_in(graph, states):
+        before = graph.scan.field.root_ints
+        out = escape_in(graph, states)
+        assert graph.scan.field.root_ints == before
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("isolate_real_roots", "isolate_complex_roots"):
-            real = getattr(fault, name)
-            mp.setattr(fault, name, lambda *a, real=real: isolated.append(a) or real(*a))
+        for module, name in ((substitution, "isolate_real_roots"),
+                             (fault, "isolate_complex_roots")):
+            real = getattr(module, name)
+            mp.setattr(module, name, lambda f, *a, real=real, name=name:
+                       isolated.append((name, tuple(f))) or real(f, *a))
         mp.setattr(OverlapGraph, "_step", stepped)
         mp.setattr(OverlapGraph, "escapes", escaped)
+        mp.setattr(OverlapGraph, "_escape_in", escaped_in)
+        graph = OverlapGraph(s, t, budget)
+        perron = len(isolated)      # the Perron root's isolation
         try:
-            kind = classify_boundary(OverlapGraph(s, t, budget), cap)
+            kind = classify_boundary(graph, cap)
         except ResourceCapError:
             kind = None
     event(f"kind {getattr(kind, 'value', 'budget tripped')}")
     assert max(steps, default=0) <= cap
-    if kind is BoundaryKind.RIGID:
-        assert isolated == []
+    if kind is BoundaryKind.RIGID and all(w.closed == 1 for w in graph.walks.values()):
+        assert len(isolated) == perron
+    assert len(isolated) == len(set(isolated))
 
 
 @settings(max_examples=80, deadline=None)

@@ -647,9 +647,9 @@ def classify_boundary(graph, cap=DEFAULT_ROUNDS):
 
     RegularFault at the first walk that escapes by round ``cap``, as
     ``closes`` recorded it (``OverlapGraph.escapes``); Rigid when every walk
-    closes.  Otherwise Undetermined when any walk that does not close reached the
-    cap, and a ResourceCapError only when the budget stopped every such
-    walk.  No verdict reads a label, and none depends on the order of the
+    closes.  Otherwise Undetermined when any walk that does not close
+    reached the cap, and a ResourceCapError only when the budget stopped
+    every such walk.  No verdict reads a label, and none depends on the order of the
     seeds."""
     if cap < 4:
         raise ValidationError("classification needs cap >= 4")

@@ -24,9 +24,10 @@ with |c| <= C_j.  A walk that closes meets in finitely many placed overlaps:
 |x_j| > C_j / (|lambda_j| - 1) escapes: each child has
 |x_j'| - R >= |lambda_j| (|x_j| - R) for R = C_j / (|lambda_j| - 1), and
 every state has a child, so x_j, and with it x, takes infinitely many
-values: ``RegularFault``.  An escape passes to every descendant, so the
-classifier tests each round it walks and stops a walk at its first round
-that escapes: no later round can close it.
+values: ``RegularFault``.  An escape passes to every descendant, so a
+walk is decided in the step that walks it: each round of a walk that adds
+a placed overlap is tested for an escape, and its first round that escapes
+is recorded; no later round can close it, and the classifier stops there.
 """
 from __future__ import annotations
 
@@ -307,8 +308,10 @@ class OverlapGraph:
     the widths' one field, whose enclosures reports print.  A walk closes at
     the first round that adds no placed overlap (t, b, <w, D>), keyed by the
     state when D -> <w, D> is injective (the field has the alphabet's
-    degree).  The round that takes the states of all the rounds of a walk
-    past ``max_states`` raises ResourceCapError."""
+    degree), and escapes at the first round that leaves it open and has a
+    state that escapes; ``_step`` decides both, whoever walks the round.
+    The round that takes the states of all the rounds of a walk past
+    ``max_states`` raises ResourceCapError."""
 
     def __init__(self, top, bottom, max_states=DEFAULT_MAX_STATES):
         if top.alphabet != bottom.alphabet:
@@ -334,37 +337,22 @@ class OverlapGraph:
             yield walk.rounds[rnd]
 
     def closes(self, seed, cap):
-        """Whether the walk from ``seed`` closes within ``cap`` rounds.  Each
-        round it walks that adds a placed overlap is tested for an escape
-        (``escapes``), and the walk stops at its closing round, at the first
-        round that escapes, which ``_Walk.escaped`` records, or at round
-        ``cap``.  A walk that escapes never closes: the state that escapes
-        has a child, and every descendant escapes further."""
+        """Whether the walk from ``seed`` closes within ``cap`` rounds.  The
+        walk stops at its closing round, at its first round that escapes
+        (``_step`` decides both), or at round ``cap``."""
         walk = self._walk(seed)
         while walk.closed is None and walk.escaped is None and len(walk.rounds) < cap:
             self._step(walk)
-            if walk.closed is None and self._escape_in(walk.states):
-                walk.escaped = len(walk.rounds)
         return walk.closed is not None and walk.closed <= cap
 
     def escapes(self, seed, cap):
         """Whether a state of the walk from ``seed`` escapes in a conjugate
-        of lambda (the module docstring) by round ``cap``: at the round
-        ``closes`` found it first escapes, else on its last walked round, or
-        on round ``cap`` where a trace walked it further.  An escape passes
-        to every descendant, so a round that escapes stands for every round
-        after it, and one that does not for every round before it."""
-        seed, = self.top.word((seed,))
+        of lambda (the module docstring) by round ``cap``, as far as the
+        walk has been walked.  An escape passes to every descendant, so the
+        first round that escapes, which ``_step`` records, stands for every
+        round after it."""
         walk = self._walk(seed)
-        if walk.escaped is not None and walk.escaped <= cap:
-            return True
-        states = walk.states
-        if len(walk.rounds) > cap:
-            # replay round cap through states expanded already
-            states = {(seed, seed, self._zero)}
-            for _ in range(cap):
-                states = {c for s in states for c in self.expanded[s][0]}
-        return self._escape_in(states)
+        return walk.escaped is not None and walk.escaped <= cap
 
     def _escape_in(self, states):
         # whether a state of ``states`` escapes in a conjugate of lambda
@@ -374,7 +362,7 @@ class OverlapGraph:
     @cached_property
     def conjugates(self):
         """The ``_Conjugate`` of each conjugate of lambda that can escape,
-        found on first use."""
+        found the first time a walk stays open after a round."""
         found = _conjugates(self.widths, self.top.perron().real_roots)
         if not found:
             return ()
@@ -403,8 +391,12 @@ class OverlapGraph:
                                    f"budget at round {len(walk.rounds) + 1}")
         walk.states, walk.spent = children, spent
         walk.rounds.append(tuple(sorted(values)))
-        if walk.closed is None and self._adds_no_overlap(walk):
-            walk.closed = len(walk.rounds)
+        if walk.closed is None and walk.escaped is None:
+            if self._adds_no_overlap(walk):
+                walk.closed = len(walk.rounds)
+            elif self._escape_in(children):
+                # an escaped walk never closes: drop its placed overlaps
+                walk.escaped, walk.seen = len(walk.rounds), None
 
     def _adds_no_overlap(self, walk):
         # whether the walk's last round adds no placed overlap to those it
@@ -466,15 +458,19 @@ class OverlapGraph:
 
 
 class _Walk:
-    """One seed's walk, as far as it has been asked for."""
+    """One seed's walk, as far as it has been asked for.  It is decided at
+    its first round that closes or escapes; ``seen``, which only the closure
+    test reads, is kept as a closed walk's certificate and dropped at an
+    escape."""
 
     def __init__(self, states):
         self.states = states    # the last round's states
         self.rounds = []        # the sorted distinct read-offs of rounds 1, 2, ...
         self.spent = 0          # the states of those rounds together
-        self.seen = set()       # the placed overlaps of the rounds before closing
+        self.seen = set()       # the placed overlaps up to the deciding round;
+                                # None once the walk escapes
         self.closed = None      # the first round that added no placed overlap
-        self.escaped = None     # the first round of those ``closes`` walked that escapes
+        self.escaped = None     # the first round that escapes, if none closed before
 
 
 def boundary_trace(graph, seed, k, modulus=None):
@@ -645,8 +641,8 @@ def classify_boundary(graph, cap=DEFAULT_ROUNDS):
     children of a state and their placed overlaps depend on D only through
     <w, D>, so a closed walk meets in finitely many ways.
 
-    RegularFault at the first walk that escapes by round ``cap``, as
-    ``closes`` recorded it (``OverlapGraph.escapes``); Rigid when every walk
+    RegularFault at the first walk that escapes by round ``cap``, as its
+    walk recorded it (``OverlapGraph.escapes``); Rigid when every walk
     closes.  Otherwise Undetermined when any walk that does not close
     reached the cap, and a ResourceCapError only when the budget stopped
     every such walk.  No verdict reads a label, and none depends on the order of the

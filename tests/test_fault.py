@@ -219,6 +219,7 @@ def test_scan_builds_no_algebraic_number(monkeypatch, sigma1, sigma2):
               Substitution(["a", "b"], {"a": "ba", "b": "ab"}), 4)]
     for s, t, k in pairs:
         graph = OverlapGraph(s, t)
+        graph.conjugates    # the escape test's, on fields of their own
         built = []
         init = AlgebraicNumber.__init__
         monkeypatch.setattr(AlgebraicNumber, "__init__",
@@ -236,14 +237,17 @@ def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
     # whose rows differ, and never when they never do
     fine = Fraction(1, 2 ** 96)
     calls = []
+    graphs = OverlapGraph(sigma1, sigma2), OverlapGraph(sigma1, sigma1)
+    for graph in graphs:
+        graph.conjugates    # the escape test's, on fields of their own
     enclose = NumberField.enclose
     monkeypatch.setattr(NumberField, "enclose",
                         lambda f, nums, den, width=None: calls.append(width) or
                         enclose(f, nums, den, width))
-    boundary_trace(OverlapGraph(sigma1, sigma2), "a", 8)
+    boundary_trace(graphs[0], "a", 8)
     assert calls.count(fine) == 2
     calls.clear()
-    boundary_trace(OverlapGraph(sigma1, sigma1), "a", 8)
+    boundary_trace(graphs[1], "a", 8)
     assert calls.count(fine) == 0
 
 
@@ -739,6 +743,11 @@ def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
 # the walk from seed 0 trips the budget at round 5, and a walk from another
 # seed reaches the cap: Undetermined
 @example(seed=132, n_letters=4, cap=5, modulus=None, budget=125)
+# a->d, b->ca, c->bd, d->bb over c->db: the offsets read four flat rounds,
+# so the reference reads Rigid, while the walk from c escapes at round 3
+# (under 200,000 states the walks from a-d escape at rounds 6, 4, 3 and 5,
+# and the reference reads RegularFault at cap 12)
+@example(seed=385, n_letters=4, cap=4, modulus=None, budget=23)
 def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, modulus, budget):
     # classify_boundary reads Rigid exactly when the walk from every seed
     # closes, and RegularFault only with a NonPisotExpanding top matrix.
@@ -748,8 +757,10 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
     # walk reaches the cap untripped (then Undetermined), and the
     # rule's RegularFault may be Undetermined where no walk escapes within
     # the cap (test_escape_agrees_with_the_checkpoint_rule walks on).  The
-    # offsets can settle before the overlap states close, and until every
-    # walk closes the class is then anything but RegularFault.  The classes
+    # offsets can settle before the overlap states close, or stay flat over
+    # the checkpoints before they grow (seed 385), so where the reference
+    # reads Rigid the class may be anything, RegularFault where a walk
+    # escapes within the cap.  The classes
     # differ only where the offsets could not see what the overlap states
     # show:
     # - the reference's vacuous Rigid, when the width of letter 0 is an integer
@@ -803,8 +814,10 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
         assert s.spectral_class().kind is SpectralKind.NON_PISOT_EXPANDING
     if got is BoundaryKind.RIGID and want is BoundaryKind.REGULAR_FAULT:
         assert widths.field.degree < n_letters
-    if want is BoundaryKind.RIGID and not vacuous:
-        assert got is not BoundaryKind.REGULAR_FAULT
+    if want is BoundaryKind.RIGID and got is BoundaryKind.REGULAR_FAULT:
+        for x in range(n_letters):
+            outcome(lambda: graph.closes(x, cap))
+        assert any(w.escaped is not None and w.escaped <= cap for w in graph.walks.values())
     graph = OverlapGraph(s, t, budget)
     try:
         boundary_trace(graph, rng.randrange(n_letters), cap)
@@ -979,6 +992,23 @@ def test_the_checkpoint_rule_and_escape_on_the_paper_pair(sigma1, sigma2):
         [[False] * 5 + [True] * 7, [False] * 6 + [True] * 6]
 
 
+def test_a_trace_stops_testing_its_walk_at_the_escape(monkeypatch, sigma1, sigma2):
+    # the trace's own steps find the walk from a escaping at round 6: the
+    # closure test runs on rounds 0-6 only, and the walk keeps no placed
+    # overlap through rounds 7-20
+    tested = []
+    adds_no_overlap = OverlapGraph._adds_no_overlap
+    monkeypatch.setattr(OverlapGraph, "_adds_no_overlap",
+                        lambda graph, walk: tested.append(len(walk.rounds)) or
+                        adds_no_overlap(graph, walk))
+    graph = OverlapGraph(sigma1, sigma2)
+    boundary_trace(graph, "a", 20)
+    walk = graph.walks[0]
+    assert walk.escaped == 6
+    assert walk.seen is None
+    assert tested == list(range(7))
+
+
 def twin_pair(rng, n_letters, non_pisot):
     """A random primitive substitution and a shuffled twin; with
     ``non_pisot``, a member a -> a^p b, b -> a^q (q > p + 1) of the paper's
@@ -1110,7 +1140,7 @@ def test_walks_that_close_never_escape(seed, n_letters):
         except ResourceCapError:
             continue
         event(f"a walk closes; {len(graph.conjugates)} conjugates can escape")
-        assert not any(graph.escapes(x, r) for r in range(1, graph.walks[x].closed + 1))
+        assert escaping_rounds(graph, x) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -1136,6 +1166,34 @@ def test_classify_boundary_matches_the_walk_to_the_cap(seed, n_letters, cap, bud
     got = outcome(classify_boundary)
     event(getattr(got, "value", "budget tripped"))
     assert got == outcome(reference_classify_boundary)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 4), cap=st.integers(4, 12),
+       deeper=st.integers(1, 8), budget=st.one_of(st.integers(4, 400), st.just(20_000)),
+       data=st.data())
+def test_classify_boundary_after_a_deeper_trace(seed, n_letters, cap, deeper, budget, data):
+    # a trace that walked a seed past the cap leaves the kind, and the
+    # budget trip, that a fresh graph reads: the trace's walk records its
+    # first escaping round as a classifier's walk does
+    rng = random.Random(seed)
+    s = random_substitution(rng, n_letters)
+    t = shuffled_twin(rng, s)
+    traced = OverlapGraph(s, t, budget)
+    try:
+        boundary_trace(traced, data.draw(st.integers(0, n_letters - 1)), cap + deeper)
+    except ResourceCapError:
+        event("trace tripped")
+
+    def outcome(classify, graph):
+        try:
+            return classify(graph, cap)
+        except ResourceCapError as exc:
+            return str(exc)
+
+    got = outcome(classify_boundary, traced)
+    event(getattr(got, "value", "budget tripped"))
+    assert got == outcome(reference_classify_boundary, OverlapGraph(s, t, budget))
 
 
 def escaping_rounds(graph, seed):

@@ -609,10 +609,8 @@ def invariants(expr):
 # recognition
 # ---------------------------------------------------------------------------
 
-def recognize(g, factored=None):
-    """Map a DirectLimitGroup to a recognized GroupExpr.  ``factored`` maps
-    a polynomial to its irreducible factors, when the caller keeps such a
-    table.
+def recognize(g):
+    """Map a DirectLimitGroup to a recognized GroupExpr.
 
     Rules, in order: trivial limit; unimodular bonding -> Z^r; rank one ->
     Z[1/m]; irreducible charpoly -> Z[x]/(p) localized at x; diagonalizable
@@ -629,7 +627,7 @@ def recognize(g, factored=None):
     # charpoly_prime is monic: its factors are monic, and a linear one x - e
     # is an integer root e
     cp = g.charpoly_prime
-    factors = irreducible_factors(cp) if factored is None else factored[cp]
+    factors = irreducible_factors(cp)
     if len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == g.r + 1:
         return GroupExpr.alg(g.charpoly_prime, g.a_prime)
     roots = sorted((-f[0], m) for f, m in factors if len(f) == 2)

@@ -35,8 +35,7 @@ from .abelian import (
 from .ap_complex import collar, graph_h1
 from .errors import ValidationError
 from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, OverlapGraph, classify_boundary
-from .substitution import Substitution, perron_data, shift_conjugacy
-from .zpoly import irreducible_factors
+from .substitution import Substitution, shift_conjugacy
 
 _CONJUGACY_MAX_LEN = 8   # the longest conjugating word validate_dpv searches for
 
@@ -53,21 +52,13 @@ class _Once(dict):
         return value
 
 
-def factors_table():
-    """polynomial -> its irreducible factors as a tuple, each distinct
-    polynomial factored once."""
-    return _Once(lambda p: tuple(irreducible_factors(p)))
-
-
-def limits_table(factored=None):
+def limits_table():
     """matrix -> (direct_limit(matrix), recognize of that limit), each
-    distinct matrix limited once.  Recognition reads ``factored``, a
-    ``factors_table``, by default a new one."""
-    factored = factors_table() if factored is None else factored
+    distinct matrix limited and recognized once."""
 
     def limit(a):
         g = direct_limit(a)
-        return g, recognize(g, factored)
+        return g, recognize(g)
 
     return _Once(limit)
 
@@ -113,28 +104,14 @@ class DPVSubstitution:
         read this one."""
         return collar(self.vertical)[1]
 
-    # Every exact invariant of the document is computed once: the tables
-    # below are keyed by matrix or polynomial, and the stages that meet the
-    # same one (nu and the cochain limits, members and composites with one
-    # abelianization) read the same entry.
-
-    @cached_property
-    def factored(self):
-        """``factors_table`` of this document: the Perron data and the
-        recognized limits read it."""
-        return factors_table()
+    # Every direct limit of the document is computed and recognized once:
+    # the table is keyed by matrix, and the stages that meet the same one
+    # (mu, nu and the cochain limits, and a second report) read one entry.
 
     @cached_property
     def limits(self):
         """``limits_table`` of this document."""
-        return limits_table(self.factored)
-
-    @cached_property
-    def perrons(self):
-        """matrix -> ``perron_data``, shared by the horizontal members and
-        the composites (``Substitution.share_perron``); each caller still
-        gets the root on a field of its own."""
-        return _Once(lambda m: perron_data(m, self.factored))
+        return limits_table()
 
     @cached_property
     def vertical_heights(self):
@@ -364,7 +341,7 @@ def essential_vertices(d, cap=DEFAULT_ROUNDS, max_states=DEFAULT_MAX_STATES):
                 top_idx.append(d.row_sigma[y][0])
             pair = (tuple(top_idx), tuple(bottom_idx))
             if pair not in classes:
-                top_comp = _compose(d.horizontal, top_idx).share_perron(d.perrons)
+                top_comp = _compose(d.horizontal, top_idx)
                 bottom_comp = _compose(d.horizontal, bottom_idx)
                 # one composite round is |cycle| substitution steps; keep the
                 # effective depth near the configured cap

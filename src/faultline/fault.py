@@ -355,14 +355,16 @@ class OverlapGraph:
         return walk.escaped is not None and walk.escaped <= cap
 
     def _escape_in(self, states):
-        # whether a state of ``states`` escapes in a conjugate of lambda
-        ds = {d for _, _, d in states}
-        return any(c.escapes(d) for c in self.conjugates for d in ds)
+        # whether a state of ``states`` escapes in a conjugate of lambda; a
+        # state with D = 0 has x_j = 0 and cannot, so it finds no conjugate
+        ds = {d for _, _, d in states} - {self._zero}
+        return bool(ds) and any(c.escapes(d) for c in self.conjugates for d in ds)
 
     @cached_property
     def conjugates(self):
         """The ``_Conjugate`` of each conjugate of lambda that can escape,
-        found the first time a walk stays open after a round."""
+        found the first time a walk stays open after a round with a state
+        whose D is not 0."""
         found = _conjugates(self.widths, self.top.perron().real_roots)
         if not found:
             return ()

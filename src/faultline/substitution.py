@@ -72,8 +72,6 @@ class Substitution:
         self.rules = tuple(imgs)
         self._matrix = None
         self._perron = None     # PerronData on a field no caller refines
-        self._perrons = None    # matrix -> PerronData shared with others (share_perron)
-        self._lengths = None    # (vectors, den) of tile_lengths
 
     # -- words ------------------------------------------------------------------
 
@@ -131,11 +129,6 @@ class Substitution:
             yield word
             word = tuple(islice(chain.from_iterable(self.rules[x] for x in word), n))
 
-    def rule(self, letter):
-        if isinstance(letter, str):
-            letter = self._index[letter]
-        return self.rules[letter]
-
     # -- abelianization and spectra ---------------------------------------------
 
     def matrix(self):
@@ -162,20 +155,12 @@ class Substitution:
         interval that ``perron_data`` left: printed enclosures read a field's
         refinement (``NumberField``), so no caller sees another's."""
         if self._perron is None:
-            m = self.matrix()
-            self._perron = perron_data(m) if self._perrons is None else self._perrons[m]
+            self._perron = perron_data(self.matrix())
         pd = self._perron
         return PerronData(charpoly=pd.charpoly,
                           root=AlgebraicNumber(pd.root.field.copy(), pd.root.coeffs),
                           primitive=pd.primitive, factors=pd.factors,
                           real_roots=pd.real_roots)
-
-    def share_perron(self, table):
-        """Read ``perron`` from ``table``, a mapping from matrices to their
-        ``perron_data`` that substitutions with equal matrices share and
-        that computes a missing entry on lookup.  Returns self."""
-        self._perrons = table
-        return self
 
     def spectral_class(self):
         return spectral_classify(self.matrix(), perron=self.perron())
@@ -269,20 +254,19 @@ def is_primitive(m):
     return False
 
 
-def perron_data(m, factored=None):
-    """Characteristic polynomial, its irreducible factors (factored once,
+def perron_data(m):
+    """Characteristic polynomial, its irreducible factors (computed once,
     for the Perron root's field and for ``spectral_classify``), Perron root
     (largest real eigenvalue) as an exact algebraic number, and
-    primitivity.  ``factored`` maps a polynomial to its irreducible factors,
-    as a tuple, when the caller keeps such a table.  The isolating intervals
-    of the real roots that found the Perron root are kept (``real_roots``):
-    the escape test of ``fault`` reads the conjugates of lambda off them."""
+    primitivity.  The isolating intervals of the real roots that found the
+    Perron root are kept (``real_roots``): the escape test of ``fault`` reads
+    the conjugates of lambda off them."""
     if not any(map(any, m)):
         raise NoPerronRootError("zero matrix has no Perron root")
     if any(x < 0 for row in m for x in row):
         raise ValidationError("substitution matrices must be non-negative")
     cp = abelian.charpoly(m)
-    factors = tuple(irreducible_factors(cp)) if factored is None else factored[cp]
+    factors = tuple(irreducible_factors(cp))
     sf = squarefree_part(cp)
     real = tuple(isolate_real_roots(sf))
     field, root = NumberField.with_largest_of(sf, real, factors)
@@ -313,7 +297,7 @@ class SpectralClass:
         return f"{self.kind.value}(|second| in [{lo}, {hi}])"
 
 
-_WIDTH = Fraction(1, 2 ** 64)      # the width of every printed modulus enclosure
+_WIDTH = Fraction(1, 2 ** 64)      # the width of a real or quadratic modulus enclosure
 _DEEPEST = Fraction(1, 2 ** 4096)  # rectangles never need refining past this
 
 
@@ -334,7 +318,12 @@ def _straddling(squares):
 def spectral_classify(m, perron=None):
     """Classify the non-Perron roots of the characteristic polynomial by
     their modulus against 1, exactly, and enclose the largest modulus in a
-    rational interval at most 2^-64 wide (exact for rational roots).
+    rational interval.  The interval is exact for rational roots and at most
+    2^-64 wide for irrational real roots and the non-real pair of a
+    quadratic factor.  For a non-real root of a factor of degree >= 3 it is
+    read off the root's rectangle, whose sides are under 2^-16, so it is
+    under 2^-15 wide, and narrower where the rectangles were refined further
+    for the comparison with 1.
 
     Rational roots compare as they are, irrational real roots by
     ``NumberField.sign`` of +-x - 1, and a non-real pair of a quadratic
@@ -423,24 +412,13 @@ def _lowest_terms(vectors, den):
 
 def tile_lengths(s):
     """Natural tile lengths: a left Perron eigenvector of the abelianization,
-    exact in Q(lambda), as a ``TileLengths``.  The vectors are computed once
-    per substitution (``_tile_vectors``); each call gets them on a new field,
-    as ``Substitution.perron`` hands it out.
+    exact in Q(lambda), as a ``TileLengths`` on the field that
+    ``Substitution.perron`` hands out, a new one each call.
 
     Rational lambda gives the primitive positive integer eigenvector; for
     irrational lambda the vector is scaled so the first entry is lambda when
     that lands in Z[lambda], else so the first entry is 1.  Either way
-    length(s(x)) = lambda * length(x) holds exactly."""
-    pd = s.perron()
-    if not pd.primitive:
-        raise HypothesisError("tile lengths need a primitive substitution")
-    if s._lengths is None:
-        s._lengths = _tile_vectors(s, pd)
-    return TileLengths(pd.root.field, *s._lengths)
-
-
-def _tile_vectors(s, pd):
-    """(vectors, den) of ``tile_lengths``.
+    length(s(x)) = lambda * length(x) holds exactly.
 
     The eigenvector is q(M^T) e_0, where charpoly(x) = (x - lambda) q(x): by
     Cayley-Hamilton every column of q(M^T) lies in the lambda-eigenspace of
@@ -448,6 +426,9 @@ def _tile_vectors(s, pd):
     primitive M.  Everything is computed on integer coefficient vectors over
     the power basis of Z[lambda]: one inverse of the first entry normalises
     it to 1, and ``times_root`` steps do the rest."""
+    pd = s.perron()
+    if not pd.primitive:
+        raise HypothesisError("tile lengths need a primitive substitution")
     field = pd.root.field
     n, deg, poly = s.size, field.degree, field.poly
     mt = abelian.transpose(s.matrix())
@@ -465,9 +446,9 @@ def _tile_vectors(s, pd):
     unit = [times(v, inv, poly) for v in vec]   # over d; the first entry is 1
     if deg == 1:
         # the numerators in lowest terms are the primitive integer vector
-        return _lowest_terms(unit, d)[0], 1
+        return TileLengths(field, _lowest_terms(unit, d)[0], 1)
     scaled = _lowest_terms([times_root(v, poly) for v in unit], d)
-    return scaled if scaled[1] == 1 else _lowest_terms(unit, d)
+    return TileLengths(field, *(scaled if scaled[1] == 1 else _lowest_terms(unit, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from faultline import abelian, algebra, dpv, substitution
+from faultline import abelian, dpv
 from faultline.abelian import det, recognize
 from faultline.documents import bundled_document
 from faultline.dpv import (
@@ -400,9 +400,8 @@ def test_cohomology_does_not_depend_on_the_order_of_any_alphabet(seed, n_letters
 
 
 def _count_invariants(monkeypatch):
-    """Record every direct limit with the Smith forms run inside it, every
-    factorization and every ``perron_data`` call."""
-    seen = {"limits": [], "factored": [], "perron": []}
+    """Record every direct limit with the Smith forms run inside it."""
+    seen = {"limits": []}
     inside = []
     limit, smith = abelian.direct_limit, abelian.smith_normal_form
 
@@ -421,14 +420,6 @@ def _count_invariants(monkeypatch):
     for module in (abelian, dpv):
         monkeypatch.setattr(module, "direct_limit", counted_limit)
     monkeypatch.setattr(abelian, "smith_normal_form", counted_smith)
-    for module in (abelian, algebra, dpv, substitution):
-        factor = module.irreducible_factors
-        monkeypatch.setattr(module, "irreducible_factors",
-                            lambda p, factor=factor: seen["factored"].append(tuple(p)) or factor(p))
-    perron = substitution.perron_data
-    counted_perron = lambda m, *rest: seen["perron"].append(m) or perron(m, *rest)
-    for module in (substitution, dpv):
-        monkeypatch.setattr(module, "perron_data", counted_perron)
     return seen
 
 
@@ -452,9 +443,9 @@ def _singular_vertical():
 @pytest.mark.parametrize("name", ["doubling_swap", "period_doubling", "row_thirds",
                                   "undetermined pair", "singular vertical"])
 def test_cohomology_computes_each_invariant_once(monkeypatch, name):
-    # one direct limit per distinct matrix, a Smith form only inside the
-    # limit of a singular bonding map, one factorization per polynomial and
-    # one perron_data per matrix; a second report on the same DPV reads them
+    # one direct limit per distinct matrix and a Smith form only inside the
+    # limit of a singular bonding map; a second report on the same DPV
+    # reads them
     d = {"undetermined pair": _undetermined_pair,
          "singular vertical": _singular_vertical}.get(name, lambda: bundled_document(name).dpv)()
     seen = _count_invariants(monkeypatch)
@@ -463,9 +454,7 @@ def test_cohomology_computes_each_invariant_once(monkeypatch, name):
     assert len(matrices) == len(set(matrices)) > 0
     for a, smith in seen["limits"]:
         assert bool(smith) == (det(a) == 0), a
-    assert len(seen["factored"]) == len(set(seen["factored"])) > 0
-    assert len(seen["perron"]) == len(set(seen["perron"])) > 0
     for calls in seen.values():
         calls.clear()
     assert cohomology(d) == first
-    assert seen == {"limits": [], "factored": [], "perron": []}
+    assert seen == {"limits": []}

@@ -251,6 +251,14 @@ def test_trace_encloses_each_width_once(monkeypatch, sigma1, sigma2):
     assert calls.count(fine) == 0
 
 
+def test_identical_rows_find_no_conjugate(sigma1):
+    # every state of a trace of identical rows has D = 0, so x_j = 0 and no
+    # state can escape: the escape test never finds the conjugates
+    graph = OverlapGraph(sigma1, sigma1)
+    boundary_trace(graph, "a", 8)
+    assert "conjugates" not in graph.__dict__
+
+
 def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "b", 8)
     scan = _ScanWidths(trace.widths)

@@ -205,6 +205,21 @@ def test_spectral_examples(sigma1):
     assert spectral_classify(mat([[1, 1], [1, 0]])).kind is SpectralKind.PISOT
 
 
+def test_second_modulus_enclosure_widths(sigma1):
+    # a real second root is enclosed to 2^-64; a non-real root of a cubic is
+    # read off its isolating rectangle, here about 1.08e-5 wide, and holds
+    # the modulus
+    import numpy as np
+
+    lo, hi = sigma1.spectral_class().second_eigenvalue_modulus
+    assert hi - lo <= Fraction(1, 2 ** 64)
+    plastic = Substitution(["a", "b", "c"], {"a": "b", "b": "c", "c": "ab"})
+    lo, hi = plastic.spectral_class().second_eigenvalue_modulus
+    modulus = sorted(abs(np.roots([1, 0, -1, -1])))[0]
+    assert round(modulus, 6) == 0.868837
+    assert lo < modulus < hi and hi - lo < Fraction(1, 2 ** 15)
+
+
 def test_spectral_salem_and_unimodular(period_doubling):
     # second root of x^2-x-2 is -1: on the unit circle exactly
     assert period_doubling.spectral_class().kind is SpectralKind.SALEM

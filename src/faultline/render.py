@@ -6,9 +6,12 @@ row first).  Coordinates are exact integer lattice points: a horizontal
 position is an integer coefficient vector on the power basis of Q(lambda)
 over one denominator per patch, packed into one int (``Lattice``), and a
 vertical position an integer.  Placement expands the patch one
-level at a time from tables of child offsets, so a placed tile costs one int
-add per coordinate.  SVG output prints each coordinate as its exact value
-correctly rounded to 9 decimals, so its bytes depend on the values alone.
+level at a time from tables of child offsets, and stops one level short: a
+``Patch`` holds the placed tiles of level k - 1 and the offsets of each
+tile type's children, so a tile of level k costs one int add per coordinate
+where it is read.  SVG output walks those two tables and prints each
+coordinate as its exact value correctly rounded to 9 decimals, so its bytes
+depend on the values alone.
 """
 
 from __future__ import annotations
@@ -69,19 +72,34 @@ class PlacedTile(NamedTuple):
 
 @dataclass(frozen=True)
 class Patch:
-    """The tiles of one ``generate_patch`` call, in depth-first order, and
-    what the substitution fixes for them: every row spans the seed's image,
-    so each ends at the packed right edge ``right`` = den_x * width(seed) *
-    lambda^k; the top edge is ``top`` = height(seed) * lambda_v^k; and
-    ``tile_ids`` are the sorted distinct tiles.  ``len`` is the tile count."""
+    """The tiles of one ``generate_patch`` call, kept one level short: the
+    placed tiles of level k - 1 as (tile, xn, yn) ``nodes``, and for each tile
+    type its ``children`` in its one-fold image, as (tile, dx, dy) offsets
+    from its lower-left corner, dx packed.  At k = 0, and in a patch built by
+    hand, each node is its own only child at offset 0.  ``tiles`` expands
+    the two into ``PlacedTile``s in depth-first order; ``len`` counts them
+    without expanding.  What the substitution fixes for them: every row
+    spans the seed's image, so each ends at the packed right edge ``right`` =
+    den_x * width(seed) * lambda^k; the top edge is ``top`` = height(seed) *
+    lambda_v^k; and ``tile_ids`` are the sorted distinct tiles."""
     lattice: Lattice
-    tiles: list
+    nodes: list
+    children: dict
     right: int
     top: int
     tile_ids: tuple
 
+    @property
+    def tiles(self):
+        children = self.children
+        # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
+        new_tile = partial(tuple.__new__, PlacedTile)
+        return [new_tile((sub, x + dx, y + dy))
+                for tile, x, y in self.nodes for sub, dx, dy in children[tile]]
+
     def __len__(self):
-        return len(self.tiles)
+        children = self.children
+        return sum(len(children[tile]) for tile, _, _ in self.nodes)
 
 
 def _tile_count(counts, col, k, cap):
@@ -137,7 +155,8 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         tile_ids = {sub for tile in tile_ids for row in images[tile] for sub in row}
     right, top, tile_ids = step[k][h0], heights[v0] * lam_v ** k, tuple(sorted(tile_ids))
     if k == 0:
-        return Patch(lattice, [PlacedTile((v0, h0), 0, 0)], right, top, tile_ids)
+        tile = (v0, h0)
+        return Patch(lattice, [(tile, 0, 0)], {tile: ((tile, 0, 0),)}, right, top, tile_ids)
 
     def offsets(rounds):
         """(child, dx, dy) per child of each tile's rounds-fold image: its
@@ -157,18 +176,14 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         return table
 
     # Expanding every node of a level in place keeps the leaves in
-    # depth-first order.
+    # depth-first order; the last level is left to ``Patch.tiles`` and
+    # ``emit_svg``.
     nodes = [((v0, h0), 0, 0)]
     for rounds in range(k, 1, -1):
         table = offsets(rounds)
         nodes = [(sub, x + dx, y + dy)
                  for tile, x, y in nodes for sub, dx, dy in table[tile]]
-    table = offsets(1)
-    # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
-    new_tile = partial(tuple.__new__, PlacedTile)
-    tiles = [new_tile((sub, x + dx, y + dy))
-             for tile, x, y in nodes for sub, dx, dy in table[tile]]
-    return Patch(lattice, tiles, right, top, tile_ids)
+    return Patch(lattice, nodes, offsets(1), right, top, tile_ids)
 
 
 def overlay_boundaries(d, seed, k, order):
@@ -249,7 +264,7 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
     scale = Fraction(scale)
     if scale <= 0:
         raise ValidationError("scale must be positive")
-    lattice, top = patch.lattice, patch.top
+    lattice, top, children = patch.lattice, patch.top, patch.children
     widths, heights = lattice.widths, lattice.heights
     text = _rounder(lattice, scale)
     num, den = scale.numerator, scale.denominator
@@ -267,16 +282,26 @@ def emit_svg(patch, colors=None, overlay=(), scale=24):
         tails[tile] = (f'width="{text(widths[tile[1]])}" '
                        f'height="{_fmt(heights[tile[0]] * num, den)}" '
                        f'fill="{color}" stroke="#202020" stroke-width="0.7"/>')
-    xs, flipped = {}, {}   # packed x -> x; top edge -> flipped y
-    for tile, xn, yn in patch.tiles:
-        x = xs.get(xn)
-        if x is None:
-            x = xs[xn] = text(xn)
-        edge = yn + heights[tile[0]]
-        y = flipped.get(edge)
-        if y is None:
-            y = flipped[edge] = _fmt((top - edge) * num, den)
-        lines.append(f'<rect x="{x}" y="{y}" {tails[tile]}')
+    # A rect is the prefix of its packed x and the suffix from its y on:
+    # packed x -> '<rect x="x'; top edge -> flipped y; a node's (tile, y) ->
+    # (dx, suffix) of each of its children.
+    starts, flipped, ends = {}, {}, {}
+    for tile, xn, yn in patch.nodes:
+        kids = ends.get((tile, yn))
+        if kids is None:
+            kids = ends[tile, yn] = []
+            for sub, dx, dy in children[tile]:
+                edge = yn + dy + heights[sub[0]]
+                y = flipped.get(edge)
+                if y is None:
+                    y = flipped[edge] = _fmt((top - edge) * num, den)
+                kids.append((dx, f'" y="{y}" {tails[sub]}'))
+        for dx, end in kids:
+            x = xn + dx
+            start = starts.get(x)
+            if start is None:
+                start = starts[x] = '<rect x="' + text(x)
+            lines.append(start + end)
     for cut in overlay:
         q = (top - Fraction(cut)) * scale
         y = _fmt(q.numerator, q.denominator)

@@ -1424,3 +1424,54 @@ def enclosure_emit_svg(patch, colors=None, overlay=(), scale=24):
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the per-tile emitter: the loop ``render.emit_svg`` ran over every placed
+# tile before it walked the last expansion level, kept as the oracle that
+# fusing that level into emission moved no byte
+# ---------------------------------------------------------------------------
+
+def tile_emit_svg(patch, colors=None, overlay=(), scale=24):
+    """``emit_svg`` as it read ``patch.tiles``: one rect per ``PlacedTile``,
+    x and flipped y looked up per tile by packed x and top edge."""
+    from faultline.render import _PALETTE, _fmt, _rounder
+
+    scale = Fraction(scale)
+    lattice, top = patch.lattice, patch.top
+    widths, heights = lattice.widths, lattice.heights
+    text = _rounder(lattice, scale)
+    num, den = scale.numerator, scale.denominator
+    w = text(patch.right)
+    h = _fmt(top * num, den)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+        f'width="{w}" height="{h}">',
+    ]
+    colors = colors or {}
+    tails = {}
+    for i, tile in enumerate(patch.tile_ids):
+        color = colors.get(tile) or _PALETTE[i % len(_PALETTE)]
+        tails[tile] = (f'width="{text(widths[tile[1]])}" '
+                       f'height="{_fmt(heights[tile[0]] * num, den)}" '
+                       f'fill="{color}" stroke="#202020" stroke-width="0.7"/>')
+    xs, flipped = {}, {}
+    for tile, xn, yn in patch.tiles:
+        x = xs.get(xn)
+        if x is None:
+            x = xs[xn] = text(xn)
+        edge = yn + heights[tile[0]]
+        y = flipped.get(edge)
+        if y is None:
+            y = flipped[edge] = _fmt((top - edge) * num, den)
+        lines.append(f'<rect x="{x}" y="{y}" {tails[tile]}')
+    for cut in overlay:
+        q = (top - Fraction(cut)) * scale
+        y = _fmt(q.numerator, q.denominator)
+        lines.append(
+            f'<line x1="0" y1="{y}" x2="{w}" y2="{y}" '
+            f'stroke="#d02020" stroke-width="1.6" stroke-dasharray="6,3"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -7,7 +7,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -18,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from faultline import abelian, ap_complex, cli, fault
+from faultline import abelian, ap_complex, cli, fault, render
 from faultline.cli import alg_json, main
 from faultline import documents
 from faultline.documents import (
@@ -445,15 +444,28 @@ def test_render_fuzz_exits_cleanly_and_deterministically(doc, data, tmp_path_fac
     (10 ** 5, "patch would contain more than 200000 tiles (cap 200000)"),
     (10 ** 9, "patch depth 1000000000 is more than the tile cap 200000"),
 ])
-def test_render_tile_cap_is_one_line_and_fast(rounds, message):
+def test_render_tile_cap_is_one_line_and_fast(rounds, message, monkeypatch):
     # the exact count of a 10^5-round patch has more digits than int() may
-    # print, and a 10^9-round one took a minute to compute; the limit is
-    # loose, so only such a stall fails it
-    start = time.perf_counter()
+    # print, and a 10^9-round one took a minute to compute.  The count makes
+    # one pass over the rows of the count matrix per level it expands, so
+    # the passes count its levels.
+    levels = []
+
+    class Rows(list):
+        def __iter__(self):
+            levels.append(None)
+            return super().__iter__()
+
+    count = render._tile_count
+    monkeypatch.setattr(render, "_tile_count",
+                        lambda counts, *rest: count(Rows(counts), *rest))
     code, out, err = _run_captured(["render", "-i", "bundled:doubling_swap",
                                     "--rounds", str(rounds)])
     assert (code, out, err) == (3, "", f"resource cap: {message}\n")
-    assert time.perf_counter() - start < 10
+    # a depth over the cap is refused before any count; doubling_swap's
+    # patch has 185,600 tiles at depth 8 and 853,504 at depth 9, so the
+    # count stops at the first level past the cap of 200,000
+    assert len(levels) == (0 if rounds > 200_000 else 9)
 
 
 def test_render_depth_without_growth(tmp_path):

@@ -2,8 +2,10 @@
 
 import hashlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -19,13 +21,22 @@ from faultline.render import (
     Lattice,
     Patch,
     PlacedTile,
+    _tile_count,
     emit_svg,
     generate_patch,
     overlay_boundaries,
 )
 from faultline.substitution import Substitution
 
-from conftest import enclosure_emit_svg, gen, numbers, one, reference_interval, zero
+from conftest import (
+    enclosure_emit_svg,
+    gen,
+    numbers,
+    one,
+    reference_interval,
+    tile_emit_svg,
+    zero,
+)
 
 
 @pytest.fixture
@@ -378,9 +389,12 @@ def test_mixed_sign_cubic_field_matches_reference_at_the_tile_cap(max_tiles, sca
     assert patch.lattice.field.degree == 3
     vectors = [patch.lattice.vector(t.xn) for t in patch.tiles]
     assert min(map(min, vectors)) < 0 < max(map(max, vectors))
+    overlay = overlay_boundaries(d, (0, 0), k, 1)
+    new = emit_svg(patch, scale=scale, overlay=overlay)
+    assert first_difference(new, tile_emit_svg(patch, scale=scale, overlay=overlay)) is None
     d, ref_d = load_document(TRIBONACCI_DPV).dpv, load_document(TRIBONACCI_DPV).dpv
     assert_matches_reference(d, ref_d, (0, 0), k, max_tiles=max_tiles, scale=scale,
-                             overlay=overlay_boundaries(d, (0, 0), k, 1))
+                             overlay=overlay)
 
 
 def _twin_dpv(base, twin):
@@ -415,6 +429,87 @@ def test_late_refinement_matches_reference(doc, k):
         assert_matches_reference(d, ref_d, (0, h), k, scale=10 ** 7)
 
 
+# ---------------------------------------------------------------------------
+# the last expansion level: emit_svg walks nodes x children, and its bytes
+# are those of the per-tile emitter over ``Patch.tiles``
+# ---------------------------------------------------------------------------
+
+def first_difference(new, old):
+    """None for equal SVGs, else the first pair of lines that differ: a
+    failure reports one line, where a diff of every line makes hypothesis
+    shrink for minutes."""
+    pairs = enumerate(zip_longest(new.splitlines(), old.splitlines()))
+    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=small_dpvs(), data=st.data())
+def test_svg_matches_the_per_tile_emitter(doc, data):
+    k = data.draw(st.integers(0, 4))
+    n_vertical, n_horizontal = len(doc["alphabets"]["v"]), len(doc["alphabets"]["h"])
+    seed = (data.draw(st.integers(0, n_vertical - 1)),
+            data.draw(st.integers(0, n_horizontal - 1)))
+    order = data.draw(st.integers(0, k))
+    colors = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, n_vertical - 1), st.integers(0, n_horizontal - 1)),
+        st.sampled_from(["#112233", "#abcdef"]), max_size=2))
+    scale = data.draw(st.sampled_from([24, 10 ** 7]))
+    d = load_document(doc).dpv
+    overlay = overlay_boundaries(d, seed, k, order) if order else ()
+    kwargs = dict(colors=colors, overlay=overlay, scale=scale)
+    new = emit_svg(generate_patch(d, seed, k), **kwargs)
+    old = tile_emit_svg(generate_patch(load_document(doc).dpv, seed, k), **kwargs)
+    assert first_difference(new, old) is None
+
+
+@pytest.mark.parametrize("doc", LATE_REFINEMENT_DPVS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_late_refinement_matches_the_per_tile_emitter(doc, k):
+    for h in range(3):
+        new = emit_svg(generate_patch(load_document(doc).dpv, (0, h), k), scale=10 ** 7)
+        old = tile_emit_svg(generate_patch(load_document(doc).dpv, (0, h), k), scale=10 ** 7)
+        assert first_difference(new, old) is None
+
+
+@contextmanager
+def tile_reads():
+    """The patches whose ``tiles`` are read inside the block, in order."""
+    reads, tiles = [], Patch.tiles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Patch, "tiles", property(lambda patch: reads.append(patch) or tiles.fget(patch)))
+        yield reads
+
+
+def test_render_never_expands_the_tiles(tmp_path):
+    out = tmp_path / "patch.svg"
+    with tile_reads() as reads:
+        assert main(["render", "-i", "bundled:doubling_swap", "--rounds", "6", "--overlay", "2",
+                     "-o", str(out)]) == 0
+        assert out.read_text().count("<rect") == 8768
+        assert reads == []
+        # the recorder records: the per-tile emitter reads the tiles once
+        tile_emit_svg(generate_patch(bundled_document("doubling_swap").dpv, (0, 0), 2))
+        assert len(reads) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=small_dpvs(), data=st.data())
+def test_patch_len_counts_the_tiles_without_expanding(doc, data):
+    d = load_document(doc).dpv
+    k = data.draw(st.integers(0, 4))
+    seed = (data.draw(st.integers(0, len(doc["alphabets"]["v"]) - 1)),
+            data.draw(st.integers(0, len(doc["alphabets"]["h"]) - 1)))
+    patch = generate_patch(d, seed, k)
+    with tile_reads() as reads:
+        count = len(patch)
+    assert reads == []
+    assert count == len(patch.tiles) == _tile_count(d.count_matrix(), d.tile_index(*seed), k,
+                                                    200_000)
+    # the last level is the children of the nodes, each at its offset
+    assert len(patch.nodes) == (_tile_count(d.count_matrix(), d.tile_index(*seed), k - 1,
+                                            200_000) if k else 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_lattice_vector_inverts_pack(data):
@@ -442,13 +537,27 @@ def test_lattice_vector_inverts_pack(data):
     (("row_thirds",), "0ea530a9f2dfc437bb4dc59ff0273e9172e8bb83227bd7136faae23e1526029e"),
     (("period_doubling", "--overlay", "2"),
      "abcd76fe96d36690433eee23244614a407e445ef6b72ede82243e05524b0914d"),
+    (("doubling_swap", "--rounds", "6"),
+     "fc8b090440fac88b46c8e23b4bce7ef348df3c1a86866e109e8427ee5662a12f"),
+    (("period_doubling", "--rounds", "6"),
+     "d51289f3b5b370ddb262293f17e3a007eab88dc2c1f699a5f35a5b45ec28ebfc"),
+    (("row_thirds", "--rounds", "6"),
+     "508279168f0224b73e8aaefb2de9454fcc0d63ce812059249831b8a5485d7475"),
+    (("doubling_swap", "--rounds", "8"),
+     "237a447dab0d8c1fabd786a528e557132c6fe98523098aa77ca0b068da045903"),
+    (("period_doubling", "--rounds", "8"),
+     "4717cf8b09840fd1e6d3f081843568e8ae39d630010d4e7a07d8556d71bf4f1f"),
+    (("row_thirds", "--rounds", "8"),
+     "b201fe7089506b6c392cc61774b0e77495c989d959a02b4be7eba718b628db96"),
 ])
 def test_bundled_svg_bytes_pinned(tmp_path, argv, digest):
-    # recorded with the Fraction renderer; the lattice renderer must not
-    # change a byte
+    # depth 5 recorded with the Fraction renderer, depths 6 and 8 with the
+    # per-tile emitter; the renderer must not change a byte
     out = tmp_path / "patch.svg"
     name, *rest = argv
-    assert main(["render", "-i", f"bundled:{name}", "--rounds", "5", *rest, "-o", str(out)]) == 0
+    if "--rounds" not in rest:
+        rest = ["--rounds", "5", *rest]
+    assert main(["render", "-i", f"bundled:{name}", *rest, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -544,8 +653,10 @@ def test_svg_rounds_near_ties_exactly(monkeypatch):
     while len(fib) < 142:
         fib.append(fib[-1] + fib[-2])
     ns = range(110, 140)
+    # the one-level form: each tile is a node and its own only child
     tiles = [PlacedTile((0, 0), lattice.pack((1 - fib[n + 1], fib[n])), 0) for n in ns]
-    patch = Patch(lattice, tiles, 2, 1, ((0, 0),))
+    patch = Patch(lattice, tiles, {(0, 0): (((0, 0), 0, 0),)}, 2, 1, ((0, 0),))
+    assert patch.tiles == tiles
     signs = []
     sign = NumberField.sign
     monkeypatch.setattr(NumberField, "sign", lambda self, nums: signs.append(nums) or

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from operator import mul
 from typing import NamedTuple
 
@@ -92,9 +91,7 @@ class Patch:
     @property
     def tiles(self):
         children = self.children
-        # tuple.__new__ directly: PlacedTile(...) wraps this one call in a frame
-        new_tile = partial(tuple.__new__, PlacedTile)
-        return [new_tile((sub, x + dx, y + dy))
+        return [PlacedTile(sub, x + dx, y + dy)
                 for tile, x, y in self.nodes for sub, dx, dy in children[tile]]
 
     def __len__(self):

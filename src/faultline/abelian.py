@@ -510,7 +510,9 @@ def _collect(terms):
 
 def _tensor_factors(factors):
     """Tensor of sum-free factors: drop Z, absorb localizations pairwise,
-    Kronecker raw limit presentations together."""
+    Kronecker raw limit presentations together.  A lone limit takes the same
+    path: its presentation is injective, so ``direct_limit`` gives it back
+    unchanged."""
     flat = []
     for f in factors:
         if f.kind == "tensor":
@@ -532,11 +534,7 @@ def _tensor_factors(factors):
             limits.append(f)
         else:
             rest.append(f)
-    if len(limits) == 1 and zloc_m == 1:
-        # a limit's presentation is an injective reduced map already, so it
-        # is its own direct limit
-        rest.append(limits[0])
-    elif limits:
+    if limits:
         prod = limits[0].presentation_matrix()
         for f in limits[1:]:
             prod = kron(prod, f.presentation_matrix())

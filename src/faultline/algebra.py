@@ -513,25 +513,17 @@ class NumberField:
         return self.element((0, 1) + (0,) * (self.degree - 2))
 
     @classmethod
-    def with_largest_real_root(cls, poly, factors=None):
-        """Field generated by the largest real root of an integer polynomial.
-
-        Returns (field, root).  Raises if the polynomial has no real root.
-        ``factors`` is ``irreducible_factors(poly)`` when the caller has it;
-        the factors of poly and of its squarefree part are the same.
-        """
-        sf = squarefree_part(ptrim(int(c) for c in poly))
-        return cls.with_largest_of(sf, isolate_real_roots(sf), factors)
-
-    @classmethod
-    def with_largest_of(cls, sf, roots, factors=None):
-        """``with_largest_real_root`` of a squarefree polynomial sf whose
-        real roots the caller has isolated: ``roots`` is
-        ``isolate_real_roots(sf)``."""
+    def with_largest_of(cls, sf, roots, factors):
+        """Field generated by the largest real root of a squarefree integer
+        polynomial sf, and that root: (field, root).  ``roots`` is
+        ``isolate_real_roots(sf)`` and ``factors`` is
+        ``irreducible_factors(sf)`` or of any polynomial with sf as its
+        squarefree part, which has the same factors.  Raises if sf has no
+        real root."""
         if not roots:
             raise ValidationError("polynomial has no real root")
         lo, hi = roots[-1]
-        for fac, _ in irreducible_factors(sf) if factors is None else factors:
+        for fac, _ in factors:
             if pdeg(fac) == 1:
                 r = -Fraction(fac[0])
                 # a nondegenerate isolating interval holds its root inside;

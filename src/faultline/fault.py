@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import islice
 from math import floor, lcm
 from operator import add, mul, sub
 
+from .abelian import matpow
 from .algebra import NumberField, mod_quotient, root_interval, times
 from .errors import HypothesisError, ResourceCapError, ValidationError
 from .substitution import _rect_modulus_sq
@@ -53,17 +53,17 @@ _SCALE = 1 << 96   # fixed-point scale of the sign filter
 @dataclass(frozen=True)
 class Row:
     """The word substitution^round(seed), read lazily: ``length`` is computed
-    from the letter lengths on each read (``len()`` only up to sys.maxsize),
-    and iteration descends the rules depth first, so the first n letters cost
-    O(round + n)."""
+    from the substitution matrix on each read (``len()`` only up to
+    sys.maxsize), and iteration descends the rules depth first, so the first
+    n letters cost O(round + n)."""
     substitution: object
     seed: int
     round: int
 
     @property
     def length(self):
-        """|substitution^round(seed)|, by ``image_lengths``."""
-        return next(islice(self.substitution.image_lengths(), self.round, None))[self.seed]
+        """|substitution^round(seed)|: column seed of matrix^round, summed."""
+        return sum(row[self.seed] for row in matpow(self.substitution.matrix(), self.round))
 
     def __len__(self):
         return self.length
@@ -231,10 +231,10 @@ def _conjugates(widths, roots):
     (``PerronData.real_roots``), as those across which the field's ``poly``
     changes sign, each on a field of its own (lambda, the largest, is left
     out); one of each non-real pair comes from ``isolate_complex_roots``.
-    None of them refines ``widths.field``."""
+    A rational lambda has none: no interval changes sign across a linear
+    ``poly``, which has no non-real root either.  None of them refines
+    ``widths.field``."""
     poly, unit = widths.field.poly, Fraction(1, _SCALE)
-    if widths.field.degree == 1:
-        return []
     real = [(lo, hi) for lo, hi in roots if sign_at(poly, lo) * sign_at(poly, hi) < 0]
     out = []
     for lo, hi in real[:-1]:

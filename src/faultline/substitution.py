@@ -112,15 +112,6 @@ class Substitution:
             out.extend(self.rules[i])
         return tuple(out)
 
-    def image_lengths(self):
-        """Yield the tuple of |self^j(x)| over the letters x for j = 0, 1,
-        2, ..., by |self^(j+1)(x)| = sum of |self^j(y)| over the letters y of
-        the rule of x; no word is built."""
-        lengths = (1,) * self.size
-        while True:
-            yield lengths
-            lengths = tuple(sum(lengths[y] for y in rule) for rule in self.rules)
-
     def prefixes(self, seed, n):
         """Yield the first n letters of self^j(seed) for j = 0, 1, 2, ...,
         each read off the one before (no rule is empty), in O(n) a round."""

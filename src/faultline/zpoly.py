@@ -18,9 +18,9 @@ linear factors that ``irreducible_factors`` returns.
   enclosure.  This part works on dense coefficient lists in *descending*
   order, as the method is written there.
 * Factorization over Z is unique, so any correct algorithm gives the same
-  factors: quadratics by their discriminant, cubics by a rational-root test,
-  and higher degrees by Zassenhaus (distinct- and equal-degree factorization
-  mod a small prime, Hensel lifting, recombination under the Mignotte bound).
+  factors: quadratics by their discriminant, and higher degrees by
+  Zassenhaus (distinct- and equal-degree factorization mod a small prime,
+  Hensel lifting, recombination under the Mignotte bound).
   This part works on ascending coefficient lists, like ``algebra``.
 * Non-real roots are isolated by Collins-Krandick bisection, which gives
   sympy's ``dup_isolate_complex_roots_sqf`` rectangles; see the section at
@@ -371,18 +371,6 @@ def _factor_squarefree(f):
         if s * s != disc:
             return [f]
         return [_linear(-b - s, 2 * a), _linear(-b + s, 2 * a)]
-    if len(f) == 4:
-        # a cubic is reducible iff it has a rational root, and a rational
-        # root k/a3 has numerator k an integer: isolate the real roots to
-        # width 1/(2 a3) and test the one candidate k in each interval
-        a3 = f[-1]
-        for lo, hi in isolate_real_roots(f, Fraction(1, 2 * a3)):
-            k = -((-lo.numerator * a3) // lo.denominator)
-            if k * hi.denominator <= hi.numerator * a3:
-                if sum(c * k ** i * a3 ** (3 - i) for i, c in enumerate(f)) == 0:
-                    lin = _linear(k, a3)
-                    return [lin] + _factor_squarefree(_divides(f, lin))
-        return [f]
     return _zassenhaus(f)
 
 
@@ -395,7 +383,7 @@ def _primes():
 
 
 def _zassenhaus(f):
-    """Irreducible factors of a squarefree primitive f of degree >= 4."""
+    """Irreducible factors of a squarefree primitive f of degree >= 3."""
     n, lead = len(f) - 1, f[-1]
     # the first good primes (p does not divide lead, f mod p squarefree);
     # keep the one with fewest modular factors

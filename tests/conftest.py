@@ -289,6 +289,15 @@ def gen(field):
     return ring(field.gen())
 
 
+def with_largest_real_root(poly):
+    """(field, root) of the largest real root of an integer polynomial:
+    ``NumberField.with_largest_of`` on its squarefree part, its isolated real
+    roots and its factors, as ``perron_data`` calls it on a charpoly."""
+    sf = zpoly.squarefree_part(ptrim(int(c) for c in poly))
+    return NumberField.with_largest_of(sf, zpoly.isolate_real_roots(sf),
+                                       zpoly.irreducible_factors(sf))
+
+
 def compatible(field, other):
     if field is other:
         return True

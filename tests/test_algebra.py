@@ -55,6 +55,7 @@ from conftest import (
     reference_sqrt_interval,
     ring,
     rng_for,
+    with_largest_real_root,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
@@ -63,7 +64,7 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
 @pytest.fixture
 def field():
     # the quadratic field with root ~2.3028, the larger root of x^2-x-3
-    f, _ = NumberField.with_largest_real_root((-3, -1, 1))
+    f, _ = with_largest_real_root((-3, -1, 1))
     return f
 
 
@@ -77,7 +78,7 @@ def test_algebra_keeps_only_the_print_view():
                  "__neg__", "inverse", "is_zero", "__eq__", "__hash__", "compare",
                  "__lt__", "__ge__", "__float__"):
         assert inherited(AlgebraicNumber, name), name
-    for name in ("zero", "one", "from_rational", "compatible"):
+    for name in ("zero", "one", "from_rational", "compatible", "with_largest_real_root"):
         assert inherited(NumberField, name), name
     for name in ("__add__", "__sub__", "__mul__", "__neg__", "scale", "shift", "sign",
                  "width", "__contains__"):
@@ -86,6 +87,7 @@ def test_algebra_keeps_only_the_print_view():
     assert not {"Interval", "compare", "mod_reduce"} & set(faultline.__all__)
     assert "TileLengths" in faultline.__all__
     assert not hasattr(Substitution, "iterate") and not hasattr(Lattice, "element")
+    assert not hasattr(Substitution, "image_lengths")
     for name in ("x", "width", "y", "height", "lattice"):
         assert not hasattr(PlacedTile, name), name
 
@@ -226,7 +228,7 @@ def test_total_order_operators(field):
 
 
 def test_rational_degree_one_field():
-    f, root = NumberField.with_largest_real_root((-2, -1, 1))  # (x-2)(x+1)
+    f, root = with_largest_real_root((-2, -1, 1))  # (x-2)(x+1)
     assert f.degree == 1
     assert root.is_rational() and root.as_fraction() == 2
     root = ring(root)
@@ -235,7 +237,7 @@ def test_rational_degree_one_field():
 
 
 def test_field_mismatch_rejected(field):
-    other, _ = NumberField.with_largest_real_root((-1, -1, 1))
+    other, _ = with_largest_real_root((-1, -1, 1))
     with pytest.raises(ValidationError):
         mod_reduce(field.gen(), other.gen())
 
@@ -269,7 +271,7 @@ def test_horner_interval_matches_fraction_horner(coeffs, ends):
 
 
 def twin_fields():
-    return [NumberField.with_largest_real_root(p)[0]
+    return [with_largest_real_root(p)[0]
             for p in ((-3, -1, 1), (-3, -1, 1), (-1, -1, 0, 1), (-1, -1, 0, 1))]
 
 
@@ -328,7 +330,7 @@ def test_decimal_string_rounds_half_up():
 def test_largest_real_root_skips_rational_root_at_interval_end():
     # (x-2)(x^3-3x^2+x-2): sympy isolates the largest root 2.893... in (2, 3],
     # whose left end is the root 2 of the other factor
-    field, root = NumberField.with_largest_real_root(poly_mul((-2, 1), (-2, 1, -3, 1)))
+    field, root = with_largest_real_root(poly_mul((-2, 1), (-2, 1, -3, 1)))
     assert field.poly == (-2, 1, -3, 1)
     assert root.interval(Fraction(1, 10 ** 6)).lo > Fraction(2893, 1000)
 
@@ -346,7 +348,7 @@ def test_largest_real_root_matches_sympy_on_random_products():
         real = sympy.Poly(list(reversed(poly)), x).real_roots()
         if not real:
             continue
-        _, root = NumberField.with_largest_real_root(poly)
+        _, root = with_largest_real_root(poly)
         iv = root.interval(Fraction(1, 10 ** 12))
         top = max(real)
         assert sympy.Rational(iv.lo.numerator, iv.lo.denominator) <= top
@@ -395,7 +397,7 @@ def test_bisect_keeps_the_half_below_accepts():
                                    st.fractions(min_value=Fraction(1, 10 ** 20), max_value=2)),
                          min_size=1, max_size=6))
 def test_refined_matches_reference_loop_on_twin_fields(poly, requests):
-    field, _ = NumberField.with_largest_real_root(poly)
+    field, _ = with_largest_real_root(poly)
     twin = NumberField(field.poly, field._iv)
     for width in requests:
         iv, ref = field.refined(width), reference_refined(twin, width)
@@ -533,7 +535,7 @@ def random_field(rng, degree):
         poly = tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,)
         if poly[0] == 0 or not isolate_real_roots(poly):
             continue
-        field, _ = NumberField.with_largest_real_root(poly)
+        field, _ = with_largest_real_root(poly)
         if field.degree == degree:
             return field
 
@@ -608,7 +610,7 @@ def test_enclosing_the_golden_ratio_takes_few_evaluations(monkeypatch):
     # 96 for refined; the level search takes a few per doubling of the depth,
     # and refined is enclose of the root itself
     fine = Fraction(1, 2 ** 96)
-    fields = [NumberField.with_largest_real_root((-1, -1, 1))[0] for _ in range(3)]
+    fields = [with_largest_real_root((-1, -1, 1))[0] for _ in range(3)]
     twin = HalvingField(fields[0].poly, fields[0]._iv)
     calls = []
     horner = algebra.horner_interval

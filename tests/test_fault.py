@@ -1115,6 +1115,20 @@ def test_real_conjugates_are_roots_of_the_field_polynomial():
     assert check_escape_radii(s, t) == (1, 0)
 
 
+def test_a_rational_lambda_has_no_conjugate():
+    # Thue-Morse against its swap: lambda = 2 on the field of x - 2.  The
+    # walks stay open past rounds with D != 0, so the escape test asks for
+    # the conjugates; none of the real-root intervals changes the sign of
+    # the linear poly, and it has no non-real root
+    s = Substitution(["a", "b"], {"a": "ab", "b": "ba"})
+    t = Substitution(["a", "b"], {"a": "ba", "b": "ab"})
+    graph = OverlapGraph(s, t)
+    assert graph.widths.field.degree == 1
+    kind = classify_boundary(graph, 12)
+    assert "conjugates" in graph.__dict__ and graph.conjugates == ()
+    assert kind == reference_classify_boundary(OverlapGraph(s, t), 12)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(2, 3), non_pisot=st.booleans())
 def test_an_escape_places_new_offsets_in_every_later_round(seed, n_letters, non_pisot):

@@ -4,7 +4,6 @@ legal words, shift conjugacy, tile lengths."""
 import random
 from fractions import Fraction
 import warnings
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +35,7 @@ from conftest import (
     reference_tile_lengths,
     ring,
     rng_for,
+    with_largest_real_root,
     zero,
 )
 
@@ -89,17 +89,6 @@ def test_iterate_composes(sigma1):
     # s^5(a) is s^3 applied letter by letter to s^2(a)
     w = tuple(Row(sigma1, 0, 2))
     assert tuple(Row(sigma1, 0, 5)) == tuple(x for c in w for x in Row(sigma1, c, 3))
-
-
-def test_image_lengths_match_iterated_words():
-    # the letter lengths are the lengths of the built images
-    rng = rng_for("image-lengths")
-    for _ in range(20):
-        s = random_substitution(rng, rng.choice((1, 2, 3)), primitive=False)
-        word = tuple(rng.randrange(s.size) for _ in range(rng.randint(1, 3)))
-        for k, lengths in enumerate(islice(s.image_lengths(), 6)):
-            assert lengths == tuple(len(iterate(s, (x,), k)) for x in range(s.size))
-            assert len(iterate(s, word, k)) == sum(lengths[x] for x in word)
 
 
 def test_abelianization_examples(sigma1, period_doubling):
@@ -164,11 +153,12 @@ def test_perron_zero_matrix():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(1, 6), repeat=st.booleans())
 def test_perron_factors_are_those_of_the_squarefree_part(seed, n_letters, repeat):
-    # ``with_largest_real_root`` factored the squarefree part of the
-    # charpoly; it now reads the factors of the charpoly itself.  Both lists
-    # hold the same primitive factors with positive leading coefficients, in
-    # the same order, so the field and ``own`` in spectral_classify are as
-    # they were.  `repeat` squares the matrix's charpoly by a block diagonal
+    # the conftest ``with_largest_real_root`` factors the squarefree part of
+    # the charpoly; ``perron_data`` reads the factors of the charpoly itself.
+    # Both lists hold the same primitive factors with positive leading
+    # coefficients, in the same order, so the field and ``own`` in
+    # spectral_classify are as they were.  `repeat` squares the matrix's
+    # charpoly by a block diagonal
     m = random_substitution(random.Random(seed), n_letters, max_len=4).matrix()
     if repeat:
         k = len(m)
@@ -178,7 +168,7 @@ def test_perron_factors_are_those_of_the_squarefree_part(seed, n_letters, repeat
     sf = zpoly.squarefree_part(list(pd.charpoly))
     assert [f for f, _ in pd.factors] == [f for f, _ in algebra.irreducible_factors(sf)]
     assert pd.root.field.poly in [f for f, _ in pd.factors]
-    field, _ = algebra.NumberField.with_largest_real_root(pd.charpoly)
+    field, _ = with_largest_real_root(pd.charpoly)
     assert (field.poly, field.root_ints) == (pd.root.field.poly, pd.root.field.root_ints)
 
 

@@ -119,6 +119,9 @@ def test_factors_match_sympy_on_random_products():
     ((4, -4, 1), [((-2, 1), 2)]),                     # disc 0
     ((-1, -1, -1, 1), [((-1, -1, -1, 1), 1)]),        # cubic, no rational root
     ((-2, 4, -1, 2), [((-1, 2), 1), ((2, 0, 1), 1)]),  # cubic, root 1/2
+    ((-1, 6, -11, 6), [((-1, 1), 1), ((-1, 2), 1), ((-1, 3), 1)]),  # roots 1, 1/2, 1/3
+    ((-2, 0, 0, 1), [((-2, 0, 0, 1), 1)]),            # x^3 - 2: irreducible
+    ((-1, 0, 0, 1000), [((-1, 10), 1), ((1, 10, 100), 1)]),  # 1000x^3 - 1
     ((0, 0, -2, 0, 1), [((0, 1), 2), ((-2, 0, 1), 1)]),
     ((1, -1, -1, -1, 1), [((1, -1, -1, -1, 1), 1)]),  # the degree-4 Salem polynomial
     ((4, 0, 0, 0, 1), [((2, -2, 1), 1), ((2, 2, 1), 1)]),  # x^4 + 4, no rational root

@@ -12,6 +12,8 @@ import pathlib
 import sys
 from collections import Counter
 
+from faultline import cli
+
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -65,8 +67,6 @@ def test_every_traced_target_runs(monkeypatch, tmp_path):
                 for key, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, key, wrapped)
-
-    from faultline import cli
 
     argvs = []
     for name in ("period_doubling", "doubling_swap", "row_thirds"):

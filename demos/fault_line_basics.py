@@ -54,11 +54,15 @@ print("spectral class:", sc.kind.value,
 graph = OverlapGraph(sigma1, sigma2)
 
 # start from an aligned pair of a tiles and substitute four times
+# (the rows are never built: their first letters are read off the round
+# before's, as the fault report prints them)
 trace = boundary_trace(graph, "a", 4)
-for step in trace.steps:
+heads = zip(sigma1.prefixes(trace.seed, 100), sigma2.prefixes(trace.seed, 100))
+next(heads)
+for step, (top, bottom) in zip(trace.steps, heads):
     print(f"round {step.round}:")
-    print("   top:", sigma1.text(step.top))
-    print("   bot:", sigma2.text(step.bottom))
+    print("   top:", sigma1.text(top))
+    print("   bot:", sigma2.text(bottom))
     print("   max |discrepancy|:", step.max_abs_discrepancy)
 
 # over twelve rounds the max discrepancy multiplies by about |1 - lambda|

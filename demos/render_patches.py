@@ -27,21 +27,24 @@ for name, seed, rounds in (
 
     # verify the exact row identity before writing anything: a tile's left
     # edge and width are packed integer vectors over one denominator, so two
-    # tiles meet exactly when the left edge plus the width is the next left edge
+    # tiles meet exactly when the left edge plus the width is the next left
+    # edge.  A tile is a child of a placed node, at the node's corner plus
+    # the child's offset.
     lattice = patch.lattice
     rows = {}
-    for t in patch.tiles:
-        rows.setdefault(t.yn, []).append(t)
+    for tile, xn, yn in patch.nodes:
+        for sub, dx, dy in patch.children[tile]:
+            rows.setdefault(yn + dy, []).append((sub, xn + dx))
     target = lattice.vector(lattice.widths[seed[1]])
     for _ in range(rounds):
         target = times_root(target, lattice.field.poly)
     assert lattice.vector(patch.right) == target, "the patch's right edge is lambda^k * seed"
     for y, row in rows.items():
-        assert row[0].xn == 0, "every row starts at the seed's left edge"
-        for t1, t2 in zip(row, row[1:]):
-            assert t1.xn + lattice.widths[t1.tile[1]] == t2.xn, "tiles must meet exactly"
-        last = row[-1]
-        right = lattice.vector(last.xn + lattice.widths[last.tile[1]])
+        assert row[0][1] == 0, "every row starts at the seed's left edge"
+        for (t1, x1), (_, x2) in zip(row, row[1:]):
+            assert x1 + lattice.widths[t1[1]] == x2, "tiles must meet exactly"
+        last, x = row[-1]
+        right = lattice.vector(x + lattice.widths[last[1]])
         assert right == target, "every row spans lambda^k times the seed width"
     print("  exact tiling verified:", len(rows), "rows, each spanning lambda^k * seed")
 

@@ -265,6 +265,22 @@ def smith_normal_form(a):
     return snf
 
 
+def saturated_quotient(span, a):
+    """Z^n modulo the column span of ``span``, a saturated sublattice that
+    the endomorphism ``a`` of Z^n maps into itself: (projection, section,
+    induced), integer matrices with projection * section = 1 and induced =
+    projection * a * section, the map that ``a`` induces on the quotient.
+    A saturated span has unit invariant factors, so with u span v = d the
+    rows of u past the rank project onto the quotient, and the columns of
+    u^-1 past the rank lift it back."""
+    snf = smith_normal_form(span)
+    rank = snf.rank
+    assert all(x == 1 for x in snf.diagonal[:rank]), "the span must be saturated"
+    proj = snf.u[rank:]
+    sect = tuple(row[rank:] for row in snf.u_inv)
+    return proj, sect, matmul(matmul(proj, a), sect)
+
+
 def kernel_basis(a):
     """Columns spanning ker(a) as a saturated sublattice of Z^n: the columns
     of v past the rank, since the Smith diagonal lists its nonzeros first."""
@@ -296,32 +312,26 @@ class DirectLimitGroup:
 def direct_limit(a):
     """Direct limit of Z^n under an integer endomorphism.  When det(a) != 0,
     a^n is injective: the eventual kernel is 0 and a is the reduced map, so
-    only a singular a needs the Smith form of a^n."""
+    only a singular a needs the Smith form of a^n, whose kernel basis spans
+    the saturated eventual kernel that ``saturated_quotient`` divides out."""
     a = _as_mat(a)
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")
     dp = det(a)
     if dp:
-        k, a_pr, proj, sect = 0, a, eye(n), eye(n)
+        a_pr, proj, sect = a, eye(n), eye(n)
     else:
         an = matpow(a, n)
-        kern = kernel_basis(an)
-        k = shape(kern)[1]
-        snf = smith_normal_form(kern)
-        assert all(x == 1 for x in snf.diagonal), "saturated kernel lattice must be unimodular"
-        proj = snf.u[k:]
-        sect = tuple(row[k:] for row in snf.u_inv)
-        a_pr = matmul(matmul(proj, a), sect)
+        proj, sect, a_pr = saturated_quotient(kernel_basis(an), a)
         dp = det(a_pr)
         assert dp != 0, "reduced bonding map must be injective"
-        assert n - k == rank_q(an)
-    r = n - k
+        assert len(proj) == rank_q(an)
     cp = charpoly(a_pr)
     return DirectLimitGroup(
         n=n,
         a=a,
-        r=r,
+        r=len(proj),
         a_prime=a_pr,
         charpoly_prime=cp,
         det_prime=dp,

@@ -177,15 +177,6 @@ def clear_denominators(coeffs):
     return tuple(int(c * den) for c in coeffs), den
 
 
-def integer_vectors(values):
-    """(vectors, den): the coefficient vectors of elements of one field as
-    integer tuples over one common denominator den > 0, i.e.
-    values[i].coeffs[j] == vectors[i][j] / den."""
-    deg = values[0].field.degree
-    nums, den = clear_denominators([c for x in values for c in x.coeffs])
-    return tuple(nums[i:i + deg] for i in range(0, len(nums), deg)), den
-
-
 def horner_interval(nums, lo, hi, q):
     """Horner's rule in interval arithmetic for sum(nums[i] * x**i) over
     x in [lo/q, hi/q], with integer nums, lo, hi and q > 0.
@@ -602,7 +593,9 @@ def mod_reduce(a, modulus):
             for x in (a, modulus))
     if a.field.poly != m.field.poly:
         raise ValidationError("algebraic numbers from different fields")
-    (av, mv), den = integer_vectors((a, m))
+    # both coefficient vectors as integers over one common denominator
+    nums, den = clear_denominators(a.coeffs + m.coeffs)
+    av, mv = nums[:a.field.degree], nums[a.field.degree:]
     if m.field.sign(mv) <= 0:
         raise ValidationError("modulus must be positive")
     k = mod_quotient(m.field, av, mv)

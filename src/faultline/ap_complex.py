@@ -244,17 +244,12 @@ def graph_h1(cx):
     complex) and the descended action of the edge-matrix transpose.  The
     coboundary of a graph has rank V minus its number of components, so the
     complex is connected exactly when the rank is V - 1."""
-    snf = abelian.smith_normal_form(cx.coboundary)
-    rank = snf.rank
-    if rank != cx.n_vertices - 1:
+    proj, sect, induced = abelian.saturated_quotient(cx.coboundary,
+                                                     abelian.transpose(cx.edge_matrix))
+    if cx.n_edges - len(proj) != cx.n_vertices - 1:
         raise ValidationError("AP complex is not connected")
-    assert all(x == 1 for x in snf.diagonal[:rank]), "graph coboundary must have unit invariant factors"
-    e = cx.n_edges
-    proj = snf.u[rank:]
-    sect = tuple(row[rank:] for row in snf.u_inv)
-    induced = abelian.matmul(abelian.matmul(proj, abelian.transpose(cx.edge_matrix)), sect)
     return GradedGroupData(
-        h1_rank=e - rank,
+        h1_rank=len(proj),
         h1_basis=sect,
         induced_h1=induced,
     )

@@ -14,7 +14,9 @@ states (top tile, bottom tile, count difference), which the two
 substitutions map to the next round's set; a round's distinct discrepancies
 are read off its states.  One ``OverlapGraph`` per boundary expands each
 state once and keeps each walk, which traces and the classifier read: a
-trace costs per distinct state, not per letter.
+trace costs per distinct state, not per letter.  A trace's ``Row``s know
+their length only; the letters a report prints are the first ones of each
+round, read off ``Substitution.prefixes``.
 
 ``classify_boundary`` reads no offset and no letter.  A state places its
 overlap at x = <w, D>, and a child has x' = lambda x + <w, P1 - P2>.  Read
@@ -41,8 +43,7 @@ from operator import add, mul, sub
 from .abelian import matpow
 from .algebra import NumberField, mod_quotient, root_interval, times
 from .errors import HypothesisError, ResourceCapError, ValidationError
-from .substitution import _rect_modulus_sq
-from .zpoly import isolate_complex_roots, sign_at
+from .zpoly import isolate_complex_roots, rect_modulus_sq, sign_at
 
 DEFAULT_ROUNDS = 12
 DEFAULT_MAX_STATES = 100_000   # overlap states over all rounds of a trace
@@ -52,10 +53,10 @@ _SCALE = 1 << 96   # fixed-point scale of the sign filter
 
 @dataclass(frozen=True)
 class Row:
-    """The word substitution^round(seed), read lazily: ``length`` is computed
-    from the substitution matrix on each read (``len()`` only up to
-    sys.maxsize), and iteration descends the rules depth first, so the first
-    n letters cost O(round + n)."""
+    """The word substitution^round(seed), named but never built: ``length``
+    is computed from the substitution matrix on each read (``len()`` only up
+    to sys.maxsize).  Its letters are read off ``Substitution.prefixes``,
+    which gives the first n letters of each round."""
     substitution: object
     seed: int
     round: int
@@ -67,19 +68,6 @@ class Row:
 
     def __len__(self):
         return self.length
-
-    def __iter__(self):
-        rules, depth = self.substitution.rules, self.round + 1
-        stack = [iter((self.seed,))]
-        while stack:
-            for x in stack[-1]:
-                if len(stack) == depth:
-                    yield x
-                else:
-                    stack.append(iter(rules[x]))
-                    break
-            else:
-                stack.pop()
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,7 @@ def _conjugates(widths, roots):
         eps *= eps
         rects = rects.refined(eps)
     for rect, box in zip(rects, boxes):
-        low = root_interval(_rect_modulus_sq(rect)[0], 2, unit)[0]
+        low = root_interval(rect_modulus_sq(rect)[0], 2, unit)[0]
         if low > 1:
             images = [(round((a + b) / 2 * _SCALE), round((c + d) / 2 * _SCALE))
                       for a, b, c, d in box]

@@ -5,13 +5,13 @@ the image array of each tile fills its parent rectangle row by row (bottom
 row first).  Coordinates are exact integer lattice points: a horizontal
 position is an integer coefficient vector on the power basis of Q(lambda)
 over one denominator per patch, packed into one int (``Lattice``), and a
-vertical position an integer.  Placement expands the patch one
-level at a time from tables of child offsets, and stops one level short: a
-``Patch`` holds the placed tiles of level k - 1 and the offsets of each
-tile type's children, so a tile of level k costs one int add per coordinate
-where it is read.  SVG output walks those two tables and prints each
-coordinate as its exact value correctly rounded to 9 decimals, so its bytes
-depend on the values alone.
+vertical position an integer.  Placement expands the patch one level at a
+time from tables of child offsets, and stops one level short: a ``Patch``
+holds the placed tiles of level k - 1 and the offsets of each tile type's
+children, so a tile of level k costs one int add per coordinate where it is
+read, and no list of the level-k tiles is ever built.  SVG output walks
+those two tables and prints each coordinate as its exact value correctly
+rounded to 9 decimals, so its bytes depend on the values alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import decimal_string, times_root
 from .errors import ResourceCapError, ValidationError
@@ -63,36 +62,26 @@ class Lattice:
         return tuple(nums)
 
 
-class PlacedTile(NamedTuple):
-    tile: tuple        # (vertical letter id, horizontal letter id)
-    xn: int            # den_x * left edge, packed (``Lattice``)
-    yn: int            # bottom edge
-
-
 @dataclass(frozen=True)
 class Patch:
     """The tiles of one ``generate_patch`` call, kept one level short: the
     placed tiles of level k - 1 as (tile, xn, yn) ``nodes``, and for each tile
     type its ``children`` in its one-fold image, as (tile, dx, dy) offsets
     from its lower-left corner, dx packed.  At k = 0, and in a patch built by
-    hand, each node is its own only child at offset 0.  ``tiles`` expands
-    the two into ``PlacedTile``s in depth-first order; ``len`` counts them
-    without expanding.  What the substitution fixes for them: every row
-    spans the seed's image, so each ends at the packed right edge ``right`` =
-    den_x * width(seed) * lambda^k; the top edge is ``top`` = height(seed) *
-    lambda_v^k; and ``tile_ids`` are the sorted distinct tiles."""
+    hand, each node is its own only child at offset 0.  A tile of the patch
+    is a child (sub, dx, dy) of a node (tile, xn, yn), placed at (sub,
+    xn + dx, yn + dy); nodes by children, in order, lists the tiles depth
+    first, and ``len`` counts them without expanding.  What the substitution
+    fixes for them: every row spans the seed's image, so each ends at the
+    packed right edge ``right`` = den_x * width(seed) * lambda^k; the top
+    edge is ``top`` = height(seed) * lambda_v^k; and ``tile_ids`` are the
+    sorted distinct tiles."""
     lattice: Lattice
     nodes: list
     children: dict
     right: int
     top: int
     tile_ids: tuple
-
-    @property
-    def tiles(self):
-        children = self.children
-        return [PlacedTile(sub, x + dx, y + dy)
-                for tile, x, y in self.nodes for sub, dx, dy in children[tile]]
 
     def __len__(self):
         children = self.children
@@ -173,8 +162,7 @@ def generate_patch(d, seed, k, max_tiles=DEFAULT_MAX_TILES):
         return table
 
     # Expanding every node of a level in place keeps the leaves in
-    # depth-first order; the last level is left to ``Patch.tiles`` and
-    # ``emit_svg``.
+    # depth-first order; the last level is left to ``emit_svg``.
     nodes = [((v0, h0), 0, 0)]
     for rounds in range(k, 1, -1):
         table = offsets(rounds)

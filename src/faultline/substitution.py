@@ -4,6 +4,10 @@ A substitution is a map letter -> nonempty word over a fixed alphabet.
 Letters are dense integer ids with display names; words are tuples of ids.
 The abelianization convention is: entry (i, j) counts occurrences of letter i
 in the image of letter j, so lengths of images are the column sums.
+
+Spectral data comes from ``perron_data`` once per substitution
+(``Substitution.perron``): ``spectral_classify`` and ``tile_lengths`` read
+that ``PerronData`` and never factor the characteristic polynomial again.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
-from .zpoly import circle_roots
+from .zpoly import circle_roots, rect_modulus_sq
 
 DEFAULT_MAX_WORD_LEN = 10 ** 6
 
@@ -154,7 +158,7 @@ class Substitution:
                           real_roots=pd.real_roots)
 
     def spectral_class(self):
-        return spectral_classify(self.matrix(), perron=self.perron())
+        return spectral_classify(self.perron())
 
     def tile_lengths(self):
         return tile_lengths(self)
@@ -292,21 +296,11 @@ _WIDTH = Fraction(1, 2 ** 64)      # the width of a real or quadratic modulus en
 _DEEPEST = Fraction(1, 2 ** 4096)  # rectangles never need refining past this
 
 
-def _rect_modulus_sq(rect):
-    """(least, greatest) |z|^2 over a closed rectangle."""
-    (re_lo, im_lo), (re_hi, im_hi) = rect
-    dx = Fraction(0) if re_lo <= 0 <= re_hi else min(abs(re_lo), abs(re_hi))
-    dy = Fraction(0) if im_lo <= 0 <= im_hi else min(abs(im_lo), abs(im_hi))
-    mx = max(abs(re_lo), abs(re_hi))
-    my = max(abs(im_lo), abs(im_hi))
-    return dx * dx + dy * dy, mx * mx + my * my
-
-
 def _straddling(squares):
     return sum(lo <= 1 <= hi for lo, hi in squares)
 
 
-def spectral_classify(m, perron=None):
+def spectral_classify(pd):
     """Classify the non-Perron roots of the characteristic polynomial by
     their modulus against 1, exactly, and enclose the largest modulus in a
     rational interval.  The interval is exact for rational roots and at most
@@ -322,9 +316,8 @@ def spectral_classify(m, perron=None):
     degree >= 3 lie in certified rectangles, refined down to 2^-64 while any
     straddles |z| = 1, and past that while more straddle than the factor has
     roots on the circle (``circle_roots``): then every straddling rectangle
-    holds one.  ``perron`` is ``perron_data(m)`` when the caller has it
-    (``Substitution.spectral_class``), on a field of its own."""
-    pd = perron_data(m) if perron is None else perron
+    holds one.  ``pd`` is the ``PerronData`` of the matrix, on a field of its
+    own, as ``Substitution.perron`` hands it out."""
     moduli, votes = [], []   # per non-Perron root: modulus enclosure, sign of |z| - 1
     for fac, _ in pd.factors:
         deg, own = pdeg(fac), fac == pd.root.field.poly
@@ -350,10 +343,10 @@ def spectral_classify(m, perron=None):
             continue
         eps = Fraction(1, 2 ** 16)
         rects = isolate_complex_roots(fac, eps)
-        while eps > _WIDTH and _straddling(map(_rect_modulus_sq, rects)):
+        while eps > _WIDTH and _straddling(map(rect_modulus_sq, rects)):
             eps = max(eps * eps, _WIDTH)
             rects = rects.refined(eps)
-        squares = [_rect_modulus_sq(rect) for rect in rects]
+        squares = [rect_modulus_sq(rect) for rect in rects]
         moduli.extend((root_interval(lo, 2, _WIDTH)[0], root_interval(hi, 2, _WIDTH)[1])
                       for lo, hi in squares)
         # a root z on |z| = 1 is non-real here, and 1/z = conj(z) is a root
@@ -365,7 +358,7 @@ def spectral_classify(m, perron=None):
                                      "from |z| = 1 found")
             eps *= eps
             rects = rects.refined(eps)
-            squares = [_rect_modulus_sq(rect) for rect in rects]
+            squares = [rect_modulus_sq(rect) for rect in rects]
         votes.extend((lo > 1) - (hi < 1) for lo, hi in squares)
 
     second = tuple(map(max, zip(*moduli))) if moduli else (Fraction(0), Fraction(0))

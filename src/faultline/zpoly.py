@@ -1033,6 +1033,16 @@ class RootRectangles(list):
         return RootRectangles(self._g, self._scale, done + _descend(self._g, todo, small))
 
 
+def rect_modulus_sq(rect):
+    """(least, greatest) |z|^2 over a closed rectangle of ``RootRectangles``."""
+    (re_lo, im_lo), (re_hi, im_hi) = rect
+    dx = Fraction(0) if re_lo <= 0 <= re_hi else min(abs(re_lo), abs(re_hi))
+    dy = Fraction(0) if im_lo <= 0 <= im_hi else min(abs(im_lo), abs(im_hi))
+    mx = max(abs(re_lo), abs(re_hi))
+    my = max(abs(im_lo), abs(im_hi))
+    return dx * dx + dy * dy, mx * mx + my * my
+
+
 def isolate_complex_roots(f, eps):
     """Isolating rectangles for the roots in the open upper half-plane of a
     squarefree integer polynomial f (ascending coefficients), sorted by their

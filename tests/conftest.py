@@ -7,6 +7,7 @@ from functools import cmp_to_key
 from itertools import chain
 from math import gcd
 from operator import add, mul, sub
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -17,7 +18,6 @@ from faultline.algebra import (
     AlgebraicNumber,
     NumberField,
     clear_denominators,
-    integer_vectors,
     ptrim,
     times_root,
 )
@@ -234,6 +234,33 @@ def iterate(s, word, k):
     for _ in range(k):
         word = s.apply(word)
     return word
+
+
+def row_letters(row):
+    """The letters of a ``fault.Row``, substitution^round(seed), descending
+    the rules depth first, so the first n cost O(round + n): the oracle of
+    the heads that ``Substitution.prefixes`` reads off the round before."""
+    rules, depth = row.substitution.rules, row.round + 1
+    stack = [iter((row.seed,))]
+    while stack:
+        for x in stack[-1]:
+            if len(stack) == depth:
+                yield x
+            else:
+                stack.append(iter(rules[x]))
+                break
+        else:
+            stack.pop()
+
+
+def integer_vectors(values):
+    """(vectors, den): the coefficient vectors of elements of one field as
+    integer tuples over one common denominator den > 0, i.e.
+    values[i].coeffs[j] == vectors[i][j] / den.  ``algebra.mod_reduce`` does
+    this inline for its two arguments."""
+    deg = values[0].field.degree
+    nums, den = clear_denominators([c for x in values for c in x.coeffs])
+    return tuple(nums[i:i + deg] for i in range(0, len(nums), deg)), den
 
 
 # The exact arithmetic that left ``algebra`` when the program moved to
@@ -1310,7 +1337,7 @@ def _sign_minus(x, q):
 
 
 def reference_spectral_classify(m, precision_bits=64):
-    from faultline.substitution import SpectralKind, _rect_modulus_sq, perron_data
+    from faultline.substitution import SpectralKind, perron_data
 
     pd = perron_data(m)
     width = Fraction(1, 2 ** precision_bits)
@@ -1339,11 +1366,11 @@ def reference_spectral_classify(m, precision_bits=64):
         eps = Fraction(1, 2 ** 16)
         rects = algebra.isolate_complex_roots(fac, eps)
         while eps > width and any(lo_sq <= 1 <= hi_sq
-                                  for lo_sq, hi_sq in map(_rect_modulus_sq, rects)):
+                                  for lo_sq, hi_sq in map(zpoly.rect_modulus_sq, rects)):
             eps = max(eps * eps, width)
             rects = rects.refined(eps)
         for rect in rects:
-            lo_sq, hi_sq = _rect_modulus_sq(rect)
+            lo_sq, hi_sq = zpoly.rect_modulus_sq(rect)
             lo, _ = algebra.root_interval(lo_sq, 2, width)
             _, hi = algebra.root_interval(hi_sq, 2, width)
             moduli.append(_Modulus(lo, hi))
@@ -1370,6 +1397,25 @@ def reference_spectral_classify(m, precision_bits=64):
 
 
 # ---------------------------------------------------------------------------
+# the tiles of a patch one by one, as ``render.Patch.tiles`` listed them
+# before the program read them only as nodes by children
+# ---------------------------------------------------------------------------
+
+class PlacedTile(NamedTuple):
+    tile: tuple        # (vertical letter id, horizontal letter id)
+    xn: int            # den_x * left edge, packed (``render.Lattice``)
+    yn: int            # bottom edge
+
+
+def patch_tiles(patch):
+    """The tiles of a ``render.Patch`` depth first: each child of each node,
+    at the node's corner plus the child's offset."""
+    children = patch.children
+    return [PlacedTile(sub, x + dx, y + dy)
+            for tile, x, y in patch.nodes for sub, dx, dy in children[tile]]
+
+
+# ---------------------------------------------------------------------------
 # the enclosure renderer: the body ``render.emit_svg`` replaced, kept as the
 # oracle that the bundled and seeded SVG bytes did not change
 # ---------------------------------------------------------------------------
@@ -1388,7 +1434,7 @@ def enclosure_emit_svg(patch, colors=None, overlay=(), scale=24):
     widths, heights = lattice.widths, lattice.heights
     fine = Fraction(1, 10 ** 12)
     rights, tile_ids, top = {}, set(), 0
-    for tile, xn, yn in patch.tiles:
+    for tile, xn, yn in patch_tiles(patch):
         rights[xn + widths[tile[1]]] = None
         tile_ids.add(tile)
         top = max(top, yn + heights[tile[0]])
@@ -1417,7 +1463,7 @@ def enclosure_emit_svg(patch, colors=None, overlay=(), scale=24):
     color_of = {}
     for i, tid in enumerate(sorted(tile_ids)):
         color_of[tid] = (colors or {}).get(tid) or _PALETTE[i % len(_PALETTE)]
-    for tile, xn, yn in patch.tiles:
+    for tile, xn, yn in patch_tiles(patch):
         x = midpoint(xn)
         tw = midpoint(widths[tile[1]])
         y = _fmt((top - yn - heights[tile[0]]) * scale, 1)
@@ -1442,7 +1488,7 @@ def enclosure_emit_svg(patch, colors=None, overlay=(), scale=24):
 # ---------------------------------------------------------------------------
 
 def tile_emit_svg(patch, colors=None, overlay=(), scale=24):
-    """``emit_svg`` as it read ``patch.tiles``: one rect per ``PlacedTile``,
+    """``emit_svg`` as it read ``Patch.tiles``: one rect per ``PlacedTile``,
     x and flipped y looked up per tile by packed x and top edge."""
     from faultline.render import _PALETTE, _fmt, _rounder
 
@@ -1466,7 +1512,7 @@ def tile_emit_svg(patch, colors=None, overlay=(), scale=24):
                        f'height="{_fmt(heights[tile[0]] * num, den)}" '
                        f'fill="{color}" stroke="#202020" stroke-width="0.7"/>')
     xs, flipped = {}, {}
-    for tile, xn, yn in patch.tiles:
+    for tile, xn, yn in patch_tiles(patch):
         x = xs.get(xn)
         if x is None:
             x = xs[xn] = text(xn)

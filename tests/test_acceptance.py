@@ -39,8 +39,10 @@ from faultline.substitution import SpectralKind, Substitution
 
 from conftest import (
     numbers,
+    patch_tiles,
     random_substitution,
     rng_for,
+    row_letters,
     scan_prefix_discrepancies,
     shuffled_twin,
     zero,
@@ -79,7 +81,7 @@ def test_criterion_01_spectral_data():
 def test_criterion_02_displayed_word_pairs():
     s1, s2 = sigma_pair()
     trace = boundary_trace(OverlapGraph(s1, s2), "a", 4)
-    got = [(s1.text(st.top), s2.text(st.bottom)) for st in trace.steps]
+    got = [(s1.text(row_letters(st.top)), s2.text(row_letters(st.bottom))) for st in trace.steps]
     assert got == [
         ("ba", "ab"),
         ("aaaba", "abaaa"),
@@ -257,7 +259,7 @@ def test_criterion_10b_discrepancy_oracle():
         st = trace.steps[-1]
         if len(st.top) > 140:
             continue
-        top, bottom = tuple(st.top), tuple(st.bottom)
+        top, bottom = tuple(row_letters(st.top)), tuple(row_letters(st.bottom))
         want = naive_discrepancies(top, bottom, trace.widths, 0)
         assert list(scan_prefix_discrepancies(top, bottom, _ScanWidths(trace.widths), 0)) == want
         assert st.discrepancy_values == tuple(sorted(set(want)))
@@ -271,7 +273,7 @@ def test_criterion_10c_renderer_counts_oracle():
         cm = d.count_matrix()
         for k in range(6):
             patch = generate_patch(d, (0, 0), k)
-            counts = Counter(t.tile for t in patch.tiles)
+            counts = Counter(t.tile for t in patch_tiles(patch))
             power = matpow(cm, k)
             col = d.tile_index(0, 0)
             for v in range(d.vertical.size):

@@ -1,5 +1,6 @@
 """Exact field arithmetic in Q(lambda)."""
 
+import inspect
 import random
 from fractions import Fraction
 from math import lcm
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import faultline
-from faultline import algebra
+from faultline import algebra, render, substitution
 from faultline.algebra import (
     AlgebraicNumber,
     NumberField,
@@ -28,9 +29,9 @@ from faultline.algebra import (
     times_root,
 )
 from faultline.errors import ValidationError
-from faultline.fault import order_vectors
-from faultline.render import Lattice, PlacedTile
-from faultline.substitution import Substitution
+from faultline.fault import Row, order_vectors
+from faultline.render import Lattice
+from faultline.substitution import Substitution, spectral_classify
 
 from conftest import (
     HalvingField,
@@ -88,8 +89,13 @@ def test_algebra_keeps_only_the_print_view():
     assert "TileLengths" in faultline.__all__
     assert not hasattr(Substitution, "iterate") and not hasattr(Lattice, "element")
     assert not hasattr(Substitution, "image_lengths")
-    for name in ("x", "width", "y", "height", "lattice"):
-        assert not hasattr(PlacedTile, name), name
+    # one way each: tiles are read as nodes by children, rows off
+    # ``Substitution.prefixes``, spectra off the Perron data
+    assert not hasattr(render, "PlacedTile") and "PlacedTile" not in faultline.__all__
+    assert not hasattr(render.Patch, "tiles") and not hasattr(Row, "__iter__")
+    assert not hasattr(algebra, "integer_vectors")
+    assert list(inspect.signature(spectral_classify).parameters) == ["pd"]
+    assert not hasattr(substitution, "_rect_modulus_sq")
 
 
 def test_lambda_squared_reduces(field):

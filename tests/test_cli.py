@@ -30,7 +30,7 @@ from faultline.errors import ValidationError
 from faultline.fault import OverlapGraph, _ScanWidths, boundary_trace, classify_boundary
 from faultline.substitution import Substitution
 
-from conftest import iterate, number_json, reference_dump, scan_discrepancy_rounds
+from conftest import iterate, number_json, reference_dump, row_letters, scan_discrepancy_rounds
 
 
 def run_cli(*argv):
@@ -732,26 +732,28 @@ def test_fault_traces_once_for_seed_zero(monkeypatch, seed, traces):
 
 @pytest.mark.parametrize("seed", ["a", "b"])
 def test_fault_builds_no_word(monkeypatch, seed):
-    # the report reads the rows only through their lengths and 77-letter
-    # prefixes, which the row views give without applying a substitution
+    # the report reads the rows only through their lengths and the first
+    # letters that ``Substitution.prefixes`` gives, without applying a
+    # substitution
     traces, applied = [], []
     trace = cli.boundary_trace
     monkeypatch.setattr(cli, "boundary_trace",
                         lambda *a, **k: traces.append(trace(*a, **k)) or traces[-1])
     apply = Substitution.apply
     monkeypatch.setattr(Substitution, "apply", lambda s, w: applied.append(w) or apply(s, w))
-    code, _ = run_cli("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
-                      "--bottom", "sigma2", "--seed", seed)
+    code, out = run_cli("fault", "-i", "bundled:doubling_swap", "--top", "sigma1",
+                        "--bottom", "sigma2", "--seed", seed)
     assert code == 0 and len(traces) == 1
     assert not applied
     monkeypatch.undo()
-    for tr in traces:
-        for st in tr.steps:
-            top = iterate(tr.top_sub, (tr.seed,), st.round)
-            bottom = iterate(tr.bottom_sub, (tr.seed,), st.round)
-            assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
-            assert tuple(islice(st.top, 77)) == top[:77]
-            assert tuple(islice(st.bottom, 77)) == bottom[:77]
+    [tr] = traces
+    for st, row in zip(tr.steps, json.loads(out)["rounds"], strict=True):
+        top = iterate(tr.top_sub, (tr.seed,), st.round)
+        bottom = iterate(tr.bottom_sub, (tr.seed,), st.round)
+        assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
+        for word, shown in ((top, row["top"]), (bottom, row["bottom"])):
+            text = tr.top_sub.text(word)
+            assert shown == (text if len(text) <= 80 else text[:77] + "...")
 
 
 @pytest.mark.parametrize("seed", ["a", "b"])
@@ -885,7 +887,7 @@ def test_fault_prints_rows_longer_than_an_index():
     trace = boundary_trace(OverlapGraph(sigma1, sigma1), "a", 60)
     assert trace.steps[52].top.length > sys.maxsize >= trace.steps[51].top.length
     for row, st in zip(rows, trace.steps, strict=True):
-        text = sigma1.text(islice(st.top, 81))
+        text = sigma1.text(islice(row_letters(st.top), 81))
         assert row["top"] == row["bottom"] == (text if len(text) <= 80 else text[:77] + "...")
 
 

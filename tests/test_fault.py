@@ -9,10 +9,11 @@ from operator import mul, sub
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import event, example, given, settings, strategies as st
 
 from faultline import algebra, fault, substitution
-from faultline.algebra import AlgebraicNumber, NumberField, integer_vectors, times_root
+from faultline.algebra import AlgebraicNumber, NumberField, times_root
 from faultline.cli import alg_json
 from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.fault import (
@@ -26,13 +27,14 @@ from faultline.fault import (
     offset_statistics,
     order_vectors,
 )
-from faultline.substitution import SpectralKind, Substitution, spectral_classify
+from faultline.substitution import SpectralKind, Substitution
 
 from conftest import (
     Number,
     classify_rounds,
     from_rational,
     gen,
+    integer_vectors,
     iterate,
     numbers,
     random_substitution,
@@ -44,6 +46,7 @@ from conftest import (
     reference_offsets,
     relabelled,
     rng_for,
+    row_letters,
     scan_discrepancy_rounds,
     scan_prefix_discrepancies,
     shuffled_twin,
@@ -263,7 +266,8 @@ def test_max_abs_discrepancy_matches_prefix_scan(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "b", 8)
     scan = _ScanWidths(trace.widths)
     for st_ in trace.steps:
-        ds = scan_prefix_discrepancies(tuple(st_.top), tuple(st_.bottom), scan, 0)
+        ds = scan_prefix_discrepancies(tuple(row_letters(st_.top)), tuple(row_letters(st_.bottom)),
+                                       scan, 0)
         assert st_.max_abs_discrepancy == max(abs(d) for d in ds)
 
 
@@ -342,7 +346,6 @@ def test_row_view_reads_the_materialised_word(seed, n_letters, k, n):
     word = iterate(s, (start,), k)
     row = Row(s, start, k)
     assert len(row) == row.length == len(word)
-    assert tuple(row) == word
     # the prefixes a report prints, each read off the round before
     assert next(islice(s.prefixes(start, n), k, None)) == word[:n]
 
@@ -457,7 +460,8 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
 
 def test_trace_reproduces_displayed_pairs(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 4)
-    got = [(sigma1.text(s.top), sigma2.text(s.bottom)) for s in trace.steps]
+    got = [(sigma1.text(row_letters(s.top)), sigma2.text(row_letters(s.bottom)))
+           for s in trace.steps]
     assert got == PAIRS_EQ1
     assert len(trace.steps[3].top) == 26
 
@@ -483,14 +487,14 @@ def test_trace_row_widths_agree(sigma1, sigma2):
     span = widths.vectors[0]
     for s in trace.steps:
         span = times_root(span, field.poly)
-        assert total(s.top) == total(s.bottom) == span
+        assert total(row_letters(s.top)) == total(row_letters(s.bottom)) == span
 
 
 def test_trace_matches_naive_scanner(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 5)
     for s in trace.steps:
         assert s.discrepancy_values == distinct(naive_discrepancies(
-            tuple(s.top), tuple(s.bottom), trace.widths, 0
+            tuple(row_letters(s.top)), tuple(row_letters(s.bottom)), trace.widths, 0
         ))
 
 
@@ -921,7 +925,7 @@ def test_closure_keys_by_placement_when_the_charpoly_is_reducible():
     maxes = boundary_trace(OverlapGraph(s, t), "a", 12).max_abs_by_round()
     assert maxes[2] < maxes[5] < maxes[11]
     assert classify_rounds(list(OverlapGraph(s, t).rounds(0, 12)),
-                           lambda: spectral_classify(s.matrix()).kind) is \
+                           lambda: s.spectral_class().kind) is \
         BoundaryKind.REGULAR_FAULT
 
 
@@ -1127,6 +1131,33 @@ def test_a_rational_lambda_has_no_conjugate():
     kind = classify_boundary(graph, 12)
     assert "conjugates" in graph.__dict__ and graph.conjugates == ()
     assert kind == reference_classify_boundary(OverlapGraph(s, t), 12)
+
+
+@pytest.mark.parametrize("d", [(-6, 1), (0, 1), (1, 0), (2, -1), (5, -3)])
+def test_a_real_conjugate_decides_a_straddled_radius_exactly(sigma1, sigma2, d):
+    # the paper pair's one conjugate lambda_2 = (1 - sqrt 13) / 2, at which
+    # the widths (lambda, 3) read (lambda_2, 3).  With the radius set within
+    # the 2^-96 filter's reach of |<w_j, D>|^2, only the exact sign decides
+    # |<w_j, D>| > R, and sympy decides it too.  D = (-6, 1) gives
+    # 3 sqrt 13 and D = (0, 1) gives 3, so there the radius can equal the
+    # value, which does not escape
+    [conj] = OverlapGraph(sigma1, sigma2).conjugates
+    assert conj.real
+    lam2 = (1 - sympy.sqrt(13)) / 2
+    scaled = sympy.expand((d[0] * lam2 + 3 * d[1]) ** 2 * 2 ** 192)
+    if scaled.is_Rational:
+        radii = [scaled - 1, scaled, scaled + 1]
+    else:
+        radii = [sympy.floor(scaled) + sympy.Rational(k, 2) for k in range(3)]
+    lo, hi = conj._moduli_sq(d)
+    verdicts = []
+    for r in radii:
+        conj.radius_sq = Fraction(int(r.p), int(r.q))
+        conj.bound = int(sympy.floor(r))
+        assert lo <= conj.bound < hi      # the filter cannot decide
+        verdicts.append(conj.escapes(d))
+        assert verdicts[-1] is bool(sympy.sign(scaled - r) > 0)
+    assert verdicts[0] and not verdicts[-1]
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -12,6 +11,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from faultline.abelian import matpow
 from faultline.algebra import times_root
+from faultline import cli
 from faultline.cli import main
 from faultline.documents import bundled_document, load_document
 from faultline.errors import FaultlineError, ResourceCapError, ValidationError
@@ -20,7 +20,6 @@ from faultline.render import (
     _PALETTE,
     Lattice,
     Patch,
-    PlacedTile,
     _tile_count,
     emit_svg,
     generate_patch,
@@ -29,10 +28,12 @@ from faultline.render import (
 from faultline.substitution import Substitution
 
 from conftest import (
+    PlacedTile,
     enclosure_emit_svg,
     gen,
     numbers,
     one,
+    patch_tiles,
     reference_interval,
     tile_emit_svg,
     zero,
@@ -52,7 +53,7 @@ def pd_dpv():
 def rows_by_height(patch):
     """The tiles of a patch by bottom edge, each row in placement order."""
     by_row = {}
-    for t in patch.tiles:
+    for t in patch_tiles(patch):
         by_row.setdefault(t.yn, []).append(t)
     return by_row
 
@@ -82,7 +83,7 @@ def test_patch_first_round(doubling_swap):
 def test_patch_zero_rounds(doubling_swap):
     patch = generate_patch(doubling_swap, (0, 1), 0)
     assert len(patch) == 1
-    assert patch.tiles[0].tile == (0, 1)
+    assert patch_tiles(patch)[0].tile == (0, 1)
     lattice, lengths = patch.lattice, doubling_swap.horizontal[0].tile_lengths()
     assert lattice.den_x == lengths.den
     assert lattice.vector(lattice.widths[1]) == lengths.vectors[1]
@@ -93,7 +94,7 @@ def test_patch_counts_match_matrix_powers(doubling_swap, pd_dpv):
         cm = d.count_matrix()
         for k in range(kmax + 1):
             patch = generate_patch(d, (0, 0), k)
-            counts = Counter(t.tile for t in patch.tiles)
+            counts = Counter(t.tile for t in patch_tiles(patch))
             power = matpow(cm, k)
             col = d.tile_index(0, 0)
             for v in range(d.vertical.size):
@@ -396,7 +397,7 @@ def test_mixed_sign_cubic_field_matches_reference_at_the_tile_cap(max_tiles, sca
     assert k >= 2
     patch = generate_patch(d, (0, 0), k, max_tiles=max_tiles)
     assert patch.lattice.field.degree == 3
-    vectors = [patch.lattice.vector(t.xn) for t in patch.tiles]
+    vectors = [patch.lattice.vector(t.xn) for t in patch_tiles(patch)]
     assert min(map(min, vectors)) < 0 < max(map(max, vectors))
     overlay = overlay_boundaries(d, (0, 0), k, 1)
     new = emit_svg(patch, scale=scale, overlay=overlay)
@@ -440,7 +441,7 @@ def test_late_refinement_matches_reference(doc, k):
 
 # ---------------------------------------------------------------------------
 # the last expansion level: emit_svg walks nodes x children, and its bytes
-# are those of the per-tile emitter over ``Patch.tiles``
+# are those of the per-tile emitter, which reads the tiles one by one
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -472,25 +473,23 @@ def test_late_refinement_matches_the_per_tile_emitter(doc, k):
         assert first_difference(new, old) is None
 
 
-@contextmanager
-def tile_reads():
-    """The patches whose ``tiles`` are read inside the block, in order."""
-    reads, tiles = [], Patch.tiles
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Patch, "tiles", property(lambda patch: reads.append(patch) or tiles.fget(patch)))
-        yield reads
+def test_render_never_expands_the_tiles(monkeypatch, tmp_path):
+    # the patch that render draws holds the 1,888 tiles of level 5 and the
+    # children of each tile type; emit_svg writes the 8,768 of level 6 from
+    # those two tables
+    patches = []
 
+    def recorded(*args, **kwargs):
+        patches.append(generate_patch(*args, **kwargs))
+        return patches[-1]
 
-def test_render_never_expands_the_tiles(tmp_path):
+    monkeypatch.setattr(cli, "generate_patch", recorded)
     out = tmp_path / "patch.svg"
-    with tile_reads() as reads:
-        assert main(["render", "-i", "bundled:doubling_swap", "--rounds", "6", "--overlay", "2",
-                     "-o", str(out)]) == 0
-        assert out.read_text().count("<rect") == 8768
-        assert reads == []
-        # the recorder records: the per-tile emitter reads the tiles once
-        tile_emit_svg(generate_patch(bundled_document("doubling_swap").dpv, (0, 0), 2))
-        assert len(reads) == 1
+    assert main(["render", "-i", "bundled:doubling_swap", "--rounds", "6", "--overlay", "2",
+                 "-o", str(out)]) == 0
+    assert out.read_text().count("<rect") == 8768
+    [patch] = patches
+    assert len(patch.nodes) == 1888 and len(patch) == 8768
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,10 +500,8 @@ def test_patch_len_counts_the_tiles_without_expanding(doc, data):
     seed = (data.draw(st.integers(0, len(doc["alphabets"]["v"]) - 1)),
             data.draw(st.integers(0, len(doc["alphabets"]["h"]) - 1)))
     patch = generate_patch(d, seed, k)
-    with tile_reads() as reads:
-        count = len(patch)
-    assert reads == []
-    assert count == len(patch.tiles) == _tile_count(d.count_matrix(), d.tile_index(*seed), k,
+    count = len(patch)
+    assert count == len(patch_tiles(patch)) == _tile_count(d.count_matrix(), d.tile_index(*seed), k,
                                                     200_000)
     # the last level is the children of the nodes, each at its offset
     assert len(patch.nodes) == (_tile_count(d.count_matrix(), d.tile_index(*seed), k - 1,
@@ -658,7 +655,7 @@ def test_svg_rounds_near_ties_exactly(monkeypatch):
     # the one-level form: each tile is a node and its own only child
     tiles = [PlacedTile((0, 0), lattice.pack((1 - fib[n + 1], fib[n])), 0) for n in ns]
     patch = Patch(lattice, tiles, {(0, 0): (((0, 0), 0, 0),)}, 2, 1, ((0, 0),))
-    assert patch.tiles == tiles
+    assert patch_tiles(patch) == tiles
     signs = []
     sign = NumberField.sign
     monkeypatch.setattr(NumberField, "sign", lambda self, nums: signs.append(nums) or
@@ -682,17 +679,18 @@ def test_patch_bounds_match_the_tiles(doc, data):
             data.draw(st.integers(0, len(doc["alphabets"]["h"]) - 1)))
     patch = generate_patch(d, seed, k)
     lattice = patch.lattice
-    rights = {t.xn + lattice.widths[t.tile[1]] for t in patch.tiles}
+    rights = {t.xn + lattice.widths[t.tile[1]] for t in patch_tiles(patch)}
     # the greatest right edge, compared by exact signs
     assert patch.right in rights
     assert all(lattice.field.sign(lattice.vector(patch.right - x)) >= 0 for x in rights)
-    assert patch.top == max(t.yn + lattice.heights[t.tile[0]] for t in patch.tiles)
-    assert patch.tile_ids == tuple(sorted({t.tile for t in patch.tiles}))
+    assert patch.top == max(t.yn + lattice.heights[t.tile[0]] for t in patch_tiles(patch))
+    assert patch.tile_ids == tuple(sorted({t.tile for t in patch_tiles(patch)}))
 
 
 def test_svg_rejects_tiles_of_different_patches(doubling_swap):
     # tiles of two patches make a list, not a Patch
     other = bundled_document("doubling_swap").dpv
-    mixed = generate_patch(doubling_swap, (0, 0), 1).tiles + generate_patch(other, (0, 0), 1).tiles
+    mixed = (patch_tiles(generate_patch(doubling_swap, (0, 0), 1))
+             + patch_tiles(generate_patch(other, (0, 0), 1)))
     with pytest.raises(ValidationError):
         emit_svg(mixed)

@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from faultline import algebra, substitution, zpoly
 from faultline.abelian import mat, matmul, matpow
-from faultline.algebra import integer_vectors, times_root
+from faultline.algebra import times_root
 from faultline.errors import (
     FaultlineError,
     HypothesisError,
     NoPerronRootError,
     ValidationError,
 )
-from faultline.fault import Row
 from faultline.substitution import (
     SpectralKind,
     Substitution,
@@ -29,6 +28,7 @@ from faultline.substitution import (
 )
 
 from conftest import (
+    integer_vectors,
     iterate,
     random_substitution,
     reference_spectral_classify,
@@ -56,39 +56,6 @@ def test_apply_rejects_unknown_letter(sigma1):
     with pytest.raises(ValidationError):
         sigma1.apply(("a", "x"))
     assert sigma1.apply(("b", "a")) == sigma1.apply((1, 0)) == sigma1.apply("ba")
-
-
-def brute_iterate(rules, word, k):
-    """Independent string-level iteration oracle."""
-    for _ in range(k):
-        word = "".join(rules[c] for c in word)
-    return word
-
-
-# The k-fold image of a letter is read lazily off ``fault.Row``.
-
-def test_iterate_examples(sigma1, sigma2):
-    assert sigma1.text(Row(sigma1, 0, 2)) == "aaaba"
-    assert sigma1.text(Row(sigma1, 0, 0)) == "a"
-    got = sigma2.text(Row(sigma2, 0, 3))
-    want = brute_iterate({"a": "ab", "b": "aaa"}, "a", 3)
-    assert got == want and len(got) == 11
-
-
-def test_iterate_matches_oracle_random():
-    rng = rng_for("iterate-oracle")
-    for _ in range(20):
-        s = random_substitution(rng, rng.choice((2, 3)))
-        rules = {l.name: s.text(r) for l, r in zip(s.letters, s.rules)}
-        seed = rng.randrange(s.size)
-        k = rng.randint(0, 4)
-        assert s.text(Row(s, seed, k)) == brute_iterate(rules, s.alphabet[seed], k)
-
-
-def test_iterate_composes(sigma1):
-    # s^5(a) is s^3 applied letter by letter to s^2(a)
-    w = tuple(Row(sigma1, 0, 2))
-    assert tuple(Row(sigma1, 0, 5)) == tuple(x for c in w for x in Row(sigma1, c, 3))
 
 
 def test_abelianization_examples(sigma1, period_doubling):
@@ -191,8 +158,8 @@ def test_spectral_examples(sigma1):
     lo, hi = sc.second_eigenvalue_modulus
     assert 1.30 < lo <= hi < 1.31
 
-    assert spectral_classify(mat([[2]])).kind is SpectralKind.PISOT
-    assert spectral_classify(mat([[1, 1], [1, 0]])).kind is SpectralKind.PISOT
+    assert spectral_classify(perron_data(mat([[2]]))).kind is SpectralKind.PISOT
+    assert spectral_classify(perron_data(mat([[1, 1], [1, 0]]))).kind is SpectralKind.PISOT
 
 
 def test_second_modulus_enclosure_widths(sigma1):
@@ -271,7 +238,7 @@ UNDECIDED_BY_WIDTH = [
 
 
 def _agrees_with_reference(m):
-    got = spectral_classify(m)
+    got = spectral_classify(perron_data(m))
     kind, second = reference_spectral_classify(m)
     if kind is None:
         assert got.kind is numpy_kind(m)
@@ -285,7 +252,7 @@ def _agrees_with_reference(m):
 def test_circle_roots_decide_what_the_width_left_open(m):
     assert reference_spectral_classify(m)[0] is None
     _agrees_with_reference(m)
-    assert spectral_classify(m).kind is SpectralKind.SALEM
+    assert spectral_classify(perron_data(m)).kind is SpectralKind.SALEM
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,7 +273,7 @@ def test_a_root_that_never_leaves_the_circle_is_a_one_line_error(monkeypatch):
     monkeypatch.setattr(substitution, "circle_roots", lambda f: 0)
     monkeypatch.setattr(substitution, "_DEEPEST", Fraction(1, 2 ** 128))
     with pytest.raises(FaultlineError, match=r"^no separation of the roots of .* found$"):
-        spectral_classify(UNDECIDED_BY_WIDTH[0])
+        spectral_classify(perron_data(UNDECIDED_BY_WIDTH[0]))
 
 
 def test_legal_words(period_doubling, sigma1):

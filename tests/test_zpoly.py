@@ -378,8 +378,8 @@ def test_refining_near_the_unit_circle_builds_few_lines(line_builds):
     assert [len(fac) for fac, _ in irreducible_factors(f)] == [4]
     bits = [16, 32, 64, 128, 256, 512]
     steps = assert_chain_matches_reference(f, bits)
-    assert any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, steps[2]))
-    assert not any(lo <= 1 <= hi for lo, hi in map(substitution._rect_modulus_sq, steps[-1]))
+    assert any(lo <= 1 <= hi for lo, hi in map(zpoly.rect_modulus_sq, steps[2]))
+    assert not any(lo <= 1 <= hi for lo, hi in map(zpoly.rect_modulus_sq, steps[-1]))
 
     def lines(isolate):
         line_builds[0] = 0
@@ -407,10 +407,10 @@ class _Restarted(list):
 @given(seed=st.integers(0, 2 ** 32), n_letters=st.integers(3, 6))
 def test_spectral_classify_unchanged_with_the_sympy_oracle(seed, n_letters):
     m = random_substitution(random.Random(seed), n_letters, max_len=4).matrix()
-    got = substitution.spectral_classify(m)
+    got = substitution.spectral_classify(substitution.perron_data(m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(substitution, "isolate_complex_roots", _Restarted)
-        assert substitution.spectral_classify(m) == got
+        assert substitution.spectral_classify(substitution.perron_data(m)) == got
 
 
 def _numpy_circle_roots(f):

@@ -76,9 +76,9 @@ print("(compare lambda - 1 ~ 1.302776)")
 # evidence for density in the limit.  They are integer vectors too, and so
 # is the least gap between two of them.
 stats = offset_statistics(trace12)
-print("distinct offsets per round:", stats.per_round_counts)
-print("total distinct offsets:", stats.distinct_count,
-      "| smallest positive gap ~", approx(stats.field, stats.min_gap_vector, stats.den))
+print("distinct offsets per round:", tuple(len(step.offset_vectors) for step in trace12.steps))
+print("total distinct offsets:", stats.distinct_count, "| smallest positive gap ~",
+      approx(trace12.widths.field, stats.min_gap_vector, trace12.widths.den))
 
 # the classifier puts it together and returns the boundary's kind.  It reads
 # the walk from a that the trace took, and prints last, since its exact signs

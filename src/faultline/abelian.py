@@ -38,17 +38,6 @@ def mat(rows):
     return a
 
 
-def _as_mat(a):
-    """``a`` itself when it is a matrix already, a tuple of equal-length
-    tuples of ints, as every matrix the package builds is; else ``mat(a)``.
-    The test reads each entry's type but builds nothing."""
-    if (type(a) is tuple and set(map(type, a)) <= {tuple}
-            and len(set(map(len, a))) <= 1
-            and set(map(type, chain.from_iterable(a))) <= {int}):
-        return a
-    return mat(a)
-
-
 def shape(a):
     return len(a), (len(a[0]) if a else 0)
 
@@ -169,7 +158,7 @@ class SmithForm:
 def smith_normal_form(a):
     """u a v == d with u, v unimodular, d diagonal, d_i >= 0, d_i | d_{i+1}.
     The inverse of u is tracked alongside."""
-    a = _as_mat(a)
+    a = mat(a)
     m, n = shape(a)
     d = [list(row) for row in a]
     v = [list(row) for row in eye(n)]
@@ -296,7 +285,7 @@ def kernel_basis(a):
 class DirectLimitGroup:
     """Presentation of lim->(Z^n, a) plus reduced data: the induced injective
     r x r map a' on Z^n modulo the saturated eventual kernel, its charpoly and
-    determinant, and the projection/section pair realizing the reduction."""
+    determinant."""
 
     n: int
     a: tuple
@@ -304,9 +293,6 @@ class DirectLimitGroup:
     a_prime: tuple
     charpoly_prime: tuple
     det_prime: int
-    projection: tuple
-    section: tuple
-
 
 
 def direct_limit(a):
@@ -314,29 +300,27 @@ def direct_limit(a):
     a^n is injective: the eventual kernel is 0 and a is the reduced map, so
     only a singular a needs the Smith form of a^n, whose kernel basis spans
     the saturated eventual kernel that ``saturated_quotient`` divides out."""
-    a = _as_mat(a)
+    a = mat(a)
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")
     dp = det(a)
-    if dp:
-        a_pr, proj, sect = a, eye(n), eye(n)
-    else:
+    a_pr, r = a, n
+    if not dp:
         an = matpow(a, n)
-        proj, sect, a_pr = saturated_quotient(kernel_basis(an), a)
+        proj, _, a_pr = saturated_quotient(kernel_basis(an), a)
+        r = len(proj)
         dp = det(a_pr)
         assert dp != 0, "reduced bonding map must be injective"
-        assert len(proj) == rank_q(an)
+        assert r == rank_q(an)
     cp = charpoly(a_pr)
     return DirectLimitGroup(
         n=n,
         a=a,
-        r=len(proj),
+        r=r,
         a_prime=a_pr,
         charpoly_prime=cp,
         det_prime=dp,
-        projection=proj,
-        section=sect,
     )
 
 

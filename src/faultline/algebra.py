@@ -141,32 +141,6 @@ def poly_str(a):
     return "".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# rational intervals
-# ---------------------------------------------------------------------------
-
-class Interval:
-    """Closed interval with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        self.lo, self.hi = lo, hi
-
-    def abs(self):
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0, max(-self.lo, self.hi))
-
-    def __repr__(self):
-        return f"Interval({self.lo}, {self.hi})"
-
-
 def clear_denominators(coeffs):
     """(nums, den): integers with coeffs[i] == nums[i] / den, den > 0 the
     lcm of the denominators."""
@@ -335,20 +309,17 @@ class NumberField:
         return pdeg(self.poly)
 
     @property
-    def interval(self):
-        return Interval(*self._iv)
-
-    @property
     def root_ints(self):
         """The root interval as integers (lo, hi, q): the root lies in
         [lo/q, hi/q].  A new tuple whenever the interval is refined."""
         return self._ziv
 
     def refined(self, width):
-        """Shrink the cached isolating interval to at most ``width`` wide:
-        the enclosure of the root itself is the root interval."""
+        """Shrink the cached isolating interval to at most ``width`` wide and
+        return it as (lo, hi): the enclosure of the root itself is the root
+        interval."""
         self.enclose((0, 1), 1, Fraction(width))
-        return self.interval
+        return self._iv
 
     def _locate(self, k):
         """The index j of the cell that holds the root when the root interval
@@ -559,10 +530,10 @@ class AlgebraicNumber:
         """Exact sign: ``NumberField.sign`` of the numerators."""
         return self.field.sign(clear_denominators(self.coeffs)[0])
 
-    def interval(self, width=Fraction(1, 2 ** 40)):
-        """Rational enclosure of at most ``width`` wide."""
+    def interval(self, width):
+        """Rational enclosure (lo, hi) of at most ``width`` wide."""
         a, b, e = self.field.enclose(*clear_denominators(self.coeffs), Fraction(width))
-        return Interval(Fraction(a, e), Fraction(b, e))
+        return Fraction(a, e), Fraction(b, e)
 
     def __repr__(self):
         terms = []

@@ -65,7 +65,6 @@ class APComplex:
     glue edge endpoints along legal transitions."""
 
     base: Substitution
-    substitution: Substitution          # induced substitution on collared letters
     edges: tuple                        # CollaredLetter per edge, index order
     edge_names: tuple
     edge_map: tuple                     # per edge: image as a tuple of edge ids
@@ -197,7 +196,6 @@ def collar(s):
     ends = tuple((vertex_of[2 * e + 1], vertex_of[2 * e]) for e in range(n))
     cx = APComplex(
         base=s,
-        substitution=collared,
         edges=edges,
         edge_names=names,
         edge_map=edge_map,

@@ -335,7 +335,7 @@ def cmd_fault(args):
     trace = boundary_trace(graph, seed, rounds, modulus=modulus)
     growth = discrepancy_growth(trace)
     stats = offset_statistics(trace)
-    field, den = stats.field, stats.den
+    field, den = trace.widths.field, trace.widths.den
 
     def number(v):
         return alg_json(field, v, den) if v is not None else None

@@ -34,7 +34,6 @@ DEFAULT_OPTIONS = {
 
 @dataclass(frozen=True)
 class Document:
-    alphabets: dict
     substitutions: dict
     dpv: Optional[DPVSubstitution]
     options: dict
@@ -183,7 +182,6 @@ def load_document(source):
         options.update(raw["options"])
 
     return Document(
-        alphabets=alphabets,
         substitutions=substitutions,
         dpv=dpv,
         options=options,

@@ -37,8 +37,6 @@ from .errors import ValidationError
 from .fault import DEFAULT_MAX_STATES, DEFAULT_ROUNDS, BoundaryKind, OverlapGraph, classify_boundary
 from .substitution import Substitution, shift_conjugacy
 
-_CONJUGACY_MAX_LEN = 8   # the longest conjugating word validate_dpv searches for
-
 
 class _Once(dict):
     """key -> compute(key), computed on the first lookup of the key."""
@@ -218,7 +216,7 @@ def validate_dpv(d):
         for j in range(i + 1, len(d.horizontal)):
             if d.horizontal[i].length_vector() != d.horizontal[j].length_vector():
                 continue  # already a hard error above
-            u = shift_conjugacy(d.horizontal[i], d.horizontal[j], max_len=_CONJUGACY_MAX_LEN)
+            u = shift_conjugacy(d.horizontal[i], d.horizontal[j])
             if u is not None:
                 log.append(_log("ok", f"conjugacy-{i}-{j}",
                                 f"shift conjugacy by u of length {len(u)}: same tiling space"))

@@ -75,11 +75,9 @@ class BoundaryStep:
     round: int
     top: Row
     bottom: Row
-    offset_vectors: tuple         # the distinct shear offsets, sorted ascending,
-                                  # as integer coefficient vectors over den
+    offset_vectors: tuple         # the distinct shear offsets, sorted ascending, as
+                                  # integer coefficient vectors over the widths' den
     discrepancy_values: tuple     # distinct m values this round, sorted
-    field: object                 # the NumberField of the offsets
-    den: int
 
     @property
     def max_abs_discrepancy(self):
@@ -89,11 +87,9 @@ class BoundaryStep:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    top_sub: object
-    bottom_sub: object
     seed: int
-    widths: object                # the TileLengths of the top substitution
-    modulus: int                  # letter whose width is the offset modulus
+    widths: object                # the TileLengths of the top substitution, whose
+                                  # field and den the offset vectors are over
     steps: tuple
 
     def max_abs_by_round(self):
@@ -509,18 +505,9 @@ def boundary_trace(graph, seed, k, modulus=None):
                 bottom=Row(graph.bottom, seed, rnd),
                 offset_vectors=tuple(offsets),
                 discrepancy_values=ms,
-                field=field,
-                den=den,
             )
         )
-    return BoundaryTrace(
-        top_sub=graph.top,
-        bottom_sub=graph.bottom,
-        seed=seed,
-        widths=graph.widths,
-        modulus=modulus,
-        steps=tuple(steps),
-    )
+    return BoundaryTrace(seed=seed, widths=graph.widths, steps=tuple(steps))
 
 
 def order_vectors(field, den, vectors, enclosures=None):
@@ -592,29 +579,23 @@ def discrepancy_growth(trace):
 
 def offset_statistics(trace):
     """Distinct exact offsets across the whole trace and the minimum positive
-    gap between them; also the per-round distinct counts."""
+    gap between them, over the trace's ``widths``."""
     if not trace.steps:
         raise ValidationError("empty trace")
-    field, den = trace.steps[0].field, trace.steps[0].den
+    field, den = trace.widths.field, trace.widths.den
     # equal vectors over one den are equal values
     distinct = list(dict.fromkeys(v for s in trace.steps for v in s.offset_vectors))
     distinct = [distinct[i] for i in order_vectors(field, den, distinct)]
     return OffsetStats(
         distinct_count=len(distinct),
         min_gap_vector=min_gap_vector(field, den, distinct),
-        per_round_counts=tuple(len(s.offset_vectors) for s in trace.steps),
-        field=field,
-        den=den,
     )
 
 
 @dataclass(frozen=True)
 class OffsetStats:
     distinct_count: int
-    min_gap_vector: object     # integer vector over den, or None when < 2 offsets
-    per_round_counts: tuple
-    field: object
-    den: int
+    min_gap_vector: object     # integer vector over the widths' den, or None when < 2 offsets
 
 
 class BoundaryKind(Enum):

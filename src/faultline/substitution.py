@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, cycle, islice
 from math import gcd
 from operator import add
 
@@ -331,8 +331,8 @@ def spectral_classify(pd):
         # the Perron root is the largest real root of its minimal polynomial
         for lo, hi in real[:-1] if own else real:
             field = NumberField(fac, (lo, hi))
-            a = field.gen().interval(_WIDTH).abs()
-            moduli.append((a.lo, a.hi))
+            a, b = field.gen().interval(_WIDTH)
+            moduli.append((max(a, -b, 0), max(-a, b)))
             votes.append(field.sign((-1, 1 if hi > 0 else -1)))
         if len(real) == deg:
             continue
@@ -440,16 +440,20 @@ def tile_lengths(s):
 # ---------------------------------------------------------------------------
 
 def shift_conjugacy(s1, s2, max_len=8):
-    """Shortest word u with s2(x) u = u s1(x) for every letter x, searching
-    lengths 0..max_len; None when no certificate is found in range.  Such a u
-    exhibits s2 as a shift of s1, hence equal tiling spaces."""
+    """Shortest word u with s2(x) u = u s1(x) for every letter x, of length
+    0..max_len; None when no certificate is found in range.  Such a u
+    exhibits s2 as a shift of s1, hence equal tiling spaces.
+
+    s2(x) u = u s1(x) with |s2(x)| = |s1(x)| > 0 makes u a prefix of the
+    periodic word s2(x) s2(x) ..., so each length has one candidate: the
+    prefix of that length for x the first letter."""
     if s1.alphabet != s2.alphabet:
         raise HypothesisError("shift conjugacy needs a common alphabet")
     if s1.length_vector() != s2.length_vector():
         raise HypothesisError("shift conjugacy needs equal image lengths")
     letters = range(s1.size)
     for length in range(max_len + 1):
-        for u in product(letters, repeat=length):
-            if all(s2.rules[x] + u == u + s1.rules[x] for x in letters):
-                return u
+        u = tuple(islice(cycle(s2.rules[0]), length))
+        if all(s2.rules[x] + u == u + s1.rules[x] for x in letters):
+            return u
     return None

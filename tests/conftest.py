@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -22,7 +22,7 @@ from faultline.algebra import (
     times_root,
 )
 from faultline.cli import alg_json
-from faultline.errors import ResourceCapError, ValidationError
+from faultline.errors import HypothesisError, ResourceCapError, ValidationError
 from faultline.substitution import SpectralKind, Substitution
 
 
@@ -269,10 +269,27 @@ def integer_vectors(values):
 # the field here), and the ring, order and ``float`` of ``Number``, an
 # ``AlgebraicNumber`` that has them.
 
-class Interval(algebra.Interval):
-    """Closed interval with exact rational endpoints and its arithmetic."""
+class Interval:
+    """Closed interval with exact rational endpoints and its arithmetic.
+    The program keeps its intervals as (lo, hi) pairs."""
 
-    __slots__ = ()
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError("interval endpoints out of order")
+        self.lo, self.hi = lo, hi
+
+    def abs(self):
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return Interval(-self.hi, -self.lo)
+        return Interval(0, max(-self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval({self.lo}, {self.hi})"
 
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -457,8 +474,8 @@ class Number(AlgebraicNumber):
         return self.compare(other) >= 0
 
     def __float__(self):
-        iv = self.interval(Fraction(1, 2 ** 64))
-        return float((iv.lo + iv.hi) / 2)
+        lo, hi = self.interval(Fraction(1, 2 ** 64))
+        return float((lo + hi) / 2)
 
 
 def poly_eval(a, x):
@@ -516,10 +533,10 @@ def reference_interval(x, width):
     if x.is_rational():
         return Interval(x.coeffs[0], x.coeffs[0])
     width = Fraction(width)
-    iv = peval_interval(x.coeffs, x.field.interval)
+    iv = peval_interval(x.coeffs, Interval(*x.field._iv))
     while iv.width > width:
         bisect_once(x.field)
-        iv = peval_interval(x.coeffs, x.field.interval)
+        iv = peval_interval(x.coeffs, Interval(*x.field._iv))
     return iv
 
 
@@ -585,7 +602,7 @@ def reference_refined(field, width):
     isolating interval to at most ``width`` wide."""
     lo, hi = field._iv
     if field.degree == 1:
-        return Interval(lo, hi)
+        return lo, hi
     width = Fraction(width)
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -596,7 +613,7 @@ def reference_refined(field, width):
         else:
             hi = mid
     field._set_interval(lo, hi)
-    return Interval(lo, hi)
+    return lo, hi
 
 
 class HalvingField(NumberField):
@@ -613,7 +630,7 @@ class HalvingField(NumberField):
                 if (hi - lo) * width.denominator <= width.numerator * q:
                     break
                 bisect_once(self)
-        return self.interval
+        return self._iv
 
     def enclose(self, nums, den, width=None):
         if not any(nums[1:]):
@@ -790,8 +807,10 @@ def reference_smith_normal_form(a):
 
 def reference_direct_limit(a):
     """``abelian.direct_limit`` as it was: the Smith form of a^n finds the
-    eventual kernel whatever det(a) is."""
-    a = abelian._as_mat(a)
+    eventual kernel whatever det(a) is.  Returns the group with the
+    projection and section of the reduction, which the group no longer
+    holds: (group, projection, section)."""
+    a = abelian.mat(a)
     n, cols = shape(a)
     if n != cols:
         raise ValidationError("direct limit needs a square matrix")
@@ -811,8 +830,9 @@ def reference_direct_limit(a):
     dp = abelian.det(a_pr)
     assert dp != 0, "reduced bonding map must be injective"
     assert r == abelian.rank_q(an)
-    return abelian.DirectLimitGroup(n=n, a=a, r=r, a_prime=a_pr, charpoly_prime=cp,
-                                    det_prime=dp, projection=proj, section=sect)
+    group = abelian.DirectLimitGroup(n=n, a=a, r=r, a_prime=a_pr, charpoly_prime=cp,
+                                     det_prime=dp)
+    return group, proj, sect
 
 
 # Reference bodies of the field-arithmetic paths that ``NumberField.sign``,
@@ -840,10 +860,10 @@ def reference_floor(x):
     if x.is_rational():
         c = x.coeffs[0]
         return c.numerator // c.denominator
-    iv = x.interval(Fraction(1, 4))
-    while (iv.lo.numerator // iv.lo.denominator) != (iv.hi.numerator // iv.hi.denominator):
-        iv = x.interval((iv.hi - iv.lo) / 2)
-    return iv.lo.numerator // iv.lo.denominator
+    lo, hi = x.interval(Fraction(1, 4))
+    while (lo.numerator // lo.denominator) != (hi.numerator // hi.denominator):
+        lo, hi = x.interval((hi - lo) / 2)
+    return lo.numerator // lo.denominator
 
 
 def reference_mod_reduce(a, m):
@@ -993,22 +1013,23 @@ def reference_fault_row(offsets):
 # printed offsets from their vectors: ``BoundaryStep.offsets``,
 # ``BoundaryStep.min_gap()`` and ``OffsetStats.min_gap``, as functions.
 
-def step_offsets(step):
-    """The offsets of a ``BoundaryStep`` as AlgebraicNumbers."""
-    return tuple(step.field.element(v, step.den) for v in step.offset_vectors)
+def step_offsets(widths, step):
+    """The offsets of a ``BoundaryStep`` as AlgebraicNumbers, over the
+    ``widths`` of its trace."""
+    return tuple(widths.field.element(v, widths.den) for v in step.offset_vectors)
 
 
-def step_min_gap(step):
+def step_min_gap(widths, step):
     """The least gap between consecutive offsets of a ``BoundaryStep`` as an
     AlgebraicNumber; None for fewer than two offsets."""
-    gap = fault.min_gap_vector(step.field, step.den, step.offset_vectors)
-    return None if gap is None else step.field.element(gap, step.den)
+    gap = fault.min_gap_vector(widths.field, widths.den, step.offset_vectors)
+    return None if gap is None else widths.field.element(gap, widths.den)
 
 
-def stats_min_gap(stats):
+def stats_min_gap(widths, stats):
     """``OffsetStats.min_gap_vector`` as an AlgebraicNumber, or None."""
     v = stats.min_gap_vector
-    return None if v is None else stats.field.element(v, stats.den)
+    return None if v is None else widths.field.element(v, widths.den)
 
 
 # The classifier that ``fault.classify_rounds`` replaced: it read the trace's
@@ -1017,20 +1038,17 @@ def stats_min_gap(stats):
 # the oracle of ``classify_boundary``; test_fault lists where overlap-state
 # closure may decide otherwise.
 
-def reference_classify_trace(trace, spectral=None):
+def reference_classify_trace(trace, top):
     """classify_boundary on an existing trace, which must start from seed
-    letter 0; the cap is its number of rounds.  ``spectral`` is the
-    SpectralKind of the top substitution's matrix when the caller already
-    has it; otherwise it comes from the traced substitution, whose Perron
-    data the trace already computed."""
+    letter 0; the cap is its number of rounds.  ``top`` is the trace's top
+    substitution, whose spectral class the Regular-fault test reads."""
     if trace.seed != 0:
         raise ValidationError("classification is defined on the trace from seed letter 0")
     cap = len(trace.steps)
     if cap < 4:
         raise ValidationError("classification needs at least 4 rounds")
     maxes = trace.max_abs_by_round()
-    if spectral is None:
-        spectral = trace.top_sub.spectral_class().kind
+    spectral = top.spectral_class().kind
 
     if len({v for s in trace.steps for v in s.offset_vectors}) <= 1:
         kind = fault.BoundaryKind.RIGID
@@ -1354,7 +1372,7 @@ def reference_spectral_classify(m, precision_bits=64):
             if lo == hi:
                 moduli.append(_Modulus(abs(lo), abs(hi), exact=abs(lo)))
             else:
-                a = NumberField(fac, (lo, hi)).gen().interval(width).abs()
+                a = Interval(*NumberField(fac, (lo, hi)).gen().interval(width)).abs()
                 moduli.append(_Modulus(a.lo, a.hi))
         if deg - len(real) == 0:
             continue
@@ -1530,3 +1548,22 @@ def tile_emit_svg(patch, colors=None, overlay=(), scale=24):
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# ``substitution.shift_conjugacy`` before it built the one candidate word per
+# length: every word of each length, in lexicographic order, kept verbatim
+# (but for its name) as its oracle.
+
+def reference_shift_conjugacy(s1, s2, max_len=8):
+    """Shortest word u with s2(x) u = u s1(x) for every letter x, searching
+    lengths 0..max_len; None when no certificate is found in range."""
+    if s1.alphabet != s2.alphabet:
+        raise HypothesisError("shift conjugacy needs a common alphabet")
+    if s1.length_vector() != s2.length_vector():
+        raise HypothesisError("shift conjugacy needs equal image lengths")
+    letters = range(s1.size)
+    for length in range(max_len + 1):
+        for u in product(letters, repeat=length):
+            if all(s2.rules[x] + u == u + s1.rules[x] for x in letters):
+                return u
+    return None

@@ -25,6 +25,7 @@ from faultline.abelian import (
     normalize,
     rank_q,
     recognize,
+    saturated_quotient,
     shape,
     smith_normal_form,
     tensor,
@@ -128,8 +129,8 @@ def test_direct_limit_examples():
     g = direct_limit(mat([[0, 1], [0, 0]]))
     assert g.r == 0 and recognize(g).canonical() == "0"
     g = direct_limit(())
-    assert (g.n, g.a, g.r, g.a_prime, g.charpoly_prime, g.det_prime, g.projection,
-            g.section) == (0, (), 0, (), (1,), 1, (), ())
+    assert (g.n, g.a, g.r, g.a_prime, g.charpoly_prime, g.det_prime) == \
+        (0, (), 0, (), (1,), 1)
 
 
 def test_direct_limit_builds_no_power_when_det_is_nonzero(monkeypatch):
@@ -191,8 +192,12 @@ def bonding_maps(draw):
 @example(a=((2, 1), (4, 2)))
 def test_direct_limit_matches_the_smith_only_reference(a):
     # an injective a skips the Smith form of a^n; every field is as the
-    # Smith path gives it, singular or not
-    assert direct_limit(a) == reference_direct_limit(a)
+    # Smith path gives it, singular or not, and so are the projection and
+    # section of the singular path
+    group, proj, sect = reference_direct_limit(a)
+    assert direct_limit(a) == group
+    if det(a) == 0:
+        assert saturated_quotient(kernel_basis(matpow(a, len(a))), a)[:2] == (proj, sect)
 
 
 def test_recognize_examples():
@@ -557,10 +562,10 @@ def test_smith_and_direct_limit_take_lists_bools_and_numpy_ints():
     assert direct_limit(((True, False), (0, 1))) == direct_limit(eye(2))
 
 
-def test_package_matrices_skip_mat(monkeypatch, period_doubling):
+def test_package_matrices_reach_mat_as_int_tuples(monkeypatch, period_doubling):
     # the coboundary, the edge matrix, the vertex pullback and every matrix
     # that smith_normal_form and direct_limit pass on are tuples of int
-    # tuples already: none is rebuilt entry by entry
+    # tuples already, so ``mat``, their one check, returns them unchanged
     calls = []
     real = abelian.mat
     monkeypatch.setattr(abelian, "mat", lambda rows: calls.append(rows) or real(rows))
@@ -569,7 +574,11 @@ def test_package_matrices_skip_mat(monkeypatch, period_doubling):
     h1_limit(cx)
     recognize(direct_limit(cx.vertex_pullback_matrix()))
     recognize(direct_limit(data.induced_h1))
-    assert calls == []
+    assert calls
+    for a in calls:
+        assert type(a) is tuple and all(type(row) is tuple for row in a)
+        assert all(type(x) is int for row in a for x in row) and real(a) == a
+    calls.clear()
     smith_normal_form([[1, 2], [3, 4]])
     assert calls == [[[1, 2], [3, 4]]]
 
@@ -637,12 +646,16 @@ def test_returned_matrices_are_int_tuples(sigma1, period_doubling):
         g = direct_limit(transpose(cx.edge_matrix))
         check(g.a, e, e)
         check(g.a_prime, g.r, g.r)
-        check(g.projection, g.r, e)
-        check(g.section, e, g.r)
+        # the projection and section of the eventual kernel's quotient
+        proj, sect, _ = saturated_quotient(kernel_basis(matpow(g.a, e)), g.a)
+        check(proj, g.r, e)
+        check(sect, e, g.r)
         expr = recognize(g)
         check(expr.presentation_matrix(), expr.rank(), expr.rank())
     nilpotent = direct_limit(mat([[0, 1], [0, 0]]))
-    assert (nilpotent.a_prime, nilpotent.projection, nilpotent.section) == ((), (), ((), ()))
+    assert nilpotent.a_prime == ()
+    assert saturated_quotient(kernel_basis(matpow(nilpotent.a, 2)), nilpotent.a)[:2] == \
+        ((), ((), ()))
     assert GroupExpr.trivial().presentation_matrix() == ()
 
 

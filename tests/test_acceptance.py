@@ -66,11 +66,11 @@ def test_criterion_01_spectral_data():
     s1, _ = sigma_pair()
     pd = s1.perron()
     assert pd.charpoly == (-3, -1, 1)  # x^2 - x - 3, exactly
-    lam = pd.root.interval(Fraction(1, 10 ** 6))
+    lo, hi = pd.root.interval(Fraction(1, 10 ** 6))
     # the expansion constant is 2.30277..., within the 1e-4 tolerance of the
     # stated [2.3028, 2.3029] bracket
-    assert Fraction(23028, 10000) - Fraction(1, 10000) <= lam.lo
-    assert lam.hi <= Fraction(23029, 10000) + Fraction(1, 10000)
+    assert Fraction(23028, 10000) - Fraction(1, 10000) <= lo
+    assert hi <= Fraction(23029, 10000) + Fraction(1, 10000)
     sc = s1.spectral_class()
     assert sc.kind is SpectralKind.NON_PISOT_EXPANDING
     lo, hi = sc.second_eigenvalue_modulus

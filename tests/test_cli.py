@@ -239,20 +239,33 @@ def test_commands_with_complex_roots_load_neither_sympy_nor_numpy(tmp_path):
     assert run.stdout == "[]\n"
 
 
+# sha256 of each demo's stdout, with the directory it runs in printed as
+# "<tmp>" (render_patches prints the paths it writes)
+DEMO_STDOUT_SHA256 = {
+    "ap_complexes.py": "76eabed1bd38c0cd5e7340ad7360f4b6afdeac843806a08066135d17833480c6",
+    "cohomology_walkthrough.py": "4c4c3765d6f1952eec4ace1cef1b2eb451858f2f4b3098976a9d1a381f2601f7",
+    "direct_limits_tour.py": "01d915ec664b5f5394be52781ab48994ef140fb4897d365bb39ecfd3e1fefa8a",
+    "fault_line_basics.py": "b93aaf8caa24515fe314feeb5d8963ffb4d3b946cbff7a02b2c7a3ee1db474c4",
+    "render_patches.py": "e50608fa0fe1b7f45710ffca834e0ab0eb5cadf21db06fb17b3de9a07bfc31fd",
+}
+
+
 def test_demos_run_cleanly(tmp_path):
     # each demo runs from a copy, so render_patches writes its SVGs under
-    # tmp_path
+    # tmp_path; each prints the text pinned above
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     demos = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-    assert len(demos) == 5
+    assert [demo.name for demo in demos] == sorted(DEMO_STDOUT_SHA256)
     for demo in demos:
         copy = tmp_path / demo.name
         copy.write_text(demo.read_text(encoding="utf-8"), encoding="utf-8")
         run = subprocess.run([sys.executable, str(copy)], env=env, cwd=tmp_path,
                              capture_output=True, text=True, timeout=120)
         assert (run.returncode, run.stderr) == (0, ""), demo.name
+        stdout = run.stdout.replace(str(tmp_path.resolve()), "<tmp>").encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name], demo.name
     assert len(list((tmp_path / "out").glob("*.svg"))) == 3
 
 
@@ -553,8 +566,11 @@ def test_document_roundtrip():
     for name in bundled_names():
         text = resources.files("faultline").joinpath("data", name + ".json").read_text("utf-8")
         doc = bundled_document(name)
-        again = load_document(json.loads(text))
-        assert again.alphabets == doc.alphabets
+        raw = json.loads(text)
+        again = load_document(raw)
+        assert {n: s.alphabet for n, s in again.substitutions.items()} == \
+            {n: tuple(raw["alphabets"][spec["alphabet"]])
+             for n, spec in raw["substitutions"].items()}
         assert again.substitutions == doc.substitutions
         assert again.dpv == doc.dpv
         assert again.options == doc.options
@@ -747,12 +763,14 @@ def test_fault_builds_no_word(monkeypatch, seed):
     assert not applied
     monkeypatch.undo()
     [tr] = traces
+    doc = bundled_document("doubling_swap")
+    sigma1, sigma2 = doc.substitution("sigma1"), doc.substitution("sigma2")
     for st, row in zip(tr.steps, json.loads(out)["rounds"], strict=True):
-        top = iterate(tr.top_sub, (tr.seed,), st.round)
-        bottom = iterate(tr.bottom_sub, (tr.seed,), st.round)
+        top = iterate(sigma1, (tr.seed,), st.round)
+        bottom = iterate(sigma2, (tr.seed,), st.round)
         assert (len(st.top), len(st.bottom)) == (len(top), len(bottom))
         for word, shown in ((top, row["top"]), (bottom, row["bottom"])):
-            text = tr.top_sub.text(word)
+            text = sigma1.text(word)
             assert shown == (text if len(text) <= 80 else text[:77] + "...")
 
 

@@ -98,8 +98,8 @@ def reference_prefix_discrepancies(top, bottom, widths, tracked):
     scale = 1 << 96
     scaled = []
     for w in widths:
-        iv = w.interval(Fraction(1, scale))
-        mid = (iv.lo + iv.hi) / 2 * scale
+        lo, hi = w.interval(Fraction(1, scale))
+        mid = (lo + hi) / 2 * scale
         scaled.append(round(mid))
 
     def delta_sign(deltas):
@@ -289,7 +289,8 @@ def test_trace_refines_fields_as_the_scan_does(seed, n_letters, k):
     assert fast.widths.field.root_ints == slow.widths.field.root_ints
     for a, b in zip(fast.steps, slow.steps):
         assert a.discrepancy_values == b.discrepancy_values
-        assert [o.coeffs for o in step_offsets(a)] == [o.coeffs for o in step_offsets(b)]
+        assert [o.coeffs for o in step_offsets(fast.widths, a)] == \
+            [o.coeffs for o in step_offsets(slow.widths, b)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -395,10 +396,10 @@ def test_order_vectors_overlapping_enclosures():
     assert order_vectors(field, den, vectors) == want == (2, 1, 3, 0, 4, 5)
 
 
-def fault_row(step):
+def fault_row(widths, step):
     """The printed ``min_gap`` and ``offsets`` of one ``fault`` report row,
     in the order ``cmd_fault`` builds them, from the integer vectors."""
-    field, den, offsets = step.field, step.den, step.offset_vectors
+    field, den, offsets = widths.field, widths.den, step.offset_vectors
     gap = fault.min_gap_vector(field, den, offsets)
     gap = alg_json(field, gap, den) if gap is not None else None
     return gap, [alg_json(field, o, den) for o in offsets] if len(offsets) <= 12 else None
@@ -419,18 +420,19 @@ def test_offsets_match_the_algebraic_number_path(seed, n_letters, k):
         field = trace.widths.field
         ref_field, ref_rounds = reference_offsets(s, t, start, k, modulus)
         assert field.root_ints == ref_field.root_ints
-        assert [[o.coeffs for o in step_offsets(st_)] for st_ in trace.steps] == \
+        assert [[o.coeffs for o in step_offsets(trace.widths, st_)] for st_ in trace.steps] == \
             [[o.coeffs for o in r] for r in ref_rounds]
         stats = offset_statistics(trace)
         count, gap = reference_offset_statistics(ref_rounds)
         assert stats.distinct_count == count
-        assert getattr(stats_min_gap(stats), "coeffs", None) == getattr(gap, "coeffs", None)
+        assert getattr(stats_min_gap(trace.widths, stats), "coeffs", None) == \
+            getattr(gap, "coeffs", None)
         assert field.root_ints == ref_field.root_ints
         if start == 0:
             rigid = len({o for r in ref_rounds for o in r}) <= 1
-            assert (reference_classify_trace(trace) is BoundaryKind.RIGID) == rigid
+            assert (reference_classify_trace(trace, s) is BoundaryKind.RIGID) == rigid
         for st_, r in zip(trace.steps, ref_rounds):
-            assert fault_row(st_) == reference_fault_row(r)
+            assert fault_row(trace.widths, st_) == reference_fault_row(r)
             assert field.root_ints == ref_field.root_ints
 
 
@@ -450,7 +452,7 @@ def test_offset_layer_does_no_algebraic_number_arithmetic(monkeypatch, sigma1, s
     for modulus in (None, 1, 0):
         trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 10, modulus=modulus)
         stats = offset_statistics(trace)
-        gap = step_min_gap(trace.steps[-1])
+        gap = step_min_gap(trace.widths, trace.steps[-1])
         if modulus == 0:
             assert stats.distinct_count == 1 and gap is None
         else:
@@ -611,7 +613,7 @@ def test_walks_resume_in_any_order(seed, n_letters, cap, k, more, budget, order)
 
 
 def step_key(step):
-    return (step.round, len(step.top), step.discrepancy_values, step.offset_vectors, step.den)
+    return (step.round, len(step.top), step.discrepancy_values, step.offset_vectors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -636,6 +638,7 @@ def test_state_budget_never_changes_a_trace(seed, n_letters, k, budget):
             boundary_trace(OverlapGraph(s, t, budget), start, r - 1)
         return
     assert [step_key(x) for x in capped.steps] == [step_key(x) for x in free.steps]
+    assert capped.widths.den == free.widths.den
 
 
 def test_offsets_listed_once_per_round(sigma1, sigma2):
@@ -646,9 +649,9 @@ def test_offsets_listed_once_per_round(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 8, modulus=0)
     assert [len(st_.discrepancy_values) for st_ in trace.steps] == [2, 3, 3, 4, 5, 7, 8, 11]
     assert all(st_.offset_vectors == ((0, 0),) for st_ in trace.steps)
-    assert all(step_min_gap(st_) is None for st_ in trace.steps)
+    assert all(step_min_gap(trace.widths, st_) is None for st_ in trace.steps)
     assert offset_statistics(trace).distinct_count == 1
-    assert reference_classify_trace(trace) is BoundaryKind.RIGID
+    assert reference_classify_trace(trace, sigma1) is BoundaryKind.RIGID
     assert classify_boundary(OverlapGraph(sigma1, sigma2), 8) is BoundaryKind.REGULAR_FAULT
 
 
@@ -704,12 +707,14 @@ def test_offset_recurrence(sigma1):
 def test_offset_statistics(sigma1, sigma2):
     trace = boundary_trace(OverlapGraph(sigma1, sigma2), "a", 10)
     stats = offset_statistics(trace)
-    counts = stats.per_round_counts
+    counts = [len(st_.offset_vectors) for st_ in trace.steps]
     assert all(counts[i] < counts[i + 1] for i in range(3, 9))
-    assert stats_min_gap(stats) is not None and stats_min_gap(stats).sign() > 0
+    gap = stats_min_gap(trace.widths, stats)
+    assert gap is not None and gap.sign() > 0
     assert stats.distinct_count >= counts[-1]
-    short = offset_statistics(boundary_trace(OverlapGraph(sigma1, sigma1), "a", 2))
-    assert short.distinct_count == 1 and stats_min_gap(short) is None
+    short = boundary_trace(OverlapGraph(sigma1, sigma1), "a", 2)
+    stats = offset_statistics(short)
+    assert stats.distinct_count == 1 and stats_min_gap(short.widths, stats) is None
 
 
 def test_classify_examples(sigma1, sigma2):
@@ -719,27 +724,28 @@ def test_classify_examples(sigma1, sigma2):
 
 def test_classify_trace_matches_classify_boundary(sigma1, sigma2):
     graph = OverlapGraph(sigma1, sigma2)
-    assert reference_classify_trace(boundary_trace(graph, "a", 10)) == \
+    assert reference_classify_trace(boundary_trace(graph, "a", 10), sigma1) == \
         classify_boundary(graph, cap=10)
     with pytest.raises(ValidationError):
-        reference_classify_trace(boundary_trace(OverlapGraph(sigma1, sigma2), "b", 10))
+        reference_classify_trace(boundary_trace(OverlapGraph(sigma1, sigma2), "b", 10), sigma1)
 
 
-def classify_steps(trace):
-    """``classify_rounds`` on the discrepancies of a trace, as
-    ``classify_boundary`` reads a walk that does not close."""
+def classify_steps(trace, top):
+    """``classify_rounds`` on the discrepancies of a trace whose top
+    substitution is ``top``, as ``classify_boundary`` reads a walk that does
+    not close."""
     return classify_rounds((st_.discrepancy_values for st_ in trace.steps),
-                           lambda: trace.top_sub.spectral_class().kind)
+                           lambda: top.spectral_class().kind)
 
 
 def test_classify_trace_needs_four_rounds(monkeypatch, sigma1, sigma2):
     # classification reads only the checkpoints and the discrepancies: no
     # growth estimate, but the same refusal below 4 rounds
     monkeypatch.setattr(fault, "discrepancy_growth", None)
-    assert classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 4)) is \
+    assert classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 4), sigma1) is \
         BoundaryKind.REGULAR_FAULT
     with pytest.raises(ValidationError, match="^classification needs at least 4 rounds$"):
-        classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 3))
+        classify_steps(boundary_trace(OverlapGraph(sigma1, sigma2), "a", 3), sigma1)
     with pytest.raises(ValidationError, match="^classification needs cap >= 4$"):
         classify_boundary(OverlapGraph(sigma1, sigma2), cap=3)
 
@@ -796,7 +802,7 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
             return str(exc)
 
     want = outcome(lambda: reference_classify_trace(
-        boundary_trace(OverlapGraph(s, t, budget), 0, cap, modulus=modulus)))
+        boundary_trace(OverlapGraph(s, t, budget), 0, cap, modulus=modulus), s))
     got = outcome(lambda: classify_boundary(OverlapGraph(s, t, budget), cap))
     graph = OverlapGraph(s, t, budget)
     widths = graph.scan
@@ -810,7 +816,13 @@ def test_classify_boundary_matches_the_offset_reference(seed, n_letters, cap, mo
     closes = walk_closes(0)
     every_walk_closes = all(map(walk_closes, range(n_letters)))
     reaches_cap = any(outcome(lambda: graph.closes(x, cap)) is False for x in range(n_letters))
-    modulus = boundary_trace(OverlapGraph(s, t), 0, 1, modulus).modulus
+    if modulus is None:
+        # the default modulus is the widest tile, the first of equal ones:
+        # it gives the offsets of the trace that names it
+        sizes = numbers(s.tile_lengths())
+        modulus = sizes.index(max(sizes))
+        assert boundary_trace(OverlapGraph(s, t), 0, 1).steps == \
+            boundary_trace(OverlapGraph(s, t), 0, 1, modulus).steps
     unit, mod = widths.vectors[0], widths.vectors[modulus]
     q = Fraction(next(u for u, m in zip(unit, mod) if m), next(m for m in mod if m))
     vacuous = want is BoundaryKind.RIGID and q.denominator == 1 and \

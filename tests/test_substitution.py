@@ -1,6 +1,7 @@
 """Substitution action, abelianization, Perron data, spectral classes,
 legal words, shift conjugacy, tile lengths."""
 
+import inspect
 import random
 from fractions import Fraction
 import warnings
@@ -31,6 +32,7 @@ from conftest import (
     integer_vectors,
     iterate,
     random_substitution,
+    reference_shift_conjugacy,
     reference_spectral_classify,
     reference_tile_lengths,
     ring,
@@ -91,8 +93,8 @@ def test_letter_counts_transform_by_matrix(sigma1):
 def test_perron_examples(sigma1, period_doubling):
     pd = sigma1.perron()
     assert pd.charpoly == (-3, -1, 1)
-    iv = pd.root.interval()
-    assert 2.30 < iv.lo <= iv.hi < 2.31
+    lo, hi = pd.root.interval(Fraction(1, 2 ** 40))
+    assert 2.30 < lo <= hi < 2.31
     assert pd.primitive
 
     one = perron_data(mat([[1]]))
@@ -381,6 +383,50 @@ def test_shift_conjugacy_theta_family():
     assert u == t1.word("a")
     for x in range(2):
         assert t2.rules[x] + u == u + t1.rules[x]
+
+
+@st.composite
+def conjugacy_pairs(draw):
+    """Two substitutions with equal image lengths over 1-3 letters: either
+    s1(x) = w_x v and s2(x) = v w_x, which u = v conjugates, or s2 with the
+    letters of each image of s1 reordered."""
+    letters = "abc"[:draw(st.integers(1, 3))]
+    v = draw(st.text(letters, max_size=4))
+    ws = {x: draw(st.text(letters, min_size=0 if v else 1, max_size=4)) for x in letters}
+    s1 = {x: w + v for x, w in ws.items()}
+    if draw(st.booleans()):
+        s2 = {x: v + w for x, w in ws.items()}
+    else:
+        s2 = {x: "".join(draw(st.permutations(img))) for x, img in s1.items()}
+    return Substitution(letters, s1), Substitution(letters, s2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=conjugacy_pairs())
+def test_shift_conjugacy_matches_the_word_search(pair):
+    # u is a prefix of s2(a) s2(a) ..., so the one candidate of each length
+    # finds what the search over all |A|^L words finds
+    assert shift_conjugacy(*pair) == reference_shift_conjugacy(*pair)
+
+
+def test_shift_conjugacy_checks_one_candidate_per_length():
+    # six letters and no certificate: the word search would check
+    # 6^0 + ... + 6^8 candidates.  Each check reads s1's image of the first
+    # letter once, so counting those reads counts the checks.
+    class CountedRules(tuple):
+        def __getitem__(self, i):
+            if i == 0:
+                self.reads += 1
+            return super().__getitem__(i)
+
+    letters = "abcdef"
+    s1 = Substitution(letters, {x: x + y for x, y in zip(letters, letters[1:] + "a")})
+    s2 = Substitution(letters, {x: y + x for x, y in zip(letters, letters[1:] + "a")})
+    s1.rules = CountedRules(s1.rules)
+    s1.rules.reads = 0
+    assert shift_conjugacy(s1, s2) is None
+    max_len = inspect.signature(shift_conjugacy).parameters["max_len"].default
+    assert 0 < s1.rules.reads <= max_len + 1
 
 
 def test_shift_conjugacy_hypothesis_error(sigma1):
